@@ -194,7 +194,8 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
     counts and are re-derived once from the fitted model (Pearson-style),
     which removes the few-percent rate bias that observed-count weights
     produce in low-count tail bins.  1-sigma uncertainties come from
-    (J^T J)^-1 (absolute weights, no chi-square rescaling).
+    (J^T J)^-1, J the Jacobian at the solution weighted by sqrt(max(mu, 1))
+    of the returned model mu (absolute weights, no chi-square rescaling).
 
     The exciton buildup-and-decay shape is invariant under swapping the two
     rates (up to amplitude), so the result is canonicalized to
@@ -227,9 +228,11 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
         if not result.success:
             raise NonConvergence(f"fit did not converge: {result.message}")
         x0 = result.x
+        pass_weights = weights
         weights = np.sqrt(np.maximum(cascade_model(times, pack(result.x), which), 1.0))
 
-    jac = result.jac
+    # the last pass's Jacobian at result.x, reweighted by the returned model
+    jac = result.jac * (pass_weights / weights)[:, None]
     _, sv, _ = np.linalg.svd(jac, full_matrices=False)
     if sv[-1] < 1e-12 * sv[0]:
         raise IllConditioned("rank-deficient Jacobian; parameters not identifiable")

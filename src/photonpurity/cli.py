@@ -41,6 +41,10 @@ class ConfigError(ValueError):
     pass
 
 
+class EstimationError(RuntimeError):
+    """The coincidence histogram cannot be normalized (empty side peaks)."""
+
+
 @dataclass
 class RunConfig:
     """Resolved run configuration; every field lands in the metadata JSON."""
@@ -104,6 +108,7 @@ _FLAT_KEYS = {
     "rep_period", "window", "bin_width", "span", "seed", "jobs", "out",
     "pulse_lengths", "filter_widths", "excluded_peaks", "truncation", "epsilon",
 }
+_NESTED_KEYS = {"pulse", "sensor", "sweep", "integrator", "stream"}
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
@@ -111,8 +116,15 @@ def load_config(path=None, overrides=None) -> RunConfig:
     data = {}
     if path is not None:
         with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+            try:
+                data = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as err:
+                raise ConfigError(f"config: {err}") from err
+    if not isinstance(data, dict):
+        raise ConfigError("config: must be a mapping of keys to values")
     for key, value in data.items():
+        if key in _NESTED_KEYS and not isinstance(value, dict):
+            raise ConfigError(f"{key}: must be a mapping, got {value!r}")
         if key == "pulse":
             cfg.pulse_area_pi = value.get("area_pi", cfg.pulse_area_pi)
             cfg.pulse_length = value.get("length", cfg.pulse_length)
@@ -138,7 +150,10 @@ def load_config(path=None, overrides=None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, key, value)
-    return cfg.validate()
+    try:
+        return cfg.validate()
+    except TypeError as err:  # e.g. a string where a number belongs
+        raise ConfigError(f"config: value of the wrong type ({err})") from err
 
 
 def integrator_config(cfg: RunConfig) -> dynamics.IntegratorConfig:
@@ -227,7 +242,7 @@ def cmd_g2map(cfg: RunConfig):
     out = _outdir(cfg)
     builder = _system_builder(cfg)
     system = builder(GaussianPulse(cfg.pulse_area_pi * math.pi, cfg.pulse_length))
-    grid = correlations.map_grid(system, None)
+    grid = correlations.map_grid(system)
     if cfg.grid_points:
         grid = np.linspace(0.0, grid[-1], cfg.grid_points)
     cg = dynamics.two_time_g2_map(system, "sigma", grid, cfg=integrator_config(cfg))
@@ -334,28 +349,46 @@ def cmd_sweep_pulse(cfg: RunConfig):
 
 def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:
     stream = dict(cfg.stream)
-    blink = stream.pop("blinking", None)
-    if blink:
-        stream["blinking"] = photostream.BlinkingConfig(
-            frequencies=tuple(blink["frequencies"]), depth=blink.get("depth", 0.5)
-        )
     stream.setdefault("n_pulses", 1_000_000)
     stream.setdefault("rep_period", cfg.rep_period)
     try:
+        blink = stream.pop("blinking", None)
+        if blink:
+            stream["blinking"] = photostream.BlinkingConfig(
+                frequencies=tuple(blink["frequencies"]), depth=blink.get("depth", 0.5)
+            )
         return photostream.StreamConfig(**stream)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"stream: {err}") from err
+    except (TypeError, ValueError, KeyError) as err:
+        raise ConfigError(f"stream: {err!r}") from err
+
+
+def _check_window(rep_period, window, span, what):
+    """The peak-sum windows must fit: window <= rep_period and a span that
+    covers the side peaks, rep_period + window / 2."""
+    if window > rep_period:
+        raise ConfigError(f"window: {window} ns exceeds the repetition period {rep_period} ns")
+    if span < rep_period + window / 2.0:
+        raise ConfigError(f"{what}: {span:g} ns does not cover rep_period + window / 2 "
+                          f"= {rep_period + window / 2.0:g} ns")
+
+
+def _estimate(hist, rep_period, cfg: RunConfig):
+    try:
+        return photostream.estimate_g2(hist, rep_period, cfg.window, cfg.excluded_peaks)
+    except ValueError as err:  # the windows were checked: the side peaks are empty
+        raise EstimationError(str(err)) from err
 
 
 def cmd_hbt(cfg: RunConfig):
     """Synthesize a photon stream, correlate it and estimate g2."""
-    out = _outdir(cfg)
     stream_cfg = _stream_config(cfg)
+    _check_window(stream_cfg.rep_period, cfg.window, cfg.span, "span")
+    out = _outdir(cfg)
     clicks1, clicks2 = photostream.synthesize_stream(stream_cfg, cfg.seed)
     hist = photostream.correlate(clicks1, clicks2, cfg.bin_width, cfg.span)
     hist_path = os.path.join(out, "hbt_histogram.csv")
     hist.to_csv(hist_path)
-    estimate = photostream.estimate_g2(hist, stream_cfg.rep_period, cfg.window, cfg.excluded_peaks)
+    estimate = _estimate(hist, stream_cfg.rep_period, cfg)
     est_path = os.path.join(out, "hbt_estimate.json")
     estimate.to_json(est_path)
     ks, sums = photostream.peak_sums(hist, stream_cfg.rep_period, cfg.window)
@@ -381,9 +414,10 @@ def cmd_hbt(cfg: RunConfig):
 
 def cmd_analyze_histogram(cfg: RunConfig, data_path):
     """Peak-sum analysis of an existing histogram CSV."""
-    out = _outdir(cfg)
     hist = photostream.read_histogram_csv(data_path)
-    estimate = photostream.estimate_g2(hist, cfg.rep_period, cfg.window, cfg.excluded_peaks)
+    _check_window(cfg.rep_period, cfg.window, hist.span, "data: histogram span")
+    out = _outdir(cfg)
+    estimate = _estimate(hist, cfg.rep_period, cfg)
     est_path = os.path.join(out, "histogram_estimate.json")
     estimate.to_json(est_path)
     ks, sums = photostream.peak_sums(hist, cfg.rep_period, cfg.window)
@@ -413,11 +447,6 @@ def cmd_fit_lifetime(cfg: RunConfig, data_path, which):
         _metadata(cfg, "fit-lifetime", {"data": str(data_path), "which": which}),
     )
     return [fit_path]
-
-
-def filter_width_from_ghz(bandwidth_ghz, lifetime_ps):
-    """Convert a filter FWHM in GHz to units of the decay rate 1/lifetime."""
-    return 2.0 * math.pi * bandwidth_ghz * 1e9 * lifetime_ps * 1e-12
 
 
 def build_parser():
@@ -477,11 +506,12 @@ def main(argv=None):
             paths = cmd_fit_lifetime(cfg, args.data, args.which)
         else:
             paths = _COMMANDS[args.command](cfg)
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:  # OSError: a path from the config or the flags
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except (correlations.NotConverged, correlations.ZeroEmission,
-            correlations.SweepPointError,
+            correlations.SweepPointError, dynamics.StepSizeUnderflow,
+            dynamics.NonPhysicalState, EstimationError,
             analysis.NonConvergence, analysis.IllConditioned) as err:
         print(f"convergence failure: {err}", file=sys.stderr)
         return 3

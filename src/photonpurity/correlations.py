@@ -2,11 +2,24 @@
 
 Headline quantity: g2[0; Gamma], the degree of second-order coherence at zero
 delay of the emission seen through a Lorentzian filter of bandwidth Gamma,
-computed with a weakly coupled sensor mode:
+computed with a weakly coupled sensor mode s (del Valle et al., PRL 109,
+183601 (2012)):
 
     n(t)       = (Gamma / 2 eps)^2 <s^dag(t) s(t)>
     G2(t1, t2) = (Gamma / 2 eps)^4 <T-[s^dag(t1) s^dag(t2)] T+[s(t2) s(t1)]>
     g2         = (double integral of G2) / (integral of n)^2
+
+Both integrals run over all times, with no grid and no horizon
+(dynamics.emission_integrals): one forward pass of the state, the
+single collapsed row X(t2) = int_0^t2 U(t2, t1) J rho(t1) dt1 and their time
+integrals covers the pulse window [0, t0 + 8 tau]; after it the generator is
+constant and every tail is a resolvent solve.  Error budget of g2:
+
+- integrator tolerance: rel_tol 1e-9 against 1e-11 moves it by < 1e-7;
+- drive cut-off: the drive past t0 + 8 tau (below e^-32 of its peak) is
+  dropped; t0 + 10 tau moves g2 by < 1e-9;
+- sensor coupling: the eps-halving check below (measured < 1e-4);
+- sensor truncation: 2 against 3 photons, < 1e-3.
 
 Every reported g2 can be cross-checked by halving the sensor coupling; the
 two systems are integrated in one batch so the check costs little.
@@ -21,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics
-from .dynamics import IntegratorConfig, PhysicalityReport, Trajectory, g2_map_raw
+from .dynamics import IntegratorConfig, PhysicalityReport, Trajectory
 from .model import GaussianPulse, SensorConfig, SystemModel, attach_sensor
 
 ZERO_EMISSION_FLOOR = 1e-12
@@ -78,33 +91,24 @@ def _slowest_rate(system: SystemModel) -> float:
     return min(rate for _, rate in system.channels if rate > 0)
 
 
-def horizon(system: SystemModel, bandwidth: float | None = None) -> float:
-    """Integration horizon: pulse offset plus HORIZON_DECADES lifetimes of the
-    slowest relevant decay (emitter channels and, if given, the filter)."""
-    slow = _slowest_rate(system)
-    if bandwidth is not None:
-        slow = min(slow, bandwidth)
+def horizon(system: SystemModel) -> float:
+    """End of the g2map plot: pulse offset plus HORIZON_DECADES lifetimes of
+    the slowest emitter decay."""
     t0 = system.pulse.offset if system.pulse is not None else 0.0
-    return t0 + HORIZON_DECADES / slow
+    return t0 + HORIZON_DECADES / _slowest_rate(system)
 
 
-def map_grid(system: SystemModel, bandwidth: float | None = None) -> np.ndarray:
-    """Uniform time grid for trapezoid integration of the correlation map.
+def map_grid(system: SystemModel) -> np.ndarray:
+    """Uniform time grid of the g2map plot of the two-time correlation map.
 
-    The spacing resolves the narrower of the coincidence strip width
-    (pulse length broadened by the filter memory 1/Gamma) and the emitter
+    The spacing resolves the narrower of the pulse length and the emitter
     lifetime; the point count is clamped to keep maps affordable.
     """
-    t_end = horizon(system, bandwidth)
+    t_end = horizon(system)
     tau = system.pulse.length if system.pulse is not None else 1.0
-    feature = tau if bandwidth is None else math.hypot(tau, 1.0 / bandwidth)
-    spacing = min(feature, 1.0 / _slowest_rate(system)) / 2.5
+    spacing = min(tau, 1.0 / _slowest_rate(system)) / 2.5
     points = int(np.clip(math.ceil(t_end / spacing) + 1, GRID_MIN_POINTS, GRID_MAX_POINTS))
     return np.linspace(0.0, t_end, points)
-
-
-def _trapz2d(values, grid):
-    return float(np.trapezoid(np.trapezoid(values, grid, axis=-1), grid, axis=-1))
 
 
 def filtered_g2_zero(
@@ -120,7 +124,10 @@ def filtered_g2_zero(
     `system` is the bare emitter; the sensor is attached here (twice when
     `check_convergence`, at eps and eps/2, integrated as one batch).  Raises
     NotConverged if the two disagree by more than 0.5% and ZeroEmission if
-    the integrated filtered population is below 1e-12.
+    the integrated filtered population is below 1e-12.  `grid` only sets the
+    times at which `n_of_t` and the physicality report are sampled (default:
+    across the pulse window); g2 and `n_integral` depend on it only through
+    the integrator stopping at its points in the window (< 1e-9 relative).
     """
     if observed is None:
         if "sigma" not in system.output_ops:
@@ -131,20 +138,15 @@ def filtered_g2_zero(
     extended = [
         attach_sensor(system, observed, replace(sensor, coupling=c)) for c in couplings
     ]
-    if grid is None:
-        grid = map_grid(system, sensor.bandwidth)
-    grid = np.asarray(grid, dtype=float)
+    # scaled so that the first system reads out n(t) and G2 themselves
+    emit = sensor.bandwidth / (2.0 * eps) * extended[0].output_ops["sensor"]
+    res = dynamics.emission_integrals(extended, emit, grid, cfg)
 
-    raw = g2_map_raw(extended, extended[0].output_ops["sensor"], grid, cfg)
-    den_raw = np.trapezoid(raw.n_series, grid, axis=-1)
-    num_raw = np.array([_trapz2d(raw.w[b], grid) for b in range(len(couplings))])
-
-    pref2 = (sensor.bandwidth / (2.0 * couplings[0])) ** 2
-    n_integral = pref2 * den_raw[0]
+    n_integral = float(res.n_integral[0])
     if n_integral < ZERO_EMISSION_FLOOR:
         raise ZeroEmission(f"integrated filtered population {n_integral:.3e} below floor")
 
-    g2 = num_raw / den_raw**2
+    g2 = res.pair_integral / res.n_integral**2
     converged = False
     g2_check = None
     if check_convergence:
@@ -153,17 +155,16 @@ def filtered_g2_zero(
         if not converged:
             raise NotConverged(float(g2[0]), g2_check)
 
-    base_traj = Trajectory(grid, raw.base_states[0])
     return FilteredStats(
-        times=grid,
-        n_of_t=pref2 * raw.n_series[0],
-        n_integral=float(n_integral),
-        g2_numerator=float(pref2**2 * num_raw[0]),
+        times=res.times,
+        n_of_t=res.n_series[0],
+        n_integral=n_integral,
+        g2_numerator=float(res.pair_integral[0]),
         g2=float(g2[0]),
         epsilon_used=eps,
         converged=converged,
         g2_epsilon_check=g2_check,
-        base_report=dynamics.physicality_report(base_traj),
+        base_report=dynamics.physicality_report(Trajectory(res.times, res.states[0])),
     )
 
 
@@ -171,20 +172,16 @@ def unfiltered_g2_zero(
     system: SystemModel,
     emit="sigma",
     cfg: IntegratorConfig | None = None,
-    grid=None,
 ) -> float:
-    """Unfiltered g2[0]: the bare-emitter correlation map integrated over the
-    horizon and normalized by the squared integrated population."""
+    """Unfiltered g2[0]: the bare-emitter pair integral normalized by the
+    squared integrated population, both over all times."""
     if isinstance(emit, str):
         emit = system.output_ops[emit]
-    if grid is None:
-        grid = map_grid(system, None)
-    grid = np.asarray(grid, dtype=float)
-    raw = g2_map_raw([system], np.asarray(emit, dtype=complex), grid, cfg)
-    den = float(np.trapezoid(raw.n_series[0], grid))
+    res = dynamics.emission_integrals([system], emit, times=(), cfg=cfg)
+    den = float(res.n_integral[0])
     if den < ZERO_EMISSION_FLOOR:
         raise ZeroEmission(f"integrated population {den:.3e} below floor")
-    return _trapz2d(raw.w[0], grid) / den**2
+    return float(res.pair_integral[0]) / den**2
 
 
 def spectrum(
@@ -206,13 +203,9 @@ def spectrum(
         attach_sensor(system, observed, SensorConfig(d, spec_bandwidth, eps, 2))
         for d in detunings
     ]
-    t_end = horizon(system, spec_bandwidth)
-    spacing = min(1.0 / _slowest_rate(system), 1.0 / spec_bandwidth) / 4.0
-    points = int(np.clip(math.ceil(t_end / spacing) + 1, GRID_MIN_POINTS, 4000))
-    grid = np.linspace(0.0, t_end, points)
-
-    series = dynamics.emission_series(extended, extended[0].output_ops["sensor"], grid, cfg)
-    intensities = np.trapezoid(series, grid, axis=-1)
+    intensities = dynamics.emission_integrals(
+        extended, extended[0].output_ops["sensor"], times=(), cfg=cfg, pairs=False
+    ).n_integral
     peak = float(np.max(intensities))
     if peak <= 0:
         raise ZeroEmission("no emission anywhere on the detuning grid")
@@ -223,8 +216,6 @@ def spectrum(
             "kind": "spectrum",
             "spec_bandwidth": spec_bandwidth,
             "epsilon": eps,
-            "grid_points": points,
-            "horizon": t_end,
         },
     )
 

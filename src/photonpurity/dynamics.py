@@ -1,4 +1,4 @@
-"""Master-equation propagation and two-time correlation maps.
+"""Master-equation propagation, emission integrals and two-time correlation maps.
 
 Density matrices are plain complex ndarrays.  The integrator works in the
 co-rotating frame defined by the diagonal of the static Hamiltonian (see
@@ -7,9 +7,12 @@ rotation from the state; all stored states and readouts are transformed back
 to the laser rotating frame, so expectation values of arbitrary operators
 remain correct.
 
-The right-hand side is applied as one batched superoperator matmul, which is
-what makes wavefront evaluation of the two-time map (hundreds of collapsed
-states stepped in lockstep) affordable in pure numpy.
+The right-hand side is a few batched matmuls, so many systems (a detuning
+sweep, or the eps-halving pair) and several rows per system step in
+lockstep.  emission_integrals carries a few rows over the
+pulse window and closes the tails with a resolvent; the wavefront of the
+two-time map (g2_map_raw, one collapsed row per grid node) serves the g2map
+plot.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm, lu_factor, lu_solve
 
 from .model import SystemModel
 
@@ -131,9 +135,11 @@ _MAX_REJECTS = 60
 class _Generator:
     """Batched Lindblad generator for B systems sharing drive and channels.
 
-    States have shape (B, R, d, d); the full right-hand side is applied as a
-    single (B, R, d^2) @ (B, d^2, d^2) matmul with the superoperator rebuilt
-    per evaluation (the Hamiltonian part is time dependent).
+    States have shape (B, R, d, d).  The right-hand side is
+    -i (H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag with the
+    non-Hermitian H_eff = H - (i/2) sum_k L_k^dag L_k, L_k = sqrt(rate) C_k:
+    two batched d x d matmuls, and one (B R, d^2) @ (d^2, d^2) matmul with
+    the shared jump superoperator sum_k L_k kron conj(L_k).
     """
 
     def __init__(self, systems):
@@ -155,26 +161,19 @@ class _Generator:
             hs[b] = sys_b.h_static
             if sys_b.frame_diag is not None:
                 frame[b] = sys_b.frame_diag
+        self.h_static = hs
         self.h_resid = hs - frame[:, :, None] * np.eye(d)[None, :, :]
-        self.dmat = frame[:, :, None] - frame[:, None, :]
-        self.rotating = bool(np.any(np.abs(self.dmat) > 0))
+        self.frame = frame
+        self.rotating = bool(np.any(frame != frame[:, :1]))
 
-        diss = np.zeros((d * d, d * d), dtype=complex)
-        eye = np.eye(d, dtype=complex)
-        for op, rate in first.channels:
-            opd = op.conj().T
-            opdop = opd @ op
-            diss += rate * (
-                np.kron(op, op.conj())
-                - 0.5 * np.kron(opdop, eye)
-                - 0.5 * np.kron(eye, opdop.T)
-            )
-        self._diss5 = diss.reshape(d, d, d, d)
-        self._sbuf = np.empty((self.nbatch, d, d, d, d), dtype=complex)
+        jumps = [np.sqrt(rate) * np.asarray(op, dtype=complex) for op, rate in first.channels]
+        self.decay = -0.5j * sum((j.conj().T @ j for j in jumps), np.zeros((d, d)))
+        self.jump_super = sum((np.kron(j, j.conj()) for j in jumps), np.zeros((d * d, d * d)))
 
     def phases(self, t):
         """Elementwise frame phases exp(i t (D_m - D_n)) per batch entry."""
-        return np.exp(1j * t * self.dmat)
+        v = np.exp(1j * t * self.frame)
+        return v[:, :, None] * v.conj()[:, None, :]
 
     def to_frame(self, t, rho):
         if not self.rotating:
@@ -202,19 +201,18 @@ class _Generator:
 
     def rhs(self, t, y):
         """d rho / dt for y of shape (B, R, d, d), in the rotating frame."""
-        d = self.dim
-        h = self._hamiltonian_frame(t)
-        s5 = self._sbuf
-        s5[...] = self._diss5
-        mih = -1j * h
-        piht = 1j * h.transpose(0, 2, 1)
-        for k in range(d):
-            s5[:, :, k, :, k] += mih
-            s5[:, k, :, k, :] += piht
-        smat = s5.reshape(self.nbatch, d * d, d * d)
-        b, r = y.shape[0], y.shape[1]
-        out = np.matmul(y.reshape(b, r, d * d), smat.transpose(0, 2, 1))
-        return out.reshape(b, r, d, d)
+        heff = (self._hamiltonian_frame(t) + self.decay)[:, None]
+        b, r, d = y.shape[0], y.shape[1], self.dim
+        out = (y.reshape(b * r, d * d) @ self.jump_super.T).reshape(y.shape)
+        out += -1j * (heff @ y) + 1j * (y @ heff.conj().transpose(0, 1, 3, 2))
+        return out
+
+    def lab_liouvillian(self, b):
+        """Drive-free lab-frame generator of system b as a (d^2, d^2) matrix
+        on row-major vec(rho): vec(A rho B) = (A kron B^T) vec(rho)."""
+        eye = np.eye(self.dim)
+        heff = self.h_static[b] + self.decay
+        return -1j * np.kron(heff, eye) + 1j * np.kron(eye, heff.conj()) + self.jump_super
 
 
 def _make_step_cap(pulse, cfg):
@@ -379,8 +377,7 @@ def physicality_report(traj: Trajectory) -> PhysicalityReport:
 def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = None,
                     rho0: np.ndarray | None = None) -> np.ndarray:
     """<emit^dag emit>(t) on `grid` for a batch of systems propagated in
-    lockstep from `rho0` (ground state when omitted).  Used for detuning
-    sweeps (spectra)."""
+    lockstep from `rho0` (ground state when omitted)."""
     cfg = cfg or DEFAULT_INTEGRATOR
     grid = np.asarray(grid, dtype=float)
     gen = _Generator(systems)
@@ -406,22 +403,141 @@ def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | Non
     return out
 
 
-@dataclass
-class RawG2Map:
-    """Raw (no filter prefactor) two-time correlator and emission series,
-    batched over systems: W[b, i, j] for the grid, n[b, k] = <emit^dag emit>."""
+DRIVE_CUTOFF = 8.0
+WINDOW_SAMPLES = 13
 
-    grid: np.ndarray
-    w: np.ndarray
-    n_series: np.ndarray
-    base_states: np.ndarray  # (B, n, d, d), laser frame
+
+class TailPremiseError(ValueError):
+    """The closed-form tails need, for every system, a steady ground state
+    that `emit` leaves dark."""
+
+
+@dataclass
+class EmissionIntegrals:
+    """Emission integrals from t = 0 to infinity per system of a batch, and
+    <emit^dag emit> and the laser-frame state at the sample times."""
+
+    n_integral: np.ndarray  # (B,)
+    pair_integral: np.ndarray | None  # (B,), None without pairs
+    times: np.ndarray
+    n_series: np.ndarray  # (B, len(times))
+    states: np.ndarray  # (B, len(times), d, d)
+
+
+def drive_cutoff(pulse) -> float:
+    """t_c: DRIVE_CUTOFF pulse lengths past the pulse peak, where the Gaussian
+    amplitude has fallen below e^-32 of its peak; 0 without a pulse."""
+    if pulse is None:
+        return 0.0
+    return pulse.offset + DRIVE_CUTOFF * pulse.length
+
+
+class _WindowGenerator(_Generator):
+    """Generator of the augmented rows (rho, X, Q, P), or (rho, Q):
+
+        d rho/dt = L(t) rho,   dX/dt = L(t) X + e rho e^dag,
+        dQ/dt = rho,           dP/dt = X,
+
+    with rho and X in the rotating frame and Q and P in the laser frame.
+    """
+
+    def __init__(self, systems, emit):
+        super().__init__(systems)
+        self.emit = emit
+
+    def rhs(self, t, y):
+        m = y.shape[1] // 2
+        out = np.empty_like(y)
+        out[:, :m] = super().rhs(t, y[:, :m])
+        if m == 2:
+            ef = self.op_in_frame(t, self.emit)
+            out[:, 1] += ef @ y[:, 0] @ ef.conj().transpose(0, 2, 1)
+        out[:, m:] = self.to_lab(t, y[:, :m])
+        return out
+
+
+def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorConfig | None = None,
+                       pairs: bool = True) -> EmissionIntegrals:
+    """n = int <e^dag e>(t) dt and, with `pairs`, the time-ordered pair
+    integral G = int int <T-[e^dag(t1) e^dag(t2)] T+[e(t2) e(t1)]> dt1 dt2
+    over [0, inf)^2, for a batch of systems started in the ground state.
+
+    One forward pass of the augmented state (rho, X, Q, P) runs over the
+    pulse window [0, t_c] only, t_c = drive_cutoff(pulse); X(t2) is the single
+    row int_0^t2 U(t2, t1) J rho(t1) dt1 with J x = e x e^dag.  Past t_c the
+    generator is the constant lab-frame L0 of h_static, and the tails are
+    closed forms of R x = int_0^inf e^(L0 s) (x - tr(x) rho_ss) ds
+    = -(L0 + |rho_ss><1|)^-1 (x - tr(x) rho_ss), one LU per system:
+
+        n = <N|Q_c> + <N|R rho_c>
+        G = 2 (<N|P_c> + <N|R X_c> + <N|R J R rho_c>),   N = e^dag e.
+
+    Raises TailPremiseError unless L0 rho_ss = 0 and e rho_ss = 0 for the
+    ground state rho_ss (the latter gives J rho_ss = 0 and <N|rho_ss> = 0).
+    `times` (default WINDOW_SAMPLES points across the window, empty for none)
+    only sets where <N> and the state are sampled: the integrator stops at
+    those inside the window, and past t_c they are e^(L0 (t - t_c)) rho_c.
+    """
+    cfg = cfg or DEFAULT_INTEGRATOR
+    emit = np.asarray(emit, dtype=complex)
+    gen = _WindowGenerator(systems, emit)
+    nb, d = gen.nbatch, gen.dim
+    t_c = drive_cutoff(gen.pulse)
+    times = np.linspace(0.0, t_c, WINDOW_SAMPLES) if times is None else np.asarray(times, float)
+
+    if np.max(np.abs(emit[:, 0])) > 1e-12 * max(1.0, np.max(np.abs(emit))):
+        raise TailPremiseError("`emit` must leave the ground state dark")
+
+    m = 2 if pairs else 1
+    y = np.zeros((nb, 2 * m, d, d), dtype=complex)
+    y[:, 0, 0, 0] = 1.0
+    cap_fn = _make_step_cap(gen.pulse, cfg)
+    state = _AdaptiveState()
+    states = np.empty((nb, len(times), d, d), dtype=complex)
+    t = 0.0
+    for k in np.flatnonzero(times <= t_c):
+        if times[k] > t:
+            y = _advance(gen, t, y, times[k], cfg, cap_fn, state)
+            t = times[k]
+        states[:, k] = gen.to_lab(t, y[:, :1])[:, 0]
+    if t_c > t:
+        y = _advance(gen, t, y, t_c, cfg, cap_fn, state)
+    lab = gen.to_lab(t_c, y[:, :m]).reshape(nb, m, d * d)  # rho_c, X_c
+    ground = np.zeros(d * d, dtype=complex)
+    ground[0] = 1.0
+    trace = np.eye(d).ravel()
+    nop = emit.conj().T @ emit
+    nvec = nop.T.ravel()  # <N|x> = tr(N x) = nvec . vec(x)
+    integrals = y[:, m:].reshape(nb, m, d * d)  # Q_c, P_c
+    n_int = np.empty(nb)
+    g_int = np.empty(nb) if pairs else None
+    for b in range(nb):
+        l0 = gen.lab_liouvillian(b)
+        if np.max(np.abs(l0[:, 0])) > 1e-12 * max(1.0, np.max(np.abs(l0))):
+            raise TailPremiseError("the ground state must be steady")
+        for k in np.flatnonzero(times > t_c):
+            states[b, k] = (expm(l0 * (times[k] - t_c)) @ lab[b, 0]).reshape(d, d)
+        lu = lu_factor(l0 + np.outer(ground, trace))
+
+        def resolvent(x):
+            x = x - np.outer(x @ trace, ground)
+            return -lu_solve(lu, x.T).T
+
+        r = resolvent(lab[b])
+        n_int[b] = (nvec @ (integrals[b, 0] + r[0])).real
+        if pairs:
+            jr = (emit @ r[0].reshape(d, d) @ emit.conj().T).reshape(1, d * d)
+            g_int[b] = 2.0 * (nvec @ (integrals[b, 1] + r[1] + resolvent(jr)[0])).real
+    n_series = np.einsum("mn,btnm->bt", nop, states).real
+    return EmissionIntegrals(n_int, g_int, times, n_series, states)
 
 
 _WEIGHT_FLOOR = 1e-30
 
 
-def g2_map_raw(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = None) -> RawG2Map:
-    """Wavefront evaluation of <T-[e^dag(t1) e^dag(t2)] T+[e(t2) e(t1)]> on grid x grid.
+def g2_map_raw(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = None) -> np.ndarray:
+    """Wavefront evaluation of W[b, i, j] = <T-[e^dag(t1) e^dag(t2)] T+[e(t2) e(t1)]>
+    on grid x grid, for each system b of the batch.
 
     All systems are propagated in lockstep (shared adaptive steps); at each
     grid node the state collapsed by `emit` is appended as a new row and every
@@ -449,8 +565,6 @@ def g2_map_raw(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = N
 
     weights = np.zeros((nb, n))
     w_map = np.zeros((nb, n, n))
-    n_series = np.zeros((nb, n))
-    base_states = np.empty((nb, n, d, d), dtype=complex)
 
     for k in range(n):
         tk = grid[k]
@@ -460,8 +574,6 @@ def g2_map_raw(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = N
 
         base = y_all[:, 0]
         nf = gen.op_in_frame(tk, nop)  # (B, d, d)
-        n_series[:, k] = np.einsum("bmn,bnm->b", nf, base).real
-        base_states[:, k] = gen.to_lab(tk, y_all[:, :1])[:, 0]
         if k > 0:
             w_map[:, :k, k] = weights[:, :k] * np.einsum(
                 "bmn,brnm->br", nf, y_all[:, 1:]
@@ -483,7 +595,7 @@ def g2_map_raw(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = N
     iu = np.triu_indices(n, k=1)
     for b in range(nb):
         w_map[b][iu[1], iu[0]] = w_map[b][iu]
-    return RawG2Map(grid=grid, w=w_map, n_series=n_series, base_states=base_states)
+    return w_map
 
 
 def two_time_g2_map(
@@ -506,5 +618,5 @@ def two_time_g2_map(
     raw = g2_map_raw([system], emit, union, cfg)
     i1 = np.searchsorted(union, t1_grid)
     i2 = np.searchsorted(union, t2_grid)
-    values = raw.w[0][np.ix_(i1, i2)]
+    values = raw[0][np.ix_(i1, i2)]
     return CorrelationGrid(t1=t1_grid, t2=t2_grid, values=values)

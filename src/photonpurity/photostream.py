@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 NS_TO_PS = 1000
-_PULSE_BLOCK = 1 << 19  # pulses per RNG substream; fixed so sharded synthesis reproduces
+_PULSE_BLOCK = 1 << 19  # pulses per RNG substream; the stream a seed gives depends on it
 
 
 class UnsortedInput(ValueError):
@@ -90,8 +90,7 @@ class StreamConfig:
 def _emit_block(cfg: StreamConfig, seed_seq, first_pulse, n_block):
     """Emitter photons for pulses [first_pulse, first_pulse + n_block).
 
-    Fixed draw layout per block keeps the output independent of how the
-    stream is sharded (one substream per _PULSE_BLOCK pulses).
+    Each block draws from its own substream in a fixed layout.
     """
     rng = np.random.default_rng(seed_seq)
     u_pair = rng.random(n_block)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from photonpurity.correlations import filtered_g2_zero, map_grid, unfiltered_g2_zero
+from photonpurity.correlations import filtered_g2_zero, unfiltered_g2_zero
 from photonpurity.model import (
     BiexcitonConfig,
     EXCITON_V_ONLY,
@@ -12,7 +12,6 @@ from photonpurity.model import (
     build_two_level,
 )
 
-ACCEPTANCE_TAUS = (0.02, 0.05, 0.2)
 FOURLEVEL_BINDING = 300.0
 
 
@@ -78,8 +77,3 @@ def fourlevel_g2():
     get.cache = cache
     return get
 
-
-def acceptance_line(num, name, ok, detail=""):
-    state = "PASS" if ok else "FAIL"
-    print(f"\nACCEPTANCE {num:02d} {name}: {state}  {detail}")
-    return ok

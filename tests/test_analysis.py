@@ -176,6 +176,29 @@ class TestFit:
         assert 1e3 / fit.params.gamma_x == pytest.approx(294.0, rel=0.02)
         assert fit.chi2_reduced == pytest.approx(1.0, abs=0.15)
 
+    def test_uncertainties_weighted_by_returned_model(self):
+        # same draw as above, where the first pass lands far from the answer:
+        # the covariance must use the returned model's weights, here checked
+        # against a central-difference Jacobian built from scratch
+        rng = np.random.default_rng(12)
+        y = rng.poisson(np.maximum(cascade_model(self.t, TRUE, "exciton"), 0.0)).astype(float)
+        fit = fit_lifetimes(self.t, y, initial_cascade_guess(self.t, y, "exciton"), "exciton")
+        fields = ("gamma_2x", "gamma_x", "irf_sigma", "amplitude", "offset")
+        x = np.array([getattr(fit.params, f) for f in fields])
+        weights = np.sqrt(np.maximum(cascade_model(self.t, fit.params, "exciton"), 1.0))
+        cols = []
+        for i in range(len(x)):
+            step = np.zeros_like(x)
+            step[i] = 1e-6 * abs(x[i])
+            up = cascade_model(self.t, CascadeParams(*(x + step)), "exciton")
+            down = cascade_model(self.t, CascadeParams(*(x - step)), "exciton")
+            cols.append((up - down) / (2.0 * step[i]))
+        jac = np.array(cols).T / weights[:, None]
+        expected = np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
+        got = np.array([fit.uncertainties[f] for f in fields])
+        assert np.allclose(got, expected, rtol=1e-4)
+        assert fit.uncertainties["gamma_x"] == pytest.approx(1.27e-2, rel=0.02)
+
     def test_csv_round_trip(self, tmp_path):
         y = cascade_model(self.t, TRUE, "exciton")
         path = tmp_path / "decay.csv"

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from photonpurity import correlations as corr
 from photonpurity import dynamics
@@ -9,7 +11,6 @@ from photonpurity.correlations import (
     NotConverged,
     ZeroEmission,
     filtered_g2_zero,
-    map_grid,
     spectrum,
     sweep_filter_width,
     sweep_pulse_length,
@@ -30,7 +31,7 @@ from photonpurity.model import (
     build_two_level,
 )
 
-from conftest import two_level_system
+from conftest import FOURLEVEL_BINDING, fourlevel_system, two_level_system
 
 
 class TestFilteredG2:
@@ -56,7 +57,11 @@ class TestFilteredG2:
         assert stats.n_integral > 0
         assert stats.g2 >= 0
         assert stats.g2 == pytest.approx(stats.g2_numerator / stats.n_integral**2, rel=1e-9)
+        assert len(stats.n_of_t) > 0
         assert len(stats.n_of_t) == len(stats.times)
+        # the sampled window holds part of the emission, never more than all
+        assert 0 < np.trapezoid(stats.n_of_t, stats.times) <= stats.n_integral
+        assert stats.base_report.min_eigenvalue > -1e-9
 
     def test_truncation_insensitive(self):
         system = two_level_system(0.05)
@@ -67,15 +72,117 @@ class TestFilteredG2:
             g2[trunc] = st.g2
         assert abs(g2[3] - g2[2]) < 1e-3 * g2[2]
 
-    def test_grid_convergence(self):
+    def test_error_budget(self, monkeypatch):
         system = two_level_system(0.05)
-        nums = {}
-        for points in (300, 600):
-            grid = np.linspace(0.0, corr.horizon(system, 1.0), points)
-            st = filtered_g2_zero(system, SensorConfig(0.0, 1.0), grid=grid,
-                                  check_convergence=False)
-            nums[points] = st.g2_numerator
-        assert abs(nums[600] - nums[300]) < 0.01 * nums[300]
+        sensor = SensorConfig(0.0, 1.0)
+
+        def g2(**kw):
+            return filtered_g2_zero(system, sensor, check_convergence=False, **kw).g2
+
+        base = g2()
+        tight = g2(cfg=dynamics.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-15))
+        assert abs(base - tight) < 1e-7 * tight
+        # a grid moves only where the integrator stops in the pulse window
+        assert g2(grid=np.linspace(0.0, 20.0, 57)) == pytest.approx(base, rel=1e-9)
+        monkeypatch.setattr(dynamics, "DRIVE_CUTOFF", 10.0)
+        assert abs(g2() - base) < 1e-9 * base
+
+
+# Converged references (perfbench/references_g2.json: two-time trapezoid on
+# nested graded grids out to 30 lifetimes, Richardson-extrapolated).
+REFERENCE_G2 = [
+    (two_level_system, 0.05, 1.0, 0.0037410961),
+    (two_level_system, 0.02, 0.05, 0.00044125021),
+    (fourlevel_system, 0.01, 1.0, 4.1964831e-08),
+]
+
+
+@pytest.mark.parametrize("build, tau, gamma, expected", REFERENCE_G2)
+def test_matches_converged_reference(build, tau, gamma, expected):
+    system = build(tau)
+    if build is fourlevel_system:
+        sensor, observed = SensorConfig(FOURLEVEL_BINDING / 2.0, gamma), EXCITON_V_ONLY
+    else:
+        sensor, observed = SensorConfig(0.0, gamma), "sigma"
+    stats = filtered_g2_zero(system, sensor, observed=observed)
+    assert stats.g2 == pytest.approx(expected, rel=1e-6)
+
+
+def _superoperator(h, channels):
+    """Lindblad generator on row-major vec(rho): vec(A X B) = (A kron B^T) vec(X)."""
+    eye = np.eye(h.shape[0])
+    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op, rate in channels:
+        opdop = op.conj().T @ op
+        out = out + rate * (np.kron(op, op.conj()) - 0.5 * np.kron(opdop, eye)
+                            - 0.5 * np.kron(eye, opdop.T))
+    return out
+
+
+def _oracle_g2(system, emit, grid):
+    """Two-time trapezoid of G2 over grid x grid with exponential-midpoint
+    propagators expm(L(t_mid) dt) (exact once the drive is off).  The sum
+    sum_ij w_i w_j W(t_i, t_j), W(t_i, t_j) = <N|U(t_j, t_i) J rho_i> for
+    i <= j, is accumulated row-free: acc_j = sum_{i<j} w_i U(t_j, t_i) J rho_i."""
+    l_static = _superoperator(system.h_static, system.channels)
+    l_drive = _superoperator(system.h_drive, ())
+    nvec = (emit.conj().T @ emit).T.ravel()
+    jump = np.kron(emit, emit.conj())
+    dt = np.diff(grid)
+    w = np.zeros(len(grid))
+    w[:-1] += dt / 2.0
+    w[1:] += dt / 2.0
+    rho = np.zeros(system.dimension**2, dtype=complex)
+    rho[0] = 1.0
+    acc = np.zeros_like(rho)
+    n = pairs = 0.0
+    for k in range(len(grid)):
+        if k:
+            mid = 0.5 * (grid[k - 1] + grid[k])
+            prop = expm((l_static + system.pulse.amplitude(mid) * l_drive) * dt[k - 1])
+            rho, acc = prop @ rho, prop @ acc
+        jr = jump @ rho
+        n += w[k] * (nvec @ rho).real
+        pairs += w[k] * (2.0 * (nvec @ acc) + w[k] * (nvec @ jr)).real
+        acc = acc + w[k] * jr
+    return pairs / n**2
+
+
+@pytest.mark.slow
+def test_exact_propagator_oracle():
+    # Grid budget: 240 intervals over the pulse window [0, 12 tau] and step
+    # 0.01 from there to the horizon 30 (the cut t^2 e^-t tail is < 1e-10),
+    # then both halved.  Trapezoid and midpoint errors are O(h^2), 2.0e-4 and
+    # 5.0e-5 relative on the two grids, and Richardson extrapolation removes
+    # them.  An unextrapolated grid reads 2.0e-4 (h / 0.01)^2 high: the
+    # 0.0037416 once quoted for this point, 1.4e-4 high, is that bias.
+    tau, gamma = 0.05, 1.0
+    system = attach_sensor(two_level_system(tau), "sigma", SensorConfig(0.0, gamma))
+    emit = gamma / (2.0 * system.sensor.coupling) * system.output_ops["sensor"]
+    t_w, horizon = 12.0 * tau, 30.0
+    values = []
+    for window_steps, step in ((240, 0.01), (480, 0.005)):
+        window = np.linspace(0.0, t_w, window_steps + 1)
+        after = np.linspace(t_w, horizon, int(round((horizon - t_w) / step)) + 1)
+        values.append(_oracle_g2(system, emit, np.concatenate([window, after[1:]])))
+    oracle = values[1] + (values[1] - values[0]) / 3.0
+    assert values[1] == pytest.approx(oracle, rel=1e-4)  # the bias the extrapolation removes
+    assert oracle == pytest.approx(0.0037410961, rel=1e-7)
+    stats = filtered_g2_zero(two_level_system(tau), SensorConfig(0.0, gamma),
+                             check_convergence=False)
+    assert stats.g2 == pytest.approx(oracle, rel=1e-7)
+
+
+def test_tail_premise_checked():
+    system = two_level_system(0.05)
+    sigma = system.output_ops["sigma"]
+    # sigma^dag does not leave the ground state dark
+    with pytest.raises(dynamics.TailPremiseError):
+        unfiltered_g2_zero(system, emit=sigma.conj().T)
+    # an incoherent pump leaves the ground state not steady
+    pumped = replace(system, channels=system.channels + ((sigma.conj().T, 0.1),))
+    with pytest.raises(dynamics.TailPremiseError):
+        unfiltered_g2_zero(pumped)
 
 
 class TestUnfiltered:
