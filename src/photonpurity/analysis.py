@@ -275,23 +275,42 @@ def _swap_exciton_rates(params, sigmas, cov, fields):
 
 
 def initial_cascade_guess(times, counts, which: str = "exciton") -> CascadeParams:
-    """Heuristic starting point: amplitude from the peak, slow rate from the
-    tail slope, fast rate twice that, IRF from the rise."""
+    """Heuristic starting point read off the curve's leading edge and tail.
+
+    The baseline is the median of the bins before the counts first exceed a
+    tenth of the peak; the onset is where the leading edge crosses half the
+    peak height above that baseline (linearly interpolated), and the IRF
+    width is half the edge's rise from 16 % to 84 % of that height.  The
+    slow rate comes from the tail slope after the peak, the fast rate is
+    twice that, and the amplitude is the peak height above the baseline.
+    """
     times = np.asarray(times, dtype=float)
     counts = np.asarray(counts, dtype=float)
     i_peak = int(np.argmax(counts))
-    tail = counts[i_peak:] > max(counts.max() * 1e-3, 1.0)
+    peak = counts[i_peak]
+    i_rise = int(np.argmax(counts > 0.1 * peak))
+    baseline = float(np.median(counts[:i_rise])) if i_rise else 0.0
+    height = peak - baseline
+
+    def crossing(level):
+        """First time the leading edge reaches baseline + level * height."""
+        y = counts[:i_peak + 1] - baseline - level * height
+        i = int(np.argmax(y >= 0))
+        if i == 0:
+            return times[0]
+        return times[i - 1] + (times[i] - times[i - 1]) * -y[i - 1] / (y[i] - y[i - 1])
+
+    tail = counts[i_peak:] - baseline > max(height * 1e-3, 1.0)
     t_tail = times[i_peak:][tail]
-    y_tail = np.log(counts[i_peak:][tail])
+    y_tail = np.log(counts[i_peak:][tail] - baseline)
     slope = np.polyfit(t_tail, y_tail, 1)[0] if len(t_tail) > 2 else -1.0
     gamma_slow = max(-slope, 1e-3)
-    rise = times[i_peak] - times[0]
     return CascadeParams(
         gamma_2x=2.0 * gamma_slow if which == "exciton" else gamma_slow,
         gamma_x=gamma_slow,
-        irf_sigma=max(rise / 4.0, (times[1] - times[0])),
-        amplitude=float(counts.max()),
-        offset=float(times[0] + rise / 2.0),
+        irf_sigma=max((crossing(0.84) - crossing(0.16)) / 2.0, times[1] - times[0]),
+        amplitude=float(height),
+        offset=float(crossing(0.5)),
     )
 
 

@@ -109,6 +109,14 @@ _FLAT_KEYS = {
     "pulse_lengths", "filter_widths", "excluded_peaks", "truncation", "epsilon",
 }
 _NESTED_KEYS = {"pulse", "sensor", "sweep", "integrator", "stream"}
+# section -> {key in the section: RunConfig field}; sweep.scale is handled apart
+_SECTION_FIELDS = {
+    "pulse": {"area_pi": "pulse_area_pi", "length": "pulse_length"},
+    "sensor": {"detuning": "sensor_detuning", "bandwidth": "sensor_bandwidth",
+               "coupling": "epsilon", "truncation": "truncation"},
+    "sweep": {"kind": "sweep_kind", "min": "sweep_min", "max": "sweep_max",
+              "points": "sweep_points", "scale": None},
+}
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
@@ -125,20 +133,15 @@ def load_config(path=None, overrides=None) -> RunConfig:
     for key, value in data.items():
         if key in _NESTED_KEYS and not isinstance(value, dict):
             raise ConfigError(f"{key}: must be a mapping, got {value!r}")
-        if key == "pulse":
-            cfg.pulse_area_pi = value.get("area_pi", cfg.pulse_area_pi)
-            cfg.pulse_length = value.get("length", cfg.pulse_length)
-        elif key == "sensor":
-            cfg.sensor_detuning = value.get("detuning", cfg.sensor_detuning)
-            cfg.sensor_bandwidth = value.get("bandwidth", cfg.sensor_bandwidth)
-            cfg.epsilon = value.get("coupling", cfg.epsilon)
-            cfg.truncation = value.get("truncation", cfg.truncation)
-        elif key == "sweep":
-            cfg.sweep_kind = value.get("kind", cfg.sweep_kind)
-            cfg.sweep_min = value.get("min", cfg.sweep_min)
-            cfg.sweep_max = value.get("max", cfg.sweep_max)
-            cfg.sweep_points = value.get("points", cfg.sweep_points)
-            cfg.sweep_log = value.get("scale", "log") == "log"
+        if key in _SECTION_FIELDS:
+            fields = _SECTION_FIELDS[key]
+            for name, item in value.items():
+                if name not in fields:
+                    raise ConfigError(f"{key}.{name}: unknown configuration key")
+                if fields[name] is not None:
+                    setattr(cfg, fields[name], item)
+            if key == "sweep":
+                cfg.sweep_log = value.get("scale", "log") == "log"
         elif key == "integrator":
             cfg.integrator = dict(value)
         elif key == "stream":

@@ -7,6 +7,12 @@ with the peak-sum estimator: center-peak counts over the mean of the two
 neighboring side peaks, each summed over a fixed window, with Poissonian
 error propagation.
 
+The histogram is built by a sweep over the pair offset: each click keeps
+the range of its partners in the other list, and pass j bins the j-th
+partner of every click that still has one.  That is O(pairs) time and
+O(clicks + bins) memory, whatever the pair density.  Peak windows are
+summed from one cumulative sum of the histogram, O(bins + peaks).
+
 Timestamps are int64 picoseconds; configuration times are in ns and rates in
 counts per second.
 """
@@ -20,6 +26,7 @@ import numpy as np
 
 NS_TO_PS = 1000
 _PULSE_BLOCK = 1 << 19  # pulses per RNG substream; the stream a seed gives depends on it
+_CSV_CHUNK = 1 << 16    # histogram rows per formatted write
 
 
 class UnsortedInput(ValueError):
@@ -185,10 +192,13 @@ class CoincidenceHistogram:
         return (np.arange(len(self.counts)) - self.half_bins) * self.bin_width
 
     def to_csv(self, path):
+        """Write `delay_ps,counts` rows, one formatted write per chunk of rows."""
+        rows = np.column_stack((self.delays_ps(), self.counts))
         with open(path, "w") as fh:
             fh.write("delay_ps,counts\n")
-            for d, c in zip(self.delays_ps(), self.counts):
-                fh.write(f"{d},{c}\n")
+            for start in range(0, len(rows), _CSV_CHUNK):
+                chunk = rows[start:start + _CSV_CHUNK]
+                fh.write("%d,%d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def read_histogram_csv(path) -> CoincidenceHistogram:
@@ -198,10 +208,20 @@ def read_histogram_csv(path) -> CoincidenceHistogram:
 
 
 def correlate(clicks1, clicks2, bin_width: int = 5, span: float = 30.0) -> CoincidenceHistogram:
-    """Histogram of all pairwise delays t2 - t1 with |delay| <= span (ns).
+    """Histogram of all pairwise delays t2 - t1 within the span (ns).
 
-    Inputs are sorted ps timestamps; the sweep is linear in the number of
-    qualifying pairs and processed in blocks to bound memory.
+    Inputs are sorted ps timestamps.  The histogram has 2 * half_bins + 1
+    bins of `bin_width` ps, half_bins = round(span / bin_width), centred on
+    zero delay; a delay d lands in bin (d + edge) // bin_width with
+    edge = half_bins * bin_width + bin_width // 2, and pairs outside the
+    bins are dropped.
+
+    Two `searchsorted` calls give each click in `clicks1` the range
+    [lo, hi) of its partners in `clicks2`.  The sweep then runs over the
+    partner offset: pass j bins the partner lo + j of every click that still
+    has one and drops the clicks whose range is exhausted.  Time is
+    O(pairs + clicks log clicks) and memory O(clicks + bins): the bins of
+    successive passes collect in one buffer and are counted when it fills.
     """
     clicks1 = np.asarray(clicks1, dtype=np.int64)
     clicks2 = np.asarray(clicks2, dtype=np.int64)
@@ -209,24 +229,28 @@ def correlate(clicks1, clicks2, bin_width: int = 5, span: float = 30.0) -> Coinc
         if len(c) > 1 and np.any(np.diff(c) < 0):
             raise UnsortedInput("click timestamps must be sorted")
     half_bins = int(round(span * NS_TO_PS / bin_width))
+    n_bins = 2 * half_bins + 1
     edge = half_bins * bin_width + bin_width // 2
-    counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
+    top = n_bins * bin_width - edge  # the first delay past the last bin
+    counts = np.zeros(n_bins, dtype=np.int64)
 
-    block = 200_000
-    for start in range(0, len(clicks1), block):
-        left = clicks1[start:start + block]
-        lo = np.searchsorted(clicks2, left - edge, side="left")
-        hi = np.searchsorted(clicks2, left + edge, side="right")
-        n_per = hi - lo
-        total = int(n_per.sum())
-        if total == 0:
-            continue
-        offsets = np.repeat(np.cumsum(n_per) - n_per, n_per)
-        idx = np.repeat(lo, n_per) + (np.arange(total) - offsets)
-        delays = clicks2[idx] - np.repeat(left, n_per)
-        bins = np.floor_divide(delays + edge, bin_width)
-        valid = (bins >= 0) & (bins < len(counts))
-        counts += np.bincount(bins[valid], minlength=len(counts))
+    lo = np.searchsorted(clicks2, clicks1 - edge, side="left")
+    hi = np.searchsorted(clicks2, clicks1 + top, side="left")
+    live = hi > lo
+    idx, stop, shift = lo[live], hi[live], edge - clicks1[live]
+    buffer = np.empty(max(len(idx), n_bins), dtype=np.int64)
+    filled = 0
+    while len(idx):
+        if filled + len(idx) > len(buffer):
+            counts += np.bincount(buffer[:filled], minlength=n_bins)
+            filled = 0
+        np.floor_divide(clicks2[idx] + shift, bin_width, out=buffer[filled:filled + len(idx)])
+        filled += len(idx)
+        idx += 1
+        live = idx < stop
+        if not live.all():
+            idx, stop, shift = idx[live], stop[live], shift[live]
+    counts += np.bincount(buffer[:filled], minlength=n_bins)
     return CoincidenceHistogram(bin_width=bin_width, counts=counts)
 
 
@@ -259,8 +283,19 @@ class G2Estimate:
             fh.write("\n")
 
 
-def _window_mask(delays, center_ps, win_ps):
-    return np.abs(delays - center_ps) <= win_ps / 2
+def _window_bounds(hist: CoincidenceHistogram, centers_ps, win_ps):
+    """Index ranges [lo, hi) of the bins with |delay - center| <= win_ps / 2,
+    ends included, one per center: the window rule of every peak sum."""
+    delays = hist.delays_ps()
+    centers_ps = np.asarray(centers_ps, dtype=float)
+    return (np.searchsorted(delays, centers_ps - win_ps / 2, side="left"),
+            np.searchsorted(delays, centers_ps + win_ps / 2, side="right"))
+
+
+def _window_sums(counts, lo, hi):
+    """Sums of counts[lo:hi] for each range, from one cumulative sum."""
+    cumulative = np.concatenate(([0], np.cumsum(counts)))
+    return cumulative[hi] - cumulative[lo]
 
 
 def estimate_g2(
@@ -279,14 +314,14 @@ def estimate_g2(
     if hist.span * NS_TO_PS < rep_ps + win_ps / 2:
         raise ValueError("histogram span must cover rep_period + window / 2")
 
-    delays = hist.delays_ps()
-    keep = np.ones(len(delays), dtype=bool)
-    for pos in excluded_peaks:
-        keep &= ~_window_mask(delays, pos * NS_TO_PS, win_ps)
-
-    center = int(hist.counts[_window_mask(delays, 0.0, win_ps) & keep].sum())
-    side_m = int(hist.counts[_window_mask(delays, -rep_ps, win_ps) & keep].sum())
-    side_p = int(hist.counts[_window_mask(delays, rep_ps, win_ps) & keep].sum())
+    kept = hist.counts
+    excluded_ps = np.asarray(excluded_peaks, dtype=float) * NS_TO_PS
+    if excluded_ps.size:
+        kept = kept.copy()
+        for lo, hi in zip(*_window_bounds(hist, excluded_ps, win_ps)):
+            kept[lo:hi] = 0
+    bounds = _window_bounds(hist, [0.0, -rep_ps, rep_ps], win_ps)
+    center, side_m, side_p = (int(s) for s in _window_sums(kept, *bounds))
     side_total = side_m + side_p
     if side_total == 0:
         raise ValueError("empty side peaks; cannot normalize")
@@ -307,19 +342,17 @@ def estimate_g2(
 def peak_sums(hist: CoincidenceHistogram, rep_period: float = 13.1, window: float = 6.5):
     """Summed counts of every coincidence peak whose window fits in the span.
 
-    Returns (peak indices, sums); peak k sits at delay k * rep_period.
+    Returns (peak indices, sums); peak k sits at delay k * rep_period and
+    sums the bins within window / 2 of it, ends included.  One cumulative
+    sum serves every peak: O(bins + peaks).
     """
     if window > rep_period:
         raise WindowOverlap(f"window {window} ns exceeds the repetition period {rep_period} ns")
-    delays = hist.delays_ps()
     rep_ps = rep_period * NS_TO_PS
     win_ps = window * NS_TO_PS
     k_max = int((hist.span * NS_TO_PS - win_ps / 2) // rep_ps)
     ks = np.arange(-k_max, k_max + 1)
-    sums = np.array([
-        int(hist.counts[_window_mask(delays, k * rep_ps, win_ps)].sum()) for k in ks
-    ])
-    return ks, sums
+    return ks, _window_sums(hist.counts, *_window_bounds(hist, ks * rep_ps, win_ps))
 
 
 def peak_sum_spectrum(ks, sums, rep_period: float = 13.1):

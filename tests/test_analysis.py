@@ -177,12 +177,15 @@ class TestFit:
         assert fit.chi2_reduced == pytest.approx(1.0, abs=0.15)
 
     def test_uncertainties_weighted_by_returned_model(self):
-        # same draw as above, where the first pass lands far from the answer:
-        # the covariance must use the returned model's weights, here checked
-        # against a central-difference Jacobian built from scratch
+        # same draw as above, from a start (onset 0.51 ns, IRF 0.25 ns) where
+        # the first pass lands far from the answer: the covariance must use
+        # the returned model's weights, here checked against a
+        # central-difference Jacobian built from scratch
         rng = np.random.default_rng(12)
         y = rng.poisson(np.maximum(cascade_model(self.t, TRUE, "exciton"), 0.0)).astype(float)
-        fit = fit_lifetimes(self.t, y, initial_cascade_guess(self.t, y, "exciton"), "exciton")
+        init = CascadeParams(6.301058380221, 3.1505291901105, 0.25375000000000003, 4899.0,
+                             0.5075000000000001)
+        fit = fit_lifetimes(self.t, y, init, "exciton")
         fields = ("gamma_2x", "gamma_x", "irf_sigma", "amplitude", "offset")
         x = np.array([getattr(fit.params, f) for f in fields])
         weights = np.sqrt(np.maximum(cascade_model(self.t, fit.params, "exciton"), 1.0))

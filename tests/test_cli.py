@@ -1,9 +1,12 @@
 """Command-line failures map to the documented exit codes (2 configuration,
 3 convergence or estimation), and reruns reproduce the data files."""
 
+import json
+
+import numpy as np
 import pytest
 
-from photonpurity import cli, dynamics
+from photonpurity import analysis, cli, dynamics
 
 
 def run(tmp_path, command, config_text, *extra):
@@ -17,6 +20,13 @@ def run(tmp_path, command, config_text, *extra):
 def test_non_mapping_section_is_a_config_error(tmp_path, capsys, key):
     assert run(tmp_path, "sweep-filter", f"{key}: 5\n") == 2
     assert f"{key}: must be a mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [("pulse", "lenght"), ("sensor", "bandwith"),
+                                         ("sweep", "point")])
+def test_unknown_section_key_is_a_config_error(tmp_path, capsys, section, key):
+    assert run(tmp_path, "sweep-filter", f"{section}: {{{key}: 0.1}}\n") == 2
+    assert f"{section}.{key}: unknown configuration key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["- 1\n- 2\n", "pulse: {length: [\n", "pulse: {length: abc}\n"])
@@ -74,3 +84,37 @@ def test_sweep_filter_rerun_is_byte_identical(tmp_path):
                           "sweep_filter_metadata.json"}
     assert run(tmp_path, "sweep-filter", text) == 0
     assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == first
+
+
+def test_hbt_rerun_is_byte_identical(tmp_path):
+    text = "seed: 11\nspan: 40.0\nstream: {n_pulses: 200000, p_single: 0.3, p_double: 0.01, " \
+           "noise_rate: 100000.0, blinking: {frequencies: [1.0], depth: 0.5}}\n"
+    names = ("hbt_histogram.csv", "hbt_peak_sums.csv", "hbt_estimate.json")
+    assert run(tmp_path, "hbt-sim", text) == 0
+    out = tmp_path / "out"
+    first = {name: (out / name).read_bytes() for name in names}
+    assert json.loads(first["hbt_estimate.json"])["center_sum"] > 0
+    assert run(tmp_path, "hbt-sim", text) == 0
+    assert {name: (out / name).read_bytes() for name in names} == first
+
+
+def test_fit_lifetime_recovers_both_transitions(tmp_path):
+    # the supplement script's decay draws: seed 7, exciton first
+    t = np.arange(0.0, 5.0, 0.005)
+    true = analysis.CascadeParams(gamma_2x=1 / 0.158, gamma_x=1 / 0.294,
+                                  irf_sigma=0.040, amplitude=1e4, offset=0.8)
+    rng = np.random.default_rng(7)
+    for which in ("exciton", "biexciton"):
+        data = tmp_path / f"decay_{which}.csv"
+        curve = analysis.cascade_model(t, true, which)
+        analysis.write_decay_csv(data, t, rng.poisson(np.maximum(curve, 0.0)))
+        out = tmp_path / f"fit_{which}"
+        assert cli.main(["fit-lifetime", "--data", str(data), "--which", which,
+                         "--out", str(out)]) == 0
+        fit = json.loads((out / "lifetime_fit.json").read_text())
+        assert fit["tau_2x_ps"] == pytest.approx(158.0, rel=0.05)
+        if which == "exciton":
+            assert fit["tau_x_ps"] == pytest.approx(294.0, rel=0.05)
+        assert fit["irf_sigma_ps"] == pytest.approx(40.0, rel=0.1)
+        assert fit["offset_ps"] == pytest.approx(800.0, abs=5.0)
+        assert fit["chi2_reduced"] == pytest.approx(1.0, abs=0.15)

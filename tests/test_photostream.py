@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from photonpurity.photostream import (
     BlinkingConfig,
@@ -67,20 +69,49 @@ class TestCorrelate:
         with pytest.raises(UnsortedInput):
             correlate(np.array([5, 1]), np.array([0]), 5, 1.0)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        c1=st.lists(st.integers(0, 2000), min_size=0, max_size=40),
-        c2=st.lists(st.integers(0, 2000), min_size=0, max_size=40),
+        c1=st.lists(st.integers(0, 600), min_size=0, max_size=40),
+        c2=st.lists(st.integers(0, 600), min_size=0, max_size=40),
+        bin_width=st.sampled_from([1, 2, 6, 7, 10, 25]),
+        span=st.sampled_from([0.05, 0.2, 0.5]),
     )
-    def test_counts_match_brute_force(self, c1, c2):
+    # edge = 255 ps at both widths: delays of exactly -edge and +edge, and
+    # duplicate timestamps in both lists
+    @example(c1=[100, 100, 355], c2=[100, 100, 354, 355, 355], bin_width=6, span=0.25)
+    @example(c1=[100, 100, 355], c2=[100, 100, 354, 355, 355], bin_width=7, span=0.25)
+    def test_counts_match_brute_force(self, c1, c2, bin_width, span):
+        # the O(n1 n2) loop over the documented binning rule, bin by bin; at
+        # even widths the last bin ends one picosecond short of +edge
         c1 = np.sort(np.array(c1, dtype=np.int64))
         c2 = np.sort(np.array(c2, dtype=np.int64))
-        hist = correlate(c1, c2, bin_width=7, span=0.5)
-        edge = hist.half_bins * 7 + 3
-        brute = sum(
-            1 for a in c1 for b in c2 if abs(b - a) <= edge and (b - a + edge) // 7 < len(hist.counts)
-        )
-        assert hist.counts.sum() == brute
+        hist = correlate(c1, c2, bin_width=bin_width, span=span)
+        edge = hist.half_bins * bin_width + bin_width // 2
+        brute = np.zeros(len(hist.counts), dtype=np.int64)
+        for a in c1:
+            for b in c2:
+                k = (b - a + edge) // bin_width
+                if 0 <= k < len(brute):
+                    brute[k] += 1
+        assert np.array_equal(hist.counts, brute)
+
+    def test_peak_memory_is_linear_in_clicks(self):
+        # about 80 partners per click: expanding every pair at once would
+        # trace some 100 times the inputs' bytes
+        multiple = 8
+        rng = np.random.default_rng(4)
+        c1 = np.sort(rng.integers(0, 1_000_000, 20_000))
+        c2 = np.sort(rng.integers(0, 1_000_000, 20_000))
+        input_bytes = c1.nbytes + c2.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            hist = correlate(c1, c2, bin_width=5, span=2.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert hist.counts.sum() >= 50 * len(c1)
+        assert peak < multiple * input_bytes
 
     def test_flat_for_independent_poisson(self):
         cfg = StreamConfig(n_pulses=2_000_000, p_single=0.0, noise_rate=4e5)
@@ -114,6 +145,51 @@ def synthetic_histogram(center_counts, side_counts, rep_period=13.1, bin_width=5
         idx = np.argmin(np.abs(delays - sign * rep_period * 1000))
         counts[idx] = side_counts
     return CoincidenceHistogram(bin_width=bin_width, counts=counts)
+
+
+def _window_mask(delays, center_ps, win_ps):
+    return np.abs(delays - center_ps) <= win_ps / 2
+
+
+def mask_peak_sums(hist, rep_period, window):
+    """Reference peak sums: one boolean mask over every bin per peak."""
+    delays = hist.delays_ps()
+    rep_ps, win_ps = rep_period * 1000, window * 1000
+    k_max = int((hist.span * 1000 - win_ps / 2) // rep_ps)
+    ks = np.arange(-k_max, k_max + 1)
+    return ks, np.array([int(hist.counts[_window_mask(delays, k * rep_ps, win_ps)].sum())
+                         for k in ks])
+
+
+def mask_estimate_sums(hist, rep_period, window, excluded_peaks=()):
+    """Reference (center, side-, side+) sums with excluded windows masked."""
+    delays = hist.delays_ps()
+    rep_ps, win_ps = rep_period * 1000, window * 1000
+    keep = np.ones(len(delays), dtype=bool)
+    for pos in excluded_peaks:
+        keep &= ~_window_mask(delays, pos * 1000, win_ps)
+    return tuple(int(hist.counts[_window_mask(delays, c, win_ps) & keep].sum())
+                 for c in (0.0, -rep_ps, rep_ps))
+
+
+# bin widths, periods and windows whose window edges fall exactly on bins:
+# at 5 ps, 13.1 ns and 6.5 ns the first side window is [9850, 16350] ps
+EDGE_CASES = [(5, 13.1, 6.5), (5, 13.1, 13.1), (50, 13.1, 6.5), (10, 12.5, 5.0)]
+
+
+@pytest.mark.parametrize("bin_width,rep_period,window", EDGE_CASES)
+def test_window_sums_match_mask_reference(bin_width, rep_period, window):
+    rng = np.random.default_rng(bin_width)
+    half = int(round(200.0 * 1000 / bin_width))
+    hist = CoincidenceHistogram(bin_width=bin_width,
+                                counts=rng.integers(0, 1000, 2 * half + 1))
+    ks, sums = peak_sums(hist, rep_period, window)
+    ref_ks, ref_sums = mask_peak_sums(hist, rep_period, window)
+    assert np.array_equal(ks, ref_ks) and np.array_equal(sums, ref_sums)
+    for excluded in ((), (8.0,), (-rep_period / 2, 0.0, rep_period + window / 2)):
+        est = estimate_g2(hist, rep_period, window, excluded)
+        center, side_m, side_p = mask_estimate_sums(hist, rep_period, window, excluded)
+        assert (est.center_sum, est.side_sums) == (center, (side_m, side_p))
 
 
 class TestEstimator:
@@ -225,6 +301,16 @@ class TestIO:
             path = tmp_path / name
             save_clicks(path, clicks)
             assert np.array_equal(load_clicks(path), clicks)
+
+    def test_histogram_csv_matches_row_writer(self, tmp_path):
+        # longer than one chunk of rows, with negative delays and large counts
+        rng = np.random.default_rng(3)
+        hist = CoincidenceHistogram(bin_width=7, counts=rng.integers(0, 10**12, 150_001))
+        path = tmp_path / "hist.csv"
+        hist.to_csv(path)
+        expected = "delay_ps,counts\n" + "".join(
+            f"{d},{c}\n" for d, c in zip(hist.delays_ps(), hist.counts))
+        assert path.read_bytes() == expected.encode()
 
     def test_histogram_round_trip(self, tmp_path):
         hist = synthetic_histogram(50, 1000)
