@@ -40,9 +40,11 @@ from .correlations import (
     NotConverged,
     SweepResult,
     ZeroEmission,
+    filtered_g2_batch,
     filtered_g2_zero,
     spectrum,
     sweep_filter_width,
+    sweep_grid,
     sweep_pulse_length,
     unfiltered_g2_zero,
 )

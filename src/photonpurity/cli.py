@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -59,12 +58,14 @@ class RunConfig:
     sensor_bandwidth: float = 1.0
     epsilon: float | None = None
     truncation: int = 2
-    sweep_kind: str = "filter_width"
-    sweep_min: float = 0.05
-    sweep_max: float = 100.0
-    sweep_points: int = 13
+    # sweep_kind, sweep_min, sweep_max, sweep_points and pulse_lengths left
+    # None take the command's defaults (resolve)
+    sweep_kind: str | None = None
+    sweep_min: float | None = None
+    sweep_max: float | None = None
+    sweep_points: int | None = None
     sweep_log: bool = True
-    pulse_lengths: tuple = (0.02, 0.05, 0.2)
+    pulse_lengths: tuple | None = None
     filter_widths: tuple = (0.1, 1.0, 20.0)
     spec_bandwidth: float = 0.2
     detuning_span: float = 40.0
@@ -82,6 +83,18 @@ class RunConfig:
     jobs: int = 0
     out: str | None = None
 
+    def resolve(self, command=None):
+        """Fill the fields left None with `command`'s defaults; a sweep kind
+        set to another than the command's is a ConfigError."""
+        defaults = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(command, {})}
+        if command in _COMMAND_DEFAULTS and self.sweep_kind not in (None, defaults["sweep_kind"]):
+            raise ConfigError(f"sweep.kind: {command} sweeps {defaults['sweep_kind']}, "
+                              f"not {self.sweep_kind}")
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
+        return self
+
     def validate(self):
         checks = [
             (self.system in ("two_level", "biexciton"), "system", "must be two_level or biexciton"),
@@ -89,6 +102,7 @@ class RunConfig:
             (self.pulse_length > 0, "pulse.length", "must be > 0"),
             (self.pulse_area_pi >= 0, "pulse.area_pi", "must be >= 0"),
             (self.sensor_bandwidth > 0, "sensor.bandwidth", "must be > 0"),
+            (self.epsilon is None or self.epsilon > 0, "sensor.coupling", "must be > 0"),
             (self.truncation >= 2, "sensor.truncation", "must be >= 2"),
             (self.sweep_points >= 2, "sweep.points", "must be >= 2"),
             (self.sweep_min > 0, "sweep.min", "must be > 0"),
@@ -101,6 +115,18 @@ class RunConfig:
                 raise ConfigError(f"{path}: {msg}")
         return self
 
+
+# Defaults of the fields RunConfig leaves None, and what each sweep command
+# sets differently.
+_DEFAULTS = {"sweep_kind": "filter_width", "sweep_min": 0.05, "sweep_max": 100.0,
+             "sweep_points": 13, "pulse_lengths": (0.02, 0.05, 0.2)}
+_COMMAND_DEFAULTS = {
+    "sweep-filter": {},
+    "sweep-fourlevel": {"sweep_min": 0.5, "sweep_max": 20.0, "sweep_points": 9,
+                        "pulse_lengths": (0.01, 0.02)},
+    "sweep-pulse": {"sweep_kind": "pulse_length", "sweep_min": 0.02, "sweep_max": 1.5,
+                    "sweep_points": 10},
+}
 
 _FLAT_KEYS = {
     "system", "gamma_sigma", "detuning", "binding_energy", "spec_bandwidth",
@@ -119,7 +145,8 @@ _SECTION_FIELDS = {
 }
 
 
-def load_config(path=None, overrides=None) -> RunConfig:
+def load_config(path=None, overrides=None, command=None) -> RunConfig:
+    """RunConfig from a YAML file and overrides, with `command`'s defaults."""
     cfg = RunConfig()
     data = {}
     if path is not None:
@@ -154,7 +181,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
         if value is not None:
             setattr(cfg, key, value)
     try:
-        return cfg.validate()
+        return cfg.resolve(command).validate()
     except TypeError as err:  # e.g. a string where a number belongs
         raise ConfigError(f"config: value of the wrong type ({err})") from err
 
@@ -204,40 +231,6 @@ def _sweep_axis(cfg: RunConfig):
     return np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
 
 
-def _g2_point_worker(payload):
-    """One filtered-g2 evaluation from a plain-dict payload (process-pool safe)."""
-    cfg = RunConfig(**payload["config"])
-    builder = _system_builder(cfg)
-    system = builder(GaussianPulse(cfg.pulse_area_pi * math.pi, payload["tau"]))
-    sensor = SensorConfig(
-        payload["sensor_detuning"], payload["bandwidth"],
-        cfg.epsilon, cfg.truncation,
-    )
-    stats = correlations.filtered_g2_zero(
-        system, sensor, integrator_config(cfg), observed=_observed(cfg),
-        check_convergence=cfg.check_convergence,
-    )
-    return {"g2": stats.g2, "epsilon_used": stats.epsilon_used, "converged": stats.converged}
-
-
-def _run_points(cfg: RunConfig, payloads):
-    jobs = cfg.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_g2_point_worker, payloads))
-    return [_g2_point_worker(p) for p in payloads]
-
-
-def _sweep_to_result(axis, rows, metadata):
-    return correlations.SweepResult(
-        axis=np.asarray(axis, dtype=float),
-        values=np.array([r["g2"] for r in rows]),
-        metadata=metadata,
-        epsilon_used=np.array([r["epsilon_used"] for r in rows]),
-        converged=np.array([r["converged"] for r in rows]),
-    )
-
-
 def cmd_g2map(cfg: RunConfig):
     """Two-time correlation map of the bare two-level emission."""
     if cfg.system != "two_level":
@@ -280,78 +273,58 @@ def cmd_spectrum(cfg: RunConfig):
     return paths
 
 
-def _run_filter_sweep(cfg: RunConfig, command, pulse_lengths, sensor_detuning):
+def _run_sweep(cfg: RunConfig, command, metadata_name):
+    """A filtered-g2 sweep: the sweep axis is the filter width (one curve per
+    pulse length) or, for sweep-pulse, the pulse length (one curve per
+    filter width).  Every pulse is one batch; --jobs spreads the pulses over
+    worker processes."""
     out = _outdir(cfg)
     axis = _sweep_axis(cfg)
+    kwargs = dict(
+        theta=cfg.pulse_area_pi * math.pi, cfg=integrator_config(cfg), observed=_observed(cfg),
+        sensor=SensorConfig(_default_sensor_detuning(cfg), 1.0, cfg.epsilon, cfg.truncation),
+        check_convergence=cfg.check_convergence, jobs=cfg.jobs or os.cpu_count() or 1,
+    )
+    builder = _system_builder(cfg)
+    if cfg.sweep_kind == "pulse_length":
+        curves = correlations.sweep_pulse_length(builder, axis, cfg.filter_widths, **kwargs)
+        label = "gamma"
+    else:
+        curves = correlations.sweep_filter_width(builder, axis, cfg.pulse_lengths, **kwargs)
+        label = "tau"
     paths = []
-    base = asdict(cfg)
-    for tau in pulse_lengths:
-        payloads = [
-            {"config": base, "tau": float(tau), "bandwidth": float(w),
-             "sensor_detuning": sensor_detuning}
-            for w in axis
-        ]
-        rows = _run_points(cfg, payloads)
-        res = _sweep_to_result(axis, rows, {
-            "kind": "filter_width_sweep", "pulse_length": float(tau),
-            "sensor_detuning": sensor_detuning, "system": cfg.system,
-        })
-        path = os.path.join(out, f"{command}_tau{tau:g}.csv")
+    for key, res in curves.items():
+        path = os.path.join(out, f"{command}_{label}{key:g}.csv")
         correlations.write_sweep_csv(path, res)
         paths.append(path)
     correlations.write_metadata(
-        os.path.join(out, f"{command}_metadata.json"), _metadata(cfg, command)
+        os.path.join(out, f"{command}_metadata.json"), _metadata(cfg, metadata_name)
     )
     return paths
 
 
 def cmd_sweep_filter(cfg: RunConfig):
     """g2 versus filter width for the two-level system."""
-    return _run_filter_sweep(cfg, "sweep_filter", cfg.pulse_lengths, _default_sensor_detuning(cfg))
+    return _run_sweep(cfg, "sweep_filter", "sweep_filter")
 
 
 def cmd_sweep_fourlevel(cfg: RunConfig):
     """g2 versus filter width for the exciton line of the cascade."""
     cfg.system = "biexciton"
-    if cfg.sweep_min == RunConfig.sweep_min and cfg.sweep_max == RunConfig.sweep_max:
-        cfg.sweep_min, cfg.sweep_max, cfg.sweep_points = 0.5, 20.0, 9
-    pulse_lengths = cfg.pulse_lengths if cfg.pulse_lengths != RunConfig.pulse_lengths else (0.01, 0.02)
-    return _run_filter_sweep(cfg, "sweep_fourlevel", pulse_lengths, _default_sensor_detuning(cfg))
+    return _run_sweep(cfg, "sweep_fourlevel", "sweep_fourlevel")
 
 
 def cmd_sweep_pulse(cfg: RunConfig):
     """g2 versus pulse length, one curve per filter width."""
-    out = _outdir(cfg)
-    if cfg.sweep_kind == "filter_width":
-        cfg.sweep_kind = "pulse_length"
-        if cfg.sweep_min == RunConfig.sweep_min and cfg.sweep_max == RunConfig.sweep_max:
-            cfg.sweep_min, cfg.sweep_max, cfg.sweep_points = 0.02, 1.5, 10
-    axis = _sweep_axis(cfg)
-    sensor_detuning = _default_sensor_detuning(cfg)
-    base = asdict(cfg)
-    paths = []
-    for width in cfg.filter_widths:
-        payloads = [
-            {"config": base, "tau": float(t), "bandwidth": float(width),
-             "sensor_detuning": sensor_detuning}
-            for t in axis
-        ]
-        rows = _run_points(cfg, payloads)
-        res = _sweep_to_result(axis, rows, {
-            "kind": "pulse_length_sweep", "bandwidth": float(width),
-            "sensor_detuning": sensor_detuning, "system": cfg.system,
-        })
-        path = os.path.join(out, f"sweep_pulse_gamma{width:g}.csv")
-        correlations.write_sweep_csv(path, res)
-        paths.append(path)
-    correlations.write_metadata(
-        os.path.join(out, "sweep_pulse_metadata.json"), _metadata(cfg, "sweep-pulse")
-    )
-    return paths
+    return _run_sweep(cfg, "sweep_pulse", "sweep-pulse")
 
 
 def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:
     stream = dict(cfg.stream)
+    for key, value in stream.items():
+        # YAML 1.1 reads 1.0e5 (no exponent sign) as a string
+        if key != "blinking" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"stream.{key}: {value!r} is not a number")
     stream.setdefault("n_pulses", 1_000_000)
     stream.setdefault("rep_period", cfg.rep_period)
     try:
@@ -502,7 +475,7 @@ def main(argv=None):
                  ("out", "seed", "jobs", "epsilon", "check_convergence")
                  if getattr(args, k, None) is not None}
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, overrides, args.command)
         if args.command == "analyze-histogram":
             paths = cmd_analyze_histogram(cfg, args.data)
         elif args.command == "fit-lifetime":

@@ -23,13 +23,22 @@ constant and every tail is a resolvent solve.  Error budget of g2:
 
 Every reported g2 can be cross-checked by halving the sensor coupling; the
 two systems are integrated in one batch so the check costs little.
+
+All the points that share a pulse (every filter width of a sweep curve, each
+at eps and eps/2) are one batch too (filtered_g2_batch): one pass over the
+pulse window serves them all.  The batch shares its adaptive steps, and the
+step control measures the error of the whole batch, so a point's value
+depends on its batch-mates within the error budget (measured < 1e-8
+relative against the point alone).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -56,9 +65,25 @@ class NotConverged(RuntimeError):
             f"at eps/2 (relative change {rel:.2e})"
         )
 
+    def __reduce__(self):
+        return NotConverged, (self.g2, self.g2_check)
+
 
 class ZeroEmission(RuntimeError):
     """No emission reaches the detector; g2 is undefined (0/0)."""
+
+
+class SweepPointError(RuntimeError):
+    """An inner computation failed; identifies the sweep point responsible."""
+
+    def __init__(self, err, **context):
+        self.context = context
+        self.reason = str(err)
+        note = ", ".join(f"{k}={v:g}" for k, v in context.items())
+        super().__init__(f"sweep point ({note}) failed: {err}")
+
+    def __reduce__(self):  # a worker process sends it back without its cause
+        return partial(SweepPointError, **self.context), (self.reason,)
 
 
 @dataclass
@@ -111,6 +136,85 @@ def map_grid(system: SystemModel) -> np.ndarray:
     return np.linspace(0.0, t_end, points)
 
 
+def filtered_g2_batch(
+    system: SystemModel,
+    sensors,
+    cfg: IntegratorConfig | None = None,
+    observed=None,
+    check_convergence: bool = True,
+    grid=None,
+) -> list[FilteredStats]:
+    """g2[0; Gamma] of `observed` emission from `system` for each sensor of
+    `sensors`, all integrated as one batch over the pulse window.
+
+    `system` is the bare emitter; each sensor is attached here (twice when
+    `check_convergence`, at its eps and eps/2).  Each point reads out its
+    own n(t) and G2 with its own Gamma / (2 eps) scale.  A point whose two
+    couplings disagree by more than 0.5% (NotConverged) or whose integrated
+    filtered population is below 1e-12 (ZeroEmission) raises SweepPointError
+    naming its bandwidth and pulse length, with the bare error as its cause.
+    `grid` only sets the times at which `n_of_t` and the physicality report
+    are sampled (default: across the pulse window); g2 and `n_integral`
+    depend on it only through the integrator stopping at its points in the
+    window (< 1e-9 relative).
+    """
+    if observed is None:
+        if "sigma" not in system.output_ops:
+            raise ValueError("observed operator must be given for multilevel systems")
+        observed = "sigma"
+    halvings = (1.0, 2.0) if check_convergence else (1.0,)
+    couplings = [sensor.resolved_coupling(system.decay_scale) for sensor in sensors]
+    extended, emit = [], []
+    for sensor, eps in zip(sensors, couplings):
+        for k in halvings:
+            extended.append(attach_sensor(system, observed, replace(sensor, coupling=eps / k)))
+            # scaled so that the eps system reads out n(t) and G2 themselves
+            emit.append(sensor.bandwidth / (2.0 * eps) * extended[-1].output_ops["sensor"])
+    res = dynamics.emission_integrals(extended, np.array(emit), grid, cfg)
+
+    stats = []
+    for i, (sensor, eps) in enumerate(zip(sensors, couplings)):
+        b = i * len(halvings)
+        try:
+            stats.append(_point_stats(res, b, eps, check_convergence))
+        except (NotConverged, ZeroEmission) as err:
+            context = {"bandwidth": sensor.bandwidth}
+            if system.pulse is not None:
+                context["tau"] = system.pulse.length
+            raise SweepPointError(err, **context) from err
+    return stats
+
+
+def _point_stats(res: dynamics.EmissionIntegrals, b: int, eps: float,
+                 check_convergence: bool) -> FilteredStats:
+    """FilteredStats of the point whose eps system is entry b of `res` (and
+    whose eps/2 system, with `check_convergence`, is entry b + 1)."""
+    n_integral = float(res.n_integral[b])
+    if n_integral < ZERO_EMISSION_FLOOR:
+        raise ZeroEmission(f"integrated filtered population {n_integral:.3e} below floor")
+
+    g2 = res.pair_integral / res.n_integral**2
+    converged = False
+    g2_check = None
+    if check_convergence:
+        g2_check = float(g2[b + 1])
+        converged = abs(g2_check - g2[b]) <= EPSILON_CONVERGENCE * abs(g2[b])
+        if not converged:
+            raise NotConverged(float(g2[b]), g2_check)
+
+    return FilteredStats(
+        times=res.times,
+        n_of_t=res.n_series[b],
+        n_integral=n_integral,
+        g2_numerator=float(res.pair_integral[b]),
+        g2=float(g2[b]),
+        epsilon_used=eps,
+        converged=converged,
+        g2_epsilon_check=g2_check,
+        base_report=dynamics.physicality_report(Trajectory(res.times, res.states[b])),
+    )
+
+
 def filtered_g2_zero(
     system: SystemModel,
     sensor: SensorConfig,
@@ -119,53 +223,14 @@ def filtered_g2_zero(
     grid=None,
     check_convergence: bool = True,
 ) -> FilteredStats:
-    """Time-integrated g2[0; Gamma] of `observed` emission from `system`.
-
-    `system` is the bare emitter; the sensor is attached here (twice when
-    `check_convergence`, at eps and eps/2, integrated as one batch).  Raises
-    NotConverged if the two disagree by more than 0.5% and ZeroEmission if
-    the integrated filtered population is below 1e-12.  `grid` only sets the
-    times at which `n_of_t` and the physicality report are sampled (default:
-    across the pulse window); g2 and `n_integral` depend on it only through
-    the integrator stopping at its points in the window (< 1e-9 relative).
-    """
-    if observed is None:
-        if "sigma" not in system.output_ops:
-            raise ValueError("observed operator must be given for multilevel systems")
-        observed = "sigma"
-    eps = sensor.resolved_coupling(system.decay_scale)
-    couplings = [eps, eps / 2.0] if check_convergence else [eps]
-    extended = [
-        attach_sensor(system, observed, replace(sensor, coupling=c)) for c in couplings
-    ]
-    # scaled so that the first system reads out n(t) and G2 themselves
-    emit = sensor.bandwidth / (2.0 * eps) * extended[0].output_ops["sensor"]
-    res = dynamics.emission_integrals(extended, emit, grid, cfg)
-
-    n_integral = float(res.n_integral[0])
-    if n_integral < ZERO_EMISSION_FLOOR:
-        raise ZeroEmission(f"integrated filtered population {n_integral:.3e} below floor")
-
-    g2 = res.pair_integral / res.n_integral**2
-    converged = False
-    g2_check = None
-    if check_convergence:
-        g2_check = float(g2[1])
-        converged = abs(g2_check - g2[0]) <= EPSILON_CONVERGENCE * abs(g2[0])
-        if not converged:
-            raise NotConverged(float(g2[0]), g2_check)
-
-    return FilteredStats(
-        times=res.times,
-        n_of_t=res.n_series[0],
-        n_integral=n_integral,
-        g2_numerator=float(res.pair_integral[0]),
-        g2=float(g2[0]),
-        epsilon_used=eps,
-        converged=converged,
-        g2_epsilon_check=g2_check,
-        base_report=dynamics.physicality_report(Trajectory(res.times, res.states[0])),
-    )
+    """Time-integrated g2[0; Gamma] of `observed` emission from `system`:
+    filtered_g2_batch with the one sensor, raising its NotConverged or
+    ZeroEmission bare."""
+    try:
+        (stats,) = filtered_g2_batch(system, [sensor], cfg, observed, check_convergence, grid)
+    except SweepPointError as err:
+        raise err.__cause__ from None
+    return stats
 
 
 def unfiltered_g2_zero(
@@ -220,13 +285,55 @@ def spectrum(
     )
 
 
-class SweepPointError(RuntimeError):
-    """An inner computation failed; identifies the sweep point responsible."""
+def _sweep_group(task):
+    """filtered_g2_batch over the sensors of one pulse (a process-pool task).
+    A failure of the whole batch names the pulse length."""
+    system, sensors, cfg, observed, check_convergence = task
+    try:
+        return filtered_g2_batch(system, sensors, cfg, observed, check_convergence)
+    except SweepPointError:
+        raise
+    except RuntimeError as err:  # e.g. StepSizeUnderflow
+        raise SweepPointError(err, tau=system.pulse.length) from err
 
-    def __init__(self, err, **context):
-        self.context = context
-        note = ", ".join(f"{k}={v:g}" for k, v in context.items())
-        super().__init__(f"sweep point ({note}) failed: {err}")
+
+def sweep_grid(
+    builder,
+    tau_grid,
+    filter_widths,
+    theta: float = math.pi,
+    cfg: IntegratorConfig | None = None,
+    observed=None,
+    sensor: SensorConfig = SensorConfig(),
+    check_convergence: bool = True,
+    jobs: int = 1,
+) -> list[list[FilteredStats]]:
+    """Filtered g2 at every (pulse length, filter width): stats[i][j] for
+    tau_grid[i] and filter_widths[j].
+
+    `builder` maps a GaussianPulse to the bare SystemModel; `sensor` gives the
+    detuning, coupling and truncation, and its bandwidth is swept.  The
+    points of one pulse length are one filtered_g2_batch, so a point's value
+    depends on its batch-mates within the error budget.  With `jobs` > 1 the
+    pulse lengths are spread over that many worker processes.
+    """
+    sensors = [replace(sensor, bandwidth=float(w)) for w in filter_widths]
+    tasks = [(builder(GaussianPulse(theta, float(tau))), sensors, cfg, observed, check_convergence)
+             for tau in tau_grid]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            return list(pool.map(_sweep_group, tasks))
+    return [_sweep_group(task) for task in tasks]
+
+
+def _curve(axis, stats, metadata) -> SweepResult:
+    return SweepResult(
+        axis=np.asarray(axis, dtype=float),
+        values=np.array([st.g2 for st in stats]),
+        metadata=metadata,
+        epsilon_used=np.array([st.epsilon_used for st in stats]),
+        converged=np.array([st.converged for st in stats]),
+    )
 
 
 def sweep_pulse_length(
@@ -236,39 +343,20 @@ def sweep_pulse_length(
     theta: float = math.pi,
     cfg: IntegratorConfig | None = None,
     observed=None,
-    sensor_detuning: float = 0.0,
+    sensor: SensorConfig = SensorConfig(),
     check_convergence: bool = True,
+    jobs: int = 1,
 ) -> dict[float, SweepResult]:
-    """g2[0; Gamma] versus pulse length, one curve per filter width.
-
-    `builder` maps a GaussianPulse to the bare SystemModel.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    results: dict[float, SweepResult] = {}
-    for width in filter_widths:
-        values, eps_used, conv = [], [], []
-        for tau in tau_grid:
-            system = builder(GaussianPulse(theta, float(tau)))
-            sensor = SensorConfig(sensor_detuning, float(width))
-            try:
-                stats = filtered_g2_zero(
-                    system, sensor, cfg, observed=observed,
-                    check_convergence=check_convergence,
-                )
-            except Exception as err:  # identify the failing point
-                raise SweepPointError(err, bandwidth=width, tau=tau) from err
-            values.append(stats.g2)
-            eps_used.append(stats.epsilon_used)
-            conv.append(stats.converged)
-        results[float(width)] = SweepResult(
-            axis=tau_grid,
-            values=np.array(values),
-            metadata={"kind": "pulse_length_sweep", "bandwidth": float(width),
-                      "theta": theta, "sensor_detuning": sensor_detuning},
-            epsilon_used=np.array(eps_used),
-            converged=np.array(conv),
-        )
-    return results
+    """g2[0; Gamma] versus pulse length, one curve per filter width (see
+    sweep_grid for the arguments)."""
+    grid = sweep_grid(builder, tau_grid, filter_widths, theta, cfg, observed, sensor,
+                      check_convergence, jobs)
+    return {
+        float(w): _curve(tau_grid, [row[j] for row in grid], {
+            "kind": "pulse_length_sweep", "bandwidth": float(w), "theta": theta,
+            "sensor_detuning": sensor.detuning})
+        for j, w in enumerate(filter_widths)
+    }
 
 
 def sweep_filter_width(
@@ -278,36 +366,20 @@ def sweep_filter_width(
     theta: float = math.pi,
     cfg: IntegratorConfig | None = None,
     observed=None,
-    sensor_detuning: float = 0.0,
+    sensor: SensorConfig = SensorConfig(),
     check_convergence: bool = True,
+    jobs: int = 1,
 ) -> dict[float, SweepResult]:
-    """g2[0; Gamma] versus filter width, one curve per pulse length."""
-    gamma_grid = np.asarray(gamma_grid, dtype=float)
-    results: dict[float, SweepResult] = {}
-    for tau in pulse_lengths:
-        system = builder(GaussianPulse(theta, float(tau)))
-        values, eps_used, conv = [], [], []
-        for width in gamma_grid:
-            sensor = SensorConfig(sensor_detuning, float(width))
-            try:
-                stats = filtered_g2_zero(
-                    system, sensor, cfg, observed=observed,
-                    check_convergence=check_convergence,
-                )
-            except Exception as err:  # identify the failing point
-                raise SweepPointError(err, bandwidth=width, tau=tau) from err
-            values.append(stats.g2)
-            eps_used.append(stats.epsilon_used)
-            conv.append(stats.converged)
-        results[float(tau)] = SweepResult(
-            axis=gamma_grid,
-            values=np.array(values),
-            metadata={"kind": "filter_width_sweep", "pulse_length": float(tau),
-                      "theta": theta, "sensor_detuning": sensor_detuning},
-            epsilon_used=np.array(eps_used),
-            converged=np.array(conv),
-        )
-    return results
+    """g2[0; Gamma] versus filter width, one curve per pulse length (see
+    sweep_grid for the arguments)."""
+    grid = sweep_grid(builder, pulse_lengths, gamma_grid, theta, cfg, observed, sensor,
+                      check_convergence, jobs)
+    return {
+        float(tau): _curve(gamma_grid, row, {
+            "kind": "filter_width_sweep", "pulse_length": float(tau), "theta": theta,
+            "sensor_detuning": sensor.detuning})
+        for tau, row in zip(pulse_lengths, grid)
+    }
 
 
 def write_sweep_csv(path, result: SweepResult):

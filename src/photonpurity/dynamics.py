@@ -8,8 +8,8 @@ to the laser rotating frame, so expectation values of arbitrary operators
 remain correct.
 
 The right-hand side is a few batched matmuls, so many systems (a detuning
-sweep, or the eps-halving pair) and several rows per system step in
-lockstep.  emission_integrals carries a few rows over the
+sweep, or every filter width of a pulse with its eps-halving pair) and
+several rows per system step in lockstep.  emission_integrals carries a few rows over the
 pulse window and closes the tails with a resolvent; the wavefront of the
 two-time map (g2_map_raw, one collapsed row per grid node) serves the g2map
 plot.
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm, lu_factor, lu_solve
 
 from .model import SystemModel
@@ -35,6 +36,10 @@ class NonPhysicalState(RuntimeError):
 
 class DimensionMismatch(ValueError):
     pass
+
+
+class BatchMismatch(ValueError):
+    """Systems integrated as one batch differ in drive or channel operators."""
 
 
 @dataclass(frozen=True)
@@ -130,16 +135,26 @@ _DP_E = _DP_B5 - _DP_B4
 
 _MIN_REL_STEP = 1e-14
 _MAX_REJECTS = 60
+# Largest d^2 whose shared jump superoperator is applied dense.  At d^2 = 36
+# (two-level emitter plus sensor, 25 non-zeros of 1296) the dense product is
+# the faster one in context: a 161-detuning spectrum takes 0.6-0.7 s with it
+# and 0.7-0.9 s sparse.  At d^2 = 144 (biexciton plus sensor, 100 non-zeros
+# of 20736) the sparse product is 4x faster than the dense one on 4-36 rows.
+DENSE_JUMP_MAX_DIM2 = 64
 
 
 class _Generator:
-    """Batched Lindblad generator for B systems sharing drive and channels.
+    """Batched Lindblad generator for B systems sharing drive and channel
+    operators; rates and h_static may differ per system.
 
     States have shape (B, R, d, d).  The right-hand side is
     -i (H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag with the
     non-Hermitian H_eff = H - (i/2) sum_k L_k^dag L_k, L_k = sqrt(rate) C_k:
-    two batched d x d matmuls, and one (B R, d^2) @ (d^2, d^2) matmul with
-    the shared jump superoperator sum_k L_k kron conj(L_k).
+    two batched d x d matmuls and the jump term, whose superoperator
+    J = sum_k L_k kron conj(L_k) has O(d^2) non-zeros out of d^4.  A batch
+    that shares one small J (d^2 <= DENSE_JUMP_MAX_DIM2) applies it as one
+    dense (B R, d^2) @ (d^2, d^2) matmul; any other batch applies the
+    block-diagonal sparse matrix of its per-system J.
     """
 
     def __init__(self, systems):
@@ -158,6 +173,8 @@ class _Generator:
         for b, sys_b in enumerate(systems):
             if sys_b.dimension != d:
                 raise DimensionMismatch("batched systems must share the Hilbert-space dimension")
+            if not _same_drive_and_channels(first, sys_b):
+                raise BatchMismatch("batched systems must share the drive and the channel operators")
             hs[b] = sys_b.h_static
             if sys_b.frame_diag is not None:
                 frame[b] = sys_b.frame_diag
@@ -166,9 +183,27 @@ class _Generator:
         self.frame = frame
         self.rotating = bool(np.any(frame != frame[:, :1]))
 
-        jumps = [np.sqrt(rate) * np.asarray(op, dtype=complex) for op, rate in first.channels]
-        self.decay = -0.5j * sum((j.conj().T @ j for j in jumps), np.zeros((d, d)))
-        self.jump_super = sum((np.kron(j, j.conj()) for j in jumps), np.zeros((d * d, d * d)))
+        self.jumps = [
+            [np.sqrt(rate) * np.asarray(op, dtype=complex) for op, rate in sys_b.channels]
+            for sys_b in systems
+        ]
+        self.decay = np.array(
+            [-0.5j * sum((j.conj().T @ j for j in js), np.zeros((d, d))) for js in self.jumps]
+        )
+        rates = [[rate for _, rate in sys_b.channels] for sys_b in systems]
+        self.jump_super = self.jump_blocks = None
+        if d * d <= DENSE_JUMP_MAX_DIM2 and all(r == rates[0] for r in rates):
+            self.jump_super = self.system_jump_super(0)
+        else:
+            self.jump_blocks = sparse.block_diag(
+                [sparse.csr_matrix(self.system_jump_super(b)) for b in range(self.nbatch)],
+                format="csr",
+            )
+
+    def system_jump_super(self, b):
+        """Jump superoperator sum_k L_k kron conj(L_k) of system b."""
+        d2 = self.dim * self.dim
+        return sum((np.kron(j, j.conj()) for j in self.jumps[b]), np.zeros((d2, d2)))
 
     def phases(self, t):
         """Elementwise frame phases exp(i t (D_m - D_n)) per batch entry."""
@@ -186,9 +221,10 @@ class _Generator:
         return np.conj(self.phases(t))[:, None, :, :] * rho
 
     def op_in_frame(self, t, op):
-        """Operator `op` (d,d) transformed into the frame at time t, per batch."""
+        """Operator `op`, (d, d) or one per system (B, d, d), transformed into
+        the frame at time t, per batch."""
         if not self.rotating:
-            return np.broadcast_to(op, (self.nbatch,) + op.shape)
+            return np.broadcast_to(op, self.h_static.shape)
         return self.phases(t) * op
 
     def _hamiltonian_frame(self, t):
@@ -202,8 +238,12 @@ class _Generator:
     def rhs(self, t, y):
         """d rho / dt for y of shape (B, R, d, d), in the rotating frame."""
         heff = (self._hamiltonian_frame(t) + self.decay)[:, None]
-        b, r, d = y.shape[0], y.shape[1], self.dim
-        out = (y.reshape(b * r, d * d) @ self.jump_super.T).reshape(y.shape)
+        b, r, d2 = y.shape[0], y.shape[1], self.dim * self.dim
+        if self.jump_blocks is None:
+            out = (y.reshape(b * r, d2) @ self.jump_super.T).reshape(y.shape)
+        else:  # columns (system, vec index) x rows
+            cols = y.reshape(b, r, d2).transpose(0, 2, 1).reshape(b * d2, r)
+            out = (self.jump_blocks @ cols).reshape(b, d2, r).transpose(0, 2, 1).reshape(y.shape)
         out += -1j * (heff @ y) + 1j * (y @ heff.conj().transpose(0, 1, 3, 2))
         return out
 
@@ -211,8 +251,20 @@ class _Generator:
         """Drive-free lab-frame generator of system b as a (d^2, d^2) matrix
         on row-major vec(rho): vec(A rho B) = (A kron B^T) vec(rho)."""
         eye = np.eye(self.dim)
-        heff = self.h_static[b] + self.decay
-        return -1j * np.kron(heff, eye) + 1j * np.kron(eye, heff.conj()) + self.jump_super
+        heff = self.h_static[b] + self.decay[b]
+        return -1j * np.kron(heff, eye) + 1j * np.kron(eye, heff.conj()) + self.system_jump_super(b)
+
+
+def _same_drive_and_channels(a: SystemModel, b: SystemModel) -> bool:
+    """Do two systems share the pulse, the drive operator and the channel
+    operators (their rates may differ)?"""
+    if a.pulse != b.pulse or (a.h_drive is None) != (b.h_drive is None):
+        return False
+    if a.h_drive is not None and not np.array_equal(a.h_drive, b.h_drive):
+        return False
+    return len(a.channels) == len(b.channels) and all(
+        np.array_equal(p, q) for (p, _), (q, _) in zip(a.channels, b.channels)
+    )
 
 
 def _make_step_cap(pulse, cfg):
@@ -443,7 +495,7 @@ class _WindowGenerator(_Generator):
 
     def __init__(self, systems, emit):
         super().__init__(systems)
-        self.emit = emit
+        self.emit = np.asarray(emit, dtype=complex)
 
     def rhs(self, t, y):
         m = y.shape[1] // 2
@@ -461,6 +513,8 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     """n = int <e^dag e>(t) dt and, with `pairs`, the time-ordered pair
     integral G = int int <T-[e^dag(t1) e^dag(t2)] T+[e(t2) e(t1)]> dt1 dt2
     over [0, inf)^2, for a batch of systems started in the ground state.
+    `emit` is one operator for the whole batch, (d, d), or one per system,
+    (B, d, d).
 
     One forward pass of the augmented state (rho, X, Q, P) runs over the
     pulse window [0, t_c] only, t_c = drive_cutoff(pulse); X(t2) is the single
@@ -479,13 +533,14 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     those inside the window, and past t_c they are e^(L0 (t - t_c)) rho_c.
     """
     cfg = cfg or DEFAULT_INTEGRATOR
-    emit = np.asarray(emit, dtype=complex)
     gen = _WindowGenerator(systems, emit)
     nb, d = gen.nbatch, gen.dim
+    emit = np.broadcast_to(np.asarray(emit, dtype=complex), (nb, d, d))
     t_c = drive_cutoff(gen.pulse)
     times = np.linspace(0.0, t_c, WINDOW_SAMPLES) if times is None else np.asarray(times, float)
 
-    if np.max(np.abs(emit[:, 0])) > 1e-12 * max(1.0, np.max(np.abs(emit))):
+    scale = np.maximum(1.0, np.max(np.abs(emit), axis=(1, 2)))
+    if np.any(np.max(np.abs(emit[:, :, 0]), axis=1) > 1e-12 * scale):
         raise TailPremiseError("`emit` must leave the ground state dark")
 
     m = 2 if pairs else 1
@@ -506,8 +561,8 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     ground = np.zeros(d * d, dtype=complex)
     ground[0] = 1.0
     trace = np.eye(d).ravel()
-    nop = emit.conj().T @ emit
-    nvec = nop.T.ravel()  # <N|x> = tr(N x) = nvec . vec(x)
+    nop = emit.conj().transpose(0, 2, 1) @ emit
+    nvec = nop.transpose(0, 2, 1).reshape(nb, d * d)  # <N|x> = tr(N x) = nvec . vec(x)
     integrals = y[:, m:].reshape(nb, m, d * d)  # Q_c, P_c
     n_int = np.empty(nb)
     g_int = np.empty(nb) if pairs else None
@@ -524,11 +579,11 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
             return -lu_solve(lu, x.T).T
 
         r = resolvent(lab[b])
-        n_int[b] = (nvec @ (integrals[b, 0] + r[0])).real
+        n_int[b] = (nvec[b] @ (integrals[b, 0] + r[0])).real
         if pairs:
-            jr = (emit @ r[0].reshape(d, d) @ emit.conj().T).reshape(1, d * d)
-            g_int[b] = 2.0 * (nvec @ (integrals[b, 1] + r[1] + resolvent(jr)[0])).real
-    n_series = np.einsum("mn,btnm->bt", nop, states).real
+            jr = (emit[b] @ r[0].reshape(d, d) @ emit[b].conj().T).reshape(1, d * d)
+            g_int[b] = 2.0 * (nvec[b] @ (integrals[b, 1] + r[1] + resolvent(jr)[0])).real
+    n_series = np.einsum("bmn,btnm->bt", nop, states).real
     return EmissionIntegrals(n_int, g_int, times, n_series, states)
 
 

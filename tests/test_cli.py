@@ -118,3 +118,57 @@ def test_fit_lifetime_recovers_both_transitions(tmp_path):
         assert fit["irf_sigma_ps"] == pytest.approx(40.0, rel=0.1)
         assert fit["offset_ps"] == pytest.approx(800.0, abs=5.0)
         assert fit["chi2_reduced"] == pytest.approx(1.0, abs=0.15)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_failure_names_the_point(tmp_path, capsys, jobs):
+    # a strong coupling fails the eps-halving check
+    text = "pulse_lengths: [0.05, 0.1]\nsweep: {min: 1.0, max: 2.0, points: 2}\n" \
+           "sensor: {coupling: 0.3}\n"
+    assert run(tmp_path, "sweep-filter", text, "--jobs", jobs) == 3
+    err = capsys.readouterr().err
+    assert "sweep point (bandwidth=1, tau=0.05) failed: g2 not converged" in err
+
+
+def test_sweep_jobs_do_not_change_the_curves(tmp_path):
+    text = "pulse_lengths: [0.02, 0.05]\nsweep: {min: 0.1, max: 10.0, points: 3}\n"
+    assert run(tmp_path, "sweep-filter", text) == 0
+    serial = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.csv")}
+    assert run(tmp_path, "sweep-filter", text, "--jobs", "2") == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.csv")} == serial
+
+
+def _sweep_written(out, prefix):
+    meta = json.loads((out / f"{prefix}_metadata.json").read_text())["config"]
+    curves = {p.name: np.loadtxt(p, delimiter=",", skiprows=1, usecols=0, ndmin=1).tolist()
+              for p in sorted(out.glob(f"{prefix}_*.csv"))}
+    return meta, curves
+
+
+def test_sweep_fourlevel_honors_explicit_sweep(tmp_path):
+    text = "sweep: {min: 0.05, max: 100.0, points: 2}\npulse_lengths: [0.01]\n"
+    assert run(tmp_path, "sweep-fourlevel", text) == 0
+    meta, curves = _sweep_written(tmp_path / "out", "sweep_fourlevel")
+    assert (meta["sweep_min"], meta["sweep_max"], meta["sweep_points"]) == (0.05, 100.0, 2)
+    assert meta["pulse_lengths"] == [0.01]
+    assert curves == {"sweep_fourlevel_tau0.01.csv": [0.05, 100.0]}
+
+
+def test_sweep_pulse_honors_explicit_sweep(tmp_path):
+    text = "sweep: {points: 2}\nfilter_widths: [1.0]\n"
+    assert run(tmp_path, "sweep-pulse", text) == 0
+    meta, curves = _sweep_written(tmp_path / "out", "sweep_pulse")
+    assert (meta["sweep_min"], meta["sweep_max"], meta["sweep_points"]) == (0.02, 1.5, 2)
+    assert meta["sweep_kind"] == "pulse_length"
+    assert curves == {"sweep_pulse_gamma1.csv": [0.02, 1.5]}
+
+
+def test_sweep_kind_must_match_the_command(tmp_path, capsys):
+    assert run(tmp_path, "sweep-pulse", "sweep: {kind: filter_width}\n") == 2
+    assert "sweep.kind" in capsys.readouterr().err
+
+
+def test_stream_value_read_as_text_is_named(tmp_path, capsys):
+    # YAML 1.1 reads 1.0e5 (no exponent sign) as a string
+    assert run(tmp_path, "hbt-sim", "stream: {n_pulses: 1000, noise_rate: 1.0e5}\n") == 2
+    assert "stream.noise_rate: '1.0e5' is not a number" in capsys.readouterr().err

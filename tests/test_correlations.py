@@ -10,6 +10,7 @@ from photonpurity import dynamics
 from photonpurity.correlations import (
     NotConverged,
     ZeroEmission,
+    filtered_g2_batch,
     filtered_g2_zero,
     spectrum,
     sweep_filter_width,
@@ -281,6 +282,56 @@ class TestSweeps:
             sweep_filter_width(builder, [1.0], [0.1], theta=0.0)
         assert "bandwidth=1" in str(err.value)
         assert isinstance(err.value.__cause__, ZeroEmission)
+
+
+BATCH_CASES = [
+    (two_level_system(0.05), "sigma", 0.0, tuple(np.geomspace(0.05, 20.0, 5))),
+    (fourlevel_system(0.01), EXCITON_V_ONLY, FOURLEVEL_BINDING / 2.0, (0.5, 1.0)),
+]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("system, observed, detuning, widths", BATCH_CASES,
+                             ids=["two_level", "exciton_line"])
+    def test_matches_single_points(self, system, observed, detuning, widths):
+        sensors = [SensorConfig(detuning, w) for w in widths]
+        batch = filtered_g2_batch(system, sensors, observed=observed)
+        assert len(batch) == len(sensors)
+        for sensor, stats in zip(sensors, batch):
+            alone = filtered_g2_zero(system, sensor, observed=observed)
+            assert stats.g2 == pytest.approx(alone.g2, rel=1e-8)
+            assert stats.n_integral == pytest.approx(alone.n_integral, rel=1e-8)
+            assert stats.g2_epsilon_check == pytest.approx(alone.g2_epsilon_check, rel=1e-8)
+            assert stats.epsilon_used == alone.epsilon_used
+
+    def test_costs_little_more_than_one_point(self, monkeypatch):
+        system, _, _, widths = BATCH_CASES[0]
+        sensors = [SensorConfig(0.0, w) for w in widths]
+        rhs = dynamics._Generator.rhs
+        calls = []
+
+        def counted(gen, t, y):
+            calls.append(t)
+            return rhs(gen, t, y)
+
+        monkeypatch.setattr(dynamics._Generator, "rhs", counted)
+
+        def evals(run):
+            calls.clear()
+            run()
+            return len(calls)
+
+        singles = [evals(lambda: filtered_g2_zero(system, sensor)) for sensor in sensors]
+        batch = evals(lambda: filtered_g2_batch(system, sensors))
+        assert batch < 1.5 * max(singles)
+
+    def test_failing_point_is_named(self):
+        system = two_level_system(0.1)
+        sensors = [SensorConfig(0.0, 1.0), SensorConfig(0.0, 2.0, coupling=0.3)]
+        with pytest.raises(corr.SweepPointError) as err:
+            filtered_g2_batch(system, sensors)
+        assert err.value.context == {"bandwidth": 2.0, "tau": 0.1}
+        assert isinstance(err.value.__cause__, NotConverged)
 
 
 class TestExports:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from photonpurity.dynamics import (
+    BatchMismatch,
     DimensionMismatch,
     IntegratorConfig,
     NonPhysicalState,
     StepSizeUnderflow,
+    emission_integrals,
     expectation,
     physicality_report,
     propagate,
@@ -17,6 +20,7 @@ from photonpurity.dynamics import (
     two_time_g2_map,
 )
 from photonpurity.model import (
+    EXCITON_V_ONLY,
     BiexcitonConfig,
     GaussianPulse,
     SensorConfig,
@@ -213,3 +217,44 @@ class TestTwoTimeMap:
         back = read_correlation_csv(path)
         assert np.allclose(back.values, cg.values, rtol=1e-9, atol=1e-15)
         assert np.allclose(back.t1, cg.t1)
+
+
+def _sensor_batch(system, observed, detuning, widths):
+    """The sensor-extended systems at each width, each with its own
+    Gamma / (2 eps) readout."""
+    systems = [attach_sensor(system, observed, SensorConfig(detuning, w)) for w in widths]
+    emit = np.array([w / (2.0 * s.sensor.coupling) * s.output_ops["sensor"]
+                     for w, s in zip(widths, systems)])
+    return systems, emit
+
+
+class TestBatch:
+    @pytest.mark.parametrize("system, observed, detuning, widths", [
+        (build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)), "sigma", 0.0,
+         (0.05, 1.0, 20.0)),
+        (build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.01)), EXCITON_V_ONLY,
+         150.0, (0.5, 1.0)),
+    ], ids=["two_level", "exciton_line"])
+    def test_mixed_rates_match_single_runs(self, system, observed, detuning, widths):
+        # each system keeps its own sensor rate and readout inside the batch
+        systems, emit = _sensor_batch(system, observed, detuning, widths)
+        batch = emission_integrals(systems, emit, times=())
+        for b in range(len(systems)):
+            alone = emission_integrals([systems[b]], emit[b], times=())
+            assert batch.n_integral[b] == pytest.approx(alone.n_integral[0], rel=1e-8)
+            assert batch.pair_integral[b] == pytest.approx(alone.pair_integral[0], rel=1e-8)
+
+    def test_different_channel_operators_raise(self):
+        system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
+        (sigma, rate), = system.channels
+        others = [
+            replace(system, channels=((2.0 * sigma, rate),)),
+            replace(system, channels=((sigma, rate), (EXCITED, 0.1))),
+            replace(system, pulse=GaussianPulse(math.pi, 0.1)),
+        ]
+        for other in others:
+            with pytest.raises(BatchMismatch):
+                emission_integrals([system, other], sigma, times=())
+        # rates may differ
+        slower = replace(system, channels=((sigma, 0.5 * rate),))
+        assert emission_integrals([system, slower], sigma, times=()).n_integral[1] > 0
