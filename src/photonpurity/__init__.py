@@ -24,7 +24,6 @@ from .model import (
     ground_state,
     observation_operator,
     project_polarization,
-    pulse_amplitude,
 )
 from .dynamics import (
     CorrelationGrid,

@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -58,9 +58,8 @@ class RunConfig:
     sensor_bandwidth: float = 1.0
     epsilon: float | None = None
     truncation: int = 2
-    # sweep_kind, sweep_min, sweep_max, sweep_points and pulse_lengths left
-    # None take the command's defaults (resolve)
-    sweep_kind: str | None = None
+    # sweep_min, sweep_max, sweep_points and pulse_lengths left None take
+    # the command's defaults (resolve)
     sweep_min: float | None = None
     sweep_max: float | None = None
     sweep_points: int | None = None
@@ -84,12 +83,8 @@ class RunConfig:
     out: str | None = None
 
     def resolve(self, command=None):
-        """Fill the fields left None with `command`'s defaults; a sweep kind
-        set to another than the command's is a ConfigError."""
+        """Fill the fields left None with `command`'s defaults."""
         defaults = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(command, {})}
-        if command in _COMMAND_DEFAULTS and self.sweep_kind not in (None, defaults["sweep_kind"]):
-            raise ConfigError(f"sweep.kind: {command} sweeps {defaults['sweep_kind']}, "
-                              f"not {self.sweep_kind}")
         for name, value in defaults.items():
             if getattr(self, name) is None:
                 setattr(self, name, value)
@@ -118,14 +113,13 @@ class RunConfig:
 
 # Defaults of the fields RunConfig leaves None, and what each sweep command
 # sets differently.
-_DEFAULTS = {"sweep_kind": "filter_width", "sweep_min": 0.05, "sweep_max": 100.0,
-             "sweep_points": 13, "pulse_lengths": (0.02, 0.05, 0.2)}
+_DEFAULTS = {"sweep_min": 0.05, "sweep_max": 100.0, "sweep_points": 13,
+             "pulse_lengths": (0.02, 0.05, 0.2)}
 _COMMAND_DEFAULTS = {
     "sweep-filter": {},
     "sweep-fourlevel": {"sweep_min": 0.5, "sweep_max": 20.0, "sweep_points": 9,
                         "pulse_lengths": (0.01, 0.02)},
-    "sweep-pulse": {"sweep_kind": "pulse_length", "sweep_min": 0.02, "sweep_max": 1.5,
-                    "sweep_points": 10},
+    "sweep-pulse": {"sweep_min": 0.02, "sweep_max": 1.5, "sweep_points": 10},
 }
 
 _FLAT_KEYS = {
@@ -135,14 +129,21 @@ _FLAT_KEYS = {
     "pulse_lengths", "filter_widths", "excluded_peaks", "truncation", "epsilon",
 }
 _NESTED_KEYS = {"pulse", "sensor", "sweep", "integrator", "stream"}
+_INTEGRATOR_KEYS = {f.name for f in fields(dynamics.IntegratorConfig)}
 # section -> {key in the section: RunConfig field}; sweep.scale is handled apart
 _SECTION_FIELDS = {
     "pulse": {"area_pi": "pulse_area_pi", "length": "pulse_length"},
     "sensor": {"detuning": "sensor_detuning", "bandwidth": "sensor_bandwidth",
                "coupling": "epsilon", "truncation": "truncation"},
-    "sweep": {"kind": "sweep_kind", "min": "sweep_min", "max": "sweep_max",
-              "points": "sweep_points", "scale": None},
+    "sweep": {"min": "sweep_min", "max": "sweep_max", "points": "sweep_points",
+              "scale": None},
 }
+
+
+def _check_number(path, value):
+    """YAML 1.1 reads 1e-3 (no dot) and 1.0e5 (no exponent sign) as strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: {value!r} is not a number")
 
 
 def load_config(path=None, overrides=None, command=None) -> RunConfig:
@@ -170,6 +171,10 @@ def load_config(path=None, overrides=None, command=None) -> RunConfig:
             if key == "sweep":
                 cfg.sweep_log = value.get("scale", "log") == "log"
         elif key == "integrator":
+            for name, item in value.items():
+                if name not in _INTEGRATOR_KEYS:
+                    raise ConfigError(f"integrator.{name}: unknown configuration key")
+                _check_number(f"integrator.{name}", item)
             cfg.integrator = dict(value)
         elif key == "stream":
             cfg.stream = dict(value)
@@ -286,7 +291,7 @@ def _run_sweep(cfg: RunConfig, command, metadata_name):
         check_convergence=cfg.check_convergence, jobs=cfg.jobs or os.cpu_count() or 1,
     )
     builder = _system_builder(cfg)
-    if cfg.sweep_kind == "pulse_length":
+    if command == "sweep_pulse":
         curves = correlations.sweep_pulse_length(builder, axis, cfg.filter_widths, **kwargs)
         label = "gamma"
     else:
@@ -322,9 +327,8 @@ def cmd_sweep_pulse(cfg: RunConfig):
 def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:
     stream = dict(cfg.stream)
     for key, value in stream.items():
-        # YAML 1.1 reads 1.0e5 (no exponent sign) as a string
-        if key != "blinking" and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ConfigError(f"stream.{key}: {value!r} is not a number")
+        if key != "blinking":
+            _check_number(f"stream.{key}", value)
     stream.setdefault("n_pulses", 1_000_000)
     stream.setdefault("rep_period", cfg.rep_period)
     try:

@@ -45,11 +45,6 @@ class GaussianPulse:
         return self.area / (math.sqrt(2.0 * math.pi) * self.length) * np.exp(-0.5 * x * x)
 
 
-def pulse_amplitude(pulse: GaussianPulse, t):
-    """Instantaneous Rabi amplitude of the Gaussian pulse (units of gamma_sigma)."""
-    return pulse.amplitude(t)
-
-
 @dataclass(frozen=True)
 class TwoLevelConfig:
     """Two-level emitter: `decay_rate` fixes the time unit, `detuning` is the

@@ -23,7 +23,8 @@ def test_non_mapping_section_is_a_config_error(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("section,key", [("pulse", "lenght"), ("sensor", "bandwith"),
-                                         ("sweep", "point")])
+                                         ("sweep", "point"), ("integrator", "method"),
+                                         ("integrator", "fixed_step")])
 def test_unknown_section_key_is_a_config_error(tmp_path, capsys, section, key):
     assert run(tmp_path, "sweep-filter", f"{section}: {{{key}: 0.1}}\n") == 2
     assert f"{section}.{key}: unknown configuration key" in capsys.readouterr().err
@@ -159,7 +160,6 @@ def test_sweep_pulse_honors_explicit_sweep(tmp_path):
     assert run(tmp_path, "sweep-pulse", text) == 0
     meta, curves = _sweep_written(tmp_path / "out", "sweep_pulse")
     assert (meta["sweep_min"], meta["sweep_max"], meta["sweep_points"]) == (0.02, 1.5, 2)
-    assert meta["sweep_kind"] == "pulse_length"
     assert curves == {"sweep_pulse_gamma1.csv": [0.02, 1.5]}
 
 
@@ -172,3 +172,11 @@ def test_stream_value_read_as_text_is_named(tmp_path, capsys):
     # YAML 1.1 reads 1.0e5 (no exponent sign) as a string
     assert run(tmp_path, "hbt-sim", "stream: {n_pulses: 1000, noise_rate: 1.0e5}\n") == 2
     assert "stream.noise_rate: '1.0e5' is not a number" in capsys.readouterr().err
+
+
+def test_integrator_value_read_as_text_is_named(tmp_path, capsys):
+    # YAML 1.1 reads 1e-3 (no dot) as a string
+    text = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n" \
+           "integrator: {max_step: 1e-3}\n"
+    assert run(tmp_path, "sweep-filter", text) == 2
+    assert "integrator.max_step: '1e-3' is not a number" in capsys.readouterr().err

@@ -8,8 +8,8 @@ from scipy.linalg import expm
 
 from photonpurity.dynamics import (
     BatchMismatch,
+    CorrelationGrid,
     DimensionMismatch,
-    IntegratorConfig,
     NonPhysicalState,
     StepSizeUnderflow,
     emission_integrals,
@@ -143,28 +143,6 @@ class TestPhysicalityReport:
         assert rep.max_hermiticity_violation < 1e-10
         assert rep.min_eigenvalue >= -1e-8
 
-    def test_coarse_fixed_step_drifts_more(self):
-        p = GaussianPulse(math.pi, 0.1)
-        system = build_two_level(TwoLevelConfig(), p)
-        times = np.linspace(0.0, 2.0, 11)
-        coarse_cfg = IntegratorConfig(method="rk4", fixed_step=0.08, min_steps_per_pulse=20)
-        coarse = propagate(system, ground_state(system), times, coarse_cfg)
-        tight = propagate(system, ground_state(system), times)
-        ref = reference_master_equation(system, ground_state(system), times)
-        err_coarse = np.max(np.abs(coarse.states - ref))
-        err_tight = np.max(np.abs(tight.states - ref))
-        assert err_coarse > 10 * err_tight
-
-    def test_rk4_order(self):
-        system = free_decay_system()
-        rho0 = basis_projector(system, "exciton")
-        errs = []
-        for dt in (0.05, 0.025):
-            cfg = IntegratorConfig(method="rk4", fixed_step=dt)
-            traj = propagate(system, rho0, [0.0, 2.0], cfg)
-            errs.append(abs(traj.states[-1][1, 1].real - math.exp(-2.0)))
-        assert 10.0 < errs[0] / errs[1] < 25.0
-
 
 class TestTwoTimeMap:
     def test_two_level_diagonal_exactly_zero(self):
@@ -217,6 +195,33 @@ class TestTwoTimeMap:
         back = read_correlation_csv(path)
         assert np.allclose(back.values, cg.values, rtol=1e-9, atol=1e-15)
         assert np.allclose(back.t1, cg.t1)
+
+    def test_csv_matches_row_writer(self, tmp_path):
+        # longer than one chunk of rows, with negative zeros, tiny and huge values
+        rng = np.random.default_rng(5)
+        t1, t2 = np.linspace(0.0, 12.2, 311), np.sort(rng.uniform(0.0, 5.0, 257))
+        values = rng.normal(size=(311, 257)) * 10.0 ** rng.integers(-40, 40, (311, 257))
+        values[0, :3] = (0.0, -0.0, 1.0)
+        cg = CorrelationGrid(t1, t2, values)
+        path = tmp_path / "map.csv"
+        cg.to_csv(path)
+        expected = "# time_unit=1/gamma_sigma\nt1,t2,value\n" + "".join(
+            f"{a:.9g},{b:.9g},{values[i, j]:.12g}\n"
+            for i, a in enumerate(t1) for j, b in enumerate(t2))
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("rows, cols", [(slice(10, None), slice(None, None, 2)),
+                                            (slice(10, None), slice(5, None, 3))],
+                             ids=["union_from_zero", "union_after_zero"])
+    def test_sub_grids_match_the_full_map(self, rows, cols):
+        # separate t1 and t2 grids, and a union that starts after t = 0 (the
+        # chain then starts from the ground state at 0), read the same map
+        system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.1))
+        grid = np.linspace(0.0, 3.0, 61)
+        full = two_time_g2_map(system, "sigma", grid).values
+        sub = two_time_g2_map(system, "sigma", grid[rows], grid[cols])
+        assert sub.values.shape == (len(grid[rows]), len(grid[cols]))
+        assert np.max(np.abs(sub.values - full[rows, cols])) < 1e-9 * np.max(full)
 
 
 def _sensor_batch(system, observed, detuning, widths):

@@ -21,19 +21,18 @@ from photonpurity.model import (
     ground_state,
     observation_operator,
     project_polarization,
-    pulse_amplitude,
 )
 
 
 class TestGaussianPulse:
     def test_peak_value(self):
         p = GaussianPulse(area=math.pi, length=1.0, offset=4.0)
-        assert pulse_amplitude(p, 4.0) == pytest.approx(1.2533141373155003, abs=1e-12)
+        assert p.amplitude(4.0) == pytest.approx(1.2533141373155003, abs=1e-12)
 
     def test_wing_over_peak(self):
         # exp(-(9-4)^2 / 2) = exp(-12.5)
         p = GaussianPulse(area=math.pi, length=1.0, offset=4.0)
-        ratio = pulse_amplitude(p, 9.0) / pulse_amplitude(p, 4.0)
+        ratio = p.amplitude(9.0) / p.amplitude(4.0)
         assert ratio == pytest.approx(3.7266531720786709e-06, rel=1e-12)
 
     def test_offset_defaults_to_four_lengths(self):
@@ -50,7 +49,7 @@ class TestGaussianPulse:
     @given(area=st.floats(0.1, 20.0), length=st.floats(0.01, 2.0))
     def test_integrates_to_area(self, area, length):
         p = GaussianPulse(area=area, length=length)
-        val, _ = quad(lambda t: pulse_amplitude(p, t),
+        val, _ = quad(p.amplitude,
                       p.offset - 8 * length, p.offset + 8 * length, limit=200)
         assert val == pytest.approx(area, abs=1e-9 * max(1.0, area))
 
@@ -83,7 +82,7 @@ class TestTwoLevel:
         p = GaussianPulse(area=math.pi, length=0.05)
         system = build_two_level(TwoLevelConfig(), p)
         h = system.hamiltonian(p.offset)
-        assert h[0, 1] == pytest.approx(0.5 * pulse_amplitude(p, p.offset))
+        assert h[0, 1] == pytest.approx(0.5 * p.amplitude(p.offset))
         assert h[0, 0] == 0.0
 
     def test_zero_drive_hamiltonian(self):
