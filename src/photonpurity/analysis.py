@@ -19,6 +19,8 @@ from scipy.optimize import least_squares
 from scipy.special import erfc
 
 DEGENERATE_RATE_GAP = 1e-9
+_MAX_REWEIGHTS = 100   # weighted passes of fit_lifetimes
+_REWEIGHT_TOL = 1e-10  # largest relative weight change of a settled fit
 
 
 class GridTooCoarse(ValueError):
@@ -191,9 +193,11 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
     """Poisson-weighted Levenberg-Marquardt fit of the decay curve.
 
     `times` in ns, `counts` raw counts.  Weights start from the observed
-    counts and are re-derived once from the fitted model (Pearson-style),
-    which removes the few-percent rate bias that observed-count weights
-    produce in low-count tail bins.  1-sigma uncertainties come from
+    counts and are re-derived from the fitted model (Pearson-style) until
+    they settle, which removes the few-percent rate bias that observed-count
+    weights produce in low-count tail bins.  At the fixed point the answer
+    no longer depends on where the first pass lands; weights that do not
+    settle raise IllConditioned.  1-sigma uncertainties come from
     (J^T J)^-1, J the Jacobian at the solution weighted by sqrt(max(mu, 1))
     of the returned model mu (absolute weights, no chi-square rescaling).
 
@@ -218,8 +222,7 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
         )
 
     weights = np.sqrt(np.maximum(counts, 1.0))
-    result = None
-    for _ in range(2):
+    for _ in range(_MAX_REWEIGHTS):
         def residuals(x, w=weights):
             return (cascade_model(times, pack(x), which) - counts) / w
 
@@ -230,6 +233,10 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
         x0 = result.x
         pass_weights = weights
         weights = np.sqrt(np.maximum(cascade_model(times, pack(result.x), which), 1.0))
+        if np.max(np.abs(weights / pass_weights - 1.0)) <= _REWEIGHT_TOL:
+            break
+    else:
+        raise IllConditioned(f"weights did not settle in {_MAX_REWEIGHTS} reweighted passes")
 
     # the last pass's Jacobian at result.x, reweighted by the returned model
     jac = result.jac * (pass_weights / weights)[:, None]

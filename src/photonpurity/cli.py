@@ -100,6 +100,8 @@ class RunConfig:
             (self.epsilon is None or self.epsilon > 0, "sensor.coupling", "must be > 0"),
             (self.truncation >= 2, "sensor.truncation", "must be >= 2"),
             (self.sweep_points >= 2, "sweep.points", "must be >= 2"),
+            (self.grid_points is None or isinstance(self.grid_points, int)
+             and self.grid_points >= 2, "grid_points", "must be an integer >= 2"),
             (self.sweep_min > 0, "sweep.min", "must be > 0"),
             (self.sweep_max > self.sweep_min, "sweep.max", "must exceed sweep.min"),
             (self.window <= self.rep_period, "window", "must not exceed rep_period"),
@@ -329,6 +331,8 @@ def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:
     for key, value in stream.items():
         if key != "blinking":
             _check_number(f"stream.{key}", value)
+    if not isinstance(stream.get("n_pulses", 0), int):
+        raise ConfigError(f"stream.n_pulses: {stream['n_pulses']!r} is not an integer")
     stream.setdefault("n_pulses", 1_000_000)
     stream.setdefault("rep_period", cfg.rep_period)
     try:

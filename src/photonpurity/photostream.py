@@ -7,6 +7,9 @@ with the peak-sum estimator: center-peak counts over the mean of the two
 neighboring side peaks, each summed over a fixed window, with Poissonian
 error propagation.
 
+Synthesis samples the exact per-pulse law in O(photons), not O(pulses):
+binomial pair and single counts per block of pulses, then per-photon draws.
+
 The histogram is built by a sweep over the pair offset: each click keeps
 the range of its partners in the other list, and pass j bins the j-th
 partner of every click that still has one.  That is O(pairs) time and
@@ -66,6 +69,7 @@ class StreamConfig:
     delayed photon.  Poissonian background at noise_rate is superimposed,
     photons route 50:50 onto two detectors and are thinned by
     detection_efficiency.  Blinking modulates emitter photons only.
+    `synthesize_stream` samples this law exactly, in O(photons).
     """
 
     n_pulses: int
@@ -95,40 +99,31 @@ class StreamConfig:
 
 
 def _emit_block(cfg: StreamConfig, seed_seq, first_pulse, n_block):
-    """Emitter photons for pulses [first_pulse, first_pulse + n_block).
+    """Emitter clicks of pulses [first_pulse, first_pulse + n_block).
 
-    Each block draws from its own substream in a fixed layout.
+    The exact per-pulse law, drawn in O(photons): n_pair ~ Binomial(n_block,
+    p_double), n_single ~ Binomial(n_block - n_pair, p_single), the emitting
+    pulses without replacement in random order (pairs first), then per
+    photon a Gaussian offset (pair firsts) or exponential delay (the rest)
+    and one uniform u: detector 1 below eta / 2, detector 2 in
+    [eta / 2, eta), lost above.  Blinking adds an acceptance uniform.
     """
     rng = np.random.default_rng(seed_seq)
-    u_pair = rng.random(n_block)
-    u_single = rng.random(n_block)
-    t_gauss = rng.normal(0.0, cfg.pulse_sigma, n_block)
-    dt_pair = rng.exponential(cfg.emitter_lifetime, n_block)
-    dt_single = rng.exponential(cfg.emitter_lifetime, n_block)
-    route_a = rng.random(n_block)
-    route_b = rng.random(n_block)
-    eff_a = rng.random(n_block)
-    eff_b = rng.random(n_block)
-    blink_a = rng.random(n_block)
-    blink_b = rng.random(n_block)
-
-    pulse_t = (first_pulse + np.arange(n_block)) * cfg.rep_period
-    is_pair = u_pair < cfg.p_double
-    is_single = ~is_pair & (u_single < cfg.p_single)
-
-    # photon "a": first of a pair (inside the pulse); photon "b": either the
-    # reexcited partner or the lone single photon
-    t_a = pulse_t + t_gauss
-    t_b = np.where(is_pair, t_a + dt_pair, pulse_t + dt_single)
-    keep_a = is_pair & (eff_a < cfg.detection_efficiency)
-    keep_b = (is_pair | is_single) & (eff_b < cfg.detection_efficiency)
+    n_pair = rng.binomial(n_block, cfg.p_double)
+    n_single = rng.binomial(n_block - n_pair, cfg.p_single)
+    pulses = first_pulse + rng.choice(n_block, n_pair + n_single, replace=False)
+    pulse_t = pulses * cfg.rep_period
+    # pair firsts (inside the pulse), then the delayed photons: pair
+    # partners after their firsts, lone singles after their pulses
+    t_first = pulse_t[:n_pair] + rng.normal(0.0, cfg.pulse_sigma, n_pair)
+    t_late = np.concatenate((t_first, pulse_t[n_pair:]))
+    t = np.concatenate((t_first, t_late + rng.exponential(cfg.emitter_lifetime, len(t_late))))
+    u = rng.random(len(t))
     if cfg.blinking is not None:
-        keep_a &= blink_a < cfg.blinking.acceptance(t_a)
-        keep_b &= blink_b < cfg.blinking.acceptance(t_b)
-
-    det1 = np.concatenate([t_a[keep_a & (route_a < 0.5)], t_b[keep_b & (route_b < 0.5)]])
-    det2 = np.concatenate([t_a[keep_a & (route_a >= 0.5)], t_b[keep_b & (route_b >= 0.5)]])
-    return det1, det2
+        u[rng.random(len(t)) >= cfg.blinking.acceptance(t)] = np.inf  # blinked off: lost
+    eta = cfg.detection_efficiency
+    det1 = u < eta / 2
+    return t[det1], t[~det1 & (u < eta)]
 
 
 def synthesize_stream(cfg: StreamConfig, seed: int):
@@ -136,7 +131,8 @@ def synthesize_stream(cfg: StreamConfig, seed: int):
 
     Deterministic for a given (cfg, seed): pulses are processed in fixed
     blocks of 2^19, block k drawing from SeedSequence(seed).spawn()[k]; the
-    background uses the independent stream SeedSequence((seed, 1)).
+    background uses the independent stream SeedSequence((seed, 1)).  Each
+    block draws per photon, not per pulse (`_emit_block`).
     """
     n_blocks = int(np.ceil(cfg.n_pulses / _PULSE_BLOCK)) if cfg.n_pulses else 0
     children = np.random.SeedSequence(seed).spawn(n_blocks)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
+from photonpurity import analysis
 from photonpurity.analysis import (
     CascadeParams,
     GridTooCoarse,
@@ -200,7 +201,26 @@ class TestFit:
         expected = np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
         got = np.array([fit.uncertainties[f] for f in fields])
         assert np.allclose(got, expected, rtol=1e-4)
-        assert fit.uncertainties["gamma_x"] == pytest.approx(1.27e-2, rel=0.02)
+        assert fit.uncertainties["gamma_x"] == pytest.approx(1.365e-2, rel=0.02)
+
+    def test_answer_does_not_depend_on_the_start(self):
+        # the start of the test above and the true parameters: the reweighted
+        # passes settle on one fixed point from both
+        rng = np.random.default_rng(12)
+        y = rng.poisson(np.maximum(cascade_model(self.t, TRUE, "exciton"), 0.0)).astype(float)
+        far = CascadeParams(6.301058380221, 3.1505291901105, 0.25375000000000003, 4899.0,
+                            0.5075000000000001)
+        a, b = (fit_lifetimes(self.t, y, init, "exciton") for init in (far, TRUE))
+        for f in ("gamma_2x", "gamma_x", "irf_sigma", "amplitude", "offset"):
+            gap = abs(getattr(a.params, f) - getattr(b.params, f))
+            assert gap < 1e-3 * min(a.uncertainties[f], b.uncertainties[f])
+
+    def test_unsettled_reweighting_is_ill_conditioned(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        y = rng.poisson(np.maximum(cascade_model(self.t, TRUE, "exciton"), 0.0)).astype(float)
+        monkeypatch.setattr(analysis, "_MAX_REWEIGHTS", 1)
+        with pytest.raises(IllConditioned, match="did not settle"):
+            fit_lifetimes(self.t, y, CascadeParams(5.0, 3.0, 0.05, 9e3, 0.75), "exciton")
 
     def test_csv_round_trip(self, tmp_path):
         y = cascade_model(self.t, TRUE, "exciton")

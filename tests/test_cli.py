@@ -180,3 +180,16 @@ def test_integrator_value_read_as_text_is_named(tmp_path, capsys):
            "integrator: {max_step: 1e-3}\n"
     assert run(tmp_path, "sweep-filter", text) == 2
     assert "integrator.max_step: '1e-3' is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,shown", [("1.5e+5", "150000.0"), ("150000.5", "150000.5")])
+def test_non_integer_pulse_count_is_named(tmp_path, capsys, value, shown):
+    # YAML reads 1.5e+5 as a float, which no pulse count is
+    assert run(tmp_path, "hbt-sim", f"stream: {{n_pulses: {value}}}\n") == 2
+    assert f"stream.n_pulses: {shown} is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["-3", "0", "1", "50.5"])
+def test_g2map_needs_two_grid_points(tmp_path, capsys, points):
+    assert run(tmp_path, "g2map", f"grid_points: {points}\n") == 2
+    assert "grid_points: must be an integer >= 2" in capsys.readouterr().err

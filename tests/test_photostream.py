@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from photonpurity.photostream import (
+    _PULSE_BLOCK,
     BlinkingConfig,
     CoincidenceHistogram,
     G2Estimate,
@@ -50,6 +51,52 @@ class TestSynthesize:
         cfg = StreamConfig(n_pulses=50_000, p_single=0.3, p_double=0.1)
         c1, c2 = synthesize_stream(cfg, seed=9)
         assert np.all(np.diff(c1) >= 0) and np.all(np.diff(c2) >= 0)
+
+    def test_memory_scales_with_photons(self):
+        # one full block at about 500 photons: per-pulse arrays would trace
+        # tens of MB
+        cfg = StreamConfig(n_pulses=_PULSE_BLOCK, p_single=1e-3)
+        tracemalloc.start()
+        try:
+            c1, c2 = synthesize_stream(cfg, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(c1) + len(c2) > 0
+        assert peak < 1_000_000
+
+    def test_pair_stream_matches_the_per_pulse_law(self):
+        cfg = StreamConfig(n_pulses=400_000, p_single=0.3, p_double=0.05,
+                           detection_efficiency=0.5)
+        c1, c2 = synthesize_stream(cfg, seed=13)
+        p_d, p_s, q = cfg.p_double, (1 - cfg.p_double) * cfg.p_single, cfg.detection_efficiency / 2
+        # clicks of one detector per pulse: Binomial(2, q) after a pair,
+        # Bernoulli(q) after a single
+        mean = p_d * 2 * q + p_s * q
+        var = p_d * (2 * q * (1 - q) + 4 * q**2) + p_s * q - mean**2
+        for clicks in (c1, c2):
+            assert abs(len(clicks) - cfg.n_pulses * mean) < 4 * np.sqrt(cfg.n_pulses * var)
+        # arrival after the pulse: pair firsts at 0, every other photon one
+        # exponential lifetime later
+        rep_ps = cfg.rep_period * 1000
+        clicks = np.concatenate([c1, c2])
+        offset = ((clicks + rep_ps / 2) % rep_ps - rep_ps / 2) / 1000
+        delayed = (p_d + p_s) / (2 * p_d + p_s)
+        lifetime = offset.mean() / delayed
+        sigma = offset.std() / np.sqrt(len(offset)) / delayed
+        assert abs(lifetime - cfg.emitter_lifetime) < 4 * sigma
+
+    def test_partial_last_block(self):
+        cfg = StreamConfig(n_pulses=2 * _PULSE_BLOCK + _PULSE_BLOCK // 2, p_single=0.01,
+                           p_double=0.001)
+        a = synthesize_stream(cfg, seed=31)
+        b = synthesize_stream(cfg, seed=31)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        last_block = 2 * _PULSE_BLOCK * cfg.rep_period * 1000
+        for clicks in a:
+            # the last half block holds a fifth of the stream
+            assert 0.15 < np.mean(clicks >= last_block) < 0.25
+            assert clicks[-1] < cfg.duration * 1000 + 50_000
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
