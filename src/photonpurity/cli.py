@@ -99,18 +99,26 @@ class RunConfig:
             (self.sensor_bandwidth > 0, "sensor.bandwidth", "must be > 0"),
             (self.epsilon is None or self.epsilon > 0, "sensor.coupling", "must be > 0"),
             (self.truncation >= 2, "sensor.truncation", "must be >= 2"),
-            (self.sweep_points >= 2, "sweep.points", "must be >= 2"),
-            (self.grid_points is None or isinstance(self.grid_points, int)
-             and self.grid_points >= 2, "grid_points", "must be an integer >= 2"),
+            (_integer_at_least(self.sweep_points, 2), "sweep.points", "must be an integer >= 2"),
+            (self.grid_points is None or _integer_at_least(self.grid_points, 2),
+             "grid_points", "must be an integer >= 2"),
             (self.sweep_min > 0, "sweep.min", "must be > 0"),
             (self.sweep_max > self.sweep_min, "sweep.max", "must exceed sweep.min"),
+            (self.spec_bandwidth > 0, "spec_bandwidth", "must be > 0"),
+            (self.detuning_span > 0, "detuning_span", "must be > 0"),
+            (_integer_at_least(self.detuning_points, 1), "detuning_points",
+             "must be an integer >= 1"),
             (self.window <= self.rep_period, "window", "must not exceed rep_period"),
-            (self.bin_width >= 1, "bin_width", "must be >= 1 ps"),
+            (_integer_at_least(self.bin_width, 1), "bin_width", "must be an integer >= 1 (ps)"),
         ]
         for ok, path, msg in checks:
             if not ok:
                 raise ConfigError(f"{path}: {msg}")
         return self
+
+
+def _integer_at_least(value, least):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 # Defaults of the fields RunConfig leaves None, and what each sweep command

@@ -249,6 +249,23 @@ def unfiltered_g2_zero(
     return float(res.pair_integral[0]) / den**2
 
 
+def _spectrum_batch(system: SystemModel, observed, detunings, spec_bandwidth: float,
+                    eps: float) -> list[SystemModel]:
+    """The sensor-extended model at each filter center of a spectrum.  The
+    sensor is attached once, at detuning 0; center Delta adds
+    Delta I kron a^dag a to its h_static and its frame, which is what
+    attach_sensor at Delta builds."""
+    base = attach_sensor(system, observed, SensorConfig(0.0, spec_bandwidth, eps, 2))
+    a = base.output_ops["sensor"]
+    number = a.conj().T @ a
+    return [
+        replace(base, h_static=base.h_static + d * number,
+                frame_diag=base.frame_diag + d * np.diag(number).real,
+                sensor=replace(base.sensor, detuning=float(d)))
+        for d in detunings
+    ]
+
+
 def spectrum(
     system: SystemModel,
     observed,
@@ -260,14 +277,13 @@ def spectrum(
     filter center, probed with a narrow filter of width `spec_bandwidth`.
 
     The reported lineshape is the physical spectrum convolved with the
-    Lorentzian sensor response of that width.
+    Lorentzian sensor response of that width.  Every filter center is one
+    system of a single emission_integrals batch without pairs; the batch is
+    one sensor attach shifted per center (_spectrum_batch).
     """
     detunings = np.asarray(detunings, dtype=float)
     eps = 1e-3 * max(spec_bandwidth, system.decay_scale)
-    extended = [
-        attach_sensor(system, observed, SensorConfig(d, spec_bandwidth, eps, 2))
-        for d in detunings
-    ]
+    extended = _spectrum_batch(system, observed, detunings, spec_bandwidth, eps)
     intensities = dynamics.emission_integrals(
         extended, extended[0].output_ops["sensor"], times=(), cfg=cfg, pairs=False
     ).n_integral

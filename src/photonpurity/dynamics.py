@@ -10,11 +10,14 @@ remain correct.
 One stepper, an embedded Dormand-Prince 4(5) pair, integrates the driven
 stretch.  Its right-hand side is a few batched matmuls, so many systems (a
 detuning sweep, or every filter width of a pulse with its eps-halving pair)
-and several rows per system step in lockstep.  Past the drive cutoff t_c the
+and several rows per system step in lockstep.  Every row it carries is
+Hermitian, so the Hamiltonian part -i (H rho - rho H^dag) is A + A^dag with
+A = -i H rho, one matmul instead of two.  Past the drive cutoff t_c the
 generator is constant and the lab-frame Liouvillian L0 gives closed forms:
-emission_integrals carries a few rows over the pulse window and closes the
-tails with a resolvent, and two_time_g2_map chains per-interval propagators,
-DP45 inside the window and expm(L0 h) after it.
+emission_integrals carries one or two rows per system and the scalar time
+integrals its tails read over the pulse window, and closes the tails with a
+resolvent; two_time_g2_map chains per-interval propagators, DP45 on a
+Hermitian basis inside the window and expm(L0 h) after it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import expm, lu_factor, lu_solve
 
-from .model import SystemModel
+from .model import HERMITICITY_TOL, SystemModel
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -138,9 +141,9 @@ _MIN_REL_STEP = 1e-14
 _MAX_REJECTS = 60
 # Largest d^2 whose shared jump superoperator is applied dense.  At d^2 = 36
 # (two-level emitter plus sensor, 25 non-zeros of 1296) the dense product is
-# the faster one in context: a 161-detuning spectrum takes 0.6-0.7 s with it
-# and 0.7-0.9 s sparse.  At d^2 = 144 (biexciton plus sensor, 100 non-zeros
-# of 20736) the sparse product is 4x faster than the dense one on 4-36 rows.
+# the faster one in context, the 161-detuning spectrum batch.  At d^2 = 144
+# (biexciton plus sensor, 100 non-zeros of 20736) the sparse product is 4x
+# faster than the dense one on 4-36 rows.
 DENSE_JUMP_MAX_DIM2 = 64
 
 
@@ -148,13 +151,15 @@ class _Generator:
     """Batched Lindblad generator for B systems sharing drive and channel
     operators; rates and h_static may differ per system.
 
-    States have shape (B, R, d, d).  The right-hand side is
-    -i (H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag with the
-    non-Hermitian H_eff = H - (i/2) sum_k L_k^dag L_k, L_k = sqrt(rate) C_k:
-    two batched d x d matmuls and the jump term, whose superoperator
-    J = sum_k L_k kron conj(L_k) has O(d^2) non-zeros out of d^4.  A batch
-    that shares one small J (d^2 <= DENSE_JUMP_MAX_DIM2) applies it as one
-    dense (B R, d^2) @ (d^2, d^2) matmul; any other batch applies the
+    States have shape (B, R, d, d), and every row is Hermitian (a density
+    matrix, a collapsed row, or a Hermitian basis matrix).  The right-hand
+    side -i (H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag, with the
+    non-Hermitian H_eff = H - (i/2) sum_k L_k^dag L_k and L_k = sqrt(rate) C_k,
+    is then A + A^dag + J rho with A = -i H_eff rho: one batched d x d matmul
+    and the jump term, whose superoperator J = sum_k L_k kron conj(L_k) has
+    O(d^2) non-zeros out of d^4.  A batch that shares one small J
+    (d^2 <= DENSE_JUMP_MAX_DIM2) applies it as one dense
+    (B R, d^2) @ (d^2, d^2) matmul; any other batch applies the
     block-diagonal sparse matrix of its per-system J.
     """
 
@@ -183,6 +188,7 @@ class _Generator:
         self.h_resid = hs - frame[:, :, None] * np.eye(d)[None, :, :]
         self.frame = frame
         self.rotating = bool(np.any(frame != frame[:, :1]))
+        self._phase_t, self._phase = None, None
 
         self.jumps = [
             [np.sqrt(rate) * np.asarray(op, dtype=complex) for op, rate in sys_b.channels]
@@ -192,9 +198,9 @@ class _Generator:
             [-0.5j * sum((j.conj().T @ j for j in js), np.zeros((d, d))) for js in self.jumps]
         )
         rates = [[rate for _, rate in sys_b.channels] for sys_b in systems]
-        self.jump_super = self.jump_blocks = None
+        self.jump_super_t = self.jump_blocks = None
         if d * d <= DENSE_JUMP_MAX_DIM2 and all(r == rates[0] for r in rates):
-            self.jump_super = self.system_jump_super(0)
+            self.jump_super_t = np.ascontiguousarray(self.system_jump_super(0).T)
         else:
             self.jump_blocks = sparse.block_diag(
                 [sparse.csr_matrix(self.system_jump_super(b)) for b in range(self.nbatch)],
@@ -203,13 +209,19 @@ class _Generator:
 
     def system_jump_super(self, b):
         """Jump superoperator sum_k L_k kron conj(L_k) of system b."""
+        if self.jump_super_t is not None:
+            return self.jump_super_t.T
         d2 = self.dim * self.dim
-        return sum((np.kron(j, j.conj()) for j in self.jumps[b]), np.zeros((d2, d2)))
+        return sum((np.kron(j, j.conj()) for j in self.jumps[b]), np.zeros((d2, d2), complex))
 
     def phases(self, t):
-        """Elementwise frame phases exp(i t (D_m - D_n)) per batch entry."""
-        v = np.exp(1j * t * self.frame)
-        return v[:, :, None] * v.conj()[:, None, :]
+        """Elementwise frame phases exp(i t (D_m - D_n)) per batch entry.  The
+        last time's phases are kept: one right-hand side evaluation, and the
+        frame changes around it, ask for the same t."""
+        if t != self._phase_t:
+            v = np.exp(1j * t * self.frame)
+            self._phase_t, self._phase = t, v[:, :, None] * v.conj()[:, None, :]
+        return self._phase
 
     def to_frame(self, t, rho):
         if not self.rotating:
@@ -237,15 +249,18 @@ class _Generator:
         return h
 
     def rhs(self, t, y):
-        """d rho / dt for y of shape (B, R, d, d), in the rotating frame."""
-        heff = (self._hamiltonian_frame(t) + self.decay)[:, None]
+        """d rho / dt for Hermitian rows y of shape (B, R, d, d), in the
+        rotating frame."""
+        minus_i_heff = -1j * (self._hamiltonian_frame(t) + self.decay)[:, None]
         b, r, d2 = y.shape[0], y.shape[1], self.dim * self.dim
         if self.jump_blocks is None:
-            out = (y.reshape(b * r, d2) @ self.jump_super.T).reshape(y.shape)
+            out = (y.reshape(b * r, d2) @ self.jump_super_t).reshape(y.shape)
         else:  # columns (system, vec index) x rows
             cols = y.reshape(b, r, d2).transpose(0, 2, 1).reshape(b * d2, r)
             out = (self.jump_blocks @ cols).reshape(b, d2, r).transpose(0, 2, 1).reshape(y.shape)
-        out += -1j * (heff @ y) + 1j * (y @ heff.conj().transpose(0, 1, 3, 2))
+        a = minus_i_heff @ y
+        out += a
+        out += a.conj().swapaxes(2, 3)
         return out
 
     def lab_liouvillian(self, b):
@@ -353,11 +368,19 @@ def _advance(gen, t, y, t_target, cfg, cap_fn, state):
     return y
 
 
+def _check_hermitian(rho0):
+    """The right-hand side takes its rows to be Hermitian."""
+    rho0 = np.asarray(rho0)
+    if np.max(np.abs(rho0 - rho0.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(rho0))):
+        raise ValueError("rho0 must be Hermitian")
+
+
 def propagate(system: SystemModel, rho0: np.ndarray, times, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Propagate rho0 under the system's master equation, sampled at `times`.
 
-    Returns laser-rotating-frame states.  Raises NonPhysicalState if an
-    eigenvalue below -1e-6 shows up at an output time.
+    Returns laser-rotating-frame states.  rho0 must be Hermitian (ValueError
+    otherwise).  Raises NonPhysicalState if an eigenvalue below -1e-6 shows
+    up at an output time.
     """
     cfg = cfg or DEFAULT_INTEGRATOR
     times = np.asarray(times, dtype=float)
@@ -366,6 +389,7 @@ def propagate(system: SystemModel, rho0: np.ndarray, times, cfg: IntegratorConfi
         raise DimensionMismatch(
             f"rho0 has shape {rho0.shape}, system dimension is {system.dimension}"
         )
+    _check_hermitian(rho0)
     gen = _Generator([system])
     cap_fn = _make_step_cap(system.pulse, cfg)
     state = _AdaptiveState()
@@ -408,7 +432,7 @@ def physicality_report(traj: Trajectory) -> PhysicalityReport:
 def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = None,
                     rho0: np.ndarray | None = None) -> np.ndarray:
     """<emit^dag emit>(t) on `grid` for a batch of systems propagated in
-    lockstep from `rho0` (ground state when omitted)."""
+    lockstep from the Hermitian `rho0` (ground state when omitted)."""
     cfg = cfg or DEFAULT_INTEGRATOR
     grid = np.asarray(grid, dtype=float)
     gen = _Generator(systems)
@@ -422,6 +446,7 @@ def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | Non
     if rho0 is None:
         y[:, 0, 0, 0] = 1.0
     else:
+        _check_hermitian(rho0)
         y[:, 0] = gen.to_frame(grid[0], np.broadcast_to(rho0, (nb, 1, d, d)))[:, 0]
     out = np.empty((nb, len(grid)))
     t = 0.0
@@ -464,27 +489,36 @@ def drive_cutoff(pulse) -> float:
 
 
 class _WindowGenerator(_Generator):
-    """Generator of the augmented rows (rho, X, Q, P), or (rho, Q):
+    """Generator of the window pass: m Hermitian rows per system, (rho, X) or
+    rho alone, in the rotating frame, and m scalar accumulators, (q, p) or q:
 
         d rho/dt = L(t) rho,   dX/dt = L(t) X + e rho e^dag,
-        dQ/dt = rho,           dP/dt = X,
+        dq/dt = <N|rho>,       dp/dt = <N|X>,        N = e^dag e,
 
-    with rho and X in the rotating frame and Q and P in the laser frame.
+    with <N|x> = tr(N x), the same in either frame.  The state is flat, the
+    (B, m, d, d) rows and then the (B, m) scalars, and `split` views both.
     """
 
-    def __init__(self, systems, emit):
+    def __init__(self, systems, emit, rows):
         super().__init__(systems)
-        self.emit = np.asarray(emit, dtype=complex)
+        nb, d = self.nbatch, self.dim
+        self.emit = np.broadcast_to(np.asarray(emit, dtype=complex), (nb, d, d))
+        self.nop = self.emit.conj().transpose(0, 2, 1) @ self.emit
+        self.row_shape = (nb, rows, d, d)
+        self.row_size = nb * rows * d * d
+
+    def split(self, y):
+        """Views of the rows (B, m, d, d) and the scalars (B, m) of y."""
+        return y[:self.row_size].reshape(self.row_shape), y[self.row_size:].reshape(self.row_shape[:2])
 
     def rhs(self, t, y):
-        m = y.shape[1] // 2
-        out = np.empty_like(y)
-        out[:, :m] = super().rhs(t, y[:, :m])
-        if m == 2:
+        rows, _ = self.split(y)
+        drows = super().rhs(t, rows)
+        if rows.shape[1] == 2:
             ef = self.op_in_frame(t, self.emit)
-            out[:, 1] += ef @ y[:, 0] @ ef.conj().transpose(0, 2, 1)
-        out[:, m:] = self.to_lab(t, y[:, :m])
-        return out
+            drows[:, 1] += ef @ rows[:, 0] @ ef.conj().transpose(0, 2, 1)
+        dscalars = np.einsum("bmn,brnm->br", self.op_in_frame(t, self.nop), rows)
+        return np.concatenate((drows.ravel(), dscalars.ravel()))
 
 
 def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorConfig | None = None,
@@ -495,15 +529,16 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     `emit` is one operator for the whole batch, (d, d), or one per system,
     (B, d, d).
 
-    One forward pass of the augmented state (rho, X, Q, P) runs over the
-    pulse window [0, t_c] only, t_c = drive_cutoff(pulse); X(t2) is the single
-    row int_0^t2 U(t2, t1) J rho(t1) dt1 with J x = e x e^dag.  Past t_c the
+    One forward pass over the pulse window [0, t_c], t_c = drive_cutoff(pulse),
+    carries the rows rho and X and the scalars q = int <N|rho> dt and
+    p = int <N|X> dt (see _WindowGenerator); X(t2) is the single row
+    int_0^t2 U(t2, t1) J rho(t1) dt1 with J x = e x e^dag.  Past t_c the
     generator is the constant lab-frame L0 of h_static, and the tails are
     closed forms of R x = int_0^inf e^(L0 s) (x - tr(x) rho_ss) ds
     = -(L0 + |rho_ss><1|)^-1 (x - tr(x) rho_ss), one LU per system:
 
-        n = <N|Q_c> + <N|R rho_c>
-        G = 2 (<N|P_c> + <N|R X_c> + <N|R J R rho_c>),   N = e^dag e.
+        n = q_c + <N|R rho_c>
+        G = 2 (p_c + <N|R X_c> + <N|R J R rho_c>),   N = e^dag e.
 
     Raises TailPremiseError unless L0 rho_ss = 0 and e rho_ss = 0 for the
     ground state rho_ss (the latter gives J rho_ss = 0 and <N|rho_ss> = 0).
@@ -512,9 +547,10 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     those inside the window, and past t_c they are e^(L0 (t - t_c)) rho_c.
     """
     cfg = cfg or DEFAULT_INTEGRATOR
-    gen = _WindowGenerator(systems, emit)
+    m = 2 if pairs else 1
+    gen = _WindowGenerator(systems, emit, m)
     nb, d = gen.nbatch, gen.dim
-    emit = np.broadcast_to(np.asarray(emit, dtype=complex), (nb, d, d))
+    emit, nop = gen.emit, gen.nop
     t_c = drive_cutoff(gen.pulse)
     times = np.linspace(0.0, t_c, WINDOW_SAMPLES) if times is None else np.asarray(times, float)
 
@@ -522,9 +558,8 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     if np.any(np.max(np.abs(emit[:, :, 0]), axis=1) > 1e-12 * scale):
         raise TailPremiseError("`emit` must leave the ground state dark")
 
-    m = 2 if pairs else 1
-    y = np.zeros((nb, 2 * m, d, d), dtype=complex)
-    y[:, 0, 0, 0] = 1.0
+    y = np.zeros(gen.row_size + nb * m, dtype=complex)
+    gen.split(y)[0][:, 0, 0, 0] = 1.0
     cap_fn = _make_step_cap(gen.pulse, cfg)
     state = _AdaptiveState()
     states = np.empty((nb, len(times), d, d), dtype=complex)
@@ -533,16 +568,15 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
         if times[k] > t:
             y = _advance(gen, t, y, times[k], cfg, cap_fn, state)
             t = times[k]
-        states[:, k] = gen.to_lab(t, y[:, :1])[:, 0]
+        states[:, k] = gen.to_lab(t, gen.split(y)[0][:, :1])[:, 0]
     if t_c > t:
         y = _advance(gen, t, y, t_c, cfg, cap_fn, state)
-    lab = gen.to_lab(t_c, y[:, :m]).reshape(nb, m, d * d)  # rho_c, X_c
+    rows, integrals = gen.split(y)  # (rho_c, X_c), (q_c, p_c)
+    lab = gen.to_lab(t_c, rows).reshape(nb, m, d * d)
     ground = np.zeros(d * d, dtype=complex)
     ground[0] = 1.0
     trace = np.eye(d).ravel()
-    nop = emit.conj().transpose(0, 2, 1) @ emit
     nvec = nop.transpose(0, 2, 1).reshape(nb, d * d)  # <N|x> = tr(N x) = nvec . vec(x)
-    integrals = y[:, m:].reshape(nb, m, d * d)  # Q_c, P_c
     n_int = np.empty(nb)
     g_int = np.empty(nb) if pairs else None
     for b in range(nb):
@@ -558,12 +592,22 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
             return -lu_solve(lu, x.T).T
 
         r = resolvent(lab[b])
-        n_int[b] = (nvec[b] @ (integrals[b, 0] + r[0])).real
+        n_int[b] = (integrals[b, 0] + nvec[b] @ r[0]).real
         if pairs:
             jr = (emit[b] @ r[0].reshape(d, d) @ emit[b].conj().T).reshape(1, d * d)
-            g_int[b] = 2.0 * (nvec[b] @ (integrals[b, 1] + r[1] + resolvent(jr)[0])).real
+            g_int[b] = 2.0 * (integrals[b, 1] + nvec[b] @ (r[1] + resolvent(jr)[0])).real
     n_series = np.einsum("bmn,btnm->bt", nop, states).real
     return EmissionIntegrals(n_int, g_int, times, n_series, states)
+
+
+def _hermitian_basis(d):
+    """d^2 Hermitian matrices spanning all d x d ones: A_ij = (E_ij + E_ji) / 2
+    for i <= j and B_ij = (E_ij - E_ji) / 2i for i < j, so that
+    E_ij = A_ij + i B_ij and E_ji = A_ij - i B_ij."""
+    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    swapped = units.transpose(1, 0, 2, 3)
+    upper = np.triu(np.ones((d, d), dtype=bool))[:, :, None, None]
+    return np.where(upper, (units + swapped) / 2, (swapped - units) / 2j).reshape(d * d, d, d)
 
 
 def _step_propagators(gen, times, cfg):
@@ -572,23 +616,26 @@ def _step_propagators(gen, times, cfg):
     (len(times) - 1, d^2, d^2).
 
     An interval that starts inside the drive window [0, t_c],
-    t_c = drive_cutoff(pulse), steps the d^2 basis matrices as the rows of
-    one DP45 pass (FSAL restarts per interval).  Later intervals see the
-    constant generator L0 and take expm(L0 h), once per distinct h.
+    t_c = drive_cutoff(pulse), steps the d^2 Hermitian matrices of
+    `_hermitian_basis` as the rows of one DP45 pass (FSAL restarts per
+    interval) and recombines their images into those of the matrix units.
+    Later intervals see the constant generator L0 and take expm(L0 h), once
+    per distinct h.
     """
     d2 = gen.dim * gen.dim
     t_c = drive_cutoff(gen.pulse)
     steps = np.diff(times)
     driven = times[:-1] < t_c
     props = np.empty((len(steps), d2, d2), dtype=complex)
-    basis = np.eye(d2, dtype=complex).reshape(1, d2, gen.dim, gen.dim)
+    basis = _hermitian_basis(gen.dim)
+    to_units = np.linalg.inv(basis.reshape(d2, d2))  # entries 0, 1 and +-i, exact
     cap_fn = _make_step_cap(gen.pulse, cfg)
     state = _AdaptiveState()
     for k in np.flatnonzero(driven):
         state.k1 = None
-        y = _advance(gen, times[k], gen.to_frame(times[k], basis), times[k + 1],
+        y = _advance(gen, times[k], gen.to_frame(times[k], basis[None]), times[k + 1],
                      cfg, cap_fn, state)
-        props[k] = gen.to_lab(times[k + 1], y)[0].reshape(d2, d2).T
+        props[k] = (to_units @ gen.to_lab(times[k + 1], y)[0].reshape(d2, d2)).T
     distinct, which = np.unique(steps[~driven], return_inverse=True)
     l0 = gen.lab_liouvillian(0)
     props[~driven] = np.array([expm(l0 * h) for h in distinct]).reshape(-1, d2, d2)[which]

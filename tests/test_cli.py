@@ -87,6 +87,17 @@ def test_sweep_filter_rerun_is_byte_identical(tmp_path):
     assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == first
 
 
+def test_spectrum_rerun_is_byte_identical(tmp_path):
+    text = "pulse_lengths: [0.02, 0.2]\ndetuning_span: 10.0\ndetuning_points: 9\n"
+    assert run(tmp_path, "spectrum", text) == 0
+    out = tmp_path / "out"
+    first = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert set(first) == {"spectrum_tau0.02.csv", "spectrum_tau0.2.csv",
+                          "spectrum_metadata.json"}
+    assert run(tmp_path, "spectrum", text) == 0
+    assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == first
+
+
 def test_hbt_rerun_is_byte_identical(tmp_path):
     text = "seed: 11\nspan: 40.0\nstream: {n_pulses: 200000, p_single: 0.3, p_double: 0.01, " \
            "noise_rate: 100000.0, blinking: {frequencies: [1.0], depth: 0.5}}\n"
@@ -187,6 +198,21 @@ def test_non_integer_pulse_count_is_named(tmp_path, capsys, value, shown):
     # YAML reads 1.5e+5 as a float, which no pulse count is
     assert run(tmp_path, "hbt-sim", f"stream: {{n_pulses: {value}}}\n") == 2
     assert f"stream.n_pulses: {shown} is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("sweep-filter", "sweep: {points: 3.0}\n", "sweep.points: must be an integer >= 2"),
+    ("spectrum", "detuning_points: 5.5\n", "detuning_points: must be an integer >= 1"),
+    ("spectrum", "detuning_points: 0\n", "detuning_points: must be an integer >= 1"),
+    ("spectrum", "spec_bandwidth: 0\n", "spec_bandwidth: must be > 0"),
+    ("spectrum", "detuning_span: -5\n", "detuning_span: must be > 0"),
+    ("hbt-sim", "bin_width: 5.5\nstream: {n_pulses: 1000}\n",
+     "bin_width: must be an integer >= 1 (ps)"),
+], ids=["sweep_points_float", "detuning_points_float", "detuning_points_zero",
+        "spec_bandwidth_zero", "detuning_span_negative", "bin_width_float"])
+def test_out_of_range_key_is_named(tmp_path, capsys, command, text, message):
+    assert run(tmp_path, command, text) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("points", ["-3", "0", "1", "50.5"])

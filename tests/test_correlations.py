@@ -1,4 +1,6 @@
+import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +35,11 @@ from photonpurity.model import (
 )
 
 from conftest import FOURLEVEL_BINDING, fourlevel_system, two_level_system
+
+REFERENCES_SPECTRUM = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                                   "references_spectrum.json")
+with open(REFERENCES_SPECTRUM) as _fh:
+    SPECTRUM_REFERENCES = json.load(_fh)["spectrum"]
 
 
 class TestFilteredG2:
@@ -230,6 +237,33 @@ class TestSpectrum:
         dets = np.array([140.0, 145.0, 148.0, 150.0, 152.0, 155.0, 160.0])
         res = spectrum(system, EXCITON_V_ONLY, dets, spec_bandwidth=1.0)
         assert res.axis[np.argmax(res.values)] == pytest.approx(150.0)
+
+    @pytest.mark.parametrize("ref", SPECTRUM_REFERENCES, ids=lambda ref: f"tau{ref['tau']:g}")
+    def test_matches_converged_reference(self, ref):
+        # the figure-default two-level spectra at pi pulse area against the
+        # grid-extrapolated references, within their stated uncertainty
+        res = spectrum(two_level_system(ref["tau"]), "sigma", ref["detunings"],
+                       spec_bandwidth=ref["spec_bandwidth"])
+        assert np.max(np.abs(res.values - ref["values"])) <= ref["abs_uncertainty"]
+
+    @pytest.mark.parametrize("system, observed, center, width", [
+        (two_level_system(0.05), "sigma", 0.0, 0.2),
+        (fourlevel_system(), EXCITON_V_ONLY, FOURLEVEL_BINDING / 2.0, 1.0),
+    ], ids=["two_level", "exciton_line"])
+    def test_one_attach_matches_attach_per_detuning(self, system, observed, center, width):
+        dets = center + np.linspace(-8.0, 8.0, 5)
+        eps = 1e-3 * max(width, system.decay_scale)
+        shifted = corr._spectrum_batch(system, observed, dets, width, eps)
+        attached = [attach_sensor(system, observed, SensorConfig(d, width, eps, 2))
+                    for d in dets]
+        for one, each in zip(shifted, attached):
+            assert one.sensor == each.sensor
+            assert np.max(np.abs(one.h_static - each.h_static)) <= 1e-12
+            assert np.max(np.abs(one.frame_diag - each.frame_diag)) <= 1e-12
+        emit = attached[0].output_ops["sensor"]
+        n_one = dynamics.emission_integrals(shifted, emit, times=(), pairs=False).n_integral
+        n_each = dynamics.emission_integrals(attached, emit, times=(), pairs=False).n_integral
+        assert np.max(np.abs(n_one - n_each)) <= 1e-12 * np.max(n_each)
 
     def test_free_decay_line_convolves_with_filter(self):
         # spontaneous emission has a Lorentzian line of FWHM gamma; probed

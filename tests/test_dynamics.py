@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from photonpurity import dynamics
 from photonpurity.dynamics import (
     BatchMismatch,
     CorrelationGrid,
@@ -106,6 +107,12 @@ class TestPropagate:
         rho0 = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(NonPhysicalState):
             propagate(free_decay_system(), rho0, np.linspace(0.0, 1.0, 5))
+
+    def test_non_hermitian_start_rejected(self):
+        # the right-hand side takes its rows to be Hermitian
+        rho0 = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            propagate(free_decay_system(), rho0, [0.0, 1.0])
 
     def test_step_size_underflow(self):
         system = build_two_level(TwoLevelConfig(decay_rate=1e16), GaussianPulse(0.0, 0.05))
@@ -231,6 +238,31 @@ def _sensor_batch(system, observed, detuning, widths):
     emit = np.array([w / (2.0 * s.sensor.coupling) * s.output_ops["sensor"]
                      for w, s in zip(widths, systems)])
     return systems, emit
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("systems, dense", [
+        ([attach_sensor(build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)),
+                        "sigma", SensorConfig(d, 1.0)) for d in (-2.0, 0.0, 3.0)], True),
+        ([attach_sensor(build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.01)),
+                        EXCITON_V_ONLY, SensorConfig(150.0 + d, 1.0)) for d in (-2.0, 3.0)],
+         False),
+    ], ids=["dense_jump", "sparse_jump"])
+    def test_hermitian_rhs_matches_two_sided_form(self, systems, dense):
+        gen = dynamics._Generator(systems)
+        assert (gen.jump_super_t is not None) == dense
+        rng = np.random.default_rng(5)
+        d = gen.dim
+        x = rng.standard_normal((len(systems), 2, d, d)) \
+            + 1j * rng.standard_normal((len(systems), 2, d, d))
+        y = x + x.conj().transpose(0, 1, 3, 2)
+        t = systems[0].pulse.offset + 0.3 * systems[0].pulse.length  # drive on, frame turned
+        heff = (gen._hamiltonian_frame(t) + gen.decay)[:, None]
+        two_sided = -1j * (heff @ y - y @ heff.conj().transpose(0, 1, 3, 2))
+        for b, jumps in enumerate(gen.jumps):
+            for jump in jumps:
+                two_sided[b] += jump @ y[b] @ jump.conj().T
+        assert np.max(np.abs(gen.rhs(t, y) - two_sided)) <= 1e-14 * np.max(np.abs(two_sided))
 
 
 class TestBatch:
