@@ -42,9 +42,7 @@ from .correlations import (
     filtered_g2_batch,
     filtered_g2_zero,
     spectrum,
-    sweep_filter_width,
     sweep_grid,
-    sweep_pulse_length,
     unfiltered_g2_zero,
 )
 from .photostream import (
@@ -61,7 +59,6 @@ from .analysis import (
     CascadeParams,
     SuperGaussianFilter,
     cascade_populations,
-    convolve_irf,
     fit_lifetimes,
     super_gaussian,
 )

@@ -1,9 +1,9 @@
 """Lifetime analysis of the cascaded decay and filter calibration helpers.
 
-Rate-equation populations for the biexciton-exciton cascade, Gaussian
-instrument-response convolution, Poisson-weighted least-squares lifetime
-fitting, and the super-Gaussian transmission model used to calibrate
-grating-based spectral filters.
+Rate-equation populations for the biexciton-exciton cascade, their closed-form
+convolution with a Gaussian instrument response, Poisson-weighted
+least-squares lifetime fitting, and the super-Gaussian transmission model
+used to calibrate grating-based spectral filters.
 
 Times are in ns and rates in 1/ns throughout; the CLI converts ps data at
 the boundary.
@@ -21,10 +21,6 @@ from scipy.special import erfc
 DEGENERATE_RATE_GAP = 1e-9
 _MAX_REWEIGHTS = 100   # weighted passes of fit_lifetimes
 _REWEIGHT_TOL = 1e-10  # largest relative weight change of a settled fit
-
-
-class GridTooCoarse(ValueError):
-    pass
 
 
 class NonConvergence(RuntimeError):
@@ -91,38 +87,6 @@ def cascade_populations(gamma_2x, gamma_x, t):
     else:
         n_x = gamma_2x / (gamma_x - gamma_2x) * (np.exp(-gamma_2x * t) - np.exp(-gamma_x * t))
     return n_2x, n_x
-
-
-def convolve_irf(times, curve, irf_sigma):
-    """Convolve a curve sampled on a uniform grid with a normalized Gaussian.
-
-    irf_sigma below the grid step returns the curve unchanged (the kernel is
-    a delta at this resolution); otherwise the grid must be finer than
-    irf_sigma / 5.  The kernel is sampled out to where exp(-x^2 / 2 sigma^2)
-    falls below machine epsilon (about 8.5 sigma) and normalized to unit
-    sum, so the integral is preserved up to edge truncation.  The result has
-    the curve's length, whatever the kernel's.
-
-    A jump that falls on a grid node should be sampled as the mean of its
-    one-sided limits; the error against the continuous convolution is then
-    second order in dt / irf_sigma there.
-    """
-    times = np.asarray(times, dtype=float)
-    curve = np.asarray(curve, dtype=float)
-    steps = np.diff(times)
-    dt = float(steps[0])
-    if not np.allclose(steps, dt, rtol=1e-8):
-        raise GridTooCoarse("time grid must be uniform")
-    if irf_sigma < dt:
-        return curve.copy()
-    if dt > irf_sigma / 5.0:
-        raise GridTooCoarse(f"grid step {dt:.4g} coarser than irf_sigma/5 = {irf_sigma / 5:.4g}")
-    reach = np.sqrt(-2.0 * np.log(np.finfo(float).eps))
-    half = int(np.ceil(reach * irf_sigma / dt))
-    x = np.arange(-half, half + 1) * dt
-    kernel = np.exp(-0.5 * (x / irf_sigma) ** 2)
-    kernel /= kernel.sum()
-    return np.convolve(curve, kernel)[half:half + len(curve)]
 
 
 def _exp_gauss(t, rate, sigma, t0):

@@ -55,7 +55,6 @@ class RunConfig:
     pulse_area_pi: float = 1.0
     pulse_length: float = 0.05
     sensor_detuning: float | None = None
-    sensor_bandwidth: float = 1.0
     epsilon: float | None = None
     truncation: int = 2
     # sweep_min, sweep_max, sweep_points and pulse_lengths left None take
@@ -96,7 +95,6 @@ class RunConfig:
             (self.gamma_sigma > 0, "gamma_sigma", "must be > 0"),
             (self.pulse_length > 0, "pulse.length", "must be > 0"),
             (self.pulse_area_pi >= 0, "pulse.area_pi", "must be >= 0"),
-            (self.sensor_bandwidth > 0, "sensor.bandwidth", "must be > 0"),
             (self.epsilon is None or self.epsilon > 0, "sensor.coupling", "must be > 0"),
             (self.truncation >= 2, "sensor.truncation", "must be >= 2"),
             (_integer_at_least(self.sweep_points, 2), "sweep.points", "must be an integer >= 2"),
@@ -143,8 +141,7 @@ _INTEGRATOR_KEYS = {f.name for f in fields(dynamics.IntegratorConfig)}
 # section -> {key in the section: RunConfig field}; sweep.scale is handled apart
 _SECTION_FIELDS = {
     "pulse": {"area_pi": "pulse_area_pi", "length": "pulse_length"},
-    "sensor": {"detuning": "sensor_detuning", "bandwidth": "sensor_bandwidth",
-               "coupling": "epsilon", "truncation": "truncation"},
+    "sensor": {"detuning": "sensor_detuning", "coupling": "epsilon", "truncation": "truncation"},
     "sweep": {"min": "sweep_min", "max": "sweep_max", "points": "sweep_points",
               "scale": None},
 }
@@ -289,28 +286,28 @@ def cmd_spectrum(cfg: RunConfig):
 
 
 def _run_sweep(cfg: RunConfig, command, metadata_name):
-    """A filtered-g2 sweep: the sweep axis is the filter width (one curve per
-    pulse length) or, for sweep-pulse, the pulse length (one curve per
-    filter width).  Every pulse is one batch; --jobs spreads the pulses over
-    worker processes."""
+    """A filtered-g2 sweep over one sweep_grid: the sweep axis is the filter
+    width (one curve per pulse length, the grid's rows) or, for sweep-pulse,
+    the pulse length (one curve per filter width, its columns).  Every pulse
+    is one batch; --jobs spreads the pulses over worker processes."""
     out = _outdir(cfg)
     axis = _sweep_axis(cfg)
-    kwargs = dict(
+    sweep_pulse = command == "sweep_pulse"
+    taus, widths = (axis, cfg.filter_widths) if sweep_pulse else (cfg.pulse_lengths, axis)
+    grid = correlations.sweep_grid(
+        _system_builder(cfg), taus, widths,
         theta=cfg.pulse_area_pi * math.pi, cfg=integrator_config(cfg), observed=_observed(cfg),
         sensor=SensorConfig(_default_sensor_detuning(cfg), 1.0, cfg.epsilon, cfg.truncation),
         check_convergence=cfg.check_convergence, jobs=cfg.jobs or os.cpu_count() or 1,
     )
-    builder = _system_builder(cfg)
-    if command == "sweep_pulse":
-        curves = correlations.sweep_pulse_length(builder, axis, cfg.filter_widths, **kwargs)
-        label = "gamma"
+    if sweep_pulse:
+        curves = {f"gamma{float(w):g}": [row[j] for row in grid] for j, w in enumerate(widths)}
     else:
-        curves = correlations.sweep_filter_width(builder, axis, cfg.pulse_lengths, **kwargs)
-        label = "tau"
+        curves = {f"tau{float(tau):g}": row for tau, row in zip(taus, grid)}
     paths = []
-    for key, res in curves.items():
-        path = os.path.join(out, f"{command}_{label}{key:g}.csv")
-        correlations.write_sweep_csv(path, res)
+    for key, stats in curves.items():
+        path = os.path.join(out, f"{command}_{key}.csv")
+        correlations.write_sweep_csv(path, axis, stats)
         paths.append(path)
     correlations.write_metadata(
         os.path.join(out, f"{command}_metadata.json"), _metadata(cfg, metadata_name)

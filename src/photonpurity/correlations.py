@@ -107,9 +107,6 @@ class SweepResult:
 
     axis: np.ndarray
     values: np.ndarray
-    metadata: dict
-    epsilon_used: np.ndarray | None = None
-    converged: np.ndarray | None = None
 
 
 def _slowest_rate(system: SystemModel) -> float:
@@ -250,20 +247,17 @@ def unfiltered_g2_zero(
 
 
 def _spectrum_batch(system: SystemModel, observed, detunings, spec_bandwidth: float,
-                    eps: float) -> list[SystemModel]:
+                    eps: float | None = None) -> list[SystemModel]:
     """The sensor-extended model at each filter center of a spectrum.  The
     sensor is attached once, at detuning 0; center Delta adds
-    Delta I kron a^dag a to its h_static and its frame, which is what
-    attach_sensor at Delta builds."""
+    Delta I kron a^dag a to its h_static, which is what attach_sensor at
+    Delta builds."""
     base = attach_sensor(system, observed, SensorConfig(0.0, spec_bandwidth, eps, 2))
     a = base.output_ops["sensor"]
     number = a.conj().T @ a
-    return [
-        replace(base, h_static=base.h_static + d * number,
-                frame_diag=base.frame_diag + d * np.diag(number).real,
-                sensor=replace(base.sensor, detuning=float(d)))
-        for d in detunings
-    ]
+    return [replace(base, h_static=base.h_static + d * number,
+                    sensor=replace(base.sensor, detuning=float(d)))
+            for d in detunings]
 
 
 def spectrum(
@@ -279,26 +273,20 @@ def spectrum(
     The reported lineshape is the physical spectrum convolved with the
     Lorentzian sensor response of that width.  Every filter center is one
     system of a single emission_integrals batch without pairs; the batch is
-    one sensor attach shifted per center (_spectrum_batch).
+    one sensor attach, at the default coupling, shifted per center
+    (_spectrum_batch).  Raises ValueError for an empty `detunings`.
     """
     detunings = np.asarray(detunings, dtype=float)
-    eps = 1e-3 * max(spec_bandwidth, system.decay_scale)
-    extended = _spectrum_batch(system, observed, detunings, spec_bandwidth, eps)
+    if len(detunings) == 0:
+        raise ValueError("detunings: a spectrum needs at least one filter center")
+    extended = _spectrum_batch(system, observed, detunings, spec_bandwidth)
     intensities = dynamics.emission_integrals(
         extended, extended[0].output_ops["sensor"], times=(), cfg=cfg, pairs=False
     ).n_integral
     peak = float(np.max(intensities))
     if peak <= 0:
         raise ZeroEmission("no emission anywhere on the detuning grid")
-    return SweepResult(
-        axis=detunings,
-        values=intensities / peak,
-        metadata={
-            "kind": "spectrum",
-            "spec_bandwidth": spec_bandwidth,
-            "epsilon": eps,
-        },
-    )
+    return SweepResult(axis=detunings, values=intensities / peak)
 
 
 def _sweep_group(task):
@@ -342,71 +330,14 @@ def sweep_grid(
     return [_sweep_group(task) for task in tasks]
 
 
-def _curve(axis, stats, metadata) -> SweepResult:
-    return SweepResult(
-        axis=np.asarray(axis, dtype=float),
-        values=np.array([st.g2 for st in stats]),
-        metadata=metadata,
-        epsilon_used=np.array([st.epsilon_used for st in stats]),
-        converged=np.array([st.converged for st in stats]),
-    )
-
-
-def sweep_pulse_length(
-    builder,
-    tau_grid,
-    filter_widths,
-    theta: float = math.pi,
-    cfg: IntegratorConfig | None = None,
-    observed=None,
-    sensor: SensorConfig = SensorConfig(),
-    check_convergence: bool = True,
-    jobs: int = 1,
-) -> dict[float, SweepResult]:
-    """g2[0; Gamma] versus pulse length, one curve per filter width (see
-    sweep_grid for the arguments)."""
-    grid = sweep_grid(builder, tau_grid, filter_widths, theta, cfg, observed, sensor,
-                      check_convergence, jobs)
-    return {
-        float(w): _curve(tau_grid, [row[j] for row in grid], {
-            "kind": "pulse_length_sweep", "bandwidth": float(w), "theta": theta,
-            "sensor_detuning": sensor.detuning})
-        for j, w in enumerate(filter_widths)
-    }
-
-
-def sweep_filter_width(
-    builder,
-    gamma_grid,
-    pulse_lengths,
-    theta: float = math.pi,
-    cfg: IntegratorConfig | None = None,
-    observed=None,
-    sensor: SensorConfig = SensorConfig(),
-    check_convergence: bool = True,
-    jobs: int = 1,
-) -> dict[float, SweepResult]:
-    """g2[0; Gamma] versus filter width, one curve per pulse length (see
-    sweep_grid for the arguments)."""
-    grid = sweep_grid(builder, pulse_lengths, gamma_grid, theta, cfg, observed, sensor,
-                      check_convergence, jobs)
-    return {
-        float(tau): _curve(gamma_grid, row, {
-            "kind": "filter_width_sweep", "pulse_length": float(tau), "theta": theta,
-            "sensor_detuning": sensor.detuning})
-        for tau, row in zip(pulse_lengths, grid)
-    }
-
-
-def write_sweep_csv(path, result: SweepResult):
-    eps = result.epsilon_used
-    conv = result.converged
+def write_sweep_csv(path, axis, stats):
+    """One swept curve: the axis value, g2, coupling and convergence flag of
+    each point's FilteredStats."""
     with open(path, "w") as fh:
         fh.write("axis_value,g2,epsilon_used,converged\n")
-        for i, (x, v) in enumerate(zip(result.axis, result.values)):
-            e = "" if eps is None else f"{eps[i]:.9g}"
-            c = "" if conv is None else str(bool(conv[i])).lower()
-            fh.write(f"{x:.9g},{v:.12g},{e},{c}\n")
+        for x, st in zip(axis, stats):
+            converged = str(bool(st.converged)).lower()
+            fh.write(f"{x:.9g},{st.g2:.12g},{st.epsilon_used:.9g},{converged}\n")
 
 
 def write_spectrum_csv(path, result: SweepResult):

@@ -1,19 +1,24 @@
 """Master-equation propagation, emission integrals and two-time correlation maps.
 
 Density matrices are plain complex ndarrays.  The integrator works in the
-co-rotating frame defined by the diagonal of the static Hamiltonian (see
-model.SystemModel.frame_diag), which removes fast detuning/sensor phase
-rotation from the state; all stored states and readouts are transformed back
-to the laser rotating frame, so expectation values of arbitrary operators
-remain correct.
+co-rotating frame of the diagonal of the static Hamiltonian, which removes
+fast detuning/sensor phase rotation from the state; all stored states and
+readouts are transformed back to the laser rotating frame, so expectation
+values of arbitrary operators remain correct.
 
 One stepper, an embedded Dormand-Prince 4(5) pair, integrates the driven
 stretch.  Its right-hand side is a few batched matmuls, so many systems (a
 detuning sweep, or every filter width of a pulse with its eps-halving pair)
 and several rows per system step in lockstep.  Every row it carries is
 Hermitian, so the Hamiltonian part -i (H rho - rho H^dag) is A + A^dag with
-A = -i H rho, one matmul instead of two.  Past the drive cutoff t_c the
-generator is constant and the lab-frame Liouvillian L0 gives closed forms:
+A = -i H rho, one matmul instead of two.
+
+One sampler, `_walk`, drives the stepper through a sorted list of stop
+times: it caps the step inside the pulse window, carries the step size and
+the first-same-as-last derivative from stop to stop, and yields the state at
+each stop.  propagate, emission_series and the window pass of
+emission_integrals iterate it.  Past the drive cutoff t_c the generator is
+constant and the lab-frame Liouvillian L0 gives closed forms:
 emission_integrals carries one or two rows per system and the scalar time
 integrals its tails read over the pulse window, and closes the tails with a
 resolvent; two_time_g2_map chains per-interval propagators, DP45 on a
@@ -52,7 +57,7 @@ class IntegratorConfig:
     """Settings of the adaptive Dormand-Prince 4(5) integrator.
 
     Steps are accepted when the RMS of the embedded error estimate, scaled
-    by abs_tol + rel_tol |y|, is at most 1.  At least `min_steps_per_pulse`
+    by abs_tol + rel_tol |y|, is at most 1.  At least MIN_STEPS_PER_PULSE
     steps are forced across the pulse window [t0 - 4 tau, t0 + 4 tau] so
     narrow pulses are never stepped over.
     """
@@ -60,16 +65,14 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-13
     max_step: float = np.inf
-    min_steps_per_pulse: int = 50
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.min_steps_per_pulse < 20:
-            raise ValueError("min_steps_per_pulse must be >= 20")
 
 
 DEFAULT_INTEGRATOR = IntegratorConfig()
+MIN_STEPS_PER_PULSE = 50
 
 _CSV_CHUNK = 1 << 16    # map rows per formatted write
 
@@ -114,14 +117,6 @@ class CorrelationGrid:
                 fh.write("%.9g,%.9g,%.12g\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def read_correlation_csv(path) -> CorrelationGrid:
-    data = np.loadtxt(path, delimiter=",", skiprows=2)
-    t1 = np.unique(data[:, 0])
-    t2 = np.unique(data[:, 1])
-    values = data[:, 2].reshape(len(t1), len(t2))
-    return CorrelationGrid(t1, t2, values)
-
-
 # Dormand-Prince 4(5) tableau (FSAL).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
@@ -149,7 +144,8 @@ DENSE_JUMP_MAX_DIM2 = 64
 
 class _Generator:
     """Batched Lindblad generator for B systems sharing drive and channel
-    operators; rates and h_static may differ per system.
+    operators; rates and h_static may differ per system.  Each system is
+    integrated in the co-rotating frame of the diagonal of its h_static.
 
     States have shape (B, R, d, d), and every row is Hermitian (a density
     matrix, a collapsed row, or a Hermitian basis matrix).  The right-hand
@@ -174,7 +170,6 @@ class _Generator:
         if first.h_drive is not None and self.pulse is not None and self.pulse.area > 0:
             self.h_drive = np.asarray(first.h_drive, dtype=complex)
 
-        frame = np.zeros((self.nbatch, d))
         hs = np.empty((self.nbatch, d, d), dtype=complex)
         for b, sys_b in enumerate(systems):
             if sys_b.dimension != d:
@@ -182,8 +177,7 @@ class _Generator:
             if not _same_drive_and_channels(first, sys_b):
                 raise BatchMismatch("batched systems must share the drive and the channel operators")
             hs[b] = sys_b.h_static
-            if sys_b.frame_diag is not None:
-                frame[b] = sys_b.frame_diag
+        frame = np.real(np.diagonal(hs, axis1=1, axis2=2))
         self.h_static = hs
         self.h_resid = hs - frame[:, :, None] * np.eye(d)[None, :, :]
         self.frame = frame
@@ -289,7 +283,7 @@ def _make_step_cap(pulse, cfg):
         return lambda t: cfg.max_step
     lo = pulse.offset - 4.0 * pulse.length
     hi = pulse.offset + 4.0 * pulse.length
-    inside = (hi - lo) / cfg.min_steps_per_pulse
+    inside = (hi - lo) / MIN_STEPS_PER_PULSE
 
     def cap(t):
         if t < lo - 1e-12:
@@ -306,14 +300,6 @@ def _error_norm(err, y_old, y_new, cfg):
     return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
 
-class _AdaptiveState:
-    """Carries step size and the FSAL derivative between node intervals."""
-
-    def __init__(self):
-        self.h = None
-        self.k1 = None
-
-
 def _initial_step(gen, t0, y0, f0, cap, cfg):
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
     d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
@@ -322,33 +308,34 @@ def _initial_step(gen, t0, y0, f0, cap, cfg):
     return min(h, cap)
 
 
-def _advance(gen, t, y, t_target, cfg, cap_fn, state):
-    """Step y from t to t_target with the embedded 4(5) pair."""
-    if state.k1 is None:
-        state.k1 = gen.rhs(t, y)
-    if state.h is None:
-        state.h = _initial_step(gen, t, y, state.k1, min(cap_fn(t), t_target - t), cfg)
+def _advance(gen, t, y, t_target, cfg, cap_fn, h=None, k1=None):
+    """Step y from t to t_target with the embedded 4(5) pair.  `h`, the
+    proposed step size, and `k1`, the derivative at (t, y), carry over from
+    a previous interval when given.  Returns (y, h, k1) at t_target."""
+    if k1 is None:
+        k1 = gen.rhs(t, y)
+    if h is None:
+        h = _initial_step(gen, t, y, k1, min(cap_fn(t), t_target - t), cfg)
 
     k = [None] * 7
     while t < t_target - _MIN_REL_STEP * max(1.0, abs(t_target)):
-        cap = min(cap_fn(t), t_target - t)
-        h = min(state.h, cap)
+        step = min(h, cap_fn(t), t_target - t)
         rejects = 0
         while True:
-            if h < _MIN_REL_STEP * max(1.0, abs(t)):
+            if step < _MIN_REL_STEP * max(1.0, abs(t)):
                 raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
-            k[0] = state.k1
+            k[0] = k1
             for i in range(1, 7):
                 acc = _DP_A[i][0] * k[0]
                 for j in range(1, i):
                     if _DP_A[i][j] != 0.0:
                         acc = acc + _DP_A[i][j] * k[j]
-                k[i] = gen.rhs(t + _DP_C[i] * h, y + h * acc)
-            y_new = y + h * (
+                k[i] = gen.rhs(t + _DP_C[i] * step, y + step * acc)
+            y_new = y + step * (
                 _DP_B5[0] * k[0] + _DP_B5[2] * k[2] + _DP_B5[3] * k[3]
                 + _DP_B5[4] * k[4] + _DP_B5[5] * k[5]
             )
-            err = h * (
+            err = step * (
                 _DP_E[0] * k[0] + _DP_E[2] * k[2] + _DP_E[3] * k[3]
                 + _DP_E[4] * k[4] + _DP_E[5] * k[5] + _DP_E[6] * k[6]
             )
@@ -358,14 +345,31 @@ def _advance(gen, t, y, t_target, cfg, cap_fn, state):
             rejects += 1
             if rejects > _MAX_REJECTS:
                 raise StepSizeUnderflow(f"too many rejected steps at t={t:.6g}")
-            h *= max(0.1, 0.9 * enorm ** -0.2)
+            step *= max(0.1, 0.9 * enorm ** -0.2)
 
-        t = t + h
+        t = t + step
         y = y_new
-        state.k1 = k[6]  # FSAL
+        k1 = k[6]  # FSAL
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-        state.h = h * factor
-    return y
+        h = step * factor
+    return y, h, k1
+
+
+def _walk(gen, y, t, stops, cfg):
+    """Step the state y of `gen` from time t through the times `stops`,
+    yielding the state at each.  The step size and the FSAL derivative carry
+    over from stop to stop; a stop at the current time yields the state
+    unchanged.  Raises ValueError for a stop before the one preceding it
+    (or before t)."""
+    cap_fn = _make_step_cap(gen.pulse, cfg)
+    h = k1 = None
+    for stop in stops:
+        if stop < t:
+            raise ValueError(f"sample times must not decrease: {stop:g} after {t:g}")
+        if stop > t:
+            y, h, k1 = _advance(gen, t, y, stop, cfg, cap_fn, h, k1)
+            t = stop
+        yield y
 
 
 def _check_hermitian(rho0):
@@ -391,17 +395,10 @@ def propagate(system: SystemModel, rho0: np.ndarray, times, cfg: IntegratorConfi
         )
     _check_hermitian(rho0)
     gen = _Generator([system])
-    cap_fn = _make_step_cap(system.pulse, cfg)
-    state = _AdaptiveState()
-
-    y = gen.to_frame(times[0], rho0[None, None])
     out = np.empty((len(times), system.dimension, system.dimension), dtype=complex)
-    out[0] = gen.to_lab(times[0], y)[0, 0]
-    t = times[0]
-    for i, t_next in enumerate(times[1:], start=1):
-        y = _advance(gen, t, y, t_next, cfg, cap_fn, state)
-        t = t_next
-        out[i] = gen.to_lab(t, y)[0, 0]
+    y0 = gen.to_frame(times[0], rho0[None, None])
+    for i, y in enumerate(_walk(gen, y0, times[0], times, cfg)):
+        out[i] = gen.to_lab(times[i], y)[0, 0]
 
     min_eig = float(np.min(np.linalg.eigvalsh(out)))
     if min_eig < -1e-6:
@@ -432,30 +429,28 @@ def physicality_report(traj: Trajectory) -> PhysicalityReport:
 def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = None,
                     rho0: np.ndarray | None = None) -> np.ndarray:
     """<emit^dag emit>(t) on `grid` for a batch of systems propagated in
-    lockstep from the Hermitian `rho0` (ground state when omitted)."""
+    lockstep from the Hermitian `rho0` (ground state when omitted).
+
+    `rho0` is the state at t = 0, whatever the grid: the grid must not
+    decrease, and a first point after 0 reads the state propagated to it
+    (ValueError for a point before 0 or below its predecessor).
+    """
     cfg = cfg or DEFAULT_INTEGRATOR
     grid = np.asarray(grid, dtype=float)
     gen = _Generator(systems)
     nb, d = gen.nbatch, gen.dim
     emit = np.asarray(emit, dtype=complex)
     nop = emit.conj().T @ emit
-    cap_fn = _make_step_cap(gen.pulse, cfg)
-    state = _AdaptiveState()
 
-    y = np.zeros((nb, 1, d, d), dtype=complex)
+    y = np.zeros((nb, 1, d, d), dtype=complex)  # the frame is the laser frame at t = 0
     if rho0 is None:
         y[:, 0, 0, 0] = 1.0
     else:
         _check_hermitian(rho0)
-        y[:, 0] = gen.to_frame(grid[0], np.broadcast_to(rho0, (nb, 1, d, d)))[:, 0]
+        y[:, 0] = rho0
     out = np.empty((nb, len(grid)))
-    t = 0.0
-    for k, tk in enumerate(grid):
-        if tk > t:
-            y = _advance(gen, t, y, tk, cfg, cap_fn, state)
-            t = tk
-        nf = gen.op_in_frame(tk, nop)
-        out[:, k] = np.einsum("bmn,bnm->b", nf, y[:, 0]).real
+    for k, y in enumerate(_walk(gen, y, 0.0, grid, cfg)):
+        out[:, k] = np.einsum("bmn,bnm->b", gen.op_in_frame(grid[k], nop), y[:, 0]).real
     return out
 
 
@@ -544,7 +539,8 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     ground state rho_ss (the latter gives J rho_ss = 0 and <N|rho_ss> = 0).
     `times` (default WINDOW_SAMPLES points across the window, empty for none)
     only sets where <N> and the state are sampled: the integrator stops at
-    those inside the window, and past t_c they are e^(L0 (t - t_c)) rho_c.
+    those inside the window, which must not decrease or precede 0
+    (ValueError), and past t_c they are e^(L0 (t - t_c)) rho_c.
     """
     cfg = cfg or DEFAULT_INTEGRATOR
     m = 2 if pairs else 1
@@ -560,18 +556,12 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
 
     y = np.zeros(gen.row_size + nb * m, dtype=complex)
     gen.split(y)[0][:, 0, 0, 0] = 1.0
-    cap_fn = _make_step_cap(gen.pulse, cfg)
-    state = _AdaptiveState()
     states = np.empty((nb, len(times), d, d), dtype=complex)
-    t = 0.0
-    for k in np.flatnonzero(times <= t_c):
-        if times[k] > t:
-            y = _advance(gen, t, y, times[k], cfg, cap_fn, state)
-            t = times[k]
-        states[:, k] = gen.to_lab(t, gen.split(y)[0][:, :1])[:, 0]
-    if t_c > t:
-        y = _advance(gen, t, y, t_c, cfg, cap_fn, state)
-    rows, integrals = gen.split(y)  # (rho_c, X_c), (q_c, p_c)
+    inside = np.flatnonzero(times <= t_c)
+    walk = _walk(gen, y, 0.0, [*times[inside], t_c], cfg)
+    for k, y in zip(inside, walk):
+        states[:, k] = gen.to_lab(times[k], gen.split(y)[0][:, :1])[:, 0]
+    rows, integrals = gen.split(next(walk))  # (rho_c, X_c), (q_c, p_c)
     lab = gen.to_lab(t_c, rows).reshape(nb, m, d * d)
     ground = np.zeros(d * d, dtype=complex)
     ground[0] = 1.0
@@ -630,11 +620,10 @@ def _step_propagators(gen, times, cfg):
     basis = _hermitian_basis(gen.dim)
     to_units = np.linalg.inv(basis.reshape(d2, d2))  # entries 0, 1 and +-i, exact
     cap_fn = _make_step_cap(gen.pulse, cfg)
-    state = _AdaptiveState()
+    h = None
     for k in np.flatnonzero(driven):
-        state.k1 = None
-        y = _advance(gen, times[k], gen.to_frame(times[k], basis[None]), times[k + 1],
-                     cfg, cap_fn, state)
+        y, h, _ = _advance(gen, times[k], gen.to_frame(times[k], basis[None]), times[k + 1],
+                           cfg, cap_fn, h)
         props[k] = (to_units @ gen.to_lab(times[k + 1], y)[0].reshape(d2, d2)).T
     distinct, which = np.unique(steps[~driven], return_inverse=True)
     l0 = gen.lab_liouvillian(0)

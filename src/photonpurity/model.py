@@ -9,8 +9,8 @@ after construction and safe to share between workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -150,26 +150,13 @@ class SensorConfig:
 
 
 @dataclass(frozen=True)
-class SensorInfo:
-    """Bookkeeping for a sensor attached to a model (resolved coupling)."""
-
-    detuning: float
-    bandwidth: float
-    coupling: float
-    truncation: int
-    observed: str
-
-
-@dataclass(frozen=True)
 class SystemModel:
     """Time-dependent Hamiltonian plus dissipation channels on a finite
     Hilbert space.
 
     H(t) = h_static + pulse.amplitude(t) * h_drive.  `channels` is a tuple of
-    (jump operator, rate).  `frame_diag` holds the diagonal of h_static; the
-    propagator integrates in the corresponding co-rotating frame, which keeps
-    detuned ladders and sensors numerically tame.  `output_ops` exposes the
-    named emission operators.
+    (jump operator, rate).  `output_ops` exposes the named emission
+    operators.  `sensor` is the attached sensor, its coupling resolved.
     """
 
     dimension: int
@@ -180,8 +167,7 @@ class SystemModel:
     channels: tuple[tuple[np.ndarray, float], ...]
     output_ops: Mapping[str, np.ndarray]
     decay_scale: float
-    frame_diag: np.ndarray | None = None
-    sensor: SensorInfo | None = None
+    sensor: SensorConfig | None = None
 
     def hamiltonian(self, t: float) -> np.ndarray:
         """Lab-frame (rotating-frame-of-the-laser) Hamiltonian at time t."""
@@ -245,7 +231,6 @@ def build_two_level(config: TwoLevelConfig, pulse: GaussianPulse) -> SystemModel
         channels=((sigma, config.decay_rate),),
         output_ops={"sigma": sigma},
         decay_scale=config.decay_rate,
-        frame_diag=np.real(np.diag(h_static)).copy(),
     )
 
 
@@ -300,7 +285,6 @@ def build_biexciton(
         ),
         output_ops=output_ops,
         decay_scale=gamma,
-        frame_diag=np.real(np.diag(h_static)).copy(),
     )
 
 
@@ -313,12 +297,12 @@ def observation_operator(system: SystemModel, eta: ObservationVector) -> np.ndar
     return op
 
 
-def _resolve_observed(system: SystemModel, observed) -> tuple[np.ndarray, str]:
+def _resolve_observed(system: SystemModel, observed) -> np.ndarray:
     if isinstance(observed, str):
-        return np.asarray(system.output_ops[observed], dtype=complex), observed
+        return np.asarray(system.output_ops[observed], dtype=complex)
     if isinstance(observed, ObservationVector):
-        return observation_operator(system, observed), f"eta={observed.eta}"
-    return np.asarray(observed, dtype=complex), "custom"
+        return observation_operator(system, observed)
+    return np.asarray(observed, dtype=complex)
 
 
 def attach_sensor(system: SystemModel, observed, sensor: SensorConfig) -> SystemModel:
@@ -327,11 +311,10 @@ def attach_sensor(system: SystemModel, observed, sensor: SensorConfig) -> System
     `observed` is an output-op name, an ObservationVector, or an explicit
     operator matrix.  Adds detuning * n_sensor and the weak exchange coupling
     to the Hamiltonian and one decay channel (annihilator, bandwidth).  The
-    sensor annihilator is exposed as output op "sensor".
+    sensor annihilator is exposed as output op "sensor", and `sensor` with
+    its resolved coupling as the model's `sensor`.
     """
-    if sensor.truncation < 2:
-        raise ValueError("sensor truncation must be >= 2")
-    obs_op, obs_name = _resolve_observed(system, observed)
+    obs_op = _resolve_observed(system, observed)
     eps = sensor.resolved_coupling(system.decay_scale)
 
     ns = sensor.truncation + 1
@@ -363,6 +346,5 @@ def attach_sensor(system: SystemModel, observed, sensor: SensorConfig) -> System
         channels=channels,
         output_ops=output_ops,
         decay_scale=system.decay_scale,
-        frame_diag=np.real(np.diag(h_static)).copy(),
-        sensor=SensorInfo(sensor.detuning, sensor.bandwidth, eps, sensor.truncation, obs_name),
+        sensor=replace(sensor, coupling=eps),
     )

@@ -261,10 +261,6 @@ class G2Estimate:
     window: float                      # ns
     excluded_peaks: tuple[float, ...] = ()
 
-    @property
-    def side_mean(self):
-        return 0.5 * (self.side_sums[0] + self.side_sums[1])
-
     def to_json(self, path):
         payload = {
             "value": self.value,
@@ -361,19 +357,3 @@ def peak_sum_spectrum(ks, sums, rep_period: float = 13.1):
     amp = np.abs(np.fft.rfft(side))
     freqs = np.fft.rfftfreq(len(side), d=rep_period * 1e-3)  # rep_period ns -> MHz
     return freqs, amp
-
-
-def save_clicks(path, clicks):
-    """Click list -> .npy (binary) or .csv of ps timestamps."""
-    path = str(path)
-    if path.endswith(".npy"):
-        np.save(path, np.asarray(clicks, dtype=np.int64))
-    else:
-        np.savetxt(path, np.asarray(clicks, dtype=np.int64), fmt="%d", header="timestamp_ps")
-
-
-def load_clicks(path):
-    path = str(path)
-    if path.endswith(".npy"):
-        return np.load(path)
-    return np.loadtxt(path, dtype=np.int64)

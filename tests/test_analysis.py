@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erfc
+from scipy.integrate import quad
 
 from photonpurity import analysis
 from photonpurity.analysis import (
     CascadeParams,
-    GridTooCoarse,
     IllConditioned,
     SuperGaussianFilter,
     cascade_model,
     cascade_populations,
-    convolve_irf,
     fit_lifetimes,
     initial_cascade_guess,
     read_decay_csv,
@@ -57,77 +55,34 @@ class TestCascadePopulations:
             assert np.max(np.abs(deriv - rhs)) < 1e-10
 
 
-class TestConvolveIrf:
-    def test_identity_below_grid_step(self):
-        t = np.arange(0.0, 5.0, 0.01)
-        curve = np.exp(-t)
-        out = convolve_irf(t, curve, 0.001)
-        assert np.array_equal(out, curve)
+class TestCascadeModel:
+    @pytest.mark.parametrize("which", ["biexciton", "exciton"])
+    def test_matches_quadrature(self, which):
+        # independent check of the closed form: adaptive quadrature of the
+        # decay (times the onset step) against the unit Gaussian IRF, over
+        # the +-12 sigma where the Gaussian is above 1e-31 of its peak
+        g2x, gx, sigma, t0 = TRUE.gamma_2x, TRUE.gamma_x, TRUE.irf_sigma, TRUE.offset
+        if which == "biexciton":
+            def decay(s):
+                return math.exp(-g2x * s)
+        else:
+            def decay(s):
+                return g2x / (gx - g2x) * (math.exp(-g2x * s) - math.exp(-gx * s))
 
-    def test_too_coarse_rejected(self):
-        t = np.arange(0.0, 5.0, 0.01)
-        with pytest.raises(GridTooCoarse):
-            convolve_irf(t, np.exp(-t), 0.02)
+        def blurred(t):
+            u = t - t0
+            lo, hi = max(0.0, u - 12.0 * sigma), u + 12.0 * sigma
+            if hi <= 0.0:
+                return 0.0
+            gauss = lambda s: math.exp(-0.5 * ((u - s) / sigma) ** 2) / (
+                math.sqrt(2.0 * math.pi) * sigma)
+            return quad(lambda s: decay(s) * gauss(s), lo, hi, epsabs=0.0, epsrel=1e-13,
+                        limit=200)[0]
 
-    def test_delta_becomes_gaussian(self):
-        t = np.arange(-2.0, 2.0, 0.002)
-        curve = np.zeros_like(t)
-        center = len(t) // 2
-        curve[center] = 1.0
-        sigma = 0.05
-        out = convolve_irf(t, curve, sigma)
-        expected = np.exp(-0.5 * ((t - t[center]) / sigma) ** 2)
-        expected /= expected.sum()
-        assert np.max(np.abs(out - expected)) < 1e-12
-
-    def test_matches_closed_form_exp_gaussian(self):
-        # The output is pinned to the unit-sum sampled kernel (delta and
-        # linearity tests), so a step whose onset sample is 1 would be off by
-        # half the kernel's peak weight, dt / (2 sqrt(2 pi) sigma), at t = 0.
-        # Sampled as the mean of its one-sided limits, the onset leaves a
-        # second-order error: it must fall fourfold when dt halves.
-        rate, sigma = 1 / 0.294, 0.04
-
-        def max_error(dt):
-            t = dt * np.arange(round(-3.0 / dt), round(12.0 / dt))
-            curve = np.where(t > 0, np.exp(-rate * np.maximum(t, 0.0)), 0.0)
-            curve[t == 0] = 0.5
-            out = convolve_irf(t, curve, sigma)
-            exact = 0.5 * np.exp(0.5 * rate**2 * sigma**2 - rate * t) * erfc(
-                (rate * sigma**2 - t) / (math.sqrt(2) * sigma)
-            )
-            return np.max(np.abs(out - exact))
-
-        coarse, fine = max_error(sigma / 10), max_error(sigma / 20)
-        assert fine < 1e-4
-        assert coarse / fine == pytest.approx(4.0, abs=0.5)
-
-    def test_curve_shorter_than_kernel(self):
-        t = 0.01 * np.arange(50)
-        sigma = 0.1
-        curve = np.zeros_like(t)
-        curve[25] = 1.0
-        out = convolve_irf(t, curve, sigma)
-        assert out.shape == t.shape
-        # at dt = sigma / 10 the kernel's sum is sqrt(2 pi) sigma / dt to
-        # machine precision, so each weight is the Gaussian density times dt
-        weight = 0.01 / (math.sqrt(2 * math.pi) * sigma)
-        expected = weight * np.exp(-0.5 * ((t - t[25]) / sigma) ** 2)
-        assert np.max(np.abs(out - expected)) < 1e-12
-
-    def test_preserves_integral(self):
-        t = np.arange(0.0, 20.0, 0.005)
-        curve = np.exp(-((t - 8) / 1.5) ** 2)
-        out = convolve_irf(t, curve, 0.2)
-        assert np.trapezoid(out, t) == pytest.approx(np.trapezoid(curve, t), rel=1e-6)
-
-    def test_linear(self):
-        t = np.arange(0.0, 10.0, 0.01)
-        f = np.exp(-t)
-        g = np.exp(-0.5 * (t - 5) ** 2)
-        lhs = convolve_irf(t, 2.0 * f + 3.0 * g, 0.1)
-        rhs = 2.0 * convolve_irf(t, f, 0.1) + 3.0 * convolve_irf(t, g, 0.1)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+        t = np.linspace(0.0, 5.0, 101)
+        model = cascade_model(t, TRUE, which)
+        expected = TRUE.amplitude * np.array([blurred(x) for x in t])
+        assert np.max(np.abs(model - expected)) <= 1e-10 * np.max(expected)
 
 
 class TestFit:

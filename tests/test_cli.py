@@ -2,11 +2,16 @@
 3 convergence or estimation), and reruns reproduce the data files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from photonpurity import analysis, cli, dynamics
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def run(tmp_path, command, config_text, *extra):
@@ -24,7 +29,8 @@ def test_non_mapping_section_is_a_config_error(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("section,key", [("pulse", "lenght"), ("sensor", "bandwith"),
                                          ("sweep", "point"), ("integrator", "method"),
-                                         ("integrator", "fixed_step")])
+                                         ("integrator", "fixed_step"), ("sensor", "bandwidth"),
+                                         ("integrator", "min_steps_per_pulse")])
 def test_unknown_section_key_is_a_config_error(tmp_path, capsys, section, key):
     assert run(tmp_path, "sweep-filter", f"{section}: {{{key}: 0.1}}\n") == 2
     assert f"{section}.{key}: unknown configuration key" in capsys.readouterr().err
@@ -219,3 +225,37 @@ def test_out_of_range_key_is_named(tmp_path, capsys, command, text, message):
 def test_g2map_needs_two_grid_points(tmp_path, capsys, points):
     assert run(tmp_path, "g2map", f"grid_points: {points}\n") == 2
     assert "grid_points: must be an integer >= 2" in capsys.readouterr().err
+
+
+def _files(root):
+    return {os.path.relpath(os.path.join(where, name), root)
+            for where, _, names in os.walk(root) for name in names}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("script, expected", [
+    ("reproduce_theory_figures.py", {
+        "g2map.csv", "g2map_metadata.json",
+        "spectrum_tau0.02.csv", "spectrum_tau0.05.csv", "spectrum_tau0.2.csv",
+        "spectrum_metadata.json",
+        "sweep_pulse_gamma0.1.csv", "sweep_pulse_gamma1.csv", "sweep_pulse_gamma20.csv",
+        "sweep_pulse_metadata.json",
+        "sweep_filter_tau0.02.csv", "sweep_filter_tau0.05.csv", "sweep_filter_tau0.2.csv",
+        "sweep_filter_metadata.json",
+        "sweep_fourlevel_tau0.01.csv", "sweep_fourlevel_tau0.02.csv",
+        "sweep_fourlevel_metadata.json"}),
+    ("reproduce_supplement_analyses.py", {
+        "noise_floor.yaml", "blinking.yaml", "decay_exciton.csv", "decay_biexciton.csv",
+        *(f"{run}/hbt_{name}" for run in ("noise_floor", "blinking")
+          for name in ("histogram.csv", "estimate.json", "peak_sums.csv", "metadata.json")),
+        *(f"fit_{which}/lifetime_fit{suffix}.json" for which in ("exciton", "biexciton")
+          for suffix in ("", "_metadata"))}),
+])
+def test_shipped_script_exits_zero(tmp_path, script, expected):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, os.path.join(REPO, "scripts", script), str(out)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert _files(out) == expected

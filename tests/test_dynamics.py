@@ -14,10 +14,10 @@ from photonpurity.dynamics import (
     NonPhysicalState,
     StepSizeUnderflow,
     emission_integrals,
+    emission_series,
     expectation,
     physicality_report,
     propagate,
-    read_correlation_csv,
     two_time_g2_map,
 )
 from photonpurity.model import (
@@ -191,18 +191,6 @@ class TestTwoTimeMap:
         strip = near_pulse[:, None] | near_pulse[None, :]
         assert cg.values[strip].sum() / cg.values.sum() > 0.9
 
-    def test_csv_round_trip(self, tmp_path):
-        system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.1))
-        grid = np.linspace(0.0, 2.0, 11)
-        cg = two_time_g2_map(system, "sigma", grid)
-        path = tmp_path / "map.csv"
-        cg.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert "time_unit=1/gamma_sigma" in header
-        back = read_correlation_csv(path)
-        assert np.allclose(back.values, cg.values, rtol=1e-9, atol=1e-15)
-        assert np.allclose(back.t1, cg.t1)
-
     def test_csv_matches_row_writer(self, tmp_path):
         # longer than one chunk of rows, with negative zeros, tiny and huge values
         rng = np.random.default_rng(5)
@@ -229,6 +217,29 @@ class TestTwoTimeMap:
         sub = two_time_g2_map(system, "sigma", grid[rows], grid[cols])
         assert sub.values.shape == (len(grid[rows]), len(grid[cols]))
         assert np.max(np.abs(sub.values - full[rows, cols])) < 1e-9 * np.max(full)
+
+
+class TestEmissionSeries:
+    # a detuned emitter started in a coherent superposition: its frame
+    # phases turn, so reading rho0 at the wrong time shows
+    SYSTEM = build_two_level(TwoLevelConfig(detuning=5.0), GaussianPulse(math.pi / 2, 0.05))
+    RHO0 = np.full((2, 2), 0.5, dtype=complex)
+
+    def series(self, grid):
+        sigma = self.SYSTEM.output_ops["sigma"]
+        return emission_series([self.SYSTEM], sigma, grid, rho0=self.RHO0)[0]
+
+    def test_rho0_is_the_state_at_time_zero(self):
+        # a grid that starts after 0 reads the state propagated from t = 0
+        with_zero = self.series([0.0, 0.1, 0.5])
+        assert with_zero[0] == pytest.approx(0.5)
+        assert np.max(np.abs(self.series([0.1, 0.5]) - with_zero[1:])) < 1e-12
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 0.5], [-0.1, 0.5]],
+                             ids=["decreasing", "before_start"])
+    def test_unsorted_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="must not decrease"):
+            self.series(grid)
 
 
 def _sensor_batch(system, observed, detuning, widths):

@@ -14,11 +14,9 @@ from photonpurity.photostream import (
     WindowOverlap,
     correlate,
     estimate_g2,
-    load_clicks,
     peak_sum_spectrum,
     peak_sums,
     read_histogram_csv,
-    save_clicks,
     synthesize_stream,
 )
 
@@ -342,13 +340,6 @@ class TestPeakSums:
 
 
 class TestIO:
-    def test_click_round_trip(self, tmp_path):
-        clicks = np.array([0, 5, 1000, 123456789], dtype=np.int64)
-        for name in ("clicks.npy", "clicks.csv"):
-            path = tmp_path / name
-            save_clicks(path, clicks)
-            assert np.array_equal(load_clicks(path), clicks)
-
     def test_histogram_csv_matches_row_writer(self, tmp_path):
         # longer than one chunk of rows, with negative delays and large counts
         rng = np.random.default_rng(3)
