@@ -296,16 +296,25 @@ class TestSpectrum:
 
 
 class TestSweeps:
-    def test_sweep_grid_structure(self):
-        # stats[i][j] is pulse length i at filter width j: a row is a
-        # filter-width curve, a column a pulse-length curve
+    # sweep_grid's stats[i][j] is pulse length i at filter width j: a row is
+    # a filter-width curve, a column a pulse-length curve
+
+    def test_filter_width_sweep_structure(self):
         builder = lambda pulse: build_two_level(TwoLevelConfig(), pulse)
-        grid = sweep_grid(builder, [0.05, 0.1], [0.1, 1.0, 3.0])
-        assert [len(row) for row in grid] == [3, 3]
-        assert all(st.converged and st.epsilon_used > 0 for row in grid for st in row)
-        assert grid[0][1].g2 < grid[1][1].g2  # longer pulse, more re-excitation
+        grid = sweep_grid(builder, [0.1], [0.1, 1.0, 3.0])
+        assert [len(row) for row in grid] == [3]
+        row = grid[0]
+        assert all(st.converged and st.epsilon_used > 0 for st in row)
         alone = filtered_g2_zero(builder(GaussianPulse(math.pi, 0.1)), SensorConfig(0.0, 3.0))
-        assert grid[1][2].g2 == pytest.approx(alone.g2, rel=1e-8)
+        assert row[2].g2 == pytest.approx(alone.g2, rel=1e-8)
+
+    def test_pulse_length_sweep_structure(self):
+        builder = lambda pulse: build_two_level(TwoLevelConfig(), pulse)
+        grid = sweep_grid(builder, [0.05, 0.1], [1.0])
+        assert [len(row) for row in grid] == [1, 1]
+        column = [row[0] for row in grid]
+        assert all(st.converged and st.epsilon_used > 0 for st in column)
+        assert column[0].g2 < column[1].g2  # longer pulse, more re-excitation
 
     def test_sweep_point_identified_on_error(self):
         builder = lambda pulse: build_two_level(TwoLevelConfig(), pulse)
