@@ -15,8 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import erfc
 
 DEGENERATE_RATE_GAP = 1e-9
 _MAX_REWEIGHTS = 100   # weighted passes of fit_lifetimes
@@ -92,6 +90,8 @@ def cascade_populations(gamma_2x, gamma_x, t):
 def _exp_gauss(t, rate, sigma, t0):
     """Closed-form convolution of exp(-rate t) theta(t) with a unit Gaussian
     of width sigma, shifted to start at t0."""
+    from scipy.special import erfc
+
     u = t - t0
     arg = 0.5 * rate**2 * sigma**2 - rate * u
     arg = np.clip(arg, -700.0, 700.0)
@@ -169,6 +169,8 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
     rates (up to amplitude), so the result is canonicalized to
     gamma_2x >= gamma_x: the biexciton feeds the exciton and decays faster.
     """
+    from scipy.optimize import least_squares
+
     times = np.asarray(times, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if len(times) < 50:

@@ -108,6 +108,10 @@ class RunConfig:
              "must be an integer >= 1"),
             (self.window <= self.rep_period, "window", "must not exceed rep_period"),
             (_integer_at_least(self.bin_width, 1), "bin_width", "must be an integer >= 1 (ps)"),
+            (_positive_numbers(self.pulse_lengths), "pulse_lengths",
+             "must be a non-empty list of numbers > 0"),
+            (_positive_numbers(self.filter_widths), "filter_widths",
+             "must be a non-empty list of numbers > 0"),
         ]
         for ok, path, msg in checks:
             if not ok:
@@ -117,6 +121,11 @@ class RunConfig:
 
 def _integer_at_least(value, least):
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _positive_numbers(values):
+    return isinstance(values, (tuple, list)) and len(values) > 0 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in values)
 
 
 # Defaults of the fields RunConfig leaves None, and what each sweep command

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -325,6 +324,8 @@ def sweep_grid(
     tasks = [(builder(GaussianPulse(theta, float(tau))), sensors, cfg, observed, check_convergence)
              for tau in tau_grid]
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(_sweep_group, tasks))
     return [_sweep_group(task) for task in tasks]

@@ -21,7 +21,9 @@ emission_integrals iterate it.  Past the drive cutoff t_c the generator is
 constant and the lab-frame Liouvillian L0 gives closed forms:
 emission_integrals carries one or two rows per system and the scalar time
 integrals its tails read over the pulse window, and closes the tails with a
-resolvent; two_time_g2_map chains per-interval propagators, DP45 on a
+resolvent, one batched numpy.linalg.solve over the stack of deflated
+generators of each group of systems (groups of at most _TAIL_GROUP_BYTES of
+stack); two_time_g2_map chains per-interval propagators, DP45 on a
 Hermitian basis inside the window and expm(L0 h) after it.
 """
 
@@ -30,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm, lu_factor, lu_solve
 
 from .model import HERMITICITY_TOL, SystemModel
 
@@ -75,6 +75,7 @@ DEFAULT_INTEGRATOR = IntegratorConfig()
 MIN_STEPS_PER_PULSE = 50
 
 _CSV_CHUNK = 1 << 16    # map rows per formatted write
+_TAIL_GROUP_BYTES = 1 << 20    # generator stack per batched tail solve
 
 
 @dataclass
@@ -160,6 +161,8 @@ class _Generator:
     """
 
     def __init__(self, systems):
+        if len(systems) == 0:
+            raise ValueError("a batch needs at least one system")
         first = systems[0]
         self.dim = first.dimension
         self.nbatch = len(systems)
@@ -184,29 +187,39 @@ class _Generator:
         self.rotating = bool(np.any(frame != frame[:, :1]))
         self._phase_t, self._phase = None, None
 
-        self.jumps = [
-            [np.sqrt(rate) * np.asarray(op, dtype=complex) for op, rate in sys_b.channels]
-            for sys_b in systems
-        ]
+        self.jumps = np.array(
+            [[np.sqrt(rate) * np.asarray(op, dtype=complex) for op, rate in sys_b.channels]
+             for sys_b in systems], dtype=complex,
+        ).reshape(self.nbatch, len(first.channels), d, d)
         self.decay = np.array(
             [-0.5j * sum((j.conj().T @ j for j in js), np.zeros((d, d))) for js in self.jumps]
         )
         rates = [[rate for _, rate in sys_b.channels] for sys_b in systems]
         self.jump_super_t = self.jump_blocks = None
         if d * d <= DENSE_JUMP_MAX_DIM2 and all(r == rates[0] for r in rates):
-            self.jump_super_t = np.ascontiguousarray(self.system_jump_super(0).T)
+            self.jump_super_t = np.ascontiguousarray(self.jump_supers(slice(0, 1))[0].T)
         else:
+            from scipy import sparse
+
             self.jump_blocks = sparse.block_diag(
-                [sparse.csr_matrix(self.system_jump_super(b)) for b in range(self.nbatch)],
+                [sparse.csr_matrix(self.jump_supers(slice(b, b + 1))[0])
+                 for b in range(self.nbatch)],
                 format="csr",
             )
 
-    def system_jump_super(self, b):
-        """Jump superoperator sum_k L_k kron conj(L_k) of system b."""
-        if self.jump_super_t is not None:
-            return self.jump_super_t.T
+    def jump_supers(self, group=slice(None)):
+        """Jump superoperators sum_k L_k kron conj(L_k) of the systems that the
+        slice `group` selects, as a new (g, d^2, d^2) array."""
         d2 = self.dim * self.dim
-        return sum((np.kron(j, j.conj()) for j in self.jumps[b]), np.zeros((d2, d2), complex))
+        size = len(range(self.nbatch)[group])
+        if self.jump_super_t is not None:
+            return np.repeat(self.jump_super_t.T[None], size, axis=0)
+        out = np.zeros((size, self.dim, self.dim, self.dim, self.dim), dtype=complex)
+        for j in self.jumps[group].swapaxes(0, 1):  # one channel of every system
+            conj = j.conj()[:, :, None, :]
+            for i in range(self.dim):  # block row i: no temporary of the stack's size
+                out[:, i] += j[:, i, None, :, None] * conj
+        return out.reshape(size, d2, d2)
 
     def phases(self, t):
         """Elementwise frame phases exp(i t (D_m - D_n)) per batch entry.  The
@@ -257,12 +270,19 @@ class _Generator:
         out += a.conj().swapaxes(2, 3)
         return out
 
-    def lab_liouvillian(self, b):
-        """Drive-free lab-frame generator of system b as a (d^2, d^2) matrix
-        on row-major vec(rho): vec(A rho B) = (A kron B^T) vec(rho)."""
-        eye = np.eye(self.dim)
-        heff = self.h_static[b] + self.decay[b]
-        return -1j * np.kron(heff, eye) + 1j * np.kron(eye, heff.conj()) + self.system_jump_super(b)
+    def lab_liouvillian(self, group=slice(None)):
+        """Drive-free lab-frame generators of the systems that the slice
+        `group` selects, a (g, d^2, d^2) stack on row-major vec(rho):
+        vec(A rho B) = (A kron B^T) vec(rho).  The Hamiltonian terms are added
+        in place, so the stack is the one array of its size."""
+        d = self.dim
+        heff = self.h_static[group] + self.decay[group]
+        l0 = self.jump_supers(group)
+        blocks = l0.reshape(len(heff), d, d, d, d)
+        for j in range(d):
+            blocks[:, :, j, :, j] += -1j * heff  # -i heff kron I
+            blocks[:, j, :, j, :] += 1j * heff.conj()  # i I kron heff^*
+        return l0
 
 
 def _same_drive_and_channels(a: SystemModel, b: SystemModel) -> bool:
@@ -388,6 +408,8 @@ def propagate(system: SystemModel, rho0: np.ndarray, times, cfg: IntegratorConfi
     """
     cfg = cfg or DEFAULT_INTEGRATOR
     times = np.asarray(times, dtype=float)
+    if len(times) == 0:
+        raise ValueError("times: propagate needs at least one sample time")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (system.dimension, system.dimension):
         raise DimensionMismatch(
@@ -530,7 +552,10 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     int_0^t2 U(t2, t1) J rho(t1) dt1 with J x = e x e^dag.  Past t_c the
     generator is the constant lab-frame L0 of h_static, and the tails are
     closed forms of R x = int_0^inf e^(L0 s) (x - tr(x) rho_ss) ds
-    = -(L0 + |rho_ss><1|)^-1 (x - tr(x) rho_ss), one LU per system:
+    = -(L0 + |rho_ss><1|)^-1 (x - tr(x) rho_ss), one batched solve over
+    the stacked deflated generators of a group of systems (a second one for
+    R J R rho_c with `pairs`); each group holds at most _TAIL_GROUP_BYTES of
+    stack, so the memory does not grow with the batch:
 
         n = q_c + <N|R rho_c>
         G = 2 (p_c + <N|R X_c> + <N|R J R rho_c>),   N = e^dag e.
@@ -566,26 +591,38 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     ground = np.zeros(d * d, dtype=complex)
     ground[0] = 1.0
     trace = np.eye(d).ravel()
-    nvec = nop.transpose(0, 2, 1).reshape(nb, d * d)  # <N|x> = tr(N x) = nvec . vec(x)
+    deflate = np.outer(ground, trace)  # |rho_ss><1|
+    nvec = nop.transpose(0, 2, 1).reshape(nb, 1, d * d)  # <N|x> = tr(N x) = nvec . vec(x)
+    past = np.flatnonzero(times > t_c)
     n_int = np.empty(nb)
     g_int = np.empty(nb) if pairs else None
-    for b in range(nb):
-        l0 = gen.lab_liouvillian(b)
-        if np.max(np.abs(l0[:, 0])) > 1e-12 * max(1.0, np.max(np.abs(l0))):
+    size = max(1, _TAIL_GROUP_BYTES // (16 * d**4))
+    for lo in range(0, nb, size):
+        group = slice(lo, lo + size)
+        l0 = gen.lab_liouvillian(group)
+        if np.any(np.max(np.abs(l0[:, :, 0]), axis=1)
+                  > 1e-12 * np.maximum(1.0, np.max(np.abs(l0), axis=(1, 2)))):
             raise TailPremiseError("the ground state must be steady")
-        for k in np.flatnonzero(times > t_c):
-            states[b, k] = (expm(l0 * (times[k] - t_c)) @ lab[b, 0]).reshape(d, d)
-        lu = lu_factor(l0 + np.outer(ground, trace))
+        if len(past):
+            from scipy.linalg import expm
+
+            for b, l0_b in enumerate(l0, lo):
+                for k in past:
+                    states[b, k] = (expm(l0_b * (times[k] - t_c)) @ lab[b, 0]).reshape(d, d)
+        l0 += deflate
 
         def resolvent(x):
-            x = x - np.outer(x @ trace, ground)
-            return -lu_solve(lu, x.T).T
+            """R of the rows x, (g, r, d^2)."""
+            x = x - (x @ trace)[:, :, None] * ground
+            return -np.linalg.solve(l0, x.swapaxes(1, 2)).swapaxes(1, 2)
 
-        r = resolvent(lab[b])
-        n_int[b] = (integrals[b, 0] + nvec[b] @ r[0]).real
+        r = resolvent(lab[group])
+        n_int[group] = (integrals[group, 0] + (nvec[group] @ r[:, 0, :, None])[:, 0, 0]).real
         if pairs:
-            jr = (emit[b] @ r[0].reshape(d, d) @ emit[b].conj().T).reshape(1, d * d)
-            g_int[b] = 2.0 * (integrals[b, 1] + nvec[b] @ (r[1] + resolvent(jr)[0])).real
+            e = emit[group]
+            jr = (e @ r[:, 0].reshape(-1, d, d) @ e.conj().swapaxes(1, 2)).reshape(-1, 1, d * d)
+            tails = nvec[group] @ (r[:, 1] + resolvent(jr)[:, 0])[:, :, None]
+            g_int[group] = 2.0 * (integrals[group, 1] + tails[:, 0, 0]).real
     n_series = np.einsum("bmn,btnm->bt", nop, states).real
     return EmissionIntegrals(n_int, g_int, times, n_series, states)
 
@@ -612,6 +649,8 @@ def _step_propagators(gen, times, cfg):
     Later intervals see the constant generator L0 and take expm(L0 h), once
     per distinct h.
     """
+    from scipy.linalg import expm
+
     d2 = gen.dim * gen.dim
     t_c = drive_cutoff(gen.pulse)
     steps = np.diff(times)
@@ -626,7 +665,7 @@ def _step_propagators(gen, times, cfg):
                            cfg, cap_fn, h)
         props[k] = (to_units @ gen.to_lab(times[k + 1], y)[0].reshape(d2, d2)).T
     distinct, which = np.unique(steps[~driven], return_inverse=True)
-    l0 = gen.lab_liouvillian(0)
+    l0 = gen.lab_liouvillian()[0]
     props[~driven] = np.array([expm(l0 * h) for h in distinct]).reshape(-1, d2, d2)[which]
     return props
 

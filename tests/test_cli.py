@@ -206,6 +206,9 @@ def test_non_integer_pulse_count_is_named(tmp_path, capsys, value, shown):
     assert f"stream.n_pulses: {shown} is not an integer" in capsys.readouterr().err
 
 
+SWEEP_LIST = "must be a non-empty list of numbers > 0"
+
+
 @pytest.mark.parametrize("command,text,message", [
     ("sweep-filter", "sweep: {points: 3.0}\n", "sweep.points: must be an integer >= 2"),
     ("spectrum", "detuning_points: 5.5\n", "detuning_points: must be an integer >= 1"),
@@ -214,11 +217,46 @@ def test_non_integer_pulse_count_is_named(tmp_path, capsys, value, shown):
     ("spectrum", "detuning_span: -5\n", "detuning_span: must be > 0"),
     ("hbt-sim", "bin_width: 5.5\nstream: {n_pulses: 1000}\n",
      "bin_width: must be an integer >= 1 (ps)"),
+    ("sweep-filter", "pulse_lengths: []\n", "pulse_lengths: " + SWEEP_LIST),
+    ("spectrum", "pulse_lengths: []\n", "pulse_lengths: " + SWEEP_LIST),
+    ("sweep-pulse", "filter_widths: []\nsweep: {points: 2}\n", "filter_widths: " + SWEEP_LIST),
+    ("sweep-filter", "pulse_lengths: [-0.05]\n", "pulse_lengths: " + SWEEP_LIST),
+    ("sweep-pulse", "filter_widths: [-1.0]\nsweep: {points: 2}\n",
+     "filter_widths: " + SWEEP_LIST),
 ], ids=["sweep_points_float", "detuning_points_float", "detuning_points_zero",
-        "spec_bandwidth_zero", "detuning_span_negative", "bin_width_float"])
+        "spec_bandwidth_zero", "detuning_span_negative", "bin_width_float",
+        "pulse_lengths_empty_sweep", "pulse_lengths_empty_spectrum", "filter_widths_empty",
+        "pulse_lengths_negative", "filter_widths_negative"])
 def test_out_of_range_key_is_named(tmp_path, capsys, command, text, message):
     assert run(tmp_path, command, text) == 2
     assert message in capsys.readouterr().err
+
+
+IMPORT_HYGIENE = """
+import sys
+import photonpurity
+from photonpurity import cli
+for command, config, out in zip(sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]):
+    assert cli.main([command, "--config", config, "--out", out]) == 0, command
+loaded = set(sys.modules) & {"scipy.linalg", "scipy.sparse", "scipy.optimize",
+                             "scipy.special", "scipy.stats"}
+print("scipy modules:", *sorted(loaded))
+"""
+
+
+def test_hbt_and_two_level_spectrum_run_without_scipy(tmp_path):
+    # a fresh interpreter: the package, the CLI and these two commands need numpy and yaml
+    args = []
+    for command, text in [("hbt-sim", "stream: {n_pulses: 20000}\n"),
+                          ("spectrum", "pulse_lengths: [0.05]\ndetuning_points: 3\n")]:
+        config = tmp_path / f"{command}.yaml"
+        config.write_text(text)
+        args += [command, str(config), str(tmp_path / command)]
+    env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+    done = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "scipy modules:"
 
 
 @pytest.mark.parametrize("points", ["-3", "0", "1", "50.5"])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +365,24 @@ class TestBatch:
         singles = [evals(lambda: filtered_g2_zero(system, sensor)) for sensor in sensors]
         batch = evals(lambda: filtered_g2_batch(system, sensors))
         assert batch < 1.5 * max(singles)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one system"):
+            filtered_g2_batch(two_level_system(0.05), [])
+
+    def test_tail_memory_is_bounded(self):
+        # 16 exciton-line systems (d^2 = 144) stack 5.3 MB of generators at once; the
+        # tails close them in groups, so the batch peaks near a single point's memory
+        system = fourlevel_system(0.01)
+        sensors = [SensorConfig(FOURLEVEL_BINDING / 2, float(w)) for w in np.geomspace(0.5, 1, 16)]
+        filtered_g2_batch(system, sensors[:1], observed=EXCITON_V_ONLY, check_convergence=False)
+        tracemalloc.start()
+        try:
+            filtered_g2_batch(system, sensors, observed=EXCITON_V_ONLY, check_convergence=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
 
     def test_failing_point_is_named(self):
         system = two_level_system(0.1)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, lu_factor, lu_solve
 
 from photonpurity import dynamics
 from photonpurity.dynamics import (
@@ -113,6 +113,10 @@ class TestPropagate:
         rho0 = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             propagate(free_decay_system(), rho0, [0.0, 1.0])
+
+    def test_no_times_rejected(self):
+        with pytest.raises(ValueError, match="times"):
+            propagate(free_decay_system(), ground_state(free_decay_system()), [])
 
     def test_step_size_underflow(self):
         system = build_two_level(TwoLevelConfig(decay_rate=1e16), GaussianPulse(0.0, 0.05))
@@ -276,13 +280,78 @@ class TestGenerator:
         assert np.max(np.abs(gen.rhs(t, y) - two_sided)) <= 1e-14 * np.max(np.abs(two_sided))
 
 
+MIXED_BATCHES = [
+    (build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)), "sigma", 0.0,
+     (0.05, 1.0, 20.0)),
+    (build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.01)), EXCITON_V_ONLY,
+     150.0, (0.5, 1.0)),
+]
+
+
+def _tails_by_lu(systems, emit):
+    """n and G of emission_integrals(systems, emit, times=()), with the tails
+    closed by one scipy LU per system of a kron-built L0 + |rho_ss><1|."""
+    gen = dynamics._WindowGenerator(systems, emit, 2)
+    d = gen.dim
+    t_c = dynamics.drive_cutoff(gen.pulse)
+    y = np.zeros(gen.row_size + 2 * gen.nbatch, dtype=complex)
+    gen.split(y)[0][:, 0, 0, 0] = 1.0
+    (y,) = dynamics._walk(gen, y, 0.0, [t_c], dynamics.DEFAULT_INTEGRATOR)
+    rows, integrals = gen.split(y)
+    rows = gen.to_lab(t_c, rows)
+    eye = np.eye(d)
+    ground = np.zeros((d, d), dtype=complex)
+    ground[0, 0] = 1.0
+    n_int, g_int = [], []
+    for b, system in enumerate(systems):
+        heff = system.h_static - 0.5j * sum(rate * c.conj().T @ c for c, rate in system.channels)
+        l0 = -1j * np.kron(heff, eye) + 1j * np.kron(eye, heff.conj())
+        for c, rate in system.channels:
+            l0 += rate * np.kron(c, c.conj())
+        lu = lu_factor(l0 + np.outer(ground.ravel(), eye.ravel()))
+
+        def resolvent(x):
+            return -lu_solve(lu, (x - np.trace(x) * ground).ravel()).reshape(d, d)
+
+        e = emit[b]
+        nop = e.conj().T @ e
+        r_rho = resolvent(rows[b, 0])
+        n_int.append((integrals[b, 0] + np.trace(nop @ r_rho)).real)
+        r_pair = resolvent(rows[b, 1]) + resolvent(e @ r_rho @ e.conj().T)
+        g_int.append(2.0 * (integrals[b, 1] + np.trace(nop @ r_pair)).real)
+    return np.array(n_int), np.array(g_int)
+
+
 class TestBatch:
-    @pytest.mark.parametrize("system, observed, detuning, widths", [
-        (build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)), "sigma", 0.0,
-         (0.05, 1.0, 20.0)),
-        (build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.01)), EXCITON_V_ONLY,
-         150.0, (0.5, 1.0)),
-    ], ids=["two_level", "exciton_line"])
+    @pytest.mark.parametrize("system, observed, detuning, widths", MIXED_BATCHES,
+                             ids=["two_level", "exciton_line"])
+    def test_grouped_tails_match_per_system_lu(self, monkeypatch, system, observed, detuning,
+                                              widths):
+        # every point at eps and eps/2, as filtered_g2_batch runs it: a mixed-rate batch on
+        # the sparse jump path, with a budget that splits it into groups of two systems
+        # and a remainder
+        systems = []
+        for w in widths:
+            eps = SensorConfig(detuning, w).resolved_coupling(system.decay_scale)
+            systems += [attach_sensor(system, observed, SensorConfig(detuning, w, eps / k))
+                        for k in (1.0, 2.0)]
+        emit = np.array([s.output_ops["sensor"] for s in systems])
+        assert dynamics._Generator(systems).jump_blocks is not None
+        d2 = systems[0].dimension ** 2
+        monkeypatch.setattr(dynamics, "_TAIL_GROUP_BYTES", 2 * 16 * d2 * d2)
+        batch = emission_integrals(systems, emit, times=())
+        n_int, g_int = _tails_by_lu(systems, emit)
+        np.testing.assert_allclose(batch.n_integral, n_int, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(batch.pair_integral, g_int, rtol=1e-12, atol=0)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one system"):
+            dynamics._Generator([])
+        with pytest.raises(ValueError, match="at least one system"):
+            emission_integrals([], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("system, observed, detuning, widths", MIXED_BATCHES,
+                             ids=["two_level", "exciton_line"])
     def test_mixed_rates_match_single_runs(self, system, observed, detuning, widths):
         # each system keeps its own sensor rate and readout inside the batch
         systems, emit = _sensor_batch(system, observed, detuning, widths)
