@@ -106,6 +106,7 @@ class RunConfig:
             (self.detuning_span > 0, "detuning_span", "must be > 0"),
             (_integer_at_least(self.detuning_points, 1), "detuning_points",
              "must be an integer >= 1"),
+            (self.window > 0, "window", "must be > 0"),
             (self.window <= self.rep_period, "window", "must not exceed rep_period"),
             (_integer_at_least(self.bin_width, 1), "bin_width", "must be an integer >= 1 (ps)"),
             (_positive_numbers(self.pulse_lengths), "pulse_lengths",
@@ -391,10 +392,7 @@ def cmd_hbt(cfg: RunConfig):
     estimate.to_json(est_path)
     ks, sums = photostream.peak_sums(hist, stream_cfg.rep_period, cfg.window)
     sums_path = os.path.join(out, "hbt_peak_sums.csv")
-    with open(sums_path, "w") as fh:
-        fh.write("peak_index,summed_counts\n")
-        for k, s in zip(ks, sums):
-            fh.write(f"{k},{s}\n")
+    photostream._write_int_csv(sums_path, "peak_index,summed_counts", ks, sums)
     correlations.write_metadata(
         os.path.join(out, "hbt_metadata.json"),
         _metadata(cfg, "hbt-sim", {
@@ -412,7 +410,10 @@ def cmd_hbt(cfg: RunConfig):
 
 def cmd_analyze_histogram(cfg: RunConfig, data_path):
     """Peak-sum analysis of an existing histogram CSV."""
-    hist = photostream.read_histogram_csv(data_path)
+    try:
+        hist = photostream.read_histogram_csv(data_path)
+    except photostream.MalformedHistogram as err:
+        raise ConfigError(f"data: {err}") from err
     _check_window(cfg.rep_period, cfg.window, hist.span, "data: histogram span")
     out = _outdir(cfg)
     estimate = _estimate(hist, cfg.rep_period, cfg)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from photonpurity import analysis, cli, dynamics
+from photonpurity import analysis, cli, dynamics, photostream
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -116,6 +116,35 @@ def test_hbt_rerun_is_byte_identical(tmp_path):
     assert {name: (out / name).read_bytes() for name in names} == first
 
 
+def test_hbt_peak_sums_match_the_row_loop(tmp_path):
+    # the reference: one f-string per row
+    assert run(tmp_path, "hbt-sim", "span: 200.0\nstream: {n_pulses: 20000, p_single: 0.5}\n") == 0
+    out = tmp_path / "out"
+    hist = photostream.read_histogram_csv(out / "hbt_histogram.csv")
+    ks, sums = photostream.peak_sums(hist, 13.1, 6.5)
+    assert len(ks) > 20 and sums.max() > 0
+    expected = "peak_index,summed_counts\n" + "".join(f"{k},{s}\n" for k, s in zip(ks, sums))
+    assert (out / "hbt_peak_sums.csv").read_bytes() == expected.encode()
+
+
+BAD_HISTOGRAM_ROWS = {
+    "header_only": "",
+    "one_row": "0,5\n",
+    "even_rows": "-5,1\n0,2\n5,3\n10,4\n",
+    "off_centre": "0,1\n5,2\n10,3\n",
+    "uneven_delays": "-10,1\n-5,2\n0,3\n6,4\n10,5\n",
+}
+
+
+@pytest.mark.parametrize("rows", BAD_HISTOGRAM_ROWS.values(), ids=BAD_HISTOGRAM_ROWS.keys())
+def test_malformed_histogram_is_a_data_error(tmp_path, capsys, rows):
+    data = tmp_path / "hist.csv"
+    data.write_text("delay_ps,counts\n" + rows)
+    assert run(tmp_path, "analyze-histogram", "", "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: data: " in err and "Traceback" not in err
+
+
 def test_fit_lifetime_recovers_both_transitions(tmp_path):
     # the supplement script's decay draws: seed 7, exciton first
     t = np.arange(0.0, 5.0, 0.005)
@@ -220,13 +249,14 @@ SWEEP_LIST = "must be a non-empty list of numbers > 0"
     ("sweep-filter", "pulse_lengths: []\n", "pulse_lengths: " + SWEEP_LIST),
     ("spectrum", "pulse_lengths: []\n", "pulse_lengths: " + SWEEP_LIST),
     ("sweep-pulse", "filter_widths: []\nsweep: {points: 2}\n", "filter_widths: " + SWEEP_LIST),
+    ("hbt-sim", "window: -1.0\nstream: {n_pulses: 1000}\n", "window: must be > 0"),
     ("sweep-filter", "pulse_lengths: [-0.05]\n", "pulse_lengths: " + SWEEP_LIST),
     ("sweep-pulse", "filter_widths: [-1.0]\nsweep: {points: 2}\n",
      "filter_widths: " + SWEEP_LIST),
 ], ids=["sweep_points_float", "detuning_points_float", "detuning_points_zero",
         "spec_bandwidth_zero", "detuning_span_negative", "bin_width_float",
         "pulse_lengths_empty_sweep", "pulse_lengths_empty_spectrum", "filter_widths_empty",
-        "pulse_lengths_negative", "filter_widths_negative"])
+        "window_negative", "pulse_lengths_negative", "filter_widths_negative"])
 def test_out_of_range_key_is_named(tmp_path, capsys, command, text, message):
     assert run(tmp_path, command, text) == 2
     assert message in capsys.readouterr().err

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from photonpurity.photostream import (
+    _CSV_CHUNK,
     _PULSE_BLOCK,
     BlinkingConfig,
     CoincidenceHistogram,
     G2Estimate,
+    MalformedHistogram,
     StreamConfig,
     UnsortedInput,
     WindowOverlap,
+    _int_rows,
+    _write_int_csv,
     correlate,
     estimate_g2,
     peak_sum_spectrum,
@@ -256,6 +260,14 @@ class TestEstimator:
         with pytest.raises(WindowOverlap):
             estimate_g2(hist, rep_period=13.1, window=14.0)
 
+    @pytest.mark.parametrize("window", [0.0, -1.0])
+    def test_window_must_be_positive(self, window):
+        hist = synthetic_histogram(1, 10)
+        with pytest.raises(ValueError, match="must be > 0"):
+            estimate_g2(hist, window=window)
+        with pytest.raises(ValueError, match="must be > 0"):
+            peak_sums(hist, window=window)
+
     def test_span_requirement(self):
         hist = correlate(np.array([0]), np.array([0]), 5, span=5.0)
         with pytest.raises(ValueError):
@@ -357,3 +369,89 @@ class TestIO:
         back = read_histogram_csv(path)
         assert back.bin_width == hist.bin_width
         assert np.array_equal(back.counts, hist.counts)
+
+
+def printf_rows(x, y):
+    """The reference bytes: "%d,%d\\n" % row for every row."""
+    return "".join("%d,%d\n" % row for row in zip(x.tolist(), y.tolist())).encode()
+
+
+INT64_MAX = 2**63 - 1
+EDGE_VALUES = [0, 1, -1, 9, -9, 10, -10, 9999, -9999, 10**4, -10**4, 10**8, -10**8,
+               100010001, -100010001, INT64_MAX, -INT64_MAX, -INT64_MAX - 1]
+
+
+class TestIntCsv:
+    def test_edge_values(self):
+        x = np.array(EDGE_VALUES, dtype=np.int64)
+        assert _int_rows([x, x[::-1]]) == printf_rows(x, x[::-1])
+        for value in EDGE_VALUES:  # each value alone sets the limbs of its column
+            one = np.array([value], dtype=np.int64)
+            assert _int_rows([one, one]) == printf_rows(one, one)
+
+    @pytest.mark.parametrize("rows", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+    def test_chunk_boundaries(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        # magnitudes from 0 to 19 digits, so that chunks differ in limb counts
+        x = rng.integers(-INT64_MAX, INT64_MAX, rows) >> rng.integers(0, 64, rows)
+        y = rng.integers(0, 10**6, rows)
+        path = tmp_path / "rows.csv"
+        _write_int_csv(path, "x,y", x, y)
+        assert path.read_bytes() == b"x,y\n" + printf_rows(x, y)
+        _write_int_csv(path, "k,y", range(-3 * rows, 3 * rows, 6), y)
+        assert path.read_bytes() == b"k,y\n" + printf_rows(np.arange(-3 * rows, 3 * rows, 6), y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-INT64_MAX - 1, INT64_MAX),
+                              st.integers(-INT64_MAX - 1, INT64_MAX)), min_size=1, max_size=40))
+    def test_matches_printf_on_random_int64(self, rows):
+        x, y = (np.array(column, dtype=np.int64) for column in zip(*rows))
+        assert _int_rows([x, y]) == printf_rows(x, y)
+
+    def test_histogram_memory_does_not_grow_with_rows(self, tmp_path):
+        # a chunk's buffers bound the peak: the 1,320,001-row histogram of a
+        # 3300 ns span peaks no higher than a four-chunk one, and below the
+        # bytes of its own counts
+        peaks = []
+        for rows in (3 * _CSV_CHUNK + 1, 1_320_001):
+            hist = CoincidenceHistogram(bin_width=5, counts=np.random.default_rng(rows).integers(
+                0, 10**6, rows))
+            _int_rows([hist.counts[:1], hist.counts[:1]])  # the digit tables, built once
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                hist.to_csv(tmp_path / "hist.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
+        assert peaks[1] < hist.counts.nbytes
+
+
+def write_rows(path, text):
+    path.write_text("delay_ps,counts\n" + text)
+    return path
+
+
+BAD_HISTOGRAMS = {
+    "header_only": "",
+    "one_row": "0,5\n",
+    "even_rows": "-5,1\n0,2\n5,3\n10,4\n",
+    "off_centre": "0,1\n5,2\n10,3\n",
+    "uneven_delays": "-10,1\n-5,2\n0,3\n6,4\n10,5\n",
+    "zero_bin_width": "0,1\n0,2\n0,3\n",
+    "negative_count": "-5,1\n0,-2\n5,3\n",
+    "three_columns": "-5,1,0\n0,2,0\n5,3,0\n",
+    "not_integers": "-5,1\n0,two\n5,3\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_HISTOGRAMS.values(), ids=BAD_HISTOGRAMS.keys())
+def test_malformed_histogram_is_named(tmp_path, text):
+    with pytest.raises(MalformedHistogram):
+        read_histogram_csv(write_rows(tmp_path / "hist.csv", text))
+
+
+def test_three_bin_histogram_reads(tmp_path):
+    hist = read_histogram_csv(write_rows(tmp_path / "hist.csv", "-7,1\n0,2\n7,3\n"))
+    assert hist.bin_width == 7 and hist.counts.tolist() == [1, 2, 3]
