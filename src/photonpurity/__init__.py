@@ -6,12 +6,13 @@ g2[0; Gamma], Monte Carlo Hanbury Brown-Twiss detection with the peak-sum
 estimator, and lifetime fitting with instrument-response convolution.
 
 Importing the package loads numpy only, and photonpurity.cli adds yaml.  scipy loads
-where it is called: scipy.sparse for the jump term of a batch whose d^2
-exceeds dynamics.DENSE_JUMP_MAX_DIM2 = 64 or whose systems differ in their
-rates; scipy.linalg.expm for the propagators of two_time_g2_map and for
-samples past the drive cutoff in dynamics.emission_integrals; scipy.special
-and scipy.optimize for the cascade model and the lifetime fit.  A
-two-level emission spectrum and the HBT simulation need none of them.
+where it is called: scipy.sparse for the window operator of a batch whose
+row size exceeds dynamics.DENSE_MAX_SIZE = 100 or whose systems differ off
+the diagonal (couplings, rates, readout scales); scipy.linalg.expm for the
+propagators of two_time_g2_map and for samples past the drive cutoff in
+dynamics.emission_integrals; scipy.special and scipy.optimize for the
+cascade model and the lifetime fit.  A two-level emission spectrum and the
+HBT simulation need none of them.
 """
 
 __version__ = "0.1.0"

@@ -1,17 +1,18 @@
 """Master-equation propagation, emission integrals and two-time correlation maps.
 
-Density matrices are plain complex ndarrays.  The integrator works in the
-co-rotating frame of the diagonal of the static Hamiltonian, which removes
-fast detuning/sensor phase rotation from the state; all stored states and
-readouts are transformed back to the laser rotating frame, so expectation
-values of arbitrary operators remain correct.
+Density matrices are plain complex ndarrays; all stored states and readouts
+are in the laser rotating frame (the lab frame here).
 
-One stepper, an embedded Dormand-Prince 4(5) pair, integrates the driven
-stretch.  Its right-hand side is a few batched matmuls, so many systems (a
-detuning sweep, or every filter width of a pulse with its eps-halving pair)
-and several rows per system step in lockstep.  Every row it carries is
-Hermitian, so the Hamiltonian part -i (H rho - rho H^dag) is A + A^dag with
-A = -i H rho, one matmul instead of two.
+The driven stretch is integrated by one stepper, an embedded Dormand-Prince
+4(5) pair, on flat rows: vec(rho), optionally followed by a collapsed row X
+and scalar emission accumulators.  Its right-hand side, _Generator, is the
+lab-frame window superoperator of a whole batch of systems (a detuning
+sweep, or every filter width of a pulse with its eps-halving pair): one
+product of all rows with a shared operator, dense for small rows and CSR for
+large ones, plus what each system adds on its own non-zeros.  The rows are
+carried in one frame per batch, that of the mean diagonal of the systems'
+static Hamiltonians, which takes the common fast phase rotation out of the
+state.
 
 One sampler, `_walk`, drives the stepper through a sorted list of stop
 times: it caps the step inside the pulse window, carries the step size and
@@ -23,8 +24,8 @@ emission_integrals carries one or two rows per system and the scalar time
 integrals its tails read over the pulse window, and closes the tails with a
 resolvent, one batched numpy.linalg.solve over the stack of deflated
 generators of each group of systems (groups of at most _TAIL_GROUP_BYTES of
-stack); two_time_g2_map chains per-interval propagators, DP45 on a
-Hermitian basis inside the window and expm(L0 h) after it.
+stack); two_time_g2_map chains per-interval propagators, DP45 on the d^2
+unit vectors inside the window and expm(L0 h) after it.
 """
 
 from __future__ import annotations
@@ -118,171 +119,242 @@ class CorrelationGrid:
                 fh.write("%.9g,%.9g,%.12g\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-# Dormand-Prince 4(5) tableau (FSAL).
+# Dormand-Prince 4(5) tableau (FSAL): row i of _DP_A weighs the stages before
+# stage i; _DP_BE holds the fifth-order weights and the error weights.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+], dtype=complex)
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+_DP_BE = np.array([_DP_B5, _DP_B5 - _DP_B4], dtype=complex)
 
 _MIN_REL_STEP = 1e-14
 _MAX_REJECTS = 60
-# Largest d^2 whose shared jump superoperator is applied dense.  At d^2 = 36
-# (two-level emitter plus sensor, 25 non-zeros of 1296) the dense product is
-# the faster one in context, the 161-detuning spectrum batch.  At d^2 = 144
-# (biexciton plus sensor, 100 non-zeros of 20736) the sparse product is 4x
-# faster than the dense one on 4-36 rows.
-DENSE_JUMP_MAX_DIM2 = 64
+# Largest row size D whose shared window superoperator is applied as a dense
+# (rows, D) @ (D, D) matmul; a larger one is applied as a CSR matrix.  Per
+# right-hand side on batches of 10-161 two-level-plus-sensor rows (sensor
+# truncation 2-5, one BLAS thread), dense is 1.2-1.5x faster at D = 37, the
+# two are within 20 % of each other at D = 65-101, and CSR is 1.3-1.9x faster
+# at D = 130-145 and 2-5x at D = 202-290.
+DENSE_MAX_SIZE = 100
+
+
+def _nonzeros(stack):
+    """Row and column indices of the entries that are non-zero in any matrix
+    of the (B, d, d) stack."""
+    return np.nonzero(np.any(stack != 0, axis=0))
+
+
+def _kron(a, b):
+    """COO (rows, cols, (B, n) values) of x -> A x B for the matrices of the
+    stacks a and b, (B, d, d) or (1, d, d), on row-major vec:
+    vec(A x B) = (A kron B^T) vec(x)."""
+    d = a.shape[-1]
+    m, i = _nonzeros(a)
+    k, n = _nonzeros(b)
+    va, vb = a[:, m, i], b[:, k, n]
+    return ((m[:, None] * d + n).ravel(), (i[:, None] * d + k).ravel(),
+            (va[:, :, None] * vb[:, None, :]).reshape(max(len(va), len(vb)), -1))
+
+
+def _shift(part, row, col):
+    rows, cols, vals = part
+    return rows + row, cols + col, vals
+
+
+def _split(part):
+    """A part whose values are (B, n), one row per system, as the first
+    system's part and the part of each system's difference from it, on the
+    entries where some system differs."""
+    rows, cols, vals = part
+    differ = np.any(vals != vals[0], axis=0)
+    return (rows, cols, vals[0]), (rows[differ], cols[differ], vals[:, differ] - vals[0, differ])
+
+
+def _coalesce(size, nb, parts):
+    """Sum the duplicate entries of COO parts (rows, cols, values) of a
+    size x size matrix, whose values are (nb, n) or, shared, (n,).  Returns
+    the unique rows and cols, sorted row-major, and the (nb, nu) sums."""
+    keys, inverse = np.unique(np.concatenate([p[0] * size + p[1] for p in parts]),
+                              return_inverse=True)
+    vals = np.zeros((len(keys), nb), dtype=complex)
+    np.add.at(vals, inverse, np.concatenate(
+        [np.broadcast_to(p[2], (nb, len(p[0]))).T for p in parts]))
+    return keys // size, keys % size, vals.T
 
 
 class _Generator:
-    """Batched Lindblad generator for B systems sharing drive and channel
-    operators; rates and h_static may differ per system.  Each system is
-    integrated in the co-rotating frame of the diagonal of its h_static.
+    """Lab-frame window superoperator of a batch of B systems that share the
+    pulse, the drive operator and the channel operators (rates and h_static
+    may differ per system), acting on flat rows of size D.
 
-    States have shape (B, R, d, d), and every row is Hermitian (a density
-    matrix, a collapsed row, or a Hermitian basis matrix).  The right-hand
-    side -i (H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag, with the
-    non-Hermitian H_eff = H - (i/2) sum_k L_k^dag L_k and L_k = sqrt(rate) C_k,
-    is then A + A^dag + J rho with A = -i H_eff rho: one batched d x d matmul
-    and the jump term, whose superoperator J = sum_k L_k kron conj(L_k) has
-    O(d^2) non-zeros out of d^4.  A batch that shares one small J
-    (d^2 <= DENSE_JUMP_MAX_DIM2) applies it as one dense
-    (B R, d^2) @ (d^2, d^2) matmul; any other batch applies the
-    block-diagonal sparse matrix of its per-system J.
+    Without `emit` a row is vec(rho), D = d^2, and the operator is the
+    Lindblad generator L(t) on row-major vec, vec(A rho B) = (A kron B^T)
+    vec(rho).  With `emit` e (one (d, d) operator, or one per system) a row
+    is [vec rho, q] (D = d^2 + 1) or, with `pairs`, [vec rho, vec X, q, p]
+    (D = 2 d^2 + 2):
+
+        d rho/dt = L(t) rho,   dX/dt = L(t) X + J rho,   J x = e x e^dag,
+        dq/dt = <N|rho>,       dp/dt = <N|X>,            N = e^dag e,
+
+    with <N|x> = tr(N x).  A state holds one row per system, or any number
+    of rows for a batch of one system.
+
+    The operator has a shared part, built once from the first system's
+    static generator, J and readout rows, plus amp(t) times the drive
+    commutator; it is applied to all rows in one product, a dense matmul for
+    D <= DENSE_MAX_SIZE and a CSR matrix above.  What the other systems add
+    (filter detuning, width, coupling, rate, readout scale) is applied on
+    its own non-zeros: a (B, D) diagonal, and a block-diagonal CSR matrix of
+    the off-diagonal rest, each only where some system differs.  No
+    (B, D, D) stack is formed.
+
+    The rows are carried in one frame for the whole batch, that of the mean
+    diagonal F of the systems' h_static: entry (m, n) of a vec block turns
+    with exp(i t (F_m - F_n)) (`turn`), and the frame's commutator sits on
+    the shared diagonal.  `to_frame` and `to_lab` convert rows.
     """
 
-    def __init__(self, systems):
+    def __init__(self, systems, emit=None, pairs=False):
         if len(systems) == 0:
             raise ValueError("a batch needs at least one system")
         first = systems[0]
-        self.dim = first.dimension
-        self.nbatch = len(systems)
-        d = self.dim
-
-        self.pulse = first.pulse
-        self.h_drive = None
-        if first.h_drive is not None and self.pulse is not None and self.pulse.area > 0:
-            self.h_drive = np.asarray(first.h_drive, dtype=complex)
-
-        hs = np.empty((self.nbatch, d, d), dtype=complex)
-        for b, sys_b in enumerate(systems):
+        d = self.dim = first.dimension
+        nb = self.nbatch = len(systems)
+        for sys_b in systems:
             if sys_b.dimension != d:
                 raise DimensionMismatch("batched systems must share the Hilbert-space dimension")
             if not _same_drive_and_channels(first, sys_b):
                 raise BatchMismatch("batched systems must share the drive and the channel operators")
-            hs[b] = sys_b.h_static
-        frame = np.real(np.diagonal(hs, axis1=1, axis2=2))
-        self.h_static = hs
-        self.h_resid = hs - frame[:, :, None] * np.eye(d)[None, :, :]
-        self.frame = frame
-        self.rotating = bool(np.any(frame != frame[:, :1]))
-        self._phase_t, self._phase = None, None
+        self.pulse = first.pulse
+        d2 = d * d
 
-        self.jumps = np.array(
-            [[np.sqrt(rate) * np.asarray(op, dtype=complex) for op, rate in sys_b.channels]
-             for sys_b in systems], dtype=complex,
-        ).reshape(self.nbatch, len(first.channels), d, d)
-        self.decay = np.array(
-            [-0.5j * sum((j.conj().T @ j for j in js), np.zeros((d, d))) for js in self.jumps]
-        )
-        rates = [[rate for _, rate in sys_b.channels] for sys_b in systems]
-        self.jump_super_t = self.jump_blocks = None
-        if d * d <= DENSE_JUMP_MAX_DIM2 and all(r == rates[0] for r in rates):
-            self.jump_super_t = np.ascontiguousarray(self.jump_supers(slice(0, 1))[0].T)
-        else:
+        h_static = np.array([s.h_static for s in systems], dtype=complex)
+        heff = h_static.copy()
+        eye = np.eye(d)[None]
+        lab = []  # L0 x = -i heff x + i x heff^dag + sum_k L_k x L_k^dag
+        for k, (op, _) in enumerate(first.channels):
+            root = np.sqrt([s.channels[k][1] for s in systems])[:, None, None]
+            jump = root * np.asarray(op, dtype=complex)
+            jump_dag = jump.conj().swapaxes(1, 2)
+            heff -= 0.5j * jump_dag @ jump
+            lab.append(_kron(jump, jump_dag))
+        lab += [_kron(-1j * heff, eye), _kron(eye, 1j * heff.conj().swapaxes(1, 2))]
+        lab, lab_rem = zip(*map(_split, lab))
+        self._lab = _coalesce(d2, 1, lab), _coalesce(d2, nb, lab_rem)
+
+        frame = np.mean(np.diagonal(h_static, axis1=1, axis2=2).real, axis=0)
+        turn = (frame[:, None] - frame[None, :]).ravel()
+        diag = np.arange(d2)
+        shared = [self._lab[0], (diag, diag, 1j * turn)]  # L0 and the frame's commutator
+        remainder = [self._lab[1]]
+        drive = []
+        if first.h_drive is not None and self.pulse is not None and self.pulse.area > 0:
+            h_drive = np.asarray(first.h_drive, dtype=complex)[None]
+            drive = [_kron(-1j * h_drive, eye), _kron(eye, 1j * h_drive)]
+
+        size = d2
+        self.emit = self.nop = None
+        if emit is not None:
+            self.emit = np.broadcast_to(np.asarray(emit, dtype=complex), (nb, d, d))
+            self.nop = self.emit.conj().swapaxes(1, 2) @ self.emit
+            nvec = self.nop.swapaxes(1, 2).reshape(nb, d2)  # <N|x> = nvec . vec(x)
+            cols = np.flatnonzero(np.any(nvec != 0, axis=0))
+            readout = _split((np.zeros_like(cols), cols, nvec[:, cols]))
+            m = 2 if pairs else 1
+            size = m * (d2 + 1)
+            if pairs:  # X: L0 and the frame on its own block, fed by J rho; p reads X
+                source = _split(_kron(self.emit, self.emit.conj().swapaxes(1, 2)))
+                for parts, k in ((shared, 0), (remainder, 1)):
+                    parts += [_shift(p, d2, d2) for p in parts]
+                    parts += [_shift(source[k], d2, 0), _shift(readout[k], 2 * d2 + 1, d2)]
+                drive += [_shift(p, d2, d2) for p in drive]
+            shared.append(_shift(readout[0], m * d2, 0))
+            remainder.append(_shift(readout[1], m * d2, 0))
+            turn = np.concatenate([np.tile(turn, m), np.zeros(m)])
+        self.size = size
+        self.turn = turn
+        self.rotating = bool(np.any(turn != 0))
+
+        # the static and the drive part on the pattern of both
+        self.driven = bool(drive)
+        parts = [(r, c, np.stack([np.ravel(v), 0 * np.ravel(v)])) for r, c, v in shared]
+        parts += [(r, c, np.stack([0 * np.ravel(v), np.ravel(v)])) for r, c, v in drive]
+        rows, cols, both = _coalesce(size, 2, parts)
+        if size <= DENSE_MAX_SIZE:  # the operators transposed, for rows @ op
+            self.op = None
+            self.static, self.drive = np.zeros((2, size, size), dtype=complex)
+            self.static[cols, rows], self.drive[cols, rows] = both
+        else:  # the CSR data of each part
             from scipy import sparse
 
-            self.jump_blocks = sparse.block_diag(
-                [sparse.csr_matrix(self.jump_supers(slice(b, b + 1))[0])
-                 for b in range(self.nbatch)],
-                format="csr",
-            )
+            self.static, self.drive = both
+            self.op = sparse.csr_matrix(
+                (both[0].copy(), cols, np.searchsorted(rows, np.arange(size + 1))),
+                shape=(size, size))
 
-    def jump_supers(self, group=slice(None)):
-        """Jump superoperators sum_k L_k kron conj(L_k) of the systems that the
-        slice `group` selects, as a new (g, d^2, d^2) array."""
-        d2 = self.dim * self.dim
-        size = len(range(self.nbatch)[group])
-        if self.jump_super_t is not None:
-            return np.repeat(self.jump_super_t.T[None], size, axis=0)
-        out = np.zeros((size, self.dim, self.dim, self.dim, self.dim), dtype=complex)
-        for j in self.jumps[group].swapaxes(0, 1):  # one channel of every system
-            conj = j.conj()[:, :, None, :]
-            for i in range(self.dim):  # block row i: no temporary of the stack's size
-                out[:, i] += j[:, i, None, :, None] * conj
-        return out.reshape(size, d2, d2)
+        rows, cols, rem = _coalesce(size, nb, remainder)
+        on_diag, off_diag = rows == cols, rows != cols
+        self.rem_diag = self.rem_blocks = None
+        if np.any(on_diag):
+            self.rem_diag = np.zeros((nb, size), dtype=complex)
+            self.rem_diag[:, rows[on_diag]] = rem[:, on_diag]
+        if np.any(off_diag):
+            from scipy import sparse
 
-    def phases(self, t):
-        """Elementwise frame phases exp(i t (D_m - D_n)) per batch entry.  The
-        last time's phases are kept: one right-hand side evaluation, and the
-        frame changes around it, ask for the same t."""
-        if t != self._phase_t:
-            v = np.exp(1j * t * self.frame)
-            self._phase_t, self._phase = t, v[:, :, None] * v.conj()[:, None, :]
-        return self._phase
+            shift = np.arange(nb)[:, None] * size
+            self.rem_blocks = sparse.csr_matrix(
+                (rem[:, off_diag].ravel(),
+                 ((rows[off_diag] + shift).ravel(), (cols[off_diag] + shift).ravel())),
+                shape=(nb * size, nb * size))
 
-    def to_frame(self, t, rho):
-        if not self.rotating:
-            return rho
-        return self.phases(t)[:, None, :, :] * rho
+    def to_frame(self, t, rows):
+        """Lab-frame rows (..., D) in the batch frame at time t."""
+        return rows * np.exp(1j * t * self.turn) if self.rotating else rows
 
-    def to_lab(self, t, rho):
-        if not self.rotating:
-            return rho
-        return np.conj(self.phases(t))[:, None, :, :] * rho
-
-    def op_in_frame(self, t, op):
-        """Operator `op`, (d, d) or one per system (B, d, d), transformed into
-        the frame at time t, per batch."""
-        if not self.rotating:
-            return np.broadcast_to(op, self.h_static.shape)
-        return self.phases(t) * op
-
-    def _hamiltonian_frame(self, t):
-        h = self.h_resid
-        if self.h_drive is not None:
-            h = h + float(self.pulse.amplitude(t)) * self.h_drive
-        if self.rotating:
-            h = self.phases(t) * h
-        return h
+    def to_lab(self, t, rows):
+        """Rows (..., D) of the batch frame at time t in the lab frame."""
+        return rows * np.exp(-1j * t * self.turn) if self.rotating else rows
 
     def rhs(self, t, y):
-        """d rho / dt for Hermitian rows y of shape (B, R, d, d), in the
-        rotating frame."""
-        minus_i_heff = -1j * (self._hamiltonian_frame(t) + self.decay)[:, None]
-        b, r, d2 = y.shape[0], y.shape[1], self.dim * self.dim
-        if self.jump_blocks is None:
-            out = (y.reshape(b * r, d2) @ self.jump_super_t).reshape(y.shape)
-        else:  # columns (system, vec index) x rows
-            cols = y.reshape(b, r, d2).transpose(0, 2, 1).reshape(b * d2, r)
-            out = (self.jump_blocks @ cols).reshape(b, d2, r).transpose(0, 2, 1).reshape(y.shape)
-        a = minus_i_heff @ y
-        out += a
-        out += a.conj().swapaxes(2, 3)
-        return out
+        """dy/dt for the flat state y (its rows of size D) in the batch frame."""
+        z = y.reshape(-1, self.size)
+        if self.rotating:
+            phase = np.exp(1j * t * self.turn)
+            z = z * phase.conj()
+        if self.op is None:
+            out = z @ (self.static + float(self.pulse.amplitude(t)) * self.drive
+                       if self.driven else self.static)
+        else:
+            if self.driven:
+                np.multiply(self.drive, float(self.pulse.amplitude(t)), out=self.op.data)
+                self.op.data += self.static
+            out = (self.op @ z.T).T
+        if self.rem_diag is not None:
+            out += self.rem_diag * z
+        if self.rem_blocks is not None:
+            out += (self.rem_blocks @ z.reshape(-1)).reshape(z.shape)
+        if self.rotating:
+            out *= phase
+        return out.reshape(y.shape)
 
     def lab_liouvillian(self, group=slice(None)):
         """Drive-free lab-frame generators of the systems that the slice
-        `group` selects, a (g, d^2, d^2) stack on row-major vec(rho):
-        vec(A rho B) = (A kron B^T) vec(rho).  The Hamiltonian terms are added
-        in place, so the stack is the one array of its size."""
-        d = self.dim
-        heff = self.h_static[group] + self.decay[group]
-        l0 = self.jump_supers(group)
-        blocks = l0.reshape(len(heff), d, d, d, d)
-        for j in range(d):
-            blocks[:, :, j, :, j] += -1j * heff  # -i heff kron I
-            blocks[:, j, :, j, :] += 1j * heff.conj()  # i I kron heff^*
-        return l0
+        `group` selects, a new (g, d^2, d^2) stack on row-major vec(rho)."""
+        (rows, cols, vals), (rem_rows, rem_cols, rem) = self._lab
+        rem = rem[group]
+        d2 = self.dim * self.dim
+        out = np.zeros((len(rem), d2, d2), dtype=complex)
+        out[:, rows, cols] = vals[0]
+        out[:, rem_rows, rem_cols] += rem
+        return out
 
 
 def _same_drive_and_channels(a: SystemModel, b: SystemModel) -> bool:
@@ -329,36 +401,26 @@ def _initial_step(gen, t0, y0, f0, cap, cfg):
 
 
 def _advance(gen, t, y, t_target, cfg, cap_fn, h=None, k1=None):
-    """Step y from t to t_target with the embedded 4(5) pair.  `h`, the
-    proposed step size, and `k1`, the derivative at (t, y), carry over from
-    a previous interval when given.  Returns (y, h, k1) at t_target."""
-    if k1 is None:
-        k1 = gen.rhs(t, y)
+    """Step the flat state y from t to t_target with the embedded 4(5) pair.
+    The seven stages sit in one (7, n) array, so each stage's input and the
+    step's solution and error are each one matmul with the tableau.  `h`,
+    the proposed step size, and `k1`, the derivative at (t, y), carry over
+    from a previous interval when given.  Returns (y, h, k1) at t_target."""
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = gen.rhs(t, y) if k1 is None else k1
     if h is None:
-        h = _initial_step(gen, t, y, k1, min(cap_fn(t), t_target - t), cfg)
+        h = _initial_step(gen, t, y, k[0], min(cap_fn(t), t_target - t), cfg)
 
-    k = [None] * 7
     while t < t_target - _MIN_REL_STEP * max(1.0, abs(t_target)):
         step = min(h, cap_fn(t), t_target - t)
         rejects = 0
         while True:
             if step < _MIN_REL_STEP * max(1.0, abs(t)):
                 raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
-            k[0] = k1
             for i in range(1, 7):
-                acc = _DP_A[i][0] * k[0]
-                for j in range(1, i):
-                    if _DP_A[i][j] != 0.0:
-                        acc = acc + _DP_A[i][j] * k[j]
-                k[i] = gen.rhs(t + _DP_C[i] * step, y + step * acc)
-            y_new = y + step * (
-                _DP_B5[0] * k[0] + _DP_B5[2] * k[2] + _DP_B5[3] * k[3]
-                + _DP_B5[4] * k[4] + _DP_B5[5] * k[5]
-            )
-            err = step * (
-                _DP_E[0] * k[0] + _DP_E[2] * k[2] + _DP_E[3] * k[3]
-                + _DP_E[4] * k[4] + _DP_E[5] * k[5] + _DP_E[6] * k[6]
-            )
+                k[i] = gen.rhs(t + _DP_C[i] * step, y + (step * _DP_A[i, :i]) @ k[:i])
+            y_new, err = (step * _DP_BE) @ k
+            y_new += y
             enorm = _error_norm(err, y, y_new, cfg)
             if enorm <= 1.0:
                 break
@@ -369,10 +431,10 @@ def _advance(gen, t, y, t_target, cfg, cap_fn, h=None, k1=None):
 
         t = t + step
         y = y_new
-        k1 = k[6]  # FSAL
+        k[0] = k[6]  # FSAL
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         h = step * factor
-    return y, h, k1
+    return y, h, k[0].copy()
 
 
 def _walk(gen, y, t, stops, cfg):
@@ -393,7 +455,7 @@ def _walk(gen, y, t, stops, cfg):
 
 
 def _check_hermitian(rho0):
-    """The right-hand side takes its rows to be Hermitian."""
+    """A density matrix is Hermitian."""
     rho0 = np.asarray(rho0)
     if np.max(np.abs(rho0 - rho0.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(rho0))):
         raise ValueError("rho0 must be Hermitian")
@@ -417,10 +479,9 @@ def propagate(system: SystemModel, rho0: np.ndarray, times, cfg: IntegratorConfi
         )
     _check_hermitian(rho0)
     gen = _Generator([system])
-    out = np.empty((len(times), system.dimension, system.dimension), dtype=complex)
-    y0 = gen.to_frame(times[0], rho0[None, None])
-    for i, y in enumerate(_walk(gen, y0, times[0], times, cfg)):
-        out[i] = gen.to_lab(times[i], y)[0, 0]
+    y0 = gen.to_frame(times[0], rho0.ravel())
+    out = np.array([gen.to_lab(t, y) for t, y in zip(times, _walk(gen, y0, times[0], times, cfg))])
+    out = out.reshape(len(times), system.dimension, system.dimension)
 
     min_eig = float(np.min(np.linalg.eigvalsh(out)))
     if min_eig < -1e-6:
@@ -460,19 +521,18 @@ def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | Non
     cfg = cfg or DEFAULT_INTEGRATOR
     grid = np.asarray(grid, dtype=float)
     gen = _Generator(systems)
-    nb, d = gen.nbatch, gen.dim
     emit = np.asarray(emit, dtype=complex)
-    nop = emit.conj().T @ emit
+    nvec = (emit.conj().T @ emit).T.ravel()  # <N|x> = tr(N x) = nvec . vec(x)
 
-    y = np.zeros((nb, 1, d, d), dtype=complex)  # the frame is the laser frame at t = 0
+    y = np.zeros((gen.nbatch, gen.size), dtype=complex)  # the frame is the lab frame at t = 0
     if rho0 is None:
-        y[:, 0, 0, 0] = 1.0
+        y[:, 0] = 1.0
     else:
         _check_hermitian(rho0)
-        y[:, 0] = rho0
-    out = np.empty((nb, len(grid)))
-    for k, y in enumerate(_walk(gen, y, 0.0, grid, cfg)):
-        out[:, k] = np.einsum("bmn,bnm->b", gen.op_in_frame(grid[k], nop), y[:, 0]).real
+        y[:] = np.ravel(rho0)
+    out = np.empty((gen.nbatch, len(grid)))
+    for k, y in enumerate(_walk(gen, y.ravel(), 0.0, grid, cfg)):
+        out[:, k] = (gen.to_lab(grid[k], y.reshape(gen.nbatch, -1)) @ nvec).real
     return out
 
 
@@ -505,39 +565,6 @@ def drive_cutoff(pulse) -> float:
     return pulse.offset + DRIVE_CUTOFF * pulse.length
 
 
-class _WindowGenerator(_Generator):
-    """Generator of the window pass: m Hermitian rows per system, (rho, X) or
-    rho alone, in the rotating frame, and m scalar accumulators, (q, p) or q:
-
-        d rho/dt = L(t) rho,   dX/dt = L(t) X + e rho e^dag,
-        dq/dt = <N|rho>,       dp/dt = <N|X>,        N = e^dag e,
-
-    with <N|x> = tr(N x), the same in either frame.  The state is flat, the
-    (B, m, d, d) rows and then the (B, m) scalars, and `split` views both.
-    """
-
-    def __init__(self, systems, emit, rows):
-        super().__init__(systems)
-        nb, d = self.nbatch, self.dim
-        self.emit = np.broadcast_to(np.asarray(emit, dtype=complex), (nb, d, d))
-        self.nop = self.emit.conj().transpose(0, 2, 1) @ self.emit
-        self.row_shape = (nb, rows, d, d)
-        self.row_size = nb * rows * d * d
-
-    def split(self, y):
-        """Views of the rows (B, m, d, d) and the scalars (B, m) of y."""
-        return y[:self.row_size].reshape(self.row_shape), y[self.row_size:].reshape(self.row_shape[:2])
-
-    def rhs(self, t, y):
-        rows, _ = self.split(y)
-        drows = super().rhs(t, rows)
-        if rows.shape[1] == 2:
-            ef = self.op_in_frame(t, self.emit)
-            drows[:, 1] += ef @ rows[:, 0] @ ef.conj().transpose(0, 2, 1)
-        dscalars = np.einsum("bmn,brnm->br", self.op_in_frame(t, self.nop), rows)
-        return np.concatenate((drows.ravel(), dscalars.ravel()))
-
-
 def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorConfig | None = None,
                        pairs: bool = True) -> EmissionIntegrals:
     """n = int <e^dag e>(t) dt and, with `pairs`, the time-ordered pair
@@ -548,7 +575,7 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
 
     One forward pass over the pulse window [0, t_c], t_c = drive_cutoff(pulse),
     carries the rows rho and X and the scalars q = int <N|rho> dt and
-    p = int <N|X> dt (see _WindowGenerator); X(t2) is the single row
+    p = int <N|X> dt (see _Generator); X(t2) is the single row
     int_0^t2 U(t2, t1) J rho(t1) dt1 with J x = e x e^dag.  Past t_c the
     generator is the constant lab-frame L0 of h_static, and the tails are
     closed forms of R x = int_0^inf e^(L0 s) (x - tr(x) rho_ss) ds
@@ -569,7 +596,7 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     """
     cfg = cfg or DEFAULT_INTEGRATOR
     m = 2 if pairs else 1
-    gen = _WindowGenerator(systems, emit, m)
+    gen = _Generator(systems, emit, pairs)
     nb, d = gen.nbatch, gen.dim
     emit, nop = gen.emit, gen.nop
     t_c = drive_cutoff(gen.pulse)
@@ -579,15 +606,16 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     if np.any(np.max(np.abs(emit[:, :, 0]), axis=1) > 1e-12 * scale):
         raise TailPremiseError("`emit` must leave the ground state dark")
 
-    y = np.zeros(gen.row_size + nb * m, dtype=complex)
-    gen.split(y)[0][:, 0, 0, 0] = 1.0
-    states = np.empty((nb, len(times), d, d), dtype=complex)
+    y = np.zeros((nb, gen.size), dtype=complex)
+    y[:, 0] = 1.0
+    states = np.empty((nb, len(times), d * d), dtype=complex)
     inside = np.flatnonzero(times <= t_c)
-    walk = _walk(gen, y, 0.0, [*times[inside], t_c], cfg)
+    walk = _walk(gen, y.ravel(), 0.0, [*times[inside], t_c], cfg)
     for k, y in zip(inside, walk):
-        states[:, k] = gen.to_lab(times[k], gen.split(y)[0][:, :1])[:, 0]
-    rows, integrals = gen.split(next(walk))  # (rho_c, X_c), (q_c, p_c)
-    lab = gen.to_lab(t_c, rows).reshape(nb, m, d * d)
+        states[:, k] = gen.to_lab(times[k], y.reshape(nb, -1))[:, :d * d]
+    rows = gen.to_lab(t_c, next(walk).reshape(nb, -1))
+    lab = rows[:, :m * d * d].reshape(nb, m, d * d)  # rho_c, X_c
+    integrals = rows[:, m * d * d:]  # q_c, p_c
     ground = np.zeros(d * d, dtype=complex)
     ground[0] = 1.0
     trace = np.eye(d).ravel()
@@ -608,7 +636,7 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
 
             for b, l0_b in enumerate(l0, lo):
                 for k in past:
-                    states[b, k] = (expm(l0_b * (times[k] - t_c)) @ lab[b, 0]).reshape(d, d)
+                    states[b, k] = expm(l0_b * (times[k] - t_c)) @ lab[b, 0]
         l0 += deflate
 
         def resolvent(x):
@@ -623,18 +651,8 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
             jr = (e @ r[:, 0].reshape(-1, d, d) @ e.conj().swapaxes(1, 2)).reshape(-1, 1, d * d)
             tails = nvec[group] @ (r[:, 1] + resolvent(jr)[:, 0])[:, :, None]
             g_int[group] = 2.0 * (integrals[group, 1] + tails[:, 0, 0]).real
-    n_series = np.einsum("bmn,btnm->bt", nop, states).real
-    return EmissionIntegrals(n_int, g_int, times, n_series, states)
-
-
-def _hermitian_basis(d):
-    """d^2 Hermitian matrices spanning all d x d ones: A_ij = (E_ij + E_ji) / 2
-    for i <= j and B_ij = (E_ij - E_ji) / 2i for i < j, so that
-    E_ij = A_ij + i B_ij and E_ji = A_ij - i B_ij."""
-    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
-    swapped = units.transpose(1, 0, 2, 3)
-    upper = np.triu(np.ones((d, d), dtype=bool))[:, :, None, None]
-    return np.where(upper, (units + swapped) / 2, (swapped - units) / 2j).reshape(d * d, d, d)
+    n_series = (states @ nvec.swapaxes(1, 2))[:, :, 0].real
+    return EmissionIntegrals(n_int, g_int, times, n_series, states.reshape(nb, len(times), d, d))
 
 
 def _step_propagators(gen, times, cfg):
@@ -643,11 +661,10 @@ def _step_propagators(gen, times, cfg):
     (len(times) - 1, d^2, d^2).
 
     An interval that starts inside the drive window [0, t_c],
-    t_c = drive_cutoff(pulse), steps the d^2 Hermitian matrices of
-    `_hermitian_basis` as the rows of one DP45 pass (FSAL restarts per
-    interval) and recombines their images into those of the matrix units.
-    Later intervals see the constant generator L0 and take expm(L0 h), once
-    per distinct h.
+    t_c = drive_cutoff(pulse), steps the d^2 unit vectors as the rows of one
+    DP45 pass (FSAL restarts per interval); their images are the columns of
+    P_k.  Later intervals see the constant generator L0 and take
+    expm(L0 h), once per distinct h.
     """
     from scipy.linalg import expm
 
@@ -656,14 +673,13 @@ def _step_propagators(gen, times, cfg):
     steps = np.diff(times)
     driven = times[:-1] < t_c
     props = np.empty((len(steps), d2, d2), dtype=complex)
-    basis = _hermitian_basis(gen.dim)
-    to_units = np.linalg.inv(basis.reshape(d2, d2))  # entries 0, 1 and +-i, exact
+    units = np.eye(d2, dtype=complex)
     cap_fn = _make_step_cap(gen.pulse, cfg)
     h = None
     for k in np.flatnonzero(driven):
-        y, h, _ = _advance(gen, times[k], gen.to_frame(times[k], basis[None]), times[k + 1],
+        y, h, _ = _advance(gen, times[k], gen.to_frame(times[k], units).ravel(), times[k + 1],
                            cfg, cap_fn, h)
-        props[k] = (to_units @ gen.to_lab(times[k + 1], y)[0].reshape(d2, d2)).T
+        props[k] = gen.to_lab(times[k + 1], y.reshape(d2, d2)).T
     distinct, which = np.unique(steps[~driven], return_inverse=True)
     l0 = gen.lab_liouvillian()[0]
     props[~driven] = np.array([expm(l0 * h) for h in distinct]).reshape(-1, d2, d2)[which]

@@ -88,7 +88,6 @@ class PolarizationState:
 
 
 HORIZONTAL = PolarizationState(0.0, 0.0)
-VERTICAL = PolarizationState(math.pi / 2.0, 0.0)
 
 
 def project_polarization(pol: PolarizationState) -> tuple[complex, complex]:

@@ -13,8 +13,9 @@ binomial pair and single counts per block of pulses, then per-photon draws.
 The histogram is built by a sweep over the pair offset: each click keeps
 the range of its partners in the other list, and pass j bins the j-th
 partner of every click that still has one.  That is O(pairs) time and
-O(clicks + bins) memory, whatever the pair density.  Peak windows are
-summed from one cumulative sum of the histogram, O(bins + peaks).
+O(clicks + bins) memory, whatever the pair density.  Each peak window's
+bin range follows from integer delays, and only the bins inside the windows
+are summed.
 
 Integer CSV rows (the histogram and the peak sums) are encoded by numpy, a
 chunk of rows at a time, into the exact bytes of "%d,%d\\n": each |x| splits
@@ -389,11 +390,19 @@ class G2Estimate:
 
 def _window_bounds(hist: CoincidenceHistogram, centers_ps, win_ps):
     """Index ranges [lo, hi) of the bins with |delay - center| <= win_ps / 2,
-    ends included, one per center: the window rule of every peak sum."""
-    delays = hist.delays_ps()
+    ends included, one per center: the window rule of every peak sum.
+
+    Bin half + k sits at the integer delay k * bin_width, so lo and hi are
+    the ceil and floor of the window edges over the bin width.  These are
+    exact: a float edge divided by an integer width rounds to an integer k
+    only when the edge is k * bin_width itself (below 2^53).  No array of
+    the histogram's size is made."""
+    width, half = int(hist.bin_width), hist.half_bins
     centers_ps = np.asarray(centers_ps, dtype=float)
-    return (np.searchsorted(delays, centers_ps - win_ps / 2, side="left"),
-            np.searchsorted(delays, centers_ps + win_ps / 2, side="right"))
+    lo = np.ceil((centers_ps - win_ps / 2) / width).astype(np.int64)
+    hi = np.floor((centers_ps + win_ps / 2) / width).astype(np.int64)
+    n = len(hist.counts)
+    return np.clip(lo + half, 0, n), np.clip(hi + half + 1, 0, n)
 
 
 def _check_peak_window(rep_period, window):
@@ -405,9 +414,9 @@ def _check_peak_window(rep_period, window):
 
 
 def _window_sums(counts, lo, hi):
-    """Sums of counts[lo:hi] for each range, from one cumulative sum."""
-    cumulative = np.concatenate(([0], np.cumsum(counts)))
-    return cumulative[hi] - cumulative[lo]
+    """Sums of counts[lo:hi] for each range, each over its own bins."""
+    return np.array([counts[a:b].sum() for a, b in zip(lo.tolist(), hi.tolist())],
+                    dtype=np.int64)
 
 
 def estimate_g2(
@@ -454,8 +463,8 @@ def peak_sums(hist: CoincidenceHistogram, rep_period: float = 13.1, window: floa
     """Summed counts of every coincidence peak whose window fits in the span.
 
     Returns (peak indices, sums); peak k sits at delay k * rep_period and
-    sums the bins within window / 2 of it, ends included.  One cumulative
-    sum serves every peak: O(bins + peaks).
+    sums the bins within window / 2 of it, ends included.  Only the bins
+    inside the windows are read.
     """
     _check_peak_window(rep_period, window)
     rep_ps = rep_period * NS_TO_PS

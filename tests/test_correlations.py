@@ -268,6 +268,23 @@ class TestSpectrum:
         n_each = dynamics.emission_integrals(attached, emit, times=(), pairs=False).n_integral
         assert np.max(np.abs(n_one - n_each)) <= 1e-12 * np.max(n_each)
 
+    @pytest.mark.parametrize("system, observed, center, width, rotating", [
+        (two_level_system(0.05), "sigma", 0.0, 0.2, False),
+        (fourlevel_system(), EXCITON_V_ONLY, FOURLEVEL_BINDING / 2.0, 1.0, True),
+    ], ids=["two_level", "exciton_line"])
+    def test_batch_frame_matches_one_center_runs(self, system, observed, center, width,
+                                                 rotating):
+        # a batch turns in the frame of its mean diagonal (the lab frame for centers
+        # symmetric about a resonant two-level line), one center alone in its own
+        extended = corr._spectrum_batch(system, observed, center + np.linspace(-8.0, 8.0, 9),
+                                        width)
+        emit = extended[0].output_ops["sensor"]
+        assert dynamics._Generator(extended).rotating == rotating
+        batch = dynamics.emission_integrals(extended, emit, times=(), pairs=False).n_integral
+        alone = [dynamics.emission_integrals([one], emit, times=(), pairs=False).n_integral[0]
+                 for one in extended]
+        assert np.max(np.abs(batch - alone)) <= 1e-9 * np.max(alone)
+
     def test_free_decay_line_convolves_with_filter(self):
         # spontaneous emission has a Lorentzian line of FWHM gamma; probed
         # with a Lorentzian filter of FWHM G the half width becomes

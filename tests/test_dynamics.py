@@ -255,29 +255,65 @@ def _sensor_batch(system, observed, detuning, widths):
     return systems, emit
 
 
+def _differing_batch(system, observed, center):
+    """Three sensor-extended systems that differ in filter detuning, width
+    and coupling, the last also in its first emitter rate, each with its own
+    Gamma / (2 eps) readout."""
+    sensors = [SensorConfig(center - 2.0, 0.5, 1e-3), SensorConfig(center, 1.0, 2e-3),
+               SensorConfig(center + 3.0, 20.0, 5e-3)]
+    systems = [attach_sensor(system, observed, s) for s in sensors]
+    (op, rate), *rest = systems[2].channels
+    systems[2] = replace(systems[2], channels=((op, 0.7 * rate), *rest))
+    emit = np.array([s.bandwidth / (2.0 * s.coupling) * x.output_ops["sensor"]
+                     for s, x in zip(sensors, systems)])
+    return systems, emit
+
+
+def _kron_window(system, emit, t):
+    """Window superoperator of one system at time t, built from krons on
+    row-major vec: [vec rho, vec X, q, p] -> d/dt of the same."""
+    d = system.dimension
+    eye = np.eye(d)
+    h = system.hamiltonian(t)
+    lind = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c, rate in system.channels:
+        cdc = c.conj().T @ c
+        lind += rate * (np.kron(c, c.conj()) - 0.5 * np.kron(cdc, eye) - 0.5 * np.kron(eye, cdc.T))
+    nvec = (emit.conj().T @ emit).T.ravel()
+    d2 = d * d
+    out = np.zeros((2 * d2 + 2, 2 * d2 + 2), dtype=complex)
+    out[:d2, :d2] = out[d2:2 * d2, d2:2 * d2] = lind
+    out[d2:2 * d2, :d2] = np.kron(emit, emit.conj())
+    out[2 * d2, :d2] = out[2 * d2 + 1, d2:2 * d2] = nvec
+    return out
+
+
 class TestGenerator:
-    @pytest.mark.parametrize("systems, dense", [
-        ([attach_sensor(build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)),
-                        "sigma", SensorConfig(d, 1.0)) for d in (-2.0, 0.0, 3.0)], True),
-        ([attach_sensor(build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.01)),
-                        EXCITON_V_ONLY, SensorConfig(150.0 + d, 1.0)) for d in (-2.0, 3.0)],
+    @pytest.mark.parametrize("system, observed, center, dense", [
+        (build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)), "sigma", 0.0, True),
+        (build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.01)), EXCITON_V_ONLY, 150.0,
          False),
-    ], ids=["dense_jump", "sparse_jump"])
-    def test_hermitian_rhs_matches_two_sided_form(self, systems, dense):
-        gen = dynamics._Generator(systems)
-        assert (gen.jump_super_t is not None) == dense
+    ], ids=["dense", "csr"])
+    def test_rhs_matches_kron_superoperator(self, system, observed, center, dense):
+        # random non-Hermitian rows in the batch frame of the mean diagonal F:
+        # y = exp(i t (F_m - F_n)) z, so dy/dt = exp(...) (S z) + i (F_m - F_n) y
+        systems, emit = _differing_batch(system, observed, center)
+        gen = dynamics._Generator(systems, emit, pairs=True)
+        assert (gen.op is None) == dense
+        assert gen.rem_diag is not None and gen.rem_blocks is not None
+        d2 = gen.dim ** 2
+        frame = np.mean([np.diag(s.h_static).real for s in systems], axis=0)
+        turn = np.tile(np.subtract.outer(frame, frame).ravel(), 2)
+        turn = np.concatenate([turn, [0.0, 0.0]])
+        assert np.any(turn != 0)
+        t = system.pulse.offset + 0.3 * system.pulse.length  # drive on, frame turned
         rng = np.random.default_rng(5)
-        d = gen.dim
-        x = rng.standard_normal((len(systems), 2, d, d)) \
-            + 1j * rng.standard_normal((len(systems), 2, d, d))
-        y = x + x.conj().transpose(0, 1, 3, 2)
-        t = systems[0].pulse.offset + 0.3 * systems[0].pulse.length  # drive on, frame turned
-        heff = (gen._hamiltonian_frame(t) + gen.decay)[:, None]
-        two_sided = -1j * (heff @ y - y @ heff.conj().transpose(0, 1, 3, 2))
-        for b, jumps in enumerate(gen.jumps):
-            for jump in jumps:
-                two_sided[b] += jump @ y[b] @ jump.conj().T
-        assert np.max(np.abs(gen.rhs(t, y) - two_sided)) <= 1e-14 * np.max(np.abs(two_sided))
+        z = rng.standard_normal((3, 2 * d2 + 2)) + 1j * rng.standard_normal((3, 2 * d2 + 2))
+        phase = np.exp(1j * t * turn)
+        expected = np.array([phase * (_kron_window(s, e, t) @ z_b) + 1j * turn * phase * z_b
+                             for s, e, z_b in zip(systems, emit, z)])
+        got = gen.rhs(t, (phase * z).ravel()).reshape(3, -1)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 MIXED_BATCHES = [
@@ -291,14 +327,15 @@ MIXED_BATCHES = [
 def _tails_by_lu(systems, emit):
     """n and G of emission_integrals(systems, emit, times=()), with the tails
     closed by one scipy LU per system of a kron-built L0 + |rho_ss><1|."""
-    gen = dynamics._WindowGenerator(systems, emit, 2)
-    d = gen.dim
+    gen = dynamics._Generator(systems, emit, pairs=True)
+    d, nb = gen.dim, gen.nbatch
     t_c = dynamics.drive_cutoff(gen.pulse)
-    y = np.zeros(gen.row_size + 2 * gen.nbatch, dtype=complex)
-    gen.split(y)[0][:, 0, 0, 0] = 1.0
-    (y,) = dynamics._walk(gen, y, 0.0, [t_c], dynamics.DEFAULT_INTEGRATOR)
-    rows, integrals = gen.split(y)
-    rows = gen.to_lab(t_c, rows)
+    y = np.zeros((nb, gen.size), dtype=complex)
+    y[:, 0] = 1.0
+    (y,) = dynamics._walk(gen, y.ravel(), 0.0, [t_c], dynamics.DEFAULT_INTEGRATOR)
+    y = gen.to_lab(t_c, y.reshape(nb, -1))
+    rows = y[:, :2 * d * d].reshape(nb, 2, d, d)
+    integrals = y[:, 2 * d * d:]
     eye = np.eye(d)
     ground = np.zeros((d, d), dtype=complex)
     ground[0, 0] = 1.0
@@ -336,7 +373,8 @@ class TestBatch:
             systems += [attach_sensor(system, observed, SensorConfig(detuning, w, eps / k))
                         for k in (1.0, 2.0)]
         emit = np.array([s.output_ops["sensor"] for s in systems])
-        assert dynamics._Generator(systems).jump_blocks is not None
+        # the points differ in sensor rate and coupling: an off-diagonal remainder
+        assert dynamics._Generator(systems, emit, pairs=True).rem_blocks is not None
         d2 = systems[0].dimension ** 2
         monkeypatch.setattr(dynamics, "_TAIL_GROUP_BYTES", 2 * 16 * d2 * d2)
         batch = emission_integrals(systems, emit, times=())

@@ -15,6 +15,7 @@ from photonpurity.photostream import (
     UnsortedInput,
     WindowOverlap,
     _int_rows,
+    _window_bounds,
     _write_int_csv,
     correlate,
     estimate_g2,
@@ -239,6 +240,48 @@ def test_window_sums_match_mask_reference(bin_width, rep_period, window):
         est = estimate_g2(hist, rep_period, window, excluded)
         center, side_m, side_p = mask_estimate_sums(hist, rep_period, window, excluded)
         assert (est.center_sum, est.side_sums) == (center, (side_m, side_p))
+
+
+def searchsorted_bounds(hist, centers_ps, win_ps):
+    """The window rule as a search over the delay of every bin."""
+    delays = hist.delays_ps()
+    centers_ps = np.asarray(centers_ps, dtype=float)
+    return (np.searchsorted(delays, centers_ps - win_ps / 2, side="left"),
+            np.searchsorted(delays, centers_ps + win_ps / 2, side="right"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bin_width=st.integers(1, 1000), half=st.integers(0, 40),
+       win_bins=st.integers(1, 30), win_extra=st.sampled_from([0.0, 0.5, 1e-9, 0.999999]),
+       edges=st.lists(st.tuples(st.integers(-60, 60),
+                                st.sampled_from([0.0, 0.5, -0.5, 1e-9, -1e-9, 0.25])),
+                      min_size=1, max_size=6),
+       loose=st.lists(st.floats(-1e5, 1e5), max_size=3))
+@example(bin_width=5, half=2640, win_bins=1300, win_extra=0.0, edges=[(1970, 0.0), (-3270, 0.0)],
+         loose=[13100.0, -13100.0, 0.0])
+def test_window_bounds_match_searchsorted(bin_width, half, win_bins, win_extra, edges, loose):
+    # centers whose left window edge lands on a bin delay (offset 0) or just beside
+    # one, windows of a whole number of bins (both edges on bins) or not
+    hist = CoincidenceHistogram(bin_width=bin_width, counts=np.zeros(2 * half + 1, np.int64))
+    win_ps = (win_bins + win_extra) * bin_width
+    centers = [(k + off) * bin_width + win_ps / 2 for k, off in edges] + loose
+    lo, hi = _window_bounds(hist, centers, win_ps)
+    ref_lo, ref_hi = searchsorted_bounds(hist, centers, win_ps)
+    assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+
+
+def test_window_sums_allocate_no_histogram_sized_array():
+    rng = np.random.default_rng(3)
+    hist = CoincidenceHistogram(bin_width=5, counts=rng.integers(0, 50, 1_320_001))
+    peak_sums(hist)
+    tracemalloc.start()
+    try:
+        peak_sums(hist)
+        estimate_g2(hist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * hist.counts.nbytes
 
 
 class TestEstimator:
