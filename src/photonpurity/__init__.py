@@ -5,14 +5,16 @@ Simulation of the driven two-level emitter and the biexciton-exciton cascade
 g2[0; Gamma], Monte Carlo Hanbury Brown-Twiss detection with the peak-sum
 estimator, and lifetime fitting with instrument-response convolution.
 
-Importing the package loads numpy only, and photonpurity.cli adds yaml.  scipy loads
-where it is called: scipy.sparse for the window operator of a batch whose
-row size exceeds dynamics.DENSE_MAX_SIZE = 100 or whose systems differ off
-the diagonal (couplings, rates, readout scales); scipy.linalg.expm for the
-propagators of two_time_g2_map and for samples past the drive cutoff in
-dynamics.emission_integrals; scipy.special and scipy.optimize for the
-cascade model and the lifetime fit.  A two-level emission spectrum and the
-HBT simulation need none of them.
+Importing the package loads numpy only, and photonpurity.cli adds yaml.
+scipy loads where it is called: scipy.sparse for the window operator of a
+batch whose real rows (density matrices in a Hermitian operator basis)
+exceed dynamics.DENSE_MAX_SIZE = 90 entries, or whose systems differ off
+the diagonal of the generator on vec (couplings, rates, readout scales; a
+filter detuning only turns the phase of each coherence);
+scipy.linalg.expm for the propagators of two_time_g2_map and for samples
+past the drive cutoff in dynamics.emission_integrals; scipy.special and
+scipy.optimize for the cascade model and the lifetime fit.  A two-level
+emission spectrum and the HBT simulation need none of them.
 """
 
 __version__ = "0.1.0"

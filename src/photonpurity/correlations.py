@@ -34,6 +34,7 @@ relative against the point alone).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -250,13 +251,18 @@ def _spectrum_batch(system: SystemModel, observed, detunings, spec_bandwidth: fl
     """The sensor-extended model at each filter center of a spectrum.  The
     sensor is attached once, at detuning 0; center Delta adds
     Delta I kron a^dag a to its h_static, which is what attach_sensor at
-    Delta builds."""
+    Delta builds.  A real diagonal shift keeps h_static Hermitian, so the
+    shifted models are copies of the attached one that skip its checks."""
     base = attach_sensor(system, observed, SensorConfig(0.0, spec_bandwidth, eps, 2))
     a = base.output_ops["sensor"]
     number = a.conj().T @ a
-    return [replace(base, h_static=base.h_static + d * number,
-                    sensor=replace(base.sensor, detuning=float(d)))
-            for d in detunings]
+    batch = []
+    for d in detunings:
+        shifted = copy.copy(base)
+        object.__setattr__(shifted, "h_static", base.h_static + d * number)
+        object.__setattr__(shifted, "sensor", replace(base.sensor, detuning=float(d)))
+        batch.append(shifted)
+    return batch
 
 
 def spectrum(

@@ -4,15 +4,21 @@ Density matrices are plain complex ndarrays; all stored states and readouts
 are in the laser rotating frame (the lab frame here).
 
 The driven stretch is integrated by one stepper, an embedded Dormand-Prince
-4(5) pair, on flat rows: vec(rho), optionally followed by a collapsed row X
-and scalar emission accumulators.  Its right-hand side, _Generator, is the
-lab-frame window superoperator of a whole batch of systems (a detuning
-sweep, or every filter width of a pulse with its eps-halving pair): one
-product of all rows with a shared operator, dense for small rows and CSR for
-large ones, plus what each system adds on its own non-zeros.  The rows are
-carried in one frame per batch, that of the mean diagonal of the systems'
+4(5) pair, on real rows: the coordinates of rho in an orthonormal Hermitian
+operator basis (rho_mm, sqrt2 Re rho_mn and sqrt2 Im rho_mn for m < n),
+optionally followed by those of a collapsed row X and real scalar emission
+accumulators.  The Lindblad generator preserves Hermiticity, so it is a
+real matrix on these coordinates, at a quarter of the flops of the complex
+one on vec(rho).  Its right-hand side, _Generator, is the lab-frame window
+superoperator of a whole batch of systems (a detuning sweep, or every
+filter width of a pulse with its eps-halving pair): one real product of all
+rows with a shared operator, dense for small rows and CSR for large ones,
+plus what each system adds on its own non-zeros.  The rows are carried in
+one frame per batch, that of the midrange of the diagonals of the systems'
 static Hamiltonians, which takes the common fast phase rotation out of the
-state.
+state.  A filter detuning and the frame only turn the phase of each
+coherence, a complex multiply on the (Re, Im) pairs viewed as complex.
+Rows become complex vec(rho) only where values leave a pass.
 
 One sampler, `_walk`, drives the stepper through a sorted list of stop
 times: it caps the step inside the pulse window, carries the step size and
@@ -25,7 +31,7 @@ integrals its tails read over the pulse window, and closes the tails with a
 resolvent, one batched numpy.linalg.solve over the stack of deflated
 generators of each group of systems (groups of at most _TAIL_GROUP_BYTES of
 stack); two_time_g2_map chains per-interval propagators, DP45 on the d^2
-unit vectors inside the window and expm(L0 h) after it.
+real unit vectors inside the window and expm(L0 h) after it.
 """
 
 from __future__ import annotations
@@ -130,20 +136,20 @@ _DP_A = np.array([
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-], dtype=complex)
+])
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_BE = np.array([_DP_B5, _DP_B5 - _DP_B4], dtype=complex)
+_DP_BE = np.array([_DP_B5, _DP_B5 - _DP_B4])
 
 _MIN_REL_STEP = 1e-14
 _MAX_REJECTS = 60
 # Largest row size D whose shared window superoperator is applied as a dense
 # (rows, D) @ (D, D) matmul; a larger one is applied as a CSR matrix.  Per
-# right-hand side on batches of 10-161 two-level-plus-sensor rows (sensor
-# truncation 2-5, one BLAS thread), dense is 1.2-1.5x faster at D = 37, the
-# two are within 20 % of each other at D = 65-101, and CSR is 1.3-1.9x faster
-# at D = 130-145 and 2-5x at D = 202-290.
-DENSE_MAX_SIZE = 100
+# driven right-hand side on real rows, batches of 10-161 two-level-plus-sensor
+# systems (sensor truncation 2-5) and exciton-line systems, one BLAS thread:
+# dense is 1.4-1.8x faster at D = 37 and 1.1-1.2x at D = 65-74; CSR is
+# 1.3-1.5x faster at D = 101, 1.2-1.8x at D = 130-145 and 2-4x at D = 202-290.
+DENSE_MAX_SIZE = 90
 
 
 def _nonzeros(stack):
@@ -181,45 +187,151 @@ def _split(part):
 def _coalesce(size, nb, parts):
     """Sum the duplicate entries of COO parts (rows, cols, values) of a
     size x size matrix, whose values are (nb, n) or, shared, (n,).  Returns
-    the unique rows and cols, sorted row-major, and the (nb, nu) sums."""
+    the unique rows and cols, sorted row-major, and the (nb, nu) sums, with
+    the entries that sum to zero in every row dropped."""
     keys, inverse = np.unique(np.concatenate([p[0] * size + p[1] for p in parts]),
                               return_inverse=True)
-    vals = np.zeros((len(keys), nb), dtype=complex)
+    vals = np.zeros((len(keys), nb), dtype=np.result_type(*(p[2] for p in parts)))
     np.add.at(vals, inverse, np.concatenate(
         [np.broadcast_to(p[2], (nb, len(p[0]))).T for p in parts]))
-    return keys // size, keys % size, vals.T
+    keep = np.any(vals != 0, axis=1)
+    return keys[keep] // size, keys[keep] % size, vals[keep].T
+
+
+_SQRT2 = np.sqrt(2.0)
+
+
+class _Coordinates:
+    """Real coordinates of rows that hold `blocks` Hermitian d x d matrices,
+    each as row-major vec, followed by `scalars` real numbers.
+
+    The coordinates are those of an orthonormal Hermitian operator basis:
+    x_mm, and sqrt2 Re x_mn, sqrt2 Im x_mn for m < n.  The coherences of all
+    blocks come first, each pair (Re, Im) adjacent, so the first `pairs`
+    entries of a row viewed as complex hold sqrt2 x_mn; the diagonals of all
+    blocks and the scalars follow.  `encode` and `decode` convert between
+    complex vec rows and real rows, (..., blocks d^2 + scalars) each.
+    A Hermiticity-preserving linear map M on vec rows is the real matrix
+    T^H M T on the coordinates, with T = decode as a matrix (unitary).
+    """
+
+    def __init__(self, d, blocks=1, scalars=0):
+        m, n = np.triu_indices(d, 1)
+        start = np.arange(blocks)[:, None] * d * d
+        self.upper = (start + m * d + n).ravel()
+        self.lower = (start + n * d + m).ravel()
+        self.real = np.concatenate([(start + np.arange(d) * (d + 1)).ravel(),
+                                    blocks * d * d + np.arange(scalars)])
+        self.pairs = 2 * len(self.upper)
+        self.size = self.pairs + len(self.real)
+        # vec entry a is sum_j T[a, j] c_j over the coordinates j in _cols[a]:
+        # T[a, j] = _unit[a, j] / sqrt2 for a coherence and _unit[a, j] else; the
+        # scale is kept apart so that a product of two is exactly 1/2
+        pair = np.arange(0, self.pairs, 2)[:, None] + [0, 1]
+        self._cols = np.empty((self.size, 2), dtype=int)
+        self._cols[self.upper] = self._cols[self.lower] = pair
+        self._cols[self.real] = (self.pairs + np.arange(len(self.real)))[:, None]
+        self._unit = np.zeros((self.size, 2), dtype=complex)
+        self._unit[self.upper] = (1.0, 1j)
+        self._unit[self.lower] = (1.0, -1j)
+        self._unit[self.real, 0] = 1.0
+
+    def encode(self, rows):
+        """Real rows of the complex vec rows (..., size) of Hermitian blocks."""
+        rows = np.asarray(rows)
+        out = np.empty(rows.shape[:-1] + (self.size,))
+        upper = _SQRT2 * rows[..., self.upper]
+        out[..., 0:self.pairs:2] = upper.real
+        out[..., 1:self.pairs:2] = upper.imag
+        out[..., self.pairs:] = rows[..., self.real].real
+        return out
+
+    def decode(self, rows):
+        """Complex vec rows of the real rows (..., size)."""
+        out = np.empty(rows.shape[:-1] + (self.size,), dtype=complex)
+        upper = (rows[..., 0:self.pairs:2] + 1j * rows[..., 1:self.pairs:2]) / _SQRT2
+        out[..., self.upper] = upper
+        out[..., self.lower] = upper.conj()
+        out[..., self.real] = rows[..., self.pairs:]
+        return out
+
+    def rotated(self, rows, phase):
+        """A copy of the real rows (..., size) with their coherences, viewed
+        as complex, multiplied by `phase`."""
+        out = np.array(rows, dtype=float)
+        view = out[..., :self.pairs].view(complex)
+        view *= phase
+        return out
+
+    def magnitudes(self, y):
+        """|x| of the complex vec entry behind each coordinate of the flat
+        state y (its rows of size `size`, C-contiguous): a coherence pair's
+        modulus |x_mn| on both its entries, |y| on the others.  The error
+        norm of DP45 is thus the one of complex vec rows, and it does not
+        depend on the frame's phase."""
+        z = y.reshape(-1, self.size)
+        out = np.abs(z)
+        pairs = np.abs(z[:, :self.pairs].view(complex)) / _SQRT2
+        out[:, 0:self.pairs:2] = out[:, 1:self.pairs:2] = pairs
+        return out.reshape(y.shape)
+
+    def realify(self, part):
+        """The COO part (rows, cols, values) of a map on vec rows as the COO
+        part of T^H M T on the coordinates: each entry v at (a, b) becomes
+        the entries Re(conj(T[a, j]) v T[b, k]), at most four.  Summed over
+        the entries of a Hermiticity-preserving map (which come in pairs
+        (a, b), (a', b') of conjugate values, x' the entry of x^dag) this is
+        exact, because the imaginary parts cancel pairwise."""
+        rows, cols, vals = part
+        coef = self._unit[rows].conj()[:, :, None] * self._unit[cols][:, None, :]
+        coherences = (self._unit[rows, 1] != 0).astype(int) + (self._unit[cols, 1] != 0)
+        coef *= np.array([1.0, 1.0 / _SQRT2, 0.5])[coherences][:, None, None]
+        keep = coef != 0
+        shape = coef.shape
+        return (np.broadcast_to(self._cols[rows][:, :, None], shape)[keep],
+                np.broadcast_to(self._cols[cols][:, None, :], shape)[keep],
+                (np.asarray(vals)[..., None, None] * coef).real[..., keep])
 
 
 class _Generator:
     """Lab-frame window superoperator of a batch of B systems that share the
     pulse, the drive operator and the channel operators (rates and h_static
-    may differ per system), acting on flat rows of size D.
+    may differ per system), acting on real rows of size D.
 
-    Without `emit` a row is vec(rho), D = d^2, and the operator is the
-    Lindblad generator L(t) on row-major vec, vec(A rho B) = (A kron B^T)
-    vec(rho).  With `emit` e (one (d, d) operator, or one per system) a row
-    is [vec rho, q] (D = d^2 + 1) or, with `pairs`, [vec rho, vec X, q, p]
+    The Lindblad generator preserves Hermiticity, so it is a real matrix in
+    an orthonormal Hermitian operator basis (Gorini, Kossakowski & Sudarshan,
+    J. Math. Phys. 17, 821 (1976)).  A row holds the real coordinates
+    (`_Coordinates`) of Hermitian blocks and real scalars.  Without `emit` a
+    row is rho, D = d^2; with `emit` e (one (d, d) operator, or one per
+    system) it is [rho, q] (D = d^2 + 1) or, with `pairs`, [rho, X, q, p]
     (D = 2 d^2 + 2):
 
         d rho/dt = L(t) rho,   dX/dt = L(t) X + J rho,   J x = e x e^dag,
         dq/dt = <N|rho>,       dp/dt = <N|X>,            N = e^dag e,
 
-    with <N|x> = tr(N x).  A state holds one row per system, or any number
-    of rows for a batch of one system.
+    with <N|x> = tr(N x).  `coords.encode` and `coords.decode` convert
+    complex row-major vec rows [vec rho, vec X, q, p] of the same layout.  A
+    state holds one row per system, or any number of rows for a batch of one
+    system.
 
-    The operator has a shared part, built once from the first system's
-    static generator, J and readout rows, plus amp(t) times the drive
-    commutator; it is applied to all rows in one product, a dense matmul for
-    D <= DENSE_MAX_SIZE and a CSR matrix above.  What the other systems add
-    (filter detuning, width, coupling, rate, readout scale) is applied on
-    its own non-zeros: a (B, D) diagonal, and a block-diagonal CSR matrix of
-    the off-diagonal rest, each only where some system differs.  No
-    (B, D, D) stack is formed.
+    Each operator is built on vec from COO parts and turned into a real one
+    by `_Coordinates.realify` before its entries are summed.  The shared
+    part, from the first system's static generator, J and readout rows plus
+    amp(t) times the drive commutator, is applied to all rows in one real
+    product, a dense matmul for D <= DENSE_MAX_SIZE and a CSR matrix above.
+    What the other systems add is applied on its own non-zeros.  Its
+    diagonal on vec (filter detuning, and the damping of a width or a rate)
+    acts inside one coherence pair, a complex multiply on the coherences
+    viewed as complex (`rem_phase`), and on the diagonal coordinates
+    (`rem_real`).  The rest (couplings, rates and readout scales) is one
+    block-diagonal CSR matrix (`rem_blocks`).  No (B, D, D) stack is formed.
 
-    The rows are carried in one frame for the whole batch, that of the mean
-    diagonal F of the systems' h_static: entry (m, n) of a vec block turns
-    with exp(i t (F_m - F_n)) (`turn`), and the frame's commutator sits on
-    the shared diagonal.  `to_frame` and `to_lab` convert rows.
+    The rows are carried in one frame for the whole batch, that of the
+    midrange F of each diagonal entry of the systems' h_static (exactly 0
+    for centers symmetric about a resonant line): coherence (m, n) turns
+    with exp(i t (F_m - F_n)) (`turn`), a complex multiply as well, and the
+    frame's commutator sits on the shared part.  `to_frame` and `to_lab`
+    convert rows.
     """
 
     def __init__(self, systems, emit=None, pairs=False):
@@ -250,17 +362,18 @@ class _Generator:
         lab, lab_rem = zip(*map(_split, lab))
         self._lab = _coalesce(d2, 1, lab), _coalesce(d2, nb, lab_rem)
 
-        frame = np.mean(np.diagonal(h_static, axis1=1, axis2=2).real, axis=0)
+        diag = np.diagonal(h_static, axis1=1, axis2=2).real
+        frame = 0.5 * (np.max(diag, axis=0) + np.min(diag, axis=0))
         turn = (frame[:, None] - frame[None, :]).ravel()
-        diag = np.arange(d2)
-        shared = [self._lab[0], (diag, diag, 1j * turn)]  # L0 and the frame's commutator
+        vec = np.arange(d2)
+        shared = [self._lab[0], (vec, vec, 1j * turn)]  # L0 and the frame's commutator
         remainder = [self._lab[1]]
         drive = []
         if first.h_drive is not None and self.pulse is not None and self.pulse.area > 0:
             h_drive = np.asarray(first.h_drive, dtype=complex)[None]
             drive = [_kron(-1j * h_drive, eye), _kron(eye, 1j * h_drive)]
 
-        size = d2
+        m = 1
         self.emit = self.nop = None
         if emit is not None:
             self.emit = np.broadcast_to(np.asarray(emit, dtype=complex), (nb, d, d))
@@ -269,7 +382,6 @@ class _Generator:
             cols = np.flatnonzero(np.any(nvec != 0, axis=0))
             readout = _split((np.zeros_like(cols), cols, nvec[:, cols]))
             m = 2 if pairs else 1
-            size = m * (d2 + 1)
             if pairs:  # X: L0 and the frame on its own block, fed by J rho; p reads X
                 source = _split(_kron(self.emit, self.emit.conj().swapaxes(1, 2)))
                 for parts, k in ((shared, 0), (remainder, 1)):
@@ -278,19 +390,22 @@ class _Generator:
                 drive += [_shift(p, d2, d2) for p in drive]
             shared.append(_shift(readout[0], m * d2, 0))
             remainder.append(_shift(readout[1], m * d2, 0))
-            turn = np.concatenate([np.tile(turn, m), np.zeros(m)])
-        self.size = size
-        self.turn = turn
-        self.rotating = bool(np.any(turn != 0))
+        coords = self.coords = _Coordinates(d, m, m if emit is not None else 0)
+        size = self.size = coords.size
+        self.pairs = coords.pairs
+        self.turn = np.tile(turn, m)[coords.upper]
+        self.rotating = bool(np.any(self.turn != 0))
 
         # the static and the drive part on the pattern of both
         self.driven = bool(drive)
-        parts = [(r, c, np.stack([np.ravel(v), 0 * np.ravel(v)])) for r, c, v in shared]
-        parts += [(r, c, np.stack([0 * np.ravel(v), np.ravel(v)])) for r, c, v in drive]
+        parts = [(r, c, np.stack([np.ravel(v), 0 * np.ravel(v)]))
+                 for r, c, v in map(coords.realify, shared)]
+        parts += [(r, c, np.stack([0 * np.ravel(v), np.ravel(v)]))
+                  for r, c, v in map(coords.realify, drive)]
         rows, cols, both = _coalesce(size, 2, parts)
         if size <= DENSE_MAX_SIZE:  # the operators transposed, for rows @ op
             self.op = None
-            self.static, self.drive = np.zeros((2, size, size), dtype=complex)
+            self.static, self.drive = np.zeros((2, size, size))
             self.static[cols, rows], self.drive[cols, rows] = both
         else:  # the CSR data of each part
             from scipy import sparse
@@ -301,34 +416,41 @@ class _Generator:
                 shape=(size, size))
 
         rows, cols, rem = _coalesce(size, nb, remainder)
-        on_diag, off_diag = rows == cols, rows != cols
-        self.rem_diag = self.rem_blocks = None
+        on_diag = rows == cols
+        self.rem_phase = self.rem_real = self.rem_blocks = None
         if np.any(on_diag):
-            self.rem_diag = np.zeros((nb, size), dtype=complex)
-            self.rem_diag[:, rows[on_diag]] = rem[:, on_diag]
-        if np.any(off_diag):
+            full = np.zeros((nb, size), dtype=complex)
+            full[:, rows[on_diag]] = rem[:, on_diag]
+            if np.any(full[:, coords.upper] != 0):
+                self.rem_phase = full[:, coords.upper]
+            if np.any(full[:, coords.real] != 0):
+                self.rem_real = full[:, coords.real].real.copy()
+        if not np.all(on_diag):
             from scipy import sparse
 
+            off_diag = ~on_diag
+            rows, cols, rem = _coalesce(size, nb, [coords.realify(
+                (rows[off_diag], cols[off_diag], rem[:, off_diag]))])
             shift = np.arange(nb)[:, None] * size
             self.rem_blocks = sparse.csr_matrix(
-                (rem[:, off_diag].ravel(),
-                 ((rows[off_diag] + shift).ravel(), (cols[off_diag] + shift).ravel())),
+                (rem.ravel(), ((rows + shift).ravel(), (cols + shift).ravel())),
                 shape=(nb * size, nb * size))
 
     def to_frame(self, t, rows):
         """Lab-frame rows (..., D) in the batch frame at time t."""
-        return rows * np.exp(1j * t * self.turn) if self.rotating else rows
+        return self.coords.rotated(rows, np.exp(1j * t * self.turn)) if self.rotating else rows
 
     def to_lab(self, t, rows):
         """Rows (..., D) of the batch frame at time t in the lab frame."""
-        return rows * np.exp(-1j * t * self.turn) if self.rotating else rows
+        return self.coords.rotated(rows, np.exp(-1j * t * self.turn)) if self.rotating else rows
 
     def rhs(self, t, y):
-        """dy/dt for the flat state y (its rows of size D) in the batch frame."""
+        """dy/dt for the flat real state y (its rows of size D) in the batch
+        frame."""
         z = y.reshape(-1, self.size)
         if self.rotating:
             phase = np.exp(1j * t * self.turn)
-            z = z * phase.conj()
+            z = self.coords.rotated(z, phase.conj())
         if self.op is None:
             out = z @ (self.static + float(self.pulse.amplitude(t)) * self.drive
                        if self.driven else self.static)
@@ -336,13 +458,16 @@ class _Generator:
             if self.driven:
                 np.multiply(self.drive, float(self.pulse.amplitude(t)), out=self.op.data)
                 self.op.data += self.static
-            out = (self.op @ z.T).T
-        if self.rem_diag is not None:
-            out += self.rem_diag * z
+            out = np.ascontiguousarray((self.op @ z.T).T)
+        coherences = out[:, :self.pairs].view(complex)
+        if self.rem_phase is not None:
+            coherences += self.rem_phase * z[:, :self.pairs].view(complex)
+        if self.rem_real is not None:
+            out[:, self.pairs:] += self.rem_real * z[:, self.pairs:]
         if self.rem_blocks is not None:
             out += (self.rem_blocks @ z.reshape(-1)).reshape(z.shape)
         if self.rotating:
-            out *= phase
+            coherences *= phase
         return out.reshape(y.shape)
 
     def lab_liouvillian(self, group=slice(None)):
@@ -387,29 +512,33 @@ def _make_step_cap(pulse, cfg):
     return cap
 
 
-def _error_norm(err, y_old, y_new, cfg):
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+def _error_norm(err, abs_old, abs_new, cfg):
+    """RMS of the error scaled by abs_tol + rel_tol max(|y_old|, |y_new|),
+    given the two states' magnitudes (`_Coordinates.magnitudes`)."""
+    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_old, abs_new)
+    return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
 def _initial_step(gen, t0, y0, f0, cap, cfg):
-    scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
+    scale = cfg.abs_tol + cfg.rel_tol * gen.coords.magnitudes(y0)
+    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     return min(h, cap)
 
 
 def _advance(gen, t, y, t_target, cfg, cap_fn, h=None, k1=None):
-    """Step the flat state y from t to t_target with the embedded 4(5) pair.
-    The seven stages sit in one (7, n) array, so each stage's input and the
-    step's solution and error are each one matmul with the tableau.  `h`,
+    """Step the flat real state y from t to t_target with the embedded 4(5)
+    pair.  The seven stages sit in one (7, n) array, so each stage's input
+    and the step's solution and error are each one matmul with the tableau;
+    the magnitudes of the accepted state serve the next step's error norm.  `h`,
     the proposed step size, and `k1`, the derivative at (t, y), carry over
     from a previous interval when given.  Returns (y, h, k1) at t_target."""
-    k = np.empty((7, y.size), dtype=complex)
+    k = np.empty((7, y.size))
     k[0] = gen.rhs(t, y) if k1 is None else k1
     if h is None:
         h = _initial_step(gen, t, y, k[0], min(cap_fn(t), t_target - t), cfg)
+    abs_y = gen.coords.magnitudes(y)
 
     while t < t_target - _MIN_REL_STEP * max(1.0, abs(t_target)):
         step = min(h, cap_fn(t), t_target - t)
@@ -421,7 +550,8 @@ def _advance(gen, t, y, t_target, cfg, cap_fn, h=None, k1=None):
                 k[i] = gen.rhs(t + _DP_C[i] * step, y + (step * _DP_A[i, :i]) @ k[:i])
             y_new, err = (step * _DP_BE) @ k
             y_new += y
-            enorm = _error_norm(err, y, y_new, cfg)
+            abs_new = gen.coords.magnitudes(y_new)
+            enorm = _error_norm(err, abs_y, abs_new, cfg)
             if enorm <= 1.0:
                 break
             rejects += 1
@@ -430,7 +560,7 @@ def _advance(gen, t, y, t_target, cfg, cap_fn, h=None, k1=None):
             step *= max(0.1, 0.9 * enorm ** -0.2)
 
         t = t + step
-        y = y_new
+        y, abs_y = y_new, abs_new
         k[0] = k[6]  # FSAL
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         h = step * factor
@@ -479,9 +609,9 @@ def propagate(system: SystemModel, rho0: np.ndarray, times, cfg: IntegratorConfi
         )
     _check_hermitian(rho0)
     gen = _Generator([system])
-    y0 = gen.to_frame(times[0], rho0.ravel())
+    y0 = gen.to_frame(times[0], gen.coords.encode(rho0.ravel()))
     out = np.array([gen.to_lab(t, y) for t, y in zip(times, _walk(gen, y0, times[0], times, cfg))])
-    out = out.reshape(len(times), system.dimension, system.dimension)
+    out = gen.coords.decode(out).reshape(len(times), system.dimension, system.dimension)
 
     min_eig = float(np.min(np.linalg.eigvalsh(out)))
     if min_eig < -1e-6:
@@ -522,7 +652,8 @@ def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | Non
     grid = np.asarray(grid, dtype=float)
     gen = _Generator(systems)
     emit = np.asarray(emit, dtype=complex)
-    nvec = (emit.conj().T @ emit).T.ravel()  # <N|x> = tr(N x) = nvec . vec(x)
+    # <N|x> = tr(N x) is the dot product of the coordinates of N and x
+    weights = gen.coords.encode((emit.conj().T @ emit).ravel())
 
     y = np.zeros((gen.nbatch, gen.size), dtype=complex)  # the frame is the lab frame at t = 0
     if rho0 is None:
@@ -531,8 +662,8 @@ def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | Non
         _check_hermitian(rho0)
         y[:] = np.ravel(rho0)
     out = np.empty((gen.nbatch, len(grid)))
-    for k, y in enumerate(_walk(gen, y.ravel(), 0.0, grid, cfg)):
-        out[:, k] = (gen.to_lab(grid[k], y.reshape(gen.nbatch, -1)) @ nvec).real
+    for k, y in enumerate(_walk(gen, gen.coords.encode(y).ravel(), 0.0, grid, cfg)):
+        out[:, k] = gen.to_lab(grid[k], y.reshape(gen.nbatch, -1)) @ weights
     return out
 
 
@@ -610,10 +741,10 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     y[:, 0] = 1.0
     states = np.empty((nb, len(times), d * d), dtype=complex)
     inside = np.flatnonzero(times <= t_c)
-    walk = _walk(gen, y.ravel(), 0.0, [*times[inside], t_c], cfg)
+    walk = _walk(gen, gen.coords.encode(y).ravel(), 0.0, [*times[inside], t_c], cfg)
     for k, y in zip(inside, walk):
-        states[:, k] = gen.to_lab(times[k], y.reshape(nb, -1))[:, :d * d]
-    rows = gen.to_lab(t_c, next(walk).reshape(nb, -1))
+        states[:, k] = gen.coords.decode(gen.to_lab(times[k], y.reshape(nb, -1)))[:, :d * d]
+    rows = gen.coords.decode(gen.to_lab(t_c, next(walk).reshape(nb, -1)))
     lab = rows[:, :m * d * d].reshape(nb, m, d * d)  # rho_c, X_c
     integrals = rows[:, m * d * d:]  # q_c, p_c
     ground = np.zeros(d * d, dtype=complex)
@@ -661,10 +792,11 @@ def _step_propagators(gen, times, cfg):
     (len(times) - 1, d^2, d^2).
 
     An interval that starts inside the drive window [0, t_c],
-    t_c = drive_cutoff(pulse), steps the d^2 unit vectors as the rows of one
-    DP45 pass (FSAL restarts per interval); their images are the columns of
-    P_k.  Later intervals see the constant generator L0 and take
-    expm(L0 h), once per distinct h.
+    t_c = drive_cutoff(pulse), steps the d^2 real unit vectors as the rows
+    of one DP45 pass (FSAL restarts per interval); their images are the
+    columns of the real propagator P_r, and P_k = T P_r T^H with T the
+    unitary `decode` of the coordinates.  Later intervals see the constant
+    generator L0 and take expm(L0 h), once per distinct h.
     """
     from scipy.linalg import expm
 
@@ -673,13 +805,14 @@ def _step_propagators(gen, times, cfg):
     steps = np.diff(times)
     driven = times[:-1] < t_c
     props = np.empty((len(steps), d2, d2), dtype=complex)
-    units = np.eye(d2, dtype=complex)
+    units = np.eye(d2)
+    basis = gen.coords.decode(units)  # T^T: row j is vec of basis operator j
     cap_fn = _make_step_cap(gen.pulse, cfg)
     h = None
     for k in np.flatnonzero(driven):
         y, h, _ = _advance(gen, times[k], gen.to_frame(times[k], units).ravel(), times[k + 1],
                            cfg, cap_fn, h)
-        props[k] = gen.to_lab(times[k + 1], y.reshape(d2, d2)).T
+        props[k] = basis.T @ gen.to_lab(times[k + 1], y.reshape(d2, d2)).T @ basis.conj()
     distinct, which = np.unique(steps[~driven], return_inverse=True)
     l0 = gen.lab_liouvillian()[0]
     props[~driven] = np.array([expm(l0 * h) for h in distinct]).reshape(-1, d2, d2)[which]

@@ -274,7 +274,7 @@ class TestSpectrum:
     ], ids=["two_level", "exciton_line"])
     def test_batch_frame_matches_one_center_runs(self, system, observed, center, width,
                                                  rotating):
-        # a batch turns in the frame of its mean diagonal (the lab frame for centers
+        # a batch turns in the frame of its midrange diagonal (the lab frame for centers
         # symmetric about a resonant two-level line), one center alone in its own
         extended = corr._spectrum_batch(system, observed, center + np.linspace(-8.0, 8.0, 9),
                                         width)
@@ -284,6 +284,14 @@ class TestSpectrum:
         alone = [dynamics.emission_integrals([one], emit, times=(), pairs=False).n_integral[0]
                  for one in extended]
         assert np.max(np.abs(batch - alone)) <= 1e-9 * np.max(alone)
+
+    def test_symmetric_figure_centers_run_in_the_lab_frame(self):
+        # the midrange of +-40 is exactly 0, where a mean of 161 centers is not
+        extended = corr._spectrum_batch(two_level_system(0.02), "sigma",
+                                        np.linspace(-40.0, 40.0, 161), 0.2)
+        gen = dynamics._Generator(extended, extended[0].output_ops["sensor"])
+        assert not gen.rotating
+        assert gen.rem_phase is not None and gen.rem_real is None and gen.rem_blocks is None
 
     def test_free_decay_line_convolves_with_filter(self):
         # spontaneous emission has a Lorentzian line of FWHM gamma; probed
@@ -386,6 +394,26 @@ class TestBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one system"):
             filtered_g2_batch(two_level_system(0.05), [])
+
+    @pytest.mark.parametrize("run", [
+        lambda: spectrum(two_level_system(0.05), "sigma", np.linspace(-4.0, 4.0, 9)),
+        lambda: filtered_g2_batch(two_level_system(0.05), [SensorConfig(0.0, 1.0)]),
+        lambda: filtered_g2_batch(fourlevel_system(0.01), [SensorConfig(150.0, 1.0)],
+                                  observed=EXCITON_V_ONLY),
+    ], ids=["spectrum", "g2_dense", "g2_csr"])
+    def test_window_pass_steps_real_rows(self, monkeypatch, run):
+        # the DP45 state and every derivative are float64 coordinates, never complex vec
+        rhs = dynamics._Generator.rhs
+        dtypes = set()
+
+        def recorded(gen, t, y):
+            out = rhs(gen, t, y)
+            dtypes.update((y.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(dynamics._Generator, "rhs", recorded)
+        run()
+        assert dtypes == {np.dtype(np.float64)}
 
     def test_tail_memory_is_bounded(self):
         # 16 exciton-line systems (d^2 = 144) stack 5.3 MB of generators at once; the

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
 
@@ -288,6 +289,29 @@ def _kron_window(system, emit, t):
     return out
 
 
+class TestCoordinates:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([2, 6, 12]), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-6, 1.0))
+    def test_hermitian_round_trip(self, d, seed, scale):
+        # a Hermitian matrix goes to real coordinates and back, and the coordinates are
+        # orthonormal: their squared sum is the squared Frobenius norm
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = scale * (a + a.conj().T)
+        coords = dynamics._Coordinates(d)
+        real = coords.encode(rho.ravel())
+        assert real.dtype == np.float64 and real.shape == (d * d,)
+        back = coords.decode(real).reshape(d, d)
+        assert np.max(np.abs(back - rho)) <= 1e-15 * max(1.0, np.max(np.abs(rho)))
+        assert np.array_equal(back, back.conj().T)
+        assert np.sum(real ** 2) == pytest.approx(np.sum(np.abs(rho) ** 2), rel=1e-13)
+        # the step control sees |rho_mn| behind each coordinate, whatever the phase
+        behind = np.concatenate([np.repeat(coords.upper, 2), coords.real])
+        np.testing.assert_allclose(coords.magnitudes(real), np.abs(rho.ravel())[behind],
+                                   rtol=1e-15, atol=0)
+
+
 class TestGenerator:
     @pytest.mark.parametrize("system, observed, center, dense", [
         (build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)), "sigma", 0.0, True),
@@ -295,25 +319,37 @@ class TestGenerator:
          False),
     ], ids=["dense", "csr"])
     def test_rhs_matches_kron_superoperator(self, system, observed, center, dense):
-        # random non-Hermitian rows in the batch frame of the mean diagonal F:
-        # y = exp(i t (F_m - F_n)) z, so dy/dt = exp(...) (S z) + i (F_m - F_n) y
+        # random real rows in the batch frame of the midrange diagonal F: in complex vec,
+        # y = exp(i t (F_m - F_n)) z, so dy/dt = exp(...) (S z) + i (F_m - F_n) y, and the
+        # real rows are the coordinates T^H y of the unitary T that `decode` applies
         systems, emit = _differing_batch(system, observed, center)
         gen = dynamics._Generator(systems, emit, pairs=True)
         assert (gen.op is None) == dense
-        assert gen.rem_diag is not None and gen.rem_blocks is not None
+        assert gen.rem_phase is not None and gen.rem_real is not None
+        assert gen.rem_blocks is not None
         d2 = gen.dim ** 2
-        frame = np.mean([np.diag(s.h_static).real for s in systems], axis=0)
+        size = 2 * d2 + 2
+        basis = gen.coords.decode(np.eye(size))  # row j: the vec row of real coordinate j
+        np.testing.assert_allclose(basis @ basis.conj().T, np.eye(size), atol=1e-15)
+        blocks = basis[:, :2 * d2].reshape(size, 2, gen.dim, gen.dim)
+        assert np.array_equal(blocks, blocks.conj().swapaxes(2, 3))
+        diag = np.array([np.diag(s.h_static).real for s in systems])
+        frame = (diag.max(axis=0) + diag.min(axis=0)) / 2
         turn = np.tile(np.subtract.outer(frame, frame).ravel(), 2)
         turn = np.concatenate([turn, [0.0, 0.0]])
         assert np.any(turn != 0)
         t = system.pulse.offset + 0.3 * system.pulse.length  # drive on, frame turned
         rng = np.random.default_rng(5)
-        z = rng.standard_normal((3, 2 * d2 + 2)) + 1j * rng.standard_normal((3, 2 * d2 + 2))
         phase = np.exp(1j * t * turn)
+        z = rng.standard_normal((3, size)) @ basis  # Hermitian blocks, real scalars
         expected = np.array([phase * (_kron_window(s, e, t) @ z_b) + 1j * turn * phase * z_b
-                             for s, e, z_b in zip(systems, emit, z)])
-        got = gen.rhs(t, (phase * z).ravel()).reshape(3, -1)
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+                             for s, e, z_b in zip(systems, emit, z)]) @ basis.conj().T
+        assert np.max(np.abs(expected.imag)) <= 1e-13 * np.max(np.abs(expected))
+        y = ((phase * z) @ basis.conj().T).real
+        got = gen.rhs(t, y.ravel())
+        assert got.dtype == np.float64
+        got = got.reshape(3, -1)
+        assert np.max(np.abs(got - expected.real)) <= 1e-13 * np.max(np.abs(expected))
 
 
 MIXED_BATCHES = [
@@ -332,8 +368,9 @@ def _tails_by_lu(systems, emit):
     t_c = dynamics.drive_cutoff(gen.pulse)
     y = np.zeros((nb, gen.size), dtype=complex)
     y[:, 0] = 1.0
-    (y,) = dynamics._walk(gen, y.ravel(), 0.0, [t_c], dynamics.DEFAULT_INTEGRATOR)
-    y = gen.to_lab(t_c, y.reshape(nb, -1))
+    y = gen.coords.encode(y).ravel()
+    (y,) = dynamics._walk(gen, y, 0.0, [t_c], dynamics.DEFAULT_INTEGRATOR)
+    y = gen.coords.decode(gen.to_lab(t_c, y.reshape(nb, -1)))
     rows = y[:, :2 * d * d].reshape(nb, 2, d, d)
     integrals = y[:, 2 * d * d:]
     eye = np.eye(d)
