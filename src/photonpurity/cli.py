@@ -113,6 +113,8 @@ class RunConfig:
              "must be a non-empty list of numbers > 0"),
             (_positive_numbers(self.filter_widths), "filter_widths",
              "must be a non-empty list of numbers > 0"),
+            (isinstance(self.excluded_peaks, (tuple, list)), "excluded_peaks",
+             "must be a list of numbers"),
         ]
         for ok, path, msg in checks:
             if not ok:
@@ -146,6 +148,8 @@ _FLAT_KEYS = {
     "rep_period", "window", "bin_width", "span", "seed", "jobs", "out",
     "pulse_lengths", "filter_widths", "excluded_peaks", "truncation", "epsilon",
 }
+_TEXT_KEYS = {"system", "check_convergence", "out"}
+_LIST_KEYS = {"pulse_lengths", "filter_widths", "excluded_peaks"}
 _NESTED_KEYS = {"pulse", "sensor", "sweep", "integrator", "stream"}
 _INTEGRATOR_KEYS = {f.name for f in fields(dynamics.IntegratorConfig)}
 # section -> {key in the section: RunConfig field}; sweep.scale is handled apart
@@ -158,9 +162,23 @@ _SECTION_FIELDS = {
 
 
 def _check_number(path, value):
-    """YAML 1.1 reads 1e-3 (no dot) and 1.0e5 (no exponent sign) as strings."""
+    """A config number is an int or a finite float.  YAML 1.1 reads 1e-3 (no
+    dot) and 1.0e5 (no exponent sign) as strings, and .nan and .inf as
+    floats."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: {value!r} is not a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: {value!r} is not a finite number")
+
+
+def _check_value(path, value, listed=False):
+    """Check a number or, if `listed`, each entry of a list of numbers; None
+    leaves a field at its default."""
+    if listed and isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_number(f"{path}[{i}]", item)
+    elif value is not None:
+        _check_number(path, value)
 
 
 def load_config(path=None, overrides=None, command=None) -> RunConfig:
@@ -184,6 +202,7 @@ def load_config(path=None, overrides=None, command=None) -> RunConfig:
                 if name not in fields:
                     raise ConfigError(f"{key}.{name}: unknown configuration key")
                 if fields[name] is not None:
+                    _check_value(f"{key}.{name}", item)
                     setattr(cfg, fields[name], item)
             if key == "sweep":
                 cfg.sweep_log = value.get("scale", "log") == "log"
@@ -196,11 +215,15 @@ def load_config(path=None, overrides=None, command=None) -> RunConfig:
         elif key == "stream":
             cfg.stream = dict(value)
         elif key in _FLAT_KEYS:
+            if key not in _TEXT_KEYS:
+                _check_value(key, value, listed=key in _LIST_KEYS)
             setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
         else:
             raise ConfigError(f"{key}: unknown configuration key")
     for key, value in (overrides or {}).items():
         if value is not None:
+            if key not in _TEXT_KEYS:
+                _check_number(f"--{key}", value)
             setattr(cfg, key, value)
     try:
         return cfg.resolve(command).validate()
@@ -350,14 +373,22 @@ def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:
         raise ConfigError(f"stream.n_pulses: {stream['n_pulses']!r} is not an integer")
     stream.setdefault("n_pulses", 1_000_000)
     stream.setdefault("rep_period", cfg.rep_period)
+    blink = stream.pop("blinking", None)
+    if blink:
+        if not isinstance(blink, dict) or not isinstance(blink.get("frequencies"), list):
+            raise ConfigError(f"stream.blinking: {blink!r} must be a mapping with a list "
+                              "of frequencies")
+        for name, value in blink.items():
+            if name not in ("frequencies", "depth"):
+                raise ConfigError(f"stream.blinking.{name}: unknown configuration key")
+            _check_value(f"stream.blinking.{name}", value, listed=name == "frequencies")
     try:
-        blink = stream.pop("blinking", None)
         if blink:
             stream["blinking"] = photostream.BlinkingConfig(
                 frequencies=tuple(blink["frequencies"]), depth=blink.get("depth", 0.5)
             )
         return photostream.StreamConfig(**stream)
-    except (TypeError, ValueError, KeyError) as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"stream: {err!r}") from err
 
 
@@ -385,6 +416,8 @@ def cmd_hbt(cfg: RunConfig):
     out = _outdir(cfg)
     clicks1, clicks2 = photostream.synthesize_stream(stream_cfg, cfg.seed)
     hist = photostream.correlate(clicks1, clicks2, cfg.bin_width, cfg.span)
+    n_clicks = [int(len(clicks1)), int(len(clicks2))]
+    del clicks1, clicks2  # not held while the histogram is written
     hist_path = os.path.join(out, "hbt_histogram.csv")
     hist.to_csv(hist_path)
     estimate = _estimate(hist, stream_cfg.rep_period, cfg)
@@ -402,7 +435,7 @@ def cmd_hbt(cfg: RunConfig):
                 "blinking": None if stream_cfg.blinking is None else {
                     "frequencies": list(stream_cfg.blinking.frequencies),
                     "depth": stream_cfg.blinking.depth}},
-            "clicks": [int(len(clicks1)), int(len(clicks2))],
+            "clicks": n_clicks,
         }),
     )
     return [hist_path, est_path, sums_path]

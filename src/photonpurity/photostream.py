@@ -10,12 +10,14 @@ error propagation.
 Synthesis samples the exact per-pulse law in O(photons), not O(pulses):
 binomial pair and single counts per block of pulses, then per-photon draws.
 
-The histogram is built by a sweep over the pair offset: each click keeps
-the range of its partners in the other list, and pass j bins the j-th
-partner of every click that still has one.  That is O(pairs) time and
-O(clicks + bins) memory, whatever the pair density.  Each peak window's
-bin range follows from integer delays, and only the bins inside the windows
-are summed.
+The histogram is built by a sweep over the pair offset (Laurence, Fore &
+Huser, Opt. Lett. 31, 829 (2006)): each click keeps the range of its
+partners in the other list, the clicks with a partner are ordered by
+partner count, descending, and pass j bins the j-th partner of the clicks
+that still have one, a prefix of that order.  That is O(pairs) time, and
+the memory is the histogram plus O(clicks), whatever the pair density.
+Each peak window's bin range follows from integer delays, and only the
+bins inside the windows are summed.
 
 Integer CSV rows (the histogram and the peak sums) are encoded by numpy, a
 chunk of rows at a time, into the exact bytes of "%d,%d\\n": each |x| splits
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -71,12 +75,21 @@ class BlinkingConfig:
     def __post_init__(self):
         if not self.frequencies:
             raise ValueError("need at least one blinking frequency")
+        if not all(math.isfinite(f) for f in self.frequencies):
+            raise ValueError(f"blinking frequencies {self.frequencies} must be finite")
         if not 0.0 <= self.depth <= 1.0:
             raise ValueError("blinking depth must be in [0, 1]")
 
     def acceptance(self, t_ns):
-        phases = 2e-3 * np.pi * np.multiply.outer(np.asarray(self.frequencies), t_ns)
-        return 1.0 - 0.5 * self.depth * (1.0 + np.mean(np.cos(phases), axis=0))
+        # summed one frequency at a time, then divided by the count: the
+        # same operations, in the same order, as a mean over axis 0 of the
+        # (n_freq, n) cosines, so the stream a seed gives is unchanged
+        c = 2e-3 * np.pi
+        total = np.zeros(np.shape(t_ns))
+        for f in self.frequencies:
+            total += np.cos(c * (f * t_ns))
+        total /= len(self.frequencies)
+        return 1.0 - 0.5 * self.depth * (1.0 + total)
 
 
 @dataclass(frozen=True)
@@ -103,6 +116,10 @@ class StreamConfig:
     blinking: BlinkingConfig | None = None
 
     def __post_init__(self):
+        for name in ("n_pulses", "rep_period", "p_single", "p_double", "emitter_lifetime",
+                     "pulse_sigma", "noise_rate", "detection_efficiency"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 <= self.p_double <= self.p_single <= 1.0):
             raise ValueError("need 0 <= p_double <= p_single <= 1")
         if self.rep_period <= 0:
@@ -175,9 +192,15 @@ def synthesize_stream(cfg: StreamConfig, seed: int):
         parts2.append(t_noise[keep & ~route])
 
     def finish(parts):
+        # in place on the concatenated copy: ps = rint(t * 1000) as int64, sorted
         t = np.concatenate(parts) if parts else np.empty(0)
-        t = t[t >= 0.0]
-        return np.sort(np.rint(t * NS_TO_PS).astype(np.int64))
+        if len(t) and t.min() < 0.0:
+            t = t[t >= 0.0]
+        t *= NS_TO_PS
+        ps = t.view(np.int64)
+        np.rint(t, out=ps, casting="unsafe")
+        ps.sort()
+        return ps
 
     return finish(parts1), finish(parts2)
 
@@ -192,7 +215,7 @@ class CoincidenceHistogram:
     def __post_init__(self):
         if len(self.counts) % 2 == 0:
             raise ValueError("bin count must be odd (center bin at zero delay)")
-        if np.any(self.counts < 0):
+        if self.counts.min() < 0:  # no bin-sized temporary
             raise ValueError("counts must be >= 0")
 
     @property
@@ -323,19 +346,29 @@ def correlate(clicks1, clicks2, bin_width: int = 5, span: float = 30.0) -> Coinc
     bins of `bin_width` ps, half_bins = round(span / bin_width), centred on
     zero delay; a delay d lands in bin (d + edge) // bin_width with
     edge = half_bins * bin_width + bin_width // 2, and pairs outside the
-    bins are dropped.
+    bins are dropped.  `bin_width` must be an integer >= 1 and `span`
+    finite and > 0.
 
     Two `searchsorted` calls give each click in `clicks1` the range
-    [lo, hi) of its partners in `clicks2`.  The sweep then runs over the
-    partner offset: pass j bins the partner lo + j of every click that still
-    has one and drops the clicks whose range is exhausted.  Time is
-    O(pairs + clicks log clicks) and memory O(clicks + bins): the bins of
-    successive passes collect in one buffer and are counted when it fills.
+    [lo, hi) of its partners in `clicks2`.  The clicks with no partner are
+    dropped and the rest ordered by partner count, descending, so the
+    clicks that have a partner at offset j are a prefix of that order, of
+    a length m_j that one `searchsorted` on the sorted counts gives.  Pass j
+    gathers the partners lo + j of the first m_j clicks into a scratch
+    array, turns them into bins in place and adds them to the histogram
+    with `np.add.at`.  Time is O(pairs + clicks log clicks); the histogram
+    is the only array of its size, and the rest is O(clicks) for the
+    partner ranges and O(clicks with partners + passes) for the sweep.
     """
+    if isinstance(bin_width, bool) or not isinstance(bin_width, numbers.Integral) \
+            or bin_width < 1:
+        raise ValueError(f"bin_width {bin_width!r} ps must be an integer >= 1")
+    if not (isinstance(span, numbers.Real) and math.isfinite(span) and span > 0):
+        raise ValueError(f"span {span!r} ns must be finite and > 0")
     clicks1 = np.asarray(clicks1, dtype=np.int64)
     clicks2 = np.asarray(clicks2, dtype=np.int64)
     for c in (clicks1, clicks2):
-        if len(c) > 1 and np.any(np.diff(c) < 0):
+        if np.any(c[1:] < c[:-1]):
             raise UnsortedInput("click timestamps must be sorted")
     half_bins = int(round(span * NS_TO_PS / bin_width))
     n_bins = 2 * half_bins + 1
@@ -344,22 +377,25 @@ def correlate(clicks1, clicks2, bin_width: int = 5, span: float = 30.0) -> Coinc
     counts = np.zeros(n_bins, dtype=np.int64)
 
     lo = np.searchsorted(clicks2, clicks1 - edge, side="left")
-    hi = np.searchsorted(clicks2, clicks1 + top, side="left")
-    live = hi > lo
-    idx, stop, shift = lo[live], hi[live], edge - clicks1[live]
-    buffer = np.empty(max(len(idx), n_bins), dtype=np.int64)
-    filled = 0
-    while len(idx):
-        if filled + len(idx) > len(buffer):
-            counts += np.bincount(buffer[:filled], minlength=n_bins)
-            filled = 0
-        np.floor_divide(clicks2[idx] + shift, bin_width, out=buffer[filled:filled + len(idx)])
-        filled += len(idx)
-        idx += 1
-        live = idx < stop
-        if not live.all():
-            idx, stop, shift = idx[live], stop[live], shift[live]
-    counts += np.bincount(buffer[:filled], minlength=n_bins)
+    partners = np.searchsorted(clicks2, clicks1 + top, side="left")
+    partners -= lo
+    live = np.flatnonzero(partners)
+    partners = partners[live]
+    order = np.argsort(-partners, kind="stable")
+    live, partners = live[order], partners[order]
+    idx, shift = lo[live], edge - clicks1[live]
+    del lo, live, order
+    # m_j = the number of clicks with more than j partners
+    n_passes = int(partners[0]) if len(partners) else 0
+    prefix = len(partners) - np.searchsorted(partners[::-1], np.arange(n_passes), side="right")
+    scratch = np.empty(len(idx), dtype=np.int64)
+    for m in prefix:
+        bins = scratch[:m]
+        np.take(clicks2, idx[:m], out=bins, mode="clip")  # in range: lo + j < hi
+        bins += shift[:m]
+        np.floor_divide(bins, bin_width, out=bins)
+        np.add.at(counts, bins, 1)
+        idx[:m] += 1
     return CoincidenceHistogram(bin_width=bin_width, counts=counts)
 
 

@@ -253,13 +253,60 @@ SWEEP_LIST = "must be a non-empty list of numbers > 0"
     ("sweep-filter", "pulse_lengths: [-0.05]\n", "pulse_lengths: " + SWEEP_LIST),
     ("sweep-pulse", "filter_widths: [-1.0]\nsweep: {points: 2}\n",
      "filter_widths: " + SWEEP_LIST),
+    ("hbt-sim", "excluded_peaks: 8.0\nstream: {n_pulses: 1000}\n",
+     "excluded_peaks: must be a list of numbers"),
 ], ids=["sweep_points_float", "detuning_points_float", "detuning_points_zero",
         "spec_bandwidth_zero", "detuning_span_negative", "bin_width_float",
         "pulse_lengths_empty_sweep", "pulse_lengths_empty_spectrum", "filter_widths_empty",
-        "window_negative", "pulse_lengths_negative", "filter_widths_negative"])
+        "window_negative", "pulse_lengths_negative", "filter_widths_negative",
+        "excluded_peaks_scalar"])
 def test_out_of_range_key_is_named(tmp_path, capsys, command, text, message):
     assert run(tmp_path, command, text) == 2
     assert message in capsys.readouterr().err
+
+
+HBT_STREAM = "stream: {n_pulses: 1000}\n"
+SWEEP = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n"
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("hbt-sim", "span: .nan\n" + HBT_STREAM, "span"),
+    ("hbt-sim", "span: .inf\n" + HBT_STREAM, "span"),
+    ("hbt-sim", "stream: {n_pulses: 1000, noise_rate: .inf}\n", "stream.noise_rate"),
+    ("hbt-sim", "stream: {n_pulses: 1000, pulse_sigma: .inf}\n", "stream.pulse_sigma"),
+    ("hbt-sim", "stream: {n_pulses: 1000, rep_period: .nan}\n", "stream.rep_period"),
+    ("hbt-sim", "stream: {n_pulses: 1000, blinking: {frequencies: [.nan]}}\n",
+     "stream.blinking.frequencies[0]"),
+    ("hbt-sim", "stream: {n_pulses: 1000, blinking: {frequencies: [1.0], depth: .nan}}\n",
+     "stream.blinking.depth"),
+    ("hbt-sim", "excluded_peaks: [.nan]\n" + HBT_STREAM, "excluded_peaks[0]"),
+    ("sweep-pulse", "filter_widths: [.inf]\nsweep: {points: 2}\n", "filter_widths[0]"),
+    ("sweep-filter", "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: .inf, points: 2}\n",
+     "sweep.max"),
+    ("sweep-filter", "detuning: .nan\n" + SWEEP, "detuning"),
+    ("sweep-filter", "gamma_sigma: .inf\n" + SWEEP, "gamma_sigma"),
+    ("sweep-filter", "pulse: {area_pi: .inf}\n" + SWEEP, "pulse.area_pi"),
+    ("sweep-filter", "integrator: {max_step: -.inf}\n" + SWEEP, "integrator.max_step"),
+], ids=["span_nan", "span_inf", "noise_rate_inf", "pulse_sigma_inf", "rep_period_nan",
+        "blinking_frequency_nan", "blinking_depth_nan", "excluded_peak_nan",
+        "filter_width_inf", "sweep_max_inf", "detuning_nan", "gamma_sigma_inf",
+        "area_pi_inf", "max_step_minus_inf"])
+def test_non_finite_number_is_named(tmp_path, capsys, command, text, key):
+    # YAML reads .nan and .inf as floats; each is a configuration error, not a
+    # crash, a silent run or a convergence failure
+    assert run(tmp_path, command, text) == 2
+    assert f"{key}: " in capsys.readouterr().err
+
+
+def test_non_finite_epsilon_flag_is_named(tmp_path, capsys):
+    assert run(tmp_path, "sweep-filter", SWEEP, "--epsilon", "inf") == 2
+    assert "--epsilon: inf is not a finite number" in capsys.readouterr().err
+
+
+def test_unknown_blinking_key_is_named(tmp_path, capsys):
+    text = "stream: {n_pulses: 1000, blinking: {frequencies: [1.0], dept: 0.5}}\n"
+    assert run(tmp_path, "hbt-sim", text) == 2
+    assert "stream.blinking.dept: unknown configuration key" in capsys.readouterr().err
 
 
 IMPORT_HYGIENE = """

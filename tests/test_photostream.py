@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -107,6 +108,38 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             StreamConfig(n_pulses=10, rep_period=0.0)
 
+    @pytest.mark.parametrize("field", ["rep_period", "emitter_lifetime", "pulse_sigma",
+                                       "noise_rate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StreamConfig(n_pulses=10, **{field: value})
+
+    @pytest.mark.parametrize("frequencies", [(np.nan,), (1.0, np.inf), (-np.inf,)])
+    def test_non_finite_blinking_frequency_rejected(self, frequencies):
+        with pytest.raises(ValueError, match="finite"):
+            BlinkingConfig(frequencies=frequencies)
+
+    # sha256 of c1.tobytes() + c2.tobytes() at seed 11, one config per branch of
+    # the law; a change to the stream a seed gives must change these on purpose
+    STREAM_PINS = {
+        "pairs": (StreamConfig(n_pulses=50_000, p_single=0.3, p_double=0.05,
+                               detection_efficiency=0.8),
+                  "1700a0a98d0394787a1be7d0113facfe4b35bac249a9beb1c061f28f5a343b4b"),
+        "blinking": (StreamConfig(n_pulses=50_000, p_single=0.3,
+                                  blinking=BlinkingConfig((1.0, 2.5), 0.6)),
+                     "4212174cc335c64e0d7f72602e3f46a3c0eaae9ff5a3f50d369f92fe3ebf30e1"),
+        "noise": (StreamConfig(n_pulses=50_000, p_single=0.0, noise_rate=2e6),
+                  "3bf8b5d74353214b58ad5dec069fb057a11179d7bfb4c5ace01b22b6dbd52a52"),
+    }
+
+    @pytest.mark.parametrize("branch", STREAM_PINS)
+    def test_stream_of_a_seed_is_pinned(self, branch):
+        cfg, digest = self.STREAM_PINS[branch]
+        c1, c2 = synthesize_stream(cfg, seed=11)
+        assert c1.dtype == c2.dtype == np.int64
+        assert hashlib.sha256(c1.tobytes() + c2.tobytes()).hexdigest() == digest
+
 
 class TestCorrelate:
     def test_single_pair_lands_in_right_bin(self):
@@ -118,6 +151,18 @@ class TestCorrelate:
     def test_unsorted_rejected(self):
         with pytest.raises(UnsortedInput):
             correlate(np.array([5, 1]), np.array([0]), 5, 1.0)
+        with pytest.raises(UnsortedInput):
+            correlate(np.array([0]), np.array([0, 7, 3]), 5, 1.0)
+
+    @pytest.mark.parametrize("bin_width", [0, -5, 2.5, 5.0, True, "5"])
+    def test_bin_width_must_be_a_positive_integer(self, bin_width):
+        with pytest.raises(ValueError, match="bin_width"):
+            correlate(np.array([0]), np.array([0]), bin_width, 1.0)
+
+    @pytest.mark.parametrize("span", [0.0, -1.0, np.nan, np.inf, -np.inf, "1.0"])
+    def test_span_must_be_finite_and_positive(self, span):
+        with pytest.raises(ValueError, match="span"):
+            correlate(np.array([0]), np.array([0]), 5, span)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -130,6 +175,12 @@ class TestCorrelate:
     # duplicate timestamps in both lists
     @example(c1=[100, 100, 355], c2=[100, 100, 354, 355, 355], bin_width=6, span=0.25)
     @example(c1=[100, 100, 355], c2=[100, 100, 354, 355, 355], bin_width=7, span=0.25)
+    # no click with a partner; every click with the same partner count; one
+    # click with many partners among many with none
+    @example(c1=[0, 10, 600], c2=[300], bin_width=6, span=0.05)
+    @example(c1=[100, 101, 102, 500, 501], c2=[100, 102, 500, 502], bin_width=2, span=0.02)
+    @example(c1=[0, 1, 2, 3, 300, 597, 598, 599, 600],
+             c2=[290, 292, 295, 299, 300, 300, 301, 305, 309], bin_width=1, span=0.05)
     def test_counts_match_brute_force(self, c1, c2, bin_width, span):
         # the O(n1 n2) loop over the documented binning rule, bin by bin; at
         # even widths the last bin ends one picosecond short of +edge
@@ -162,6 +213,25 @@ class TestCorrelate:
             tracemalloc.stop()
         assert hist.counts.sum() >= 50 * len(c1)
         assert peak < multiple * input_bytes
+
+    def test_memory_beyond_the_histogram_is_linear_in_clicks(self):
+        # 1.32 M bins for 4000 clicks, all 4 M pairs inside the span: a
+        # bin-sized buffer or a bincount per flush would each add the
+        # histogram's bytes again
+        rng = np.random.default_rng(5)
+        c1 = np.sort(rng.integers(0, 3_000_000, 2_000))
+        c2 = np.sort(rng.integers(0, 3_000_000, 2_000))
+        input_bytes = c1.nbytes + c2.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            hist = correlate(c1, c2, bin_width=5, span=3300.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(hist.counts) > 300 * (len(c1) + len(c2))
+        assert hist.counts.sum() == len(c1) * len(c2)
+        assert peak <= hist.counts.nbytes + 8 * input_bytes
 
     def test_flat_for_independent_poisson(self):
         cfg = StreamConfig(n_pulses=2_000_000, p_single=0.0, noise_rate=4e5)
