@@ -7,14 +7,13 @@ estimator, and lifetime fitting with instrument-response convolution.
 
 Importing the package loads numpy only, and photonpurity.cli adds yaml.
 scipy loads where it is called: scipy.sparse for the window operator of a
-batch whose real rows (density matrices in a Hermitian operator basis)
-exceed dynamics.DENSE_MAX_SIZE = 90 entries, or whose systems differ off
-the diagonal of the generator on vec (couplings, rates, readout scales; a
-filter detuning only turns the phase of each coherence);
-scipy.linalg.expm for the propagators of two_time_g2_map and for samples
-past the drive cutoff in dynamics.emission_integrals; scipy.special and
-scipy.optimize for the cascade model and the lifetime fit.  A two-level
-emission spectrum and the HBT simulation need none of them.
+batch that keeps more than dynamics.DENSE_MAX_SIZE = 90 real coordinates
+(the coordinates its initial rows can reach, of rows that hold density
+matrices in a Hermitian operator basis); scipy.linalg.expm for the
+propagators of two_time_g2_map; scipy.special and scipy.optimize for the
+cascade model and the lifetime fit.  The filtered g2 (sampled past the
+drive cutoff or not) and the emission spectra of the two-level emitter and
+of the cascade's exciton line, and the HBT simulation, need none of them.
 """
 
 __version__ = "0.1.0"

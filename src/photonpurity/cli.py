@@ -415,7 +415,10 @@ def cmd_hbt(cfg: RunConfig):
     _check_window(stream_cfg.rep_period, cfg.window, cfg.span, "span")
     out = _outdir(cfg)
     clicks1, clicks2 = photostream.synthesize_stream(stream_cfg, cfg.seed)
-    hist = photostream.correlate(clicks1, clicks2, cfg.bin_width, cfg.span)
+    try:
+        hist = photostream.correlate(clicks1, clicks2, cfg.bin_width, cfg.span)
+    except photostream.HistogramTooLarge as err:
+        raise ConfigError(str(err)) from err
     n_clicks = [int(len(clicks1)), int(len(clicks2))]
     del clicks1, clicks2  # not held while the histogram is written
     hist_path = os.path.join(out, "hbt_histogram.csv")

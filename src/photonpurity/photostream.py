@@ -59,6 +59,10 @@ class WindowOverlap(ValueError):
     pass
 
 
+class HistogramTooLarge(ValueError):
+    """The bins that a span and a bin width ask for cannot be allocated."""
+
+
 class MalformedHistogram(ValueError):
     """A histogram CSV whose rows are not centred, evenly spaced delays with
     counts >= 0 in an odd number of bins."""
@@ -347,7 +351,8 @@ def correlate(clicks1, clicks2, bin_width: int = 5, span: float = 30.0) -> Coinc
     zero delay; a delay d lands in bin (d + edge) // bin_width with
     edge = half_bins * bin_width + bin_width // 2, and pairs outside the
     bins are dropped.  `bin_width` must be an integer >= 1 and `span`
-    finite and > 0.
+    finite and > 0; HistogramTooLarge names both and the bin count when
+    the histogram cannot be allocated.
 
     Two `searchsorted` calls give each click in `clicks1` the range
     [lo, hi) of its partners in `clicks2`.  The clicks with no partner are
@@ -374,7 +379,11 @@ def correlate(clicks1, clicks2, bin_width: int = 5, span: float = 30.0) -> Coinc
     n_bins = 2 * half_bins + 1
     edge = half_bins * bin_width + bin_width // 2
     top = n_bins * bin_width - edge  # the first delay past the last bin
-    counts = np.zeros(n_bins, dtype=np.int64)
+    try:
+        counts = np.zeros(n_bins, dtype=np.int64)
+    except (MemoryError, ValueError) as err:  # ValueError: more bins than an array holds
+        raise HistogramTooLarge(f"span {span:g} ns at bin_width {bin_width} ps needs "
+                                f"{n_bins} histogram bins, which cannot be allocated") from err
 
     lo = np.searchsorted(clicks2, clicks1 - edge, side="left")
     partners = np.searchsorted(clicks2, clicks1 + top, side="left")

@@ -56,6 +56,13 @@ def test_hbt_span_must_cover_side_peaks(tmp_path, capsys):
     assert "rep_period + window / 2" in capsys.readouterr().err
 
 
+def test_hbt_unallocatable_span_is_a_config_error(tmp_path, capsys):
+    # 4e14 bins of 8 bytes: the allocation fails at once
+    assert run(tmp_path, "hbt-sim", "span: 1.0e+12\nstream: {n_pulses: 1000}\n") == 2
+    assert "span 1e+12 ns at bin_width 5 ps needs 400000000000001 histogram bins" \
+        in capsys.readouterr().err
+
+
 def test_hbt_window_wider_than_stream_period(tmp_path):
     assert run(tmp_path, "hbt-sim", "stream: {n_pulses: 1000, rep_period: 5.0}\n") == 2
 
@@ -310,11 +317,18 @@ def test_unknown_blinking_key_is_named(tmp_path, capsys):
 
 
 IMPORT_HYGIENE = """
+import math
 import sys
+import numpy as np
 import photonpurity
 from photonpurity import cli
+from photonpurity.correlations import filtered_g2_zero
+from photonpurity.model import GaussianPulse, SensorConfig, TwoLevelConfig, build_two_level
 for command, config, out in zip(sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]):
     assert cli.main([command, "--config", config, "--out", out]) == 0, command
+# samples past the drive cutoff t_c = 0.6
+system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
+filtered_g2_zero(system, SensorConfig(0.0, 1.0), grid=np.linspace(0.0, 2.0, 24))
 loaded = set(sys.modules) & {"scipy.linalg", "scipy.sparse", "scipy.optimize",
                              "scipy.special", "scipy.stats"}
 print("scipy modules:", *sorted(loaded))
@@ -322,10 +336,17 @@ print("scipy modules:", *sorted(loaded))
 
 
 def test_hbt_and_two_level_spectrum_run_without_scipy(tmp_path):
-    # a fresh interpreter: the package, the CLI and these two commands need numpy and yaml
+    # a fresh interpreter: the package, the CLI, these commands (the filtered g2 of the
+    # two-level emitter and of the cascade's exciton line too) and a filtered g2 sampled
+    # past the drive cutoff need numpy and yaml
+    sweep = "jobs: 1\nsweep: {min: 0.5, max: 1.0, points: 2}\n"
     args = []
     for command, text in [("hbt-sim", "stream: {n_pulses: 20000}\n"),
-                          ("spectrum", "pulse_lengths: [0.05]\ndetuning_points: 3\n")]:
+                          ("spectrum", "pulse_lengths: [0.05]\ndetuning_points: 3\n"),
+                          ("sweep-filter", "pulse_lengths: [0.05]\n" + sweep),
+                          ("sweep-pulse", "filter_widths: [1.0]\njobs: 1\n"
+                                          "sweep: {min: 0.05, max: 0.1, points: 2}\n"),
+                          ("sweep-fourlevel", "pulse_lengths: [0.01]\n" + sweep)]:
         config = tmp_path / f"{command}.yaml"
         config.write_text(text)
         args += [command, str(config), str(tmp_path / command)]

@@ -246,6 +246,11 @@ class TestEmissionSeries:
         with pytest.raises(ValueError, match="must not decrease"):
             self.series(grid)
 
+    def test_rho0_of_another_dimension_rejected(self):
+        sigma = self.SYSTEM.output_ops["sigma"]
+        with pytest.raises(DimensionMismatch, match=r"rho0 has shape \(3, 3\)"):
+            emission_series([self.SYSTEM], sigma, [0.0, 0.1], rho0=np.eye(3) / 3)
+
 
 def _sensor_batch(system, observed, detuning, widths):
     """The sensor-extended systems at each width, each with its own
@@ -360,6 +365,17 @@ MIXED_BATCHES = [
 ]
 
 
+def _lab_liouvillian(system):
+    """Drive-free lab-frame L0 of one system, built from krons on row-major vec."""
+    d = system.dimension
+    eye = np.eye(d)
+    heff = system.h_static - 0.5j * sum(rate * c.conj().T @ c for c, rate in system.channels)
+    l0 = -1j * np.kron(heff, eye) + 1j * np.kron(eye, heff.conj())
+    for c, rate in system.channels:
+        l0 += rate * np.kron(c, c.conj())
+    return l0
+
+
 def _tails_by_lu(systems, emit):
     """n and G of emission_integrals(systems, emit, times=()), with the tails
     closed by one scipy LU per system of a kron-built L0 + |rho_ss><1|."""
@@ -378,11 +394,7 @@ def _tails_by_lu(systems, emit):
     ground[0, 0] = 1.0
     n_int, g_int = [], []
     for b, system in enumerate(systems):
-        heff = system.h_static - 0.5j * sum(rate * c.conj().T @ c for c, rate in system.channels)
-        l0 = -1j * np.kron(heff, eye) + 1j * np.kron(eye, heff.conj())
-        for c, rate in system.channels:
-            l0 += rate * np.kron(c, c.conj())
-        lu = lu_factor(l0 + np.outer(ground.ravel(), eye.ravel()))
+        lu = lu_factor(_lab_liouvillian(system) + np.outer(ground.ravel(), eye.ravel()))
 
         def resolvent(x):
             return -lu_solve(lu, (x - np.trace(x) * ground).ravel()).reshape(d, d)
@@ -394,6 +406,60 @@ def _tails_by_lu(systems, emit):
         r_pair = resolvent(rows[b, 1]) + resolvent(e @ r_rho @ e.conj().T)
         g_int.append(2.0 * (integrals[b, 1] + np.trace(nop @ r_pair)).real)
     return np.array(n_int), np.array(g_int)
+
+
+class TestReachable:
+    """A batch steps only the coordinates its initial rows can reach."""
+
+    @pytest.mark.parametrize("batch, pairs, full, kept", [
+        (1, True, 290, 86), (1, False, 145, 43), (0, True, 74, 74)],
+        ids=["exciton_line", "exciton_line_spectrum", "two_level_first_uncoupled"])
+    def test_dropped_coordinates_stay_exactly_zero(self, batch, pairs, full, kept):
+        # the full generator, walked from the ground state, leaves every coordinate
+        # outside the closure at exactly 0.0, at every stop (past t_c too)
+        system, observed, detuning, widths = MIXED_BATCHES[batch]
+        systems, emit = _sensor_batch(system, observed, detuning, widths)
+        if batch == 0:  # the sensor coupling is then no part of the shared pattern
+            systems[0] = replace(systems[0], h_static=np.diag(np.diag(systems[0].h_static)))
+        whole = dynamics._Generator(systems, emit, pairs)
+        reduced = dynamics._Generator(systems, emit, pairs, initial=[0])
+        assert (whole.size, reduced.size) == (full, kept)
+        assert reduced.op is None  # dense at <= 90
+        reached = whole.coords.encode(reduced.coords.decode(np.ones(kept))) != 0
+        assert np.count_nonzero(reached) == kept
+        rows = np.zeros((len(systems), whole.coords.length), dtype=complex)
+        rows[:, 0] = 1.0
+        t_c = dynamics.drive_cutoff(system.pulse)
+        stops = [*np.linspace(0.0, t_c, 7), t_c + 0.5, t_c + 3.0]
+        for y in dynamics._walk(whole, whole.coords.encode(rows).ravel(), 0.0, stops,
+                                dynamics.DEFAULT_INTEGRATOR):
+            y = y.reshape(len(systems), -1)
+            assert np.all(y[:, ~reached] == 0.0)
+            assert np.any(y[:, reached] != 0.0)
+
+    @pytest.mark.parametrize("system, observed, detuning, widths", MIXED_BATCHES,
+                             ids=["two_level", "exciton_line"])
+    def test_samples_past_cutoff_match_expm(self, system, observed, detuning, widths):
+        # the stepper carries on past t_c; e^(L0 (t - t_c)) rho_c is the oracle, and the
+        # later samples leave n and G bit for bit as the window samples give them
+        systems, emit = _sensor_batch(system, observed, detuning, widths)
+        t_c = dynamics.drive_cutoff(system.pulse)
+        window = np.linspace(0.0, t_c, dynamics.WINDOW_SAMPLES)
+        later = t_c + np.array([0.0, 0.05, 0.5, 2.0, 6.0])
+        res = emission_integrals(systems, emit, times=np.concatenate([window, later]))
+        alone = emission_integrals(systems, emit, times=window)
+        assert np.array_equal(res.n_integral, alone.n_integral)
+        assert np.array_equal(res.pair_integral, alone.pair_integral)
+        k = len(window)
+        for b, sys_b in enumerate(systems):
+            l0 = _lab_liouvillian(sys_b)
+            rho_c = res.states[b, k - 1].ravel()
+            for j, t in enumerate(later, k):
+                oracle = (expm(l0 * (t - t_c)) @ rho_c).reshape(sys_b.dimension, -1)
+                np.testing.assert_allclose(res.states[b, j], oracle, rtol=0, atol=1e-8)
+            nop = emit[b].conj().T @ emit[b]
+            assert np.max(np.abs(res.n_series[b, k:] - np.einsum(
+                "mn,tnm->t", nop, res.states[b, k:]).real)) <= 1e-12 * np.max(res.n_series[b])
 
 
 class TestBatch:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from photonpurity.photostream import (
     BlinkingConfig,
     CoincidenceHistogram,
     G2Estimate,
+    HistogramTooLarge,
     MalformedHistogram,
     StreamConfig,
     UnsortedInput,
@@ -162,6 +164,13 @@ class TestCorrelate:
     @pytest.mark.parametrize("span", [0.0, -1.0, np.nan, np.inf, -np.inf, "1.0"])
     def test_span_must_be_finite_and_positive(self, span):
         with pytest.raises(ValueError, match="span"):
+            correlate(np.array([0]), np.array([0]), 5, span)
+
+    # 4e14 and 4e302 bins: numpy refuses both before touching any memory
+    @pytest.mark.parametrize("span, bins", [(1.0e12, "400000000000001"), (1.0e300, "4000")])
+    def test_unallocatable_histogram_names_its_size(self, span, bins):
+        with pytest.raises(HistogramTooLarge, match=re.escape(
+                f"span {span:g} ns at bin_width 5 ps needs {bins}")):
             correlate(np.array([0]), np.array([0]), 5, span)
 
     @settings(max_examples=60, deadline=None)
