@@ -40,15 +40,9 @@ class GaussianPulse:
             object.__setattr__(self, "offset", 4.0 * self.length)
 
     def amplitude(self, t):
-        """Drive amplitude at time t (vectorized); integrates to `area`.
-        A float t takes a scalar path in Python floats, with the bits of the
-        array path (np.exp, not math.exp, whose last bit can differ)."""
-        peak = self.area / (math.sqrt(2.0 * math.pi) * self.length)
-        if isinstance(t, float):
-            x = (float(t) - self.offset) / self.length
-            return peak * float(np.exp(-0.5 * x * x))
+        """Drive amplitude at time t (vectorized); integrates to `area`."""
         x = (np.asarray(t, dtype=float) - self.offset) / self.length
-        return peak * np.exp(-0.5 * x * x)
+        return self.area / (math.sqrt(2.0 * math.pi) * self.length) * np.exp(-0.5 * x * x)
 
 
 @dataclass(frozen=True)

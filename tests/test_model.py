@@ -35,14 +35,6 @@ class TestGaussianPulse:
         ratio = p.amplitude(9.0) / p.amplitude(4.0)
         assert ratio == pytest.approx(3.7266531720786709e-06, rel=1e-12)
 
-    def test_scalar_path_has_the_bits_of_the_array_path(self):
-        # the right-hand side calls it with one float t per stage
-        p = GaussianPulse(area=math.pi, length=0.05)
-        t = np.random.default_rng(3).uniform(0.0, 0.6, 20000)
-        scalar = [p.amplitude(x) for x in t.tolist()] + [p.amplitude(x) for x in t[:100]]
-        assert all(type(a) is float for a in scalar)
-        assert np.array_equal(scalar, np.concatenate([p.amplitude(t), p.amplitude(t[:100])]))
-
     def test_offset_defaults_to_four_lengths(self):
         assert GaussianPulse(area=1.0, length=0.05).offset == pytest.approx(0.2)
         assert GaussianPulse(area=1.0, length=0.05, offset=1.0).offset == 1.0
