@@ -206,10 +206,10 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
 
     # the last pass's Jacobian at result.x, reweighted by the returned model
     jac = result.jac * (pass_weights / weights)[:, None]
-    _, sv, _ = np.linalg.svd(jac, full_matrices=False)
-    if sv[-1] < 1e-12 * sv[0]:
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    if sv[-1] <= 1e-12 * sv[0]:  # an all-zero Jacobian too
         raise IllConditioned("rank-deficient Jacobian; parameters not identifiable")
-    cov = np.linalg.inv(jac.T @ jac)
+    cov = (vt.T / sv**2) @ vt  # (J^T J)^-1 = V S^-2 V^T
     sigmas = {f: float(s) for f, s in zip(fields, np.sqrt(np.diag(cov)))}
     params = pack(result.x)
     if which == "exciton" and params.gamma_2x < params.gamma_x:

@@ -3,11 +3,11 @@
 Density matrices are plain complex ndarrays; all stored states and readouts
 are in the laser rotating frame (the lab frame here).
 
-The driven stretch is integrated by one stepper, an embedded Dormand-Prince
-4(5) pair, on real rows: the coordinates of rho in an orthonormal Hermitian
-operator basis (rho_mm, sqrt2 Re rho_mn and sqrt2 Im rho_mn for m < n),
-optionally followed by those of a collapsed row X and real scalar emission
-accumulators.  The Lindblad generator preserves Hermiticity, so it is a
+The driven stretch is integrated by one stepper, Dormand & Prince's
+embedded 8(5,3) pair DOP853, on real rows: the coordinates of rho in an
+orthonormal Hermitian operator basis (rho_mm, sqrt2 Re rho_mn and sqrt2 Im
+rho_mn for m < n), optionally followed by those of a collapsed row X and
+real scalar emission accumulators.  The Lindblad generator preserves Hermiticity, so it is a
 real matrix on these coordinates, at a quarter of the flops of the complex
 one on vec(rho).  Its right-hand side, _Generator, is the lab-frame window
 superoperator of a whole batch of systems (a detuning sweep, or every
@@ -24,16 +24,17 @@ pass.
 
 One sampler, `_walk`, drives the stepper through a sorted list of stop
 times: it caps the step inside the pulse window, carries the step size and
-the first-same-as-last derivative from stop to stop, and yields the state at
-each stop.  propagate, emission_series and emission_integrals iterate it,
-the last also for its samples past the drive cutoff t_c.  Past t_c the
+the derivative at the current point (the next step's first stage) from stop
+to stop, and yields the state at each stop.  propagate, emission_series and
+emission_integrals iterate it, the last also for its samples past the drive
+cutoff t_c.  Past t_c the
 generator is constant and the lab-frame Liouvillian L0 gives closed forms:
 emission_integrals carries one or two rows per system and the scalar time
 integrals its tails read over the pulse window, and closes the tails with a
 resolvent, one batched numpy.linalg.solve over the stack of deflated
 generators of each group of systems (groups of at most _TAIL_GROUP_BYTES of
-stack); two_time_g2_map chains per-interval propagators, DP45 on the d^2
-real unit vectors inside the window and expm(L0 h) after it.
+stack); two_time_g2_map chains per-interval propagators, DOP853 on the
+d^2 real unit vectors inside the window and expm(L0 h) after it.
 """
 
 from __future__ import annotations
@@ -63,12 +64,13 @@ class BatchMismatch(ValueError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings of the adaptive Dormand-Prince 4(5) integrator.
+    """Settings of the adaptive DOP853 integrator.
 
-    Steps are accepted when the RMS of the embedded error estimate, scaled
-    by abs_tol + rel_tol |y|, is at most 1.  At least MIN_STEPS_PER_PULSE
-    steps are forced across the pulse window [t0 - 4 tau, t0 + 4 tau] so
-    narrow pulses are never stepped over.
+    Steps are accepted when DOP853's combined error estimate, from the RMS
+    of its fifth- and third-order estimates scaled by abs_tol + rel_tol |y|
+    (`_error_norm`), is at most 1.  At least MIN_STEPS_PER_PULSE steps are
+    forced across the pulse window [t0 - 4 tau, t0 + 4 tau] so narrow
+    pulses are never stepped over.
     """
 
     rel_tol: float = 1e-9
@@ -116,32 +118,79 @@ class CorrelationGrid:
 
     def to_csv(self, path):
         """Row-major (t1, t2, value) CSV; first line names the time unit.
-        One formatted write per chunk of rows."""
-        t1, t2 = np.meshgrid(self.t1, self.t2, indexing="ij")
-        rows = np.column_stack((t1.ravel(), t2.ravel(), np.ravel(self.values)))
+        Each time is formatted once, into the template of its lines; one
+        formatted write of the values per chunk of t1 rows."""
+        # joined by a row's "t1," this list puts that t1 in front of every line
+        tails = ["", *("%.9g," % t + "%.12g\n" for t in self.t2)]
+        values = np.reshape(self.values, (len(self.t1), len(self.t2)))
+        step = max(1, _CSV_CHUNK // len(tails))
         with open(path, "w") as fh:
             fh.write("# time_unit=1/gamma_sigma\n")
             fh.write("t1,t2,value\n")
-            for start in range(0, len(rows), _CSV_CHUNK):
-                chunk = rows[start:start + _CSV_CHUNK]
-                fh.write("%.9g,%.9g,%.12g\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+            for start in range(0, len(self.t1), step):
+                chunk = self.t1[start:start + step]
+                template = "".join(("%.9g," % t).join(tails) for t in chunk)
+                fh.write(template % tuple(values[start:start + step].ravel().tolist()))
 
 
-# Dormand-Prince 4(5) tableau (FSAL): row i of _DP_A weighs the stages before
-# stage i; _DP_BE holds the fifth-order weights and the error weights.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-])
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_BE = np.array([_DP_B5, _DP_B5 - _DP_B4])
+# DOP853 tableau, the 12 stages of Dormand & Prince's eighth-order solution
+# with its fifth- and third-order error estimates (Hairer, Norsett & Wanner,
+# Solving Ordinary Differential Equations I, 2nd ed., sec. II.10).  Row i of
+# _DOP_A weighs the stages before stage i (its strictly lower triangle, row
+# by row below); the rows of _DOP_B are the solution weights, E5 and E3.
+# The tables are parsed from strings: as float literals they raised the
+# parser's peak memory when the module is imported from source by 0.5 MB.
+_DOP_C = np.array("""
+    0 5.26001519587677318785587544488e-2 7.89002279381515978178381316732e-2
+    1.18350341907227396726757197510e-1 2.81649658092772603273242802490e-1
+    3.33333333333333333333333333333e-1 0.25 3.07692307692307692307692307692e-1
+    6.51282051282051282051282051282e-1 0.6 8.57142857142857142857142857142e-1 1
+""".split(), dtype=float)
+_DOP_A = np.zeros((12, 12))
+_DOP_A[np.tril_indices(12, -1)] = np.array("""
+    5.26001519587677318785587544488e-2
+    1.97250569845378994544595329183e-2 5.91751709536136983633785987549e-2
+    2.95875854768068491816892993775e-2 0 8.87627564304205475450678981324e-2
+    2.41365134159266685502369798665e-1 0 -8.84549479328286085344864962717e-1
+    9.24834003261792003115737966543e-1
+    3.7037037037037037037037037037e-2 0 0 1.70828608729473871279604482173e-1
+    1.25467687566822425016691814123e-1
+    3.7109375e-2 0 0 1.70252211019544039314978060272e-1 6.02165389804559606850219397283e-2
+    -1.7578125e-2
+    3.70920001185047927108779319836e-2 0 0 1.70383925712239993810214054705e-1
+    1.07262030446373284651809199168e-1 -1.53194377486244017527936158236e-2
+    8.27378916381402288758473766002e-3
+    6.24110958716075717114429577812e-1 0 0 -3.36089262944694129406857109825
+    -8.68219346841726006818189891453e-1 2.75920996994467083049415600797e1
+    2.01540675504778934086186788979e1 -4.34898841810699588477366255144e1
+    4.77662536438264365890433908527e-1 0 0 -2.48811461997166764192642586468
+    -5.90290826836842996371446475743e-1 2.12300514481811942347288949897e1
+    1.52792336328824235832596922938e1 -3.32882109689848629194453265587e1
+    -2.03312017085086261358222928593e-2
+    -9.3714243008598732571704021658e-1 0 0 5.18637242884406370830023853209
+    1.09143734899672957818500254654 -8.14978701074692612513997267357
+    -1.85200656599969598641566180701e1 2.27394870993505042818970056734e1
+    2.49360555267965238987089396762 -3.0467644718982195003823669022
+    2.27331014751653820792359768449 0 0 -1.05344954667372501984066689879e1
+    -2.00087205822486249909675718444 -1.79589318631187989172765950534e1
+    2.79488845294199600508499808837e1 -2.85899827713502369474065508674
+    -8.87285693353062954433549289258 1.23605671757943030647266201528e1
+    6.43392746015763530355970484046e-1
+""".split(), dtype=float)
+# the solution weights, E5 and the third-order weights, 12 each
+_DOP_B = np.array("""
+    5.42937341165687622380535766363e-2 0 0 0 0 4.45031289275240888144113950566
+    1.89151789931450038304281599044 -5.8012039600105847814672114227
+    3.1116436695781989440891606237e-1 -1.52160949662516078556178806805e-1
+    2.01365400804030348374776537501e-1 4.47106157277725905176885569043e-2
+    1.312004499419488073250102996e-2 0 0 0 0 -1.225156446376204440720569753
+    -4.957589496572501915214079952e-1 1.664377182454986536961530415
+    -3.503288487499736816886487290e-1 3.341791187130174790297318841e-1
+    8.192320648511571246570742613e-2 -2.235530786388629525884427845e-2
+    2.44094488188976377952755905512e-1 0 0 0 0 0 0 0
+    7.33846688281611857341361741547e-1 0 0 2.20588235294117647058823529412e-2
+""".split(), dtype=float).reshape(3, 12)
+_DOP_B[2] = _DOP_B[0] - _DOP_B[2]  # E3: the solution less the third-order weights
 
 _MIN_REL_STEP = 1e-14
 _MAX_REJECTS = 60
@@ -285,9 +334,9 @@ class _Coordinates:
     def magnitudes(self, y):
         """|x| of the complex vec entry behind each coordinate of the flat
         state y (its rows of size `size`, C-contiguous): a coherence pair's
-        modulus |x_mn| on both its entries, |y| on the others.  The error
-        norm of DP45 is thus the one of complex vec rows, and it does not
-        depend on the frame's phase."""
+        modulus |x_mn| on both its entries, |y| on the others.  The
+        stepper's error norm is thus the one of complex vec rows, and it
+        does not depend on the frame's phase."""
         z = y.reshape(-1, self.size)
         out = np.abs(z)
         pairs = np.abs(z[:, :self.pairs].view(complex)) / _SQRT2
@@ -579,11 +628,14 @@ def _rms(coords, x):
     return np.sqrt(np.sum(x ** 2) / (x.size // coords.size * coords.length))
 
 
-def _error_norm(coords, err, abs_old, abs_new, cfg):
-    """RMS of the error scaled by abs_tol + rel_tol max(|y_old|, |y_new|),
-    given the two states' magnitudes (`_Coordinates.magnitudes`)."""
+def _error_norm(coords, e5, e3, abs_old, abs_new, cfg):
+    """DOP853's combined error estimate r5^2 / sqrt(r5^2 + 0.01 r3^2), r5 and
+    r3 the RMS (`_rms`) of the fifth- and third-order estimates scaled by
+    abs_tol + rel_tol max(|y_old|, |y_new|), given the two states'
+    magnitudes (`_Coordinates.magnitudes`)."""
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_old, abs_new)
-    return float(_rms(coords, err / scale))
+    r5 = _rms(coords, e5 / scale)
+    return 0.0 if r5 == 0.0 else float(r5 * r5 / np.hypot(r5, 0.1 * _rms(coords, e3 / scale)))
 
 
 def _initial_step(gen, t0, y0, f0, cap, cfg):
@@ -594,14 +646,21 @@ def _initial_step(gen, t0, y0, f0, cap, cfg):
     return min(h, cap)
 
 
+def _step_factor(enorm):
+    """The next step over this one for the error estimate `enorm`."""
+    return 10.0 if enorm == 0.0 else min(10.0, max(0.2, 0.9 * enorm ** -0.125))
+
+
 def _advance(gen, t, y, t_target, cfg, cap_fn, h=None, k1=None):
-    """Step the flat real state y from t to t_target with the embedded 4(5)
-    pair.  The seven stages sit in one (7, n) array, so each stage's input
-    and the step's solution and error are each one matmul with the tableau;
-    the magnitudes of the accepted state serve the next step's error norm.  `h`,
-    the proposed step size, and `k1`, the derivative at (t, y), carry over
-    from a previous interval when given.  Returns (y, h, k1) at t_target."""
-    k = np.empty((7, y.size))
+    """Step the flat real state y from t to t_target with DOP853.  The twelve
+    stages sit in one (12, n) array, so each stage's input and the step's
+    solution and two error estimates are each one matmul with the tableau;
+    the derivative at an accepted point is the next step's first stage, and
+    the magnitudes of the accepted state serve the next step's error norm.
+    `h`, the proposed step size, and `k1`, the derivative at (t, y), carry
+    over from a previous interval when given.  Returns (y, h, k1) at
+    t_target."""
+    k = np.empty((12, y.size))
     k[0] = gen.rhs(t, y) if k1 is None else k1
     if h is None:
         h = _initial_step(gen, t, y, k[0], min(cap_fn(t), t_target - t), cfg)
@@ -613,30 +672,29 @@ def _advance(gen, t, y, t_target, cfg, cap_fn, h=None, k1=None):
         while True:
             if step < _MIN_REL_STEP * max(1.0, abs(t)):
                 raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
-            for i in range(1, 7):
-                k[i] = gen.rhs(t + _DP_C[i] * step, y + (step * _DP_A[i, :i]) @ k[:i])
-            y_new, err = (step * _DP_BE) @ k
+            for i in range(1, 12):
+                k[i] = gen.rhs(t + _DOP_C[i] * step, y + (step * _DOP_A[i, :i]) @ k[:i])
+            y_new, e5, e3 = (step * _DOP_B) @ k
             y_new += y
             abs_new = gen.coords.magnitudes(y_new)
-            enorm = _error_norm(gen.coords, err, abs_y, abs_new, cfg)
+            enorm = _error_norm(gen.coords, e5, e3, abs_y, abs_new, cfg)
             if enorm <= 1.0:
                 break
             rejects += 1
             if rejects > _MAX_REJECTS:
                 raise StepSizeUnderflow(f"too many rejected steps at t={t:.6g}")
-            step *= max(0.1, 0.9 * enorm ** -0.2)
+            step *= _step_factor(enorm)
 
         t = t + step
         y, abs_y = y_new, abs_new
-        k[0] = k[6]  # FSAL
-        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-        h = step * factor
+        k[0] = gen.rhs(t, y)
+        h = step * _step_factor(enorm)
     return y, h, k[0].copy()
 
 
 def _walk(gen, y, t, stops, cfg):
     """Step the state y of `gen` from time t through the times `stops`,
-    yielding the state at each.  The step size and the FSAL derivative carry
+    yielding the state at each.  The step size and the first stage carry
     over from stop to stop; a stop at the current time yields the state
     unchanged.  Raises ValueError for a stop before the one preceding it
     (or before t)."""
@@ -794,7 +852,7 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     only sets where <N> and the state are sampled: the integrator stops at
     each, which must not decrease or precede 0 (ValueError).  It reaches
     those past t_c by stepping on after reading the stop at t_c, so n and G
-    do not depend on them.  Their error budget is the DP45 tolerance of
+    do not depend on them.  Their error budget is the DOP853 tolerance of
     `cfg`, with the drive below e^-32 of its peak that the tails drop; they
     agree with e^(L0 (t - t_c)) rho_c to < 1e-10 (up to t_c + 6, sensor
     batches of the two-level emitter and of the exciton line).
@@ -865,9 +923,9 @@ def _step_propagators(gen, times, cfg):
 
     An interval that starts inside the drive window [0, t_c],
     t_c = drive_cutoff(pulse), steps the d^2 real unit vectors as the rows
-    of one DP45 pass (FSAL restarts per interval); their images are the
-    columns of the real propagator P_r, and P_k = T P_r T^H with T the
-    unitary `decode` of the coordinates.  Later intervals see the constant
+    of one DOP853 pass (the first stage restarts per interval); their
+    images are the columns of the real propagator P_r, and P_k = T P_r T^H
+    with T the unitary `decode` of the coordinates.  Later intervals see the constant
     generator L0 and take expm(L0 h), once per distinct h.
     """
     from scipy.linalg import expm
@@ -911,7 +969,7 @@ def two_time_g2_map(
     t2 < t1 follow from the symmetry of the time-ordered correlator.
 
     Error budget: the intervals that start inside the drive window [0, t_c]
-    carry the DP45 tolerance of `cfg` on O(1) basis entries; past t_c the
+    carry the DOP853 tolerance of `cfg` on O(1) basis entries; past t_c the
     propagators are exact up to expm's rounding.  No grid bias enters: the
     grid only sets where W is read out.
     """

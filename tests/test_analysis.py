@@ -177,6 +177,15 @@ class TestFit:
         with pytest.raises(IllConditioned, match="did not settle"):
             fit_lifetimes(self.t, y, CascadeParams(5.0, 3.0, 0.05, 9e3, 0.75), "exciton")
 
+    @pytest.mark.parametrize("seed", [12, 42, 1, 7])
+    def test_zero_jacobian_is_ill_conditioned(self, seed):
+        # from equal rates and a far onset the fit runs off to |gamma| ~ 700 /ns,
+        # where the Jacobian is exactly 0
+        rng = np.random.default_rng(seed)
+        y = rng.poisson(np.maximum(cascade_model(self.t, TRUE, "exciton"), 0.0)).astype(float)
+        with pytest.raises(IllConditioned, match="rank-deficient"):
+            fit_lifetimes(self.t, y, CascadeParams(6.3, 6.3, 0.25375, 4899.0, 0.5075), "exciton")
+
     def test_csv_round_trip(self, tmp_path):
         y = cascade_model(self.t, TRUE, "exciton")
         path = tmp_path / "decay.csv"

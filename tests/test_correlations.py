@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from photonpurity import cli
 from photonpurity import correlations as corr
 from photonpurity import dynamics
 from photonpurity.correlations import (
@@ -89,7 +90,7 @@ class TestFilteredG2:
 
         base = g2()
         tight = g2(cfg=dynamics.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-15))
-        assert abs(base - tight) < 1e-7 * tight
+        assert abs(base - tight) < 1e-9 * tight
         # a grid moves only where the integrator stops in the pulse window
         assert g2(grid=np.linspace(0.0, 20.0, 57)) == pytest.approx(base, rel=1e-9)
         monkeypatch.setattr(dynamics, "DRIVE_CUTOFF", 10.0)
@@ -179,6 +180,23 @@ def test_exact_propagator_oracle():
     stats = filtered_g2_zero(two_level_system(tau), SensorConfig(0.0, gamma),
                              check_convergence=False)
     assert stats.g2 == pytest.approx(oracle, rel=1e-7)
+
+
+@pytest.mark.slow
+def test_exciton_line_tolerance_budget(tmp_path):
+    # the figure-default sweep-fourlevel curves at the default tolerance
+    # against rel_tol 1e-12, abs_tol 1e-16
+    curves = []
+    tight_cfg = "integrator: {rel_tol: 1.0e-12, abs_tol: 1.0e-16}\n"
+    for name, text in (("default", ""), ("tight", tight_cfg)):
+        (tmp_path / f"{name}.yaml").write_text(text)
+        out = tmp_path / name
+        assert cli.main(["sweep-fourlevel", "--config", str(tmp_path / f"{name}.yaml"),
+                         "--out", str(out), "--jobs", "1"]) == 0
+        curves.append([np.loadtxt(out / f"sweep_fourlevel_tau{tau}.csv", delimiter=",",
+                                  skiprows=1, usecols=1) for tau in ("0.01", "0.02")])
+    for base, tight in zip(*curves):
+        assert np.max(np.abs(base - tight) / tight) < 1e-8
 
 
 def test_tail_premise_checked():
@@ -402,7 +420,7 @@ class TestBatch:
                                   observed=EXCITON_V_ONLY),
     ], ids=["spectrum", "g2_dense", "g2_csr"])
     def test_window_pass_steps_real_rows(self, monkeypatch, run):
-        # the DP45 state and every derivative are float64 coordinates, never complex vec
+        # the DOP853 state and every stage are float64 coordinates, never complex vec
         rhs = dynamics._Generator.rhs
         dtypes = set()
 

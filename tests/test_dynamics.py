@@ -61,6 +61,18 @@ def reference_master_equation(system, rho0, t_eval):
     return sol.y.T.reshape(len(t_eval), d, d)
 
 
+class TestTableau:
+    def test_dop853_order_conditions(self):
+        # the hand-typed coefficients: each row of A sums to its node, the
+        # solution weights integrate c^(k-1) exactly up to k = 8, and the
+        # error rows annihilate constants
+        a, c, (b, e5, e3) = dynamics._DOP_A, dynamics._DOP_C, dynamics._DOP_B
+        np.testing.assert_allclose(a.sum(axis=1), c, rtol=0, atol=1e-15)
+        k = np.arange(1, 9)
+        np.testing.assert_allclose(c[None, :] ** (k[:, None] - 1) @ b, 1.0 / k, rtol=0, atol=1e-15)
+        np.testing.assert_allclose([e5.sum(), e3.sum()], 0.0, rtol=0, atol=1e-15)
+
+
 class TestPropagate:
     def test_free_decay(self):
         system = free_decay_system()
@@ -207,6 +219,19 @@ class TestTwoTimeMap:
         cg.to_csv(path)
         expected = "# time_unit=1/gamma_sigma\nt1,t2,value\n" + "".join(
             f"{a:.9g},{b:.9g},{values[i, j]:.12g}\n"
+            for i, a in enumerate(t1) for j, b in enumerate(t2))
+        assert path.read_bytes() == expected.encode()
+
+    def test_csv_times_formatted_like_values(self, tmp_path):
+        # negative, tiny, large and integer-valued times and values
+        t1 = np.array([-2.5, 0.0, 1e-300, 3.0, 123456789012.0])
+        t2 = np.array([-1e-12, 1.0, 7.25e20])
+        values = np.array([[-1.0, 2.0, 1e-310], [0.0, -0.0, 3.0], [1e300, -7e-5, 42.0],
+                           [1.0 / 3.0, -2.0 ** 60, 5.0], [6.0, 1e-20, -8.5e12]])
+        path = tmp_path / "map.csv"
+        CorrelationGrid(t1, t2, values).to_csv(path)
+        expected = "# time_unit=1/gamma_sigma\nt1,t2,value\n" + "".join(
+            "%.9g,%.9g,%.12g\n" % (a, b, values[i, j])
             for i, a in enumerate(t1) for j, b in enumerate(t2))
         assert path.read_bytes() == expected.encode()
 
