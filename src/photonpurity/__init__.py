@@ -6,13 +6,10 @@ g2[0; Gamma], Monte Carlo Hanbury Brown-Twiss detection with the peak-sum
 estimator, and lifetime fitting with instrument-response convolution.
 
 Importing the package loads numpy only, and photonpurity.cli adds yaml.
-scipy loads where it is called: scipy.sparse for the window operator of a
-batch that keeps more than dynamics.DENSE_MAX_SIZE = 90 real coordinates
-(the coordinates its initial rows can reach, of rows that hold density
-matrices in a Hermitian operator basis); scipy.linalg.expm for the
-propagators of two_time_g2_map; scipy.special and scipy.optimize for the
-cascade model and the lifetime fit.  The filtered g2 (sampled past the
-drive cutoff or not) and the emission spectra of the two-level emitter and
+scipy loads where it is called: scipy.linalg.expm for the propagators of
+two_time_g2_map; scipy.special and scipy.optimize for the cascade model and
+the lifetime fit.  The filtered g2 (sampled past the drive cutoff or not, at
+any sensor truncation) and the emission spectra of the two-level emitter and
 of the cascade's exciton line, and the HBT simulation, need none of them.
 """
 

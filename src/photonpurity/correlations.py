@@ -22,7 +22,14 @@ constant and every tail is a resolvent solve.  Error budget of g2:
 - drive cut-off: the drive past t0 + 8 tau (below e^-32 of its peak) is
   dropped; t0 + 10 tau moves g2 by < 1e-9;
 - sensor coupling: the eps-halving check below (measured < 1e-4);
-- sensor truncation: 2 against 3 photons, < 1e-3.
+- sensor truncation: 2 against 3 photons, < 1e-8 at Gamma = 1 (6.5e-10
+  and 7.7e-9 measured at tau 0.05 and 0.2) and < 3e-8 over Gamma
+  0.05-100 (2.2e-8 at tau 0.2); 3e-12 on the exciton line.
+
+A spectrum reads only the sensor population, a one-photon quantity, so its
+sensor is cut at one photon: against two, the peak-normalized figure
+spectra move by < 1e-8 (2.1e-9 at most, two-level tau 0.02-0.2 and the
+exciton line).
 
 Every reported g2 can be cross-checked by halving the sensor coupling; the
 two systems are integrated in one batch so the check costs little.
@@ -156,8 +163,13 @@ def filtered_g2_batch(
     `grid` only sets the times at which `n_of_t` and the physicality report
     are sampled (default: across the pulse window); g2 and `n_integral`
     depend on it only through the integrator stopping at its points in the
-    window (< 1e-9 relative).
+    window (< 1e-9 relative).  Raises ValueError for a sensor truncated
+    below 2 photons, which cannot hold a photon pair.
     """
+    for sensor in sensors:
+        if sensor.truncation < 2:
+            raise ValueError(f"sensor truncation {sensor.truncation} (bandwidth "
+                             f"{sensor.bandwidth:g}): two-photon statistics need >= 2")
     if observed is None:
         if "sigma" not in system.output_ops:
             raise ValueError("observed operator must be given for multilevel systems")
@@ -252,11 +264,13 @@ def unfiltered_g2_zero(
 def _spectrum_batch(system: SystemModel, observed, detunings, spec_bandwidth: float,
                     eps: float | None = None) -> list[SystemModel]:
     """The sensor-extended model at each filter center of a spectrum.  The
-    sensor is attached once, at detuning 0; center Delta adds
+    spectrum reads only the sensor population, so the sensor is cut at one
+    photon, and it is attached once, at detuning 0; center Delta adds
     Delta I kron a^dag a to its h_static, which is what attach_sensor at
     Delta builds.  A real diagonal shift keeps h_static Hermitian, so the
-    shifted models are copies of the attached one that skip its checks."""
-    base = attach_sensor(system, observed, SensorConfig(0.0, spec_bandwidth, eps, 2))
+    shifted models are copies of the attached one that skip its checks and
+    share its drive and channel arrays."""
+    base = attach_sensor(system, observed, SensorConfig(0.0, spec_bandwidth, eps, 1))
     a = base.output_ops["sensor"]
     number = a.conj().T @ a
     batch = []
@@ -281,8 +295,9 @@ def spectrum(
     The reported lineshape is the physical spectrum convolved with the
     Lorentzian sensor response of that width.  Every filter center is one
     system of a single emission_integrals batch without pairs; the batch is
-    one sensor attach, at the default coupling, shifted per center
-    (_spectrum_batch).  Raises ValueError for an empty `detunings`.
+    one sensor attach, at the default coupling and cut at one photon,
+    shifted per center (_spectrum_batch).  Raises ValueError for an empty
+    `detunings`.
     """
     detunings = np.asarray(detunings, dtype=float)
     if len(detunings) == 0:
@@ -298,11 +313,14 @@ def spectrum(
 
 
 def _sweep_group(task):
-    """filtered_g2_batch over the sensors of one pulse (a process-pool task).
-    A failure of the whole batch names the pulse length."""
+    """filtered_g2_batch over the sensors of one pulse (a process-pool task),
+    sampled only at the drive cutoff t_c: a point's `times` is [t_c] and its
+    `base_report` that of the state there.  A failure of the whole batch
+    names the pulse length."""
     system, sensors, cfg, observed, check_convergence = task
     try:
-        return filtered_g2_batch(system, sensors, cfg, observed, check_convergence)
+        return filtered_g2_batch(system, sensors, cfg, observed, check_convergence,
+                                 grid=(dynamics.drive_cutoff(system.pulse),))
     except SweepPointError:
         raise
     except RuntimeError as err:  # e.g. StepSizeUnderflow

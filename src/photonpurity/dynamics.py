@@ -7,20 +7,19 @@ The driven stretch is integrated by one stepper, Dormand & Prince's
 embedded 8(5,3) pair DOP853, on real rows: the coordinates of rho in an
 orthonormal Hermitian operator basis (rho_mm, sqrt2 Re rho_mn and sqrt2 Im
 rho_mn for m < n), optionally followed by those of a collapsed row X and
-real scalar emission accumulators.  The Lindblad generator preserves Hermiticity, so it is a
-real matrix on these coordinates, at a quarter of the flops of the complex
-one on vec(rho).  Its right-hand side, _Generator, is the lab-frame window
-superoperator of a whole batch of systems (a detuning sweep, or every
-filter width of a pulse with its eps-halving pair): one real product of all
-rows with a shared operator, dense for small rows and CSR for large ones,
-plus what each system adds on its own non-zeros.  The rows hold only the
-coordinates that the initial rows can reach; the others stay exactly 0.
-The rows are carried in one frame per batch, that of the midrange of the
-diagonals of the systems' static Hamiltonians, which takes the common fast
-phase rotation out of the state.  A filter detuning and the frame only turn
-the phase of each coherence, a complex multiply on the (Re, Im) pairs
-viewed as complex.  Rows become complex vec(rho) only where values leave a
-pass.
+real scalar emission accumulators.  The Lindblad generator preserves
+Hermiticity, so it is a real matrix on these coordinates, at a quarter of
+the flops of the complex one on vec(rho).  Its right-hand side, _Generator,
+is the lab-frame window superoperator of a whole batch of systems (a
+detuning sweep, or every filter width of a pulse with its eps-halving
+pair): one dense real matmul of all rows with a shared operator, plus what
+each system adds on its own non-zeros.  The rows hold only the coordinates
+that the initial rows can reach; the others stay exactly 0.  The rows are
+carried in one frame per batch, that of the midrange of the diagonals of
+the systems' static Hamiltonians, which takes the common fast phase
+rotation out of the state.  A filter detuning and the frame only turn the
+phase of each coherence, a complex multiply on the (Re, Im) pairs viewed as
+complex.  Rows become complex vec(rho) only where values leave a pass.
 
 One sampler, `_walk`, drives the stepper through a sorted list of stop
 times: it caps the step inside the pulse window, carries the step size and
@@ -83,6 +82,11 @@ class IntegratorConfig:
 
 
 DEFAULT_INTEGRATOR = IntegratorConfig()
+# This cap, not the error control, sets the window's steps: it takes 622 of
+# the 709-841 right-hand sides of a figure spectrum batch.  It also holds the
+# exciton line's tolerance budget: with a cap of 8-32 steps, or none, the
+# figure-default sweep-fourlevel at tau 0.02 lands 1.25e-8 from a rel_tol
+# 1e-12 run (the budget allows 1e-8), at 50 steps 3.8e-9.
 MIN_STEPS_PER_PULSE = 50
 
 _CSV_CHUNK = 1 << 16    # map rows per formatted write
@@ -194,14 +198,6 @@ _DOP_B[2] = _DOP_B[0] - _DOP_B[2]  # E3: the solution less the third-order weigh
 
 _MIN_REL_STEP = 1e-14
 _MAX_REJECTS = 60
-# Largest row size D (kept coordinates) whose shared window superoperator is
-# applied as a dense (rows, D) @ (D, D) matmul; a larger one is applied as a
-# CSR matrix.  Per driven right-hand side on real rows, batches of 10-161
-# two-level-plus-sensor systems (sensor truncation 2-5) and exciton-line
-# systems, one BLAS thread:
-# dense is 1.4-1.8x faster at D = 37 and 1.1-1.2x at D = 65-74; CSR is
-# 1.3-1.5x faster at D = 101, 1.2-1.8x at D = 130-145 and 2-4x at D = 202-290.
-DENSE_MAX_SIZE = 90
 
 
 def _nonzeros(stack):
@@ -390,21 +386,21 @@ class _Generator:
     (cf. Albert & Jiang, PRA 89, 022118 (2014)), and the error norms divide
     by the full row size (`_rms`), so the steps are those of full rows.
     From the ground state a pair row of the cascade's exciton line keeps 86
-    of 290 coordinates, one of a two-level sensor batch all 74.
+    of 290 coordinates, one of a two-level sensor batch all 74, and a
+    spectrum row (one-photon sensor) 17 on the two-level line and 27 on the
+    exciton line.
 
     Each operator is built on vec from COO parts and turned into a real one
     by `_Coordinates.realify` before its entries are summed.  The shared
     part, from the first system's static generator, J and readout rows plus
-    amp(t) times the drive commutator, is applied to all rows in one real
-    product, a dense matmul for D <= DENSE_MAX_SIZE and a CSR matrix above.
-    What the other systems add is applied on its own non-zeros.  Its
-    diagonal on vec (filter detuning, and the damping of a width or a rate)
-    acts inside one coherence pair, a complex multiply on the coherences
-    viewed as complex (`rem_phase`), and on the diagonal coordinates
-    (`rem_real`).  The rest (couplings, rates and readout scales) is one
-    block-diagonal product (`rem_blocks`), a gather, multiply and bincount
-    on flat indices in the row-major order of a CSR product.  No (B, D, D)
-    stack is formed.
+    amp(t) times the drive commutator, is applied to all rows in one dense
+    (rows, D) @ (D, D) matmul.  What the other systems add is applied on its
+    own non-zeros.  Its diagonal on vec (filter detuning, and the damping of
+    a width or a rate) acts inside one coherence pair, a complex multiply on
+    the coherences viewed as complex (`rem_phase`), and on the diagonal
+    coordinates (`rem_real`).  The rest (couplings, rates and readout
+    scales) is one block-diagonal product (`rem_blocks`), a gather, multiply
+    and bincount on flat indices.  No (B, D, D) stack is formed.
 
     The rows are carried in one frame for the whole batch, that of the
     midrange F of each diagonal entry of the systems' h_static (exactly 0
@@ -504,18 +500,9 @@ class _Generator:
         self.rotating = bool(np.any(self.turn != 0))
 
         reached = index[cols] >= 0
-        rows, cols, both = index[rows[reached]], index[cols[reached]], both[:, reached]
-        if size <= DENSE_MAX_SIZE:  # the operators transposed, for rows @ op
-            self.op = None
-            self.static, self.drive = np.zeros((2, size, size))
-            self.static[cols, rows], self.drive[cols, rows] = both
-        else:  # the CSR data of each part
-            from scipy import sparse
-
-            self.static, self.drive = both
-            self.op = sparse.csr_matrix(
-                (both[0].copy(), cols, np.searchsorted(rows, np.arange(size + 1))),
-                shape=(size, size))
+        rows, cols = index[rows[reached]], index[cols[reached]]
+        self.static, self.drive = np.zeros((2, size, size))  # transposed, for rows @ op
+        self.static[cols, rows], self.drive[cols, rows] = both[:, reached]
 
         self.rem_phase = self.rem_real = self.rem_blocks = None
         if np.any(rem_diag[:, coords.upper] != 0):
@@ -544,14 +531,8 @@ class _Generator:
         if self.rotating:
             phase = np.exp(1j * t * self.turn)
             z = self.coords.rotated(z, phase.conj())
-        if self.op is None:
-            out = z @ (self.static + float(self.pulse.amplitude(t)) * self.drive
-                       if self.driven else self.static)
-        else:
-            if self.driven:
-                np.multiply(self.drive, float(self.pulse.amplitude(t)), out=self.op.data)
-                self.op.data += self.static
-            out = np.ascontiguousarray((self.op @ z.T).T)
+        out = z @ (self.static + float(self.pulse.amplitude(t)) * self.drive
+                   if self.driven else self.static)
         coherences = out[:, :self.pairs].view(complex)
         if self.rem_phase is not None:
             coherences += self.rem_phase * z[:, :self.pairs].view(complex)
@@ -593,14 +574,10 @@ def _closure(start, pairs, rows, cols):
 
 def _same_drive_and_channels(a: SystemModel, b: SystemModel) -> bool:
     """Do two systems share the pulse, the drive operator and the channel
-    operators (their rates may differ)?"""
-    if a.pulse != b.pulse or (a.h_drive is None) != (b.h_drive is None):
-        return False
-    if a.h_drive is not None and not np.array_equal(a.h_drive, b.h_drive):
-        return False
-    return len(a.channels) == len(b.channels) and all(
-        np.array_equal(p, q) for (p, _), (q, _) in zip(a.channels, b.channels)
-    )
+    operators (their rates may differ)?  A None drive matches only None."""
+    ops = [(a.h_drive, b.h_drive), *((p, q) for (p, _), (q, _) in zip(a.channels, b.channels))]
+    return a.pulse == b.pulse and len(a.channels) == len(b.channels) and all(
+        p is q or np.array_equal(p, q) for p, q in ops)
 
 
 def _make_step_cap(pulse, cfg):

@@ -126,7 +126,9 @@ class SensorConfig:
     Lorentzian filter width, `coupling` the probe strength (None picks
     1e-3 * max(bandwidth, gamma_sigma), which keeps the sensor occupation at a
     bandwidth-independent, numerically safe scale).  `truncation` is the
-    photon-number cutoff; two-photon correlations need at least 2.
+    photon-number cutoff, at least 1: an N-photon correlation needs N (del
+    Valle et al., PRL 109, 183601 (2012)), so a spectrum needs 1 and the
+    two-photon statistics 2, which filtered_g2_batch checks.
     """
 
     detuning: float = 0.0
@@ -139,8 +141,8 @@ class SensorConfig:
             raise ValueError("sensor bandwidth must be > 0")
         if self.coupling is not None and self.coupling <= 0:
             raise ValueError("sensor coupling must be > 0")
-        if self.truncation < 2:
-            raise ValueError("sensor truncation must be >= 2 for two-photon statistics")
+        if self.truncation < 1:
+            raise ValueError("sensor truncation must be >= 1")
 
     def resolved_coupling(self, decay_scale: float) -> float:
         if self.coupling is not None:

@@ -51,6 +51,12 @@ def test_malformed_blinking_is_a_config_error(tmp_path, blinking):
     assert run(tmp_path, "hbt-sim", f"stream: {{n_pulses: 1000, blinking: {blinking}}}\n") == 2
 
 
+def test_one_photon_sensor_is_a_config_error(tmp_path, capsys):
+    # sensor.truncation only feeds sweeps, whose pairs need two sensor photons
+    assert run(tmp_path, "sweep-filter", "sensor: {truncation: 1}\n") == 2
+    assert "sensor.truncation: must be >= 2" in capsys.readouterr().err
+
+
 def test_hbt_span_must_cover_side_peaks(tmp_path, capsys):
     assert run(tmp_path, "hbt-sim", "span: 10.0\nstream: {n_pulses: 1000}\n") == 2
     assert "rep_period + window / 2" in capsys.readouterr().err
@@ -337,19 +343,21 @@ print("scipy modules:", *sorted(loaded))
 
 def test_hbt_and_two_level_spectrum_run_without_scipy(tmp_path):
     # a fresh interpreter: the package, the CLI, these commands (the filtered g2 of the
-    # two-level emitter and of the cascade's exciton line too) and a filtered g2 sampled
-    # past the drive cutoff need numpy and yaml
+    # two-level emitter, at sensor truncation 3 too, and of the cascade's exciton line)
+    # and a filtered g2 sampled past the drive cutoff need numpy and yaml
     sweep = "jobs: 1\nsweep: {min: 0.5, max: 1.0, points: 2}\n"
+    runs = [("hbt-sim", "stream: {n_pulses: 20000}\n"),
+            ("spectrum", "pulse_lengths: [0.05]\ndetuning_points: 3\n"),
+            ("sweep-filter", "pulse_lengths: [0.05]\n" + sweep),
+            ("sweep-filter", "pulse_lengths: [0.05]\nsensor: {truncation: 3}\n" + sweep),
+            ("sweep-pulse", "filter_widths: [1.0]\njobs: 1\n"
+                            "sweep: {min: 0.05, max: 0.1, points: 2}\n"),
+            ("sweep-fourlevel", "pulse_lengths: [0.01]\n" + sweep)]
     args = []
-    for command, text in [("hbt-sim", "stream: {n_pulses: 20000}\n"),
-                          ("spectrum", "pulse_lengths: [0.05]\ndetuning_points: 3\n"),
-                          ("sweep-filter", "pulse_lengths: [0.05]\n" + sweep),
-                          ("sweep-pulse", "filter_widths: [1.0]\njobs: 1\n"
-                                          "sweep: {min: 0.05, max: 0.1, points: 2}\n"),
-                          ("sweep-fourlevel", "pulse_lengths: [0.01]\n" + sweep)]:
-        config = tmp_path / f"{command}.yaml"
+    for i, (command, text) in enumerate(runs):
+        config = tmp_path / f"{i}.yaml"
         config.write_text(text)
-        args += [command, str(config), str(tmp_path / command)]
+        args += [command, str(config), str(tmp_path / str(i))]
     env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
     done = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE, *args], env=env,
                           capture_output=True, text=True, timeout=300)

@@ -79,7 +79,11 @@ class TestFilteredG2:
             st = filtered_g2_zero(system, SensorConfig(0.0, 1.0, truncation=trunc),
                                   check_convergence=False)
             g2[trunc] = st.g2
-        assert abs(g2[3] - g2[2]) < 1e-3 * g2[2]
+        assert abs(g2[3] - g2[2]) < 1e-8 * g2[2]
+
+    def test_one_photon_sensor_rejected(self):
+        with pytest.raises(ValueError, match="truncation 1 .*need >= 2"):
+            filtered_g2_zero(two_level_system(0.05), SensorConfig(0.0, 1.0, truncation=1))
 
     def test_error_budget(self, monkeypatch):
         system = two_level_system(0.05)
@@ -276,7 +280,7 @@ class TestSpectrum:
         dets = center + np.linspace(-8.0, 8.0, 5)
         eps = 1e-3 * max(width, system.decay_scale)
         shifted = corr._spectrum_batch(system, observed, dets, width, eps)
-        attached = [attach_sensor(system, observed, SensorConfig(d, width, eps, 2))
+        attached = [attach_sensor(system, observed, SensorConfig(d, width, eps, 1))
                     for d in dets]
         for one, each in zip(shifted, attached):
             assert one.sensor == each.sensor
@@ -302,6 +306,25 @@ class TestSpectrum:
         alone = [dynamics.emission_integrals([one], emit, times=(), pairs=False).n_integral[0]
                  for one in extended]
         assert np.max(np.abs(batch - alone)) <= 1e-9 * np.max(alone)
+
+    @pytest.mark.parametrize("system, observed, center", [
+        (two_level_system(0.02), "sigma", 0.0),
+        (two_level_system(0.05), "sigma", 0.0),
+        (two_level_system(0.2), "sigma", 0.0),
+        (fourlevel_system(0.01), EXCITON_V_ONLY, FOURLEVEL_BINDING / 2.0),
+    ], ids=["tau0.02", "tau0.05", "tau0.2", "exciton_line"])
+    def test_one_photon_sensor_budget(self, system, observed, center):
+        # the spectrum reads a one-photon quantity: at the figure defaults, cutting the
+        # sensor at one photon instead of two moves the peak-normalized spectrum by < 1e-8
+        centers = center + np.linspace(-40.0, 40.0, 161)
+        one = corr._spectrum_batch(system, observed, centers, 0.2)
+        base = attach_sensor(system, observed, SensorConfig(0.0, 0.2, one[0].sensor.coupling))
+        a = base.output_ops["sensor"]
+        two = [replace(base, h_static=base.h_static + d * a.conj().T @ a) for d in centers]
+        assert one[0].dimension * 3 == two[0].dimension * 2
+        n_one, n_two = (dynamics.emission_integrals(b, b[0].output_ops["sensor"], times=(),
+                                                    pairs=False).n_integral for b in (one, two))
+        assert np.max(np.abs(n_one / np.max(n_one) - n_two / np.max(n_two))) <= 1e-8
 
     def test_symmetric_figure_centers_run_in_the_lab_frame(self):
         # the midrange of +-40 is exactly 0, where a mean of 161 centers is not
@@ -359,6 +382,18 @@ class TestSweeps:
         column = [row[0] for row in grid]
         assert all(st.converged and st.epsilon_used > 0 for st in column)
         assert column[0].g2 < column[1].g2  # longer pulse, more re-excitation
+
+    def test_points_sampled_at_drive_cutoff_only(self):
+        # a sweep reads only g2, so its pass stops at t_c alone, not at the window samples
+        builder = lambda pulse: build_two_level(TwoLevelConfig(), pulse)
+        widths = [0.1, 1.0, 20.0]
+        (row,) = sweep_grid(builder, [0.05], widths)
+        system = builder(GaussianPulse(math.pi, 0.05))
+        sampled = filtered_g2_batch(system, [SensorConfig(0.0, w) for w in widths])
+        for st, ref in zip(row, sampled):
+            assert list(st.times) == [dynamics.drive_cutoff(system.pulse)]
+            assert st.base_report is not None and len(st.n_of_t) == 1
+            assert st.g2 == pytest.approx(ref.g2, rel=1e-9)
 
     def test_sweep_point_identified_on_error(self):
         builder = lambda pulse: build_two_level(TwoLevelConfig(), pulse)
@@ -418,7 +453,7 @@ class TestBatch:
         lambda: filtered_g2_batch(two_level_system(0.05), [SensorConfig(0.0, 1.0)]),
         lambda: filtered_g2_batch(fourlevel_system(0.01), [SensorConfig(150.0, 1.0)],
                                   observed=EXCITON_V_ONLY),
-    ], ids=["spectrum", "g2_dense", "g2_csr"])
+    ], ids=["spectrum", "g2_dense", "g2_exciton_line"])
     def test_window_pass_steps_real_rows(self, monkeypatch, run):
         # the DOP853 state and every stage are float64 coordinates, never complex vec
         rhs = dynamics._Generator.rhs

@@ -343,18 +343,16 @@ class TestCoordinates:
 
 
 class TestGenerator:
-    @pytest.mark.parametrize("system, observed, center, dense", [
-        (build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)), "sigma", 0.0, True),
-        (build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.01)), EXCITON_V_ONLY, 150.0,
-         False),
-    ], ids=["dense", "csr"])
-    def test_rhs_matches_kron_superoperator(self, system, observed, center, dense):
+    @pytest.mark.parametrize("system, observed, center", [
+        (build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)), "sigma", 0.0),
+        (build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.01)), EXCITON_V_ONLY, 150.0),
+    ], ids=["two_level", "exciton_line"])
+    def test_rhs_matches_kron_superoperator(self, system, observed, center):
         # random real rows in the batch frame of the midrange diagonal F: in complex vec,
         # y = exp(i t (F_m - F_n)) z, so dy/dt = exp(...) (S z) + i (F_m - F_n) y, and the
         # real rows are the coordinates T^H y of the unitary T that `decode` applies
         systems, emit = _differing_batch(system, observed, center)
         gen = dynamics._Generator(systems, emit, pairs=True)
-        assert (gen.op is None) == dense
         assert gen.rem_phase is not None and gen.rem_real is not None
         assert gen.rem_blocks is not None
         d2 = gen.dim ** 2
@@ -449,7 +447,6 @@ class TestReachable:
         whole = dynamics._Generator(systems, emit, pairs)
         reduced = dynamics._Generator(systems, emit, pairs, initial=[0])
         assert (whole.size, reduced.size) == (full, kept)
-        assert reduced.op is None  # dense at <= 90
         reached = whole.coords.encode(reduced.coords.decode(np.ones(kept))) != 0
         assert np.count_nonzero(reached) == kept
         rows = np.zeros((len(systems), whole.coords.length), dtype=complex)
@@ -534,6 +531,8 @@ class TestBatch:
             replace(system, channels=((2.0 * sigma, rate),)),
             replace(system, channels=((sigma, rate), (EXCITED, 0.1))),
             replace(system, pulse=GaussianPulse(math.pi, 0.1)),
+            replace(system, h_drive=2.0 * system.h_drive),
+            replace(system, h_drive=None),
         ]
         for other in others:
             with pytest.raises(BatchMismatch):

@@ -183,8 +183,10 @@ class TestAttachSensor:
         assert extended.dimension == 6
 
     def test_truncation_rejected(self):
-        with pytest.raises(ValueError):
-            SensorConfig(0.0, 1.0, 1e-3, truncation=1)
+        # a one-photon sensor serves spectra; filtered_g2_batch rejects it for pairs
+        assert SensorConfig(0.0, 1.0, 1e-3, truncation=1).truncation == 1
+        with pytest.raises(ValueError, match=">= 1"):
+            SensorConfig(0.0, 1.0, 1e-3, truncation=0)
 
     def test_channels_preserved_plus_filter(self):
         system = build_biexciton(BiexcitonConfig(), GaussianPulse(1.0, 0.05))
