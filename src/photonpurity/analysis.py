@@ -12,6 +12,7 @@ the boundary.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 DEGENERATE_RATE_GAP = 1e-9
 _MAX_REWEIGHTS = 100   # weighted passes of fit_lifetimes
 _REWEIGHT_TOL = 1e-10  # largest relative weight change of a settled fit
+MIN_FIT_POINTS = 50    # data points fit_lifetimes needs across buildup and decay
 
 
 class NonConvergence(RuntimeError):
@@ -27,6 +29,11 @@ class NonConvergence(RuntimeError):
 
 class IllConditioned(RuntimeError):
     pass
+
+
+class MalformedDecay(ValueError):
+    """Decay data that is not at least MIN_FIT_POINTS rows of finite time,
+    counts with increasing times."""
 
 
 @dataclass
@@ -173,8 +180,8 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
 
     times = np.asarray(times, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    if len(times) < 50:
-        raise ValueError("need at least 50 data points spanning buildup and decay")
+    if len(times) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} data points spanning buildup and decay")
     fields = _FIT_FIELDS[which]
     x0 = np.array([getattr(init, f) for f in fields])
 
@@ -288,8 +295,24 @@ def initial_cascade_guess(times, counts, which: str = "exciton") -> CascadeParam
 
 
 def read_decay_csv(path):
-    """CSV (time_ps, counts) -> (times in ns, counts)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """CSV (time_ps, counts) -> (times in ns, counts); raise MalformedDecay
+    unless it holds at least MIN_FIT_POINTS rows of two finite numbers, with
+    increasing times."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a header-only file
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as err:
+            raise MalformedDecay(f"{path}: {err}") from err
+    if len(data) < MIN_FIT_POINTS:
+        raise MalformedDecay(f"{path}: need at least {MIN_FIT_POINTS} rows spanning buildup "
+                             f"and decay, got {len(data)}")
+    if data.shape[1] != 2:
+        raise MalformedDecay(f"{path}: need two columns time_ps,counts, got {data.shape[1]}")
+    if not np.all(np.isfinite(data)):
+        raise MalformedDecay(f"{path}: times and counts must be finite")
+    if np.any(np.diff(data[:, 0]) <= 0):
+        raise MalformedDecay(f"{path}: times must increase")
     return data[:, 0] * 1e-3, data[:, 1]
 
 

@@ -471,8 +471,11 @@ def cmd_analyze_histogram(cfg: RunConfig, data_path):
 
 def cmd_fit_lifetime(cfg: RunConfig, data_path, which):
     """Fit decay data (CSV time_ps, counts) with the IRF-blurred cascade model."""
+    try:
+        times, counts = analysis.read_decay_csv(data_path)
+    except analysis.MalformedDecay as err:
+        raise ConfigError(f"data: {err}") from err
     out = _outdir(cfg)
-    times, counts = analysis.read_decay_csv(data_path)
     init = analysis.initial_cascade_guess(times, counts, which)
     result = analysis.fit_lifetimes(times, counts, init, which)
     fit_path = os.path.join(out, "lifetime_fit.json")

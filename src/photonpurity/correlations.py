@@ -17,8 +17,8 @@ constant and every tail is a resolvent solve.  Error budget of g2:
 
 - integrator tolerance: rel_tol 1e-9 against 1e-11 moves it by < 1e-9 on
   the two-level emitter (at most 8.6e-11 measured for tau 0.02-0.2 and
-  Gamma 0.05-20), and against rel_tol 1e-12, abs_tol 1e-16 by < 1e-8 on
-  the exciton line's figure sweep (3.7e-9 measured);
+  Gamma 0.05-20), and against rel_tol 1e-12, abs_tol 1e-16 by < 1e-9 on
+  the exciton line's figure sweep (8.9e-11 measured);
 - drive cut-off: the drive past t0 + 8 tau (below e^-32 of its peak) is
   dropped; t0 + 10 tau moves g2 by < 1e-9;
 - sensor coupling: the eps-halving check below (measured < 1e-4);

@@ -14,12 +14,13 @@ is the lab-frame window superoperator of a whole batch of systems (a
 detuning sweep, or every filter width of a pulse with its eps-halving
 pair): one dense real matmul of all rows with a shared operator, plus what
 each system adds on its own non-zeros.  The rows hold only the coordinates
-that the initial rows can reach; the others stay exactly 0.  The rows are
-carried in one frame per batch, that of the midrange of the diagonals of
-the systems' static Hamiltonians, which takes the common fast phase
-rotation out of the state.  A filter detuning and the frame only turn the
-phase of each coherence, a complex multiply on the (Re, Im) pairs viewed as
-complex.  Rows become complex vec(rho) only where values leave a pass.
+that the initial rows can reach; the others stay exactly 0.  Every pass
+steps its rows in the lab frame: a detuned line, such as the cascade's
+exciton line 150 gamma from the laser, turns the phase of its coherences
+there, and a filter detuning only adds to that turn, a complex multiply on
+the (Re, Im) pairs viewed as complex.  The step control reads the modulus
+of each coherence, so the turn does not move the steps' tolerance.  Rows
+become complex vec(rho) only where values leave a pass.
 
 One sampler, `_walk`, drives the stepper through a sorted list of stop
 times: it caps the step inside the pulse window, carries the step size and
@@ -74,7 +75,6 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-13
-    max_step: float = np.inf
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -85,8 +85,8 @@ DEFAULT_INTEGRATOR = IntegratorConfig()
 # This cap, not the error control, sets the window's steps: it takes 622 of
 # the 709-841 right-hand sides of a figure spectrum batch.  It also holds the
 # exciton line's tolerance budget: with a cap of 8-32 steps, or none, the
-# figure-default sweep-fourlevel at tau 0.02 lands 1.25e-8 from a rel_tol
-# 1e-12 run (the budget allows 1e-8), at 50 steps 3.8e-9.
+# figure-default sweep-fourlevel lands up to 9.4e-10 from a rel_tol 1e-12
+# run (the budget allows 1e-9), at 50 steps 8.9e-11.
 MIN_STEPS_PER_PULSE = 50
 
 _CSV_CHUNK = 1 << 16    # map rows per formatted write
@@ -319,20 +319,12 @@ class _Coordinates:
         out[..., self.real] = rows[..., self.pairs:]
         return out
 
-    def rotated(self, rows, phase):
-        """A copy of the real rows (..., size) with their coherences, viewed
-        as complex, multiplied by `phase`."""
-        out = np.array(rows, dtype=float)
-        view = out[..., :self.pairs].view(complex)
-        view *= phase
-        return out
-
     def magnitudes(self, y):
         """|x| of the complex vec entry behind each coordinate of the flat
         state y (its rows of size `size`, C-contiguous): a coherence pair's
         modulus |x_mn| on both its entries, |y| on the others.  The
         stepper's error norm is thus the one of complex vec rows, and it
-        does not depend on the frame's phase."""
+        does not depend on the phase to which a coherence has turned."""
         z = y.reshape(-1, self.size)
         out = np.abs(z)
         pairs = np.abs(z[:, :self.pairs].view(complex)) / _SQRT2
@@ -402,12 +394,8 @@ class _Generator:
     scales) is one block-diagonal product (`rem_blocks`), a gather, multiply
     and bincount on flat indices.  No (B, D, D) stack is formed.
 
-    The rows are carried in one frame for the whole batch, that of the
-    midrange F of each diagonal entry of the systems' h_static (exactly 0
-    for centers symmetric about a resonant line): coherence (m, n) turns
-    with exp(i t (F_m - F_n)) (`turn`), a complex multiply as well, and the
-    frame's commutator sits on the shared part.  `to_frame` and `to_lab`
-    convert rows.
+    The rows are those of the lab frame: the coherences of a line detuned
+    from the laser turn at its static plus its filter detuning.
     """
 
     def __init__(self, systems, emit=None, pairs=False, initial=None):
@@ -438,11 +426,7 @@ class _Generator:
         lab, lab_rem = zip(*map(_split, lab))
         self._lab = _coalesce(d2, 1, lab), _coalesce(d2, nb, lab_rem)
 
-        diag = np.diagonal(h_static, axis1=1, axis2=2).real
-        frame = 0.5 * (np.max(diag, axis=0) + np.min(diag, axis=0))
-        turn = (frame[:, None] - frame[None, :]).ravel()
-        vec = np.arange(d2)
-        shared = [self._lab[0], (vec, vec, 1j * turn)]  # L0 and the frame's commutator
+        shared = [self._lab[0]]
         remainder = [self._lab[1]]
         drive = []
         if first.h_drive is not None and self.pulse is not None and self.pulse.area > 0:
@@ -458,7 +442,7 @@ class _Generator:
             cols = np.flatnonzero(np.any(nvec != 0, axis=0))
             readout = _split((np.zeros_like(cols), cols, nvec[:, cols]))
             m = 2 if pairs else 1
-            if pairs:  # X: L0 and the frame on its own block, fed by J rho; p reads X
+            if pairs:  # X: L0 on its own block, fed by J rho; p reads X
                 source = _split(_kron(self.emit, self.emit.conj().swapaxes(1, 2)))
                 for parts, k in ((shared, 0), (remainder, 1)):
                     parts += [_shift(p, d2, d2) for p in parts]
@@ -496,8 +480,6 @@ class _Generator:
         coords = self.coords = full.kept(keep)
         size = self.size = coords.size
         self.pairs = coords.pairs
-        self.turn = np.tile(turn, m)[coords.upper]
-        self.rotating = bool(np.any(self.turn != 0))
 
         reached = index[cols] >= 0
         rows, cols = index[rows[reached]], index[cols[reached]]
@@ -516,25 +498,13 @@ class _Generator:
             self.rem_blocks = ((index[rows[reached]] + shift).ravel(),
                                (index[cols[reached]] + shift).ravel(), rem[:, reached].ravel())
 
-    def to_frame(self, t, rows):
-        """Lab-frame rows (..., D) in the batch frame at time t."""
-        return self.coords.rotated(rows, np.exp(1j * t * self.turn)) if self.rotating else rows
-
-    def to_lab(self, t, rows):
-        """Rows (..., D) of the batch frame at time t in the lab frame."""
-        return self.coords.rotated(rows, np.exp(-1j * t * self.turn)) if self.rotating else rows
-
     def rhs(self, t, y):
-        """dy/dt for the flat real state y (its rows of size D) in the batch
-        frame."""
+        """dy/dt for the flat real state y (its rows of size D)."""
         z = y.reshape(-1, self.size)
-        if self.rotating:
-            phase = np.exp(1j * t * self.turn)
-            z = self.coords.rotated(z, phase.conj())
         out = z @ (self.static + float(self.pulse.amplitude(t)) * self.drive
                    if self.driven else self.static)
-        coherences = out[:, :self.pairs].view(complex)
         if self.rem_phase is not None:
+            coherences = out[:, :self.pairs].view(complex)
             coherences += self.rem_phase * z[:, :self.pairs].view(complex)
         if self.rem_real is not None:
             out[:, self.pairs:] += self.rem_real * z[:, self.pairs:]
@@ -542,8 +512,6 @@ class _Generator:
             scatter, gather, values = self.rem_blocks
             out += np.bincount(scatter, z.reshape(-1).take(gather) * values,
                                minlength=z.size).reshape(z.shape)
-        if self.rotating:
-            coherences *= phase
         return out.reshape(y.shape)
 
     def lab_liouvillian(self, group=slice(None)):
@@ -580,20 +548,20 @@ def _same_drive_and_channels(a: SystemModel, b: SystemModel) -> bool:
         p is q or np.array_equal(p, q) for p, q in ops)
 
 
-def _make_step_cap(pulse, cfg):
+def _make_step_cap(pulse):
     """Largest allowed step when standing at time t (pulse-window aware)."""
     if pulse is None or pulse.area == 0:
-        return lambda t: cfg.max_step
+        return lambda t: np.inf
     lo = pulse.offset - 4.0 * pulse.length
     hi = pulse.offset + 4.0 * pulse.length
     inside = (hi - lo) / MIN_STEPS_PER_PULSE
 
     def cap(t):
         if t < lo - 1e-12:
-            return min(cfg.max_step, lo - t)
+            return lo - t
         if t < hi:
-            return min(cfg.max_step, inside)
-        return cfg.max_step
+            return inside
+        return np.inf
 
     return cap
 
@@ -675,7 +643,7 @@ def _walk(gen, y, t, stops, cfg):
     over from stop to stop; a stop at the current time yields the state
     unchanged.  Raises ValueError for a stop before the one preceding it
     (or before t)."""
-    cap_fn = _make_step_cap(gen.pulse, cfg)
+    cap_fn = _make_step_cap(gen.pulse)
     h = k1 = None
     for stop in stops:
         if stop < t:
@@ -711,9 +679,8 @@ def propagate(system: SystemModel, rho0: np.ndarray, times, cfg: IntegratorConfi
         )
     _check_hermitian(rho0)
     gen = _Generator([system], initial=np.flatnonzero(rho0))
-    y0 = gen.to_frame(times[0], gen.coords.encode(rho0.ravel()))
-    out = np.array([gen.to_lab(t, y) for t, y in zip(times, _walk(gen, y0, times[0], times, cfg))])
-    out = gen.coords.decode(out).reshape(len(times), system.dimension, system.dimension)
+    y0 = gen.coords.encode(rho0.ravel())
+    out = gen.coords.decode(np.array(list(_walk(gen, y0, times[0], times, cfg)))).reshape(len(times), system.dimension, system.dimension)
 
     min_eig = float(np.min(np.linalg.eigvalsh(out)))
     if min_eig < -1e-6:
@@ -760,7 +727,7 @@ def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | Non
     # <N|x> = tr(N x) is the dot product of the coordinates of N and x
     weights = gen.coords.encode((emit.conj().T @ emit).ravel())
 
-    y = np.zeros((gen.nbatch, gen.coords.length), dtype=complex)  # the lab frame at t = 0
+    y = np.zeros((gen.nbatch, gen.coords.length), dtype=complex)
     if rho0 is None:
         y[:, 0] = 1.0
     else:
@@ -768,7 +735,7 @@ def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | Non
         y[:] = np.ravel(rho0)
     out = np.empty((gen.nbatch, len(grid)))
     for k, y in enumerate(_walk(gen, gen.coords.encode(y).ravel(), 0.0, grid, cfg)):
-        out[:, k] = gen.to_lab(grid[k], y.reshape(gen.nbatch, -1)) @ weights
+        out[:, k] = y.reshape(gen.nbatch, -1) @ weights
     return out
 
 
@@ -854,7 +821,7 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     inside = int(np.count_nonzero(times <= t_c))
     stops = [*times[:inside], t_c, *times[inside:]]
     for k, y in enumerate(_walk(gen, gen.coords.encode(y).ravel(), 0.0, stops, cfg)):
-        y = gen.coords.decode(gen.to_lab(stops[k], y.reshape(nb, -1)))
+        y = gen.coords.decode(y.reshape(nb, -1))
         if k == inside:
             rows = y
         else:
@@ -914,12 +881,11 @@ def _step_propagators(gen, times, cfg):
     props = np.empty((len(steps), d2, d2), dtype=complex)
     units = np.eye(d2)
     basis = gen.coords.decode(units)  # T^T: row j is vec of basis operator j
-    cap_fn = _make_step_cap(gen.pulse, cfg)
+    cap_fn = _make_step_cap(gen.pulse)
     h = None
     for k in np.flatnonzero(driven):
-        y, h, _ = _advance(gen, times[k], gen.to_frame(times[k], units).ravel(), times[k + 1],
-                           cfg, cap_fn, h)
-        props[k] = basis.T @ gen.to_lab(times[k + 1], y.reshape(d2, d2)).T @ basis.conj()
+        y, h, _ = _advance(gen, times[k], units.ravel(), times[k + 1], cfg, cap_fn, h)
+        props[k] = basis.T @ y.reshape(d2, d2).T @ basis.conj()
     distinct, which = np.unique(steps[~driven], return_inverse=True)
     l0 = gen.lab_liouvillian()[0]
     props[~driven] = np.array([expm(l0 * h) for h in distinct]).reshape(-1, d2, d2)[which]

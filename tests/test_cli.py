@@ -30,7 +30,8 @@ def test_non_mapping_section_is_a_config_error(tmp_path, capsys, key):
 @pytest.mark.parametrize("section,key", [("pulse", "lenght"), ("sensor", "bandwith"),
                                          ("sweep", "point"), ("integrator", "method"),
                                          ("integrator", "fixed_step"), ("sensor", "bandwidth"),
-                                         ("integrator", "min_steps_per_pulse")])
+                                         ("integrator", "min_steps_per_pulse"),
+                                         ("integrator", "max_step")])
 def test_unknown_section_key_is_a_config_error(tmp_path, capsys, section, key):
     assert run(tmp_path, "sweep-filter", f"{section}: {{{key}: 0.1}}\n") == 2
     assert f"{section}.{key}: unknown configuration key" in capsys.readouterr().err
@@ -80,10 +81,13 @@ def test_empty_side_peaks_is_an_estimation_failure(tmp_path, capsys):
 
 
 def test_step_size_underflow_is_a_convergence_failure(tmp_path, capsys):
+    # an absolute tolerance far below rounding drives the first step size down
+    # to the underflow bound
     text = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n" \
-           "integrator: {max_step: 1.0e-20}\n"
+           "integrator: {abs_tol: 1.0e-30}\n"
     assert run(tmp_path, "sweep-filter", text) == 3
-    assert "convergence failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "convergence failure" in err and "step size underflow" in err
 
 
 def test_non_physical_state_is_a_convergence_failure(tmp_path, monkeypatch, capsys):
@@ -154,6 +158,25 @@ def test_malformed_histogram_is_a_data_error(tmp_path, capsys, rows):
     data = tmp_path / "hist.csv"
     data.write_text("delay_ps,counts\n" + rows)
     assert run(tmp_path, "analyze-histogram", "", "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: data: " in err and "Traceback" not in err
+
+
+BAD_DECAY_ROWS = {
+    "three_rows": "0,1\n5,2\n10,3\n",
+    "unparsable_row": "".join(f"{5 * k},{k}\n" for k in range(60)) + "300,abc\n",
+    "header_only": "",
+    "one_column": "".join(f"{5 * k}\n" for k in range(60)),
+    "nan_count": "".join(f"{5 * k},{k}\n" for k in range(60)) + "300,nan\n",
+    "decreasing_times": "".join(f"{5 * k},{k}\n" for k in range(60, 0, -1)),
+}
+
+
+@pytest.mark.parametrize("rows", BAD_DECAY_ROWS.values(), ids=BAD_DECAY_ROWS.keys())
+def test_malformed_decay_is_a_data_error(tmp_path, capsys, rows):
+    data = tmp_path / "decay.csv"
+    data.write_text("time_ps,counts\n" + rows)
+    assert cli.main(["fit-lifetime", "--data", str(data), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "configuration error: data: " in err and "Traceback" not in err
 
@@ -236,9 +259,9 @@ def test_stream_value_read_as_text_is_named(tmp_path, capsys):
 def test_integrator_value_read_as_text_is_named(tmp_path, capsys):
     # YAML 1.1 reads 1e-3 (no dot) as a string
     text = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n" \
-           "integrator: {max_step: 1e-3}\n"
+           "integrator: {rel_tol: 1e-3}\n"
     assert run(tmp_path, "sweep-filter", text) == 2
-    assert "integrator.max_step: '1e-3' is not a number" in capsys.readouterr().err
+    assert "integrator.rel_tol: '1e-3' is not a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value,shown", [("1.5e+5", "150000.0"), ("150000.5", "150000.5")])
@@ -299,11 +322,11 @@ SWEEP = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n"
     ("sweep-filter", "detuning: .nan\n" + SWEEP, "detuning"),
     ("sweep-filter", "gamma_sigma: .inf\n" + SWEEP, "gamma_sigma"),
     ("sweep-filter", "pulse: {area_pi: .inf}\n" + SWEEP, "pulse.area_pi"),
-    ("sweep-filter", "integrator: {max_step: -.inf}\n" + SWEEP, "integrator.max_step"),
+    ("sweep-filter", "integrator: {rel_tol: -.inf}\n" + SWEEP, "integrator.rel_tol"),
 ], ids=["span_nan", "span_inf", "noise_rate_inf", "pulse_sigma_inf", "rep_period_nan",
         "blinking_frequency_nan", "blinking_depth_nan", "excluded_peak_nan",
         "filter_width_inf", "sweep_max_inf", "detuning_nan", "gamma_sigma_inf",
-        "area_pi_inf", "max_step_minus_inf"])
+        "area_pi_inf", "rel_tol_minus_inf"])
 def test_non_finite_number_is_named(tmp_path, capsys, command, text, key):
     # YAML reads .nan and .inf as floats; each is a configuration error, not a
     # crash, a silent run or a convergence failure
