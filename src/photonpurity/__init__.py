@@ -1,9 +1,14 @@
 """Frequency-filtered photon statistics of pulsed quantum emitters.
 
-Simulation of the driven two-level emitter and the biexciton-exciton cascade
-(Lindblad dynamics, quantum regression), sensor-method filtered correlations
-g2[0; Gamma], Monte Carlo Hanbury Brown-Twiss detection with the peak-sum
-estimator, and lifetime fitting with instrument-response convolution.
+The driven two-level emitter and the biexciton-exciton cascade (model)
+evolve under a Lindblad master equation from their ground state (dynamics:
+the emission integrals over all times, and the two-time correlation map by
+quantum regression).  The sensor-method filtered g2[0; Gamma], the filtered
+emission spectra and the sweeps over pulse length and filter width build on
+them (correlations).  Monte Carlo Hanbury Brown-Twiss detection with the
+peak-sum estimator (photostream) and lifetime fitting with
+instrument-response convolution (analysis) serve the supplement.  The
+commands of photonpurity.cli run them all.
 
 Importing the package loads numpy only, and photonpurity.cli adds yaml.
 scipy loads where it is called: scipy.linalg.expm for the propagators of
@@ -28,17 +33,13 @@ from .model import (
     attach_sensor,
     build_biexciton,
     build_two_level,
-    ground_state,
     observation_operator,
     project_polarization,
 )
 from .dynamics import (
     CorrelationGrid,
     IntegratorConfig,
-    Trajectory,
-    expectation,
     physicality_report,
-    propagate,
     two_time_g2_map,
 )
 from .correlations import (
@@ -50,7 +51,6 @@ from .correlations import (
     filtered_g2_zero,
     spectrum,
     sweep_grid,
-    unfiltered_g2_zero,
 )
 from .photostream import (
     BlinkingConfig,
@@ -65,7 +65,6 @@ from .photostream import (
 from .analysis import (
     CascadeParams,
     SuperGaussianFilter,
-    cascade_populations,
     fit_lifetimes,
     super_gaussian,
 )

@@ -1,9 +1,9 @@
 """Lifetime analysis of the cascaded decay and filter calibration helpers.
 
-Rate-equation populations for the biexciton-exciton cascade, their closed-form
-convolution with a Gaussian instrument response, Poisson-weighted
-least-squares lifetime fitting, and the super-Gaussian transmission model
-used to calibrate grating-based spectral filters.
+The decay curves of the biexciton-exciton cascade (its rate-equation
+populations convolved in closed form with a Gaussian instrument response),
+Poisson-weighted least-squares lifetime fitting, and the super-Gaussian
+transmission model used to calibrate grating-based spectral filters.
 
 Times are in ns and rates in 1/ns throughout; the CLI converts ps data at
 the boundary.
@@ -76,22 +76,6 @@ def super_gaussian(nu, filt: SuperGaussianFilter):
     """
     x = 2.0 * np.abs(np.asarray(nu, dtype=float) - filt.center) / filt.bandwidth
     return np.exp(-np.log(2.0) * x ** (2.0 * filt.order))
-
-
-def cascade_populations(gamma_2x, gamma_x, t):
-    """Populations (n_2X, n_X) of the cascade prepared in the biexciton.
-
-    n_2X = exp(-g2x t), n_X = g2x/(gx - g2x) (exp(-g2x t) - exp(-gx t)); for
-    near-degenerate rates the analytic limit g t exp(-g t) is used so fits
-    can pass smoothly through gamma_2x = gamma_x.
-    """
-    t = np.asarray(t, dtype=float)
-    n_2x = np.exp(-gamma_2x * t)
-    if abs(gamma_2x - gamma_x) < DEGENERATE_RATE_GAP * abs(gamma_x):
-        n_x = gamma_2x * t * np.exp(-gamma_2x * t)
-    else:
-        n_x = gamma_2x / (gamma_x - gamma_2x) * (np.exp(-gamma_2x * t) - np.exp(-gamma_x * t))
-    return n_2x, n_x
 
 
 def _exp_gauss(t, rate, sigma, t0):

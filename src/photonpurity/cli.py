@@ -104,8 +104,8 @@ class RunConfig:
             (self.sweep_max > self.sweep_min, "sweep.max", "must exceed sweep.min"),
             (self.spec_bandwidth > 0, "spec_bandwidth", "must be > 0"),
             (self.detuning_span > 0, "detuning_span", "must be > 0"),
-            (_integer_at_least(self.detuning_points, 1), "detuning_points",
-             "must be an integer >= 1"),
+            (_integer_at_least(self.detuning_points, 2), "detuning_points",
+             "must be an integer >= 2"),
             (self.window > 0, "window", "must be > 0"),
             (self.window <= self.rep_period, "window", "must not exceed rep_period"),
             (_integer_at_least(self.bin_width, 1), "bin_width", "must be an integer >= 1 (ps)"),
@@ -115,6 +115,11 @@ class RunConfig:
              "must be a non-empty list of numbers > 0"),
             (isinstance(self.excluded_peaks, (tuple, list)), "excluded_peaks",
              "must be a list of numbers"),
+            (_integer_at_least(self.seed, 0), "seed", "must be an integer >= 0"),
+            (_integer_at_least(self.jobs, 0), "jobs", "must be an integer >= 0"),
+            (isinstance(self.check_convergence, bool), "check_convergence",
+             "must be true or false"),
+            (self.out is None or isinstance(self.out, str), "out", "must be a string"),
         ]
         for ok, path, msg in checks:
             if not ok:
@@ -548,8 +553,7 @@ def main(argv=None):
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except (correlations.NotConverged, correlations.ZeroEmission,
-            correlations.SweepPointError, dynamics.StepSizeUnderflow,
-            dynamics.NonPhysicalState, EstimationError,
+            correlations.SweepPointError, dynamics.StepSizeUnderflow, EstimationError,
             analysis.NonConvergence, analysis.IllConditioned) as err:
         print(f"convergence failure: {err}", file=sys.stderr)
         return 3

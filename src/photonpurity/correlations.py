@@ -53,7 +53,7 @@ from functools import partial
 import numpy as np
 
 from . import dynamics
-from .dynamics import IntegratorConfig, PhysicalityReport, Trajectory
+from .dynamics import IntegratorConfig, PhysicalityReport
 from .model import GaussianPulse, SensorConfig, SystemModel, attach_sensor
 
 ZERO_EMISSION_FLOOR = 1e-12
@@ -223,7 +223,7 @@ def _point_stats(res: dynamics.EmissionIntegrals, b: int, eps: float,
         epsilon_used=eps,
         converged=converged,
         g2_epsilon_check=g2_check,
-        base_report=dynamics.physicality_report(Trajectory(res.times, res.states[b])),
+        base_report=dynamics.physicality_report(res.states[b]),
     )
 
 
@@ -245,24 +245,8 @@ def filtered_g2_zero(
     return stats
 
 
-def unfiltered_g2_zero(
-    system: SystemModel,
-    emit="sigma",
-    cfg: IntegratorConfig | None = None,
-) -> float:
-    """Unfiltered g2[0]: the bare-emitter pair integral normalized by the
-    squared integrated population, both over all times."""
-    if isinstance(emit, str):
-        emit = system.output_ops[emit]
-    res = dynamics.emission_integrals([system], emit, times=(), cfg=cfg)
-    den = float(res.n_integral[0])
-    if den < ZERO_EMISSION_FLOOR:
-        raise ZeroEmission(f"integrated population {den:.3e} below floor")
-    return float(res.pair_integral[0]) / den**2
-
-
-def _spectrum_batch(system: SystemModel, observed, detunings, spec_bandwidth: float,
-                    eps: float | None = None) -> list[SystemModel]:
+def _spectrum_batch(system: SystemModel, observed, detunings,
+                    spec_bandwidth: float) -> list[SystemModel]:
     """The sensor-extended model at each filter center of a spectrum.  The
     spectrum reads only the sensor population, so the sensor is cut at one
     photon, and it is attached once, at detuning 0; center Delta adds
@@ -270,7 +254,7 @@ def _spectrum_batch(system: SystemModel, observed, detunings, spec_bandwidth: fl
     Delta builds.  A real diagonal shift keeps h_static Hermitian, so the
     shifted models are copies of the attached one that skip its checks and
     share its drive and channel arrays."""
-    base = attach_sensor(system, observed, SensorConfig(0.0, spec_bandwidth, eps, 1))
+    base = attach_sensor(system, observed, SensorConfig(0.0, spec_bandwidth, truncation=1))
     a = base.output_ops["sensor"]
     number = a.conj().T @ a
     batch = []

@@ -25,16 +25,16 @@ become complex vec(rho) only where values leave a pass.
 One sampler, `_walk`, drives the stepper through a sorted list of stop
 times: it caps the step inside the pulse window, carries the step size and
 the derivative at the current point (the next step's first stage) from stop
-to stop, and yields the state at each stop.  propagate, emission_series and
-emission_integrals iterate it, the last also for its samples past the drive
-cutoff t_c.  Past t_c the
-generator is constant and the lab-frame Liouvillian L0 gives closed forms:
-emission_integrals carries one or two rows per system and the scalar time
-integrals its tails read over the pulse window, and closes the tails with a
-resolvent, one batched numpy.linalg.solve over the stack of deflated
-generators of each group of systems (groups of at most _TAIL_GROUP_BYTES of
-stack); two_time_g2_map chains per-interval propagators, DOP853 on the
-d^2 real unit vectors inside the window and expm(L0 h) after it.
+to stop, and yields the state at each stop.  emission_series and
+emission_integrals iterate it, the latter also for its samples past the
+drive cutoff t_c.  Past t_c the generator is constant and the lab-frame
+Liouvillian L0 gives closed forms: emission_integrals carries one or two
+rows per system and the scalar time integrals its tails read over the pulse
+window, and closes the tails with a resolvent, one batched
+numpy.linalg.solve over the stack of deflated generators of each group of
+systems (groups of at most _TAIL_GROUP_BYTES of stack); two_time_g2_map
+chains per-interval propagators, DOP853 on the d^2 real unit vectors inside
+the window and expm(L0 h) after it.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ from .model import HERMITICITY_TOL, SystemModel
 
 class StepSizeUnderflow(RuntimeError):
     """Adaptive step control could not meet the tolerance."""
-
-
-class NonPhysicalState(RuntimeError):
-    """A propagated density matrix developed a significantly negative eigenvalue."""
 
 
 class DimensionMismatch(ValueError):
@@ -91,18 +87,6 @@ MIN_STEPS_PER_PULSE = 50
 
 _CSV_CHUNK = 1 << 16    # map rows per formatted write
 _TAIL_GROUP_BYTES = 1 << 20    # generator stack per batched tail solve
-
-
-@dataclass
-class Trajectory:
-    """Times (strictly increasing) and the density matrix at each time."""
-
-    times: np.ndarray
-    states: np.ndarray  # (n_times, dim, dim) complex
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
 
 
 @dataclass
@@ -654,53 +638,12 @@ def _walk(gen, y, t, stops, cfg):
         yield y
 
 
-def _check_hermitian(rho0):
-    """A density matrix is Hermitian."""
-    rho0 = np.asarray(rho0)
-    if np.max(np.abs(rho0 - rho0.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(rho0))):
-        raise ValueError("rho0 must be Hermitian")
-
-
-def propagate(system: SystemModel, rho0: np.ndarray, times, cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Propagate rho0 under the system's master equation, sampled at `times`.
-
-    Returns laser-rotating-frame states.  rho0 must be Hermitian (ValueError
-    otherwise).  Raises NonPhysicalState if an eigenvalue below -1e-6 shows
-    up at an output time.
-    """
-    cfg = cfg or DEFAULT_INTEGRATOR
-    times = np.asarray(times, dtype=float)
-    if len(times) == 0:
-        raise ValueError("times: propagate needs at least one sample time")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (system.dimension, system.dimension):
-        raise DimensionMismatch(
-            f"rho0 has shape {rho0.shape}, system dimension is {system.dimension}"
-        )
-    _check_hermitian(rho0)
-    gen = _Generator([system], initial=np.flatnonzero(rho0))
-    y0 = gen.coords.encode(rho0.ravel())
-    out = gen.coords.decode(np.array(list(_walk(gen, y0, times[0], times, cfg)))).reshape(len(times), system.dimension, system.dimension)
-
-    min_eig = float(np.min(np.linalg.eigvalsh(out)))
-    if min_eig < -1e-6:
-        raise NonPhysicalState(f"minimum eigenvalue {min_eig:.3e} below -1e-6")
-    return Trajectory(times, out)
-
-
-def expectation(traj: Trajectory, op: np.ndarray) -> np.ndarray:
-    """tr(op rho(t)) for each stored time."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != traj.states.shape[1:]:
-        raise DimensionMismatch(f"operator shape {op.shape} does not match trajectory")
-    return np.einsum("mn,tnm->t", op, traj.states)
-
-
-def physicality_report(traj: Trajectory) -> PhysicalityReport:
-    """Trace drift, Hermiticity violation and minimum eigenvalue over a trajectory."""
-    traces = np.einsum("tnn->t", traj.states)
-    herm = np.max(np.abs(traj.states - traj.states.conj().transpose(0, 2, 1)))
-    eigs = np.linalg.eigvalsh(traj.states)
+def physicality_report(states: np.ndarray) -> PhysicalityReport:
+    """Trace drift, Hermiticity violation and minimum eigenvalue over the
+    (n_times, d, d) density matrices `states`."""
+    traces = np.einsum("tnn->t", states)
+    herm = np.max(np.abs(states - states.conj().transpose(0, 2, 1)))
+    eigs = np.linalg.eigvalsh(states)
     return PhysicalityReport(
         max_trace_drift=float(np.max(np.abs(traces - 1.0))),
         max_hermiticity_violation=float(herm),
@@ -713,9 +656,13 @@ def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | Non
     """<emit^dag emit>(t) on `grid` for a batch of systems propagated in
     lockstep from the Hermitian `rho0` (ground state when omitted).
 
-    `rho0` is the state at t = 0, whatever the grid: the grid must not
-    decrease, and a first point after 0 reads the state propagated to it
-    (ValueError for a point before 0 or below its predecessor).
+    It is the one entry that starts from any state (emission_integrals
+    starts from the ground state): the line of an undriven, excited emitter
+    is read through it, and so are perfbench's spectrum warm-up and
+    make_references.py.  `rho0` is the state at t = 0, whatever the grid:
+    the grid must not decrease, and a first point after 0 reads the state
+    propagated to it (ValueError for a point before 0 or below its
+    predecessor).
     """
     cfg = cfg or DEFAULT_INTEGRATOR
     grid = np.asarray(grid, dtype=float)
@@ -730,8 +677,10 @@ def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | Non
     y = np.zeros((gen.nbatch, gen.coords.length), dtype=complex)
     if rho0 is None:
         y[:, 0] = 1.0
-    else:
-        _check_hermitian(rho0)
+    else:  # the rows are stepped as Hermitian blocks
+        rho0 = np.asarray(rho0)
+        if np.max(np.abs(rho0 - rho0.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(rho0))):
+            raise ValueError("rho0 must be Hermitian")
         y[:] = np.ravel(rho0)
     out = np.empty((gen.nbatch, len(grid)))
     for k, y in enumerate(_walk(gen, gen.coords.encode(y).ravel(), 0.0, grid, cfg)):

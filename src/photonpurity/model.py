@@ -158,6 +158,7 @@ class SystemModel:
     H(t) = h_static + pulse.amplitude(t) * h_drive.  `channels` is a tuple of
     (jump operator, rate).  `output_ops` exposes the named emission
     operators.  `sensor` is the attached sensor, its coupling resolved.
+    Basis state 0 is the ground state (sensor empty), where the dynamics start.
     """
 
     dimension: int
@@ -169,13 +170,6 @@ class SystemModel:
     output_ops: Mapping[str, np.ndarray]
     decay_scale: float
     sensor: SensorConfig | None = None
-
-    def hamiltonian(self, t: float) -> np.ndarray:
-        """Lab-frame (rotating-frame-of-the-laser) Hamiltonian at time t."""
-        h = np.array(self.h_static, dtype=complex)
-        if self.h_drive is not None and self.pulse is not None:
-            h = h + float(self.pulse.amplitude(t)) * self.h_drive
-        return h
 
     def __post_init__(self):
         h = self.h_static
@@ -190,21 +184,6 @@ class SystemModel:
                 raise ValueError("channel rates must be >= 0")
             if op.shape != (self.dimension, self.dimension):
                 raise ValueError("channel operator shape does not match dimension")
-
-
-def ground_state(system: SystemModel) -> np.ndarray:
-    """Density matrix of the first basis state (ground / cgs, sensor empty)."""
-    rho = np.zeros((system.dimension, system.dimension), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
-
-
-def basis_projector(system: SystemModel, label: str) -> np.ndarray:
-    """|label><label| for one of the model's basis states."""
-    idx = system.labels.index(label)
-    rho = np.zeros((system.dimension, system.dimension), dtype=complex)
-    rho[idx, idx] = 1.0
-    return rho
 
 
 def _transition(dim: int, dst: int, src: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from photonpurity.correlations import filtered_g2_zero, unfiltered_g2_zero
+from photonpurity.correlations import filtered_g2_zero
+from photonpurity.dynamics import emission_integrals
 from photonpurity.model import (
     BiexcitonConfig,
     EXCITON_V_ONLY,
@@ -22,6 +23,34 @@ def two_level_system(tau, theta=np.pi):
 def fourlevel_system(tau=0.01, theta=np.pi):
     return build_biexciton(BiexcitonConfig(binding_energy=FOURLEVEL_BINDING),
                            GaussianPulse(theta, tau))
+
+
+def hamiltonian(system, t):
+    """Lab-frame Hamiltonian h_static + amplitude(t) h_drive of a model at time t."""
+    h = np.array(system.h_static, dtype=complex)
+    if system.h_drive is not None and system.pulse is not None:
+        h = h + float(system.pulse.amplitude(t)) * system.h_drive
+    return h
+
+
+def basis_projector(system, label):
+    """|label><label| for one of the model's basis states."""
+    i = system.labels.index(label)
+    rho = np.zeros((system.dimension, system.dimension), dtype=complex)
+    rho[i, i] = 1.0
+    return rho
+
+
+def ground_state(system):
+    """The density matrix of basis state 0, where the dynamics start."""
+    return basis_projector(system, system.labels[0])
+
+
+def unfiltered_g2(system):
+    """Unfiltered g2[0] of sigma: the pair integral over the squared
+    integrated population, both over all times."""
+    res = emission_integrals([system], system.output_ops["sigma"], times=())
+    return float(res.pair_integral[0] / res.n_integral[0] ** 2)
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +78,7 @@ def tls_unfiltered():
     def get(tau):
         key = round(tau, 6)
         if key not in cache:
-            cache[key] = unfiltered_g2_zero(two_level_system(tau))
+            cache[key] = unfiltered_g2(two_level_system(tau))
         return cache[key]
 
     get.cache = cache

@@ -11,7 +11,6 @@ from photonpurity.analysis import (
     IllConditioned,
     SuperGaussianFilter,
     cascade_model,
-    cascade_populations,
     fit_lifetimes,
     initial_cascade_guess,
     read_decay_csv,
@@ -21,38 +20,6 @@ from photonpurity.analysis import (
 
 TRUE = CascadeParams(gamma_2x=1 / 0.158, gamma_x=1 / 0.294, irf_sigma=0.040,
                      amplitude=1e4, offset=0.8)
-
-
-class TestCascadePopulations:
-    def test_initial_condition(self):
-        n_2x, n_x = cascade_populations(2.0, 1.0, 0.0)
-        assert n_2x == 1.0 and n_x == 0.0
-
-    def test_exciton_maximum_position(self):
-        g2x, gx = 2.0, 1.0
-        t = np.linspace(0.0, 6.0, 200001)
-        _, n_x = cascade_populations(g2x, gx, t)
-        t_star = math.log(g2x / gx) / (g2x - gx)
-        assert t[np.argmax(n_x)] == pytest.approx(t_star, abs=1e-4)
-
-    def test_degenerate_limit(self):
-        t = np.linspace(0.0, 5.0, 101)
-        _, n_x = cascade_populations(1.0, 1.0 + 1e-12, t)
-        assert np.max(np.abs(n_x - t * np.exp(-t))) < 1e-9
-
-    def test_rate_equations_satisfied(self):
-        # five-point stencil derivatives against the rate equations
-        g2x, gx = 1.0, 2.0
-        h = 1e-3
-        t = np.linspace(0.1, 4.0, 40)
-        stencil = np.array([-2, -1, 1, 2]) * h
-        w = np.array([1, -8, 8, -1]) / (12 * h)
-        for name, idx in (("2x", 0), ("x", 1)):
-            vals = [cascade_populations(g2x, gx, t + s)[idx] for s in stencil]
-            deriv = sum(wi * v for wi, v in zip(w, vals))
-            n_2x, n_x = cascade_populations(g2x, gx, t)
-            rhs = -g2x * n_2x if name == "2x" else g2x * n_2x - gx * n_x
-            assert np.max(np.abs(deriv - rhs)) < 1e-10
 
 
 class TestCascadeModel:

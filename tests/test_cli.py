@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from photonpurity import analysis, cli, dynamics, photostream
+from photonpurity import analysis, cli, photostream
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -88,15 +88,6 @@ def test_step_size_underflow_is_a_convergence_failure(tmp_path, capsys):
     assert run(tmp_path, "sweep-filter", text) == 3
     err = capsys.readouterr().err
     assert "convergence failure" in err and "step size underflow" in err
-
-
-def test_non_physical_state_is_a_convergence_failure(tmp_path, monkeypatch, capsys):
-    def fail(cfg):
-        raise dynamics.NonPhysicalState("minimum eigenvalue -1e-3 below -1e-6")
-
-    monkeypatch.setitem(cli._COMMANDS, "g2map", fail)
-    assert run(tmp_path, "g2map", "system: two_level\n") == 3
-    assert "convergence failure" in capsys.readouterr().err
 
 
 def test_sweep_filter_rerun_is_byte_identical(tmp_path):
@@ -276,8 +267,9 @@ SWEEP_LIST = "must be a non-empty list of numbers > 0"
 
 @pytest.mark.parametrize("command,text,message", [
     ("sweep-filter", "sweep: {points: 3.0}\n", "sweep.points: must be an integer >= 2"),
-    ("spectrum", "detuning_points: 5.5\n", "detuning_points: must be an integer >= 1"),
-    ("spectrum", "detuning_points: 0\n", "detuning_points: must be an integer >= 1"),
+    ("spectrum", "detuning_points: 5.5\n", "detuning_points: must be an integer >= 2"),
+    ("spectrum", "detuning_points: 0\n", "detuning_points: must be an integer >= 2"),
+    ("spectrum", "detuning_points: 1\n", "detuning_points: must be an integer >= 2"),
     ("spectrum", "spec_bandwidth: 0\n", "spec_bandwidth: must be > 0"),
     ("spectrum", "detuning_span: -5\n", "detuning_span: must be > 0"),
     ("hbt-sim", "bin_width: 5.5\nstream: {n_pulses: 1000}\n",
@@ -291,13 +283,26 @@ SWEEP_LIST = "must be a non-empty list of numbers > 0"
      "filter_widths: " + SWEEP_LIST),
     ("hbt-sim", "excluded_peaks: 8.0\nstream: {n_pulses: 1000}\n",
      "excluded_peaks: must be a list of numbers"),
+    ("hbt-sim", "seed: 1.5\nstream: {n_pulses: 1000}\n", "seed: must be an integer >= 0"),
+    ("hbt-sim", "seed: -1\nstream: {n_pulses: 1000}\n", "seed: must be an integer >= 0"),
+    ("hbt-sim --seed -1", "stream: {n_pulses: 1000}\n", "seed: must be an integer >= 0"),
+    ("sweep-filter", "jobs: 1.5\n", "jobs: must be an integer >= 0"),
+    ("sweep-filter", "jobs: -1\n", "jobs: must be an integer >= 0"),
+    ("g2map", "out: 5\n", "out: must be a string"),
+    ("sweep-filter", "check_convergence: 'false'\n", "check_convergence: must be true or false"),
 ], ids=["sweep_points_float", "detuning_points_float", "detuning_points_zero",
-        "spec_bandwidth_zero", "detuning_span_negative", "bin_width_float",
-        "pulse_lengths_empty_sweep", "pulse_lengths_empty_spectrum", "filter_widths_empty",
-        "window_negative", "pulse_lengths_negative", "filter_widths_negative",
-        "excluded_peaks_scalar"])
-def test_out_of_range_key_is_named(tmp_path, capsys, command, text, message):
-    assert run(tmp_path, command, text) == 2
+        "detuning_points_one", "spec_bandwidth_zero", "detuning_span_negative",
+        "bin_width_float", "pulse_lengths_empty_sweep", "pulse_lengths_empty_spectrum",
+        "filter_widths_empty", "window_negative", "pulse_lengths_negative",
+        "filter_widths_negative", "excluded_peaks_scalar", "seed_float", "seed_negative",
+        "seed_flag_negative", "jobs_float", "jobs_negative", "out_number",
+        "check_convergence_text"])
+def test_out_of_range_key_is_named(tmp_path, monkeypatch, capsys, command, text, message):
+    # no --out or --jobs flag: either would override the key under test
+    command, *flags = command.split()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.yaml").write_text(text)
+    assert cli.main([command, "--config", "run.yaml", *flags]) == 2
     assert message in capsys.readouterr().err
 
 

@@ -18,7 +18,6 @@ from photonpurity.correlations import (
     filtered_g2_zero,
     spectrum,
     sweep_grid,
-    unfiltered_g2_zero,
     write_metadata,
     write_spectrum_csv,
     write_sweep_csv,
@@ -30,12 +29,12 @@ from photonpurity.model import (
     SensorConfig,
     TwoLevelConfig,
     attach_sensor,
-    basis_projector,
     build_biexciton,
     build_two_level,
 )
 
-from conftest import FOURLEVEL_BINDING, fourlevel_system, two_level_system
+from conftest import (FOURLEVEL_BINDING, basis_projector, fourlevel_system, two_level_system,
+                      unfiltered_g2)
 
 REFERENCES_SPECTRUM = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                                    "references_spectrum.json")
@@ -48,8 +47,6 @@ class TestFilteredG2:
         system = two_level_system(0.05, theta=0.0)
         with pytest.raises(ZeroEmission):
             filtered_g2_zero(system, SensorConfig(0.0, 1.0), check_convergence=False)
-        with pytest.raises(ZeroEmission):
-            unfiltered_g2_zero(system)
 
     def test_epsilon_convergence_flag(self, tls_g2):
         stats = tls_g2(0.05, 1.0)
@@ -208,11 +205,11 @@ def test_tail_premise_checked():
     sigma = system.output_ops["sigma"]
     # sigma^dag does not leave the ground state dark
     with pytest.raises(dynamics.TailPremiseError):
-        unfiltered_g2_zero(system, emit=sigma.conj().T)
+        dynamics.emission_integrals([system], sigma.conj().T, times=())
     # an incoherent pump leaves the ground state not steady
     pumped = replace(system, channels=system.channels + ((sigma.conj().T, 0.1),))
     with pytest.raises(dynamics.TailPremiseError):
-        unfiltered_g2_zero(pumped)
+        dynamics.emission_integrals([pumped], sigma, times=())
 
 
 class TestUnfiltered:
@@ -227,8 +224,8 @@ class TestUnfiltered:
 
     def test_two_pi_pulse_worse_than_pi(self):
         tau = 0.3
-        g2_pi = unfiltered_g2_zero(two_level_system(tau, theta=math.pi))
-        g2_2pi = unfiltered_g2_zero(two_level_system(tau, theta=2 * math.pi))
+        g2_pi = unfiltered_g2(two_level_system(tau, theta=math.pi))
+        g2_2pi = unfiltered_g2(two_level_system(tau, theta=2 * math.pi))
         assert g2_2pi > g2_pi
 
 
@@ -278,8 +275,9 @@ class TestSpectrum:
     ], ids=["two_level", "exciton_line"])
     def test_one_attach_matches_attach_per_detuning(self, system, observed, center, width):
         dets = center + np.linspace(-8.0, 8.0, 5)
-        eps = 1e-3 * max(width, system.decay_scale)
-        shifted = corr._spectrum_batch(system, observed, dets, width, eps)
+        shifted = corr._spectrum_batch(system, observed, dets, width)
+        eps = shifted[0].sensor.coupling
+        assert eps == 1e-3 * max(width, system.decay_scale)
         attached = [attach_sensor(system, observed, SensorConfig(d, width, eps, 1))
                     for d in dets]
         for one, each in zip(shifted, attached):
