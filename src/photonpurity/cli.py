@@ -210,7 +210,10 @@ def load_config(path=None, overrides=None, command=None) -> RunConfig:
                     _check_value(f"{key}.{name}", item)
                     setattr(cfg, fields[name], item)
             if key == "sweep":
-                cfg.sweep_log = value.get("scale", "log") == "log"
+                scale = value.get("scale", "log")
+                if scale not in ("log", "linear"):
+                    raise ConfigError(f"sweep.scale: must be log or linear, got {scale!r}")
+                cfg.sweep_log = scale == "log"
         elif key == "integrator":
             for name, item in value.items():
                 if name not in _INTEGRATOR_KEYS:

@@ -231,9 +231,6 @@ class CoincidenceHistogram:
         """Maximum |delay| covered, ns."""
         return (self.half_bins + 0.5) * self.bin_width / NS_TO_PS
 
-    def delays_ps(self):
-        return (np.arange(len(self.counts)) - self.half_bins) * self.bin_width
-
     def to_csv(self, path):
         """Write `delay_ps,counts` rows, byte for byte what "%d,%d\\n" gives.
 

@@ -46,6 +46,11 @@ def ground_state(system):
     return basis_projector(system, system.labels[0])
 
 
+def delays_ps(hist):
+    """The delay of each bin of a CoincidenceHistogram, ps."""
+    return (np.arange(len(hist.counts)) - hist.half_bins) * hist.bin_width
+
+
 def unfiltered_g2(system):
     """Unfiltered g2[0] of sigma: the pair integral over the squared
     integrated population, both over all times."""

@@ -236,6 +236,15 @@ def test_sweep_pulse_honors_explicit_sweep(tmp_path):
     assert curves == {"sweep_pulse_gamma1.csv": [0.02, 1.5]}
 
 
+@pytest.mark.parametrize("scale,axis", [("log", [0.1, 1.0, 10.0]), ("linear", [0.1, 5.05, 10.0])])
+def test_sweep_scale_sets_the_axis(tmp_path, scale, axis):
+    text = f"sweep: {{min: 0.1, max: 10.0, points: 3, scale: {scale}}}\npulse_lengths: [0.05]\n"
+    assert run(tmp_path, "sweep-filter", text) == 0
+    meta, curves = _sweep_written(tmp_path / "out", "sweep_filter")
+    assert meta["sweep_log"] is (scale == "log")
+    assert curves["sweep_filter_tau0.05.csv"] == pytest.approx(axis, rel=1e-12)
+
+
 def test_sweep_kind_must_match_the_command(tmp_path, capsys):
     assert run(tmp_path, "sweep-pulse", "sweep: {kind: filter_width}\n") == 2
     assert "sweep.kind" in capsys.readouterr().err
@@ -290,13 +299,14 @@ SWEEP_LIST = "must be a non-empty list of numbers > 0"
     ("sweep-filter", "jobs: -1\n", "jobs: must be an integer >= 0"),
     ("g2map", "out: 5\n", "out: must be a string"),
     ("sweep-filter", "check_convergence: 'false'\n", "check_convergence: must be true or false"),
+    ("sweep-filter", "sweep: {scale: lgo}\n", "sweep.scale: must be log or linear, got 'lgo'"),
 ], ids=["sweep_points_float", "detuning_points_float", "detuning_points_zero",
         "detuning_points_one", "spec_bandwidth_zero", "detuning_span_negative",
         "bin_width_float", "pulse_lengths_empty_sweep", "pulse_lengths_empty_spectrum",
         "filter_widths_empty", "window_negative", "pulse_lengths_negative",
         "filter_widths_negative", "excluded_peaks_scalar", "seed_float", "seed_negative",
         "seed_flag_negative", "jobs_float", "jobs_negative", "out_number",
-        "check_convergence_text"])
+        "check_convergence_text", "sweep_scale_typo"])
 def test_out_of_range_key_is_named(tmp_path, monkeypatch, capsys, command, text, message):
     # no --out or --jobs flag: either would override the key under test
     command, *flags = command.split()
@@ -431,3 +441,27 @@ def test_shipped_script_exits_zero(tmp_path, script, expected):
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert _files(out) == expected
+
+
+def test_compare_outputs_scales_each_change(tmp_path):
+    # a changed spectrum row reads as a share of the peak; metadata that
+    # differs only in its output path reads as identical
+    spectrum = "detuning_over_gamma,normalized_intensity\n-1,0.5\n0,1\n1,0.5\n"
+    for side in ("old", "new"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "spectrum_tau0.05.csv").write_text(spectrum)
+        (tmp_path / side / "spectrum_metadata.json").write_text(json.dumps(
+            {"command": "spectrum", "config": {"out": str(tmp_path / side), "seed": 1}}))
+
+    def table():
+        done = subprocess.run([sys.executable, os.path.join(REPO, "scripts", "compare_outputs.py"),
+                               str(tmp_path / "old"), str(tmp_path / "new")],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[2:]
+
+    assert table() == ["| spectrum_metadata.json | identical apart from output paths |",
+                       "| spectrum_tau0.05.csv | identical |"]
+    changed = spectrum.replace("\n1,0.5\n", "\n1,0.4\n")
+    (tmp_path / "new" / "spectrum_tau0.05.csv").write_text(changed)
+    assert table()[1] == "| spectrum_tau0.05.csv | 0.1 of peak in normalized_intensity |"

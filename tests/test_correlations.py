@@ -275,16 +275,19 @@ class TestSpectrum:
     ], ids=["two_level", "exciton_line"])
     def test_one_attach_matches_attach_per_detuning(self, system, observed, center, width):
         dets = center + np.linspace(-8.0, 8.0, 5)
-        shifted = corr._spectrum_batch(system, observed, dets, width)
+        shifted, source = corr._spectrum_batch(system, observed, dets, width)
         eps = shifted[0].sensor.coupling
         assert eps == 1e-3 * max(width, system.decay_scale)
-        attached = [attach_sensor(system, observed, SensorConfig(d, width, eps, 1))
-                    for d in dets]
-        for one, each in zip(shifted, attached):
+        for one in shifted:
+            each = attach_sensor(system, observed,
+                                 SensorConfig(one.sensor.detuning, width, eps, 1))
             assert one.sensor == each.sensor
             assert np.max(np.abs(one.h_static - each.h_static)) <= 1e-12
+        attached = [attach_sensor(system, observed, SensorConfig(d, width, eps, 1))
+                    for d in dets]
         emit = attached[0].output_ops["sensor"]
         n_one = dynamics.emission_integrals(shifted, emit, times=(), pairs=False).n_integral
+        n_one = n_one[source]
         n_each = dynamics.emission_integrals(attached, emit, times=(), pairs=False).n_integral
         assert np.max(np.abs(n_one - n_each)) <= 1e-12 * np.max(n_each)
 
@@ -295,8 +298,8 @@ class TestSpectrum:
     def test_batch_matches_one_center_runs(self, system, observed, center, width):
         # the step control of a batch sees all its centers at once, that of one
         # center alone only its own
-        extended = corr._spectrum_batch(system, observed, center + np.linspace(-8.0, 8.0, 9),
-                                        width)
+        extended, _ = corr._spectrum_batch(system, observed,
+                                           center + np.linspace(-8.0, 8.0, 9), width)
         emit = extended[0].output_ops["sensor"]
         batch = dynamics.emission_integrals(extended, emit, times=(), pairs=False).n_integral
         alone = [dynamics.emission_integrals([one], emit, times=(), pairs=False).n_integral[0]
@@ -313,22 +316,65 @@ class TestSpectrum:
         # the spectrum reads a one-photon quantity: at the figure defaults, cutting the
         # sensor at one photon instead of two moves the peak-normalized spectrum by < 1e-8
         centers = center + np.linspace(-40.0, 40.0, 161)
-        one = corr._spectrum_batch(system, observed, centers, 0.2)
+        one, source = corr._spectrum_batch(system, observed, centers, 0.2)
         base = attach_sensor(system, observed, SensorConfig(0.0, 0.2, one[0].sensor.coupling))
         a = base.output_ops["sensor"]
         two = [replace(base, h_static=base.h_static + d * a.conj().T @ a) for d in centers]
         assert one[0].dimension * 3 == two[0].dimension * 2
         n_one, n_two = (dynamics.emission_integrals(b, b[0].output_ops["sensor"], times=(),
                                                     pairs=False).n_integral for b in (one, two))
+        n_one = n_one[source]
         assert np.max(np.abs(n_one / np.max(n_one) - n_two / np.max(n_two))) <= 1e-8
 
     def test_figure_centers_differ_only_in_phase(self):
         # the centers of a figure spectrum differ only in the filter detuning, which
         # turns the sensor's coherences: no diagonal or block remainder is stepped
-        extended = corr._spectrum_batch(two_level_system(0.02), "sigma",
-                                        np.linspace(-40.0, 40.0, 161), 0.2)
+        extended, _ = corr._spectrum_batch(two_level_system(0.02), "sigma",
+                                           np.linspace(-40.0, 40.0, 161), 0.2)
         gen = dynamics._Generator(extended, extended[0].output_ops["sensor"])
         assert gen.rem_phase is not None and gen.rem_real is None and gen.rem_blocks is None
+
+    @pytest.mark.parametrize("system, observed, symmetric", [
+        (two_level_system(0.05), "sigma", True),
+        (build_two_level(TwoLevelConfig(detuning=5.0), GaussianPulse(math.pi, 0.05)),
+         "sigma", False),
+        (fourlevel_system(), EXCITON_V_ONLY, False),
+    ], ids=["resonant", "detuned", "biexciton_ladder"])
+    def test_mirror_check(self, system, observed, symmetric):
+        # a resonant drive maps the dynamics at -Delta onto those at Delta; a
+        # detuned level, or the ladder's biexciton and exciton levels, breaks it
+        base = attach_sensor(system, observed, SensorConfig(0.0, 0.2, truncation=1))
+        assert corr._mirror_symmetric(base) is symmetric
+
+    @pytest.mark.parametrize("system, dets, stepped", [
+        (two_level_system(0.05), np.linspace(-40.0, 40.0, 161), np.linspace(0.0, 40.0, 81)),
+        (two_level_system(0.05), np.linspace(-3.0, 5.0, 17), np.linspace(0.0, 5.0, 11)),
+        (two_level_system(0.05), np.linspace(-5.0, 3.0, 17),
+         np.r_[np.linspace(-5.0, -3.5, 4), np.linspace(0.0, 3.0, 7)]),
+        (two_level_system(0.05), np.array([-1.0, 0.3, 1.0 + 1e-12]),
+         np.array([-1.0, 0.3, 1.0 + 1e-12])),
+        (build_two_level(TwoLevelConfig(detuning=5.0), GaussianPulse(math.pi, 0.05)),
+         np.linspace(-6.0, 6.0, 13), np.linspace(-6.0, 6.0, 13)),
+    ], ids=["figure_grid", "wider_right", "wider_left", "inexact_mirror", "detuned"])
+    def test_mirrored_centers_are_not_stepped(self, monkeypatch, system, dets, stepped):
+        # each center steps unless the model is mirror symmetric and the exact
+        # mirror of the negative center is on the grid; the curve is that of
+        # the batch of every center to 1e-14 of its peak
+        batches = []
+        integrals = dynamics.emission_integrals
+
+        def spy(systems, *args, **kwargs):
+            batches.append([one.sensor.detuning for one in systems])
+            return integrals(systems, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "emission_integrals", spy)
+        res = spectrum(system, "sigma", dets)
+        monkeypatch.setattr(corr, "_mirror_symmetric", lambda model: False)
+        full = spectrum(system, "sigma", dets)
+        assert batches[0] == list(stepped) and batches[1] == list(dets)
+        assert np.max(np.abs(res.values - full.values)) <= 1e-14
+        if system.h_static[1, 1] != 0:  # the detuned line is not symmetric
+            assert np.max(np.abs(full.values - full.values[::-1])) > 0.1
 
     def test_free_decay_line_convolves_with_filter(self):
         # spontaneous emission has a Lorentzian line of FWHM gamma; probed

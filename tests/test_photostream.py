@@ -28,6 +28,8 @@ from photonpurity.photostream import (
     synthesize_stream,
 )
 
+from conftest import delays_ps
+
 
 class TestSynthesize:
     def test_deterministic(self):
@@ -146,7 +148,7 @@ class TestSynthesize:
 class TestCorrelate:
     def test_single_pair_lands_in_right_bin(self):
         hist = correlate(np.array([1000]), np.array([1012]), bin_width=5, span=1.0)
-        delays = hist.delays_ps()
+        delays = delays_ps(hist)
         assert hist.counts.sum() == 1
         assert delays[np.argmax(hist.counts)] == 10  # 12 ps -> bin centered at 10
 
@@ -282,7 +284,7 @@ def _window_mask(delays, center_ps, win_ps):
 
 def mask_peak_sums(hist, rep_period, window):
     """Reference peak sums: one boolean mask over every bin per peak."""
-    delays = hist.delays_ps()
+    delays = delays_ps(hist)
     rep_ps, win_ps = rep_period * 1000, window * 1000
     k_max = int((hist.span * 1000 - win_ps / 2) // rep_ps)
     ks = np.arange(-k_max, k_max + 1)
@@ -292,7 +294,7 @@ def mask_peak_sums(hist, rep_period, window):
 
 def mask_estimate_sums(hist, rep_period, window, excluded_peaks=()):
     """Reference (center, side-, side+) sums with excluded windows masked."""
-    delays = hist.delays_ps()
+    delays = delays_ps(hist)
     rep_ps, win_ps = rep_period * 1000, window * 1000
     keep = np.ones(len(delays), dtype=bool)
     for pos in excluded_peaks:
@@ -323,7 +325,7 @@ def test_window_sums_match_mask_reference(bin_width, rep_period, window):
 
 def searchsorted_bounds(hist, centers_ps, win_ps):
     """The window rule as a search over the delay of every bin."""
-    delays = hist.delays_ps()
+    delays = delays_ps(hist)
     centers_ps = np.asarray(centers_ps, dtype=float)
     return (np.searchsorted(delays, centers_ps - win_ps / 2, side="left"),
             np.searchsorted(delays, centers_ps + win_ps / 2, side="right"))
@@ -400,7 +402,7 @@ class TestEstimator:
         # window; masking a window-wide region around 8.0 ns removes it
         # without touching the side peak itself
         hist = synthetic_histogram(50, 100_000)
-        artifact = np.argmin(np.abs(hist.delays_ps() - 10_500))
+        artifact = np.argmin(np.abs(delays_ps(hist) - 10_500))
         hist.counts[artifact] += 777
         plain = estimate_g2(hist, window=6.5)
         masked = estimate_g2(hist, window=6.5, excluded_peaks=(8.0,))
@@ -481,7 +483,7 @@ class TestIO:
         path = tmp_path / "hist.csv"
         hist.to_csv(path)
         expected = "delay_ps,counts\n" + "".join(
-            f"{d},{c}\n" for d, c in zip(hist.delays_ps(), hist.counts))
+            f"{d},{c}\n" for d, c in zip(delays_ps(hist), hist.counts))
         assert path.read_bytes() == expected.encode()
 
     def test_histogram_round_trip(self, tmp_path):
