@@ -48,7 +48,7 @@ class EstimationError(RuntimeError):
 class RunConfig:
     """Resolved run configuration; every field lands in the metadata JSON."""
 
-    system: str = "two_level"
+    system: str | None = None
     gamma_sigma: float = 1.0
     detuning: float = 0.0
     binding_energy: float = 300.0
@@ -138,12 +138,12 @@ def _positive_numbers(values):
 
 # Defaults of the fields RunConfig leaves None, and what each sweep command
 # sets differently.
-_DEFAULTS = {"sweep_min": 0.05, "sweep_max": 100.0, "sweep_points": 13,
-             "pulse_lengths": (0.02, 0.05, 0.2)}
+_DEFAULTS = {"system": "two_level", "sweep_min": 0.05, "sweep_max": 100.0,
+             "sweep_points": 13, "pulse_lengths": (0.02, 0.05, 0.2)}
 _COMMAND_DEFAULTS = {
     "sweep-filter": {},
-    "sweep-fourlevel": {"sweep_min": 0.5, "sweep_max": 20.0, "sweep_points": 9,
-                        "pulse_lengths": (0.01, 0.02)},
+    "sweep-fourlevel": {"system": "biexciton", "sweep_min": 0.5, "sweep_max": 20.0,
+                        "sweep_points": 9, "pulse_lengths": (0.01, 0.02)},
     "sweep-pulse": {"sweep_min": 0.02, "sweep_max": 1.5, "sweep_points": 10},
 }
 
@@ -326,14 +326,16 @@ def cmd_spectrum(cfg: RunConfig):
     return paths
 
 
-def _run_sweep(cfg: RunConfig, command, metadata_name):
+def _run_sweep(cfg: RunConfig, command):
     """A filtered-g2 sweep over one sweep_grid: the sweep axis is the filter
     width (one curve per pulse length, the grid's rows) or, for sweep-pulse,
     the pulse length (one curve per filter width, its columns).  Every pulse
-    is one batch; --jobs spreads the pulses over worker processes."""
+    is one batch; --jobs spreads the pulses over worker processes.  The
+    files are named after the subcommand `command` with "_" for "-"."""
     out = _outdir(cfg)
     axis = _sweep_axis(cfg)
-    sweep_pulse = command == "sweep_pulse"
+    prefix = command.replace("-", "_")
+    sweep_pulse = command == "sweep-pulse"
     taus, widths = (axis, cfg.filter_widths) if sweep_pulse else (cfg.pulse_lengths, axis)
     grid = correlations.sweep_grid(
         _system_builder(cfg), taus, widths,
@@ -347,29 +349,30 @@ def _run_sweep(cfg: RunConfig, command, metadata_name):
         curves = {f"tau{float(tau):g}": row for tau, row in zip(taus, grid)}
     paths = []
     for key, stats in curves.items():
-        path = os.path.join(out, f"{command}_{key}.csv")
+        path = os.path.join(out, f"{prefix}_{key}.csv")
         correlations.write_sweep_csv(path, axis, stats)
         paths.append(path)
     correlations.write_metadata(
-        os.path.join(out, f"{command}_metadata.json"), _metadata(cfg, metadata_name)
+        os.path.join(out, f"{prefix}_metadata.json"), _metadata(cfg, command)
     )
     return paths
 
 
 def cmd_sweep_filter(cfg: RunConfig):
     """g2 versus filter width for the two-level system."""
-    return _run_sweep(cfg, "sweep_filter", "sweep_filter")
+    return _run_sweep(cfg, "sweep-filter")
 
 
 def cmd_sweep_fourlevel(cfg: RunConfig):
     """g2 versus filter width for the exciton line of the cascade."""
-    cfg.system = "biexciton"
-    return _run_sweep(cfg, "sweep_fourlevel", "sweep_fourlevel")
+    if cfg.system != "biexciton":
+        raise ConfigError("system: sweep-fourlevel expects the biexciton system")
+    return _run_sweep(cfg, "sweep-fourlevel")
 
 
 def cmd_sweep_pulse(cfg: RunConfig):
     """g2 versus pulse length, one curve per filter width."""
-    return _run_sweep(cfg, "sweep_pulse", "sweep-pulse")
+    return _run_sweep(cfg, "sweep-pulse")
 
 
 def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:

@@ -105,12 +105,10 @@ class SweepPointError(RuntimeError):
 
 @dataclass
 class FilteredStats:
-    """Filtered population series and time-integrated two-photon statistics."""
+    """Time-integrated filtered population and two-photon statistics of one
+    point, with the physicality report of the states the pass sampled."""
 
-    times: np.ndarray
-    n_of_t: np.ndarray
     n_integral: float
-    g2_numerator: float
     g2: float
     epsilon_used: float
     converged: bool
@@ -167,10 +165,10 @@ def filtered_g2_batch(
     couplings disagree by more than 0.5% (NotConverged) or whose integrated
     filtered population is below 1e-12 (ZeroEmission) raises SweepPointError
     naming its bandwidth and pulse length, with the bare error as its cause.
-    `grid` only sets the times at which `n_of_t` and the physicality report
-    are sampled (default: across the pulse window); g2 and `n_integral`
-    depend on it only through the integrator stopping at its points in the
-    window (< 1e-9 relative).  Raises ValueError for a sensor truncated
+    `grid` only sets where the physicality report (`base_report`) is
+    sampled (default: across the pulse window); g2 and `n_integral` depend
+    on it only through the integrator stopping at its points in the window
+    (< 1e-9 relative).  Raises ValueError for a sensor truncated
     below 2 photons, which cannot hold a photon pair.
     """
     for sensor in sensors:
@@ -222,10 +220,7 @@ def _point_stats(res: dynamics.EmissionIntegrals, b: int, eps: float,
             raise NotConverged(float(g2[b]), g2_check)
 
     return FilteredStats(
-        times=res.times,
-        n_of_t=res.n_series[b],
         n_integral=n_integral,
-        g2_numerator=float(res.pair_integral[b]),
         g2=float(g2[b]),
         epsilon_used=eps,
         converged=converged,
@@ -357,9 +352,9 @@ def spectrum(
 
 def _sweep_group(task):
     """filtered_g2_batch over the sensors of one pulse (a process-pool task),
-    sampled only at the drive cutoff t_c: a point's `times` is [t_c] and its
-    `base_report` that of the state there.  A failure of the whole batch
-    names the pulse length."""
+    sampled only at the drive cutoff t_c: a point's `base_report` is that
+    of the state there.  A failure of the whole batch names the pulse
+    length."""
     system, sensors, cfg, observed, check_convergence = task
     try:
         return filtered_g2_batch(system, sensors, cfg, observed, check_convergence,

@@ -22,19 +22,22 @@ the (Re, Im) pairs viewed as complex.  The step control reads the modulus
 of each coherence, so the turn does not move the steps' tolerance.  Rows
 become complex vec(rho) only where values leave a pass.
 
-One sampler, `_walk`, drives the stepper through a sorted list of stop
-times: it caps the step inside the pulse window, carries the step size and
-the derivative at the current point (the next step's first stage) from stop
-to stop, and yields the state at each stop.  emission_series and
-emission_integrals iterate it, the latter also for its samples past the
-drive cutoff t_c.  Past t_c the generator is constant and the lab-frame
-Liouvillian L0 gives closed forms: emission_integrals carries one or two
-rows per system and the scalar time integrals its tails read over the pulse
-window, and closes the tails with a resolvent, one batched
-numpy.linalg.solve over the stack of deflated generators of each group of
-systems (groups of at most _TAIL_GROUP_BYTES of stack); two_time_g2_map
-chains per-interval propagators, DOP853 on the d^2 real unit vectors inside
-the window and expm(L0 h) after it.
+`_walk`, a Python generator, is the one entry into the stepper: it steps a
+state through a sorted list of stop times, caps the step inside the pulse
+window, carries the step size, the derivative at the current point (the
+next step's first stage) and the state's magnitudes from step to step and
+from stop to stop, and yields the state at each stop; a state sent back at
+a stop replaces it there.  emission_integrals is the one pass entry
+(emission_series reads its `n_series`): it walks from the ground state or
+any Hermitian rho0, on to its samples past the drive cutoff t_c.  Past t_c
+the generator is constant and the lab-frame Liouvillian L0 gives closed
+forms: emission_integrals carries one or two rows per system and the
+scalar time integrals its tails read over the pulse window, and closes the
+tails with a resolvent, one batched numpy.linalg.solve over the stack of
+deflated generators of each group of systems (groups of at most
+_TAIL_GROUP_BYTES of stack); two_time_g2_map chains per-interval
+propagators, one walk of the d^2 real unit vectors inside the window (sent
+back at each node) and expm(L0 h) after it.
 """
 
 from __future__ import annotations
@@ -532,24 +535,6 @@ def _same_drive_and_channels(a: SystemModel, b: SystemModel) -> bool:
         p is q or np.array_equal(p, q) for p, q in ops)
 
 
-def _make_step_cap(pulse):
-    """Largest allowed step when standing at time t (pulse-window aware)."""
-    if pulse is None or pulse.area == 0:
-        return lambda t: np.inf
-    lo = pulse.offset - 4.0 * pulse.length
-    hi = pulse.offset + 4.0 * pulse.length
-    inside = (hi - lo) / MIN_STEPS_PER_PULSE
-
-    def cap(t):
-        if t < lo - 1e-12:
-            return lo - t
-        if t < hi:
-            return inside
-        return np.inf
-
-    return cap
-
-
 def _rms(coords, x):
     """RMS of the flat x, whose rows hold the kept coordinates of `coords`,
     over all `coords.length` coordinates of each row: those a batch cannot
@@ -567,75 +552,77 @@ def _error_norm(coords, e5, e3, abs_old, abs_new, cfg):
     return 0.0 if r5 == 0.0 else float(r5 * r5 / np.hypot(r5, 0.1 * _rms(coords, e3 / scale)))
 
 
-def _initial_step(gen, t0, y0, f0, cap, cfg):
-    scale = cfg.abs_tol + cfg.rel_tol * gen.coords.magnitudes(y0)
-    d0 = _rms(gen.coords, y0 / scale)
-    d1 = _rms(gen.coords, f0 / scale)
-    h = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    return min(h, cap)
-
-
 def _step_factor(enorm):
     """The next step over this one for the error estimate `enorm`."""
     return 10.0 if enorm == 0.0 else min(10.0, max(0.2, 0.9 * enorm ** -0.125))
 
 
-def _advance(gen, t, y, t_target, cfg, cap_fn, h=None, k1=None):
-    """Step the flat real state y from t to t_target with DOP853.  The twelve
-    stages sit in one (12, n) array, so each stage's input and the step's
-    solution and two error estimates are each one matmul with the tableau;
-    the derivative at an accepted point is the next step's first stage, and
-    the magnitudes of the accepted state serve the next step's error norm.
-    `h`, the proposed step size, and `k1`, the derivative at (t, y), carry
-    over from a previous interval when given.  Returns (y, h, k1) at
-    t_target."""
-    k = np.empty((12, y.size))
-    k[0] = gen.rhs(t, y) if k1 is None else k1
-    if h is None:
-        h = _initial_step(gen, t, y, k[0], min(cap_fn(t), t_target - t), cfg)
-    abs_y = gen.coords.magnitudes(y)
-
-    while t < t_target - _MIN_REL_STEP * max(1.0, abs(t_target)):
-        step = min(h, cap_fn(t), t_target - t)
-        rejects = 0
-        while True:
-            if step < _MIN_REL_STEP * max(1.0, abs(t)):
-                raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
-            for i in range(1, 12):
-                k[i] = gen.rhs(t + _DOP_C[i] * step, y + (step * _DOP_A[i, :i]) @ k[:i])
-            y_new, e5, e3 = (step * _DOP_B) @ k
-            y_new += y
-            abs_new = gen.coords.magnitudes(y_new)
-            enorm = _error_norm(gen.coords, e5, e3, abs_y, abs_new, cfg)
-            if enorm <= 1.0:
-                break
-            rejects += 1
-            if rejects > _MAX_REJECTS:
-                raise StepSizeUnderflow(f"too many rejected steps at t={t:.6g}")
-            step *= _step_factor(enorm)
-
-        t = t + step
-        y, abs_y = y_new, abs_new
-        k[0] = gen.rhs(t, y)
-        h = step * _step_factor(enorm)
-    return y, h, k[0].copy()
-
-
 def _walk(gen, y, t, stops, cfg):
-    """Step the state y of `gen` from time t through the times `stops`,
-    yielding the state at each.  The step size and the first stage carry
-    over from stop to stop; a stop at the current time yields the state
-    unchanged.  Raises ValueError for a stop before the one preceding it
-    (or before t)."""
-    cap_fn = _make_step_cap(gen.pulse)
-    h = k1 = None
+    """Step the flat real state y of `gen` with DOP853 from time t through
+    the times `stops`, yielding the state at each; a stop at the current
+    time yields the state unchanged.  Raises ValueError for a stop before
+    the one preceding it (or before t).
+
+    The twelve stages sit in one (12, n) array, so each stage's input and
+    the step's solution and two error estimates are each one matmul with
+    the tableau.  The step size, the first stage (the derivative at the
+    accepted point) and the state's magnitudes (for the next error norm)
+    carry from step to step and from stop to stop.  A state sent back at a
+    stop replaces the state there: the walk goes on from it with a new
+    first stage and the same step size.  Inside the pulse window
+    [t0 - 4 tau, t0 + 4 tau] a step spans at most 1 / MIN_STEPS_PER_PULSE of
+    it, and none steps into the window from before it."""
+    lo = hi = inside = np.inf  # no cap without a drive
+    if gen.pulse is not None and gen.pulse.area != 0:
+        lo = gen.pulse.offset - 4.0 * gen.pulse.length
+        hi = gen.pulse.offset + 4.0 * gen.pulse.length
+        inside = (hi - lo) / MIN_STEPS_PER_PULSE
+
+    def cap(t):
+        return lo - t if t < lo - 1e-12 else inside if t < hi else np.inf
+
+    k = np.empty((12, y.size))
+    h = None
+    fresh = False  # are k[0] and abs_y those of (t, y)?
     for stop in stops:
         if stop < t:
             raise ValueError(f"sample times must not decrease: {stop:g} after {t:g}")
         if stop > t:
-            y, h, k1 = _advance(gen, t, y, stop, cfg, cap_fn, h, k1)
+            if not fresh:
+                k[0] = gen.rhs(t, y)
+                abs_y = gen.coords.magnitudes(y)
+                fresh = True
+            if h is None:  # the starting step, under the cap and the first stop
+                scale = cfg.abs_tol + cfg.rel_tol * abs_y
+                d0, d1 = _rms(gen.coords, y / scale), _rms(gen.coords, k[0] / scale)
+                h = min(1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1,
+                        cap(t), stop - t)
+            while t < stop - _MIN_REL_STEP * max(1.0, abs(stop)):
+                step = min(h, cap(t), stop - t)
+                rejects = 0
+                while True:
+                    if step < _MIN_REL_STEP * max(1.0, abs(t)):
+                        raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
+                    for i in range(1, 12):
+                        k[i] = gen.rhs(t + _DOP_C[i] * step, y + (step * _DOP_A[i, :i]) @ k[:i])
+                    y_new, e5, e3 = (step * _DOP_B) @ k
+                    y_new += y
+                    abs_new = gen.coords.magnitudes(y_new)
+                    enorm = _error_norm(gen.coords, e5, e3, abs_y, abs_new, cfg)
+                    if enorm <= 1.0:
+                        break
+                    rejects += 1
+                    if rejects > _MAX_REJECTS:
+                        raise StepSizeUnderflow(f"too many rejected steps at t={t:.6g}")
+                    step *= _step_factor(enorm)
+                t = t + step
+                y, abs_y = y_new, abs_new
+                k[0] = gen.rhs(t, y)
+                h = step * _step_factor(enorm)
             t = stop
-        yield y
+        sent = yield y
+        if sent is not None:
+            y, fresh = sent, False
 
 
 def physicality_report(states: np.ndarray) -> PhysicalityReport:
@@ -649,43 +636,6 @@ def physicality_report(states: np.ndarray) -> PhysicalityReport:
         max_hermiticity_violation=float(herm),
         min_eigenvalue=float(np.min(eigs)),
     )
-
-
-def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = None,
-                    rho0: np.ndarray | None = None) -> np.ndarray:
-    """<emit^dag emit>(t) on `grid` for a batch of systems propagated in
-    lockstep from the Hermitian `rho0` (ground state when omitted).
-
-    It is the one entry that starts from any state (emission_integrals
-    starts from the ground state): the line of an undriven, excited emitter
-    is read through it, and so are perfbench's spectrum warm-up and
-    make_references.py.  `rho0` is the state at t = 0, whatever the grid:
-    the grid must not decrease, and a first point after 0 reads the state
-    propagated to it (ValueError for a point before 0 or below its
-    predecessor).
-    """
-    cfg = cfg or DEFAULT_INTEGRATOR
-    grid = np.asarray(grid, dtype=float)
-    if rho0 is not None and len(systems) and np.shape(rho0) != (systems[0].dimension,) * 2:
-        raise DimensionMismatch(f"rho0 has shape {np.shape(rho0)}, system dimension is "
-                                f"{systems[0].dimension}")
-    gen = _Generator(systems, initial=[0] if rho0 is None else np.flatnonzero(rho0))
-    emit = np.asarray(emit, dtype=complex)
-    # <N|x> = tr(N x) is the dot product of the coordinates of N and x
-    weights = gen.coords.encode((emit.conj().T @ emit).ravel())
-
-    y = np.zeros((gen.nbatch, gen.coords.length), dtype=complex)
-    if rho0 is None:
-        y[:, 0] = 1.0
-    else:  # the rows are stepped as Hermitian blocks
-        rho0 = np.asarray(rho0)
-        if np.max(np.abs(rho0 - rho0.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(rho0))):
-            raise ValueError("rho0 must be Hermitian")
-        y[:] = np.ravel(rho0)
-    out = np.empty((gen.nbatch, len(grid)))
-    for k, y in enumerate(_walk(gen, gen.coords.encode(y).ravel(), 0.0, grid, cfg)):
-        out[:, k] = y.reshape(gen.nbatch, -1) @ weights
-    return out
 
 
 DRIVE_CUTOFF = 8.0
@@ -718,12 +668,15 @@ def drive_cutoff(pulse) -> float:
 
 
 def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorConfig | None = None,
-                       pairs: bool = True) -> EmissionIntegrals:
+                       pairs: bool = True, rho0: np.ndarray | None = None) -> EmissionIntegrals:
     """n = int <e^dag e>(t) dt and, with `pairs`, the time-ordered pair
     integral G = int int <T-[e^dag(t1) e^dag(t2)] T+[e(t2) e(t1)]> dt1 dt2
-    over [0, inf)^2, for a batch of systems started in the ground state.
-    `emit` is one operator for the whole batch, (d, d), or one per system,
-    (B, d, d).
+    over [0, inf)^2, for a batch of systems started at t = 0 in the
+    Hermitian `rho0` (the ground state when omitted; DimensionMismatch for a
+    rho0 of another shape).  `emit` is one operator for the whole batch,
+    (d, d), or one per system, (B, d, d).  This is the one entry of every
+    pass: the spectra, the sweeps, and the line of an undriven, excited
+    emitter read through it.
 
     One forward pass over the pulse window [0, t_c], t_c = drive_cutoff(pulse),
     carries the rows rho and X and the scalars q = int <N|rho> dt and
@@ -740,7 +693,8 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
         G = 2 (p_c + <N|R X_c> + <N|R J R rho_c>),   N = e^dag e.
 
     Raises TailPremiseError unless L0 rho_ss = 0 and e rho_ss = 0 for the
-    ground state rho_ss (the latter gives J rho_ss = 0 and <N|rho_ss> = 0).
+    ground state rho_ss (the latter gives J rho_ss = 0 and <N|rho_ss> = 0);
+    this concerns the systems, not the start, so it holds for any rho0.
     `times` (default WINDOW_SAMPLES points across the window, empty for none)
     only sets where <N> and the state are sampled: the integrator stops at
     each, which must not decrease or precede 0 (ValueError).  It reaches
@@ -752,7 +706,14 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     """
     cfg = cfg or DEFAULT_INTEGRATOR
     m = 2 if pairs else 1
-    gen = _Generator(systems, emit, pairs, initial=[0])
+    if rho0 is not None:  # the rows are stepped as Hermitian blocks
+        rho0 = np.asarray(rho0)
+        if len(systems) and rho0.shape != (systems[0].dimension,) * 2:
+            raise DimensionMismatch(f"rho0 has shape {rho0.shape}, system dimension is "
+                                    f"{systems[0].dimension}")
+        if np.max(np.abs(rho0 - rho0.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(rho0))):
+            raise ValueError("rho0 must be Hermitian")
+    gen = _Generator(systems, emit, pairs, initial=[0] if rho0 is None else np.flatnonzero(rho0))
     nb, d = gen.nbatch, gen.dim
     emit, nop = gen.emit, gen.nop
     t_c = drive_cutoff(gen.pulse)
@@ -762,8 +723,10 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     if np.any(np.max(np.abs(emit[:, :, 0]), axis=1) > 1e-12 * scale):
         raise TailPremiseError("`emit` must leave the ground state dark")
 
+    ground = np.zeros(d * d, dtype=complex)
+    ground[0] = 1.0
     y = np.zeros((nb, gen.coords.length), dtype=complex)
-    y[:, 0] = 1.0
+    y[:, :d * d] = ground if rho0 is None else np.ravel(rho0)
     states = np.empty((nb, len(times), d * d), dtype=complex)
     # the stop at t_c follows the sample times up to it (a sample time that
     # decreases, across t_c too, makes _walk raise)
@@ -777,8 +740,6 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
             states[:, k - (k > inside)] = y[:, :d * d]
     lab = rows[:, :m * d * d].reshape(nb, m, d * d)  # rho_c, X_c
     integrals = rows[:, m * d * d:]  # q_c, p_c
-    ground = np.zeros(d * d, dtype=complex)
-    ground[0] = 1.0
     trace = np.eye(d).ravel()
     deflate = np.outer(ground, trace)  # |rho_ss><1|
     nvec = nop.transpose(0, 2, 1).reshape(nb, 1, d * d)  # <N|x> = tr(N x) = nvec . vec(x)
@@ -809,6 +770,12 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     return EmissionIntegrals(n_int, g_int, times, n_series, states.reshape(nb, len(times), d, d))
 
 
+def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = None):
+    """<emit^dag emit>(t) on `grid` for a batch of systems started in the
+    ground state: the `n_series` of emission_integrals without pairs."""
+    return emission_integrals(systems, emit, grid, cfg, pairs=False).n_series
+
+
 def _step_propagators(gen, times, cfg):
     """Lab-frame propagators of the intervals of `times` for the one system
     of `gen`: vec(rho(t_k+1)) = P_k vec(rho(t_k)) on row-major vec, shape
@@ -816,24 +783,26 @@ def _step_propagators(gen, times, cfg):
 
     An interval that starts inside the drive window [0, t_c],
     t_c = drive_cutoff(pulse), steps the d^2 real unit vectors as the rows
-    of one DOP853 pass (the first stage restarts per interval); their
-    images are the columns of the real propagator P_r, and P_k = T P_r T^H
-    with T the unitary `decode` of the coordinates.  Later intervals see the constant
-    generator L0 and take expm(L0 h), once per distinct h.
+    of one state: one `_walk` stops at the window's nodes, and at each the
+    unit rows are sent back as the state the next interval starts from
+    (the step size carries over, the first stage is that of the units).
+    The images are the columns of the real propagator P_r, and
+    P_k = T P_r T^H with T the unitary `decode` of the coordinates.  Later
+    intervals see the constant generator L0 and take expm(L0 h), once per
+    distinct h.
     """
     from scipy.linalg import expm
 
     d2 = gen.dim * gen.dim
     t_c = drive_cutoff(gen.pulse)
     steps = np.diff(times)
-    driven = times[:-1] < t_c
+    driven = times[:-1] < t_c  # a prefix of the sorted intervals
     props = np.empty((len(steps), d2, d2), dtype=complex)
-    units = np.eye(d2)
-    basis = gen.coords.decode(units)  # T^T: row j is vec of basis operator j
-    cap_fn = _make_step_cap(gen.pulse)
-    h = None
+    units = np.eye(d2).ravel()
+    basis = gen.coords.decode(np.eye(d2))  # T^T: row j is vec of basis operator j
+    walk = _walk(gen, units, times[0], times[1:][driven], cfg)
     for k in np.flatnonzero(driven):
-        y, h, _ = _advance(gen, times[k], units.ravel(), times[k + 1], cfg, cap_fn, h)
+        y = walk.send(None if k == 0 else units)
         props[k] = basis.T @ y.reshape(d2, d2).T @ basis.conj()
     distinct, which = np.unique(steps[~driven], return_inverse=True)
     l0 = gen.lab_liouvillian()[0]
@@ -863,7 +832,10 @@ def two_time_g2_map(
     Error budget: the intervals that start inside the drive window [0, t_c]
     carry the DOP853 tolerance of `cfg` on O(1) basis entries; past t_c the
     propagators are exact up to expm's rounding.  No grid bias enters: the
-    grid only sets where W is read out.
+    grid only sets where W is read out.  At the default tolerance the
+    figure maps (map_grid, tau 0.02, 0.05 and 0.2) lie within 2e-11 of
+    their maximum of a rel_tol 1e-12, abs_tol 1e-16 run (7.2e-12, 7.5e-12
+    and 8.3e-12 measured).
     """
     if isinstance(emit, str):
         emit = system.output_ops[emit]

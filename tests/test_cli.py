@@ -112,6 +112,15 @@ def test_spectrum_rerun_is_byte_identical(tmp_path):
     assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == first
 
 
+def test_g2map_rerun_is_byte_identical(tmp_path):
+    assert run(tmp_path, "g2map", "grid_points: 40\n") == 0
+    out = tmp_path / "out"
+    first = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert set(first) == {"g2map.csv", "g2map_metadata.json"}
+    assert run(tmp_path, "g2map", "grid_points: 40\n") == 0
+    assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == first
+
+
 def test_hbt_rerun_is_byte_identical(tmp_path):
     text = "seed: 11\nspan: 40.0\nstream: {n_pulses: 200000, p_single: 0.3, p_double: 0.01, " \
            "noise_rate: 100000.0, blinking: {frequencies: [1.0], depth: 0.5}}\n"
@@ -243,6 +252,32 @@ def test_sweep_scale_sets_the_axis(tmp_path, scale, axis):
     meta, curves = _sweep_written(tmp_path / "out", "sweep_filter")
     assert meta["sweep_log"] is (scale == "log")
     assert curves["sweep_filter_tau0.05.csv"] == pytest.approx(axis, rel=1e-12)
+
+
+@pytest.mark.parametrize("command, system", [("sweep-fourlevel", "two_level"),
+                                             ("g2map", "biexciton")])
+def test_command_with_another_system_is_a_config_error(tmp_path, capsys, command, system):
+    # each command has one system: naming another one is an error, not overridden
+    assert run(tmp_path, command, f"system: {system}\n") == 2
+    assert f"system: {command} expects the " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, prefix", [
+    ("g2map", "grid_points: 5\n", "g2map"),
+    ("spectrum", "pulse_lengths: [0.05]\ndetuning_points: 3\n", "spectrum"),
+    ("sweep-pulse", "sweep: {points: 2}\nfilter_widths: [1.0]\n", "sweep_pulse"),
+    ("sweep-filter", "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n",
+     "sweep_filter"),
+    ("sweep-fourlevel", "pulse_lengths: [0.01]\nsweep: {min: 0.5, max: 1.0, points: 2}\n",
+     "sweep_fourlevel"),
+], ids=["g2map", "spectrum", "sweep-pulse", "sweep-filter", "sweep-fourlevel"])
+def test_metadata_records_the_subcommand(tmp_path, command, text, prefix):
+    # the command a rerun types, whatever the files are called
+    assert run(tmp_path, command, text) == 0
+    meta = json.loads((tmp_path / "out" / f"{prefix}_metadata.json").read_text())
+    assert meta["command"] == command
+    assert meta["config"]["system"] == ("biexciton" if command == "sweep-fourlevel"
+                                        else "two_level")
 
 
 def test_sweep_kind_must_match_the_command(tmp_path, capsys):

@@ -8,13 +8,13 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
 
 from photonpurity import dynamics
+from photonpurity.correlations import map_grid
 from photonpurity.dynamics import (
     BatchMismatch,
     CorrelationGrid,
     DimensionMismatch,
     StepSizeUnderflow,
     emission_integrals,
-    emission_series,
     physicality_report,
     two_time_g2_map,
 )
@@ -76,12 +76,16 @@ def window_states(system, times):
     return emission_integrals([system], sigma, times=times, pairs=False).states[0]
 
 
+def series(system, emit, times, rho0=None):
+    """<emit^dag emit> of `system` at `times`, started in rho0 at t = 0."""
+    return emission_integrals([system], emit, times, pairs=False, rho0=rho0).n_series[0]
+
+
 class TestPropagate:
     def test_free_decay(self):
         system = free_decay_system()
         times = np.linspace(0.0, 10.0, 101)
-        (pop,) = emission_series([system], system.output_ops["sigma"], times,
-                                 rho0=basis_projector(system, "exciton"))
+        pop = series(system, system.output_ops["sigma"], times, basis_projector(system, "exciton"))
         assert np.max(np.abs(pop - np.exp(-times))) < 1e-7
 
     def test_pi_pulse_against_reference(self):
@@ -113,8 +117,8 @@ class TestPropagate:
         system = build_biexciton(BiexcitonConfig(), GaussianPulse(0.0, 0.05))
         times = np.linspace(0.0, 8.0, 81)
         rho0 = basis_projector(system, "biexciton")
-        (n_2x,), (n_xv,) = (emission_series([system], system.output_ops[name], times, rho0=rho0)
-                            for name in ("biexciton_h", "exciton_v"))
+        n_2x, n_xv = (series(system, system.output_ops[name], times, rho0)
+                      for name in ("biexciton_h", "exciton_v"))
         assert np.max(np.abs(n_2x - np.exp(-2 * times))) < 1e-6
         assert np.max(np.abs(n_xv - (np.exp(-times) - np.exp(-2 * times)))) < 1e-6
 
@@ -123,26 +127,28 @@ class TestPropagate:
         rho0 = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         system = free_decay_system()
         with pytest.raises(ValueError, match="Hermitian"):
-            emission_series([system], system.output_ops["sigma"], [0.0, 1.0], rho0=rho0)
+            series(system, system.output_ops["sigma"], [0.0, 1.0], rho0)
 
     def test_step_size_underflow(self):
         system = build_two_level(TwoLevelConfig(decay_rate=1e16), GaussianPulse(0.0, 0.05))
         with pytest.raises(StepSizeUnderflow):
-            emission_series([system], system.output_ops["sigma"], [0.0, 1.0],
-                            rho0=basis_projector(system, "exciton"))
+            series(system, system.output_ops["sigma"], [0.0, 1.0],
+                   basis_projector(system, "exciton"))
 
 
 class TestExpectation:
     def test_identity_trace(self):
         system = free_decay_system()
-        (trace,) = emission_series([system], np.eye(2), np.linspace(0, 5, 21),
-                                   rho0=basis_projector(system, "exciton"))
+        # the trace of the sampled states (emit = I would break the tail premise)
+        res = emission_integrals([system], system.output_ops["sigma"], np.linspace(0, 5, 21),
+                                 pairs=False, rho0=basis_projector(system, "exciton"))
+        trace = np.einsum("tnn->t", res.states[0])
         assert np.max(np.abs(trace - 1.0)) < 1e-8
 
     def test_weak_sensor_stays_empty(self):
         system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
         extended = attach_sensor(system, "sigma", SensorConfig(0.0, 1.0, coupling=1e-8))
-        (n_s,) = emission_series([extended], extended.output_ops["sensor"], np.linspace(0, 6, 31))
+        n_s = series(extended, extended.output_ops["sensor"], np.linspace(0, 6, 31))
         assert np.max(n_s) < 1e-12
 
 
@@ -186,6 +192,17 @@ class TestTwoTimeMap:
             rho_t2 = reference_master_equation(system, collapsed, np.array([t1, t2]))[-1]
             oracle = np.trace(nop @ rho_t2).real
             assert cg.values[i, j] == pytest.approx(oracle, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.02, 0.05, 0.2])
+    def test_figure_map_tolerance_budget(self, tau):
+        # the docstring's tolerance line: the g2map figure grid at the default
+        # tolerance against a tight run
+        system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, tau))
+        grid = map_grid(system)
+        tight = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-16)
+        ref = two_time_g2_map(system, "sigma", grid, cfg=tight).values
+        got = two_time_g2_map(system, "sigma", grid).values
+        assert np.max(np.abs(got - ref)) <= 2e-11 * np.max(ref)
 
     def test_coincidence_mass_in_pulse_strips(self):
         p = GaussianPulse(math.pi, 0.05)
@@ -244,8 +261,7 @@ class TestEmissionSeries:
     RHO0 = np.full((2, 2), 0.5, dtype=complex)
 
     def series(self, grid):
-        sigma = self.SYSTEM.output_ops["sigma"]
-        return emission_series([self.SYSTEM], sigma, grid, rho0=self.RHO0)[0]
+        return series(self.SYSTEM, self.SYSTEM.output_ops["sigma"], grid, self.RHO0)
 
     def test_rho0_is_the_state_at_time_zero(self):
         # a grid that starts after 0 reads the state propagated from t = 0
@@ -262,7 +278,7 @@ class TestEmissionSeries:
     def test_rho0_of_another_dimension_rejected(self):
         sigma = self.SYSTEM.output_ops["sigma"]
         with pytest.raises(DimensionMismatch, match=r"rho0 has shape \(3, 3\)"):
-            emission_series([self.SYSTEM], sigma, [0.0, 0.1], rho0=np.eye(3) / 3)
+            series(self.SYSTEM, sigma, [0.0, 0.1], np.eye(3) / 3)
 
 
 def _sensor_batch(system, observed, detuning, widths):
