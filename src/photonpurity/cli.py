@@ -3,9 +3,11 @@ analysis as CSV/JSON data files from declarative configs.
 
 Subcommands: g2map, spectrum, sweep-pulse, sweep-filter, sweep-fourlevel,
 hbt-sim, analyze-histogram, fit-lifetime.  Each run writes its outputs plus a
-metadata JSON with the fully resolved configuration and seed; reruns with the
-same metadata reproduce the files byte for byte.  Defaults mirror the figure
-parameters so a bare invocation reproduces the corresponding dataset.
+metadata JSON with the resolved value of every key the command reads (the
+RunConfig table) and nothing else; reruns with the same metadata reproduce
+the files byte for byte.  A key or flag that the command does not read is a
+configuration error.  Defaults mirror the figure parameters so a bare
+invocation reproduces the corresponding dataset.
 
 Exit codes: 0 success, 2 bad configuration, 3 convergence failure.
 """
@@ -16,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -26,7 +28,6 @@ from .model import (
     BiexcitonConfig,
     EXCITON_V_ONLY,
     GaussianPulse,
-    ObservationVector,
     SensorConfig,
     TwoLevelConfig,
     build_biexciton,
@@ -44,42 +45,63 @@ class EstimationError(RuntimeError):
     """The coincidence histogram cannot be normalized (empty side peaks)."""
 
 
+# The commands of each config key.  Every command takes --jobs, which
+# perfbench/workloads.py passes to each; only the sweeps read it.
+_SWEEPS = ("sweep-pulse", "sweep-filter", "sweep-fourlevel")
+_THEORY = ("g2map", "spectrum", *_SWEEPS)
+_ALL = (*_THEORY, "hbt-sim", "analyze-histogram", "fit-lifetime")
+
+
+def _key(default, commands, key=None, flags=()):
+    """A RunConfig field with its `default`, the `commands` that read it, its
+    config key (the field name when None; dotted inside a section) and its
+    command-line flags, (flag, add_argument keywords) pairs."""
+    value = {"default_factory": dict} if default == {} else {"default": default}
+    return field(**value, metadata={"commands": commands, "key": key, "flags": flags})
+
+
 @dataclass
 class RunConfig:
-    """Resolved run configuration; every field lands in the metadata JSON."""
+    """Resolved run configuration.  Each field names the commands that read
+    it; a command's metadata JSON records those fields and no others."""
 
-    system: str | None = None
-    gamma_sigma: float = 1.0
-    detuning: float = 0.0
-    binding_energy: float = 300.0
-    pulse_area_pi: float = 1.0
-    pulse_length: float = 0.05
-    sensor_detuning: float | None = None
-    epsilon: float | None = None
-    truncation: int = 2
+    system: str | None = _key(None, _THEORY)
+    gamma_sigma: float = _key(1.0, _THEORY)
+    detuning: float = _key(0.0, ("g2map", "spectrum", "sweep-pulse", "sweep-filter"))
+    binding_energy: float = _key(300.0, ("spectrum", *_SWEEPS))
+    pulse_area_pi: float = _key(1.0, _THEORY, "pulse.area_pi")
+    pulse_length: float = _key(0.05, ("g2map",), "pulse.length")
+    sensor_detuning: float | None = _key(None, ("spectrum", *_SWEEPS), "sensor.detuning")
+    epsilon: float | None = _key(None, _SWEEPS, "sensor.coupling", (
+        ("--epsilon", {"type": float, "help": "sensor coupling override"}),))
+    truncation: int = _key(2, _SWEEPS, "sensor.truncation")
     # sweep_min, sweep_max, sweep_points and pulse_lengths left None take
     # the command's defaults (resolve)
-    sweep_min: float | None = None
-    sweep_max: float | None = None
-    sweep_points: int | None = None
-    sweep_log: bool = True
-    pulse_lengths: tuple | None = None
-    filter_widths: tuple = (0.1, 1.0, 20.0)
-    spec_bandwidth: float = 0.2
-    detuning_span: float = 40.0
-    detuning_points: int = 161
-    grid_points: int | None = None
-    integrator: dict = field(default_factory=dict)
-    check_convergence: bool = True
-    stream: dict = field(default_factory=dict)
-    rep_period: float = 13.1
-    window: float = 6.5
-    bin_width: int = 5
-    span: float = 30.0
-    excluded_peaks: tuple = ()
-    seed: int = 2024
-    jobs: int = 0
-    out: str | None = None
+    sweep_min: float | None = _key(None, _SWEEPS, "sweep.min")
+    sweep_max: float | None = _key(None, _SWEEPS, "sweep.max")
+    sweep_points: int | None = _key(None, _SWEEPS, "sweep.points")
+    sweep_log: bool = _key(True, _SWEEPS, "sweep.scale")
+    pulse_lengths: tuple | None = _key(None, ("spectrum", "sweep-filter", "sweep-fourlevel"))
+    filter_widths: tuple = _key((0.1, 1.0, 20.0), ("sweep-pulse",))
+    spec_bandwidth: float = _key(0.2, ("spectrum",))
+    detuning_span: float = _key(40.0, ("spectrum",))
+    detuning_points: int = _key(161, ("spectrum",))
+    grid_points: int | None = _key(None, ("g2map",))
+    integrator: dict = _key({}, _THEORY)
+    check_convergence: bool = _key(True, _SWEEPS, flags=(
+        ("--check-convergence", {"action": "store_true", "default": None}),
+        ("--no-check-convergence", {"action": "store_false", "default": None})))
+    stream: dict = _key({}, ("hbt-sim",))
+    rep_period: float = _key(13.1, ("analyze-histogram",))
+    window: float = _key(6.5, ("hbt-sim", "analyze-histogram"))
+    bin_width: int = _key(5, ("hbt-sim",))
+    span: float = _key(30.0, ("hbt-sim",))
+    excluded_peaks: tuple = _key((), ("hbt-sim", "analyze-histogram"))
+    seed: int = _key(2024, ("hbt-sim",), flags=(("--seed", {"type": int, "help": "random seed"}),))
+    jobs: int = _key(0, _SWEEPS, flags=(
+        ("--jobs", {"type": int, "help": "worker processes for sweep points"}),))
+    out: str | None = _key(None, _ALL, flags=(
+        ("--out", {"help": f"output directory (default ${ENV_OUTDIR} or ./out)"}),))
 
     def resolve(self, command=None):
         """Fill the fields left None with `command`'s defaults."""
@@ -107,7 +129,6 @@ class RunConfig:
             (_integer_at_least(self.detuning_points, 2), "detuning_points",
              "must be an integer >= 2"),
             (self.window > 0, "window", "must be > 0"),
-            (self.window <= self.rep_period, "window", "must not exceed rep_period"),
             (_integer_at_least(self.bin_width, 1), "bin_width", "must be an integer >= 1 (ps)"),
             (_positive_numbers(self.pulse_lengths), "pulse_lengths",
              "must be a non-empty list of numbers > 0"),
@@ -141,29 +162,27 @@ def _positive_numbers(values):
 _DEFAULTS = {"system": "two_level", "sweep_min": 0.05, "sweep_max": 100.0,
              "sweep_points": 13, "pulse_lengths": (0.02, 0.05, 0.2)}
 _COMMAND_DEFAULTS = {
-    "sweep-filter": {},
     "sweep-fourlevel": {"system": "biexciton", "sweep_min": 0.5, "sweep_max": 20.0,
                         "sweep_points": 9, "pulse_lengths": (0.01, 0.02)},
     "sweep-pulse": {"sweep_min": 0.02, "sweep_max": 1.5, "sweep_points": 10},
 }
 
-_FLAT_KEYS = {
-    "system", "gamma_sigma", "detuning", "binding_energy", "spec_bandwidth",
-    "detuning_span", "detuning_points", "grid_points", "check_convergence",
-    "rep_period", "window", "bin_width", "span", "seed", "jobs", "out",
-    "pulse_lengths", "filter_widths", "excluded_peaks", "truncation", "epsilon",
-}
-_TEXT_KEYS = {"system", "check_convergence", "out"}
-_LIST_KEYS = {"pulse_lengths", "filter_widths", "excluded_peaks"}
-_NESTED_KEYS = {"pulse", "sensor", "sweep", "integrator", "stream"}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+_KEYS = {f.metadata["key"] or name: name for name, f in _FIELDS.items()}  # config key: field
+_SECTIONS = {key.split(".")[0] for key in _KEYS if "." in key}
 _INTEGRATOR_KEYS = {f.name for f in fields(dynamics.IntegratorConfig)}
-# section -> {key in the section: RunConfig field}; sweep.scale is handled apart
-_SECTION_FIELDS = {
-    "pulse": {"area_pi": "pulse_area_pi", "length": "pulse_length"},
-    "sensor": {"detuning": "sensor_detuning", "coupling": "epsilon", "truncation": "truncation"},
-    "sweep": {"min": "sweep_min", "max": "sweep_max", "points": "sweep_points",
-              "scale": None},
-}
+
+
+def _reads(command):
+    """The RunConfig fields that `command` reads; every field for None."""
+    return [name for name, f in _FIELDS.items()
+            if command is None or command in f.metadata["commands"]]
+
+
+def _kind(name):
+    """The type of RunConfig field `name` ("float" for float | None), which
+    sets how its config value is checked."""
+    return _FIELDS[name].type.split(" ")[0]
 
 
 def _check_number(path, value):
@@ -186,8 +205,32 @@ def _check_value(path, value, listed=False):
         _check_number(path, value)
 
 
+def _set(cfg: RunConfig, key, name, value):
+    """Check `value` of config key `key` by the kind of RunConfig field `name`
+    and set the field."""
+    kind = _kind(name)
+    if kind == "dict":
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key}: must be a mapping, got {value!r}")
+        for sub, item in value.items() if key == "integrator" else ():
+            if sub not in _INTEGRATOR_KEYS:
+                raise ConfigError(f"integrator.{sub}: unknown configuration key")
+            _check_number(f"integrator.{sub}", item)
+        value = dict(value)
+    elif key == "sweep.scale":
+        if value not in ("log", "linear"):
+            raise ConfigError(f"sweep.scale: must be log or linear, got {value!r}")
+        value = value == "log"
+    elif kind in ("float", "int", "tuple"):
+        _check_value(key, value, listed=kind == "tuple")
+        value = tuple(value) if isinstance(value, list) else value
+    setattr(cfg, name, value)
+
+
 def load_config(path=None, overrides=None, command=None) -> RunConfig:
-    """RunConfig from a YAML file and overrides, with `command`'s defaults."""
+    """RunConfig from a YAML file and overrides (by field name), with
+    `command`'s defaults.  A key that `command` does not read is a
+    ConfigError; with no command every key is read."""
     cfg = RunConfig()
     data = {}
     if path is not None:
@@ -198,41 +241,23 @@ def load_config(path=None, overrides=None, command=None) -> RunConfig:
                 raise ConfigError(f"config: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("config: must be a mapping of keys to values")
-    for key, value in data.items():
-        if key in _NESTED_KEYS and not isinstance(value, dict):
-            raise ConfigError(f"{key}: must be a mapping, got {value!r}")
-        if key in _SECTION_FIELDS:
-            fields = _SECTION_FIELDS[key]
-            for name, item in value.items():
-                if name not in fields:
-                    raise ConfigError(f"{key}.{name}: unknown configuration key")
-                if fields[name] is not None:
-                    _check_value(f"{key}.{name}", item)
-                    setattr(cfg, fields[name], item)
-            if key == "sweep":
-                scale = value.get("scale", "log")
-                if scale not in ("log", "linear"):
-                    raise ConfigError(f"sweep.scale: must be log or linear, got {scale!r}")
-                cfg.sweep_log = scale == "log"
-        elif key == "integrator":
-            for name, item in value.items():
-                if name not in _INTEGRATOR_KEYS:
-                    raise ConfigError(f"integrator.{name}: unknown configuration key")
-                _check_number(f"integrator.{name}", item)
-            cfg.integrator = dict(value)
-        elif key == "stream":
-            cfg.stream = dict(value)
-        elif key in _FLAT_KEYS:
-            if key not in _TEXT_KEYS:
-                _check_value(key, value, listed=key in _LIST_KEYS)
-            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
-        else:
-            raise ConfigError(f"{key}: unknown configuration key")
-    for key, value in (overrides or {}).items():
+    reads = _reads(command)
+    for top, value in data.items():
+        entries = [(top, value)]
+        if top in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{top}: must be a mapping, got {value!r}")
+            entries = [(f"{top}.{name}", item) for name, item in value.items()]
+        for key, item in entries:
+            if _KEYS.get(key) not in reads:
+                raise ConfigError(f"{key}: unknown configuration key for "
+                                  f"{command or 'any command'}")
+            _set(cfg, key, _KEYS[key], item)
+    for name, value in (overrides or {}).items():
         if value is not None:
-            if key not in _TEXT_KEYS:
-                _check_number(f"--{key}", value)
-            setattr(cfg, key, value)
+            if _kind(name) in ("float", "int"):
+                _check_number(f"--{name}", value)
+            setattr(cfg, name, value)
     try:
         return cfg.resolve(command).validate()
     except TypeError as err:  # e.g. a string where a number belongs
@@ -271,17 +296,8 @@ def _outdir(cfg: RunConfig):
 
 
 def _metadata(cfg: RunConfig, command, extra=None):
-    meta = {"tool": "photonpurity", "version": __version__, "command": command}
-    meta["config"] = asdict(cfg)
-    if extra:
-        meta.update(extra)
-    return meta
-
-
-def _sweep_axis(cfg: RunConfig):
-    if cfg.sweep_log:
-        return np.geomspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
-    return np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
+    return {"tool": "photonpurity", "version": __version__, "command": command,
+            "config": {name: getattr(cfg, name) for name in _reads(command)}, **(extra or {})}
 
 
 def cmd_g2map(cfg: RunConfig):
@@ -289,8 +305,7 @@ def cmd_g2map(cfg: RunConfig):
     if cfg.system != "two_level":
         raise ConfigError("system: g2map expects the two_level system")
     out = _outdir(cfg)
-    builder = _system_builder(cfg)
-    system = builder(GaussianPulse(cfg.pulse_area_pi * math.pi, cfg.pulse_length))
+    system = _system_builder(cfg)(GaussianPulse(cfg.pulse_area_pi * math.pi, cfg.pulse_length))
     grid = correlations.map_grid(system)
     if cfg.grid_points:
         grid = np.linspace(0.0, grid[-1], cfg.grid_points)
@@ -333,7 +348,8 @@ def _run_sweep(cfg: RunConfig, command):
     is one batch; --jobs spreads the pulses over worker processes.  The
     files are named after the subcommand `command` with "_" for "-"."""
     out = _outdir(cfg)
-    axis = _sweep_axis(cfg)
+    axis = (np.geomspace if cfg.sweep_log else np.linspace)(cfg.sweep_min, cfg.sweep_max,
+                                                            cfg.sweep_points)
     prefix = command.replace("-", "_")
     sweep_pulse = command == "sweep-pulse"
     taus, widths = (axis, cfg.filter_widths) if sweep_pulse else (cfg.pulse_lengths, axis)
@@ -352,9 +368,8 @@ def _run_sweep(cfg: RunConfig, command):
         path = os.path.join(out, f"{prefix}_{key}.csv")
         correlations.write_sweep_csv(path, axis, stats)
         paths.append(path)
-    correlations.write_metadata(
-        os.path.join(out, f"{prefix}_metadata.json"), _metadata(cfg, command)
-    )
+    correlations.write_metadata(os.path.join(out, f"{prefix}_metadata.json"),
+                                _metadata(cfg, command))
     return paths
 
 
@@ -383,7 +398,6 @@ def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:
     if not isinstance(stream.get("n_pulses", 0), int):
         raise ConfigError(f"stream.n_pulses: {stream['n_pulses']!r} is not an integer")
     stream.setdefault("n_pulses", 1_000_000)
-    stream.setdefault("rep_period", cfg.rep_period)
     blink = stream.pop("blinking", None)
     if blink:
         if not isinstance(blink, dict) or not isinstance(blink.get("frequencies"), list):
@@ -443,22 +457,18 @@ def cmd_hbt(cfg: RunConfig):
     correlations.write_metadata(
         os.path.join(out, "hbt_metadata.json"),
         _metadata(cfg, "hbt-sim", {
-            "stream": {**{k: getattr(stream_cfg, k) for k in (
-                "n_pulses", "rep_period", "p_single", "p_double", "emitter_lifetime",
-                "pulse_sigma", "noise_rate", "detection_efficiency")},
-                "blinking": None if stream_cfg.blinking is None else {
-                    "frequencies": list(stream_cfg.blinking.frequencies),
-                    "depth": stream_cfg.blinking.depth}},
+            "stream": {**vars(stream_cfg),
+                       "blinking": stream_cfg.blinking and vars(stream_cfg.blinking)},
             "clicks": n_clicks,
         }),
     )
     return [hist_path, est_path, sums_path]
 
 
-def cmd_analyze_histogram(cfg: RunConfig, data_path):
+def cmd_analyze_histogram(cfg: RunConfig, data):
     """Peak-sum analysis of an existing histogram CSV."""
     try:
-        hist = photostream.read_histogram_csv(data_path)
+        hist = photostream.read_histogram_csv(data)
     except photostream.MalformedHistogram as err:
         raise ConfigError(f"data: {err}") from err
     _check_window(cfg.rep_period, cfg.window, hist.span, "data: histogram span")
@@ -475,15 +485,15 @@ def cmd_analyze_histogram(cfg: RunConfig, data_path):
             fh.write(f"{f:.9g},{a:.9g}\n")
     correlations.write_metadata(
         os.path.join(out, "histogram_metadata.json"),
-        _metadata(cfg, "analyze-histogram", {"data": str(data_path)}),
+        _metadata(cfg, "analyze-histogram", {"data": str(data)}),
     )
     return [est_path, spec_path]
 
 
-def cmd_fit_lifetime(cfg: RunConfig, data_path, which):
+def cmd_fit_lifetime(cfg: RunConfig, data, which):
     """Fit decay data (CSV time_ps, counts) with the IRF-blurred cascade model."""
     try:
-        times, counts = analysis.read_decay_csv(data_path)
+        times, counts = analysis.read_decay_csv(data)
     except analysis.MalformedDecay as err:
         raise ConfigError(f"data: {err}") from err
     out = _outdir(cfg)
@@ -493,7 +503,7 @@ def cmd_fit_lifetime(cfg: RunConfig, data_path, which):
     result.to_json(fit_path)
     correlations.write_metadata(
         os.path.join(out, "lifetime_fit_metadata.json"),
-        _metadata(cfg, "fit-lifetime", {"data": str(data_path), "which": which}),
+        _metadata(cfg, "fit-lifetime", {"data": str(data), "which": which}),
     )
     return [fit_path]
 
@@ -505,30 +515,17 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, run in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__.splitlines()[0])
         p.add_argument("--config", help="YAML run configuration")
-        p.add_argument("--out", help=f"output directory (default ${ENV_OUTDIR} or ./out)")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--jobs", type=int, help="worker processes for sweep points")
-        p.add_argument("--epsilon", type=float, help="sensor coupling override")
-        p.add_argument("--check-convergence", dest="check_convergence",
-                       action="store_true", default=None)
-        p.add_argument("--no-check-convergence", dest="check_convergence",
-                       action="store_false", default=None)
-        return p
-
-    common(sub.add_parser("g2map", help="two-time correlation map (bare emitter)"))
-    common(sub.add_parser("spectrum", help="filtered emission spectra"))
-    common(sub.add_parser("sweep-pulse", help="g2 vs pulse length per filter width"))
-    common(sub.add_parser("sweep-filter", help="g2 vs filter width per pulse length"))
-    common(sub.add_parser("sweep-fourlevel", help="exciton-line g2 vs filter width"))
-    common(sub.add_parser("hbt-sim", help="Monte Carlo HBT experiment"))
-    p = common(sub.add_parser("analyze-histogram", help="peak-sum analysis of a histogram CSV"))
-    p.add_argument("--data", required=True)
-    p = common(sub.add_parser("fit-lifetime", help="lifetime fit of decay data CSV"))
-    p.add_argument("--data", required=True)
-    p.add_argument("--which", choices=("biexciton", "exciton"), default="exciton")
+        for name, f in _FIELDS.items():
+            if command in f.metadata["commands"] or name == "jobs":  # see _SWEEPS
+                for flag, options in f.metadata["flags"]:
+                    p.add_argument(flag, dest=name, **options)
+    for p in (sub.choices["analyze-histogram"], sub.choices["fit-lifetime"]):
+        p.add_argument("--data", required=True)
+    sub.choices["fit-lifetime"].add_argument(
+        "--which", choices=("biexciton", "exciton"), default="exciton")
     return parser
 
 
@@ -539,22 +536,19 @@ _COMMANDS = {
     "sweep-filter": cmd_sweep_filter,
     "sweep-fourlevel": cmd_sweep_fourlevel,
     "hbt-sim": cmd_hbt,
+    "analyze-histogram": cmd_analyze_histogram,
+    "fit-lifetime": cmd_fit_lifetime,
 }
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k) for k in
-                 ("out", "seed", "jobs", "epsilon", "check_convergence")
-                 if getattr(args, k, None) is not None}
+    overrides = {name: getattr(args, name) for name in _reads(args.command)
+                 if getattr(args, name, None) is not None}
+    extra = {name: getattr(args, name) for name in ("data", "which") if name in args}
     try:
         cfg = load_config(args.config, overrides, args.command)
-        if args.command == "analyze-histogram":
-            paths = cmd_analyze_histogram(cfg, args.data)
-        elif args.command == "fit-lifetime":
-            paths = cmd_fit_lifetime(cfg, args.data, args.which)
-        else:
-            paths = _COMMANDS[args.command](cfg)
+        paths = _COMMANDS[args.command](cfg, **extra)
     except (ConfigError, OSError) as err:  # OSError: a path from the config or the flags
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

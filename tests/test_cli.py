@@ -8,22 +8,28 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from photonpurity import analysis, cli, photostream
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
+SWEEPS = ("sweep-pulse", "sweep-filter", "sweep-fourlevel")
+
+
 def run(tmp_path, command, config_text, *extra):
     config = tmp_path / "run.yaml"
     config.write_text(config_text)
+    jobs = ["--jobs", "1"] if command in SWEEPS else []
     return cli.main([command, "--config", str(config), "--out", str(tmp_path / "out"),
-                     "--jobs", "1", *extra])
+                     *jobs, *extra])
 
 
 @pytest.mark.parametrize("key", ["pulse", "sensor", "sweep", "integrator", "stream"])
 def test_non_mapping_section_is_a_config_error(tmp_path, capsys, key):
-    assert run(tmp_path, "sweep-filter", f"{key}: 5\n") == 2
+    command = "hbt-sim" if key == "stream" else "sweep-filter"
+    assert run(tmp_path, command, f"{key}: 5\n") == 2
     assert f"{key}: must be a mapping" in capsys.readouterr().err
 
 
@@ -72,6 +78,17 @@ def test_hbt_unallocatable_span_is_a_config_error(tmp_path, capsys):
 
 def test_hbt_window_wider_than_stream_period(tmp_path):
     assert run(tmp_path, "hbt-sim", "stream: {n_pulses: 1000, rep_period: 5.0}\n") == 2
+
+
+def test_hbt_window_is_checked_against_the_stream_period(tmp_path):
+    # hbt-sim's period is stream.rep_period: the 15 ns window fits its 20 ns, and
+    # the span covers 20 + 7.5 ns; the top-level rep_period (13.1) is not read
+    text = "window: 15.0\nspan: 40.0\n" \
+           "stream: {n_pulses: 20000, rep_period: 20.0, p_single: 0.5}\n"
+    assert run(tmp_path, "hbt-sim", text) == 0
+    meta = json.loads((tmp_path / "out" / "hbt_metadata.json").read_text())
+    assert meta["stream"]["rep_period"] == 20.0
+    assert "rep_period" not in meta["config"]
 
 
 def test_empty_side_peaks_is_an_estimation_failure(tmp_path, capsys):
@@ -181,16 +198,21 @@ def test_malformed_decay_is_a_data_error(tmp_path, capsys, rows):
     assert "configuration error: data: " in err and "Traceback" not in err
 
 
-def test_fit_lifetime_recovers_both_transitions(tmp_path):
-    # the supplement script's decay draws: seed 7, exciton first
+def _write_decay(path, which, rng):
+    """A Poisson draw of the supplement script's cascade decay curve."""
     t = np.arange(0.0, 5.0, 0.005)
     true = analysis.CascadeParams(gamma_2x=1 / 0.158, gamma_x=1 / 0.294,
                                   irf_sigma=0.040, amplitude=1e4, offset=0.8)
+    curve = analysis.cascade_model(t, true, which)
+    analysis.write_decay_csv(path, t, rng.poisson(np.maximum(curve, 0.0)))
+
+
+def test_fit_lifetime_recovers_both_transitions(tmp_path):
+    # the supplement script's decay draws: seed 7, exciton first
     rng = np.random.default_rng(7)
     for which in ("exciton", "biexciton"):
         data = tmp_path / f"decay_{which}.csv"
-        curve = analysis.cascade_model(t, true, which)
-        analysis.write_decay_csv(data, t, rng.poisson(np.maximum(curve, 0.0)))
+        _write_decay(data, which, rng)
         out = tmp_path / f"fit_{which}"
         assert cli.main(["fit-lifetime", "--data", str(data), "--which", which,
                          "--out", str(out)]) == 0
@@ -276,8 +298,123 @@ def test_metadata_records_the_subcommand(tmp_path, command, text, prefix):
     assert run(tmp_path, command, text) == 0
     meta = json.loads((tmp_path / "out" / f"{prefix}_metadata.json").read_text())
     assert meta["command"] == command
+    assert set(meta["config"]) == set(cli._reads(command))
     assert meta["config"]["system"] == ("biexciton" if command == "sweep-fourlevel"
                                         else "two_level")
+
+
+# The config keys each command reads, and no others.
+_MODEL = {"system", "gamma_sigma", "pulse.area_pi", "integrator", "out"}
+_CENTER = {"binding_energy", "sensor.detuning"}
+_SWEEP = {"sensor.coupling", "sensor.truncation", "sweep.min", "sweep.max", "sweep.points",
+          "sweep.scale", "check_convergence", "jobs"}
+READS = {
+    "g2map": _MODEL | {"detuning", "pulse.length", "grid_points"},
+    "spectrum": _MODEL | _CENTER | {"detuning", "pulse_lengths", "spec_bandwidth",
+                                    "detuning_span", "detuning_points"},
+    "sweep-pulse": _MODEL | _CENTER | _SWEEP | {"detuning", "filter_widths"},
+    "sweep-filter": _MODEL | _CENTER | _SWEEP | {"detuning", "pulse_lengths"},
+    "sweep-fourlevel": _MODEL | _CENTER | _SWEEP | {"pulse_lengths"},
+    "hbt-sim": {"stream", "window", "bin_width", "span", "excluded_peaks", "seed", "out"},
+    "analyze-histogram": {"rep_period", "window", "excluded_peaks", "out"},
+    "fit-lifetime": {"out"},
+}
+DATA_COMMANDS = ("analyze-histogram", "fit-lifetime")
+# the flags beside --config, --out and the two data commands' --data and --which
+FLAGS = {"--seed": (["1"], {"hbt-sim"}), "--epsilon": (["0.001"], set(SWEEPS)),
+         "--check-convergence": ([], set(SWEEPS)), "--no-check-convergence": ([], set(SWEEPS)),
+         "--jobs": (["1"], set(SWEEPS))}
+
+
+# a valid value of each key: these, [2] for a list and 2 for any other
+VALUES = {"system": None, "out": None, "check_convergence": True, "sweep.scale": "log",
+          "sweep.min": 0.5, "integrator": {}, "stream": {}}
+LISTS = {"pulse_lengths", "filter_widths", "excluded_peaks"}
+
+
+def _config_value(key):
+    """A valid config entry for `key`, inside its section."""
+    value = VALUES.get(key, [2] if key in LISTS else 2)
+    top, _, sub = key.partition(".")
+    return {top: {sub: value}} if sub else {top: value}
+
+
+@pytest.mark.parametrize("command", READS)
+def test_key_or_flag_a_command_does_not_read_is_an_error(tmp_path, capsys, command):
+    # the top-level epsilon and truncation are gone: sensor.coupling and
+    # sensor.truncation name them
+    data = ["--data", str(tmp_path / "absent.csv")] if command in DATA_COMMANDS else []
+    config = tmp_path / "run.yaml"
+    for key in sorted(set().union(*READS.values()) | {"epsilon", "truncation"}):
+        config.write_text(yaml.safe_dump(_config_value(key)))
+        if key in READS[command]:
+            cli.load_config(config, command=command)
+            continue
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out"),
+                         *data]) == 2, key
+        assert f"{key}: unknown configuration key for {command}" in capsys.readouterr().err
+    for flag, (value, readers) in FLAGS.items():
+        argv = [command, flag, *value, "--out", str(tmp_path / "out"), *data]
+        if command in readers or flag == "--jobs":
+            # perfbench/workloads.py passes --jobs 1 to every command: the five
+            # commands without sweep points take it, and it is not recorded
+            assert cli.build_parser().parse_args(argv).command == command
+            continue
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class _Reading(cli.RunConfig):
+    """A RunConfig that records which of its fields are read."""
+
+    def __getattribute__(self, name):
+        if name in cli._FIELDS:
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+# each command on small inputs, on both systems where it takes either
+BIEXCITON = "system: biexciton\n"
+WIDTHS = "pulse_lengths: [0.01]\nsweep: {min: 0.5, max: 1.0, points: 2}\n"
+PULSES = "filter_widths: [1.0]\nsweep: {min: 0.01, max: 0.02, points: 2}\n"
+PROXY_RUNS = {
+    "g2map": ["grid_points: 5\n"],
+    "spectrum": ["pulse_lengths: [0.05]\ndetuning_points: 3\n",
+                 BIEXCITON + "pulse_lengths: [0.01]\ndetuning_points: 3\n"],
+    "sweep-pulse": [PULSES, BIEXCITON + PULSES],
+    "sweep-filter": [WIDTHS, BIEXCITON + WIDTHS],
+    "sweep-fourlevel": [WIDTHS],
+    "hbt-sim": ["span: 40.0\nstream: {n_pulses: 20000, p_single: 0.5}\n"],
+    "analyze-histogram": [""],
+    "fit-lifetime": [""],
+}
+
+
+def test_table_lists_the_fields_each_command_reads(tmp_path, monkeypatch):
+    # every RunConfig field a command's code reads, recorded through a proxy,
+    # is the table's entry for it, and the table's keys are READS
+    real = cli._metadata
+    reads = {}
+    for command, texts in PROXY_RUNS.items():
+        extra = {}
+        if command == "analyze-histogram":  # the histogram hbt-sim wrote just before
+            extra = {"data": str(tmp_path / "out" / "hbt_histogram.csv")}
+        if command == "fit-lifetime":
+            _write_decay(tmp_path / "decay.csv", "exciton", np.random.default_rng(7))
+            extra = {"data": str(tmp_path / "decay.csv"), "which": "exciton"}
+        for text in texts:
+            (tmp_path / "run.yaml").write_text(text + f"out: {tmp_path / 'out'}\n")
+            cfg = cli.load_config(tmp_path / "run.yaml", command=command)
+            proxy = _Reading(**{name: getattr(cfg, name) for name in cli._FIELDS})
+            proxy.read = set()
+            monkeypatch.setattr(cli, "_metadata", lambda _, *args: real(cfg, *args))
+            cli._COMMANDS[command](proxy, **extra)
+            reads.setdefault(command, set()).update(proxy.read)
+        assert reads[command] == set(cli._reads(command)), command
+        assert {cli._FIELDS[name].metadata["key"] or name
+                for name in reads[command]} == READS[command], command
 
 
 def test_sweep_kind_must_match_the_command(tmp_path, capsys):

@@ -64,6 +64,14 @@ class TestFilteredG2:
         assert stats.g2 >= 0
         assert stats.base_report.min_eigenvalue > -1e-9
 
+    def test_empty_grid_samples_nothing(self):
+        # the integrals need no sample: with none there is no physicality report
+        system, sensor = two_level_system(0.05), SensorConfig(0.0, 1.0)
+        stats = filtered_g2_zero(system, sensor, grid=(), check_convergence=False)
+        assert stats.base_report is None
+        sampled = filtered_g2_zero(system, sensor, check_convergence=False)
+        assert stats.g2 == pytest.approx(sampled.g2, rel=1e-9)
+
     def test_truncation_insensitive(self):
         system = two_level_system(0.05)
         g2 = {}
@@ -124,11 +132,13 @@ def _superoperator(h, channels):
     return out
 
 
-def _oracle_g2(system, emit, grid):
+def _oracle_g2(system, emit, grid, t_static):
     """Two-time trapezoid of G2 over grid x grid with exponential-midpoint
-    propagators expm(L(t_mid) dt) (exact once the drive is off).  The sum
-    sum_ij w_i w_j W(t_i, t_j), W(t_i, t_j) = <N|U(t_j, t_i) J rho_i> for
-    i <= j, is accumulated row-free: acc_j = sum_{i<j} w_i U(t_j, t_i) J rho_i."""
+    propagators expm(L(t_mid) dt).  From `t_static` on, where the drive is
+    dropped, a step is expm(L_static dt), exact and computed once per
+    distinct (rounded) dt.  The sum sum_ij w_i w_j W(t_i, t_j),
+    W(t_i, t_j) = <N|U(t_j, t_i) J rho_i> for i <= j, is accumulated
+    row-free: acc_j = sum_{i<j} w_i U(t_j, t_i) J rho_i."""
     l_static = _superoperator(system.h_static, system.channels)
     l_drive = _superoperator(system.h_drive, ())
     nvec = (emit.conj().T @ emit).T.ravel()
@@ -141,10 +151,17 @@ def _oracle_g2(system, emit, grid):
     rho[0] = 1.0
     acc = np.zeros_like(rho)
     n = pairs = 0.0
+    static = {}
     for k in range(len(grid)):
         if k:
-            mid = 0.5 * (grid[k - 1] + grid[k])
-            prop = expm((l_static + system.pulse.amplitude(mid) * l_drive) * dt[k - 1])
+            if grid[k - 1] >= t_static:
+                h = round(dt[k - 1], 12)
+                if h not in static:
+                    static[h] = expm(l_static * h)
+                prop = static[h]
+            else:
+                mid = 0.5 * (grid[k - 1] + grid[k])
+                prop = expm((l_static + system.pulse.amplitude(mid) * l_drive) * dt[k - 1])
             rho, acc = prop @ rho, prop @ acc
         jr = jump @ rho
         n += w[k] * (nvec @ rho).real
@@ -154,45 +171,55 @@ def _oracle_g2(system, emit, grid):
 
 
 @pytest.mark.slow
-def test_exact_propagator_oracle():
+@pytest.mark.parametrize("build, tau, observed, center, expected, bias", [
+    (two_level_system, 0.05, "sigma", 0.0, 0.0037410961, 1e-4),
+    (fourlevel_system, 0.01, EXCITON_V_ONLY, FOURLEVEL_BINDING / 2.0, 4.196482858e-8, 2e-4),
+], ids=["two_level", "exciton_line"])
+def test_exact_propagator_oracle(build, tau, observed, center, expected, bias):
     # Grid budget: 240 intervals over the pulse window [0, 12 tau] and step
     # 0.01 from there to the horizon 30 (the cut t^2 e^-t tail is < 1e-10),
-    # then both halved.  Trapezoid and midpoint errors are O(h^2), 2.0e-4 and
-    # 5.0e-5 relative on the two grids, and Richardson extrapolation removes
-    # them.  An unextrapolated grid reads 2.0e-4 (h / 0.01)^2 high: the
-    # 0.0037416 once quoted for this point, 1.4e-4 high, is that bias.
-    tau, gamma = 0.05, 1.0
-    system = attach_sensor(two_level_system(tau), "sigma", SensorConfig(0.0, gamma))
+    # then both halved.  Past 12 tau the drive, below e^-32 of its peak, is
+    # dropped.  Trapezoid and midpoint errors are O(h^2): 2.0e-4 and 5.0e-5
+    # relative on the two grids of the two-level point, 4.8e-4 and 1.2e-4 on
+    # the exciton line's, and Richardson extrapolation removes them.  An
+    # unextrapolated grid reads 2.0e-4 (h / 0.01)^2 high on the two-level
+    # point: the 0.0037416 once quoted for it, 1.4e-4 high, is that bias.
+    gamma = 1.0
+    system = attach_sensor(build(tau), observed, SensorConfig(center, gamma))
     emit = gamma / (2.0 * system.sensor.coupling) * system.output_ops["sensor"]
     t_w, horizon = 12.0 * tau, 30.0
     values = []
     for window_steps, step in ((240, 0.01), (480, 0.005)):
         window = np.linspace(0.0, t_w, window_steps + 1)
         after = np.linspace(t_w, horizon, int(round((horizon - t_w) / step)) + 1)
-        values.append(_oracle_g2(system, emit, np.concatenate([window, after[1:]])))
+        values.append(_oracle_g2(system, emit, np.concatenate([window, after[1:]]), t_w))
     oracle = values[1] + (values[1] - values[0]) / 3.0
-    assert values[1] == pytest.approx(oracle, rel=1e-4)  # the bias the extrapolation removes
-    assert oracle == pytest.approx(0.0037410961, rel=1e-7)
-    stats = filtered_g2_zero(two_level_system(tau), SensorConfig(0.0, gamma),
+    assert values[1] == pytest.approx(oracle, rel=bias)  # what the extrapolation removes
+    assert oracle == pytest.approx(expected, rel=1e-7)
+    stats = filtered_g2_zero(build(tau), SensorConfig(center, gamma), observed=observed,
                              check_convergence=False)
     assert stats.g2 == pytest.approx(oracle, rel=1e-7)
 
 
 @pytest.mark.slow
-def test_exciton_line_tolerance_budget(tmp_path):
-    # the figure-default sweep-fourlevel curves at the default tolerance
-    # against rel_tol 1e-12, abs_tol 1e-16
-    curves = []
-    tight_cfg = "integrator: {rel_tol: 1.0e-12, abs_tol: 1.0e-16}\n"
-    for name, text in (("default", ""), ("tight", tight_cfg)):
-        (tmp_path / f"{name}.yaml").write_text(text)
-        out = tmp_path / name
-        assert cli.main(["sweep-fourlevel", "--config", str(tmp_path / f"{name}.yaml"),
-                         "--out", str(out), "--jobs", "1"]) == 0
-        curves.append([np.loadtxt(out / f"sweep_fourlevel_tau{tau}.csv", delimiter=",",
-                                  skiprows=1, usecols=1) for tau in ("0.01", "0.02")])
-    for base, tight in zip(*curves):
-        assert np.max(np.abs(base - tight) / tight) < 1e-9
+@pytest.mark.parametrize("command, bound", [
+    ("sweep-filter", 1e-9), ("sweep-pulse", 1e-9), ("sweep-fourlevel", 1e-9), ("spectrum", 1e-12),
+], ids=["sweep-filter", "sweep-pulse", "sweep-fourlevel", "spectrum"])
+def test_figure_tolerance_budget(tmp_path, command, bound):
+    # the figure-default curves of `command` at the default tolerance against
+    # rel_tol 1e-12, abs_tol 1e-16, within the tolerance line of the error
+    # budget: relative for a sweep's g2, of the peak for a spectrum
+    (tmp_path / "tight.yaml").write_text("integrator: {rel_tol: 1.0e-12, abs_tol: 1.0e-16}\n")
+    jobs = [] if command == "spectrum" else ["--jobs", "1"]
+    for name, config in (("default", []), ("tight", ["--config", str(tmp_path / "tight.yaml")])):
+        assert cli.main([command, *config, "--out", str(tmp_path / name), *jobs]) == 0
+    names = sorted(p.name for p in (tmp_path / "default").glob("*.csv"))
+    assert len(names) >= 2
+    for name in names:
+        base, tight = (np.loadtxt(tmp_path / side / name, delimiter=",", skiprows=1, usecols=1)
+                       for side in ("default", "tight"))
+        scale = np.max(tight) if command == "spectrum" else np.abs(tight)
+        assert np.max(np.abs(base - tight) / scale) < bound, name
 
 
 def test_tail_premise_checked():
@@ -417,6 +444,23 @@ class TestSweeps:
         column = [row[0] for row in grid]
         assert all(st.converged and st.epsilon_used > 0 for st in column)
         assert column[0].g2 < column[1].g2  # longer pulse, more re-excitation
+
+    def test_drive_cutoff_budget(self, monkeypatch):
+        # the cut-off line of the error budget on the figure curves, sampled at
+        # t_c as a sweep is: t0 + 10 tau against t0 + 8 tau (1.6e-14 measured)
+        def curves():
+            two = sweep_grid(lambda pulse: build_two_level(TwoLevelConfig(), pulse),
+                             (0.02, 0.05, 0.2), np.geomspace(0.05, 100.0, 13),
+                             check_convergence=False)
+            four = sweep_grid(lambda pulse: fourlevel_system(pulse.length), (0.01, 0.02),
+                              np.geomspace(0.5, 20.0, 9), observed=EXCITON_V_ONLY,
+                              sensor=SensorConfig(FOURLEVEL_BINDING / 2.0),
+                              check_convergence=False)
+            return np.array([st.g2 for row in two + four for st in row])
+
+        base = curves()
+        monkeypatch.setattr(dynamics, "DRIVE_CUTOFF", 10.0)
+        assert np.max(np.abs(curves() - base) / base) < 1e-12
 
     def test_points_sampled_at_drive_cutoff_only(self):
         # a sweep reads only g2, so its pass stops at t_c alone, not at the window samples
