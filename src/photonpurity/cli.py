@@ -45,8 +45,7 @@ class EstimationError(RuntimeError):
     """The coincidence histogram cannot be normalized (empty side peaks)."""
 
 
-# The commands of each config key.  Every command takes --jobs, which
-# perfbench/workloads.py passes to each; only the sweeps read it.
+# The commands of each config key.
 _SWEEPS = ("sweep-pulse", "sweep-filter", "sweep-fourlevel")
 _THEORY = ("g2map", "spectrum", *_SWEEPS)
 _ALL = (*_THEORY, "hbt-sim", "analyze-histogram", "fit-lifetime")
@@ -98,8 +97,6 @@ class RunConfig:
     span: float = _key(30.0, ("hbt-sim",))
     excluded_peaks: tuple = _key((), ("hbt-sim", "analyze-histogram"))
     seed: int = _key(2024, ("hbt-sim",), flags=(("--seed", {"type": int, "help": "random seed"}),))
-    jobs: int = _key(0, _SWEEPS, flags=(
-        ("--jobs", {"type": int, "help": "worker processes for sweep points"}),))
     out: str | None = _key(None, _ALL, flags=(
         ("--out", {"help": f"output directory (default ${ENV_OUTDIR} or ./out)"}),))
 
@@ -137,7 +134,6 @@ class RunConfig:
             (isinstance(self.excluded_peaks, (tuple, list)), "excluded_peaks",
              "must be a list of numbers"),
             (_integer_at_least(self.seed, 0), "seed", "must be an integer >= 0"),
-            (_integer_at_least(self.jobs, 0), "jobs", "must be an integer >= 0"),
             (isinstance(self.check_convergence, bool), "check_convergence",
              "must be true or false"),
             (self.out is None or isinstance(self.out, str), "out", "must be a string"),
@@ -322,18 +318,14 @@ def cmd_g2map(cfg: RunConfig):
 def cmd_spectrum(cfg: RunConfig):
     """Spectral profiles for the configured pulse lengths."""
     out = _outdir(cfg)
-    builder = _system_builder(cfg)
     center = _default_sensor_detuning(cfg)
     detunings = center + np.linspace(-cfg.detuning_span, cfg.detuning_span, cfg.detuning_points)
-    paths = []
-    for tau in cfg.pulse_lengths:
-        system = builder(GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)))
-        res = correlations.spectrum(
-            system, _observed(cfg), detunings, cfg.spec_bandwidth, integrator_config(cfg)
-        )
-        path = os.path.join(out, f"spectrum_tau{tau:g}.csv")
+    pulses = [GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)) for tau in cfg.pulse_lengths]
+    curves = correlations.spectrum(_system_builder(cfg)(pulses[0]), _observed(cfg), detunings,
+                                   cfg.spec_bandwidth, integrator_config(cfg), pulses=pulses)
+    paths = [os.path.join(out, f"spectrum_tau{tau:g}.csv") for tau in cfg.pulse_lengths]
+    for path, res in zip(paths, curves):
         correlations.write_spectrum_csv(path, res)
-        paths.append(path)
     correlations.write_metadata(
         os.path.join(out, "spectrum_metadata.json"),
         _metadata(cfg, "spectrum", {"detuning_center": center}),
@@ -344,9 +336,9 @@ def cmd_spectrum(cfg: RunConfig):
 def _run_sweep(cfg: RunConfig, command):
     """A filtered-g2 sweep over one sweep_grid: the sweep axis is the filter
     width (one curve per pulse length, the grid's rows) or, for sweep-pulse,
-    the pulse length (one curve per filter width, its columns).  Every pulse
-    is one batch; --jobs spreads the pulses over worker processes.  The
-    files are named after the subcommand `command` with "_" for "-"."""
+    the pulse length (one curve per filter width, its columns).  All the
+    points are one pass.  The files are named after the subcommand
+    `command` with "_" for "-"."""
     out = _outdir(cfg)
     axis = (np.geomspace if cfg.sweep_log else np.linspace)(cfg.sweep_min, cfg.sweep_max,
                                                             cfg.sweep_points)
@@ -357,17 +349,14 @@ def _run_sweep(cfg: RunConfig, command):
         _system_builder(cfg), taus, widths,
         theta=cfg.pulse_area_pi * math.pi, cfg=integrator_config(cfg), observed=_observed(cfg),
         sensor=SensorConfig(_default_sensor_detuning(cfg), 1.0, cfg.epsilon, cfg.truncation),
-        check_convergence=cfg.check_convergence, jobs=cfg.jobs or os.cpu_count() or 1,
-    )
+        check_convergence=cfg.check_convergence)
     if sweep_pulse:
         curves = {f"gamma{float(w):g}": [row[j] for row in grid] for j, w in enumerate(widths)}
     else:
         curves = {f"tau{float(tau):g}": row for tau, row in zip(taus, grid)}
-    paths = []
-    for key, stats in curves.items():
-        path = os.path.join(out, f"{prefix}_{key}.csv")
+    paths = [os.path.join(out, f"{prefix}_{key}.csv") for key in curves]
+    for path, stats in zip(paths, curves.values()):
         correlations.write_sweep_csv(path, axis, stats)
-        paths.append(path)
     correlations.write_metadata(os.path.join(out, f"{prefix}_metadata.json"),
                                 _metadata(cfg, command))
     return paths
@@ -518,8 +507,10 @@ def build_parser():
     for command, run in _COMMANDS.items():
         p = sub.add_parser(command, help=run.__doc__.splitlines()[0])
         p.add_argument("--config", help="YAML run configuration")
+        # perfbench/workloads.py passes --jobs to every command
+        p.add_argument("--jobs", type=int, help="ignored: every command runs in one process")
         for name, f in _FIELDS.items():
-            if command in f.metadata["commands"] or name == "jobs":  # see _SWEEPS
+            if command in f.metadata["commands"]:
                 for flag, options in f.metadata["flags"]:
                     p.add_argument(flag, dest=name, **options)
     for p in (sub.choices["analyze-histogram"], sub.choices["fit-lifetime"]):

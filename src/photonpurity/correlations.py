@@ -41,15 +41,14 @@ sign matrix S with S conj(H) S = -H and S conj(L) S = +-L takes the
 conjugated state at center Delta onto that at -Delta.  Where the model has
 such an S, each +-Delta pair of filter centers is stepped once.
 
-Every reported g2 can be cross-checked by halving the sensor coupling; the
-two systems are integrated in one batch so the check costs little.
-
-All the points that share a pulse (every filter width of a sweep curve, each
-at eps and eps/2) are one batch too (filtered_g2_batch): one pass over the
-pulse window serves them all.  The batch shares its adaptive steps, and the
-step control measures the error of the whole batch, so a point's value
-depends on its batch-mates within the error budget (measured < 1e-8
-relative against the point alone).
+All the points of a command (every filter width at every pulse length, each
+at eps and at eps/2 for the eps-halving check) are one batch
+(filtered_g2_batch with `pulses`): one pass, each point on its own pulse
+clock, serves them all, so the check costs little.  The batch shares
+its adaptive steps, and the step control measures the error of the whole
+batch, so a point's value depends on its batch-mates within the error budget
+(< 1e-9 relative against the point alone; 1.2e-10, 1.4e-10 and 2.2e-12 at
+most on the figure sweep-filter, sweep-pulse and sweep-fourlevel).
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -85,25 +84,20 @@ class NotConverged(RuntimeError):
             f"at eps/2 (relative change {rel:.2e})"
         )
 
-    def __reduce__(self):
-        return NotConverged, (self.g2, self.g2_check)
-
 
 class ZeroEmission(RuntimeError):
     """No emission reaches the detector; g2 is undefined (0/0)."""
 
 
 class SweepPointError(RuntimeError):
-    """An inner computation failed; identifies the sweep point responsible."""
+    """An inner computation failed; names the sweep point responsible, or
+    the pulse lengths of a pass that failed as a whole."""
 
-    def __init__(self, err, **context):
+    def __init__(self, err, **context):  # a value is a number or a list of numbers
         self.context = context
-        self.reason = str(err)
-        note = ", ".join(f"{k}={v:g}" for k, v in context.items())
+        note = ", ".join(f"{k}={v:g}" if np.ndim(v) == 0 else
+                         f"{k}=[{', '.join(f'{x:g}' for x in v)}]" for k, v in context.items())
         super().__init__(f"sweep point ({note}) failed: {err}")
-
-    def __reduce__(self):  # a worker process sends it back without its cause
-        return partial(SweepPointError, **self.context), (self.reason,)
 
 
 @dataclass
@@ -158,7 +152,8 @@ def filtered_g2_batch(
     observed=None,
     check_convergence: bool = True,
     grid=None,
-) -> list[FilteredStats]:
+    pulses=None,
+) -> list[FilteredStats] | list[list[FilteredStats]]:
     """g2[0; Gamma] of `observed` emission from `system` for each sensor of
     `sensors`, all integrated as one batch over the pulse window.
 
@@ -174,6 +169,11 @@ def filtered_g2_batch(
     through the integrator stopping at its points in the window (< 1e-9
     relative).  Raises ValueError for a sensor truncated
     below 2 photons, which cannot hold a photon pair.
+
+    With `pulses`, each point is stepped at every pulse of `pulses` in place
+    of the system's own, and the stats come as one list per pulse; `grid`
+    is then on the first pulse's time (dynamics.emission_integrals).  Each
+    sensor is still attached once, and copied per pulse with it swapped in.
     """
     for sensor in sensors:
         if sensor.truncation < 2:
@@ -185,25 +185,27 @@ def filtered_g2_batch(
         observed = "sigma"
     halvings = (1.0, 2.0) if check_convergence else (1.0,)
     couplings = [sensor.resolved_coupling(system.decay_scale) for sensor in sensors]
-    extended, emit = [], []
+    attached, emit = [], []
     for sensor, eps in zip(sensors, couplings):
         for k in halvings:
-            extended.append(attach_sensor(system, observed, replace(sensor, coupling=eps / k)))
+            attached.append(attach_sensor(system, observed, replace(sensor, coupling=eps / k)))
             # scaled so that the eps system reads out n(t) and G2 themselves
-            emit.append(sensor.bandwidth / (2.0 * eps) * extended[-1].output_ops["sensor"])
-    res = dynamics.emission_integrals(extended, np.array(emit), grid, cfg)
+            emit.append(sensor.bandwidth / (2.0 * eps) * attached[-1].output_ops["sensor"])
+    each = [system.pulse] if pulses is None else pulses
+    batch = [_copy_with(model, pulse=pulse) for pulse in each for model in attached]
+    res = dynamics.emission_integrals(batch, np.array(emit * len(each)), grid, cfg)
 
-    stats = []
-    for i, (sensor, eps) in enumerate(zip(sensors, couplings)):
-        b = i * len(halvings)
+    stats = [[] for _ in each]
+    for i, (pulse, (sensor, eps)) in enumerate(product(each, zip(sensors, couplings))):
         try:
-            stats.append(_point_stats(res, b, eps, check_convergence))
+            stats[i // len(sensors)].append(
+                _point_stats(res, i * len(halvings), eps, check_convergence))
         except (NotConverged, ZeroEmission) as err:
             context = {"bandwidth": sensor.bandwidth}
-            if system.pulse is not None:
-                context["tau"] = system.pulse.length
+            if pulse is not None:
+                context["tau"] = pulse.length
             raise SweepPointError(err, **context) from err
-    return stats
+    return stats[0] if pulses is None else stats
 
 
 def _point_stats(res: dynamics.EmissionIntegrals, b: int, eps: float,
@@ -283,6 +285,14 @@ def _mirror_symmetric(model: SystemModel) -> bool:
                     for op in ops))
 
 
+def _copy_with(model: SystemModel, **fields) -> SystemModel:
+    """A copy of `model` with `fields` set, unchecked, sharing its arrays."""
+    out = copy.copy(model)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
 def _spectrum_batch(system: SystemModel, observed, detunings,
                     spec_bandwidth: float) -> tuple[list[SystemModel], np.ndarray]:
     """The sensor-extended models a spectrum steps, one per filter center it
@@ -307,12 +317,9 @@ def _spectrum_batch(system: SystemModel, observed, detunings,
     source[mirrored] = source[mirrors[mirrored].argmax(axis=1)]
     a = base.output_ops["sensor"]
     number = a.conj().T @ a
-    batch = []
-    for d in detunings[~mirrored]:
-        shifted = copy.copy(base)
-        object.__setattr__(shifted, "h_static", base.h_static + d * number)
-        object.__setattr__(shifted, "sensor", replace(base.sensor, detuning=float(d)))
-        batch.append(shifted)
+    batch = [_copy_with(base, h_static=base.h_static + d * number,
+                        sensor=replace(base.sensor, detuning=float(d)))
+             for d in detunings[~mirrored]]
     return batch, source
 
 
@@ -322,7 +329,8 @@ def spectrum(
     detunings,
     spec_bandwidth: float = 0.2,
     cfg: IntegratorConfig | None = None,
-) -> SweepResult:
+    pulses=None,
+) -> SweepResult | list[SweepResult]:
     """Peak-normalized emission spectrum: integrated sensor population versus
     filter center, probed with a narrow filter of width `spec_bandwidth`.
 
@@ -342,33 +350,23 @@ def spectrum(
     n(Delta) at any sensor coupling.  A detuned emitter or the biexciton
     ladder has no such S and steps every center.  Raises ValueError for an
     empty `detunings`.
+    With `pulses`, one spectrum per pulse of `pulses` in place of the
+    system's own, all in the one batch.
     """
     detunings = np.asarray(detunings, dtype=float)
     if len(detunings) == 0:
         raise ValueError("detunings: a spectrum needs at least one filter center")
-    extended, source = _spectrum_batch(system, observed, detunings, spec_bandwidth)
+    batch, source = _spectrum_batch(system, observed, detunings, spec_bandwidth)
+    each = [system.pulse] if pulses is None else pulses
+    extended = [_copy_with(model, pulse=pulse) for pulse in each for model in batch]
     intensities = dynamics.emission_integrals(
-        extended, extended[0].output_ops["sensor"], times=(), cfg=cfg, pairs=False
-    ).n_integral[source]
-    peak = float(np.max(intensities))
-    if peak <= 0:
+        extended, batch[0].output_ops["sensor"], times=(), cfg=cfg, pairs=False
+    ).n_integral.reshape(len(each), len(batch))[:, source]
+    peaks = np.max(intensities, axis=1, keepdims=True)
+    if np.any(peaks <= 0):
         raise ZeroEmission("no emission anywhere on the detuning grid")
-    return SweepResult(axis=detunings, values=intensities / peak)
-
-
-def _sweep_group(task):
-    """filtered_g2_batch over the sensors of one pulse (a process-pool task),
-    sampled only at the drive cutoff t_c: a point's `base_report` is that
-    of the state there.  A failure of the whole batch names the pulse
-    length."""
-    system, sensors, cfg, observed, check_convergence = task
-    try:
-        return filtered_g2_batch(system, sensors, cfg, observed, check_convergence,
-                                 grid=(dynamics.drive_cutoff(system.pulse),))
-    except SweepPointError:
-        raise
-    except RuntimeError as err:  # e.g. StepSizeUnderflow
-        raise SweepPointError(err, tau=system.pulse.length) from err
+    curves = [SweepResult(axis=detunings, values=row) for row in intensities / peaks]
+    return curves[0] if pulses is None else curves
 
 
 def sweep_grid(
@@ -380,26 +378,24 @@ def sweep_grid(
     observed=None,
     sensor: SensorConfig = SensorConfig(),
     check_convergence: bool = True,
-    jobs: int = 1,
 ) -> list[list[FilteredStats]]:
     """Filtered g2 at every (pulse length, filter width): stats[i][j] for
     tau_grid[i] and filter_widths[j].
 
-    `builder` maps a GaussianPulse to the bare SystemModel; `sensor` gives the
-    detuning, coupling and truncation, and its bandwidth is swept.  The
-    points of one pulse length are one filtered_g2_batch, so a point's value
-    depends on its batch-mates within the error budget.  With `jobs` > 1 the
-    pulse lengths are spread over that many worker processes.
+    `builder` maps a GaussianPulse to the bare SystemModel, which may depend
+    on it only through its `pulse`: it is built once.  `sensor` gives the
+    detuning, coupling and truncation, and its bandwidth is swept.  All the
+    points are one filtered_g2_batch with `pulses`, sampled only at the
+    drive cutoff: a point's `base_report` is that of its state at its own
+    t_c.  A failure of the whole pass names the pulse lengths.
     """
     sensors = [replace(sensor, bandwidth=float(w)) for w in filter_widths]
-    tasks = [(builder(GaussianPulse(theta, float(tau))), sensors, cfg, observed, check_convergence)
-             for tau in tau_grid]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(_sweep_group, tasks))
-    return [_sweep_group(task) for task in tasks]
+    pulses = [GaussianPulse(theta, float(tau)) for tau in tau_grid]
+    try:
+        return filtered_g2_batch(builder(pulses[0]), sensors, cfg, observed, check_convergence,
+                                 grid=(dynamics.drive_cutoff(pulses[0]),), pulses=pulses)
+    except dynamics.StepSizeUnderflow as err:
+        raise SweepPointError(err, tau=[pulse.length for pulse in pulses]) from err
 
 
 def write_sweep_csv(path, axis, stats):

@@ -4,40 +4,29 @@ Density matrices are plain complex ndarrays; all stored states and readouts
 are in the laser rotating frame (the lab frame here).
 
 The driven stretch is integrated by one stepper, Dormand & Prince's
-embedded 8(5,3) pair DOP853, on real rows: the coordinates of rho in an
-orthonormal Hermitian operator basis (rho_mm, sqrt2 Re rho_mn and sqrt2 Im
-rho_mn for m < n), optionally followed by those of a collapsed row X and
-real scalar emission accumulators.  The Lindblad generator preserves
-Hermiticity, so it is a real matrix on these coordinates, at a quarter of
-the flops of the complex one on vec(rho).  Its right-hand side, _Generator,
-is the lab-frame window superoperator of a whole batch of systems (a
-detuning sweep, or every filter width of a pulse with its eps-halving
-pair): one dense real matmul of all rows with a shared operator, plus what
-each system adds on its own non-zeros.  The rows hold only the coordinates
-that the initial rows can reach; the others stay exactly 0.  Every pass
-steps its rows in the lab frame: a detuned line, such as the cascade's
-exciton line 150 gamma from the laser, turns the phase of its coherences
-there, and a filter detuning only adds to that turn, a complex multiply on
-the (Re, Im) pairs viewed as complex.  The step control reads the modulus
-of each coherence, so the turn does not move the steps' tolerance.  Rows
-become complex vec(rho) only where values leave a pass.
+embedded 8(5,3) pair DOP853 (`_walk`), on real rows: the coordinates of rho
+in an orthonormal Hermitian operator basis, optionally followed by those of
+a collapsed row X and real scalar emission accumulators.  The Lindblad
+generator preserves Hermiticity, so it is a real matrix on these
+coordinates, at a quarter of the flops of the complex one on vec(rho).  Its
+right-hand side, _Generator, is the lab-frame window superoperator of a
+whole batch of systems (all the filter centers or sweep points of a
+command, at every pulse length): one dense real matmul of the rows of each
+pulse length with a shared operator, plus what each system adds on its own
+non-zeros.  Each system runs on its pulse clock, so pulses of one area and
+offset / length share one drive envelope, window and cutoff.  The rows hold
+only the coordinates that the initial rows can reach, in the lab frame: a
+detuned line, such as the cascade's exciton line 150 gamma from the laser,
+turns the phase of its coherences there, and a filter detuning only adds to
+that turn.  Rows become complex vec(rho) only where values leave a pass.
 
-`_walk`, a Python generator, is the one entry into the stepper: it steps a
-state through a sorted list of stop times, caps the step inside the pulse
-window, carries the step size, the derivative at the current point (the
-next step's first stage) and the state's magnitudes from step to step and
-from stop to stop, and yields the state at each stop; a state sent back at
-a stop replaces it there.  emission_integrals is the one pass entry
-(emission_series reads its `n_series`): it walks from the ground state or
-any Hermitian rho0, on to its samples past the drive cutoff t_c.  Past t_c
-the generator is constant and the lab-frame Liouvillian L0 gives closed
-forms: emission_integrals carries one or two rows per system and the
-scalar time integrals its tails read over the pulse window, and closes the
-tails with a resolvent, one batched numpy.linalg.solve over the stack of
-deflated generators of each group of systems (groups of at most
-_TAIL_GROUP_BYTES of stack); two_time_g2_map chains per-interval
-propagators, one walk of the d^2 real unit vectors inside the window (sent
-back at each node) and expm(L0 h) after it.
+emission_integrals is the one pass entry (emission_series reads its
+`n_series`): it walks from the ground state or any Hermitian rho0 over the
+pulse window [0, t_c], past which the generator is the constant lab-frame
+Liouvillian L0, and closes the tails of the emission integrals with a
+resolvent, one batched numpy.linalg.solve per group of systems.
+two_time_g2_map chains per-interval propagators: one walk of the d^2 real
+unit vectors inside the window and expm(L0 h) after it.
 """
 
 from __future__ import annotations
@@ -338,9 +327,10 @@ class _Coordinates:
 
 class _Generator:
     """Lab-frame window superoperator of a batch of B systems that share the
-    pulse, the drive operator and the channel operators (rates and h_static
-    may differ per system), acting on real rows of the D coordinates that
-    the initial rows can reach.
+    pulse shape (area and offset / length), the drive operator and the
+    channel operators (rates, h_static and the pulse length may differ per
+    system), acting on real rows of the D coordinates that the initial rows
+    can reach.
 
     The Lindblad generator preserves Hermiticity, so it is a real matrix in
     an orthonormal Hermitian operator basis (Gorini, Kossakowski & Sudarshan,
@@ -369,11 +359,20 @@ class _Generator:
     spectrum row (one-photon sensor) 17 on the two-level line and 27 on the
     exciton line.
 
+    The batch steps the time t of the first system.  System b, whose pulse
+    is r_b = tau_b / tau_1 times as long (`stretch`), runs on its pulse
+    clock: dy/dt = r_b L_b(r_b t) y, so its rows hold its state at r_b t,
+    its drive term r_b amp_b(r_b t) is amp_1(t), and its window and cutoff
+    are the first pulse's.  One pulse length (r_b = 1) steps dy/dt = L y.
+
     Each operator is built on vec from COO parts and turned into a real one
     by `_Coordinates.realify` before its entries are summed.  The shared
-    part, from the first system's static generator, J and readout rows plus
-    amp(t) times the drive commutator, is applied to all rows in one dense
-    (rows, D) @ (D, D) matmul.  What the other systems add is applied on its
+    part, from the first system's static generator, J and readout rows, is
+    scaled by the stretch of each chunk of the batch (the runs of systems of
+    one pulse length, cut into chunks of one size): a (G, D, D) stack, to
+    which amp_1(t) times the drive commutator is added; the rows of each
+    chunk take its operator in one batched (G, rows, D) @ (G, D, D) matmul.
+    What the other systems add, scaled by their stretch, is applied on its
     own non-zeros.  Its diagonal on vec (filter detuning, and the damping of
     a width or a rate) acts inside one coherence pair, a complex multiply on
     the coherences viewed as complex (`rem_phase`), and on the diagonal
@@ -396,7 +395,12 @@ class _Generator:
                 raise DimensionMismatch("batched systems must share the Hilbert-space dimension")
             if not _same_drive_and_channels(first, sys_b):
                 raise BatchMismatch("batched systems must share the drive and the channel operators")
-        self.pulse = first.pulse
+        self.pulse = first.pulse  # the drive envelope and window of every system
+        lengths = np.array([1.0 if s.pulse is None else s.pulse.length for s in systems])
+        self.stretch = lengths / lengths[0]
+        # the runs of systems of one pulse length, cut into chunks of one size
+        starts = np.flatnonzero(np.r_[True, self.stretch[1:] != self.stretch[:-1]])
+        chunks = np.arange(0, nb, np.gcd.reduce(np.diff([*starts, nb])))
         d2 = d * d
 
         h_static = np.array([s.h_static for s in systems], dtype=complex)
@@ -470,26 +474,29 @@ class _Generator:
 
         reached = index[cols] >= 0
         rows, cols = index[rows[reached]], index[cols[reached]]
-        self.static, self.drive = np.zeros((2, size, size))  # transposed, for rows @ op
-        self.static[cols, rows], self.drive[cols, rows] = both[:, reached]
+        static, self.drive = np.zeros((2, size, size))  # transposed, for rows @ op
+        static[cols, rows], self.drive[cols, rows] = both[:, reached]
+        self.static = self.stretch[chunks, None, None] * static  # (G, D, D), one per chunk
 
         self.rem_phase = self.rem_real = self.rem_blocks = None
+        stretch = self.stretch[:, None]
         if np.any(rem_diag[:, coords.upper] != 0):
-            self.rem_phase = rem_diag[:, coords.upper]
+            self.rem_phase = stretch * rem_diag[:, coords.upper]
         if np.any(rem_diag[:, coords.real] != 0):
-            self.rem_real = rem_diag[:, coords.real].real.copy()
+            self.rem_real = stretch * rem_diag[:, coords.real].real
         rows, cols, rem = blocks
         reached = index[cols] >= 0
         if np.any(reached):  # row b's entries, flat: out[b, r] += v z[b, c]
             shift = np.arange(nb)[:, None] * size
             self.rem_blocks = ((index[rows[reached]] + shift).ravel(),
-                               (index[cols[reached]] + shift).ravel(), rem[:, reached].ravel())
+                               (index[cols[reached]] + shift).ravel(),
+                               (stretch * rem[:, reached]).ravel())
 
     def rhs(self, t, y):
-        """dy/dt for the flat real state y (its rows of size D)."""
+        """dy/dt on the batch's clock for the flat real state y (its rows of size D)."""
         z = y.reshape(-1, self.size)
-        out = z @ (self.static + float(self.pulse.amplitude(t)) * self.drive
-                   if self.driven else self.static)
+        ops = self.static + self.pulse.amplitude(t) * self.drive if self.driven else self.static
+        out = np.matmul(z.reshape(len(ops), -1, self.size), ops).reshape(z.shape)
         if self.rem_phase is not None:
             coherences = out[:, :self.pairs].view(complex)
             coherences += self.rem_phase * z[:, :self.pairs].view(complex)
@@ -528,10 +535,12 @@ def _closure(start, pairs, rows, cols):
 
 
 def _same_drive_and_channels(a: SystemModel, b: SystemModel) -> bool:
-    """Do two systems share the pulse, the drive operator and the channel
-    operators (their rates may differ)?  A None drive matches only None."""
+    """Do two systems share the pulse area and offset / length, the drive
+    operator and the channel operators (their rates and pulse lengths may
+    differ)?  A None drive or pulse matches only None."""
+    shapes = [p and (p.area, p.offset / p.length) for p in (a.pulse, b.pulse)]
     ops = [(a.h_drive, b.h_drive), *((p, q) for (p, _), (q, _) in zip(a.channels, b.channels))]
-    return a.pulse == b.pulse and len(a.channels) == len(b.channels) and all(
+    return shapes[0] == shapes[1] and len(a.channels) == len(b.channels) and all(
         p is q or np.array_equal(p, q) for p, q in ops)
 
 
@@ -559,8 +568,8 @@ def _step_factor(enorm):
 
 def _walk(gen, y, t, stops, cfg):
     """Step the flat real state y of `gen` with DOP853 from time t through
-    the times `stops`, yielding the state at each; a stop at the current
-    time yields the state unchanged.  Raises ValueError for a stop before
+    the times `stops` (of its first system), yielding the state at each; a
+    stop at the current time yields the state unchanged.  Raises ValueError for a stop before
     the one preceding it (or before t).
 
     The twelve stages sit in one (12, n) array, so each stage's input and
@@ -674,9 +683,7 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     over [0, inf)^2, for a batch of systems started at t = 0 in the
     Hermitian `rho0` (the ground state when omitted; DimensionMismatch for a
     rho0 of another shape).  `emit` is one operator for the whole batch,
-    (d, d), or one per system, (B, d, d).  This is the one entry of every
-    pass: the spectra, the sweeps, and the line of an undriven, excited
-    emitter read through it.
+    (d, d), or one per system, (B, d, d).
 
     One forward pass over the pulse window [0, t_c], t_c = drive_cutoff(pulse),
     carries the rows rho and X and the scalars q = int <N|rho> dt and
@@ -696,10 +703,12 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     ground state rho_ss (the latter gives J rho_ss = 0 and <N|rho_ss> = 0);
     this concerns the systems, not the start, so it holds for any rho0.
     `times` (default WINDOW_SAMPLES points across the window, empty for none)
-    only sets where <N> and the state are sampled: the integrator stops at
-    each, which must not decrease or precede 0 (ValueError).  It reaches
-    those past t_c by stepping on after reading the stop at t_c, so n and G
-    do not depend on them.  Their error budget is the DOP853 tolerance of
+    only sets where <N> and the state are sampled, on the first system's
+    time: a system whose pulse is r times as long (_Generator) is sampled at
+    r t, and reaches its own t_c at the first system's.  The integrator
+    stops at each, which must not decrease or precede 0 (ValueError).  It
+    reaches those past t_c by stepping on after reading the stop at t_c, so
+    n and G do not depend on them.  Their error budget is the DOP853 tolerance of
     `cfg`, with the drive below e^-32 of its peak that the tails drop; they
     agree with e^(L0 (t - t_c)) rho_c to < 1e-10 (up to t_c + 6, sensor
     batches of the two-level emitter and of the exciton line).

@@ -40,9 +40,9 @@ class GaussianPulse:
             object.__setattr__(self, "offset", 4.0 * self.length)
 
     def amplitude(self, t):
-        """Drive amplitude at time t (vectorized); integrates to `area`."""
-        x = (np.asarray(t, dtype=float) - self.offset) / self.length
-        return self.area / (math.sqrt(2.0 * math.pi) * self.length) * np.exp(-0.5 * x * x)
+        """Drive amplitude at time t; integrates to `area`."""
+        x = (t - self.offset) / self.length
+        return self.area / (math.sqrt(2.0 * math.pi) * self.length) * math.exp(-0.5 * x * x)
 
 
 @dataclass(frozen=True)

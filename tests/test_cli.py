@@ -99,12 +99,13 @@ def test_empty_side_peaks_is_an_estimation_failure(tmp_path, capsys):
 
 def test_step_size_underflow_is_a_convergence_failure(tmp_path, capsys):
     # an absolute tolerance far below rounding drives the first step size down
-    # to the underflow bound
-    text = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n" \
+    # to the underflow bound; the failed pass names its pulse lengths
+    text = "pulse_lengths: [0.05, 0.1]\nsweep: {min: 1.0, max: 2.0, points: 2}\n" \
            "integrator: {abs_tol: 1.0e-30}\n"
     assert run(tmp_path, "sweep-filter", text) == 3
     err = capsys.readouterr().err
-    assert "convergence failure" in err and "step size underflow" in err
+    assert "convergence failure" in err
+    assert "sweep point (tau=[0.05, 0.1]) failed: step size underflow" in err
 
 
 def test_sweep_filter_rerun_is_byte_identical(tmp_path):
@@ -225,22 +226,14 @@ def test_fit_lifetime_recovers_both_transitions(tmp_path):
         assert fit["chi2_reduced"] == pytest.approx(1.0, abs=0.15)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1"])
 def test_sweep_failure_names_the_point(tmp_path, capsys, jobs):
-    # a strong coupling fails the eps-halving check
+    # a strong coupling fails the eps-halving check; both pulse lengths are one pass
     text = "pulse_lengths: [0.05, 0.1]\nsweep: {min: 1.0, max: 2.0, points: 2}\n" \
            "sensor: {coupling: 0.3}\n"
     assert run(tmp_path, "sweep-filter", text, "--jobs", jobs) == 3
     err = capsys.readouterr().err
     assert "sweep point (bandwidth=1, tau=0.05) failed: g2 not converged" in err
-
-
-def test_sweep_jobs_do_not_change_the_curves(tmp_path):
-    text = "pulse_lengths: [0.02, 0.05]\nsweep: {min: 0.1, max: 10.0, points: 3}\n"
-    assert run(tmp_path, "sweep-filter", text) == 0
-    serial = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.csv")}
-    assert run(tmp_path, "sweep-filter", text, "--jobs", "2") == 0
-    assert {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.csv")} == serial
 
 
 def _sweep_written(out, prefix):
@@ -307,7 +300,7 @@ def test_metadata_records_the_subcommand(tmp_path, command, text, prefix):
 _MODEL = {"system", "gamma_sigma", "pulse.area_pi", "integrator", "out"}
 _CENTER = {"binding_energy", "sensor.detuning"}
 _SWEEP = {"sensor.coupling", "sensor.truncation", "sweep.min", "sweep.max", "sweep.points",
-          "sweep.scale", "check_convergence", "jobs"}
+          "sweep.scale", "check_convergence"}
 READS = {
     "g2map": _MODEL | {"detuning", "pulse.length", "grid_points"},
     "spectrum": _MODEL | _CENTER | {"detuning", "pulse_lengths", "spec_bandwidth",
@@ -322,8 +315,7 @@ READS = {
 DATA_COMMANDS = ("analyze-histogram", "fit-lifetime")
 # the flags beside --config, --out and the two data commands' --data and --which
 FLAGS = {"--seed": (["1"], {"hbt-sim"}), "--epsilon": (["0.001"], set(SWEEPS)),
-         "--check-convergence": ([], set(SWEEPS)), "--no-check-convergence": ([], set(SWEEPS)),
-         "--jobs": (["1"], set(SWEEPS))}
+         "--check-convergence": ([], set(SWEEPS)), "--no-check-convergence": ([], set(SWEEPS))}
 
 
 # a valid value of each key: these, [2] for a list and 2 for any other
@@ -342,10 +334,10 @@ def _config_value(key):
 @pytest.mark.parametrize("command", READS)
 def test_key_or_flag_a_command_does_not_read_is_an_error(tmp_path, capsys, command):
     # the top-level epsilon and truncation are gone: sensor.coupling and
-    # sensor.truncation name them
+    # sensor.truncation name them; no command reads jobs
     data = ["--data", str(tmp_path / "absent.csv")] if command in DATA_COMMANDS else []
     config = tmp_path / "run.yaml"
-    for key in sorted(set().union(*READS.values()) | {"epsilon", "truncation"}):
+    for key in sorted(set().union(*READS.values()) | {"epsilon", "truncation", "jobs"}):
         config.write_text(yaml.safe_dump(_config_value(key)))
         if key in READS[command]:
             cli.load_config(config, command=command)
@@ -355,15 +347,16 @@ def test_key_or_flag_a_command_does_not_read_is_an_error(tmp_path, capsys, comma
         assert f"{key}: unknown configuration key for {command}" in capsys.readouterr().err
     for flag, (value, readers) in FLAGS.items():
         argv = [command, flag, *value, "--out", str(tmp_path / "out"), *data]
-        if command in readers or flag == "--jobs":
-            # perfbench/workloads.py passes --jobs 1 to every command: the five
-            # commands without sweep points take it, and it is not recorded
+        if command in readers:
             assert cli.build_parser().parse_args(argv).command == command
             continue
         with pytest.raises(SystemExit) as exit_:
             cli.main(argv)
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    # perfbench/workloads.py passes --jobs 1 to every command: each takes it and reads nothing
+    assert cli.build_parser().parse_args([command, "--jobs", "1", *data]).command == command
+    assert "jobs" not in cli._reads(command)
 
 
 class _Reading(cli.RunConfig):
@@ -467,8 +460,6 @@ SWEEP_LIST = "must be a non-empty list of numbers > 0"
     ("hbt-sim", "seed: 1.5\nstream: {n_pulses: 1000}\n", "seed: must be an integer >= 0"),
     ("hbt-sim", "seed: -1\nstream: {n_pulses: 1000}\n", "seed: must be an integer >= 0"),
     ("hbt-sim --seed -1", "stream: {n_pulses: 1000}\n", "seed: must be an integer >= 0"),
-    ("sweep-filter", "jobs: 1.5\n", "jobs: must be an integer >= 0"),
-    ("sweep-filter", "jobs: -1\n", "jobs: must be an integer >= 0"),
     ("g2map", "out: 5\n", "out: must be a string"),
     ("sweep-filter", "check_convergence: 'false'\n", "check_convergence: must be true or false"),
     ("sweep-filter", "sweep: {scale: lgo}\n", "sweep.scale: must be log or linear, got 'lgo'"),
@@ -477,10 +468,10 @@ SWEEP_LIST = "must be a non-empty list of numbers > 0"
         "bin_width_float", "pulse_lengths_empty_sweep", "pulse_lengths_empty_spectrum",
         "filter_widths_empty", "window_negative", "pulse_lengths_negative",
         "filter_widths_negative", "excluded_peaks_scalar", "seed_float", "seed_negative",
-        "seed_flag_negative", "jobs_float", "jobs_negative", "out_number",
+        "seed_flag_negative", "out_number",
         "check_convergence_text", "sweep_scale_typo"])
 def test_out_of_range_key_is_named(tmp_path, monkeypatch, capsys, command, text, message):
-    # no --out or --jobs flag: either would override the key under test
+    # no --out flag: it would override the key under test
     command, *flags = command.split()
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.yaml").write_text(text)
@@ -555,13 +546,12 @@ def test_hbt_and_two_level_spectrum_run_without_scipy(tmp_path):
     # a fresh interpreter: the package, the CLI, these commands (the filtered g2 of the
     # two-level emitter, at sensor truncation 3 too, and of the cascade's exciton line)
     # and a filtered g2 sampled past the drive cutoff need numpy and yaml
-    sweep = "jobs: 1\nsweep: {min: 0.5, max: 1.0, points: 2}\n"
+    sweep = "sweep: {min: 0.5, max: 1.0, points: 2}\n"
     runs = [("hbt-sim", "stream: {n_pulses: 20000}\n"),
             ("spectrum", "pulse_lengths: [0.05]\ndetuning_points: 3\n"),
             ("sweep-filter", "pulse_lengths: [0.05]\n" + sweep),
             ("sweep-filter", "pulse_lengths: [0.05]\nsensor: {truncation: 3}\n" + sweep),
-            ("sweep-pulse", "filter_widths: [1.0]\njobs: 1\n"
-                            "sweep: {min: 0.05, max: 0.1, points: 2}\n"),
+            ("sweep-pulse", "filter_widths: [1.0]\nsweep: {min: 0.05, max: 0.1, points: 2}\n"),
             ("sweep-fourlevel", "pulse_lengths: [0.01]\n" + sweep)]
     args = []
     for i, (command, text) in enumerate(runs):

@@ -42,6 +42,26 @@ with open(REFERENCES_SPECTRUM) as _fh:
     SPECTRUM_REFERENCES = json.load(_fh)["spectrum"]
 
 
+@pytest.fixture
+def rhs_evals(monkeypatch):
+    """evals(run): the number of right-hand sides that run() evaluates."""
+    rhs = dynamics._Generator.rhs
+    calls = []
+
+    def counted(gen, t, y):
+        calls.append(t)
+        return rhs(gen, t, y)
+
+    monkeypatch.setattr(dynamics._Generator, "rhs", counted)
+
+    def evals(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    return evals
+
+
 class TestFilteredG2:
     def test_zero_drive_raises(self):
         system = two_level_system(0.05, theta=0.0)
@@ -272,6 +292,24 @@ class TestSpectrum:
         assert curves[0.02][2] > 3.0 * curves[0.2][2]
         assert curves[0.02][3] > 5.0 * curves[0.2][3]
 
+    def test_pulse_lengths_share_one_pass(self, rhs_evals):
+        # the spectrum workload's pulse lengths and centers: one pass over both pulses
+        # gives each curve within 1e-12 of its peak of a pass per pulse, at most 0.6 of
+        # their right-hand sides
+        pulses = [GaussianPulse(math.pi, tau) for tau in (0.02, 0.2)]
+        dets = np.linspace(-40.0, 40.0, 161)
+        system = two_level_system(0.05)
+        curves = []
+        merged = rhs_evals(lambda: curves.extend(spectrum(system, "sigma", dets,
+                                                          pulses=pulses)))
+        per_pulse = 0
+        for pulse, curve in zip(pulses, curves):
+            alone = []
+            per_pulse += rhs_evals(lambda: alone.append(
+                spectrum(replace(system, pulse=pulse), "sigma", dets)))
+            assert np.max(np.abs(curve.values - alone[0].values)) <= 1e-12
+        assert merged <= 0.6 * per_pulse
+
     def test_empty_detunings_rejected(self):
         with pytest.raises(ValueError, match="detunings"):
             spectrum(two_level_system(0.05), "sigma", [])
@@ -445,6 +483,21 @@ class TestSweeps:
         assert all(st.converged and st.epsilon_used > 0 for st in column)
         assert column[0].g2 < column[1].g2  # longer pulse, more re-excitation
 
+    @pytest.mark.parametrize("builder, observed, sensor, taus, widths", [
+        (lambda pulse: build_two_level(TwoLevelConfig(), pulse), "sigma", SensorConfig(),
+         (0.02, 0.2), (0.1, 1.0, 20.0)),
+        (lambda pulse: fourlevel_system(pulse.length), EXCITON_V_ONLY,
+         SensorConfig(FOURLEVEL_BINDING / 2.0), (0.01, 0.02), (0.5, 2.0)),
+    ], ids=["two_level", "exciton_line"])
+    def test_pulse_lengths_share_one_pass(self, builder, observed, sensor, taus, widths):
+        # every pulse length of the sweep in one pass, against a pass per pulse length
+        grid = sweep_grid(builder, taus, widths, observed=observed, sensor=sensor)
+        for tau, row in zip(taus, grid):
+            (alone,) = sweep_grid(builder, [tau], widths, observed=observed, sensor=sensor)
+            for st, one in zip(row, alone):
+                assert st.g2 == pytest.approx(one.g2, rel=1e-9)
+                assert st.g2_epsilon_check == pytest.approx(one.g2_epsilon_check, rel=1e-9)
+
     def test_drive_cutoff_budget(self, monkeypatch):
         # the cut-off line of the error budget on the figure curves, sampled at
         # t_c as a sweep is: t0 + 10 tau against t0 + 8 tau (1.6e-14 measured)
@@ -503,25 +556,11 @@ class TestBatch:
             assert stats.g2_epsilon_check == pytest.approx(alone.g2_epsilon_check, rel=1e-8)
             assert stats.epsilon_used == alone.epsilon_used
 
-    def test_costs_little_more_than_one_point(self, monkeypatch):
+    def test_costs_little_more_than_one_point(self, rhs_evals):
         system, _, _, widths = BATCH_CASES[0]
         sensors = [SensorConfig(0.0, w) for w in widths]
-        rhs = dynamics._Generator.rhs
-        calls = []
-
-        def counted(gen, t, y):
-            calls.append(t)
-            return rhs(gen, t, y)
-
-        monkeypatch.setattr(dynamics._Generator, "rhs", counted)
-
-        def evals(run):
-            calls.clear()
-            run()
-            return len(calls)
-
-        singles = [evals(lambda: filtered_g2_zero(system, sensor)) for sensor in sensors]
-        batch = evals(lambda: filtered_g2_batch(system, sensors))
+        singles = [rhs_evals(lambda: filtered_g2_zero(system, sensor)) for sensor in sensors]
+        batch = rhs_evals(lambda: filtered_g2_batch(system, sensors))
         assert batch < 1.5 * max(singles)
 
     def test_empty_batch_rejected(self):

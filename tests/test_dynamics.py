@@ -347,15 +347,26 @@ class TestCoordinates:
 
 
 class TestGenerator:
-    @pytest.mark.parametrize("system, observed, center", [
-        (build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)), "sigma", 0.0),
-        (build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.01)), EXCITON_V_ONLY, 150.0),
-    ], ids=["two_level", "exciton_line"])
-    def test_rhs_matches_kron_superoperator(self, system, observed, center):
+    @pytest.mark.parametrize("system, observed, center, stretch, chunks", [
+        (build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)), "sigma", 0.0,
+         (1.0, 1.0, 1.0), 1),
+        (build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.01)), EXCITON_V_ONLY, 150.0,
+         (1.0, 1.0, 1.0), 1),
+        (build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05)), "sigma", 0.0,
+         (1.0, 4.0, 1.0), 3),
+        (build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.01)), EXCITON_V_ONLY, 150.0,
+         (1.0, 4.0, 1.0), 3),
+    ], ids=["two_level", "exciton_line", "two_level_pulse_lengths",
+            "exciton_line_pulse_lengths"])
+    def test_rhs_matches_kron_superoperator(self, system, observed, center, stretch, chunks):
         # random real rows: the coordinates T^H z of complex vec rows z, with T the
-        # unitary that `decode` applies, map to those of S z, S the kron window
+        # unitary that `decode` applies, map to those of r S(r t) z, S the kron window:
+        # each system runs on the first one's clock t at the ratio r of their pulse lengths
         systems, emit = _differing_batch(system, observed, center)
+        systems = [replace(s, pulse=GaussianPulse(math.pi, k * s.pulse.length))
+                   for s, k in zip(systems, stretch)]
         gen = dynamics._Generator(systems, emit, pairs=True)
+        assert len(gen.static) == chunks  # one static operator per chunk of one pulse length
         assert gen.rem_phase is not None and gen.rem_real is not None
         assert gen.rem_blocks is not None
         d2 = gen.dim ** 2
@@ -367,8 +378,8 @@ class TestGenerator:
         t = system.pulse.offset + 0.3 * system.pulse.length  # drive on
         rng = np.random.default_rng(5)
         z = rng.standard_normal((3, size)) @ basis  # Hermitian blocks, real scalars
-        expected = np.array([_kron_window(s, e, t) @ z_b
-                             for s, e, z_b in zip(systems, emit, z)]) @ basis.conj().T
+        expected = np.array([r * _kron_window(s, e, r * t) @ z_b
+                             for r, s, e, z_b in zip(stretch, systems, emit, z)]) @ basis.conj().T
         assert np.max(np.abs(expected.imag)) <= 1e-13 * np.max(np.abs(expected))
         y = (z @ basis.conj().T).real
         got = gen.rhs(t, y.ravel())
@@ -521,19 +532,38 @@ class TestBatch:
             assert batch.n_integral[b] == pytest.approx(alone.n_integral[0], rel=1e-8)
             assert batch.pair_integral[b] == pytest.approx(alone.pair_integral[0], rel=1e-8)
 
+    def test_pulse_lengths_run_on_their_own_clock(self):
+        # a batch of two pulse lengths, in runs of two sizes, samples each system at the
+        # same point of its own pulse, on the first one's time, and integrates each as a
+        # pass of its own does
+        short = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
+        long = replace(short, pulse=GaussianPulse(math.pi, 0.2))
+        sigma = short.output_ops["sigma"]
+        times = np.linspace(0.0, 2.0 * dynamics.drive_cutoff(short.pulse), 9)
+        both = emission_integrals([short, long, long], sigma, times)
+        for b, (system, r) in enumerate(((short, 1.0), (long, 4.0), (long, 4.0))):
+            alone = emission_integrals([system], sigma, r * times)
+            np.testing.assert_allclose(both.states[b], alone.states[0], rtol=0, atol=1e-9)
+            assert both.n_integral[b] == pytest.approx(alone.n_integral[0], rel=1e-9)
+            assert both.pair_integral[b] == pytest.approx(alone.pair_integral[0], rel=1e-9)
+
     def test_different_channel_operators_raise(self):
         system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
         (sigma, rate), = system.channels
         others = [
             replace(system, channels=((2.0 * sigma, rate),)),
             replace(system, channels=((sigma, rate), (EXCITED, 0.1))),
-            replace(system, pulse=GaussianPulse(math.pi, 0.1)),
+            replace(system, pulse=GaussianPulse(0.5 * math.pi, 0.05)),
+            replace(system, pulse=GaussianPulse(math.pi, 0.05, offset=0.3)),
+            replace(system, pulse=None),
             replace(system, h_drive=2.0 * system.h_drive),
             replace(system, h_drive=None),
         ]
         for other in others:
             with pytest.raises(BatchMismatch):
                 emission_integrals([system, other], sigma, times=())
-        # rates may differ
+        # rates may differ, and so may the pulse length at the same area and offset / length
         slower = replace(system, channels=((sigma, 0.5 * rate),))
         assert emission_integrals([system, slower], sigma, times=()).n_integral[1] > 0
+        longer = replace(system, pulse=GaussianPulse(math.pi, 0.1))
+        assert emission_integrals([system, longer], sigma, times=()).n_integral[1] > 0
