@@ -131,6 +131,8 @@ class RunConfig:
              "must be a non-empty list of numbers > 0"),
             (_positive_numbers(self.filter_widths), "filter_widths",
              "must be a non-empty list of numbers > 0"),
+            (_distinct_names(self.pulse_lengths), "pulse_lengths", "must not repeat a value"),
+            (_distinct_names(self.filter_widths), "filter_widths", "must not repeat a value"),
             (isinstance(self.excluded_peaks, (tuple, list)), "excluded_peaks",
              "must be a list of numbers"),
             (_integer_at_least(self.seed, 0), "seed", "must be an integer >= 0"),
@@ -151,6 +153,12 @@ def _integer_at_least(value, least):
 def _positive_numbers(values):
     return isinstance(values, (tuple, list)) and len(values) > 0 and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in values)
+
+
+def _distinct_names(values):
+    """Do the numbers of a list name distinct files, printed with {:g}?  True
+    for anything but a list of numbers > 0, which _positive_numbers rejects."""
+    return not _positive_numbers(values) or len({f"{v:g}" for v in values}) == len(values)
 
 
 # Defaults of the fields RunConfig leaves None, and what each sweep command

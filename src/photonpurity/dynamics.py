@@ -171,6 +171,7 @@ _DOP_B = np.array("""
     7.33846688281611857341361741547e-1 0 0 2.20588235294117647058823529412e-2
 """.split(), dtype=float).reshape(3, 12)
 _DOP_B[2] = _DOP_B[0] - _DOP_B[2]  # E3: the solution less the third-order weights
+_DOP_STAGES = tuple((float(_DOP_C[i]), _DOP_A[i, :i]) for i in range(1, 12))
 
 _MIN_REL_STEP = 1e-14
 _MAX_REJECTS = 60
@@ -369,16 +370,15 @@ class _Generator:
     by `_Coordinates.realify` before its entries are summed.  The shared
     part, from the first system's static generator, J and readout rows, is
     scaled by the stretch of each chunk of the batch (the runs of systems of
-    one pulse length, cut into chunks of one size): a (G, D, D) stack, to
-    which amp_1(t) times the drive commutator is added; the rows of each
-    chunk take its operator in one batched (G, rows, D) @ (G, D, D) matmul.
-    What the other systems add, scaled by their stretch, is applied on its
-    own non-zeros.  Its diagonal on vec (filter detuning, and the damping of
-    a width or a rate) acts inside one coherence pair, a complex multiply on
-    the coherences viewed as complex (`rem_phase`), and on the diagonal
-    coordinates (`rem_real`).  The rest (couplings, rates and readout
-    scales) is one block-diagonal product (`rem_blocks`), a gather, multiply
-    and bincount on flat indices.  No (B, D, D) stack is formed.
+    one pulse length, cut into chunks of one size): a (G, D, D) stack, whose
+    copy `_ops` takes static + amp_1(t) drive on the drive's non-zeros at
+    each call; the rows of each chunk take its operator in one batched
+    (G, rows, D) @ (G, D, D) matmul.  What the other systems add, scaled by
+    their stretch, is one block-diagonal product on its own non-zeros
+    (`rem_blocks`: a gather, multiply and bincount on flat indices): the
+    couplings, rates and readout scales, and the diagonal entries on vec
+    (filter detuning, the damping of a width or a rate), each a 2 x 2
+    rotation on a coherence pair.  No (B, D, D) stack is formed.
 
     The rows are those of the lab frame: the coherences of a line detuned
     from the laser turn at its static plus its filter detuning.
@@ -451,57 +451,45 @@ class _Generator:
         parts += [(r, c, np.stack([0 * np.ravel(v), np.ravel(v)]))
                   for r, c, v in map(full.realify, drive)]
         rows, cols, both = _coalesce(size, 2, parts)
-        rem_rows, rem_cols, rem = _coalesce(size, nb, remainder)
-        on_diag = rem_rows == rem_cols
-        rem_diag = np.zeros((nb, size), dtype=complex)
-        rem_diag[:, rem_rows[on_diag]] = rem[:, on_diag]
-        off_diag = ~on_diag
-        blocks = _coalesce(size, nb, [full.realify(
-            (rem_rows[off_diag], rem_cols[off_diag], rem[:, off_diag]))])
+        rem_rows, rem_cols, rem = _coalesce(size, nb, list(map(full.realify, remainder)))
 
         if initial is None or len(initial) == 0:
             start = np.ones(size, dtype=bool)
         else:
             start = np.zeros(size, dtype=bool)
             start[full._cols[initial]] = True
-        keep = np.flatnonzero(_closure(start, full.pairs, np.concatenate([rows, blocks[0]]),
-                                       np.concatenate([cols, blocks[1]])))
+        keep = np.flatnonzero(_closure(start, full.pairs, np.concatenate([rows, rem_rows]),
+                                       np.concatenate([cols, rem_cols])))
         index = np.full(size, -1)
         index[keep] = np.arange(len(keep))
         coords = self.coords = full.kept(keep)
         size = self.size = coords.size
-        self.pairs = coords.pairs
 
         reached = index[cols] >= 0
         rows, cols = index[rows[reached]], index[cols[reached]]
-        static, self.drive = np.zeros((2, size, size))  # transposed, for rows @ op
-        static[cols, rows], self.drive[cols, rows] = both[:, reached]
+        static, drive = np.zeros((2, size, size))  # transposed, for rows @ op
+        static[cols, rows], drive[cols, rows] = both[:, reached]
         self.static = self.stretch[chunks, None, None] * static  # (G, D, D), one per chunk
+        self._ops = self.static.copy()  # static + amp(t) drive, on the drive's non-zeros
+        at = np.flatnonzero(np.broadcast_to(drive != 0, self._ops.shape))
+        self._drive = at, self.static.ravel()[at], np.tile(drive[drive != 0], len(chunks))
 
-        self.rem_phase = self.rem_real = self.rem_blocks = None
-        stretch = self.stretch[:, None]
-        if np.any(rem_diag[:, coords.upper] != 0):
-            self.rem_phase = stretch * rem_diag[:, coords.upper]
-        if np.any(rem_diag[:, coords.real] != 0):
-            self.rem_real = stretch * rem_diag[:, coords.real].real
-        rows, cols, rem = blocks
-        reached = index[cols] >= 0
+        self.rem_blocks = None
+        reached = index[rem_cols] >= 0
         if np.any(reached):  # row b's entries, flat: out[b, r] += v z[b, c]
             shift = np.arange(nb)[:, None] * size
-            self.rem_blocks = ((index[rows[reached]] + shift).ravel(),
-                               (index[cols[reached]] + shift).ravel(),
-                               (stretch * rem[:, reached]).ravel())
+            self.rem_blocks = ((index[rem_rows[reached]] + shift).ravel(),
+                               (index[rem_cols[reached]] + shift).ravel(),
+                               (self.stretch[:, None] * rem[:, reached]).ravel())
 
     def rhs(self, t, y):
         """dy/dt on the batch's clock for the flat real state y (its rows of size D)."""
         z = y.reshape(-1, self.size)
-        ops = self.static + self.pulse.amplitude(t) * self.drive if self.driven else self.static
+        ops = self._ops  # the static stack itself when undriven
+        if self.driven:
+            at, base, drive = self._drive
+            ops.put(at, base + self.pulse.amplitude(t) * drive)
         out = np.matmul(z.reshape(len(ops), -1, self.size), ops).reshape(z.shape)
-        if self.rem_phase is not None:
-            coherences = out[:, :self.pairs].view(complex)
-            coherences += self.rem_phase * z[:, :self.pairs].view(complex)
-        if self.rem_real is not None:
-            out[:, self.pairs:] += self.rem_real * z[:, self.pairs:]
         if self.rem_blocks is not None:
             scatter, gather, values = self.rem_blocks
             out += np.bincount(scatter, z.reshape(-1).take(gather) * values,
@@ -612,8 +600,8 @@ def _walk(gen, y, t, stops, cfg):
                 while True:
                     if step < _MIN_REL_STEP * max(1.0, abs(t)):
                         raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
-                    for i in range(1, 12):
-                        k[i] = gen.rhs(t + _DOP_C[i] * step, y + (step * _DOP_A[i, :i]) @ k[:i])
+                    for i, (c, a) in enumerate(_DOP_STAGES, 1):
+                        k[i] = gen.rhs(t + c * step, y + (step * a) @ k[:i])
                     y_new, e5, e3 = (step * _DOP_B) @ k
                     y_new += y
                     abs_new = gen.coords.magnitudes(y_new)

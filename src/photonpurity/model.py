@@ -303,18 +303,21 @@ def attach_sensor(system: SystemModel, observed, sensor: SensorConfig) -> System
     eye_s = np.eye(ns, dtype=complex)
     eye_sys = np.eye(system.dimension, dtype=complex)
 
+    def kron(x, y):  # np.kron of two matrices, as one broadcast product
+        return (x[:, None, :, None] * y[None, :, None, :]).reshape(len(x) * len(y), -1)
+
     h_static = (
-        np.kron(system.h_static, eye_s)
-        + sensor.detuning * np.kron(eye_sys, number)
-        + eps * (np.kron(obs_op, a.conj().T) + np.kron(obs_op.conj().T, a))
+        kron(system.h_static, eye_s)
+        + sensor.detuning * kron(eye_sys, number)
+        + eps * (kron(obs_op, a.conj().T) + kron(obs_op.conj().T, a))
     )
-    h_drive = None if system.h_drive is None else np.kron(system.h_drive, eye_s)
+    h_drive = None if system.h_drive is None else kron(system.h_drive, eye_s)
 
-    channels = tuple((np.kron(op, eye_s), rate) for op, rate in system.channels)
-    channels = channels + ((np.kron(eye_sys, a), sensor.bandwidth),)
+    channels = tuple((kron(op, eye_s), rate) for op, rate in system.channels)
+    channels = channels + ((kron(eye_sys, a), sensor.bandwidth),)
 
-    output_ops = {name: np.kron(op, eye_s) for name, op in system.output_ops.items()}
-    output_ops["sensor"] = np.kron(eye_sys, a)
+    output_ops = {name: kron(op, eye_s) for name, op in system.output_ops.items()}
+    output_ops["sensor"] = kron(eye_sys, a)
 
     labels = tuple(f"{lab}|{n}" for lab in system.labels for n in range(ns))
     return SystemModel(

@@ -479,6 +479,19 @@ def test_out_of_range_key_is_named(tmp_path, monkeypatch, capsys, command, text,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text,key", [
+    ("spectrum", "pulse_lengths: [0.05, 0.05, 0.2]\n", "pulse_lengths"),
+    ("sweep-filter", "pulse_lengths: [0.05, 0.2, 0.0500000001]\n", "pulse_lengths"),
+    ("sweep-pulse", "filter_widths: [1.0, 1]\nsweep: {points: 2}\n", "filter_widths"),
+], ids=["spectrum", "sweep_filter_same_name", "sweep_pulse"])
+def test_repeated_file_name_is_a_config_error(tmp_path, capsys, command, text, key):
+    # each pulse length or filter width names a file by {:g}: a repeat would
+    # step its points twice and write one file over the other
+    assert run(tmp_path, command, text) == 2
+    assert f"{key}: must not repeat" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 HBT_STREAM = "stream: {n_pulses: 1000}\n"
 SWEEP = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n"
 

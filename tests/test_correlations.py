@@ -388,11 +388,16 @@ class TestSpectrum:
 
     def test_figure_centers_differ_only_in_phase(self):
         # the centers of a figure spectrum differ only in the filter detuning, which
-        # turns the sensor's coherences: no diagonal or block remainder is stepped
+        # turns the sensor's coherences: every remainder entry joins the two
+        # coordinates of one coherence pair
         extended, _ = corr._spectrum_batch(two_level_system(0.02), "sigma",
                                            np.linspace(-40.0, 40.0, 161), 0.2)
         gen = dynamics._Generator(extended, extended[0].output_ops["sensor"])
-        assert gen.rem_phase is not None and gen.rem_real is None and gen.rem_blocks is None
+        scatter, gather, _ = gen.rem_blocks
+        rows, cols = scatter % gen.size, gather % gen.size
+        assert len(rows) > 0 and np.all(scatter // gen.size == gather // gen.size)
+        assert np.all((rows < gen.coords.pairs) & (cols < gen.coords.pairs))
+        assert np.array_equal(rows // 2, cols // 2) and np.all(rows != cols)
 
     @pytest.mark.parametrize("system, observed, symmetric", [
         (two_level_system(0.05), "sigma", True),
@@ -482,6 +487,36 @@ class TestSweeps:
         column = [row[0] for row in grid]
         assert all(st.converged and st.epsilon_used > 0 for st in column)
         assert column[0].g2 < column[1].g2  # longer pulse, more re-excitation
+
+    def test_rhs_forms_no_operator_stack(self, monkeypatch):
+        # 4 pulse lengths at 1 width: 8 rows in 4 chunks of 74 coordinates, where
+        # the (G, D, D) operator stack outweighs every other temporary of a call;
+        # static + amp(t) drive goes into a buffer that the generator owns
+        caught = []
+
+        class Caught(Exception):
+            pass
+
+        def first(gen, t, y):
+            caught.append((gen, y))
+            raise Caught
+
+        monkeypatch.setattr(dynamics._Generator, "rhs", first)
+        with pytest.raises(Caught):
+            sweep_grid(lambda pulse: build_two_level(TwoLevelConfig(), pulse),
+                       [0.02, 0.05, 0.1, 0.2], [1.0])
+        monkeypatch.undo()
+        (gen, y), = caught
+        assert (gen.nbatch, len(gen.static), gen.size) == (8, 4, 74)
+        t = gen.pulse.offset  # the pulse peak
+        gen.rhs(t, y)
+        tracemalloc.start()
+        try:
+            gen.rhs(t, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gen.static.nbytes / 2
 
     @pytest.mark.parametrize("builder, observed, sensor, taus, widths", [
         (lambda pulse: build_two_level(TwoLevelConfig(), pulse), "sigma", SensorConfig(),

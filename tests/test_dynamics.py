@@ -367,8 +367,9 @@ class TestGenerator:
                    for s, k in zip(systems, stretch)]
         gen = dynamics._Generator(systems, emit, pairs=True)
         assert len(gen.static) == chunks  # one static operator per chunk of one pulse length
-        assert gen.rem_phase is not None and gen.rem_real is not None
-        assert gen.rem_blocks is not None
+        # one remainder product holds the per-system diagonal and the rest
+        scatter, gather, _ = gen.rem_blocks
+        assert np.any(scatter == gather) and np.any(scatter != gather)
         d2 = gen.dim ** 2
         size = 2 * d2 + 2
         basis = gen.coords.decode(np.eye(size))  # row j: the vec row of real coordinate j
