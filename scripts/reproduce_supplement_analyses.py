@@ -7,16 +7,21 @@
   analyzed through the per-peak sums;
 - lifetime round trip: synthetic cascade decays (158 ps / 294 ps, 40 ps IRF)
   fitted back.
+
+BLAS runs on one thread unless the environment says otherwise.
 """
 
 import os
 import sys
 
-import numpy as np
-import yaml
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy loads
 
-from photonpurity import analysis
-from photonpurity.cli import main
+import numpy as np  # noqa: E402
+import yaml  # noqa: E402
+
+from photonpurity import analysis  # noqa: E402
+from photonpurity.cli import main  # noqa: E402
 
 OUT = sys.argv[1] if len(sys.argv) > 1 else "out/supplement"
 os.makedirs(OUT, exist_ok=True)

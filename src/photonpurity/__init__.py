@@ -3,12 +3,12 @@
 The driven two-level emitter and the biexciton-exciton cascade (model)
 evolve under a Lindblad master equation from their ground state (dynamics:
 the emission integrals over all times, and the two-time correlation map by
-quantum regression).  The sensor-method filtered g2[0; Gamma], the filtered
-emission spectra and the sweeps over pulse length and filter width build on
-them (correlations).  Monte Carlo Hanbury Brown-Twiss detection with the
-peak-sum estimator (photostream) and lifetime fitting with
-instrument-response convolution (analysis) serve the supplement.  The
-commands of photonpurity.cli run them all.
+quantum regression).  The sensor-method filtered g2[0; Gamma] and the
+filtered emission spectra build on them (correlations), each filter width or
+center at each pulse length one system of a single pass.  Monte Carlo
+Hanbury Brown-Twiss detection with the peak-sum estimator (photostream) and
+lifetime fitting with instrument-response convolution (analysis) serve the
+supplement.  The commands of photonpurity.cli run them all.
 
 Importing the package loads numpy only, and photonpurity.cli adds yaml.
 scipy loads where it is called: scipy.linalg.expm for the propagators of
@@ -50,7 +50,6 @@ from .correlations import (
     filtered_g2_batch,
     filtered_g2_zero,
     spectrum,
-    sweep_grid,
 )
 from .photostream import (
     BlinkingConfig,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -35,6 +36,7 @@ from .model import (
 )
 
 ENV_OUTDIR = "PHOTONPURITY_OUTDIR"
+_EXPONENT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")  # a float, read as text
 
 
 class ConfigError(ValueError):
@@ -191,10 +193,12 @@ def _kind(name):
 
 def _check_number(path, value):
     """A config number is an int or a finite float.  YAML 1.1 reads 1e-3 (no
-    dot) and 1.0e5 (no exponent sign) as strings, and .nan and .inf as
-    floats."""
+    dot) and 1.0e5 (no exponent sign) as strings, which the message then
+    says how to spell, and .nan and .inf as floats."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: {value!r} is not a number")
+        spelled = isinstance(value, str) and _EXPONENT.fullmatch(value)
+        raise ConfigError(f"{path}: {value!r} is not a number" + (
+            " (YAML 1.1 needs a dot and a signed exponent: 1.0e-3 or 1.0e+5)" if spelled else ""))
     if not math.isfinite(value):
         raise ConfigError(f"{path}: {value!r} is not a finite number")
 
@@ -275,12 +279,10 @@ def integrator_config(cfg: RunConfig) -> dynamics.IntegratorConfig:
         raise ConfigError(f"integrator: {err}") from err
 
 
-def _system_builder(cfg: RunConfig):
+def _system(cfg: RunConfig, pulse: GaussianPulse):
     if cfg.system == "two_level":
-        two = TwoLevelConfig(decay_rate=cfg.gamma_sigma, detuning=cfg.detuning)
-        return lambda pulse: build_two_level(two, pulse)
-    bi = BiexcitonConfig(decay_rate=cfg.gamma_sigma, binding_energy=cfg.binding_energy)
-    return lambda pulse: build_biexciton(bi, pulse)
+        return build_two_level(TwoLevelConfig(cfg.gamma_sigma, cfg.detuning), pulse)
+    return build_biexciton(BiexcitonConfig(cfg.gamma_sigma, cfg.binding_energy), pulse)
 
 
 def _observed(cfg: RunConfig):
@@ -309,7 +311,7 @@ def cmd_g2map(cfg: RunConfig):
     if cfg.system != "two_level":
         raise ConfigError("system: g2map expects the two_level system")
     out = _outdir(cfg)
-    system = _system_builder(cfg)(GaussianPulse(cfg.pulse_area_pi * math.pi, cfg.pulse_length))
+    system = _system(cfg, GaussianPulse(cfg.pulse_area_pi * math.pi, cfg.pulse_length))
     grid = correlations.map_grid(system)
     if cfg.grid_points:
         grid = np.linspace(0.0, grid[-1], cfg.grid_points)
@@ -329,8 +331,8 @@ def cmd_spectrum(cfg: RunConfig):
     center = _default_sensor_detuning(cfg)
     detunings = center + np.linspace(-cfg.detuning_span, cfg.detuning_span, cfg.detuning_points)
     pulses = [GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)) for tau in cfg.pulse_lengths]
-    curves = correlations.spectrum(_system_builder(cfg)(pulses[0]), _observed(cfg), detunings,
-                                   cfg.spec_bandwidth, integrator_config(cfg), pulses=pulses)
+    curves = correlations.spectrum(_system(cfg, pulses[0]), _observed(cfg), detunings, pulses,
+                                   cfg.spec_bandwidth, integrator_config(cfg))
     paths = [os.path.join(out, f"spectrum_tau{tau:g}.csv") for tau in cfg.pulse_lengths]
     for path, res in zip(paths, curves):
         correlations.write_spectrum_csv(path, res)
@@ -342,22 +344,25 @@ def cmd_spectrum(cfg: RunConfig):
 
 
 def _run_sweep(cfg: RunConfig, command):
-    """A filtered-g2 sweep over one sweep_grid: the sweep axis is the filter
-    width (one curve per pulse length, the grid's rows) or, for sweep-pulse,
-    the pulse length (one curve per filter width, its columns).  All the
-    points are one pass.  The files are named after the subcommand
-    `command` with "_" for "-"."""
+    """A filtered-g2 sweep, one filtered_g2_batch over every pulse length
+    and filter width: the sweep axis is the filter width (one curve per
+    pulse length, the batch's rows) or, for sweep-pulse, the pulse length
+    (one curve per filter width, its columns).  The pass is sampled only at
+    the drive cutoff: a point's `base_report` is that of its state at its
+    own t_c.  The files are named after the subcommand `command` with "_"
+    for "-"."""
     out = _outdir(cfg)
     axis = (np.geomspace if cfg.sweep_log else np.linspace)(cfg.sweep_min, cfg.sweep_max,
                                                             cfg.sweep_points)
     prefix = command.replace("-", "_")
     sweep_pulse = command == "sweep-pulse"
     taus, widths = (axis, cfg.filter_widths) if sweep_pulse else (cfg.pulse_lengths, axis)
-    grid = correlations.sweep_grid(
-        _system_builder(cfg), taus, widths,
-        theta=cfg.pulse_area_pi * math.pi, cfg=integrator_config(cfg), observed=_observed(cfg),
-        sensor=SensorConfig(_default_sensor_detuning(cfg), 1.0, cfg.epsilon, cfg.truncation),
-        check_convergence=cfg.check_convergence)
+    pulses = [GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)) for tau in taus]
+    sensors = [SensorConfig(_default_sensor_detuning(cfg), float(w), cfg.epsilon, cfg.truncation)
+               for w in widths]
+    grid = correlations.filtered_g2_batch(
+        _system(cfg, pulses[0]), sensors, pulses, integrator_config(cfg), _observed(cfg),
+        cfg.check_convergence, grid=(dynamics.drive_cutoff(pulses[0]),))
     if sweep_pulse:
         curves = {f"gamma{float(w):g}": [row[j] for row in grid] for j, w in enumerate(widths)}
     else:
@@ -414,9 +419,12 @@ def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:
         raise ConfigError(f"stream: {err!r}") from err
 
 
-def _check_window(rep_period, window, span, what):
-    """The peak-sum windows must fit: window <= rep_period and a span that
-    covers the side peaks, rep_period + window / 2."""
+def _check_window(rep_period, window, span, what, bin_width):
+    """The peak-sum windows must fit: window <= rep_period, a span that
+    covers the side peaks, rep_period + window / 2, and bins no wider than a
+    window, which then holds at least one."""
+    if bin_width > window * photostream.NS_TO_PS:
+        raise ConfigError(f"bin_width: {bin_width} ps is wider than the {window} ns window")
     if window > rep_period:
         raise ConfigError(f"window: {window} ns exceeds the repetition period {rep_period} ns")
     if span < rep_period + window / 2.0:
@@ -434,7 +442,7 @@ def _estimate(hist, rep_period, cfg: RunConfig):
 def cmd_hbt(cfg: RunConfig):
     """Synthesize a photon stream, correlate it and estimate g2."""
     stream_cfg = _stream_config(cfg)
-    _check_window(stream_cfg.rep_period, cfg.window, cfg.span, "span")
+    _check_window(stream_cfg.rep_period, cfg.window, cfg.span, "span", cfg.bin_width)
     out = _outdir(cfg)
     clicks1, clicks2 = photostream.synthesize_stream(stream_cfg, cfg.seed)
     try:
@@ -468,7 +476,7 @@ def cmd_analyze_histogram(cfg: RunConfig, data):
         hist = photostream.read_histogram_csv(data)
     except photostream.MalformedHistogram as err:
         raise ConfigError(f"data: {err}") from err
-    _check_window(cfg.rep_period, cfg.window, hist.span, "data: histogram span")
+    _check_window(cfg.rep_period, cfg.window, hist.span, "data: histogram span", hist.bin_width)
     out = _outdir(cfg)
     estimate = _estimate(hist, cfg.rep_period, cfg)
     est_path = os.path.join(out, "histogram_estimate.json")

@@ -42,13 +42,16 @@ conjugated state at center Delta onto that at -Delta.  Where the model has
 such an S, each +-Delta pair of filter centers is stepped once.
 
 All the points of a command (every filter width at every pulse length, each
-at eps and at eps/2 for the eps-halving check) are one batch
-(filtered_g2_batch with `pulses`): one pass, each point on its own pulse
-clock, serves them all, so the check costs little.  The batch shares
-its adaptive steps, and the step control measures the error of the whole
-batch, so a point's value depends on its batch-mates within the error budget
-(< 1e-9 relative against the point alone; 1.2e-10, 1.4e-10 and 2.2e-12 at
-most on the figure sweep-filter, sweep-pulse and sweep-fourlevel).
+at eps and at eps/2 for the eps-halving check; or every center of a
+spectrum at every pulse length) are the systems of one pass, which
+_filter_batch builds: one attach_sensor per distinct filter shape
+(bandwidth, coupling, truncation), a shift Delta a^dag a of its h_static per
+filter center, and a copy per pulse, stepped on that pulse's own clock.  So
+the eps-halving check costs little.  The batch shares its adaptive steps,
+and the step control measures the error of the whole batch, so a point's
+value depends on its batch-mates within the error budget (< 1e-9 relative
+against the point alone; 1.2e-10, 1.4e-10 and 2.2e-12 at most on the
+figure sweep-filter, sweep-pulse and sweep-fourlevel).
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import IntegratorConfig, PhysicalityReport
-from .model import GaussianPulse, SensorConfig, SystemModel, attach_sensor
+from .model import SensorConfig, SystemModel, attach_sensor
 
 ZERO_EMISSION_FLOOR = 1e-12
 EPSILON_CONVERGENCE = 5e-3
@@ -148,32 +151,28 @@ def map_grid(system: SystemModel) -> np.ndarray:
 def filtered_g2_batch(
     system: SystemModel,
     sensors,
+    pulses,
     cfg: IntegratorConfig | None = None,
     observed=None,
     check_convergence: bool = True,
     grid=None,
-    pulses=None,
-) -> list[FilteredStats] | list[list[FilteredStats]]:
-    """g2[0; Gamma] of `observed` emission from `system` for each sensor of
-    `sensors`, all integrated as one batch over the pulse window.
+) -> list[list[FilteredStats]]:
+    """g2[0; Gamma] of `observed` emission from the bare emitter `system`
+    for each sensor of `sensors` at each pulse of `pulses` in place of its
+    own: stats[i][j] for pulses[i] and sensors[j], all one pass.
 
-    `system` is the bare emitter; each sensor is attached here (twice when
-    `check_convergence`, at its eps and eps/2).  Each point reads out its
-    own n(t) and G2 with its own Gamma / (2 eps) scale.  A point whose two
-    couplings disagree by more than 0.5% (NotConverged) or whose integrated
-    filtered population is below 1e-12 (ZeroEmission) raises SweepPointError
-    naming its bandwidth and pulse length, with the bare error as its cause.
-    `grid` only sets where the physicality report (`base_report`) is
-    sampled (default: across the pulse window; an empty grid samples
-    nothing and leaves it None); g2 and `n_integral` depend on it only
-    through the integrator stopping at its points in the window (< 1e-9
-    relative).  Raises ValueError for a sensor truncated
-    below 2 photons, which cannot hold a photon pair.
-
-    With `pulses`, each point is stepped at every pulse of `pulses` in place
-    of the system's own, and the stats come as one list per pulse; `grid`
-    is then on the first pulse's time (dynamics.emission_integrals).  Each
-    sensor is still attached once, and copied per pulse with it swapped in.
+    Each sensor is a system at its eps and, with `check_convergence`, at
+    eps/2 (_filter_batch); each point reads out its own n(t) and G2 with its
+    own Gamma / (2 eps) scale.  A point whose two couplings disagree by more
+    than 0.5% (NotConverged) or whose integrated filtered population is
+    below 1e-12 (ZeroEmission) raises SweepPointError naming its bandwidth
+    and pulse length, a failed pass (StepSizeUnderflow) one naming every
+    pulse length, with the bare error as its cause.  `grid` only sets where
+    the physicality report (`base_report`) is sampled, on the first pulse's
+    time (default: across the pulse window; an empty grid leaves it None);
+    g2 and `n_integral` depend on it only through the integrator stopping at
+    its points in the window (< 1e-9 relative).  Raises ValueError for a
+    sensor truncated below 2 photons, which cannot hold a photon pair.
     """
     for sensor in sensors:
         if sensor.truncation < 2:
@@ -185,27 +184,25 @@ def filtered_g2_batch(
         observed = "sigma"
     halvings = (1.0, 2.0) if check_convergence else (1.0,)
     couplings = [sensor.resolved_coupling(system.decay_scale) for sensor in sensors]
-    attached, emit = [], []
-    for sensor, eps in zip(sensors, couplings):
-        for k in halvings:
-            attached.append(attach_sensor(system, observed, replace(sensor, coupling=eps / k)))
-            # scaled so that the eps system reads out n(t) and G2 themselves
-            emit.append(sensor.bandwidth / (2.0 * eps) * attached[-1].output_ops["sensor"])
-    each = [system.pulse] if pulses is None else pulses
-    batch = [_copy_with(model, pulse=pulse) for pulse in each for model in attached]
-    res = dynamics.emission_integrals(batch, np.array(emit * len(each)), grid, cfg)
+    # each twin scaled so that the eps one reads out n(t) and G2 themselves
+    twins = [(replace(s, coupling=eps / k), s.bandwidth / (2.0 * eps))
+             for s, eps in zip(sensors, couplings) for k in halvings]
+    models, _ = _filter_batch(system, observed, [twin for twin, _ in twins], pulses)
+    emit = [scale * model.output_ops["sensor"] for (_, scale), model in zip(twins, models)]
+    try:
+        res = dynamics.emission_integrals(models, np.array(emit * len(pulses)), grid, cfg)
+    except dynamics.StepSizeUnderflow as err:
+        raise SweepPointError(err, tau=[pulse.length for pulse in pulses]) from err
 
-    stats = [[] for _ in each]
-    for i, (pulse, (sensor, eps)) in enumerate(product(each, zip(sensors, couplings))):
+    stats = [[] for _ in pulses]
+    for i, (pulse, (sensor, eps)) in enumerate(product(pulses, zip(sensors, couplings))):
         try:
             stats[i // len(sensors)].append(
                 _point_stats(res, i * len(halvings), eps, check_convergence))
         except (NotConverged, ZeroEmission) as err:
-            context = {"bandwidth": sensor.bandwidth}
-            if pulse is not None:
-                context["tau"] = pulse.length
-            raise SweepPointError(err, **context) from err
-    return stats[0] if pulses is None else stats
+            tau = {} if pulse is None else {"tau": pulse.length}
+            raise SweepPointError(err, bandwidth=sensor.bandwidth, **tau) from err
+    return stats
 
 
 def _point_stats(res: dynamics.EmissionIntegrals, b: int, eps: float,
@@ -244,10 +241,11 @@ def filtered_g2_zero(
     check_convergence: bool = True,
 ) -> FilteredStats:
     """Time-integrated g2[0; Gamma] of `observed` emission from `system`:
-    filtered_g2_batch with the one sensor, raising its NotConverged or
-    ZeroEmission bare."""
+    filtered_g2_batch with the one sensor at the system's own pulse, raising
+    its NotConverged, ZeroEmission or StepSizeUnderflow bare."""
     try:
-        (stats,) = filtered_g2_batch(system, [sensor], cfg, observed, check_convergence, grid)
+        ((stats,),) = filtered_g2_batch(system, [sensor], [system.pulse], cfg, observed,
+                                        check_convergence, grid)
     except SweepPointError as err:
         raise err.__cause__ from None
     return stats
@@ -293,109 +291,75 @@ def _copy_with(model: SystemModel, **fields) -> SystemModel:
     return out
 
 
-def _spectrum_batch(system: SystemModel, observed, detunings,
-                    spec_bandwidth: float) -> tuple[list[SystemModel], np.ndarray]:
-    """The sensor-extended models a spectrum steps, one per filter center it
-    steps, and for each center of `detunings` the index of the model whose
-    intensity it reads.
+def _filter_batch(system: SystemModel, observed, sensors, pulses):
+    """The systems of one pass, each pulse of `pulses` with each sensor of
+    `sensors` (pulse-major), and the models they copy, one attach_sensor at
+    detuning 0 per distinct (bandwidth, resolved coupling, truncation).
 
-    The spectrum reads only the sensor population, so the sensor is cut at
-    one photon, and it is attached once, at detuning 0; center Delta adds
-    Delta I kron a^dag a to its h_static, which is what attach_sensor at
-    Delta builds.  A real diagonal shift keeps h_static Hermitian, so the
-    shifted models are copies of the attached one that skip its checks and
-    share its drive and channel arrays.  Where the attached model is mirror
-    symmetric (_mirror_symmetric), a center -Delta < 0 whose mirror Delta is
-    on the grid (an exact match) reads the intensity of Delta and is not
-    stepped."""
-    base = attach_sensor(system, observed, SensorConfig(0.0, spec_bandwidth, truncation=1))
-    mirrors = detunings[:, None] == -detunings  # [i, j]: center j mirrors center i
-    mirrored = np.zeros(len(detunings), dtype=bool)
-    if _mirror_symmetric(base):
-        mirrored = (detunings < 0) & mirrors.any(axis=1)
-    source = np.cumsum(~mirrored) - 1
-    source[mirrored] = source[mirrors[mirrored].argmax(axis=1)]
-    a = base.output_ops["sensor"]
-    number = a.conj().T @ a
-    batch = [_copy_with(base, h_static=base.h_static + d * number,
-                        sensor=replace(base.sensor, detuning=float(d)))
-             for d in detunings[~mirrored]]
-    return batch, source
+    A sensor at Delta adds Delta a^dag a to h_static, bit for bit what
+    attach_sensor at Delta builds (a^dag a is diagonal, the coupling off
+    it).  That keeps h_static Hermitian, so each system is an unchecked copy
+    sharing its model's other arrays, with the pulse in place of its own."""
+    attached, shifted = {}, []
+    for sensor in sensors:
+        shape = (sensor.bandwidth, sensor.resolved_coupling(system.decay_scale), sensor.truncation)
+        if shape not in attached:
+            base = attach_sensor(system, observed, SensorConfig(0.0, *shape))
+            a = base.output_ops["sensor"]
+            attached[shape] = base, a.conj().T @ a
+        base, number = attached[shape]
+        shifted.append((base, base.h_static + sensor.detuning * number))
+    models = [_copy_with(base, h_static=h, pulse=pulse) for pulse in pulses for base, h in shifted]
+    return models, [base for base, _ in attached.values()]
 
 
 def spectrum(
     system: SystemModel,
     observed,
     detunings,
+    pulses,
     spec_bandwidth: float = 0.2,
     cfg: IntegratorConfig | None = None,
-    pulses=None,
-) -> SweepResult | list[SweepResult]:
-    """Peak-normalized emission spectrum: integrated sensor population versus
-    filter center, probed with a narrow filter of width `spec_bandwidth`.
+) -> list[SweepResult]:
+    """Peak-normalized emission spectra, one per pulse of `pulses` in place
+    of the system's own: integrated sensor population versus filter center,
+    probed with a narrow filter of width `spec_bandwidth`.
 
     The reported lineshape is the physical spectrum convolved with the
-    Lorentzian sensor response of that width.  Every filter center it steps
-    is one system of a single emission_integrals batch without pairs; the
-    batch is one sensor attach, at the default coupling and cut at one
-    photon, shifted per center (_spectrum_batch).  Against rel_tol 1e-12,
-    abs_tol 1e-16 the figure spectra move by < 1e-12 of the peak (1.0e-13
-    measured, the last digit the CSV prints).
+    Lorentzian sensor response of that width.  The centers at all pulses
+    are the systems of one pass without pairs, each sensor at the default
+    coupling and cut at one photon (_filter_batch: one attach).  Against
+    rel_tol 1e-12, abs_tol 1e-16 the figure spectra move by < 1e-12 of the
+    peak (1.0e-13 measured, the last digit the CSV prints).
 
     Under a resonant drive each +-Delta pair of the grid is stepped once.
     With a real drive amplitude, the sign matrix S of _mirror_symmetric and
     a real diagonal N = a^dag a, S conj(rho(t)) S solves the dynamics of
     h_static - Delta N from the ground state when rho(t) solves those of
     h_static + Delta N, and <a^dag a> is the same for both: n(-Delta) =
-    n(Delta) at any sensor coupling.  A detuned emitter or the biexciton
-    ladder has no such S and steps every center.  Raises ValueError for an
-    empty `detunings`.
-    With `pulses`, one spectrum per pulse of `pulses` in place of the
-    system's own, all in the one batch.
+    n(Delta) at any sensor coupling.  So where the attached model is mirror
+    symmetric, a center -Delta < 0 whose exact mirror Delta is on the grid
+    reads the intensity of Delta and is not stepped.  A detuned emitter or
+    the biexciton ladder has no such S.  Raises ValueError for an empty
+    `detunings`.
     """
     detunings = np.asarray(detunings, dtype=float)
     if len(detunings) == 0:
         raise ValueError("detunings: a spectrum needs at least one filter center")
-    batch, source = _spectrum_batch(system, observed, detunings, spec_bandwidth)
-    each = [system.pulse] if pulses is None else pulses
-    extended = [_copy_with(model, pulse=pulse) for pulse in each for model in batch]
+    sensors = [SensorConfig(d, spec_bandwidth, truncation=1) for d in detunings]
+    models, (base,) = _filter_batch(system, observed, sensors, pulses)
+    mirrors = detunings[:, None] == -detunings  # [i, j]: center j mirrors center i
+    mirrored = (detunings < 0) & mirrors.any(axis=1) & _mirror_symmetric(base)
+    source = np.cumsum(~mirrored) - 1
+    source[mirrored] = source[mirrors[mirrored].argmax(axis=1)]
+    stepped = [model for model, step in zip(models, np.tile(~mirrored, len(pulses))) if step]
     intensities = dynamics.emission_integrals(
-        extended, batch[0].output_ops["sensor"], times=(), cfg=cfg, pairs=False
-    ).n_integral.reshape(len(each), len(batch))[:, source]
+        stepped, base.output_ops["sensor"], times=(), cfg=cfg, pairs=False
+    ).n_integral.reshape(len(pulses), -1)[:, source]
     peaks = np.max(intensities, axis=1, keepdims=True)
     if np.any(peaks <= 0):
         raise ZeroEmission("no emission anywhere on the detuning grid")
-    curves = [SweepResult(axis=detunings, values=row) for row in intensities / peaks]
-    return curves[0] if pulses is None else curves
-
-
-def sweep_grid(
-    builder,
-    tau_grid,
-    filter_widths,
-    theta: float = math.pi,
-    cfg: IntegratorConfig | None = None,
-    observed=None,
-    sensor: SensorConfig = SensorConfig(),
-    check_convergence: bool = True,
-) -> list[list[FilteredStats]]:
-    """Filtered g2 at every (pulse length, filter width): stats[i][j] for
-    tau_grid[i] and filter_widths[j].
-
-    `builder` maps a GaussianPulse to the bare SystemModel, which may depend
-    on it only through its `pulse`: it is built once.  `sensor` gives the
-    detuning, coupling and truncation, and its bandwidth is swept.  All the
-    points are one filtered_g2_batch with `pulses`, sampled only at the
-    drive cutoff: a point's `base_report` is that of its state at its own
-    t_c.  A failure of the whole pass names the pulse lengths.
-    """
-    sensors = [replace(sensor, bandwidth=float(w)) for w in filter_widths]
-    pulses = [GaussianPulse(theta, float(tau)) for tau in tau_grid]
-    try:
-        return filtered_g2_batch(builder(pulses[0]), sensors, cfg, observed, check_convergence,
-                                 grid=(dynamics.drive_cutoff(pulses[0]),), pulses=pulses)
-    except dynamics.StepSizeUnderflow as err:
-        raise SweepPointError(err, tau=[pulse.length for pulse in pulses]) from err
+    return [SweepResult(axis=detunings, values=row) for row in intensities / peaks]
 
 
 def write_sweep_csv(path, axis, stats):

@@ -9,7 +9,7 @@ after construction and safe to share between workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -128,7 +128,7 @@ class SensorConfig:
     bandwidth-independent, numerically safe scale).  `truncation` is the
     photon-number cutoff, at least 1: an N-photon correlation needs N (del
     Valle et al., PRL 109, 183601 (2012)), so a spectrum needs 1 and the
-    two-photon statistics 2, which filtered_g2_batch checks.
+    two-photon statistics 2 (filtered_g2_batch raises ValueError below).
     """
 
     detuning: float = 0.0
@@ -157,8 +157,8 @@ class SystemModel:
 
     H(t) = h_static + pulse.amplitude(t) * h_drive.  `channels` is a tuple of
     (jump operator, rate).  `output_ops` exposes the named emission
-    operators.  `sensor` is the attached sensor, its coupling resolved.
-    Basis state 0 is the ground state (sensor empty), where the dynamics start.
+    operators.  Basis state 0 is the ground state (sensor empty), where the
+    dynamics start.
     """
 
     dimension: int
@@ -169,7 +169,6 @@ class SystemModel:
     channels: tuple[tuple[np.ndarray, float], ...]
     output_ops: Mapping[str, np.ndarray]
     decay_scale: float
-    sensor: SensorConfig | None = None
 
     def __post_init__(self):
         h = self.h_static
@@ -291,8 +290,7 @@ def attach_sensor(system: SystemModel, observed, sensor: SensorConfig) -> System
     `observed` is an output-op name, an ObservationVector, or an explicit
     operator matrix.  Adds detuning * n_sensor and the weak exchange coupling
     to the Hamiltonian and one decay channel (annihilator, bandwidth).  The
-    sensor annihilator is exposed as output op "sensor", and `sensor` with
-    its resolved coupling as the model's `sensor`.
+    sensor annihilator is exposed as output op "sensor".
     """
     obs_op = _resolve_observed(system, observed)
     eps = sensor.resolved_coupling(system.decay_scale)
@@ -329,5 +327,4 @@ def attach_sensor(system: SystemModel, observed, sensor: SensorConfig) -> System
         channels=channels,
         output_ops=output_ops,
         decay_scale=system.decay_scale,
-        sensor=replace(sensor, coupling=eps),
     )

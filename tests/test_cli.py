@@ -91,6 +91,29 @@ def test_hbt_window_is_checked_against_the_stream_period(tmp_path):
     assert "rep_period" not in meta["config"]
 
 
+@pytest.mark.parametrize("bin_width", [10000, 20000])
+def test_hbt_bin_wider_than_window_is_a_config_error(tmp_path, capsys, bin_width):
+    # no bin need lie in a 6.5 ns window of 10 or 20 ns bins: a configuration error,
+    # not empty side peaks (convergence failure, exit 3)
+    text = f"bin_width: {bin_width}\nstream: {{n_pulses: 200000, p_single: 0.3}}\n"
+    assert run(tmp_path, "hbt-sim", text) == 2
+    assert f"bin_width: {bin_width} ps is wider than the 6.5 ns window" \
+        in capsys.readouterr().err
+
+
+def test_histogram_bin_wider_than_window_is_a_config_error(tmp_path, capsys):
+    # the file's 20 ns bins against the 6.5 ns window; its span covers the side peaks
+    data = tmp_path / "hist.csv"
+    data.write_text("delay_ps,counts\n-20000,5\n0,1\n20000,5\n")
+    assert run(tmp_path, "analyze-histogram", "", "--data", str(data)) == 2
+    assert "bin_width: 20000 ps is wider than the 6.5 ns window" in capsys.readouterr().err
+
+
+def test_bin_as_wide_as_window_holds_a_bin(tmp_path):
+    text = "bin_width: 6500\nstream: {n_pulses: 200000, p_single: 0.3}\n"
+    assert run(tmp_path, "hbt-sim", text) == 0
+
+
 def test_empty_side_peaks_is_an_estimation_failure(tmp_path, capsys):
     text = "stream: {n_pulses: 1000, p_single: 0.0}\n"
     assert run(tmp_path, "hbt-sim", text) == 3
@@ -418,7 +441,9 @@ def test_sweep_kind_must_match_the_command(tmp_path, capsys):
 def test_stream_value_read_as_text_is_named(tmp_path, capsys):
     # YAML 1.1 reads 1.0e5 (no exponent sign) as a string
     assert run(tmp_path, "hbt-sim", "stream: {n_pulses: 1000, noise_rate: 1.0e5}\n") == 2
-    assert "stream.noise_rate: '1.0e5' is not a number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "stream.noise_rate: '1.0e5' is not a number" in err
+    assert "1.0e-3 or 1.0e+5" in err
 
 
 def test_integrator_value_read_as_text_is_named(tmp_path, capsys):
@@ -426,7 +451,15 @@ def test_integrator_value_read_as_text_is_named(tmp_path, capsys):
     text = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n" \
            "integrator: {rel_tol: 1e-3}\n"
     assert run(tmp_path, "sweep-filter", text) == 2
-    assert "integrator.rel_tol: '1e-3' is not a number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "integrator.rel_tol: '1e-3' is not a number" in err
+    assert "1.0e-3 or 1.0e+5" in err
+
+
+def test_text_that_is_no_number_gets_no_spelling_hint(tmp_path, capsys):
+    assert run(tmp_path, "hbt-sim", "stream: {n_pulses: 1000, noise_rate: fast}\n") == 2
+    err = capsys.readouterr().err
+    assert "stream.noise_rate: 'fast' is not a number" in err and "1.0e+5" not in err
 
 
 @pytest.mark.parametrize("value,shown", [("1.5e+5", "150000.0"), ("150000.5", "150000.5")])

@@ -17,7 +17,6 @@ from photonpurity.correlations import (
     filtered_g2_batch,
     filtered_g2_zero,
     spectrum,
-    sweep_grid,
     write_metadata,
     write_spectrum_csv,
     write_sweep_csv,
@@ -205,8 +204,10 @@ def test_exact_propagator_oracle(build, tau, observed, center, expected, bias):
     # unextrapolated grid reads 2.0e-4 (h / 0.01)^2 high on the two-level
     # point: the 0.0037416 once quoted for it, 1.4e-4 high, is that bias.
     gamma = 1.0
-    system = attach_sensor(build(tau), observed, SensorConfig(center, gamma))
-    emit = gamma / (2.0 * system.sensor.coupling) * system.output_ops["sensor"]
+    sensor = SensorConfig(center, gamma)
+    system = attach_sensor(build(tau), observed, sensor)
+    eps = sensor.resolved_coupling(system.decay_scale)
+    emit = gamma / (2.0 * eps) * system.output_ops["sensor"]
     t_w, horizon = 12.0 * tau, 30.0
     values = []
     for window_steps, step in ((240, 0.01), (480, 0.005)):
@@ -264,6 +265,26 @@ class TestUnfiltered:
         values = [tls_unfiltered(tau) for tau in (0.02, 0.05, 0.2)]
         assert values[0] < values[1] < values[2]
 
+    def test_short_pulse_closed_form(self):
+        """To first order in gamma tau, g2 = (c / 2) gamma tau for a pi pulse, with
+        c = int sin^2(pi Phi(x)) dx over the pulse's normal CDF Phi (Fischer et al.,
+        Nat. Phys. 13, 649 (2017)): the emitter decays during the pulse and is
+        re-excited by what is left of it.  r = g2 / ((c / 2) tau) is 1 - O(tau)
+        (0.998183 at tau 0.001, 0.996516 at 0.002), and the Richardson value
+        2 r(0.001) - r(0.002) = 1 - O(tau^2) (0.999850).  Budget: 3e-4, for the
+        O(tau^2) remainder and the rel_tol 1e-11 integration."""
+        x = np.linspace(-12.0, 12.0, 4801)
+        cdf = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in x]))
+        c = np.trapezoid(np.sin(np.pi * cdf) ** 2, x)
+        assert c == pytest.approx(1.457217, abs=1e-6)
+        cfg = dynamics.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-15)
+        r = {}
+        for tau in (0.001, 0.002):
+            system = two_level_system(tau)
+            res = dynamics.emission_integrals([system], system.output_ops["sigma"], (), cfg)
+            r[tau] = res.pair_integral[0] / res.n_integral[0] ** 2 / (0.5 * c * tau)
+        assert abs(2.0 * r[0.001] - r[0.002] - 1.0) <= 3e-4
+
     def test_two_pi_pulse_worse_than_pi(self):
         tau = 0.3
         g2_pi = unfiltered_g2(two_level_system(tau, theta=math.pi))
@@ -275,7 +296,7 @@ class TestSpectrum:
     def test_symmetric_for_resonant_drive(self):
         system = two_level_system(0.05)
         dets = np.linspace(-6.0, 6.0, 21)
-        res = spectrum(system, "sigma", dets, spec_bandwidth=0.2)
+        (res,) = spectrum(system, "sigma", dets, [system.pulse], spec_bandwidth=0.2)
         assert np.max(np.abs(res.values - res.values[::-1])) < 1e-6
         assert res.axis[np.argmax(res.values)] == pytest.approx(0.0)
 
@@ -286,7 +307,8 @@ class TestSpectrum:
         dets = np.array([0.0, 2.0, 15.0, 30.0])
         curves = {}
         for tau in (0.02, 0.2):
-            res = spectrum(two_level_system(tau), "sigma", dets, spec_bandwidth=0.2)
+            system = two_level_system(tau)
+            (res,) = spectrum(system, "sigma", dets, [system.pulse], spec_bandwidth=0.2)
             curves[tau] = res.values
         assert curves[0.02][1] == pytest.approx(curves[0.2][1], rel=0.02)
         assert curves[0.02][2] > 3.0 * curves[0.2][2]
@@ -300,56 +322,55 @@ class TestSpectrum:
         dets = np.linspace(-40.0, 40.0, 161)
         system = two_level_system(0.05)
         curves = []
-        merged = rhs_evals(lambda: curves.extend(spectrum(system, "sigma", dets,
-                                                          pulses=pulses)))
+        merged = rhs_evals(lambda: curves.extend(spectrum(system, "sigma", dets, pulses)))
         per_pulse = 0
         for pulse, curve in zip(pulses, curves):
             alone = []
-            per_pulse += rhs_evals(lambda: alone.append(
-                spectrum(replace(system, pulse=pulse), "sigma", dets)))
+            per_pulse += rhs_evals(lambda: alone.extend(spectrum(system, "sigma", dets, [pulse])))
             assert np.max(np.abs(curve.values - alone[0].values)) <= 1e-12
         assert merged <= 0.6 * per_pulse
 
     def test_empty_detunings_rejected(self):
         with pytest.raises(ValueError, match="detunings"):
-            spectrum(two_level_system(0.05), "sigma", [])
+            spectrum(two_level_system(0.05), "sigma", [], [GaussianPulse(math.pi, 0.05)])
 
     def test_exciton_line_sits_at_half_binding(self):
         system = build_biexciton(BiexcitonConfig(binding_energy=300.0),
                                  GaussianPulse(math.pi, 0.01))
         dets = np.array([140.0, 145.0, 148.0, 150.0, 152.0, 155.0, 160.0])
-        res = spectrum(system, EXCITON_V_ONLY, dets, spec_bandwidth=1.0)
+        (res,) = spectrum(system, EXCITON_V_ONLY, dets, [system.pulse], spec_bandwidth=1.0)
         assert res.axis[np.argmax(res.values)] == pytest.approx(150.0)
 
     @pytest.mark.parametrize("ref", SPECTRUM_REFERENCES, ids=lambda ref: f"tau{ref['tau']:g}")
     def test_matches_converged_reference(self, ref):
         # the figure-default two-level spectra at pi pulse area against the
         # grid-extrapolated references, within their stated uncertainty
-        res = spectrum(two_level_system(ref["tau"]), "sigma", ref["detunings"],
-                       spec_bandwidth=ref["spec_bandwidth"])
+        system = two_level_system(ref["tau"])
+        (res,) = spectrum(system, "sigma", ref["detunings"], [system.pulse],
+                          spec_bandwidth=ref["spec_bandwidth"])
         assert np.max(np.abs(res.values - ref["values"])) <= ref["abs_uncertainty"]
 
-    @pytest.mark.parametrize("system, observed, center, width", [
-        (two_level_system(0.05), "sigma", 0.0, 0.2),
-        (fourlevel_system(), EXCITON_V_ONLY, FOURLEVEL_BINDING / 2.0, 1.0),
-    ], ids=["two_level", "exciton_line"])
-    def test_one_attach_matches_attach_per_detuning(self, system, observed, center, width):
+    @pytest.mark.parametrize("system, observed, center, width, truncation", [
+        (two_level_system(0.05), "sigma", 0.0, 0.2, 1),
+        (fourlevel_system(), EXCITON_V_ONLY, FOURLEVEL_BINDING / 2.0, 1.0, 1),
+        (two_level_system(0.05), "sigma", 0.0, 0.2, 2),
+        (fourlevel_system(), EXCITON_V_ONLY, FOURLEVEL_BINDING / 2.0, 1.0, 2),
+    ], ids=["two_level", "exciton_line", "two_level_pairs", "exciton_line_pairs"])
+    def test_one_attach_matches_attach_per_detuning(self, system, observed, center, width,
+                                                    truncation):
+        # the shift by Delta a^dag a is bit for bit the attach at Delta, at the filter
+        # center of each line itself too; each system has the pulse it is given
         dets = center + np.linspace(-8.0, 8.0, 5)
-        shifted, source = corr._spectrum_batch(system, observed, dets, width)
-        eps = shifted[0].sensor.coupling
+        pulse = GaussianPulse(math.pi, 0.02)
+        eps = SensorConfig(0.0, width).resolved_coupling(system.decay_scale)
         assert eps == 1e-3 * max(width, system.decay_scale)
-        for one in shifted:
-            each = attach_sensor(system, observed,
-                                 SensorConfig(one.sensor.detuning, width, eps, 1))
-            assert one.sensor == each.sensor
-            assert np.max(np.abs(one.h_static - each.h_static)) <= 1e-12
-        attached = [attach_sensor(system, observed, SensorConfig(d, width, eps, 1))
-                    for d in dets]
-        emit = attached[0].output_ops["sensor"]
-        n_one = dynamics.emission_integrals(shifted, emit, times=(), pairs=False).n_integral
-        n_one = n_one[source]
-        n_each = dynamics.emission_integrals(attached, emit, times=(), pairs=False).n_integral
-        assert np.max(np.abs(n_one - n_each)) <= 1e-12 * np.max(n_each)
+        shifted, (base,) = corr._filter_batch(
+            system, observed, [SensorConfig(d, width, truncation=truncation) for d in dets],
+            [pulse])
+        for d, one in zip(dets, shifted):
+            each = attach_sensor(system, observed, SensorConfig(d, width, eps, truncation))
+            assert np.array_equal(one.h_static, each.h_static)
+            assert one.pulse is pulse and one.channels is base.channels
 
     @pytest.mark.parametrize("system, observed, center, width", [
         (two_level_system(0.05), "sigma", 0.0, 0.2),
@@ -358,8 +379,9 @@ class TestSpectrum:
     def test_batch_matches_one_center_runs(self, system, observed, center, width):
         # the step control of a batch sees all its centers at once, that of one
         # center alone only its own
-        extended, _ = corr._spectrum_batch(system, observed,
-                                           center + np.linspace(-8.0, 8.0, 9), width)
+        sensors = [SensorConfig(d, width, truncation=1)
+                   for d in center + np.linspace(-8.0, 8.0, 9)]
+        extended, _ = corr._filter_batch(system, observed, sensors, [system.pulse])
         emit = extended[0].output_ops["sensor"]
         batch = dynamics.emission_integrals(extended, emit, times=(), pairs=False).n_integral
         alone = [dynamics.emission_integrals([one], emit, times=(), pairs=False).n_integral[0]
@@ -376,22 +398,22 @@ class TestSpectrum:
         # the spectrum reads a one-photon quantity: at the figure defaults, cutting the
         # sensor at one photon instead of two moves the peak-normalized spectrum by < 1e-8
         centers = center + np.linspace(-40.0, 40.0, 161)
-        one, source = corr._spectrum_batch(system, observed, centers, 0.2)
-        base = attach_sensor(system, observed, SensorConfig(0.0, 0.2, one[0].sensor.coupling))
-        a = base.output_ops["sensor"]
-        two = [replace(base, h_static=base.h_static + d * a.conj().T @ a) for d in centers]
+        one, two = (corr._filter_batch(system, observed, [SensorConfig(d, 0.2, truncation=n)
+                                                          for d in centers], [system.pulse])[0]
+                    for n in (1, 2))
         assert one[0].dimension * 3 == two[0].dimension * 2
         n_one, n_two = (dynamics.emission_integrals(b, b[0].output_ops["sensor"], times=(),
                                                     pairs=False).n_integral for b in (one, two))
-        n_one = n_one[source]
         assert np.max(np.abs(n_one / np.max(n_one) - n_two / np.max(n_two))) <= 1e-8
 
     def test_figure_centers_differ_only_in_phase(self):
         # the centers of a figure spectrum differ only in the filter detuning, which
         # turns the sensor's coherences: every remainder entry joins the two
         # coordinates of one coherence pair
-        extended, _ = corr._spectrum_batch(two_level_system(0.02), "sigma",
-                                           np.linspace(-40.0, 40.0, 161), 0.2)
+        extended, _ = corr._filter_batch(
+            two_level_system(0.02), "sigma",
+            [SensorConfig(d, 0.2, truncation=1) for d in np.linspace(-40.0, 40.0, 161)],
+            [GaussianPulse(math.pi, 0.02)])
         gen = dynamics._Generator(extended, extended[0].output_ops["sensor"])
         scatter, gather, _ = gen.rem_blocks
         rows, cols = scatter % gen.size, gather % gen.size
@@ -429,13 +451,14 @@ class TestSpectrum:
         integrals = dynamics.emission_integrals
 
         def spy(systems, *args, **kwargs):
-            batches.append([one.sensor.detuning for one in systems])
+            # the filter center: the energy of |ground, one sensor photon>
+            batches.append([one.h_static[1, 1].real for one in systems])
             return integrals(systems, *args, **kwargs)
 
         monkeypatch.setattr(dynamics, "emission_integrals", spy)
-        res = spectrum(system, "sigma", dets)
+        (res,) = spectrum(system, "sigma", dets, [system.pulse])
         monkeypatch.setattr(corr, "_mirror_symmetric", lambda model: False)
-        full = spectrum(system, "sigma", dets)
+        (full,) = spectrum(system, "sigma", dets, [system.pulse])
         assert batches[0] == list(stepped) and batches[1] == list(dets)
         assert np.max(np.abs(res.values - full.values)) <= 1e-14
         if system.h_static[1, 1] != 0:  # the detuned line is not symmetric
@@ -467,22 +490,32 @@ class TestSpectrum:
             assert hwhm == pytest.approx(expected, rel=1e-3)
 
 
+def _pulses(taus, theta=math.pi):
+    return [GaussianPulse(theta, tau) for tau in taus]
+
+
+def _sweep(system, sensors, pulses, **kwargs):
+    """The stats of a sweep command: one filtered_g2_batch over every pulse and
+    sensor, sampled only at the first pulse's drive cutoff (cli._run_sweep)."""
+    return filtered_g2_batch(system, sensors, pulses,
+                             grid=(dynamics.drive_cutoff(pulses[0]),), **kwargs)
+
+
 class TestSweeps:
-    # sweep_grid's stats[i][j] is pulse length i at filter width j: a row is
-    # a filter-width curve, a column a pulse-length curve
+    # stats[i][j] of a sweep is pulse length i at filter width j: a row is a
+    # filter-width curve, a column a pulse-length curve
 
     def test_filter_width_sweep_structure(self):
-        builder = lambda pulse: build_two_level(TwoLevelConfig(), pulse)
-        grid = sweep_grid(builder, [0.1], [0.1, 1.0, 3.0])
+        system = two_level_system(0.1)
+        grid = _sweep(system, [SensorConfig(0.0, w) for w in (0.1, 1.0, 3.0)], [system.pulse])
         assert [len(row) for row in grid] == [3]
         row = grid[0]
         assert all(st.converged and st.epsilon_used > 0 for st in row)
-        alone = filtered_g2_zero(builder(GaussianPulse(math.pi, 0.1)), SensorConfig(0.0, 3.0))
+        alone = filtered_g2_zero(system, SensorConfig(0.0, 3.0))
         assert row[2].g2 == pytest.approx(alone.g2, rel=1e-8)
 
     def test_pulse_length_sweep_structure(self):
-        builder = lambda pulse: build_two_level(TwoLevelConfig(), pulse)
-        grid = sweep_grid(builder, [0.05, 0.1], [1.0])
+        grid = _sweep(two_level_system(0.05), [SensorConfig(0.0, 1.0)], _pulses([0.05, 0.1]))
         assert [len(row) for row in grid] == [1, 1]
         column = [row[0] for row in grid]
         assert all(st.converged and st.epsilon_used > 0 for st in column)
@@ -503,8 +536,7 @@ class TestSweeps:
 
         monkeypatch.setattr(dynamics._Generator, "rhs", first)
         with pytest.raises(Caught):
-            sweep_grid(lambda pulse: build_two_level(TwoLevelConfig(), pulse),
-                       [0.02, 0.05, 0.1, 0.2], [1.0])
+            _sweep(two_level_system(0.02), [SensorConfig()], _pulses([0.02, 0.05, 0.1, 0.2]))
         monkeypatch.undo()
         (gen, y), = caught
         assert (gen.nbatch, len(gen.static), gen.size) == (8, 4, 74)
@@ -518,17 +550,17 @@ class TestSweeps:
             tracemalloc.stop()
         assert peak < gen.static.nbytes / 2
 
-    @pytest.mark.parametrize("builder, observed, sensor, taus, widths", [
-        (lambda pulse: build_two_level(TwoLevelConfig(), pulse), "sigma", SensorConfig(),
-         (0.02, 0.2), (0.1, 1.0, 20.0)),
-        (lambda pulse: fourlevel_system(pulse.length), EXCITON_V_ONLY,
-         SensorConfig(FOURLEVEL_BINDING / 2.0), (0.01, 0.02), (0.5, 2.0)),
+    @pytest.mark.parametrize("system, observed, center, taus, widths", [
+        (two_level_system(0.02), "sigma", 0.0, (0.02, 0.2), (0.1, 1.0, 20.0)),
+        (fourlevel_system(0.01), EXCITON_V_ONLY, FOURLEVEL_BINDING / 2.0, (0.01, 0.02),
+         (0.5, 2.0)),
     ], ids=["two_level", "exciton_line"])
-    def test_pulse_lengths_share_one_pass(self, builder, observed, sensor, taus, widths):
+    def test_pulse_lengths_share_one_pass(self, system, observed, center, taus, widths):
         # every pulse length of the sweep in one pass, against a pass per pulse length
-        grid = sweep_grid(builder, taus, widths, observed=observed, sensor=sensor)
-        for tau, row in zip(taus, grid):
-            (alone,) = sweep_grid(builder, [tau], widths, observed=observed, sensor=sensor)
+        sensors = [SensorConfig(center, w) for w in widths]
+        grid = _sweep(system, sensors, _pulses(taus), observed=observed)
+        for pulse, row in zip(_pulses(taus), grid):
+            (alone,) = _sweep(system, sensors, [pulse], observed=observed)
             for st, one in zip(row, alone):
                 assert st.g2 == pytest.approx(one.g2, rel=1e-9)
                 assert st.g2_epsilon_check == pytest.approx(one.g2_epsilon_check, rel=1e-9)
@@ -537,38 +569,61 @@ class TestSweeps:
         # the cut-off line of the error budget on the figure curves, sampled at
         # t_c as a sweep is: t0 + 10 tau against t0 + 8 tau (1.6e-14 measured)
         def curves():
-            two = sweep_grid(lambda pulse: build_two_level(TwoLevelConfig(), pulse),
-                             (0.02, 0.05, 0.2), np.geomspace(0.05, 100.0, 13),
-                             check_convergence=False)
-            four = sweep_grid(lambda pulse: fourlevel_system(pulse.length), (0.01, 0.02),
-                              np.geomspace(0.5, 20.0, 9), observed=EXCITON_V_ONLY,
-                              sensor=SensorConfig(FOURLEVEL_BINDING / 2.0),
-                              check_convergence=False)
+            two = _sweep(two_level_system(0.02),
+                         [SensorConfig(0.0, w) for w in np.geomspace(0.05, 100.0, 13)],
+                         _pulses((0.02, 0.05, 0.2)), check_convergence=False)
+            four = _sweep(fourlevel_system(0.01),
+                          [SensorConfig(FOURLEVEL_BINDING / 2.0, w)
+                           for w in np.geomspace(0.5, 20.0, 9)],
+                          _pulses((0.01, 0.02)), observed=EXCITON_V_ONLY,
+                          check_convergence=False)
             return np.array([st.g2 for row in two + four for st in row])
 
         base = curves()
         monkeypatch.setattr(dynamics, "DRIVE_CUTOFF", 10.0)
         assert np.max(np.abs(curves() - base) / base) < 1e-12
 
-    def test_points_sampled_at_drive_cutoff_only(self):
-        # a sweep reads only g2, so its pass stops at t_c alone, not at the window samples
-        builder = lambda pulse: build_two_level(TwoLevelConfig(), pulse)
-        widths = [0.1, 1.0, 20.0]
-        (row,) = sweep_grid(builder, [0.05], widths)
-        system = builder(GaussianPulse(math.pi, 0.05))
-        sampled = filtered_g2_batch(system, [SensorConfig(0.0, w) for w in widths])
-        at_t_c = filtered_g2_batch(system, [SensorConfig(0.0, w) for w in widths],
-                                   grid=(dynamics.drive_cutoff(system.pulse),))
-        for st, one, ref in zip(row, at_t_c, sampled):
-            assert st == one  # g2 and the physicality report bit for bit
-            assert st.g2 == pytest.approx(ref.g2, rel=1e-9)
+    def test_points_sampled_at_drive_cutoff_only(self, tmp_path):
+        # a sweep command reads only g2, so its pass stops at t_c alone, not at the
+        # window samples: its curve is that of the batch sampled at t_c, to the
+        # 12 digits the CSV prints, and moves by < 1e-9 against the window samples
+        (tmp_path / "run.yaml").write_text(
+            "pulse_lengths: [0.05]\nsweep: {min: 0.1, max: 20.0, points: 3}\n")
+        assert cli.main(["sweep-filter", "--config", str(tmp_path / "run.yaml"),
+                         "--out", str(tmp_path)]) == 0
+        curve = (tmp_path / "sweep_filter_tau0.05.csv").read_text().splitlines()[1:]
+        system = two_level_system(0.05)
+        sensors = [SensorConfig(0.0, w) for w in np.geomspace(0.1, 20.0, 3)]
+        (sampled,) = filtered_g2_batch(system, sensors, [system.pulse])
+        (at_t_c,) = _sweep(system, sensors, [system.pulse])
+        for line, one, ref in zip(curve, at_t_c, sampled, strict=True):
+            assert line.split(",")[1] == f"{one.g2:.12g}"
+            assert one.g2 == pytest.approx(ref.g2, rel=1e-9)
 
     def test_sweep_point_identified_on_error(self):
-        builder = lambda pulse: build_two_level(TwoLevelConfig(), pulse)
         with pytest.raises(corr.SweepPointError) as err:
-            sweep_grid(builder, [0.1], [1.0], theta=0.0)
+            _sweep(two_level_system(0.1), [SensorConfig(0.0, 1.0)], _pulses([0.1], theta=0.0))
         assert "bandwidth=1" in str(err.value)
         assert isinstance(err.value.__cause__, ZeroEmission)
+
+    def test_attaches_once_per_filter_shape(self, monkeypatch):
+        # the pass builds its systems from one attach_sensor per distinct filter
+        # shape: a spectrum attaches once for all its centers and pulse lengths, and
+        # a sweep once per width and coupling (eps and eps/2), at any pulse length
+        calls = []
+        attach = corr.attach_sensor
+        monkeypatch.setattr(corr, "attach_sensor",
+                            lambda *args: calls.append(args[2]) or attach(*args))
+        system = two_level_system(0.02)
+        spectrum(system, "sigma", np.linspace(-40.0, 40.0, 161), _pulses((0.02, 0.2)))
+        assert len(calls) == 1
+        widths = (0.1, 1.0, 20.0)
+        for check, attaches in ((True, 2 * len(widths)), (False, len(widths))):
+            calls.clear()
+            _sweep(system, [SensorConfig(0.0, w) for w in widths], _pulses((0.02, 0.05)),
+                   check_convergence=check)
+            assert len(calls) == attaches
+            assert all(sensor.detuning == 0.0 for sensor in calls)
 
 
 BATCH_CASES = [
@@ -582,7 +637,7 @@ class TestBatch:
                              ids=["two_level", "exciton_line"])
     def test_matches_single_points(self, system, observed, detuning, widths):
         sensors = [SensorConfig(detuning, w) for w in widths]
-        batch = filtered_g2_batch(system, sensors, observed=observed)
+        (batch,) = filtered_g2_batch(system, sensors, [system.pulse], observed=observed)
         assert len(batch) == len(sensors)
         for sensor, stats in zip(sensors, batch):
             alone = filtered_g2_zero(system, sensor, observed=observed)
@@ -595,18 +650,20 @@ class TestBatch:
         system, _, _, widths = BATCH_CASES[0]
         sensors = [SensorConfig(0.0, w) for w in widths]
         singles = [rhs_evals(lambda: filtered_g2_zero(system, sensor)) for sensor in sensors]
-        batch = rhs_evals(lambda: filtered_g2_batch(system, sensors))
+        batch = rhs_evals(lambda: filtered_g2_batch(system, sensors, [system.pulse]))
         assert batch < 1.5 * max(singles)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one system"):
-            filtered_g2_batch(two_level_system(0.05), [])
+            filtered_g2_batch(two_level_system(0.05), [], _pulses([0.05]))
 
     @pytest.mark.parametrize("run", [
-        lambda: spectrum(two_level_system(0.05), "sigma", np.linspace(-4.0, 4.0, 9)),
-        lambda: filtered_g2_batch(two_level_system(0.05), [SensorConfig(0.0, 1.0)]),
+        lambda: spectrum(two_level_system(0.05), "sigma", np.linspace(-4.0, 4.0, 9),
+                         _pulses([0.05])),
+        lambda: filtered_g2_batch(two_level_system(0.05), [SensorConfig(0.0, 1.0)],
+                                  _pulses([0.05])),
         lambda: filtered_g2_batch(fourlevel_system(0.01), [SensorConfig(150.0, 1.0)],
-                                  observed=EXCITON_V_ONLY),
+                                  _pulses([0.01]), observed=EXCITON_V_ONLY),
     ], ids=["spectrum", "g2_dense", "g2_exciton_line"])
     def test_window_pass_steps_real_rows(self, monkeypatch, run):
         # the DOP853 state and every stage are float64 coordinates, never complex vec
@@ -627,10 +684,12 @@ class TestBatch:
         # tails close them in groups, so the batch peaks near a single point's memory
         system = fourlevel_system(0.01)
         sensors = [SensorConfig(FOURLEVEL_BINDING / 2, float(w)) for w in np.geomspace(0.5, 1, 16)]
-        filtered_g2_batch(system, sensors[:1], observed=EXCITON_V_ONLY, check_convergence=False)
+        filtered_g2_batch(system, sensors[:1], [system.pulse], observed=EXCITON_V_ONLY,
+                          check_convergence=False)
         tracemalloc.start()
         try:
-            filtered_g2_batch(system, sensors, observed=EXCITON_V_ONLY, check_convergence=False)
+            filtered_g2_batch(system, sensors, [system.pulse], observed=EXCITON_V_ONLY,
+                              check_convergence=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -640,7 +699,7 @@ class TestBatch:
         system = two_level_system(0.1)
         sensors = [SensorConfig(0.0, 1.0), SensorConfig(0.0, 2.0, coupling=0.3)]
         with pytest.raises(corr.SweepPointError) as err:
-            filtered_g2_batch(system, sensors)
+            filtered_g2_batch(system, sensors, [system.pulse])
         assert err.value.context == {"bandwidth": 2.0, "tau": 0.1}
         assert isinstance(err.value.__cause__, NotConverged)
 

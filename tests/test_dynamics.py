@@ -284,9 +284,10 @@ class TestEmissionSeries:
 def _sensor_batch(system, observed, detuning, widths):
     """The sensor-extended systems at each width, each with its own
     Gamma / (2 eps) readout."""
-    systems = [attach_sensor(system, observed, SensorConfig(detuning, w)) for w in widths]
-    emit = np.array([w / (2.0 * s.sensor.coupling) * s.output_ops["sensor"]
-                     for w, s in zip(widths, systems)])
+    sensors = [SensorConfig(detuning, w) for w in widths]
+    systems = [attach_sensor(system, observed, s) for s in sensors]
+    emit = np.array([s.bandwidth / (2.0 * s.resolved_coupling(system.decay_scale))
+                     * x.output_ops["sensor"] for s, x in zip(sensors, systems)])
     return systems, emit
 
 

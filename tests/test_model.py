@@ -199,10 +199,11 @@ class TestAttachSensor:
 
     def test_default_coupling_scales_with_bandwidth(self):
         system = build_two_level(TwoLevelConfig(), GaussianPulse(1.0, 0.05))
-        narrow = attach_sensor(system, "sigma", SensorConfig(0.0, 0.1))
-        wide = attach_sensor(system, "sigma", SensorConfig(0.0, 50.0))
-        assert narrow.sensor.coupling == pytest.approx(1e-3)
-        assert wide.sensor.coupling == pytest.approx(5e-2)
+        for width, eps in ((0.1, 1e-3), (50.0, 5e-2)):
+            sensor = SensorConfig(0.0, width)
+            assert sensor.resolved_coupling(system.decay_scale) == pytest.approx(eps)
+            # <ground, 1 photon| H |exciton, 0 photons>: the exchange coupling
+            assert attach_sensor(system, "sigma", sensor).h_static[1, 3] == pytest.approx(eps)
 
     def test_hamiltonian_hermitian(self):
         system = build_biexciton(BiexcitonConfig(), GaussianPulse(math.pi, 0.02))
