@@ -2,7 +2,7 @@
 
 The decay curves of the biexciton-exciton cascade (its rate-equation
 populations convolved in closed form with a Gaussian instrument response),
-Poisson-weighted least-squares lifetime fitting, and the super-Gaussian
+Poisson maximum-likelihood lifetime fitting, and the super-Gaussian
 transmission model used to calibrate grating-based spectral filters.
 
 Times are in ns and rates in 1/ns throughout; the CLI converts ps data at
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEGENERATE_RATE_GAP = 1e-9
-_MAX_REWEIGHTS = 100   # weighted passes of fit_lifetimes
-_REWEIGHT_TOL = 1e-10  # largest relative weight change of a settled fit
 MIN_FIT_POINTS = 50    # data points fit_lifetimes needs across buildup and decay
 
 
@@ -33,7 +31,7 @@ class IllConditioned(RuntimeError):
 
 class MalformedDecay(ValueError):
     """Decay data that is not at least MIN_FIT_POINTS rows of finite time,
-    counts with increasing times."""
+    counts with increasing times and counts >= 0."""
 
 
 @dataclass
@@ -112,8 +110,8 @@ def cascade_model(times, params: CascadeParams, which: str):
 class FitResult:
     """Fitted parameters, their 1-sigma uncertainties and covariance, and the
     reduced Pearson chi-square of the returned model mu:
-    sum((counts - mu)^2 / mu) over the bins with mu > 1 (the count floor of
-    the fit weights), divided by the number of those bins minus the number
+    sum((counts - mu)^2 / mu) over the bins with mu > 1 (the floor of the
+    Fisher weights), divided by the number of those bins minus the number
     of fitted parameters; nan when that is not positive."""
 
     params: CascadeParams
@@ -145,67 +143,66 @@ _FIT_FIELDS = {
 
 
 def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") -> FitResult:
-    """Poisson-weighted Levenberg-Marquardt fit of the decay curve.
+    """Poisson maximum-likelihood fit of the decay curve: `times` in ns,
+    `counts` raw counts (ValueError unless each is finite and >= 0).
 
-    `times` in ns, `counts` raw counts.  Weights start from the observed
-    counts and are re-derived from the fitted model (Pearson-style) until
-    they settle, which removes the few-percent rate bias that observed-count
-    weights produce in low-count tail bins.  At the fixed point the answer
-    no longer depends on where the first pass lands; weights that do not
-    settle raise IllConditioned.  1-sigma uncertainties come from
-    (J^T J)^-1, J the Jacobian at the solution weighted by sqrt(max(mu, 1))
-    of the returned model mu (absolute weights, no chi-square rescaling).
+    One Levenberg-Marquardt pass on the deviance residuals sign(mu - c)
+    sqrt(2 (mu - c + c ln(c / mu))) of the model mu (>= 1e-300 max(c, 1))
+    minimizes the Poisson deviance, so it is the maximum-likelihood fit
+    (Bajzer et al., Eur. Biophys. J. 20, 247 (1991)).  The rates, IRF width
+    and amplitude enter as their absolute values, and the answer does not
+    depend on the start; a curve without signal is IllConditioned.  1-sigma
+    uncertainties are the inverse Fisher information (J^T diag(1 / max(mu,
+    1)) J)^-1, J = d mu / d params at the answer by central differences.
 
     The exciton buildup-and-decay shape is invariant under swapping the two
     rates (up to amplitude), so the result is canonicalized to
     gamma_2x >= gamma_x: the biexciton feeds the exciton and decays faster.
     """
     from scipy.optimize import least_squares
+    from scipy.special import xlog1py
 
     times = np.asarray(times, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if len(times) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} data points spanning buildup and decay")
+    if not np.all(counts >= 0):  # NaN too: the deviance needs counts >= 0
+        raise ValueError("counts must be finite and >= 0")
     fields = _FIT_FIELDS[which]
     x0 = np.array([getattr(init, f) for f in fields])
 
-    def pack(x):
-        kw = {f: v for f, v in zip(fields, x)}
-        kw.setdefault("gamma_x", init.gamma_x)
-        return CascadeParams(
-            gamma_2x=abs(kw["gamma_2x"]), gamma_x=abs(kw["gamma_x"]),
-            irf_sigma=abs(kw["irf_sigma"]), amplitude=kw["amplitude"],
-            offset=kw["offset"],
-        )
+    def pack(x):  # every parameter but the offset enters as its absolute value
+        kw = {f: v if f == "offset" else abs(v) for f, v in zip(fields, x)}
+        return CascadeParams(**{"gamma_x": init.gamma_x, **kw})
 
-    weights = np.sqrt(np.maximum(counts, 1.0))
-    for _ in range(_MAX_REWEIGHTS):
-        def residuals(x, w=weights):
-            return (cascade_model(times, pack(x), which) - counts) / w
+    def curve(x):
+        return cascade_model(times, pack(x), which)
 
-        result = least_squares(residuals, x0, method="lm", xtol=1e-12, ftol=1e-12,
-                               max_nfev=20000)
-        if not result.success:
-            raise NonConvergence(f"fit did not converge: {result.message}")
-        x0 = result.x
-        pass_weights = weights
-        weights = np.sqrt(np.maximum(cascade_model(times, pack(result.x), which), 1.0))
-        if np.max(np.abs(weights / pass_weights - 1.0)) <= _REWEIGHT_TOL:
-            break
-    else:
-        raise IllConditioned(f"weights did not settle in {_MAX_REWEIGHTS} reweighted passes")
+    floor = 1e-300 * np.maximum(counts, 1.0)  # keeps c / mu finite
 
-    # the last pass's Jacobian at result.x, reweighted by the returned model
-    jac = result.jac * (pass_weights / weights)[:, None]
-    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    def deviance_residuals(x):
+        mu = np.maximum(curve(x), floor)
+        rel = counts / mu - 1.0  # mu - c + c ln(c / mu) = mu ((1 + rel) ln(1 + rel) - rel)
+        dev = mu * (xlog1py(1.0 + rel, rel) - rel)
+        return np.sign(mu - counts) * np.sqrt(2.0 * dev)
+
+    result = least_squares(deviance_residuals, x0, method="lm", xtol=1e-12, ftol=1e-12,
+                           max_nfev=20000)
+    if not result.success:
+        raise NonConvergence(f"fit did not converge: {result.message}")
+
+    params = pack(result.x)
+    x = np.array([getattr(params, f) for f in fields])
+    mu = curve(x)
+    steps = 1e-6 * np.where(x != 0.0, np.abs(x), 1.0)
+    jac = np.array([curve(x + h) - curve(x - h) for h in np.diag(steps)]).T / (2.0 * steps)
+    _, sv, vt = np.linalg.svd(jac / np.sqrt(np.maximum(mu, 1.0))[:, None], full_matrices=False)
     if sv[-1] <= 1e-12 * sv[0]:  # an all-zero Jacobian too
         raise IllConditioned("rank-deficient Jacobian; parameters not identifiable")
-    cov = (vt.T / sv**2) @ vt  # (J^T J)^-1 = V S^-2 V^T
+    cov = (vt.T / sv**2) @ vt  # (J^T W J)^-1 = V S^-2 V^T
     sigmas = {f: float(s) for f, s in zip(fields, np.sqrt(np.diag(cov)))}
-    params = pack(result.x)
     if which == "exciton" and params.gamma_2x < params.gamma_x:
         params, sigmas, cov = _swap_exciton_rates(params, sigmas, cov, fields)
-    mu = cascade_model(times, params, which)
     above = mu > 1.0
     ndof = int(above.sum()) - len(fields)
     pearson = float(np.sum((counts[above] - mu[above]) ** 2 / mu[above]))
@@ -281,7 +278,7 @@ def initial_cascade_guess(times, counts, which: str = "exciton") -> CascadeParam
 def read_decay_csv(path):
     """CSV (time_ps, counts) -> (times in ns, counts); raise MalformedDecay
     unless it holds at least MIN_FIT_POINTS rows of two finite numbers, with
-    increasing times."""
+    increasing times and counts >= 0."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a header-only file
         try:
@@ -293,8 +290,8 @@ def read_decay_csv(path):
                              f"and decay, got {len(data)}")
     if data.shape[1] != 2:
         raise MalformedDecay(f"{path}: need two columns time_ps,counts, got {data.shape[1]}")
-    if not np.all(np.isfinite(data)):
-        raise MalformedDecay(f"{path}: times and counts must be finite")
+    if not (np.all(np.isfinite(data)) and np.all(data[:, 1] >= 0)):
+        raise MalformedDecay(f"{path}: times and counts must be finite, counts >= 0")
     if np.any(np.diff(data[:, 0]) <= 0):
         raise MalformedDecay(f"{path}: times must increase")
     return data[:, 0] * 1e-3, data[:, 1]

@@ -66,7 +66,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import IntegratorConfig, PhysicalityReport
-from .model import SensorConfig, SystemModel, attach_sensor
+from .model import SensorConfig, SystemModel, _resolve_observed, attach_sensor
 
 ZERO_EMISSION_FLOOR = 1e-12
 EPSILON_CONVERGENCE = 5e-3
@@ -187,7 +187,7 @@ def filtered_g2_batch(
     # each twin scaled so that the eps one reads out n(t) and G2 themselves
     twins = [(replace(s, coupling=eps / k), s.bandwidth / (2.0 * eps))
              for s, eps in zip(sensors, couplings) for k in halvings]
-    models, _ = _filter_batch(system, observed, [twin for twin, _ in twins], pulses)
+    models = _filter_batch(system, observed, [twin for twin, _ in twins], pulses)
     emit = [scale * model.output_ops["sensor"] for (_, scale), model in zip(twins, models)]
     try:
         res = dynamics.emission_integrals(models, np.array(emit * len(pulses)), grid, cfg)
@@ -251,18 +251,20 @@ def filtered_g2_zero(
     return stats
 
 
-def _mirror_symmetric(model: SystemModel) -> bool:
+def _mirror_symmetric(system: SystemModel, observed) -> bool:
     """Whether a diagonal sign matrix S (entries +-1) gives S conj(H) S = -H
-    for h_static and h_drive, and S conj(L) S = +-L for every channel
-    operator L and the read-out "sensor" of `model` (spectrum says why that
-    makes its spectrum mirror symmetric).  The signs come from a walk over
-    the non-zeros of h_static + h_drive, a real entry giving its two states
-    opposite signs, any other the same; every condition is then checked
-    exactly, so a model without such an S reads False."""
-    hams = [model.h_static] + ([] if model.h_drive is None else [model.h_drive])
+    for h_static and h_drive of the bare emitter `system`, and S conj(L) S =
+    +-L for every channel L and the resolved `observed` O (spectrum says why
+    that makes its spectrum mirror symmetric).  S (x) (+-1)^n then does the
+    same for the sensor attached at detuning 0, the sign per photon chosen
+    so that the coupling O a^dag + h.c. turns sign.  The signs come from a
+    walk over the non-zeros of h_static + h_drive, a real entry giving its
+    two states opposite signs, any other the same; every condition is then
+    checked exactly, so a model without such an S reads False."""
+    hams = [system.h_static] + ([] if system.h_drive is None else [system.h_drive])
     h = sum(hams)
-    signs = np.zeros(model.dimension)
-    for root in range(model.dimension):
+    signs = np.zeros(system.dimension)
+    for root in range(system.dimension):
         if signs[root]:
             continue
         signs[root] = 1.0
@@ -277,7 +279,7 @@ def _mirror_symmetric(model: SystemModel) -> bool:
     def mirror(op):
         return signs[:, None] * op.conj() * signs
 
-    ops = [op for op, _ in model.channels] + [model.output_ops["sensor"]]
+    ops = [op for op, _ in system.channels] + [_resolve_observed(system, observed)]
     return (all(np.array_equal(mirror(ham), -ham) for ham in hams)
             and all(np.array_equal(mirror(op), op) or np.array_equal(mirror(op), -op)
                     for op in ops))
@@ -293,8 +295,8 @@ def _copy_with(model: SystemModel, **fields) -> SystemModel:
 
 def _filter_batch(system: SystemModel, observed, sensors, pulses):
     """The systems of one pass, each pulse of `pulses` with each sensor of
-    `sensors` (pulse-major), and the models they copy, one attach_sensor at
-    detuning 0 per distinct (bandwidth, resolved coupling, truncation).
+    `sensors` (pulse-major), copied from one attach_sensor at detuning 0 per
+    distinct (bandwidth, resolved coupling, truncation).
 
     A sensor at Delta adds Delta a^dag a to h_static, bit for bit what
     attach_sensor at Delta builds (a^dag a is diagonal, the coupling off
@@ -309,8 +311,7 @@ def _filter_batch(system: SystemModel, observed, sensors, pulses):
             attached[shape] = base, a.conj().T @ a
         base, number = attached[shape]
         shifted.append((base, base.h_static + sensor.detuning * number))
-    models = [_copy_with(base, h_static=h, pulse=pulse) for pulse in pulses for base, h in shifted]
-    return models, [base for base, _ in attached.values()]
+    return [_copy_with(base, h_static=h, pulse=pulse) for pulse in pulses for base, h in shifted]
 
 
 def spectrum(
@@ -326,35 +327,35 @@ def spectrum(
     probed with a narrow filter of width `spec_bandwidth`.
 
     The reported lineshape is the physical spectrum convolved with the
-    Lorentzian sensor response of that width.  The centers at all pulses
-    are the systems of one pass without pairs, each sensor at the default
-    coupling and cut at one photon (_filter_batch: one attach).  Against
-    rel_tol 1e-12, abs_tol 1e-16 the figure spectra move by < 1e-12 of the
-    peak (1.0e-13 measured, the last digit the CSV prints).
+    Lorentzian sensor response of that width.  The stepped centers at all
+    pulses are the systems of one pass without pairs, each sensor at the
+    default coupling and cut at one photon (_filter_batch: one attach).
+    Against rel_tol 1e-12, abs_tol 1e-16 the figure spectra move by < 1e-12
+    of the peak (1.0e-13 measured, the last digit the CSV prints).
 
     Under a resonant drive each +-Delta pair of the grid is stepped once.
-    With a real drive amplitude, the sign matrix S of _mirror_symmetric and
-    a real diagonal N = a^dag a, S conj(rho(t)) S solves the dynamics of
-    h_static - Delta N from the ground state when rho(t) solves those of
-    h_static + Delta N, and <a^dag a> is the same for both: n(-Delta) =
-    n(Delta) at any sensor coupling.  So where the attached model is mirror
+    With a real drive amplitude, the sign matrix S of _mirror_symmetric
+    (carried over to the attached sensor) and a real diagonal N = a^dag a,
+    S conj(rho(t)) S solves the dynamics of h_static - Delta N from the
+    ground state when rho(t) solves those of h_static + Delta N, and
+    <a^dag a> is the same for both: n(-Delta) = n(Delta) at any sensor
+    coupling.  So where the emitter and its observed operator are mirror
     symmetric, a center -Delta < 0 whose exact mirror Delta is on the grid
-    reads the intensity of Delta and is not stepped.  A detuned emitter or
-    the biexciton ladder has no such S.  Raises ValueError for an empty
-    `detunings`.
+    reads the intensity of Delta, and no system is built for it.  A detuned
+    emitter or the biexciton ladder has no such S.  Raises ValueError for an
+    empty `detunings` or `pulses`.
     """
     detunings = np.asarray(detunings, dtype=float)
-    if len(detunings) == 0:
-        raise ValueError("detunings: a spectrum needs at least one filter center")
-    sensors = [SensorConfig(d, spec_bandwidth, truncation=1) for d in detunings]
-    models, (base,) = _filter_batch(system, observed, sensors, pulses)
+    if len(detunings) == 0 or len(pulses) == 0:
+        raise ValueError("detunings, pulses: a spectrum needs a filter center and a pulse")
     mirrors = detunings[:, None] == -detunings  # [i, j]: center j mirrors center i
-    mirrored = (detunings < 0) & mirrors.any(axis=1) & _mirror_symmetric(base)
+    mirrored = (detunings < 0) & mirrors.any(axis=1) & _mirror_symmetric(system, observed)
     source = np.cumsum(~mirrored) - 1
     source[mirrored] = source[mirrors[mirrored].argmax(axis=1)]
-    stepped = [model for model, step in zip(models, np.tile(~mirrored, len(pulses))) if step]
+    sensors = [SensorConfig(d, spec_bandwidth, truncation=1) for d in detunings[~mirrored]]
+    models = _filter_batch(system, observed, sensors, pulses)
     intensities = dynamics.emission_integrals(
-        stepped, base.output_ops["sensor"], times=(), cfg=cfg, pairs=False
+        models, models[0].output_ops["sensor"], times=(), cfg=cfg, pairs=False
     ).n_integral.reshape(len(pulses), -1)[:, source]
     peaks = np.max(intensities, axis=1, keepdims=True)
     if np.any(peaks <= 0):

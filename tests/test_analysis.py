@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from photonpurity import analysis
 from photonpurity.analysis import (
     CascadeParams,
     IllConditioned,
@@ -100,14 +99,13 @@ class TestFit:
         assert fit.chi2_reduced == pytest.approx(1.0, abs=0.15)
 
     def test_uncertainties_weighted_by_returned_model(self):
-        # same draw as above, from a start (onset 0.51 ns, IRF 0.25 ns) where
-        # the first pass lands far from the answer: the covariance must use
-        # the returned model's weights, here checked against a
-        # central-difference Jacobian built from scratch
+        # same draw as above, from a start (onset 0.51 ns, IRF 0.25 ns) far from
+        # the answer: the covariance is the inverse Fisher information of the
+        # returned model, here checked against a central-difference Jacobian
+        # built from scratch
         rng = np.random.default_rng(12)
         y = rng.poisson(np.maximum(cascade_model(self.t, TRUE, "exciton"), 0.0)).astype(float)
-        init = CascadeParams(6.301058380221, 3.1505291901105, 0.25375000000000003, 4899.0,
-                             0.5075000000000001)
+        init = CascadeParams(6.301058380221, 3.1505291901105, 0.25375, 4899.0, 0.5075)
         fit = fit_lifetimes(self.t, y, init, "exciton")
         fields = ("gamma_2x", "gamma_x", "irf_sigma", "amplitude", "offset")
         x = np.array([getattr(fit.params, f) for f in fields])
@@ -125,33 +123,77 @@ class TestFit:
         assert np.allclose(got, expected, rtol=1e-4)
         assert fit.uncertainties["gamma_x"] == pytest.approx(1.365e-2, rel=0.02)
 
-    def test_answer_does_not_depend_on_the_start(self):
-        # the start of the test above and the true parameters: the reweighted
-        # passes settle on one fixed point from both
-        rng = np.random.default_rng(12)
-        y = rng.poisson(np.maximum(cascade_model(self.t, TRUE, "exciton"), 0.0)).astype(float)
-        far = CascadeParams(6.301058380221, 3.1505291901105, 0.25375000000000003, 4899.0,
-                            0.5075000000000001)
-        a, b = (fit_lifetimes(self.t, y, init, "exciton") for init in (far, TRUE))
-        for f in ("gamma_2x", "gamma_x", "irf_sigma", "amplitude", "offset"):
-            gap = abs(getattr(a.params, f) - getattr(b.params, f))
-            assert gap < 1e-3 * min(a.uncertainties[f], b.uncertainties[f])
+    def test_reported_sigma_matches_the_scatter(self):
+        # 100 Poisson draws of the exciton curve, each fitted from its own
+        # initial_cascade_guess: the spread of the fitted rates is what the
+        # mean reported sigma says, and their mean is the true rate.  At 100
+        # draws the ratio scatter / sigma has a standard deviation of about 7 %:
+        # over 20 sets of 100 draws it ran 0.92-1.15 for both rates, and over 10
+        # sets the mean sat within 1.8 standard errors of the truth
+        rng = np.random.default_rng(0)
+        curve = cascade_model(self.t, TRUE, "exciton")
+        fits = []
+        for _ in range(100):
+            y = rng.poisson(curve).astype(float)
+            fits.append(fit_lifetimes(self.t, y, initial_cascade_guess(self.t, y), "exciton"))
+        for f in ("gamma_2x", "gamma_x"):
+            rates = np.array([getattr(fit.params, f) for fit in fits])
+            sigma = np.mean([fit.uncertainties[f] for fit in fits])
+            assert np.std(rates, ddof=1) / sigma == pytest.approx(1.0, abs=0.25)
+            assert abs(rates.mean() - getattr(TRUE, f)) < 4.0 * sigma / np.sqrt(len(rates))
 
-    def test_unsettled_reweighting_is_ill_conditioned(self, monkeypatch):
-        rng = np.random.default_rng(42)
-        y = rng.poisson(np.maximum(cascade_model(self.t, TRUE, "exciton"), 0.0)).astype(float)
-        monkeypatch.setattr(analysis, "_MAX_REWEIGHTS", 1)
-        with pytest.raises(IllConditioned, match="did not settle"):
-            fit_lifetimes(self.t, y, CascadeParams(5.0, 3.0, 0.05, 9e3, 0.75), "exciton")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_answer_does_not_depend_on_the_start(self):
+        # four draws, each fitted from eight starts: the other tests' starts,
+        # the truth, equal rates, a far onset and IRF (with its 17-digit twin)
+        # and initial_cascade_guess.  The maximum-likelihood pass reaches the
+        # same answer from every start, without a floating-point warning
+        starts = [
+            CascadeParams(5.0, 3.0, 0.05, 9e3, 0.75), TRUE,
+            CascadeParams(2.5, 7.0, 0.05, 9e3, 0.75), CascadeParams(5.0, 3.0, 0.05, 10.0, 0.75),
+            CascadeParams(6.3, 6.3, 0.25375, 4899.0, 0.5075),
+            CascadeParams(6.301058380221, 3.1505291901105, 0.25375, 4899.0, 0.5075),
+            CascadeParams(6.301058380221, 3.1505291901105, 0.25375000000000003, 4899.0,
+                          0.5075000000000001),
+        ]
+        for seed in (12, 42, 1, 7):
+            rng = np.random.default_rng(seed)
+            y = rng.poisson(np.maximum(cascade_model(self.t, TRUE, "exciton"), 0.0)).astype(float)
+            ref, *others = (fit_lifetimes(self.t, y, init, "exciton")
+                            for init in [initial_cascade_guess(self.t, y), *starts])
+            for fit in others:
+                for f in ("gamma_2x", "gamma_x", "irf_sigma", "amplitude", "offset"):
+                    gap = abs(getattr(fit.params, f) - getattr(ref.params, f))
+                    assert gap < 1e-3 * min(fit.uncertainties[f], ref.uncertainties[f])
 
     @pytest.mark.parametrize("seed", [12, 42, 1, 7])
     def test_zero_jacobian_is_ill_conditioned(self, seed):
-        # from equal rates and a far onset the fit runs off to |gamma| ~ 700 /ns,
-        # where the Jacobian is exactly 0
+        # a decay without a count has no lifetimes: the fit drives the amplitude
+        # to 0, where the model no longer depends on the other parameters; from
+        # the other tests' start, equal rates and a start the seed draws
         rng = np.random.default_rng(seed)
-        y = rng.poisson(np.maximum(cascade_model(self.t, TRUE, "exciton"), 0.0)).astype(float)
-        with pytest.raises(IllConditioned, match="rank-deficient"):
-            fit_lifetimes(self.t, y, CascadeParams(6.3, 6.3, 0.25375, 4899.0, 0.5075), "exciton")
+        drawn = CascadeParams(*rng.uniform([1.0, 1.0, 0.01, 1.0, 0.1], [20.0, 20.0, 0.5, 2e4, 2.0]))
+        for init in (CascadeParams(5.0, 3.0, 0.05, 9e3, 0.75),
+                     CascadeParams(6.3, 6.3, 0.25375, 4899.0, 0.5075), drawn):
+            for which in ("exciton", "biexciton"):
+                with pytest.raises(IllConditioned, match="rank-deficient"):
+                    fit_lifetimes(self.t, np.zeros_like(self.t), init, which)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_billion_counts_from_a_late_onset(self):
+        # the model floor scales with the counts, so c / mu stays finite in the
+        # bins before a late start's onset, where the model underflows
+        bright = CascadeParams(TRUE.gamma_2x, TRUE.gamma_x, TRUE.irf_sigma, 1e9, TRUE.offset)
+        y = np.random.default_rng(0).poisson(cascade_model(self.t, bright, "exciton"))
+        init = CascadeParams(5.0, 3.0, 0.05, 9e8, 3.0)
+        fit = fit_lifetimes(self.t, y.astype(float), init, "exciton")
+        assert 1e3 / fit.params.gamma_x == pytest.approx(294.0, rel=1e-3)
+
+    def test_negative_count_is_a_value_error(self):
+        y = cascade_model(self.t, TRUE, "exciton")
+        y[100] = -3.0
+        with pytest.raises(ValueError, match=">= 0"):
+            fit_lifetimes(self.t, y, CascadeParams(5.0, 3.0, 0.05, 9e3, 0.75), "exciton")
 
     def test_csv_round_trip(self, tmp_path):
         y = cascade_model(self.t, TRUE, "exciton")

@@ -210,6 +210,7 @@ BAD_DECAY_ROWS = {
     "one_column": "".join(f"{5 * k}\n" for k in range(60)),
     "nan_count": "".join(f"{5 * k},{k}\n" for k in range(60)) + "300,nan\n",
     "decreasing_times": "".join(f"{5 * k},{k}\n" for k in range(60, 0, -1)),
+    "negative_count": "".join(f"{5 * k},{k}\n" for k in range(60)) + "300,-3\n",
 }
 
 
@@ -220,6 +221,15 @@ def test_malformed_decay_is_a_data_error(tmp_path, capsys, rows):
     assert cli.main(["fit-lifetime", "--data", str(data), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "configuration error: data: " in err and "Traceback" not in err
+
+
+def test_decay_without_counts_is_a_convergence_failure(tmp_path, capsys):
+    # an all-zero decay has no lifetimes to fit: the Jacobian is rank-deficient
+    data = tmp_path / "decay.csv"
+    analysis.write_decay_csv(data, np.arange(0.0, 5.0, 0.005), np.zeros(1000))
+    assert cli.main(["fit-lifetime", "--data", str(data), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "convergence failure" in err and "Traceback" not in err
 
 
 def _write_decay(path, which, rng):

@@ -333,6 +333,8 @@ class TestSpectrum:
     def test_empty_detunings_rejected(self):
         with pytest.raises(ValueError, match="detunings"):
             spectrum(two_level_system(0.05), "sigma", [], [GaussianPulse(math.pi, 0.05)])
+        with pytest.raises(ValueError, match="pulses"):
+            spectrum(two_level_system(0.05), "sigma", [0.0], [])
 
     def test_exciton_line_sits_at_half_binding(self):
         system = build_biexciton(BiexcitonConfig(binding_energy=300.0),
@@ -364,13 +366,13 @@ class TestSpectrum:
         pulse = GaussianPulse(math.pi, 0.02)
         eps = SensorConfig(0.0, width).resolved_coupling(system.decay_scale)
         assert eps == 1e-3 * max(width, system.decay_scale)
-        shifted, (base,) = corr._filter_batch(
+        shifted = corr._filter_batch(
             system, observed, [SensorConfig(d, width, truncation=truncation) for d in dets],
             [pulse])
         for d, one in zip(dets, shifted):
             each = attach_sensor(system, observed, SensorConfig(d, width, eps, truncation))
             assert np.array_equal(one.h_static, each.h_static)
-            assert one.pulse is pulse and one.channels is base.channels
+            assert one.pulse is pulse and one.channels is shifted[0].channels
 
     @pytest.mark.parametrize("system, observed, center, width", [
         (two_level_system(0.05), "sigma", 0.0, 0.2),
@@ -381,7 +383,7 @@ class TestSpectrum:
         # center alone only its own
         sensors = [SensorConfig(d, width, truncation=1)
                    for d in center + np.linspace(-8.0, 8.0, 9)]
-        extended, _ = corr._filter_batch(system, observed, sensors, [system.pulse])
+        extended = corr._filter_batch(system, observed, sensors, [system.pulse])
         emit = extended[0].output_ops["sensor"]
         batch = dynamics.emission_integrals(extended, emit, times=(), pairs=False).n_integral
         alone = [dynamics.emission_integrals([one], emit, times=(), pairs=False).n_integral[0]
@@ -399,7 +401,7 @@ class TestSpectrum:
         # sensor at one photon instead of two moves the peak-normalized spectrum by < 1e-8
         centers = center + np.linspace(-40.0, 40.0, 161)
         one, two = (corr._filter_batch(system, observed, [SensorConfig(d, 0.2, truncation=n)
-                                                          for d in centers], [system.pulse])[0]
+                                                          for d in centers], [system.pulse])
                     for n in (1, 2))
         assert one[0].dimension * 3 == two[0].dimension * 2
         n_one, n_two = (dynamics.emission_integrals(b, b[0].output_ops["sensor"], times=(),
@@ -410,7 +412,7 @@ class TestSpectrum:
         # the centers of a figure spectrum differ only in the filter detuning, which
         # turns the sensor's coherences: every remainder entry joins the two
         # coordinates of one coherence pair
-        extended, _ = corr._filter_batch(
+        extended = corr._filter_batch(
             two_level_system(0.02), "sigma",
             [SensorConfig(d, 0.2, truncation=1) for d in np.linspace(-40.0, 40.0, 161)],
             [GaussianPulse(math.pi, 0.02)])
@@ -430,8 +432,7 @@ class TestSpectrum:
     def test_mirror_check(self, system, observed, symmetric):
         # a resonant drive maps the dynamics at -Delta onto those at Delta; a
         # detuned level, or the ladder's biexciton and exciton levels, breaks it
-        base = attach_sensor(system, observed, SensorConfig(0.0, 0.2, truncation=1))
-        assert corr._mirror_symmetric(base) is symmetric
+        assert corr._mirror_symmetric(system, observed) is symmetric
 
     @pytest.mark.parametrize("system, dets, stepped", [
         (two_level_system(0.05), np.linspace(-40.0, 40.0, 161), np.linspace(0.0, 40.0, 81)),
@@ -457,7 +458,7 @@ class TestSpectrum:
 
         monkeypatch.setattr(dynamics, "emission_integrals", spy)
         (res,) = spectrum(system, "sigma", dets, [system.pulse])
-        monkeypatch.setattr(corr, "_mirror_symmetric", lambda model: False)
+        monkeypatch.setattr(corr, "_mirror_symmetric", lambda system, observed: False)
         (full,) = spectrum(system, "sigma", dets, [system.pulse])
         assert batches[0] == list(stepped) and batches[1] == list(dets)
         assert np.max(np.abs(res.values - full.values)) <= 1e-14
@@ -609,14 +610,17 @@ class TestSweeps:
     def test_attaches_once_per_filter_shape(self, monkeypatch):
         # the pass builds its systems from one attach_sensor per distinct filter
         # shape: a spectrum attaches once for all its centers and pulse lengths, and
-        # a sweep once per width and coupling (eps and eps/2), at any pulse length
-        calls = []
-        attach = corr.attach_sensor
+        # copies it only for the 81 centers it steps at each pulse length; a sweep
+        # attaches once per width and coupling (eps and eps/2), at any pulse length
+        calls, copies = [], []
+        attach, copy_with = corr.attach_sensor, corr._copy_with
         monkeypatch.setattr(corr, "attach_sensor",
                             lambda *args: calls.append(args[2]) or attach(*args))
+        monkeypatch.setattr(corr, "_copy_with",
+                            lambda *args, **kw: copies.append(kw) or copy_with(*args, **kw))
         system = two_level_system(0.02)
         spectrum(system, "sigma", np.linspace(-40.0, 40.0, 161), _pulses((0.02, 0.2)))
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(copies) == 2 * 81
         widths = (0.1, 1.0, 20.0)
         for check, attaches in ((True, 2 * len(widths)), (False, len(widths))):
             calls.clear()
