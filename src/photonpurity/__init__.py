@@ -24,17 +24,12 @@ from .model import (
     BiexcitonConfig,
     EXCITON_V_ONLY,
     GaussianPulse,
-    HORIZONTAL,
-    ObservationVector,
-    PolarizationState,
     SensorConfig,
     SystemModel,
     TwoLevelConfig,
     attach_sensor,
     build_biexciton,
     build_two_level,
-    observation_operator,
-    project_polarization,
 )
 from .dynamics import (
     CorrelationGrid,

@@ -53,12 +53,14 @@ _THEORY = ("g2map", "spectrum", *_SWEEPS)
 _ALL = (*_THEORY, "hbt-sim", "analyze-histogram", "fit-lifetime")
 
 
-def _key(default, commands, key=None, flags=()):
+def _key(default, commands, key=None, flags=(), system=None):
     """A RunConfig field with its `default`, the `commands` that read it, its
-    config key (the field name when None; dotted inside a section) and its
-    command-line flags, (flag, add_argument keywords) pairs."""
+    config key (the field name when None; dotted inside a section), its
+    command-line flags, (flag, add_argument keywords) pairs, and the one
+    `system` on which they read it (None: either)."""
     value = {"default_factory": dict} if default == {} else {"default": default}
-    return field(**value, metadata={"commands": commands, "key": key, "flags": flags})
+    return field(**value, metadata={"commands": commands, "key": key, "flags": flags,
+                                    "system": system})
 
 
 @dataclass
@@ -68,8 +70,9 @@ class RunConfig:
 
     system: str | None = _key(None, _THEORY)
     gamma_sigma: float = _key(1.0, _THEORY)
-    detuning: float = _key(0.0, ("g2map", "spectrum", "sweep-pulse", "sweep-filter"))
-    binding_energy: float = _key(300.0, ("spectrum", *_SWEEPS))
+    detuning: float = _key(0.0, ("g2map", "spectrum", "sweep-pulse", "sweep-filter"),
+                           system="two_level")
+    binding_energy: float = _key(300.0, ("spectrum", *_SWEEPS), system="biexciton")
     pulse_area_pi: float = _key(1.0, _THEORY, "pulse.area_pi")
     pulse_length: float = _key(0.05, ("g2map",), "pulse.length")
     sensor_detuning: float | None = _key(None, ("spectrum", *_SWEEPS), "sensor.detuning")
@@ -179,10 +182,13 @@ _SECTIONS = {key.split(".")[0] for key in _KEYS if "." in key}
 _INTEGRATOR_KEYS = {f.name for f in fields(dynamics.IntegratorConfig)}
 
 
-def _reads(command):
-    """The RunConfig fields that `command` reads; every field for None."""
-    return [name for name, f in _FIELDS.items()
-            if command is None or command in f.metadata["commands"]]
+def _reads(command, system=None):
+    """The RunConfig fields that `command` reads on `system` (on either
+    system for None); every field for command None."""
+    def read(f):
+        only = f.metadata["system"]
+        return command in f.metadata["commands"] and (system is None or only in (None, system))
+    return [name for name, f in _FIELDS.items() if command is None or read(f)]
 
 
 def _kind(name):
@@ -237,8 +243,9 @@ def _set(cfg: RunConfig, key, name, value):
 
 def load_config(path=None, overrides=None, command=None) -> RunConfig:
     """RunConfig from a YAML file and overrides (by field name), with
-    `command`'s defaults.  A key that `command` does not read is a
-    ConfigError; with no command every key is read."""
+    `command`'s defaults.  A key that `command` does not read, on the
+    configured system too, is a ConfigError; with no command every key is
+    read."""
     cfg = RunConfig()
     data = {}
     if path is not None:
@@ -249,7 +256,7 @@ def load_config(path=None, overrides=None, command=None) -> RunConfig:
                 raise ConfigError(f"config: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("config: must be a mapping of keys to values")
-    reads = _reads(command)
+    reads, given = _reads(command), []
     for top, value in data.items():
         entries = [(top, value)]
         if top in _SECTIONS:
@@ -261,15 +268,21 @@ def load_config(path=None, overrides=None, command=None) -> RunConfig:
                 raise ConfigError(f"{key}: unknown configuration key for "
                                   f"{command or 'any command'}")
             _set(cfg, key, _KEYS[key], item)
+            given.append(key)
     for name, value in (overrides or {}).items():
         if value is not None:
             if _kind(name) in ("float", "int"):
                 _check_number(f"--{name}", value)
             setattr(cfg, name, value)
     try:
-        return cfg.resolve(command).validate()
+        cfg.resolve(command).validate()
     except TypeError as err:  # e.g. a string where a number belongs
         raise ConfigError(f"config: value of the wrong type ({err})") from err
+    reads = _reads(command, cfg.system)
+    for key in given:
+        if _KEYS[key] not in reads:
+            raise ConfigError(f"{key}: {command} does not read it on the {cfg.system} system")
+    return cfg
 
 
 def integrator_config(cfg: RunConfig) -> dynamics.IntegratorConfig:
@@ -303,19 +316,24 @@ def _outdir(cfg: RunConfig):
 
 def _metadata(cfg: RunConfig, command, extra=None):
     return {"tool": "photonpurity", "version": __version__, "command": command,
-            "config": {name: getattr(cfg, name) for name in _reads(command)}, **(extra or {})}
+            "config": {name: getattr(cfg, name) for name in _reads(command, cfg.system)},
+            **(extra or {})}
 
 
 def cmd_g2map(cfg: RunConfig):
     """Two-time correlation map of the bare two-level emission."""
     if cfg.system != "two_level":
         raise ConfigError("system: g2map expects the two_level system")
-    out = _outdir(cfg)
     system = _system(cfg, GaussianPulse(cfg.pulse_area_pi * math.pi, cfg.pulse_length))
     grid = correlations.map_grid(system)
     if cfg.grid_points:
-        grid = np.linspace(0.0, grid[-1], cfg.grid_points)
+        try:
+            grid = np.linspace(0.0, grid[-1], cfg.grid_points)
+        except (MemoryError, ValueError) as err:  # ValueError: more nodes than an array holds
+            raise ConfigError(f"grid_points: {cfg.grid_points} grid nodes cannot be "
+                              "allocated") from err
     cg = dynamics.two_time_g2_map(system, "sigma", grid, cfg=integrator_config(cfg))
+    out = _outdir(cfg)
     path = os.path.join(out, "g2map.csv")
     cg.to_csv(path)
     correlations.write_metadata(

@@ -12,8 +12,9 @@ computed with a weakly coupled sensor mode s (del Valle et al., PRL 109,
 Both integrals run over all times, with no grid and no horizon
 (dynamics.emission_integrals): one forward pass of the state, the
 single collapsed row X(t2) = int_0^t2 U(t2, t1) J rho(t1) dt1 and their time
-integrals covers the pulse window [0, t0 + 8 tau]; after it the generator is
-constant and every tail is a resolvent solve.  Error budget of g2:
+integrals covers the drive window [0, t0 + 8 tau], t0 = 4 tau the pulse
+peak; after it the generator is constant and every tail is a resolvent
+solve.  Error budget of g2:
 
 - integrator tolerance: rel_tol 1e-9 against 1e-11 moves it by < 1e-9 on
   the two-level emitter (at most 8.6e-11 measured for tau 0.02-0.2 and
@@ -131,8 +132,7 @@ def _slowest_rate(system: SystemModel) -> float:
 def horizon(system: SystemModel) -> float:
     """End of the g2map plot: pulse offset plus HORIZON_DECADES lifetimes of
     the slowest emitter decay."""
-    t0 = system.pulse.offset if system.pulse is not None else 0.0
-    return t0 + HORIZON_DECADES / _slowest_rate(system)
+    return system.pulse.offset + HORIZON_DECADES / _slowest_rate(system)
 
 
 def map_grid(system: SystemModel) -> np.ndarray:
@@ -142,8 +142,7 @@ def map_grid(system: SystemModel) -> np.ndarray:
     lifetime; the point count is clamped to keep maps affordable.
     """
     t_end = horizon(system)
-    tau = system.pulse.length if system.pulse is not None else 1.0
-    spacing = min(tau, 1.0 / _slowest_rate(system)) / 2.5
+    spacing = min(system.pulse.length, 1.0 / _slowest_rate(system)) / 2.5
     points = int(np.clip(math.ceil(t_end / spacing) + 1, GRID_MIN_POINTS, GRID_MAX_POINTS))
     return np.linspace(0.0, t_end, points)
 
@@ -200,8 +199,7 @@ def filtered_g2_batch(
             stats[i // len(sensors)].append(
                 _point_stats(res, i * len(halvings), eps, check_convergence))
         except (NotConverged, ZeroEmission) as err:
-            tau = {} if pulse is None else {"tau": pulse.length}
-            raise SweepPointError(err, bandwidth=sensor.bandwidth, **tau) from err
+            raise SweepPointError(err, bandwidth=sensor.bandwidth, tau=pulse.length) from err
     return stats
 
 
@@ -261,8 +259,8 @@ def _mirror_symmetric(system: SystemModel, observed) -> bool:
     walk over the non-zeros of h_static + h_drive, a real entry giving its
     two states opposite signs, any other the same; every condition is then
     checked exactly, so a model without such an S reads False."""
-    hams = [system.h_static] + ([] if system.h_drive is None else [system.h_drive])
-    h = sum(hams)
+    hams = [system.h_static, system.h_drive]
+    h = system.h_static + system.h_drive
     signs = np.zeros(system.dimension)
     for root in range(system.dimension):
         if signs[root]:

@@ -13,12 +13,12 @@ right-hand side, _Generator, is the lab-frame window superoperator of a
 whole batch of systems (all the filter centers or sweep points of a
 command, at every pulse length): one dense real matmul of the rows of each
 pulse length with a shared operator, plus what each system adds on its own
-non-zeros.  Each system runs on its pulse clock, so pulses of one area and
-offset / length share one drive envelope, window and cutoff.  The rows hold
-only the coordinates that the initial rows can reach, in the lab frame: a
-detuned line, such as the cascade's exciton line 150 gamma from the laser,
-turns the phase of its coherences there, and a filter detuning only adds to
-that turn.  Rows become complex vec(rho) only where values leave a pass.
+non-zeros.  Each system runs on its pulse clock, so pulses of one area
+share one drive envelope, window and cutoff.  The rows hold only the
+coordinates that the initial rows can reach, in the lab frame: a detuned
+line, such as the cascade's exciton line 150 gamma from the laser, turns
+the phase of its coherences there, and a filter detuning only adds to that
+turn.  Rows become complex vec(rho) only where values leave a pass.
 
 emission_integrals is the one pass entry (emission_series reads its
 `n_series`): it walks from the ground state or any Hermitian rho0 over the
@@ -57,8 +57,8 @@ class IntegratorConfig:
     Steps are accepted when DOP853's combined error estimate, from the RMS
     of its fifth- and third-order estimates scaled by abs_tol + rel_tol |y|
     (`_error_norm`), is at most 1.  At least MIN_STEPS_PER_PULSE steps are
-    forced across the pulse window [t0 - 4 tau, t0 + 4 tau] so narrow
-    pulses are never stepped over.
+    forced across the pulse window [0, 8 tau] so narrow pulses are never
+    stepped over.
     """
 
     rel_tol: float = 1e-9
@@ -328,10 +328,9 @@ class _Coordinates:
 
 class _Generator:
     """Lab-frame window superoperator of a batch of B systems that share the
-    pulse shape (area and offset / length), the drive operator and the
-    channel operators (rates, h_static and the pulse length may differ per
-    system), acting on real rows of the D coordinates that the initial rows
-    can reach.
+    pulse area, the drive operator and the channel operators (rates,
+    h_static and the pulse length may differ per system), acting on real
+    rows of the D coordinates that the initial rows can reach.
 
     The Lindblad generator preserves Hermiticity, so it is a real matrix in
     an orthonormal Hermitian operator basis (Gorini, Kossakowski & Sudarshan,
@@ -396,7 +395,7 @@ class _Generator:
             if not _same_drive_and_channels(first, sys_b):
                 raise BatchMismatch("batched systems must share the drive and the channel operators")
         self.pulse = first.pulse  # the drive envelope and window of every system
-        lengths = np.array([1.0 if s.pulse is None else s.pulse.length for s in systems])
+        lengths = np.array([s.pulse.length for s in systems])
         self.stretch = lengths / lengths[0]
         # the runs of systems of one pulse length, cut into chunks of one size
         starts = np.flatnonzero(np.r_[True, self.stretch[1:] != self.stretch[:-1]])
@@ -420,7 +419,7 @@ class _Generator:
         shared = [self._lab[0]]
         remainder = [self._lab[1]]
         drive = []
-        if first.h_drive is not None and self.pulse is not None and self.pulse.area > 0:
+        if self.pulse.area > 0:
             h_drive = np.asarray(first.h_drive, dtype=complex)[None]
             drive = [_kron(-1j * h_drive, eye), _kron(eye, 1j * h_drive)]
 
@@ -523,12 +522,10 @@ def _closure(start, pairs, rows, cols):
 
 
 def _same_drive_and_channels(a: SystemModel, b: SystemModel) -> bool:
-    """Do two systems share the pulse area and offset / length, the drive
-    operator and the channel operators (their rates and pulse lengths may
-    differ)?  A None drive or pulse matches only None."""
-    shapes = [p and (p.area, p.offset / p.length) for p in (a.pulse, b.pulse)]
+    """Do two systems share the pulse area, the drive operator and the
+    channel operators (their rates and pulse lengths may differ)?"""
     ops = [(a.h_drive, b.h_drive), *((p, q) for (p, _), (q, _) in zip(a.channels, b.channels))]
-    return shapes[0] == shapes[1] and len(a.channels) == len(b.channels) and all(
+    return a.pulse.area == b.pulse.area and len(a.channels) == len(b.channels) and all(
         p is q or np.array_equal(p, q) for p, q in ops)
 
 
@@ -566,17 +563,15 @@ def _walk(gen, y, t, stops, cfg):
     accepted point) and the state's magnitudes (for the next error norm)
     carry from step to step and from stop to stop.  A state sent back at a
     stop replaces the state there: the walk goes on from it with a new
-    first stage and the same step size.  Inside the pulse window
-    [t0 - 4 tau, t0 + 4 tau] a step spans at most 1 / MIN_STEPS_PER_PULSE of
-    it, and none steps into the window from before it."""
-    lo = hi = inside = np.inf  # no cap without a drive
-    if gen.pulse is not None and gen.pulse.area != 0:
-        lo = gen.pulse.offset - 4.0 * gen.pulse.length
-        hi = gen.pulse.offset + 4.0 * gen.pulse.length
-        inside = (hi - lo) / MIN_STEPS_PER_PULSE
+    first stage and the same step size.  Inside the pulse window [0, 8 tau]
+    of a driven batch a step spans at most 1 / MIN_STEPS_PER_PULSE of it."""
+    hi = inside = np.inf  # no cap without a drive
+    if gen.pulse.area != 0:
+        hi = 8.0 * gen.pulse.length
+        inside = hi / MIN_STEPS_PER_PULSE
 
     def cap(t):
-        return lo - t if t < lo - 1e-12 else inside if t < hi else np.inf
+        return inside if t < hi else np.inf
 
     k = np.empty((12, y.size))
     h = None
@@ -658,9 +653,7 @@ class EmissionIntegrals:
 
 def drive_cutoff(pulse) -> float:
     """t_c: DRIVE_CUTOFF pulse lengths past the pulse peak, where the Gaussian
-    amplitude has fallen below e^-32 of its peak; 0 without a pulse."""
-    if pulse is None:
-        return 0.0
+    amplitude has fallen below e^-32 of its peak."""
     return pulse.offset + DRIVE_CUTOFF * pulse.length
 
 
@@ -807,19 +800,14 @@ def _step_propagators(gen, times, cfg):
     return props
 
 
-def two_time_g2_map(
-    system: SystemModel,
-    emit,
-    t1_grid,
-    t2_grid=None,
-    cfg: IntegratorConfig | None = None,
-) -> CorrelationGrid:
+def two_time_g2_map(system: SystemModel, emit, grid,
+                    cfg: IntegratorConfig | None = None) -> CorrelationGrid:
     """Unnormalized two-time second-order correlation map of `emit`,
     W(t1, t2) = <T-[e^dag(t1) e^dag(t2)] T+[e(t2) e(t1)]>, for a system
-    started in the ground state at t = 0.
+    started in the ground state at t = 0, on `grid` along both axes.
 
-    `emit` is an output-op name or an operator matrix.  On the union of the
-    two grids (with t = 0 put in front when it starts later) the state is
+    `emit` is an output-op name or an operator matrix.  The grid starts at
+    t = 0 and does not decrease (ValueError otherwise).  The state is
     stepped node to node by the interval propagators P_k of
     `_step_propagators`; at node k the row J rho(t_k), J x = e x e^dag,
     joins the rows of earlier nodes, all rows step by P_k, and W(t_i, t_j)
@@ -837,16 +825,14 @@ def two_time_g2_map(
     if isinstance(emit, str):
         emit = system.output_ops[emit]
     emit = np.asarray(emit, dtype=complex)
-    t1_grid = np.asarray(t1_grid, dtype=float)
-    t2_grid = t1_grid if t2_grid is None else np.asarray(t2_grid, dtype=float)
-    union = np.union1d(t1_grid, t2_grid)
-    lead = int(union[0] > 0.0)
-    nodes = np.concatenate([[0.0], union]) if lead else union
+    grid = np.asarray(grid, dtype=float)
+    if len(grid) == 0 or grid[0] != 0.0 or np.any(np.diff(grid) < 0.0):
+        raise ValueError("the grid must start at t = 0 and not decrease")
     gen = _Generator([system])
     d = gen.dim
-    props = _step_propagators(gen, nodes, cfg or DEFAULT_INTEGRATOR)
+    props = _step_propagators(gen, grid, cfg or DEFAULT_INTEGRATOR)
 
-    n = len(nodes)
+    n = len(grid)
     rho = np.zeros((n, d * d), dtype=complex)
     rho[0, 0] = 1.0
     for k in range(n - 1):
@@ -860,7 +846,4 @@ def two_time_g2_map(
         w_map[:k + 1, k + 1] = (rows[:k + 1] @ nvec).real
     iu = np.triu_indices(n, k=1)
     w_map[iu[1], iu[0]] = w_map[iu]
-
-    i1 = np.searchsorted(union, t1_grid) + lead
-    i2 = np.searchsorted(union, t2_grid) + lead
-    return CorrelationGrid(t1=t1_grid, t2=t2_grid, values=w_map[np.ix_(i1, i2)])
+    return CorrelationGrid(t1=grid, t2=grid, values=w_map)

@@ -28,22 +28,24 @@ def fourlevel_system(tau=0.01, theta=np.pi):
 def hamiltonian(system, t):
     """Lab-frame Hamiltonian h_static + amplitude(t) h_drive of a model at time t."""
     h = np.array(system.h_static, dtype=complex)
-    if system.h_drive is not None and system.pulse is not None:
-        h = h + float(system.pulse.amplitude(t)) * system.h_drive
-    return h
+    return h + float(system.pulse.amplitude(t)) * system.h_drive
+
+
+# The basis state of each name, in the builders' basis orders: (ground, exciton)
+# of the two-level emitter, (cgs, X_H, X_V, 2X) of the cascade.
+BASIS = {"ground": 0, "exciton": 1, "cgs": 0, "exciton_h": 1, "exciton_v": 2, "biexciton": 3}
 
 
 def basis_projector(system, label):
     """|label><label| for one of the model's basis states."""
-    i = system.labels.index(label)
     rho = np.zeros((system.dimension, system.dimension), dtype=complex)
-    rho[i, i] = 1.0
+    rho[BASIS[label], BASIS[label]] = 1.0
     return rho
 
 
 def ground_state(system):
     """The density matrix of basis state 0, where the dynamics start."""
-    return basis_projector(system, system.labels[0])
+    return basis_projector(system, "ground")
 
 
 def delays_ps(hist):

@@ -131,47 +131,49 @@ def test_step_size_underflow_is_a_convergence_failure(tmp_path, capsys):
     assert "sweep point (tau=[0.05, 0.1]) failed: step size underflow" in err
 
 
-def test_sweep_filter_rerun_is_byte_identical(tmp_path):
-    text = "pulse_lengths: [0.02, 0.05]\nsweep: {min: 0.1, max: 10.0, points: 3}\n"
-    assert run(tmp_path, "sweep-filter", text) == 0
+# each command at a small config, reading the data file of _rerun_data, if any
+RERUNS = {
+    "g2map": "grid_points: 40\n",
+    "spectrum": "pulse_lengths: [0.02, 0.2]\ndetuning_span: 10.0\ndetuning_points: 9\n",
+    "sweep-pulse": "filter_widths: [1.0, 5.0]\nsweep: {min: 0.02, max: 0.05, points: 2}\n",
+    "sweep-filter": "pulse_lengths: [0.02, 0.05]\nsweep: {min: 0.1, max: 10.0, points: 3}\n",
+    "sweep-fourlevel": "pulse_lengths: [0.01]\nsweep: {min: 0.5, max: 1.0, points: 2}\n",
+    "hbt-sim": "seed: 11\nspan: 40.0\nstream: {n_pulses: 200000, p_single: 0.3, "
+               "p_double: 0.01, noise_rate: 100000.0, blinking: {frequencies: [1.0], "
+               "depth: 0.5}}\n",
+    "analyze-histogram": "",
+    "fit-lifetime": "",
+}
+
+
+def _rerun_data(tmp_path, command):
+    """The --data flag of `command`: a seeded draw of a histogram or a decay."""
+    data = tmp_path / "data.csv"
+    if command == "analyze-histogram":
+        delays = np.arange(-300, 301) * 100
+        counts = np.random.default_rng(3).poisson(5.0, len(delays))
+        rows = "".join(f"{d},{c}\n" for d, c in zip(delays, counts))
+        data.write_text("delay_ps,counts\n" + rows)
+    elif command == "fit-lifetime":
+        _write_decay(data, "exciton", np.random.default_rng(7))
+    else:
+        return []
+    return ["--data", str(data)]
+
+
+@pytest.mark.parametrize("command", RERUNS)
+def test_rerun_is_byte_identical(tmp_path, capsys, command):
+    # a command writes the data files it prints and one metadata JSON, and a
+    # rerun writes every one of them byte for byte again
+    data = _rerun_data(tmp_path, command)
+    assert run(tmp_path, command, RERUNS[command], *data) == 0
     out = tmp_path / "out"
     first = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert set(first) == {"sweep_filter_tau0.02.csv", "sweep_filter_tau0.05.csv",
-                          "sweep_filter_metadata.json"}
-    assert run(tmp_path, "sweep-filter", text) == 0
+    printed = {os.path.basename(path) for path in capsys.readouterr().out.split()}
+    metadata = {name for name in first if name.endswith("_metadata.json")}
+    assert len(metadata) == 1 and set(first) == printed | metadata and all(first.values())
+    assert run(tmp_path, command, RERUNS[command], *data) == 0
     assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == first
-
-
-def test_spectrum_rerun_is_byte_identical(tmp_path):
-    text = "pulse_lengths: [0.02, 0.2]\ndetuning_span: 10.0\ndetuning_points: 9\n"
-    assert run(tmp_path, "spectrum", text) == 0
-    out = tmp_path / "out"
-    first = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert set(first) == {"spectrum_tau0.02.csv", "spectrum_tau0.2.csv",
-                          "spectrum_metadata.json"}
-    assert run(tmp_path, "spectrum", text) == 0
-    assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == first
-
-
-def test_g2map_rerun_is_byte_identical(tmp_path):
-    assert run(tmp_path, "g2map", "grid_points: 40\n") == 0
-    out = tmp_path / "out"
-    first = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert set(first) == {"g2map.csv", "g2map_metadata.json"}
-    assert run(tmp_path, "g2map", "grid_points: 40\n") == 0
-    assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == first
-
-
-def test_hbt_rerun_is_byte_identical(tmp_path):
-    text = "seed: 11\nspan: 40.0\nstream: {n_pulses: 200000, p_single: 0.3, p_double: 0.01, " \
-           "noise_rate: 100000.0, blinking: {frequencies: [1.0], depth: 0.5}}\n"
-    names = ("hbt_histogram.csv", "hbt_peak_sums.csv", "hbt_estimate.json")
-    assert run(tmp_path, "hbt-sim", text) == 0
-    out = tmp_path / "out"
-    first = {name: (out / name).read_bytes() for name in names}
-    assert json.loads(first["hbt_estimate.json"])["center_sum"] > 0
-    assert run(tmp_path, "hbt-sim", text) == 0
-    assert {name: (out / name).read_bytes() for name in names} == first
 
 
 def test_hbt_peak_sums_match_the_row_loop(tmp_path):
@@ -259,12 +261,11 @@ def test_fit_lifetime_recovers_both_transitions(tmp_path):
         assert fit["chi2_reduced"] == pytest.approx(1.0, abs=0.15)
 
 
-@pytest.mark.parametrize("jobs", ["1"])
-def test_sweep_failure_names_the_point(tmp_path, capsys, jobs):
+def test_sweep_failure_names_the_point(tmp_path, capsys):
     # a strong coupling fails the eps-halving check; both pulse lengths are one pass
     text = "pulse_lengths: [0.05, 0.1]\nsweep: {min: 1.0, max: 2.0, points: 2}\n" \
            "sensor: {coupling: 0.3}\n"
-    assert run(tmp_path, "sweep-filter", text, "--jobs", jobs) == 3
+    assert run(tmp_path, "sweep-filter", text) == 3
     err = capsys.readouterr().err
     assert "sweep point (bandwidth=1, tau=0.05) failed: g2 not converged" in err
 
@@ -324,9 +325,24 @@ def test_metadata_records_the_subcommand(tmp_path, command, text, prefix):
     assert run(tmp_path, command, text) == 0
     meta = json.loads((tmp_path / "out" / f"{prefix}_metadata.json").read_text())
     assert meta["command"] == command
-    assert set(meta["config"]) == set(cli._reads(command))
-    assert meta["config"]["system"] == ("biexciton" if command == "sweep-fourlevel"
-                                        else "two_level")
+    system = "biexciton" if command == "sweep-fourlevel" else "two_level"
+    assert meta["config"]["system"] == system
+    assert set(meta["config"]) == set(cli._reads(command, system))
+    # each system's key is recorded only where its system runs
+    assert ("binding_energy" in meta["config"]) == (command == "sweep-fourlevel")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep-filter", "sweep-pulse"])
+@pytest.mark.parametrize("system, key", [("biexciton", "detuning: 5.0"),
+                                         ("two_level", "binding_energy: 100.0")],
+                         ids=["detuning_on_biexciton", "binding_energy_on_two_level"])
+def test_key_of_the_other_system_is_an_error(tmp_path, capsys, command, system, key):
+    # the command reads the key on the other system only: it would change nothing
+    assert run(tmp_path, command, f"system: {system}\n{key}\n") == 2
+    name = key.split(":")[0]
+    assert f"{name}: {command} does not read it on the {system} system" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # The config keys each command reads, and no others.
@@ -371,7 +387,10 @@ def test_key_or_flag_a_command_does_not_read_is_an_error(tmp_path, capsys, comma
     data = ["--data", str(tmp_path / "absent.csv")] if command in DATA_COMMANDS else []
     config = tmp_path / "run.yaml"
     for key in sorted(set().union(*READS.values()) | {"epsilon", "truncation", "jobs"}):
-        config.write_text(yaml.safe_dump(_config_value(key)))
+        entry = _config_value(key)
+        if key == "binding_energy" and key in READS[command]:  # read on the cascade only
+            entry["system"] = "biexciton"
+        config.write_text(yaml.safe_dump(entry))
         if key in READS[command]:
             cli.load_config(config, command=command)
             continue
@@ -437,6 +456,7 @@ def test_table_lists_the_fields_each_command_reads(tmp_path, monkeypatch):
             proxy.read = set()
             monkeypatch.setattr(cli, "_metadata", lambda _, *args: real(cfg, *args))
             cli._COMMANDS[command](proxy, **extra)
+            assert proxy.read == set(cli._reads(command, cfg.system)), (command, cfg.system)
             reads.setdefault(command, set()).update(proxy.read)
         assert reads[command] == set(cli._reads(command)), command
         assert {cli._FIELDS[name].metadata["key"] or name
@@ -625,6 +645,15 @@ def test_hbt_and_two_level_spectrum_run_without_scipy(tmp_path):
 def test_g2map_needs_two_grid_points(tmp_path, capsys, points):
     assert run(tmp_path, "g2map", f"grid_points: {points}\n") == 2
     assert "grid_points: must be an integer >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [10**19, 2**62], ids=["1e19", "2^62"])
+def test_g2map_unallocatable_grid_is_a_config_error(tmp_path, capsys, points):
+    # numpy refuses both sizes before it touches any memory
+    assert run(tmp_path, "g2map", f"grid_points: {points}\n") == 2
+    err = capsys.readouterr().err
+    assert f"grid_points: {points} grid nodes cannot be allocated" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def _files(root):

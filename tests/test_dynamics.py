@@ -240,18 +240,13 @@ class TestTwoTimeMap:
             for i, a in enumerate(t1) for j, b in enumerate(t2))
         assert path.read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("rows, cols", [(slice(10, None), slice(None, None, 2)),
-                                            (slice(10, None), slice(5, None, 3))],
-                             ids=["union_from_zero", "union_after_zero"])
-    def test_sub_grids_match_the_full_map(self, rows, cols):
-        # separate t1 and t2 grids, and a union that starts after t = 0 (the
-        # chain then starts from the ground state at 0), read the same map
+    @pytest.mark.parametrize("grid", [[0.5, 1.0, 2.0], [0.0, 1.0, 0.5], []],
+                             ids=["after_zero", "decreasing", "empty"])
+    def test_grid_must_start_at_zero_and_not_decrease(self, grid):
+        # the map's chain starts from the ground state at t = 0, its first node
         system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.1))
-        grid = np.linspace(0.0, 3.0, 61)
-        full = two_time_g2_map(system, "sigma", grid).values
-        sub = two_time_g2_map(system, "sigma", grid[rows], grid[cols])
-        assert sub.values.shape == (len(grid[rows]), len(grid[cols]))
-        assert np.max(np.abs(sub.values - full[rows, cols])) < 1e-9 * np.max(full)
+        with pytest.raises(ValueError, match="must start at t = 0 and not decrease"):
+            two_time_g2_map(system, "sigma", grid)
 
 
 class TestEmissionSeries:
@@ -556,15 +551,12 @@ class TestBatch:
             replace(system, channels=((2.0 * sigma, rate),)),
             replace(system, channels=((sigma, rate), (EXCITED, 0.1))),
             replace(system, pulse=GaussianPulse(0.5 * math.pi, 0.05)),
-            replace(system, pulse=GaussianPulse(math.pi, 0.05, offset=0.3)),
-            replace(system, pulse=None),
             replace(system, h_drive=2.0 * system.h_drive),
-            replace(system, h_drive=None),
         ]
         for other in others:
             with pytest.raises(BatchMismatch):
                 emission_integrals([system, other], sigma, times=())
-        # rates may differ, and so may the pulse length at the same area and offset / length
+        # rates may differ, and so may the pulse length at the same area
         slower = replace(system, channels=((sigma, 0.5 * rate),))
         assert emission_integrals([system, slower], sigma, times=()).n_integral[1] > 0
         longer = replace(system, pulse=GaussianPulse(math.pi, 0.1))
