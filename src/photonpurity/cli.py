@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 bad configuration, 3 convergence failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -53,13 +54,13 @@ _THEORY = ("g2map", "spectrum", *_SWEEPS)
 _ALL = (*_THEORY, "hbt-sim", "analyze-histogram", "fit-lifetime")
 
 
-def _key(default, commands, key=None, flags=(), system=None):
+def _key(default, commands, key=None, flag=None, system=None):
     """A RunConfig field with its `default`, the `commands` that read it, its
-    config key (the field name when None; dotted inside a section), its
-    command-line flags, (flag, add_argument keywords) pairs, and the one
-    `system` on which they read it (None: either)."""
+    config key (the field name when None; dotted inside a section), its one
+    command-line flag, a (flag, add_argument keywords) pair or None, and the
+    one `system` on which they read it (None: either)."""
     value = {"default_factory": dict} if default == {} else {"default": default}
-    return field(**value, metadata={"commands": commands, "key": key, "flags": flags,
+    return field(**value, metadata={"commands": commands, "key": key, "flag": flag,
                                     "system": system})
 
 
@@ -69,16 +70,13 @@ class RunConfig:
     it; a command's metadata JSON records those fields and no others."""
 
     system: str | None = _key(None, _THEORY)
-    gamma_sigma: float = _key(1.0, _THEORY)
     detuning: float = _key(0.0, ("g2map", "spectrum", "sweep-pulse", "sweep-filter"),
                            system="two_level")
     binding_energy: float = _key(300.0, ("spectrum", *_SWEEPS), system="biexciton")
     pulse_area_pi: float = _key(1.0, _THEORY, "pulse.area_pi")
     pulse_length: float = _key(0.05, ("g2map",), "pulse.length")
     sensor_detuning: float | None = _key(None, ("spectrum", *_SWEEPS), "sensor.detuning")
-    epsilon: float | None = _key(None, _SWEEPS, "sensor.coupling", (
-        ("--epsilon", {"type": float, "help": "sensor coupling override"}),))
-    truncation: int = _key(2, _SWEEPS, "sensor.truncation")
+    epsilon: float | None = _key(None, _SWEEPS, "sensor.coupling")
     # sweep_min, sweep_max, sweep_points and pulse_lengths left None take
     # the command's defaults (resolve)
     sweep_min: float | None = _key(None, _SWEEPS, "sweep.min")
@@ -91,19 +89,17 @@ class RunConfig:
     detuning_span: float = _key(40.0, ("spectrum",))
     detuning_points: int = _key(161, ("spectrum",))
     grid_points: int | None = _key(None, ("g2map",))
-    integrator: dict = _key({}, _THEORY)
-    check_convergence: bool = _key(True, _SWEEPS, flags=(
-        ("--check-convergence", {"action": "store_true", "default": None}),
-        ("--no-check-convergence", {"action": "store_false", "default": None})))
+    rel_tol: float = _key(dynamics.DEFAULT_INTEGRATOR.rel_tol, _THEORY, "integrator.rel_tol")
+    abs_tol: float = _key(dynamics.DEFAULT_INTEGRATOR.abs_tol, _THEORY, "integrator.abs_tol")
     stream: dict = _key({}, ("hbt-sim",))
     rep_period: float = _key(13.1, ("analyze-histogram",))
     window: float = _key(6.5, ("hbt-sim", "analyze-histogram"))
     bin_width: int = _key(5, ("hbt-sim",))
     span: float = _key(30.0, ("hbt-sim",))
     excluded_peaks: tuple = _key((), ("hbt-sim", "analyze-histogram"))
-    seed: int = _key(2024, ("hbt-sim",), flags=(("--seed", {"type": int, "help": "random seed"}),))
-    out: str | None = _key(None, _ALL, flags=(
-        ("--out", {"help": f"output directory (default ${ENV_OUTDIR} or ./out)"}),))
+    seed: int = _key(2024, ("hbt-sim",), flag=("--seed", {"type": int, "help": "random seed"}))
+    out: str | None = _key(None, _ALL, flag=(
+        "--out", {"help": f"output directory (default ${ENV_OUTDIR} or ./out)"}))
 
     def resolve(self, command=None):
         """Fill the fields left None with `command`'s defaults."""
@@ -116,11 +112,11 @@ class RunConfig:
     def validate(self):
         checks = [
             (self.system in ("two_level", "biexciton"), "system", "must be two_level or biexciton"),
-            (self.gamma_sigma > 0, "gamma_sigma", "must be > 0"),
             (self.pulse_length > 0, "pulse.length", "must be > 0"),
             (self.pulse_area_pi >= 0, "pulse.area_pi", "must be >= 0"),
             (self.epsilon is None or self.epsilon > 0, "sensor.coupling", "must be > 0"),
-            (self.truncation >= 2, "sensor.truncation", "must be >= 2"),
+            (self.rel_tol > 0, "integrator.rel_tol", "must be > 0"),
+            (self.abs_tol > 0, "integrator.abs_tol", "must be > 0"),
             (_integer_at_least(self.sweep_points, 2), "sweep.points", "must be an integer >= 2"),
             (self.grid_points is None or _integer_at_least(self.grid_points, 2),
              "grid_points", "must be an integer >= 2"),
@@ -141,8 +137,6 @@ class RunConfig:
             (isinstance(self.excluded_peaks, (tuple, list)), "excluded_peaks",
              "must be a list of numbers"),
             (_integer_at_least(self.seed, 0), "seed", "must be an integer >= 0"),
-            (isinstance(self.check_convergence, bool), "check_convergence",
-             "must be true or false"),
             (self.out is None or isinstance(self.out, str), "out", "must be a string"),
         ]
         for ok, path, msg in checks:
@@ -179,7 +173,6 @@ _COMMAND_DEFAULTS = {
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 _KEYS = {f.metadata["key"] or name: name for name, f in _FIELDS.items()}  # config key: field
 _SECTIONS = {key.split(".")[0] for key in _KEYS if "." in key}
-_INTEGRATOR_KEYS = {f.name for f in fields(dynamics.IntegratorConfig)}
 
 
 def _reads(command, system=None):
@@ -226,10 +219,6 @@ def _set(cfg: RunConfig, key, name, value):
     if kind == "dict":
         if not isinstance(value, dict):
             raise ConfigError(f"{key}: must be a mapping, got {value!r}")
-        for sub, item in value.items() if key == "integrator" else ():
-            if sub not in _INTEGRATOR_KEYS:
-                raise ConfigError(f"integrator.{sub}: unknown configuration key")
-            _check_number(f"integrator.{sub}", item)
         value = dict(value)
     elif key == "sweep.scale":
         if value not in ("log", "linear"):
@@ -270,10 +259,7 @@ def load_config(path=None, overrides=None, command=None) -> RunConfig:
             _set(cfg, key, _KEYS[key], item)
             given.append(key)
     for name, value in (overrides or {}).items():
-        if value is not None:
-            if _kind(name) in ("float", "int"):
-                _check_number(f"--{name}", value)
-            setattr(cfg, name, value)
+        setattr(cfg, name, value)
     try:
         cfg.resolve(command).validate()
     except TypeError as err:  # e.g. a string where a number belongs
@@ -285,17 +271,10 @@ def load_config(path=None, overrides=None, command=None) -> RunConfig:
     return cfg
 
 
-def integrator_config(cfg: RunConfig) -> dynamics.IntegratorConfig:
-    try:
-        return dynamics.IntegratorConfig(**cfg.integrator)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"integrator: {err}") from err
-
-
 def _system(cfg: RunConfig, pulse: GaussianPulse):
     if cfg.system == "two_level":
-        return build_two_level(TwoLevelConfig(cfg.gamma_sigma, cfg.detuning), pulse)
-    return build_biexciton(BiexcitonConfig(cfg.gamma_sigma, cfg.binding_energy), pulse)
+        return build_two_level(TwoLevelConfig(detuning=cfg.detuning), pulse)
+    return build_biexciton(BiexcitonConfig(binding_energy=cfg.binding_energy), pulse)
 
 
 def _observed(cfg: RunConfig):
@@ -332,7 +311,8 @@ def cmd_g2map(cfg: RunConfig):
         except (MemoryError, ValueError) as err:  # ValueError: more nodes than an array holds
             raise ConfigError(f"grid_points: {cfg.grid_points} grid nodes cannot be "
                               "allocated") from err
-    cg = dynamics.two_time_g2_map(system, "sigma", grid, cfg=integrator_config(cfg))
+    cg = dynamics.two_time_g2_map(system, "sigma", grid,
+                                  dynamics.IntegratorConfig(cfg.rel_tol, cfg.abs_tol))
     out = _outdir(cfg)
     path = os.path.join(out, "g2map.csv")
     cg.to_csv(path)
@@ -345,12 +325,13 @@ def cmd_g2map(cfg: RunConfig):
 
 def cmd_spectrum(cfg: RunConfig):
     """Spectral profiles for the configured pulse lengths."""
-    out = _outdir(cfg)
     center = _default_sensor_detuning(cfg)
     detunings = center + np.linspace(-cfg.detuning_span, cfg.detuning_span, cfg.detuning_points)
     pulses = [GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)) for tau in cfg.pulse_lengths]
     curves = correlations.spectrum(_system(cfg, pulses[0]), _observed(cfg), detunings, pulses,
-                                   cfg.spec_bandwidth, integrator_config(cfg))
+                                   cfg.spec_bandwidth,
+                                   dynamics.IntegratorConfig(cfg.rel_tol, cfg.abs_tol))
+    out = _outdir(cfg)
     paths = [os.path.join(out, f"spectrum_tau{tau:g}.csv") for tau in cfg.pulse_lengths]
     for path, res in zip(paths, curves):
         correlations.write_spectrum_csv(path, res)
@@ -365,26 +346,25 @@ def _run_sweep(cfg: RunConfig, command):
     """A filtered-g2 sweep, one filtered_g2_batch over every pulse length
     and filter width: the sweep axis is the filter width (one curve per
     pulse length, the batch's rows) or, for sweep-pulse, the pulse length
-    (one curve per filter width, its columns).  The pass is sampled only at
-    the drive cutoff: a point's `base_report` is that of its state at its
-    own t_c.  The files are named after the subcommand `command` with "_"
-    for "-"."""
-    out = _outdir(cfg)
+    (one curve per filter width, its columns).  The files hold g2 alone,
+    so the pass samples no state (an empty grid).  The files are named after
+    the subcommand `command` with "_" for "-"."""
     axis = (np.geomspace if cfg.sweep_log else np.linspace)(cfg.sweep_min, cfg.sweep_max,
                                                             cfg.sweep_points)
     prefix = command.replace("-", "_")
     sweep_pulse = command == "sweep-pulse"
     taus, widths = (axis, cfg.filter_widths) if sweep_pulse else (cfg.pulse_lengths, axis)
     pulses = [GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)) for tau in taus]
-    sensors = [SensorConfig(_default_sensor_detuning(cfg), float(w), cfg.epsilon, cfg.truncation)
+    sensors = [SensorConfig(_default_sensor_detuning(cfg), float(w), cfg.epsilon)
                for w in widths]
     grid = correlations.filtered_g2_batch(
-        _system(cfg, pulses[0]), sensors, pulses, integrator_config(cfg), _observed(cfg),
-        cfg.check_convergence, grid=(dynamics.drive_cutoff(pulses[0]),))
+        _system(cfg, pulses[0]), sensors, pulses,
+        dynamics.IntegratorConfig(cfg.rel_tol, cfg.abs_tol), _observed(cfg), grid=())
     if sweep_pulse:
         curves = {f"gamma{float(w):g}": [row[j] for row in grid] for j, w in enumerate(widths)}
     else:
         curves = {f"tau{float(tau):g}": row for tau, row in zip(taus, grid)}
+    out = _outdir(cfg)
     paths = [os.path.join(out, f"{prefix}_{key}.csv") for key in curves]
     for path, stats in zip(paths, curves.values()):
         correlations.write_sweep_csv(path, axis, stats)
@@ -461,7 +441,6 @@ def cmd_hbt(cfg: RunConfig):
     """Synthesize a photon stream, correlate it and estimate g2."""
     stream_cfg = _stream_config(cfg)
     _check_window(stream_cfg.rep_period, cfg.window, cfg.span, "span", cfg.bin_width)
-    out = _outdir(cfg)
     clicks1, clicks2 = photostream.synthesize_stream(stream_cfg, cfg.seed)
     try:
         hist = photostream.correlate(clicks1, clicks2, cfg.bin_width, cfg.span)
@@ -469,12 +448,13 @@ def cmd_hbt(cfg: RunConfig):
         raise ConfigError(str(err)) from err
     n_clicks = [int(len(clicks1)), int(len(clicks2))]
     del clicks1, clicks2  # not held while the histogram is written
+    estimate = _estimate(hist, stream_cfg.rep_period, cfg)
+    ks, sums = photostream.peak_sums(hist, stream_cfg.rep_period, cfg.window)
+    out = _outdir(cfg)
     hist_path = os.path.join(out, "hbt_histogram.csv")
     hist.to_csv(hist_path)
-    estimate = _estimate(hist, stream_cfg.rep_period, cfg)
     est_path = os.path.join(out, "hbt_estimate.json")
     estimate.to_json(est_path)
-    ks, sums = photostream.peak_sums(hist, stream_cfg.rep_period, cfg.window)
     sums_path = os.path.join(out, "hbt_peak_sums.csv")
     photostream._write_int_csv(sums_path, "peak_index,summed_counts", ks, sums)
     correlations.write_metadata(
@@ -495,12 +475,12 @@ def cmd_analyze_histogram(cfg: RunConfig, data):
     except photostream.MalformedHistogram as err:
         raise ConfigError(f"data: {err}") from err
     _check_window(cfg.rep_period, cfg.window, hist.span, "data: histogram span", hist.bin_width)
-    out = _outdir(cfg)
     estimate = _estimate(hist, cfg.rep_period, cfg)
-    est_path = os.path.join(out, "histogram_estimate.json")
-    estimate.to_json(est_path)
     ks, sums = photostream.peak_sums(hist, cfg.rep_period, cfg.window)
     freqs, amp = photostream.peak_sum_spectrum(ks, sums, cfg.rep_period)
+    out = _outdir(cfg)
+    est_path = os.path.join(out, "histogram_estimate.json")
+    estimate.to_json(est_path)
     spec_path = os.path.join(out, "peak_sum_spectrum.csv")
     with open(spec_path, "w") as fh:
         fh.write("frequency_mhz,amplitude\n")
@@ -519,9 +499,9 @@ def cmd_fit_lifetime(cfg: RunConfig, data, which):
         times, counts = analysis.read_decay_csv(data)
     except analysis.MalformedDecay as err:
         raise ConfigError(f"data: {err}") from err
-    out = _outdir(cfg)
     init = analysis.initial_cascade_guess(times, counts, which)
     result = analysis.fit_lifetimes(times, counts, init, which)
+    out = _outdir(cfg)
     fit_path = os.path.join(out, "lifetime_fit.json")
     result.to_json(fit_path)
     correlations.write_metadata(
@@ -531,6 +511,7 @@ def cmd_fit_lifetime(cfg: RunConfig, data, which):
     return [fit_path]
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="photonpurity",
@@ -544,9 +525,9 @@ def build_parser():
         # perfbench/workloads.py passes --jobs to every command
         p.add_argument("--jobs", type=int, help="ignored: every command runs in one process")
         for name, f in _FIELDS.items():
-            if command in f.metadata["commands"]:
-                for flag, options in f.metadata["flags"]:
-                    p.add_argument(flag, dest=name, **options)
+            if command in f.metadata["commands"] and f.metadata["flag"]:
+                flag, options = f.metadata["flag"]
+                p.add_argument(flag, dest=name, **options)
     for p in (sub.choices["analyze-histogram"], sub.choices["fit-lifetime"]):
         p.add_argument("--data", required=True)
     sub.choices["fit-lifetime"].add_argument(

@@ -29,9 +29,10 @@ solve.  Error budget of g2:
   figure-default sweeps by < 3e-4 relative (2.94e-4 measured on
   sweep-filter at tau 0.02, Gamma = 100; 5.9e-5 on sweep-pulse and 6.0e-5
   on sweep-fourlevel);
-- sensor truncation: 2 against 3 photons, < 1e-8 at Gamma = 1 (6.5e-10
-  and 7.7e-9 measured at tau 0.05 and 0.2) and < 3e-8 over Gamma
-  0.05-100 (2.2e-8 at tau 0.2); 3e-12 on the exciton line.
+- sensor truncation: the sweeps cut the sensor at 2 photons, the fewest a
+  pair needs; a cut at 3 moves g2 by < 1e-8 at Gamma = 1 (6.5e-10 and
+  7.7e-9 measured at tau 0.05 and 0.2) and < 3e-8 over Gamma 0.05-100
+  (2.2e-8 at tau 0.2); 3e-12 on the exciton line.
 
 A spectrum reads only the sensor population, a one-photon quantity, so its
 sensor is cut at one photon: against two, the peak-normalized figure
@@ -67,7 +68,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import IntegratorConfig, PhysicalityReport
-from .model import SensorConfig, SystemModel, _resolve_observed, attach_sensor
+from .model import SensorConfig, SystemModel, attach_sensor
 
 ZERO_EMISSION_FLOOR = 1e-12
 EPSILON_CONVERGENCE = 5e-3
@@ -252,7 +253,7 @@ def filtered_g2_zero(
 def _mirror_symmetric(system: SystemModel, observed) -> bool:
     """Whether a diagonal sign matrix S (entries +-1) gives S conj(H) S = -H
     for h_static and h_drive of the bare emitter `system`, and S conj(L) S =
-    +-L for every channel L and the resolved `observed` O (spectrum says why
+    +-L for every channel L and the output op `observed` O (spectrum says why
     that makes its spectrum mirror symmetric).  S (x) (+-1)^n then does the
     same for the sensor attached at detuning 0, the sign per photon chosen
     so that the coupling O a^dag + h.c. turns sign.  The signs come from a
@@ -277,7 +278,7 @@ def _mirror_symmetric(system: SystemModel, observed) -> bool:
     def mirror(op):
         return signs[:, None] * op.conj() * signs
 
-    ops = [op for op, _ in system.channels] + [_resolve_observed(system, observed)]
+    ops = [op for op, _ in system.channels] + [system.output_ops[observed]]
     return (all(np.array_equal(mirror(ham), -ham) for ham in hams)
             and all(np.array_equal(mirror(op), op) or np.array_equal(mirror(op), -op)
                     for op in ops))
@@ -381,13 +382,5 @@ def write_spectrum_csv(path, result: SweepResult):
 def write_metadata(path, metadata: dict):
     """JSON sidecar recording everything needed to reproduce a run."""
     with open(path, "w") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")

@@ -800,15 +800,15 @@ def _step_propagators(gen, times, cfg):
     return props
 
 
-def two_time_g2_map(system: SystemModel, emit, grid,
+def two_time_g2_map(system: SystemModel, emit: str, grid,
                     cfg: IntegratorConfig | None = None) -> CorrelationGrid:
-    """Unnormalized two-time second-order correlation map of `emit`,
-    W(t1, t2) = <T-[e^dag(t1) e^dag(t2)] T+[e(t2) e(t1)]>, for a system
-    started in the ground state at t = 0, on `grid` along both axes.
+    """Unnormalized two-time second-order correlation map of the output op
+    e named `emit`, W(t1, t2) = <T-[e^dag(t1) e^dag(t2)] T+[e(t2) e(t1)]>,
+    for a system started in the ground state at t = 0, on `grid` along both
+    axes.
 
-    `emit` is an output-op name or an operator matrix.  The grid starts at
-    t = 0 and does not decrease (ValueError otherwise).  The state is
-    stepped node to node by the interval propagators P_k of
+    The grid starts at t = 0 and does not decrease (ValueError otherwise).
+    The state is stepped node to node by the interval propagators P_k of
     `_step_propagators`; at node k the row J rho(t_k), J x = e x e^dag,
     joins the rows of earlier nodes, all rows step by P_k, and W(t_i, t_j)
     for t_i <= t_j is <N|row i> at node j with N = e^dag e.  Values for
@@ -822,9 +822,7 @@ def two_time_g2_map(system: SystemModel, emit, grid,
     their maximum of a rel_tol 1e-12, abs_tol 1e-16 run (7.2e-12, 7.5e-12
     and 8.3e-12 measured).
     """
-    if isinstance(emit, str):
-        emit = system.output_ops[emit]
-    emit = np.asarray(emit, dtype=complex)
+    emit = system.output_ops[emit]
     grid = np.asarray(grid, dtype=float)
     if len(grid) == 0 or grid[0] != 0.0 or np.any(np.diff(grid) < 0.0):
         raise ValueError("the grid must start at t = 0 and not decrease")

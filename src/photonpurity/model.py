@@ -82,11 +82,12 @@ class SensorConfig:
 
     `detuning` is the filter center relative to the laser, `bandwidth` the
     Lorentzian filter width, `coupling` the probe strength (None picks
-    1e-3 * max(bandwidth, gamma_sigma), which keeps the sensor occupation at a
-    bandwidth-independent, numerically safe scale).  `truncation` is the
+    1e-3 * max(bandwidth, decay_scale), which keeps the sensor occupation at
+    a bandwidth-independent, numerically safe scale).  `truncation` is the
     photon-number cutoff, at least 1: an N-photon correlation needs N (del
-    Valle et al., PRL 109, 183601 (2012)), so a spectrum needs 1 and the
-    two-photon statistics 2 (filtered_g2_batch raises ValueError below).
+    Valle et al., PRL 109, 183601 (2012)), so a spectrum is cut at 1 and the
+    two-photon statistics at 2 (filtered_g2_batch raises ValueError below);
+    a higher cutoff serves the truncation line of the error budget.
     """
 
     detuning: float = 0.0
@@ -205,22 +206,16 @@ def build_biexciton(config: BiexcitonConfig, pulse: GaussianPulse) -> SystemMode
     )
 
 
-def _resolve_observed(system: SystemModel, observed) -> np.ndarray:
-    if isinstance(observed, str):
-        return np.asarray(system.output_ops[observed], dtype=complex)
-    return np.asarray(observed, dtype=complex)
-
-
-def attach_sensor(system: SystemModel, observed, sensor: SensorConfig) -> SystemModel:
+def attach_sensor(system: SystemModel, observed: str, sensor: SensorConfig) -> SystemModel:
     """Tensor a truncated bosonic sensor mode onto `system`, basis order
     (emitter state, sensor photons) with the photon number fastest.
 
-    `observed` is an output-op name or an explicit operator matrix.  Adds
+    The sensor couples to the output op named `observed`.  Adds
     detuning * n_sensor and the weak exchange coupling to the Hamiltonian and
     one decay channel (annihilator, bandwidth).  The sensor annihilator is
     exposed as output op "sensor".
     """
-    obs_op = _resolve_observed(system, observed)
+    obs_op = system.output_ops[observed]
     eps = sensor.resolved_coupling(system.decay_scale)
 
     ns = sensor.truncation + 1

@@ -58,12 +58,6 @@ def test_malformed_blinking_is_a_config_error(tmp_path, blinking):
     assert run(tmp_path, "hbt-sim", f"stream: {{n_pulses: 1000, blinking: {blinking}}}\n") == 2
 
 
-def test_one_photon_sensor_is_a_config_error(tmp_path, capsys):
-    # sensor.truncation only feeds sweeps, whose pairs need two sensor photons
-    assert run(tmp_path, "sweep-filter", "sensor: {truncation: 1}\n") == 2
-    assert "sensor.truncation: must be >= 2" in capsys.readouterr().err
-
-
 def test_hbt_span_must_cover_side_peaks(tmp_path, capsys):
     assert run(tmp_path, "hbt-sim", "span: 10.0\nstream: {n_pulses: 1000}\n") == 2
     assert "rep_period + window / 2" in capsys.readouterr().err
@@ -74,6 +68,7 @@ def test_hbt_unallocatable_span_is_a_config_error(tmp_path, capsys):
     assert run(tmp_path, "hbt-sim", "span: 1.0e+12\nstream: {n_pulses: 1000}\n") == 2
     assert "span 1e+12 ns at bin_width 5 ps needs 400000000000001 histogram bins" \
         in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_hbt_window_wider_than_stream_period(tmp_path):
@@ -118,6 +113,7 @@ def test_empty_side_peaks_is_an_estimation_failure(tmp_path, capsys):
     text = "stream: {n_pulses: 1000, p_single: 0.0}\n"
     assert run(tmp_path, "hbt-sim", text) == 3
     assert "empty side peaks" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_step_size_underflow_is_a_convergence_failure(tmp_path, capsys):
@@ -232,6 +228,7 @@ def test_decay_without_counts_is_a_convergence_failure(tmp_path, capsys):
     assert cli.main(["fit-lifetime", "--data", str(data), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "convergence failure" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _write_decay(path, which, rng):
@@ -268,6 +265,21 @@ def test_sweep_failure_names_the_point(tmp_path, capsys):
     assert run(tmp_path, "sweep-filter", text) == 3
     err = capsys.readouterr().err
     assert "sweep point (bandwidth=1, tau=0.05) failed: g2 not converged" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_epsilon_check_is_mended_by_a_smaller_coupling(tmp_path, capsys):
+    # filters this wide fail the check at the default coupling 1e-3 Gamma (a move
+    # of 8.2e-3 at Gamma = 3000); sensor.coupling 0.3 passes it
+    text = "pulse_lengths: [0.05]\nsweep: {min: 1000.0, max: 3000.0, points: 2}\n"
+    assert run(tmp_path, "sweep-filter", text) == 3
+    assert "sweep point (bandwidth=3000, tau=0.05) failed: g2 not converged" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert run(tmp_path, "sweep-filter", text + "sensor: {coupling: 0.3}\n") == 0
+    g2 = np.loadtxt(tmp_path / "out" / "sweep_filter_tau0.05.csv", delimiter=",", skiprows=1,
+                    usecols=1)
+    assert g2 == pytest.approx([0.03359135, 0.0336171], rel=1e-6)
 
 
 def _sweep_written(out, prefix):
@@ -346,10 +358,9 @@ def test_key_of_the_other_system_is_an_error(tmp_path, capsys, command, system, 
 
 
 # The config keys each command reads, and no others.
-_MODEL = {"system", "gamma_sigma", "pulse.area_pi", "integrator", "out"}
+_MODEL = {"system", "pulse.area_pi", "integrator.rel_tol", "integrator.abs_tol", "out"}
 _CENTER = {"binding_energy", "sensor.detuning"}
-_SWEEP = {"sensor.coupling", "sensor.truncation", "sweep.min", "sweep.max", "sweep.points",
-          "sweep.scale", "check_convergence"}
+_SWEEP = {"sensor.coupling", "sweep.min", "sweep.max", "sweep.points", "sweep.scale"}
 READS = {
     "g2map": _MODEL | {"detuning", "pulse.length", "grid_points"},
     "spectrum": _MODEL | _CENTER | {"detuning", "pulse_lengths", "spec_bandwidth",
@@ -363,13 +374,11 @@ READS = {
 }
 DATA_COMMANDS = ("analyze-histogram", "fit-lifetime")
 # the flags beside --config, --out and the two data commands' --data and --which
-FLAGS = {"--seed": (["1"], {"hbt-sim"}), "--epsilon": (["0.001"], set(SWEEPS)),
-         "--check-convergence": ([], set(SWEEPS)), "--no-check-convergence": ([], set(SWEEPS))}
+FLAGS = {"--seed": (["1"], {"hbt-sim"})}
 
 
 # a valid value of each key: these, [2] for a list and 2 for any other
-VALUES = {"system": None, "out": None, "check_convergence": True, "sweep.scale": "log",
-          "sweep.min": 0.5, "integrator": {}, "stream": {}}
+VALUES = {"system": None, "out": None, "sweep.scale": "log", "sweep.min": 0.5, "stream": {}}
 LISTS = {"pulse_lengths", "filter_widths", "excluded_peaks"}
 
 
@@ -382,8 +391,8 @@ def _config_value(key):
 
 @pytest.mark.parametrize("command", READS)
 def test_key_or_flag_a_command_does_not_read_is_an_error(tmp_path, capsys, command):
-    # the top-level epsilon and truncation are gone: sensor.coupling and
-    # sensor.truncation name them; no command reads jobs
+    # the top-level epsilon and truncation are gone (sensor.coupling names the
+    # coupling; a sweep's sensor holds 2 photons); no command reads jobs
     data = ["--data", str(tmp_path / "absent.csv")] if command in DATA_COMMANDS else []
     config = tmp_path / "run.yaml"
     for key in sorted(set().union(*READS.values()) | {"epsilon", "truncation", "jobs"}):
@@ -524,7 +533,7 @@ SWEEP_LIST = "must be a non-empty list of numbers > 0"
     ("hbt-sim", "seed: -1\nstream: {n_pulses: 1000}\n", "seed: must be an integer >= 0"),
     ("hbt-sim --seed -1", "stream: {n_pulses: 1000}\n", "seed: must be an integer >= 0"),
     ("g2map", "out: 5\n", "out: must be a string"),
-    ("sweep-filter", "check_convergence: 'false'\n", "check_convergence: must be true or false"),
+    ("sweep-filter", "integrator: {abs_tol: 0}\n", "integrator.abs_tol: must be > 0"),
     ("sweep-filter", "sweep: {scale: lgo}\n", "sweep.scale: must be log or linear, got 'lgo'"),
 ], ids=["sweep_points_float", "detuning_points_float", "detuning_points_zero",
         "detuning_points_one", "spec_bandwidth_zero", "detuning_span_negative",
@@ -532,7 +541,7 @@ SWEEP_LIST = "must be a non-empty list of numbers > 0"
         "filter_widths_empty", "window_negative", "pulse_lengths_negative",
         "filter_widths_negative", "excluded_peaks_scalar", "seed_float", "seed_negative",
         "seed_flag_negative", "out_number",
-        "check_convergence_text", "sweep_scale_typo"])
+        "abs_tol_zero", "sweep_scale_typo"])
 def test_out_of_range_key_is_named(tmp_path, monkeypatch, capsys, command, text, message):
     # no --out flag: it would override the key under test
     command, *flags = command.split()
@@ -574,12 +583,12 @@ SWEEP = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n"
     ("sweep-filter", "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: .inf, points: 2}\n",
      "sweep.max"),
     ("sweep-filter", "detuning: .nan\n" + SWEEP, "detuning"),
-    ("sweep-filter", "gamma_sigma: .inf\n" + SWEEP, "gamma_sigma"),
+    ("sweep-filter", "sensor: {coupling: .inf}\n" + SWEEP, "sensor.coupling"),
     ("sweep-filter", "pulse: {area_pi: .inf}\n" + SWEEP, "pulse.area_pi"),
     ("sweep-filter", "integrator: {rel_tol: -.inf}\n" + SWEEP, "integrator.rel_tol"),
 ], ids=["span_nan", "span_inf", "noise_rate_inf", "pulse_sigma_inf", "rep_period_nan",
         "blinking_frequency_nan", "blinking_depth_nan", "excluded_peak_nan",
-        "filter_width_inf", "sweep_max_inf", "detuning_nan", "gamma_sigma_inf",
+        "filter_width_inf", "sweep_max_inf", "detuning_nan", "coupling_inf",
         "area_pi_inf", "rel_tol_minus_inf"])
 def test_non_finite_number_is_named(tmp_path, capsys, command, text, key):
     # YAML reads .nan and .inf as floats; each is a configuration error, not a
@@ -588,9 +597,39 @@ def test_non_finite_number_is_named(tmp_path, capsys, command, text, key):
     assert f"{key}: " in capsys.readouterr().err
 
 
-def test_non_finite_epsilon_flag_is_named(tmp_path, capsys):
-    assert run(tmp_path, "sweep-filter", SWEEP, "--epsilon", "inf") == 2
-    assert "--epsilon: inf is not a finite number" in capsys.readouterr().err
+RETIRED = {"gamma_sigma": "gamma_sigma: 2.0\n", "sensor.truncation": "sensor: {truncation: 3}\n",
+           "check_convergence": "check_convergence: false\n",
+           "--epsilon": ["--epsilon", "0.001"], "--check-convergence": ["--check-convergence"],
+           "--no-check-convergence": ["--no-check-convergence"]}
+
+
+@pytest.mark.parametrize("retired", RETIRED)
+def test_retired_key_or_flag_is_an_error(tmp_path, capsys, retired):
+    # each theory input has one setting: the time unit gamma_sigma is 1, the
+    # coupling is sensor.coupling alone, the eps-halving check always runs and
+    # a sweep's sensor holds 2 photons
+    given = RETIRED[retired]
+    if isinstance(given, str):
+        assert run(tmp_path, "sweep-filter", SWEEP + given) == 2
+        message = f"{retired}: unknown configuration key for sweep-filter"
+    else:
+        with pytest.raises(SystemExit) as exit_:
+            run(tmp_path, "sweep-filter", SWEEP, *given)
+        assert exit_.value.code == 2
+        message = f"unrecognized arguments: {' '.join(given)}"
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_field_has_at_most_one_flag():
+    # a second flag would be a second way to set the same value
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    for command, sub in commands.choices.items():
+        for name in cli._FIELDS:
+            flags = [s for a in sub._actions if a.dest == name for s in a.option_strings]
+            assert len(flags) <= 1, (command, name, flags)
 
 
 def test_unknown_blinking_key_is_named(tmp_path, capsys):
@@ -609,9 +648,10 @@ from photonpurity.correlations import filtered_g2_zero
 from photonpurity.model import GaussianPulse, SensorConfig, TwoLevelConfig, build_two_level
 for command, config, out in zip(sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]):
     assert cli.main([command, "--config", config, "--out", out]) == 0, command
-# samples past the drive cutoff t_c = 0.6
+# samples past the drive cutoff t_c = 0.6, and a sensor cut at 3 photons
 system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
 filtered_g2_zero(system, SensorConfig(0.0, 1.0), grid=np.linspace(0.0, 2.0, 24))
+filtered_g2_zero(system, SensorConfig(0.0, 1.0, truncation=3))
 loaded = set(sys.modules) & {"scipy.linalg", "scipy.sparse", "scipy.optimize",
                              "scipy.special", "scipy.stats"}
 print("scipy modules:", *sorted(loaded))
@@ -620,13 +660,12 @@ print("scipy modules:", *sorted(loaded))
 
 def test_hbt_and_two_level_spectrum_run_without_scipy(tmp_path):
     # a fresh interpreter: the package, the CLI, these commands (the filtered g2 of the
-    # two-level emitter, at sensor truncation 3 too, and of the cascade's exciton line)
-    # and a filtered g2 sampled past the drive cutoff need numpy and yaml
+    # two-level emitter and of the cascade's exciton line), a filtered g2 sampled past
+    # the drive cutoff and one with the sensor cut at 3 photons need numpy and yaml
     sweep = "sweep: {min: 0.5, max: 1.0, points: 2}\n"
     runs = [("hbt-sim", "stream: {n_pulses: 20000}\n"),
             ("spectrum", "pulse_lengths: [0.05]\ndetuning_points: 3\n"),
             ("sweep-filter", "pulse_lengths: [0.05]\n" + sweep),
-            ("sweep-filter", "pulse_lengths: [0.05]\nsensor: {truncation: 3}\n" + sweep),
             ("sweep-pulse", "filter_widths: [1.0]\nsweep: {min: 0.05, max: 0.1, points: 2}\n"),
             ("sweep-fourlevel", "pulse_lengths: [0.01]\n" + sweep)]
     args = []

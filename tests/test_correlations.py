@@ -497,9 +497,20 @@ def _pulses(taus, theta=math.pi):
 
 def _sweep(system, sensors, pulses, **kwargs):
     """The stats of a sweep command: one filtered_g2_batch over every pulse and
-    sensor, sampled only at the first pulse's drive cutoff (cli._run_sweep)."""
-    return filtered_g2_batch(system, sensors, pulses,
-                             grid=(dynamics.drive_cutoff(pulses[0]),), **kwargs)
+    sensor, sampling no state (cli._run_sweep)."""
+    return filtered_g2_batch(system, sensors, pulses, grid=(), **kwargs)
+
+
+# The figure-default sweeps of the commands: the system, its observed output
+# op, the filter center, the pulse lengths and the filter widths.
+FIGURE_SWEEPS = {
+    "sweep-filter": (two_level_system(0.02), "sigma", 0.0, (0.02, 0.05, 0.2),
+                     np.geomspace(0.05, 100.0, 13)),
+    "sweep-pulse": (two_level_system(0.02), "sigma", 0.0, np.geomspace(0.02, 1.5, 10),
+                    (0.1, 1.0, 20.0)),
+    "sweep-fourlevel": (fourlevel_system(0.01), EXCITON_V_ONLY, FOURLEVEL_BINDING / 2.0,
+                        (0.01, 0.02), np.geomspace(0.5, 20.0, 9)),
+}
 
 
 class TestSweeps:
@@ -566,28 +577,41 @@ class TestSweeps:
                 assert st.g2 == pytest.approx(one.g2, rel=1e-9)
                 assert st.g2_epsilon_check == pytest.approx(one.g2_epsilon_check, rel=1e-9)
 
+    @pytest.mark.parametrize("command", FIGURE_SWEEPS)
+    def test_epsilon_budget(self, command):
+        """The sensor-coupling line of the error budget: halving eps moves every
+        point of the figure-default sweeps by < 3e-4 relative.  Measured maxima:
+        2.94e-4 on sweep-filter (tau 0.02, Gamma = 100), 5.94e-5 on sweep-pulse
+        (tau 0.02, Gamma = 20) and 6.00e-5 on sweep-fourlevel (tau 0.01,
+        Gamma = 20)."""
+        system, observed, center, taus, widths = FIGURE_SWEEPS[command]
+        stats = _sweep(system, [SensorConfig(center, float(w)) for w in widths], _pulses(taus),
+                       observed=observed)
+        moves = [abs(st.g2_epsilon_check - st.g2) / st.g2 for row in stats for st in row]
+        assert len(moves) == len(taus) * len(widths)
+        assert max(moves) < 3e-4
+
     def test_drive_cutoff_budget(self, monkeypatch):
         # the cut-off line of the error budget on the figure curves, sampled at
         # t_c as a sweep is: t0 + 10 tau against t0 + 8 tau (1.6e-14 measured)
         def curves():
-            two = _sweep(two_level_system(0.02),
-                         [SensorConfig(0.0, w) for w in np.geomspace(0.05, 100.0, 13)],
-                         _pulses((0.02, 0.05, 0.2)), check_convergence=False)
-            four = _sweep(fourlevel_system(0.01),
-                          [SensorConfig(FOURLEVEL_BINDING / 2.0, w)
-                           for w in np.geomspace(0.5, 20.0, 9)],
-                          _pulses((0.01, 0.02)), observed=EXCITON_V_ONLY,
-                          check_convergence=False)
-            return np.array([st.g2 for row in two + four for st in row])
+            g2 = []
+            for command in ("sweep-filter", "sweep-fourlevel"):
+                system, observed, center, taus, widths = FIGURE_SWEEPS[command]
+                stats = _sweep(system, [SensorConfig(center, w) for w in widths],
+                               _pulses(taus), observed=observed, check_convergence=False)
+                g2 += [st.g2 for row in stats for st in row]
+            return np.array(g2)
 
         base = curves()
         monkeypatch.setattr(dynamics, "DRIVE_CUTOFF", 10.0)
         assert np.max(np.abs(curves() - base) / base) < 1e-12
 
     def test_points_sampled_at_drive_cutoff_only(self, tmp_path):
-        # a sweep command reads only g2, so its pass stops at t_c alone, not at the
-        # window samples: its curve is that of the batch sampled at t_c, to the
-        # 12 digits the CSV prints, and moves by < 1e-9 against the window samples
+        # a sweep command reads only g2, so its pass samples no state and stops at
+        # t_c alone, not at the window samples: its curve is that of the batch with
+        # an empty grid, to the 12 digits the CSV prints, and moves by < 1e-9
+        # against the window samples
         (tmp_path / "run.yaml").write_text(
             "pulse_lengths: [0.05]\nsweep: {min: 0.1, max: 20.0, points: 3}\n")
         assert cli.main(["sweep-filter", "--config", str(tmp_path / "run.yaml"),
@@ -597,6 +621,7 @@ class TestSweeps:
         sensors = [SensorConfig(0.0, w) for w in np.geomspace(0.1, 20.0, 3)]
         (sampled,) = filtered_g2_batch(system, sensors, [system.pulse])
         (at_t_c,) = _sweep(system, sensors, [system.pulse])
+        assert all(st.base_report is None for st in at_t_c)
         for line, one, ref in zip(curve, at_t_c, sampled, strict=True):
             assert line.split(",")[1] == f"{one.g2:.12g}"
             assert one.g2 == pytest.approx(ref.g2, rel=1e-9)
@@ -727,9 +752,6 @@ class TestExports:
         assert len(lines) == 4
 
     def test_metadata_json(self, tmp_path):
-        import json
-
         path = tmp_path / "meta.json"
-        write_metadata(path, {"a": np.float64(1.5), "b": np.arange(3)})
-        data = json.loads(path.read_text())
-        assert data == {"a": 1.5, "b": [0, 1, 2]}
+        write_metadata(path, {"b": [0, 1, 2], "a": 1.5})
+        assert path.read_text() == '{\n  "a": 1.5,\n  "b": [\n    0,\n    1,\n    2\n  ]\n}\n'

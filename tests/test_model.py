@@ -11,7 +11,6 @@ from photonpurity.model import (
     GaussianPulse,
     SensorConfig,
     TwoLevelConfig,
-    _resolve_observed,
     attach_sensor,
     build_biexciton,
     build_two_level,
@@ -114,9 +113,10 @@ class TestBiexciton:
 
 class TestObservationVector:
     def test_selects_single_transition(self):
+        # EXCITON_V_ONLY names the one transition X_V -> cgs, basis (cgs, X_H, X_V, 2X)
         system = build_biexciton(BiexcitonConfig(), GaussianPulse(1.0, 0.05))
-        op = _resolve_observed(system, EXCITON_V_ONLY)
-        assert np.array_equal(op, system.output_ops["exciton_v"])
+        op = system.output_ops[EXCITON_V_ONLY]
+        assert np.argwhere(op).tolist() == [[0, 2]] and op[0, 2] == 1.0
 
 
 class TestAttachSensor:
