@@ -6,7 +6,9 @@ when the bytes match, or else the largest change, scaled the way the error
 budget states it:
 
 - sweep curves (sweep_*.csv): g2 relative to the old value;
-- the correlation map (g2map.csv): of the old map's maximum;
+- the correlation map (g2map.csv): of the old map's maximum; two maps on
+  different nodes give both node counts and the largest change on the
+  (t1, t2) pairs both hold, matched on the printed times;
 - spectra (spectrum_*.csv): of the old peak;
 - any other CSV or JSON data: the largest absolute change of a number.
 
@@ -53,10 +55,26 @@ def _read_csv(path):
     return columns
 
 
+def _compare_map(old, new):
+    """Two correlation maps on different nodes: their node counts, and the
+    largest change of value on the (t1, t2) pairs both hold."""
+    nodes = " -> ".join(str(len(np.unique(m["t1"]))) for m in (old, new))
+    rows = {pair: i for i, pair in enumerate(zip(old["t1"].tolist(), old["t2"].tolist()))}
+    both = [(rows[pair], j) for j, pair in enumerate(zip(new["t1"].tolist(), new["t2"].tolist()))
+            if pair in rows]
+    if not both:
+        return f"nodes {nodes}: no (t1, t2) pair in common"
+    i, j = np.array(both).T
+    change = np.max(np.abs(new["value"][j] - old["value"][i])) / np.max(np.abs(old["value"]))
+    return f"nodes {nodes}: {change:.3g} of max in value on the {len(both)} common (t1, t2) pairs"
+
+
 def _compare_csv(name, old_path, new_path):
     old, new = _read_csv(old_path), _read_csv(new_path)
     if list(old) != list(new):
         return f"header differs: {','.join(old)} -> {','.join(new)}"
+    if name.startswith("g2map") and not all(np.array_equal(old[t], new[t]) for t in ("t1", "t2")):
+        return _compare_map(old, new)
     n_old, n_new = (len(next(iter(columns.values()))) for columns in (old, new))
     if n_old != n_new:
         return f"row count differs: {n_old} -> {n_new}"

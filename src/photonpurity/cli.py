@@ -88,7 +88,6 @@ class RunConfig:
     spec_bandwidth: float = _key(0.2, ("spectrum",))
     detuning_span: float = _key(40.0, ("spectrum",))
     detuning_points: int = _key(161, ("spectrum",))
-    grid_points: int | None = _key(None, ("g2map",))
     rel_tol: float = _key(dynamics.DEFAULT_INTEGRATOR.rel_tol, _THEORY, "integrator.rel_tol")
     abs_tol: float = _key(dynamics.DEFAULT_INTEGRATOR.abs_tol, _THEORY, "integrator.abs_tol")
     stream: dict = _key({}, ("hbt-sim",))
@@ -118,8 +117,6 @@ class RunConfig:
             (self.rel_tol > 0, "integrator.rel_tol", "must be > 0"),
             (self.abs_tol > 0, "integrator.abs_tol", "must be > 0"),
             (_integer_at_least(self.sweep_points, 2), "sweep.points", "must be an integer >= 2"),
-            (self.grid_points is None or _integer_at_least(self.grid_points, 2),
-             "grid_points", "must be an integer >= 2"),
             (self.sweep_min > 0, "sweep.min", "must be > 0"),
             (self.sweep_max > self.sweep_min, "sweep.max", "must exceed sweep.min"),
             (self.spec_bandwidth > 0, "spec_bandwidth", "must be > 0"),
@@ -305,12 +302,6 @@ def cmd_g2map(cfg: RunConfig):
         raise ConfigError("system: g2map expects the two_level system")
     system = _system(cfg, GaussianPulse(cfg.pulse_area_pi * math.pi, cfg.pulse_length))
     grid = correlations.map_grid(system)
-    if cfg.grid_points:
-        try:
-            grid = np.linspace(0.0, grid[-1], cfg.grid_points)
-        except (MemoryError, ValueError) as err:  # ValueError: more nodes than an array holds
-            raise ConfigError(f"grid_points: {cfg.grid_points} grid nodes cannot be "
-                              "allocated") from err
     cg = dynamics.two_time_g2_map(system, "sigma", grid,
                                   dynamics.IntegratorConfig(cfg.rel_tol, cfg.abs_tol))
     out = _outdir(cfg)

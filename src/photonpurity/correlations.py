@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -72,8 +71,8 @@ from .model import SensorConfig, SystemModel, attach_sensor
 
 ZERO_EMISSION_FLOOR = 1e-12
 EPSILON_CONVERGENCE = 5e-3
-GRID_MIN_POINTS = 300
-GRID_MAX_POINTS = 2400
+MAP_POINTS = 300
+WINDOW_INTERVALS = 30
 HORIZON_DECADES = 12.0
 
 
@@ -130,22 +129,26 @@ def _slowest_rate(system: SystemModel) -> float:
     return min(rate for _, rate in system.channels if rate > 0)
 
 
-def horizon(system: SystemModel) -> float:
-    """End of the g2map plot: pulse offset plus HORIZON_DECADES lifetimes of
-    the slowest emitter decay."""
-    return system.pulse.offset + HORIZON_DECADES / _slowest_rate(system)
-
-
 def map_grid(system: SystemModel) -> np.ndarray:
-    """Uniform time grid of the g2map plot of the two-time correlation map.
+    """Time grid of the g2map plot of the two-time correlation map, along
+    both axes.
 
-    The spacing resolves the narrower of the pulse length and the emitter
-    lifetime; the point count is clamped to keep maps affordable.
+    The map ends at the horizon, the pulse peak plus HORIZON_DECADES
+    lifetimes of the slowest emitter decay, and holds MAP_POINTS evenly
+    spaced nodes.  The drive window [0, min(t_c, horizon)],
+    t_c = drive_cutoff(pulse) = 12 tau, is where the multi-photon emission
+    happens: where its WINDOW_INTERVALS even intervals (tau / 2.5 each) are
+    finer than the map's (tau below about 0.104), they replace the map's
+    nodes inside it.  So the window is spaced at <= max(0.4 tau,
+    horizon / 299), and a map has at most 330 nodes for any pulse length.
     """
-    t_end = horizon(system)
-    spacing = min(system.pulse.length, 1.0 / _slowest_rate(system)) / 2.5
-    points = int(np.clip(math.ceil(t_end / spacing) + 1, GRID_MIN_POINTS, GRID_MAX_POINTS))
-    return np.linspace(0.0, t_end, points)
+    t_end = system.pulse.offset + HORIZON_DECADES / _slowest_rate(system)
+    t_w = min(dynamics.drive_cutoff(system.pulse), t_end)
+    grid = np.linspace(0.0, t_end, MAP_POINTS)
+    window = np.linspace(0.0, t_w, WINDOW_INTERVALS + 1)
+    if window[1] < grid[1]:
+        grid = np.concatenate([window, grid[grid > t_w]])
+    return grid
 
 
 def filtered_g2_batch(

@@ -47,20 +47,16 @@ class GaussianPulse:
 
 @dataclass(frozen=True)
 class TwoLevelConfig:
-    """Two-level emitter: `decay_rate` fixes the time unit, `detuning` is the
+    """Two-level emitter decaying at rate 1, the time unit: `detuning` is the
     exciton-laser detuning (0 = resonant drive)."""
 
-    decay_rate: float = 1.0
     detuning: float = 0.0
-
-    def __post_init__(self):
-        if self.decay_rate <= 0:
-            raise ValueError("decay_rate must be > 0")
 
 
 @dataclass(frozen=True)
 class BiexcitonConfig:
-    """Biexciton-exciton ladder.  All four transitions share `decay_rate`.
+    """Biexciton-exciton ladder.  All four transitions decay at rate 1, the
+    time unit.
 
     The laser drives the two-photon resonance of the biexciton: the exciton
     sits binding_energy / 2 from the laser, which puts the biexciton level at
@@ -68,12 +64,7 @@ class BiexcitonConfig:
     +binding_energy/2.
     """
 
-    decay_rate: float = 1.0
     binding_energy: float = 300.0
-
-    def __post_init__(self):
-        if self.decay_rate <= 0:
-            raise ValueError("decay_rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -153,7 +144,7 @@ def build_two_level(config: TwoLevelConfig, pulse: GaussianPulse) -> SystemModel
 
     H(t) = detuning * |x><x| + (amplitude(t) / 2) * (sigma^dag + sigma).  The
     half keeps the pulse area equal to the Bloch rotation angle, so area pi
-    inverts the emitter.  Single radiative channel (sigma, decay_rate).
+    inverts the emitter.  Single radiative channel (sigma, 1).
     """
     sigma = _transition(2, 0, 1)
     h_static = np.diag([0.0, config.detuning]).astype(complex)
@@ -163,9 +154,9 @@ def build_two_level(config: TwoLevelConfig, pulse: GaussianPulse) -> SystemModel
         h_static=h_static,
         h_drive=h_drive,
         pulse=pulse,
-        channels=((sigma, config.decay_rate),),
+        channels=((sigma, 1.0),),
         output_ops={"sigma": sigma},
-        decay_scale=config.decay_rate,
+        decay_scale=1.0,
     )
 
 
@@ -175,7 +166,7 @@ def build_biexciton(config: BiexcitonConfig, pulse: GaussianPulse) -> SystemMode
     Basis order (cgs, X_H, X_V, 2X).  The laser is polarized along H: it
     drives cgs <-> X_H <-> 2X (again with the half that makes area pi a Bloch
     pi rotation) and leaves the V branch dark.  The four radiative
-    transitions share the decay rate, and each is an output operator.
+    transitions decay at rate 1, and each is an output operator.
     """
     dx = config.binding_energy / 2.0
     h_static = np.diag([0.0, dx, dx, 0.0]).astype(complex)
@@ -188,7 +179,6 @@ def build_biexciton(config: BiexcitonConfig, pulse: GaussianPulse) -> SystemMode
     drive = 0.5 * (s_xh_g.conj().T + s_2x_xh.conj().T)
     h_drive = drive + drive.conj().T
 
-    gamma = config.decay_rate
     output_ops = {
         "exciton_h": s_xh_g,
         "biexciton_h": s_2x_xh,
@@ -200,9 +190,9 @@ def build_biexciton(config: BiexcitonConfig, pulse: GaussianPulse) -> SystemMode
         h_static=h_static,
         h_drive=h_drive,
         pulse=pulse,
-        channels=tuple((op, gamma) for op in output_ops.values()),
+        channels=tuple((op, 1.0) for op in output_ops.values()),
         output_ops=output_ops,
-        decay_scale=gamma,
+        decay_scale=1.0,
     )
 
 

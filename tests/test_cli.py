@@ -129,7 +129,7 @@ def test_step_size_underflow_is_a_convergence_failure(tmp_path, capsys):
 
 # each command at a small config, reading the data file of _rerun_data, if any
 RERUNS = {
-    "g2map": "grid_points: 40\n",
+    "g2map": "pulse: {length: 0.2}\n",
     "spectrum": "pulse_lengths: [0.02, 0.2]\ndetuning_span: 10.0\ndetuning_points: 9\n",
     "sweep-pulse": "filter_widths: [1.0, 5.0]\nsweep: {min: 0.02, max: 0.05, points: 2}\n",
     "sweep-filter": "pulse_lengths: [0.02, 0.05]\nsweep: {min: 0.1, max: 10.0, points: 3}\n",
@@ -324,7 +324,7 @@ def test_command_with_another_system_is_a_config_error(tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("command, text, prefix", [
-    ("g2map", "grid_points: 5\n", "g2map"),
+    ("g2map", "pulse: {length: 0.2}\n", "g2map"),
     ("spectrum", "pulse_lengths: [0.05]\ndetuning_points: 3\n", "spectrum"),
     ("sweep-pulse", "sweep: {points: 2}\nfilter_widths: [1.0]\n", "sweep_pulse"),
     ("sweep-filter", "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n",
@@ -362,7 +362,7 @@ _MODEL = {"system", "pulse.area_pi", "integrator.rel_tol", "integrator.abs_tol",
 _CENTER = {"binding_energy", "sensor.detuning"}
 _SWEEP = {"sensor.coupling", "sweep.min", "sweep.max", "sweep.points", "sweep.scale"}
 READS = {
-    "g2map": _MODEL | {"detuning", "pulse.length", "grid_points"},
+    "g2map": _MODEL | {"detuning", "pulse.length"},
     "spectrum": _MODEL | _CENTER | {"detuning", "pulse_lengths", "spec_bandwidth",
                                     "detuning_span", "detuning_points"},
     "sweep-pulse": _MODEL | _CENTER | _SWEEP | {"detuning", "filter_widths"},
@@ -392,10 +392,12 @@ def _config_value(key):
 @pytest.mark.parametrize("command", READS)
 def test_key_or_flag_a_command_does_not_read_is_an_error(tmp_path, capsys, command):
     # the top-level epsilon and truncation are gone (sensor.coupling names the
-    # coupling; a sweep's sensor holds 2 photons); no command reads jobs
+    # coupling; a sweep's sensor holds 2 photons), and so is g2map's
+    # grid_points (map_grid's rule sets the nodes); no command reads jobs
     data = ["--data", str(tmp_path / "absent.csv")] if command in DATA_COMMANDS else []
     config = tmp_path / "run.yaml"
-    for key in sorted(set().union(*READS.values()) | {"epsilon", "truncation", "jobs"}):
+    for key in sorted(set().union(*READS.values())
+                      | {"epsilon", "truncation", "grid_points", "jobs"}):
         entry = _config_value(key)
         if key == "binding_energy" and key in READS[command]:  # read on the cascade only
             entry["system"] = "biexciton"
@@ -434,7 +436,7 @@ BIEXCITON = "system: biexciton\n"
 WIDTHS = "pulse_lengths: [0.01]\nsweep: {min: 0.5, max: 1.0, points: 2}\n"
 PULSES = "filter_widths: [1.0]\nsweep: {min: 0.01, max: 0.02, points: 2}\n"
 PROXY_RUNS = {
-    "g2map": ["grid_points: 5\n"],
+    "g2map": ["pulse: {length: 0.2}\n"],
     "spectrum": ["pulse_lengths: [0.05]\ndetuning_points: 3\n",
                  BIEXCITON + "pulse_lengths: [0.01]\ndetuning_points: 3\n"],
     "sweep-pulse": [PULSES, BIEXCITON + PULSES],
@@ -682,16 +684,18 @@ def test_hbt_and_two_level_spectrum_run_without_scipy(tmp_path):
 
 @pytest.mark.parametrize("points", ["-3", "0", "1", "50.5"])
 def test_g2map_needs_two_grid_points(tmp_path, capsys, points):
+    # map_grid's rule sets the nodes (at least 300); a grid size in the config,
+    # too small or not an integer, is refused as the retired key it is
     assert run(tmp_path, "g2map", f"grid_points: {points}\n") == 2
-    assert "grid_points: must be an integer >= 2" in capsys.readouterr().err
+    assert "grid_points: unknown configuration key for g2map" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("points", [10**19, 2**62], ids=["1e19", "2^62"])
 def test_g2map_unallocatable_grid_is_a_config_error(tmp_path, capsys, points):
-    # numpy refuses both sizes before it touches any memory
+    # the key is refused before any grid is built, so no size reaches numpy
     assert run(tmp_path, "g2map", f"grid_points: {points}\n") == 2
     err = capsys.readouterr().err
-    assert f"grid_points: {points} grid nodes cannot be allocated" in err
+    assert "grid_points: unknown configuration key for g2map" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
@@ -700,7 +704,6 @@ def _files(root):
             for where, _, names in os.walk(root) for name in names}
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("script, expected", [
     ("reproduce_theory_figures.py", {
         "g2map.csv", "g2map_metadata.json",
@@ -751,3 +754,13 @@ def test_compare_outputs_scales_each_change(tmp_path):
     changed = spectrum.replace("\n1,0.5\n", "\n1,0.4\n")
     (tmp_path / "new" / "spectrum_tau0.05.csv").write_text(changed)
     assert table()[1] == "| spectrum_tau0.05.csv | 0.1 of peak in normalized_intensity |"
+    # two maps on different nodes compare on the (t1, t2) pairs both hold:
+    # the new map drops t = 0.5 and halves the old maximum, at (1, 1)
+    for side, times in (("old", (0, 0.5, 1)), ("new", (0, 1))):
+        values = {(a, b): a + b for a in times for b in times}
+        if side == "new":
+            values[1, 1] = 1.0
+        (tmp_path / side / "g2map.csv").write_text("t1,t2,value\n" + "".join(
+            f"{a:g},{b:g},{v:g}\n" for (a, b), v in values.items()))
+    assert table()[0] == "| g2map.csv | nodes 3 -> 2: 0.5 of max in value on the 4 common " \
+                         "(t1, t2) pairs |"

@@ -130,7 +130,9 @@ class TestPropagate:
             series(system, system.output_ops["sigma"], [0.0, 1.0], rho0)
 
     def test_step_size_underflow(self):
-        system = build_two_level(TwoLevelConfig(decay_rate=1e16), GaussianPulse(0.0, 0.05))
+        system = build_two_level(TwoLevelConfig(), GaussianPulse(0.0, 0.05))
+        (sigma, _), = system.channels
+        system = replace(system, channels=((sigma, 1e16),))
         with pytest.raises(StepSizeUnderflow):
             series(system, system.output_ops["sigma"], [0.0, 1.0],
                    basis_projector(system, "exciton"))
@@ -193,7 +195,22 @@ class TestTwoTimeMap:
             oracle = np.trace(nop @ rho_t2).real
             assert cg.values[i, j] == pytest.approx(oracle, rel=1e-6, abs=1e-12)
 
-    @pytest.mark.parametrize("tau", [0.02, 0.05, 0.2])
+    @pytest.mark.parametrize("tau", [1e-5, 0.001, 0.02, 0.05, 0.2, 1.5, 100.0])
+    def test_map_grid_resolves_the_drive_window(self, tau):
+        # 300 even nodes to the horizon (pulse peak + 12 lifetimes), and
+        # spacing tau / 2.5 inside the drive window where that is finer
+        system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, tau))
+        grid = map_grid(system)
+        t_end = system.pulse.offset + 12.0
+        assert grid[0] == 0.0 and grid[-1] == t_end
+        assert np.all(np.diff(grid) > 0.0) and len(grid) <= 330
+        t_w = min(dynamics.drive_cutoff(system.pulse), t_end)
+        window = grid[:np.count_nonzero(grid <= t_w) + 1]  # and the interval across t_w
+        assert np.max(np.diff(window)) <= max(0.4 * tau, t_end / 299) * (1.0 + 1e-12)
+        if tau in (0.2, 1.5):  # the pulse is resolved by the even nodes alone
+            assert np.array_equal(grid, np.linspace(0.0, t_end, 300))
+
+    @pytest.mark.parametrize("tau", [0.001, 0.02, 0.05, 0.2, 1.5])
     def test_figure_map_tolerance_budget(self, tau):
         # the docstring's tolerance line: the g2map figure grid at the default
         # tolerance against a tight run
@@ -203,6 +220,18 @@ class TestTwoTimeMap:
         ref = two_time_g2_map(system, "sigma", grid, cfg=tight).values
         got = two_time_g2_map(system, "sigma", grid).values
         assert np.max(np.abs(got - ref)) <= 2e-11 * np.max(ref)
+
+    def test_grid_only_sets_where_the_map_is_read(self):
+        # the docstring's "no grid bias": the figure map at its nodes against
+        # a map on the union of them and the even 611 nodes map_grid used to
+        # take at the default pulse length
+        system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
+        grid = map_grid(system)
+        union = np.union1d(np.linspace(0.0, grid[-1], 611), grid)
+        got = two_time_g2_map(system, "sigma", grid).values
+        at = np.searchsorted(union, grid)
+        ref = two_time_g2_map(system, "sigma", union).values[np.ix_(at, at)]
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
 
     def test_coincidence_mass_in_pulse_strips(self):
         p = GaussianPulse(math.pi, 0.05)

@@ -68,10 +68,11 @@ class TestTwoLevel:
         assert hamiltonian(system, 0.0)[1, 1] == pytest.approx(2.5)
 
     def test_single_channel(self):
-        system = build_two_level(TwoLevelConfig(decay_rate=1.3), GaussianPulse(1.0, 0.1))
+        # the decay rate is the time unit
+        system = build_two_level(TwoLevelConfig(), GaussianPulse(1.0, 0.1))
         assert len(system.channels) == 1
         op, rate = system.channels[0]
-        assert rate == 1.3
+        assert rate == 1.0
         assert np.array_equal(op, system.output_ops["sigma"])
 
     @settings(max_examples=30, deadline=None)
@@ -99,9 +100,9 @@ class TestBiexciton:
         assert hd[0, 1] != 0.0 and hd[1, 3] != 0.0
 
     def test_four_equal_channels(self):
-        system = build_biexciton(BiexcitonConfig(decay_rate=2.0), GaussianPulse(1.0, 0.05))
+        system = build_biexciton(BiexcitonConfig(), GaussianPulse(1.0, 0.05))
         assert len(system.channels) == 4
-        assert all(rate == 2.0 for _, rate in system.channels)
+        assert all(rate == 1.0 for _, rate in system.channels)
 
     @settings(max_examples=30, deadline=None)
     @given(t=st.floats(0.0, 2.0))
