@@ -2,12 +2,16 @@
 analysis as CSV/JSON data files from declarative configs.
 
 Subcommands: g2map, spectrum, sweep-pulse, sweep-filter, sweep-fourlevel,
-hbt-sim, analyze-histogram, fit-lifetime.  Each run writes its outputs plus a
-metadata JSON with the resolved value of every key the command reads (the
-RunConfig table) and nothing else; reruns with the same metadata reproduce
-the files byte for byte.  A key or flag that the command does not read is a
-configuration error.  Defaults mirror the figure parameters so a bare
-invocation reproduces the corresponding dataset.
+hbt-sim, analyze-histogram, fit-lifetime.  The YAML config (--config) holds
+the model and the command line holds the run: the output folder (--out, else
+$PHOTONPURITY_OUTDIR, else ./out), hbt-sim's --seed and the data commands'
+--data and --which.  Each run writes its outputs plus a metadata JSON with
+the resolved value of every config key the command reads (the RunConfig
+table) and of its --seed, --data and --which, and never the output folder;
+reruns with the same metadata reproduce the files byte for byte, into any
+folder.  A key or flag that the command does not read is a configuration
+error.  Defaults mirror the figure parameters so a bare invocation
+reproduces the corresponding dataset.
 
 Exit codes: 0 success, 2 bad configuration, 3 convergence failure.
 """
@@ -50,30 +54,30 @@ class EstimationError(RuntimeError):
 
 # The commands of each config key.
 _SWEEPS = ("sweep-pulse", "sweep-filter", "sweep-fourlevel")
-_THEORY = ("g2map", "spectrum", *_SWEEPS)
-_ALL = (*_THEORY, "hbt-sim", "analyze-histogram", "fit-lifetime")
 
 
-def _key(default, commands, key=None, flag=None, system=None):
+def _key(default, commands, key=None, system=None):
     """A RunConfig field with its `default`, the `commands` that read it, its
-    config key (the field name when None; dotted inside a section), its one
-    command-line flag, a (flag, add_argument keywords) pair or None, and the
-    one `system` on which they read it (None: either)."""
+    config key (the field name when None; dotted inside a section) and the
+    one `system` on which the commands that read `system` read it (None:
+    either)."""
     value = {"default_factory": dict} if default == {} else {"default": default}
-    return field(**value, metadata={"commands": commands, "key": key, "flag": flag,
-                                    "system": system})
+    return field(**value, metadata={"commands": commands, "key": key, "system": system})
 
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration.  Each field names the commands that read
-    it; a command's metadata JSON records those fields and no others."""
+    """Resolved run configuration, one field per config key.  Each field
+    names the commands that read it; a command's metadata JSON records those
+    fields, its --seed, --data or --which flags and no output folder.  The
+    theory commands run at dynamics.DEFAULT_INTEGRATOR, the tolerance their
+    error budgets are stated at."""
 
-    system: str | None = _key(None, _THEORY)
+    system: str = _key("two_level", ("spectrum", "sweep-pulse", "sweep-filter"))
     detuning: float = _key(0.0, ("g2map", "spectrum", "sweep-pulse", "sweep-filter"),
                            system="two_level")
     binding_energy: float = _key(300.0, ("spectrum", *_SWEEPS), system="biexciton")
-    pulse_area_pi: float = _key(1.0, _THEORY, "pulse.area_pi")
+    pulse_area_pi: float = _key(1.0, ("g2map", "spectrum", *_SWEEPS), "pulse.area_pi")
     pulse_length: float = _key(0.05, ("g2map",), "pulse.length")
     sensor_detuning: float | None = _key(None, ("spectrum", *_SWEEPS), "sensor.detuning")
     epsilon: float | None = _key(None, _SWEEPS, "sensor.coupling")
@@ -88,17 +92,12 @@ class RunConfig:
     spec_bandwidth: float = _key(0.2, ("spectrum",))
     detuning_span: float = _key(40.0, ("spectrum",))
     detuning_points: int = _key(161, ("spectrum",))
-    rel_tol: float = _key(dynamics.DEFAULT_INTEGRATOR.rel_tol, _THEORY, "integrator.rel_tol")
-    abs_tol: float = _key(dynamics.DEFAULT_INTEGRATOR.abs_tol, _THEORY, "integrator.abs_tol")
     stream: dict = _key({}, ("hbt-sim",))
     rep_period: float = _key(13.1, ("analyze-histogram",))
     window: float = _key(6.5, ("hbt-sim", "analyze-histogram"))
     bin_width: int = _key(5, ("hbt-sim",))
     span: float = _key(30.0, ("hbt-sim",))
     excluded_peaks: tuple = _key((), ("hbt-sim", "analyze-histogram"))
-    seed: int = _key(2024, ("hbt-sim",), flag=("--seed", {"type": int, "help": "random seed"}))
-    out: str | None = _key(None, _ALL, flag=(
-        "--out", {"help": f"output directory (default ${ENV_OUTDIR} or ./out)"}))
 
     def resolve(self, command=None):
         """Fill the fields left None with `command`'s defaults."""
@@ -114,8 +113,6 @@ class RunConfig:
             (self.pulse_length > 0, "pulse.length", "must be > 0"),
             (self.pulse_area_pi >= 0, "pulse.area_pi", "must be >= 0"),
             (self.epsilon is None or self.epsilon > 0, "sensor.coupling", "must be > 0"),
-            (self.rel_tol > 0, "integrator.rel_tol", "must be > 0"),
-            (self.abs_tol > 0, "integrator.abs_tol", "must be > 0"),
             (_integer_at_least(self.sweep_points, 2), "sweep.points", "must be an integer >= 2"),
             (self.sweep_min > 0, "sweep.min", "must be > 0"),
             (self.sweep_max > self.sweep_min, "sweep.max", "must exceed sweep.min"),
@@ -133,8 +130,6 @@ class RunConfig:
             (_distinct_names(self.filter_widths), "filter_widths", "must not repeat a value"),
             (isinstance(self.excluded_peaks, (tuple, list)), "excluded_peaks",
              "must be a list of numbers"),
-            (_integer_at_least(self.seed, 0), "seed", "must be an integer >= 0"),
-            (self.out is None or isinstance(self.out, str), "out", "must be a string"),
         ]
         for ok, path, msg in checks:
             if not ok:
@@ -159,10 +154,10 @@ def _distinct_names(values):
 
 # Defaults of the fields RunConfig leaves None, and what each sweep command
 # sets differently.
-_DEFAULTS = {"system": "two_level", "sweep_min": 0.05, "sweep_max": 100.0,
+_DEFAULTS = {"sweep_min": 0.05, "sweep_max": 100.0,
              "sweep_points": 13, "pulse_lengths": (0.02, 0.05, 0.2)}
 _COMMAND_DEFAULTS = {
-    "sweep-fourlevel": {"system": "biexciton", "sweep_min": 0.5, "sweep_max": 20.0,
+    "sweep-fourlevel": {"sweep_min": 0.5, "sweep_max": 20.0,
                         "sweep_points": 9, "pulse_lengths": (0.01, 0.02)},
     "sweep-pulse": {"sweep_min": 0.02, "sweep_max": 1.5, "sweep_points": 10},
 }
@@ -173,12 +168,14 @@ _SECTIONS = {key.split(".")[0] for key in _KEYS if "." in key}
 
 
 def _reads(command, system=None):
-    """The RunConfig fields that `command` reads on `system` (on either
-    system for None); every field for command None."""
-    def read(f):
-        only = f.metadata["system"]
-        return command in f.metadata["commands"] and (system is None or only in (None, system))
-    return [name for name, f in _FIELDS.items() if command is None or read(f)]
+    """The RunConfig fields that `command` reads; every field for command
+    None.  A command that reads `system` reads the fields of `system` alone
+    (of either system for None); g2map and sweep-fourlevel each run one."""
+    names = [name for name, f in _FIELDS.items()
+             if command is None or command in f.metadata["commands"]]
+    if command is None or system is None or "system" not in names:
+        return names
+    return [name for name in names if _FIELDS[name].metadata["system"] in (None, system)]
 
 
 def _kind(name):
@@ -227,11 +224,10 @@ def _set(cfg: RunConfig, key, name, value):
     setattr(cfg, name, value)
 
 
-def load_config(path=None, overrides=None, command=None) -> RunConfig:
-    """RunConfig from a YAML file and overrides (by field name), with
-    `command`'s defaults.  A key that `command` does not read, on the
-    configured system too, is a ConfigError; with no command every key is
-    read."""
+def load_config(path=None, command=None) -> RunConfig:
+    """RunConfig from a YAML file, with `command`'s defaults.  A key that
+    `command` does not read, on the configured system too, is a
+    ConfigError; with no command every key is read."""
     cfg = RunConfig()
     data = {}
     if path is not None:
@@ -255,8 +251,6 @@ def load_config(path=None, overrides=None, command=None) -> RunConfig:
                                   f"{command or 'any command'}")
             _set(cfg, key, _KEYS[key], item)
             given.append(key)
-    for name, value in (overrides or {}).items():
-        setattr(cfg, name, value)
     try:
         cfg.resolve(command).validate()
     except TypeError as err:  # e.g. a string where a number belongs
@@ -268,24 +262,25 @@ def load_config(path=None, overrides=None, command=None) -> RunConfig:
     return cfg
 
 
-def _system(cfg: RunConfig, pulse: GaussianPulse):
-    if cfg.system == "two_level":
+def _system(system, cfg: RunConfig, pulse: GaussianPulse):
+    if system == "two_level":
         return build_two_level(TwoLevelConfig(detuning=cfg.detuning), pulse)
     return build_biexciton(BiexcitonConfig(binding_energy=cfg.binding_energy), pulse)
 
 
-def _observed(cfg: RunConfig):
-    return "sigma" if cfg.system == "two_level" else EXCITON_V_ONLY
+def _observed(system):
+    return "sigma" if system == "two_level" else EXCITON_V_ONLY
 
 
-def _default_sensor_detuning(cfg: RunConfig):
+def _default_sensor_detuning(system, cfg: RunConfig):
     if cfg.sensor_detuning is not None:
         return cfg.sensor_detuning
-    return 0.0 if cfg.system == "two_level" else cfg.binding_energy / 2.0
+    return 0.0 if system == "two_level" else cfg.binding_energy / 2.0
 
 
-def _outdir(cfg: RunConfig):
-    out = cfg.out if cfg.out is not None else os.environ.get(ENV_OUTDIR, "out")
+def _outdir(out):
+    """Make and return the output folder: --out, else $PHOTONPURITY_OUTDIR, else ./out."""
+    out = out if out is not None else os.environ.get(ENV_OUTDIR, "out")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -296,15 +291,13 @@ def _metadata(cfg: RunConfig, command, extra=None):
             **(extra or {})}
 
 
-def cmd_g2map(cfg: RunConfig):
+def cmd_g2map(cfg: RunConfig, out):
     """Two-time correlation map of the bare two-level emission."""
-    if cfg.system != "two_level":
-        raise ConfigError("system: g2map expects the two_level system")
-    system = _system(cfg, GaussianPulse(cfg.pulse_area_pi * math.pi, cfg.pulse_length))
+    system = _system("two_level", cfg,
+                     GaussianPulse(cfg.pulse_area_pi * math.pi, cfg.pulse_length))
     grid = correlations.map_grid(system)
-    cg = dynamics.two_time_g2_map(system, "sigma", grid,
-                                  dynamics.IntegratorConfig(cfg.rel_tol, cfg.abs_tol))
-    out = _outdir(cfg)
+    cg = dynamics.two_time_g2_map(system, "sigma", grid)
+    out = _outdir(out)
     path = os.path.join(out, "g2map.csv")
     cg.to_csv(path)
     correlations.write_metadata(
@@ -314,15 +307,14 @@ def cmd_g2map(cfg: RunConfig):
     return [path]
 
 
-def cmd_spectrum(cfg: RunConfig):
+def cmd_spectrum(cfg: RunConfig, out):
     """Spectral profiles for the configured pulse lengths."""
-    center = _default_sensor_detuning(cfg)
+    center = _default_sensor_detuning(cfg.system, cfg)
     detunings = center + np.linspace(-cfg.detuning_span, cfg.detuning_span, cfg.detuning_points)
     pulses = [GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)) for tau in cfg.pulse_lengths]
-    curves = correlations.spectrum(_system(cfg, pulses[0]), _observed(cfg), detunings, pulses,
-                                   cfg.spec_bandwidth,
-                                   dynamics.IntegratorConfig(cfg.rel_tol, cfg.abs_tol))
-    out = _outdir(cfg)
+    curves = correlations.spectrum(_system(cfg.system, cfg, pulses[0]), _observed(cfg.system),
+                                   detunings, pulses, cfg.spec_bandwidth)
+    out = _outdir(out)
     paths = [os.path.join(out, f"spectrum_tau{tau:g}.csv") for tau in cfg.pulse_lengths]
     for path, res in zip(paths, curves):
         correlations.write_spectrum_csv(path, res)
@@ -333,29 +325,28 @@ def cmd_spectrum(cfg: RunConfig):
     return paths
 
 
-def _run_sweep(cfg: RunConfig, command):
-    """A filtered-g2 sweep, one filtered_g2_batch over every pulse length
-    and filter width: the sweep axis is the filter width (one curve per
-    pulse length, the batch's rows) or, for sweep-pulse, the pulse length
-    (one curve per filter width, its columns).  The files hold g2 alone,
-    so the pass samples no state (an empty grid).  The files are named after
-    the subcommand `command` with "_" for "-"."""
+def _run_sweep(cfg: RunConfig, out, command, system):
+    """A filtered-g2 sweep of `system`, one filtered_g2_batch over every
+    pulse length and filter width: the sweep axis is the filter width (one
+    curve per pulse length, the batch's rows) or, for sweep-pulse, the pulse
+    length (one curve per filter width, its columns).  The files hold g2
+    alone, so the pass samples no state (an empty grid).  The files are
+    named after the subcommand `command` with "_" for "-"."""
     axis = (np.geomspace if cfg.sweep_log else np.linspace)(cfg.sweep_min, cfg.sweep_max,
                                                             cfg.sweep_points)
     prefix = command.replace("-", "_")
     sweep_pulse = command == "sweep-pulse"
     taus, widths = (axis, cfg.filter_widths) if sweep_pulse else (cfg.pulse_lengths, axis)
     pulses = [GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)) for tau in taus]
-    sensors = [SensorConfig(_default_sensor_detuning(cfg), float(w), cfg.epsilon)
+    sensors = [SensorConfig(_default_sensor_detuning(system, cfg), float(w), cfg.epsilon)
                for w in widths]
-    grid = correlations.filtered_g2_batch(
-        _system(cfg, pulses[0]), sensors, pulses,
-        dynamics.IntegratorConfig(cfg.rel_tol, cfg.abs_tol), _observed(cfg), grid=())
+    grid = correlations.filtered_g2_batch(_system(system, cfg, pulses[0]), sensors, pulses,
+                                          observed=_observed(system), grid=())
     if sweep_pulse:
         curves = {f"gamma{float(w):g}": [row[j] for row in grid] for j, w in enumerate(widths)}
     else:
         curves = {f"tau{float(tau):g}": row for tau, row in zip(taus, grid)}
-    out = _outdir(cfg)
+    out = _outdir(out)
     paths = [os.path.join(out, f"{prefix}_{key}.csv") for key in curves]
     for path, stats in zip(paths, curves.values()):
         correlations.write_sweep_csv(path, axis, stats)
@@ -364,21 +355,19 @@ def _run_sweep(cfg: RunConfig, command):
     return paths
 
 
-def cmd_sweep_filter(cfg: RunConfig):
+def cmd_sweep_filter(cfg: RunConfig, out):
     """g2 versus filter width for the two-level system."""
-    return _run_sweep(cfg, "sweep-filter")
+    return _run_sweep(cfg, out, "sweep-filter", cfg.system)
 
 
-def cmd_sweep_fourlevel(cfg: RunConfig):
+def cmd_sweep_fourlevel(cfg: RunConfig, out):
     """g2 versus filter width for the exciton line of the cascade."""
-    if cfg.system != "biexciton":
-        raise ConfigError("system: sweep-fourlevel expects the biexciton system")
-    return _run_sweep(cfg, "sweep-fourlevel")
+    return _run_sweep(cfg, out, "sweep-fourlevel", "biexciton")
 
 
-def cmd_sweep_pulse(cfg: RunConfig):
+def cmd_sweep_pulse(cfg: RunConfig, out):
     """g2 versus pulse length, one curve per filter width."""
-    return _run_sweep(cfg, "sweep-pulse")
+    return _run_sweep(cfg, out, "sweep-pulse", cfg.system)
 
 
 def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:
@@ -428,12 +417,15 @@ def _estimate(hist, rep_period, cfg: RunConfig):
         raise EstimationError(str(err)) from err
 
 
-def cmd_hbt(cfg: RunConfig):
+def cmd_hbt(cfg: RunConfig, out, seed):
     """Synthesize a photon stream, correlate it and estimate g2."""
+    if seed < 0:
+        raise ConfigError("seed: must be an integer >= 0")
     stream_cfg = _stream_config(cfg)
     _check_window(stream_cfg.rep_period, cfg.window, cfg.span, "span", cfg.bin_width)
-    clicks1, clicks2 = photostream.synthesize_stream(stream_cfg, cfg.seed)
     try:
+        photostream.correlate((), (), cfg.bin_width, cfg.span)  # the histogram, before synthesis
+        clicks1, clicks2 = photostream.synthesize_stream(stream_cfg, seed)
         hist = photostream.correlate(clicks1, clicks2, cfg.bin_width, cfg.span)
     except photostream.HistogramTooLarge as err:
         raise ConfigError(str(err)) from err
@@ -441,7 +433,7 @@ def cmd_hbt(cfg: RunConfig):
     del clicks1, clicks2  # not held while the histogram is written
     estimate = _estimate(hist, stream_cfg.rep_period, cfg)
     ks, sums = photostream.peak_sums(hist, stream_cfg.rep_period, cfg.window)
-    out = _outdir(cfg)
+    out = _outdir(out)
     hist_path = os.path.join(out, "hbt_histogram.csv")
     hist.to_csv(hist_path)
     est_path = os.path.join(out, "hbt_estimate.json")
@@ -451,6 +443,7 @@ def cmd_hbt(cfg: RunConfig):
     correlations.write_metadata(
         os.path.join(out, "hbt_metadata.json"),
         _metadata(cfg, "hbt-sim", {
+            "seed": seed,
             "stream": {**vars(stream_cfg),
                        "blinking": stream_cfg.blinking and vars(stream_cfg.blinking)},
             "clicks": n_clicks,
@@ -459,7 +452,7 @@ def cmd_hbt(cfg: RunConfig):
     return [hist_path, est_path, sums_path]
 
 
-def cmd_analyze_histogram(cfg: RunConfig, data):
+def cmd_analyze_histogram(cfg: RunConfig, out, data):
     """Peak-sum analysis of an existing histogram CSV."""
     try:
         hist = photostream.read_histogram_csv(data)
@@ -469,7 +462,7 @@ def cmd_analyze_histogram(cfg: RunConfig, data):
     estimate = _estimate(hist, cfg.rep_period, cfg)
     ks, sums = photostream.peak_sums(hist, cfg.rep_period, cfg.window)
     freqs, amp = photostream.peak_sum_spectrum(ks, sums, cfg.rep_period)
-    out = _outdir(cfg)
+    out = _outdir(out)
     est_path = os.path.join(out, "histogram_estimate.json")
     estimate.to_json(est_path)
     spec_path = os.path.join(out, "peak_sum_spectrum.csv")
@@ -484,7 +477,7 @@ def cmd_analyze_histogram(cfg: RunConfig, data):
     return [est_path, spec_path]
 
 
-def cmd_fit_lifetime(cfg: RunConfig, data, which):
+def cmd_fit_lifetime(cfg: RunConfig, out, data, which):
     """Fit decay data (CSV time_ps, counts) with the IRF-blurred cascade model."""
     try:
         times, counts = analysis.read_decay_csv(data)
@@ -492,7 +485,7 @@ def cmd_fit_lifetime(cfg: RunConfig, data, which):
         raise ConfigError(f"data: {err}") from err
     init = analysis.initial_cascade_guess(times, counts, which)
     result = analysis.fit_lifetimes(times, counts, init, which)
-    out = _outdir(cfg)
+    out = _outdir(out)
     fit_path = os.path.join(out, "lifetime_fit.json")
     result.to_json(fit_path)
     correlations.write_metadata(
@@ -515,10 +508,8 @@ def build_parser():
         p.add_argument("--config", help="YAML run configuration")
         # perfbench/workloads.py passes --jobs to every command
         p.add_argument("--jobs", type=int, help="ignored: every command runs in one process")
-        for name, f in _FIELDS.items():
-            if command in f.metadata["commands"] and f.metadata["flag"]:
-                flag, options = f.metadata["flag"]
-                p.add_argument(flag, dest=name, **options)
+        p.add_argument("--out", help=f"output directory (default ${ENV_OUTDIR} or ./out)")
+    sub.choices["hbt-sim"].add_argument("--seed", type=int, default=2024, help="random seed")
     for p in (sub.choices["analyze-histogram"], sub.choices["fit-lifetime"]):
         p.add_argument("--data", required=True)
     sub.choices["fit-lifetime"].add_argument(
@@ -540,12 +531,10 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {name: getattr(args, name) for name in _reads(args.command)
-                 if getattr(args, name, None) is not None}
-    extra = {name: getattr(args, name) for name in ("data", "which") if name in args}
+    extra = {name: getattr(args, name) for name in ("seed", "data", "which") if name in args}
     try:
-        cfg = load_config(args.config, overrides, args.command)
-        paths = _COMMANDS[args.command](cfg, **extra)
+        cfg = load_config(args.config, args.command)
+        paths = _COMMANDS[args.command](cfg, args.out, **extra)
     except (ConfigError, OSError) as err:  # OSError: a path from the config or the flags
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

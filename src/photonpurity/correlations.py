@@ -16,11 +16,12 @@ integrals covers the drive window [0, t0 + 8 tau], t0 = 4 tau the pulse
 peak; after it the generator is constant and every tail is a resolvent
 solve.  Error budget of g2:
 
-- integrator tolerance: rel_tol 1e-9 against 1e-11 moves it by < 1e-9 on
-  the two-level emitter (at most 8.6e-11 measured for tau 0.02-0.2 and
-  Gamma 0.05-20), and against rel_tol 1e-12, abs_tol 1e-16 by < 1e-9 on
-  the figure sweeps (1.7e-11 measured on sweep-filter, 3.1e-11 on
-  sweep-pulse and 8.9e-11 on the exciton line's);
+- integrator tolerance: the commands' dynamics.DEFAULT_INTEGRATOR, rel_tol
+  1e-9, against 1e-11 moves it by < 1e-9 on the two-level emitter (at most
+  8.6e-11 measured for tau 0.02-0.2 and Gamma 0.05-20), and against
+  rel_tol 1e-12, abs_tol 1e-16 by < 1e-9 on the figure sweeps (1.7e-11
+  measured on sweep-filter, 3.1e-11 on sweep-pulse and 8.9e-11 on the
+  exciton line's);
 - drive cut-off: the drive past t0 + 8 tau (below e^-32 of its peak) is
   dropped; t0 + 10 tau moves the figure sweeps by < 1e-12 (1.6e-14
   measured; a point sampled across the window also moves with its sample
@@ -133,17 +134,18 @@ def map_grid(system: SystemModel) -> np.ndarray:
     """Time grid of the g2map plot of the two-time correlation map, along
     both axes.
 
-    The map ends at the horizon, the pulse peak plus HORIZON_DECADES
-    lifetimes of the slowest emitter decay, and holds MAP_POINTS evenly
-    spaced nodes.  The drive window [0, min(t_c, horizon)],
-    t_c = drive_cutoff(pulse) = 12 tau, is where the multi-photon emission
-    happens: where its WINDOW_INTERVALS even intervals (tau / 2.5 each) are
-    finer than the map's (tau below about 0.104), they replace the map's
-    nodes inside it.  So the window is spaced at <= max(0.4 tau,
-    horizon / 299), and a map has at most 330 nodes for any pulse length.
+    The map ends at the horizon, the later of the pulse peak plus
+    HORIZON_DECADES lifetimes of the slowest emitter decay and the drive
+    cutoff t_c = drive_cutoff(pulse) = 12 tau (t_c for tau > 1.5, so the map
+    holds the whole drive), and holds MAP_POINTS evenly spaced nodes.  The
+    drive window [0, t_c] is where the multi-photon emission happens: where
+    its WINDOW_INTERVALS even intervals (tau / 2.5 each) are finer than the
+    map's (tau below about 0.104), they replace the map's nodes inside it.
+    So the window is spaced at <= max(0.4 tau, horizon / 299), and a map has
+    at most 330 nodes for any pulse length.
     """
-    t_end = system.pulse.offset + HORIZON_DECADES / _slowest_rate(system)
-    t_w = min(dynamics.drive_cutoff(system.pulse), t_end)
+    t_w = dynamics.drive_cutoff(system.pulse)
+    t_end = max(system.pulse.offset + HORIZON_DECADES / _slowest_rate(system), t_w)
     grid = np.linspace(0.0, t_end, MAP_POINTS)
     window = np.linspace(0.0, t_w, WINDOW_INTERVALS + 1)
     if window[1] < grid[1]:

@@ -59,6 +59,9 @@ class IntegratorConfig:
     (`_error_norm`), is at most 1.  At least MIN_STEPS_PER_PULSE steps are
     forced across the pulse window [0, 8 tau] so narrow pulses are never
     stepped over.
+
+    The commands run at DEFAULT_INTEGRATOR, where the error budgets are
+    stated; a tighter config is for the references they are measured against.
     """
 
     rel_tol: float = 1e-9
@@ -90,25 +93,26 @@ class PhysicalityReport:
 
 @dataclass
 class CorrelationGrid:
-    """Two-time second-order correlation values on a (t1, t2) grid."""
+    """Two-time second-order correlation values on the grid `times` along
+    both axes, t1 and t2."""
 
-    t1: np.ndarray
-    t2: np.ndarray
-    values: np.ndarray  # (len(t1), len(t2)) real
+    times: np.ndarray
+    values: np.ndarray  # (n, n) real: values[i, j] at t1 = times[i], t2 = times[j]
 
     def to_csv(self, path):
         """Row-major (t1, t2, value) CSV; first line names the time unit.
         Each time is formatted once, into the template of its lines; one
         formatted write of the values per chunk of t1 rows."""
         # joined by a row's "t1," this list puts that t1 in front of every line
-        tails = ["", *("%.9g," % t + "%.12g\n" for t in self.t2)]
-        values = np.reshape(self.values, (len(self.t1), len(self.t2)))
+        tails = ["", *("%.9g," % t + "%.12g\n" for t in self.times)]
+        n = len(self.times)
+        values = np.reshape(self.values, (n, n))
         step = max(1, _CSV_CHUNK // len(tails))
         with open(path, "w") as fh:
             fh.write("# time_unit=1/gamma_sigma\n")
             fh.write("t1,t2,value\n")
-            for start in range(0, len(self.t1), step):
-                chunk = self.t1[start:start + step]
+            for start in range(0, n, step):
+                chunk = self.times[start:start + step]
                 template = "".join(("%.9g," % t).join(tails) for t in chunk)
                 fh.write(template % tuple(values[start:start + step].ravel().tolist()))
 
@@ -846,4 +850,4 @@ def two_time_g2_map(system: SystemModel, emit: str, grid,
         w_map[:k + 1, k + 1] = (rows[:k + 1] @ nvec).real
     iu = np.triu_indices(n, k=1)
     w_map[iu[1], iu[0]] = w_map[iu]
-    return CorrelationGrid(t1=grid, t2=grid, values=w_map)
+    return CorrelationGrid(times=grid, values=w_map)

@@ -28,9 +28,12 @@ def run(tmp_path, command, config_text, *extra):
 
 @pytest.mark.parametrize("key", ["pulse", "sensor", "sweep", "integrator", "stream"])
 def test_non_mapping_section_is_a_config_error(tmp_path, capsys, key):
+    # the integrator section is retired (the commands run at the default
+    # tolerance): it is an unknown key, whatever its value
     command = "hbt-sim" if key == "stream" else "sweep-filter"
     assert run(tmp_path, command, f"{key}: 5\n") == 2
-    assert f"{key}: must be a mapping" in capsys.readouterr().err
+    message = "unknown configuration key" if key == "integrator" else "must be a mapping"
+    assert f"{key}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section,key", [("pulse", "lenght"), ("sensor", "bandwith"),
@@ -39,8 +42,10 @@ def test_non_mapping_section_is_a_config_error(tmp_path, capsys, key):
                                          ("integrator", "min_steps_per_pulse"),
                                          ("integrator", "max_step")])
 def test_unknown_section_key_is_a_config_error(tmp_path, capsys, section, key):
+    # the retired integrator section is unknown as a whole
     assert run(tmp_path, "sweep-filter", f"{section}: {{{key}: 0.1}}\n") == 2
-    assert f"{section}.{key}: unknown configuration key" in capsys.readouterr().err
+    name = section if section == "integrator" else f"{section}.{key}"
+    assert f"{name}: unknown configuration key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["- 1\n- 2\n", "pulse: {length: [\n", "pulse: {length: abc}\n"])
@@ -63,8 +68,12 @@ def test_hbt_span_must_cover_side_peaks(tmp_path, capsys):
     assert "rep_period + window / 2" in capsys.readouterr().err
 
 
-def test_hbt_unallocatable_span_is_a_config_error(tmp_path, capsys):
-    # 4e14 bins of 8 bytes: the allocation fails at once
+def test_hbt_unallocatable_span_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # 4e14 bins of 8 bytes: the allocation fails at once, before any click is drawn
+    def synthesize_stream(*args):
+        raise AssertionError("the stream was synthesized before the histogram was checked")
+
+    monkeypatch.setattr(photostream, "synthesize_stream", synthesize_stream)
     assert run(tmp_path, "hbt-sim", "span: 1.0e+12\nstream: {n_pulses: 1000}\n") == 2
     assert "span 1e+12 ns at bin_width 5 ps needs 400000000000001 histogram bins" \
         in capsys.readouterr().err
@@ -117,10 +126,10 @@ def test_empty_side_peaks_is_an_estimation_failure(tmp_path, capsys):
 
 
 def test_step_size_underflow_is_a_convergence_failure(tmp_path, capsys):
-    # an absolute tolerance far below rounding drives the first step size down
-    # to the underflow bound; the failed pass names its pulse lengths
-    text = "pulse_lengths: [0.05, 0.1]\nsweep: {min: 1.0, max: 2.0, points: 2}\n" \
-           "integrator: {abs_tol: 1.0e-30}\n"
+    # filters 1e15-1e16 wide make the sensor's decay so stiff that the first
+    # step size falls to the underflow bound; the failed pass names its pulse
+    # lengths
+    text = "pulse_lengths: [0.05, 0.1]\nsweep: {min: 1.0e+15, max: 1.0e+16, points: 2}\n"
     assert run(tmp_path, "sweep-filter", text) == 3
     err = capsys.readouterr().err
     assert "convergence failure" in err
@@ -134,7 +143,7 @@ RERUNS = {
     "sweep-pulse": "filter_widths: [1.0, 5.0]\nsweep: {min: 0.02, max: 0.05, points: 2}\n",
     "sweep-filter": "pulse_lengths: [0.02, 0.05]\nsweep: {min: 0.1, max: 10.0, points: 3}\n",
     "sweep-fourlevel": "pulse_lengths: [0.01]\nsweep: {min: 0.5, max: 1.0, points: 2}\n",
-    "hbt-sim": "seed: 11\nspan: 40.0\nstream: {n_pulses: 200000, p_single: 0.3, "
+    "hbt-sim": "span: 40.0\nstream: {n_pulses: 200000, p_single: 0.3, "
                "p_double: 0.01, noise_rate: 100000.0, blinking: {frequencies: [1.0], "
                "depth: 0.5}}\n",
     "analyze-histogram": "",
@@ -142,9 +151,12 @@ RERUNS = {
 }
 
 
-def _rerun_data(tmp_path, command):
-    """The --data flag of `command`: a seeded draw of a histogram or a decay."""
+def _rerun_flags(tmp_path, command):
+    """The run flags of `command` beside --out: hbt-sim's --seed, or the
+    --data of a seeded draw of a histogram or a decay."""
     data = tmp_path / "data.csv"
+    if command == "hbt-sim":
+        return ["--seed", "11"]
     if command == "analyze-histogram":
         delays = np.arange(-300, 301) * 100
         counts = np.random.default_rng(3).poisson(5.0, len(delays))
@@ -160,16 +172,20 @@ def _rerun_data(tmp_path, command):
 @pytest.mark.parametrize("command", RERUNS)
 def test_rerun_is_byte_identical(tmp_path, capsys, command):
     # a command writes the data files it prints and one metadata JSON, and a
-    # rerun writes every one of them byte for byte again
-    data = _rerun_data(tmp_path, command)
-    assert run(tmp_path, command, RERUNS[command], *data) == 0
+    # rerun writes every one of them byte for byte again, into the same
+    # folder or another one: the metadata records no output folder
+    flags = _rerun_flags(tmp_path, command)
+    assert run(tmp_path, command, RERUNS[command], *flags) == 0
     out = tmp_path / "out"
     first = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     printed = {os.path.basename(path) for path in capsys.readouterr().out.split()}
     metadata = {name for name in first if name.endswith("_metadata.json")}
     assert len(metadata) == 1 and set(first) == printed | metadata and all(first.values())
-    assert run(tmp_path, command, RERUNS[command], *data) == 0
+    assert run(tmp_path, command, RERUNS[command], *flags) == 0
     assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == first
+    other = tmp_path / "other"
+    assert run(tmp_path, command, RERUNS[command], *flags, "--out", str(other)) == 0
+    assert {p.name: p.read_bytes() for p in sorted(other.iterdir())} == first
 
 
 def test_hbt_peak_sums_match_the_row_loop(tmp_path):
@@ -318,9 +334,12 @@ def test_sweep_scale_sets_the_axis(tmp_path, scale, axis):
 @pytest.mark.parametrize("command, system", [("sweep-fourlevel", "two_level"),
                                              ("g2map", "biexciton")])
 def test_command_with_another_system_is_a_config_error(tmp_path, capsys, command, system):
-    # each command has one system: naming another one is an error, not overridden
+    # g2map runs the two-level system and sweep-fourlevel the cascade: neither
+    # reads a system key, so naming another system is an error, not overridden
     assert run(tmp_path, command, f"system: {system}\n") == 2
-    assert f"system: {command} expects the " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"system: unknown configuration key for {command}" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, text, prefix", [
@@ -337,8 +356,10 @@ def test_metadata_records_the_subcommand(tmp_path, command, text, prefix):
     assert run(tmp_path, command, text) == 0
     meta = json.loads((tmp_path / "out" / f"{prefix}_metadata.json").read_text())
     assert meta["command"] == command
+    # g2map and sweep-fourlevel each run one system and record none
     system = "biexciton" if command == "sweep-fourlevel" else "two_level"
-    assert meta["config"]["system"] == system
+    one_system = command in ("g2map", "sweep-fourlevel")
+    assert meta["config"].get("system") == (None if one_system else system)
     assert set(meta["config"]) == set(cli._reads(command, system))
     # each system's key is recorded only where its system runs
     assert ("binding_energy" in meta["config"]) == (command == "sweep-fourlevel")
@@ -358,19 +379,19 @@ def test_key_of_the_other_system_is_an_error(tmp_path, capsys, command, system, 
 
 
 # The config keys each command reads, and no others.
-_MODEL = {"system", "pulse.area_pi", "integrator.rel_tol", "integrator.abs_tol", "out"}
+_MODEL = {"pulse.area_pi"}
 _CENTER = {"binding_energy", "sensor.detuning"}
 _SWEEP = {"sensor.coupling", "sweep.min", "sweep.max", "sweep.points", "sweep.scale"}
 READS = {
     "g2map": _MODEL | {"detuning", "pulse.length"},
-    "spectrum": _MODEL | _CENTER | {"detuning", "pulse_lengths", "spec_bandwidth",
+    "spectrum": _MODEL | _CENTER | {"system", "detuning", "pulse_lengths", "spec_bandwidth",
                                     "detuning_span", "detuning_points"},
-    "sweep-pulse": _MODEL | _CENTER | _SWEEP | {"detuning", "filter_widths"},
-    "sweep-filter": _MODEL | _CENTER | _SWEEP | {"detuning", "pulse_lengths"},
+    "sweep-pulse": _MODEL | _CENTER | _SWEEP | {"system", "detuning", "filter_widths"},
+    "sweep-filter": _MODEL | _CENTER | _SWEEP | {"system", "detuning", "pulse_lengths"},
     "sweep-fourlevel": _MODEL | _CENTER | _SWEEP | {"pulse_lengths"},
-    "hbt-sim": {"stream", "window", "bin_width", "span", "excluded_peaks", "seed", "out"},
-    "analyze-histogram": {"rep_period", "window", "excluded_peaks", "out"},
-    "fit-lifetime": {"out"},
+    "hbt-sim": {"stream", "window", "bin_width", "span", "excluded_peaks"},
+    "analyze-histogram": {"rep_period", "window", "excluded_peaks"},
+    "fit-lifetime": set(),
 }
 DATA_COMMANDS = ("analyze-histogram", "fit-lifetime")
 # the flags beside --config, --out and the two data commands' --data and --which
@@ -378,7 +399,7 @@ FLAGS = {"--seed": (["1"], {"hbt-sim"})}
 
 
 # a valid value of each key: these, [2] for a list and 2 for any other
-VALUES = {"system": None, "out": None, "sweep.scale": "log", "sweep.min": 0.5, "stream": {}}
+VALUES = {"system": "two_level", "sweep.scale": "log", "sweep.min": 0.5, "stream": {}}
 LISTS = {"pulse_lengths", "filter_widths", "excluded_peaks"}
 
 
@@ -393,13 +414,14 @@ def _config_value(key):
 def test_key_or_flag_a_command_does_not_read_is_an_error(tmp_path, capsys, command):
     # the top-level epsilon and truncation are gone (sensor.coupling names the
     # coupling; a sweep's sensor holds 2 photons), and so is g2map's
-    # grid_points (map_grid's rule sets the nodes); no command reads jobs
+    # grid_points (map_grid's rule sets the nodes); out and seed are flags
+    # alone, and no command reads jobs
     data = ["--data", str(tmp_path / "absent.csv")] if command in DATA_COMMANDS else []
     config = tmp_path / "run.yaml"
     for key in sorted(set().union(*READS.values())
-                      | {"epsilon", "truncation", "grid_points", "jobs"}):
+                      | {"epsilon", "truncation", "grid_points", "jobs", "out", "seed"}):
         entry = _config_value(key)
-        if key == "binding_energy" and key in READS[command]:  # read on the cascade only
+        if key == "binding_energy" and {key, "system"} <= READS[command]:  # on the cascade only
             entry["system"] = "biexciton"
         config.write_text(yaml.safe_dump(entry))
         if key in READS[command]:
@@ -455,18 +477,20 @@ def test_table_lists_the_fields_each_command_reads(tmp_path, monkeypatch):
     reads = {}
     for command, texts in PROXY_RUNS.items():
         extra = {}
+        if command == "hbt-sim":
+            extra = {"seed": 2024}
         if command == "analyze-histogram":  # the histogram hbt-sim wrote just before
             extra = {"data": str(tmp_path / "out" / "hbt_histogram.csv")}
         if command == "fit-lifetime":
             _write_decay(tmp_path / "decay.csv", "exciton", np.random.default_rng(7))
             extra = {"data": str(tmp_path / "decay.csv"), "which": "exciton"}
         for text in texts:
-            (tmp_path / "run.yaml").write_text(text + f"out: {tmp_path / 'out'}\n")
+            (tmp_path / "run.yaml").write_text(text)
             cfg = cli.load_config(tmp_path / "run.yaml", command=command)
             proxy = _Reading(**{name: getattr(cfg, name) for name in cli._FIELDS})
             proxy.read = set()
             monkeypatch.setattr(cli, "_metadata", lambda _, *args: real(cfg, *args))
-            cli._COMMANDS[command](proxy, **extra)
+            cli._COMMANDS[command](proxy, str(tmp_path / "out"), **extra)
             assert proxy.read == set(cli._reads(command, cfg.system)), (command, cfg.system)
             reads.setdefault(command, set()).update(proxy.read)
         assert reads[command] == set(cli._reads(command)), command
@@ -487,13 +511,13 @@ def test_stream_value_read_as_text_is_named(tmp_path, capsys):
     assert "1.0e-3 or 1.0e+5" in err
 
 
-def test_integrator_value_read_as_text_is_named(tmp_path, capsys):
+def test_coupling_value_read_as_text_is_named(tmp_path, capsys):
     # YAML 1.1 reads 1e-3 (no dot) as a string
     text = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n" \
-           "integrator: {rel_tol: 1e-3}\n"
+           "sensor: {coupling: 1e-3}\n"
     assert run(tmp_path, "sweep-filter", text) == 2
     err = capsys.readouterr().err
-    assert "integrator.rel_tol: '1e-3' is not a number" in err
+    assert "sensor.coupling: '1e-3' is not a number" in err
     assert "1.0e-3 or 1.0e+5" in err
 
 
@@ -531,11 +555,17 @@ SWEEP_LIST = "must be a non-empty list of numbers > 0"
      "filter_widths: " + SWEEP_LIST),
     ("hbt-sim", "excluded_peaks: 8.0\nstream: {n_pulses: 1000}\n",
      "excluded_peaks: must be a list of numbers"),
-    ("hbt-sim", "seed: 1.5\nstream: {n_pulses: 1000}\n", "seed: must be an integer >= 0"),
-    ("hbt-sim", "seed: -1\nstream: {n_pulses: 1000}\n", "seed: must be an integer >= 0"),
+    # the seed is the --seed flag alone, the output folder the --out flag
+    # alone, and the commands run at the default tolerance: each retired key
+    # is unknown, whatever its value
+    ("hbt-sim --seed 1.5", "stream: {n_pulses: 1000}\n",
+     "argument --seed: invalid int value: '1.5'"),
+    ("hbt-sim", "seed: -1\nstream: {n_pulses: 1000}\n",
+     "seed: unknown configuration key for hbt-sim"),
     ("hbt-sim --seed -1", "stream: {n_pulses: 1000}\n", "seed: must be an integer >= 0"),
-    ("g2map", "out: 5\n", "out: must be a string"),
-    ("sweep-filter", "integrator: {abs_tol: 0}\n", "integrator.abs_tol: must be > 0"),
+    ("g2map", "out: 5\n", "out: unknown configuration key for g2map"),
+    ("sweep-filter", "integrator: {abs_tol: 0}\n",
+     "integrator: unknown configuration key for sweep-filter"),
     ("sweep-filter", "sweep: {scale: lgo}\n", "sweep.scale: must be log or linear, got 'lgo'"),
 ], ids=["sweep_points_float", "detuning_points_float", "detuning_points_zero",
         "detuning_points_one", "spec_bandwidth_zero", "detuning_span_negative",
@@ -545,12 +575,16 @@ SWEEP_LIST = "must be a non-empty list of numbers > 0"
         "seed_flag_negative", "out_number",
         "abs_tol_zero", "sweep_scale_typo"])
 def test_out_of_range_key_is_named(tmp_path, monkeypatch, capsys, command, text, message):
-    # no --out flag: it would override the key under test
     command, *flags = command.split()
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.yaml").write_text(text)
-    assert cli.main([command, "--config", "run.yaml", *flags]) == 2
+    try:
+        code = cli.main([command, "--config", "run.yaml", *flags])
+    except SystemExit as exit_:  # argparse refuses a flag value that is no integer
+        code = exit_.code
+    assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,text,key", [
@@ -587,11 +621,11 @@ SWEEP = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n"
     ("sweep-filter", "detuning: .nan\n" + SWEEP, "detuning"),
     ("sweep-filter", "sensor: {coupling: .inf}\n" + SWEEP, "sensor.coupling"),
     ("sweep-filter", "pulse: {area_pi: .inf}\n" + SWEEP, "pulse.area_pi"),
-    ("sweep-filter", "integrator: {rel_tol: -.inf}\n" + SWEEP, "integrator.rel_tol"),
+    ("sweep-filter", "sensor: {detuning: -.inf}\n" + SWEEP, "sensor.detuning"),
 ], ids=["span_nan", "span_inf", "noise_rate_inf", "pulse_sigma_inf", "rep_period_nan",
         "blinking_frequency_nan", "blinking_depth_nan", "excluded_peak_nan",
         "filter_width_inf", "sweep_max_inf", "detuning_nan", "coupling_inf",
-        "area_pi_inf", "rel_tol_minus_inf"])
+        "area_pi_inf", "sensor_detuning_minus_inf"])
 def test_non_finite_number_is_named(tmp_path, capsys, command, text, key):
     # YAML reads .nan and .inf as floats; each is a configuration error, not a
     # crash, a silent run or a convergence failure
@@ -599,39 +633,51 @@ def test_non_finite_number_is_named(tmp_path, capsys, command, text, key):
     assert f"{key}: " in capsys.readouterr().err
 
 
+# a retired key's config text, or its flag, and the command and key named
+# in its error (sweep-filter and the key itself unless given)
 RETIRED = {"gamma_sigma": "gamma_sigma: 2.0\n", "sensor.truncation": "sensor: {truncation: 3}\n",
            "check_convergence": "check_convergence: false\n",
            "--epsilon": ["--epsilon", "0.001"], "--check-convergence": ["--check-convergence"],
-           "--no-check-convergence": ["--no-check-convergence"]}
+           "--no-check-convergence": ["--no-check-convergence"],
+           "integrator.rel_tol": ("integrator: {rel_tol: 1.0e-10}\n", "sweep-filter", "integrator"),
+           "integrator.abs_tol": ("integrator: {abs_tol: 1.0e-14}\n", "sweep-filter", "integrator"),
+           "out": ("out: elsewhere\n", "spectrum", "out"),
+           "seed": ("seed: 7\nstream: {n_pulses: 1000}\n", "hbt-sim", "seed"),
+           "g2map-system": ("system: two_level\n", "g2map", "system"),
+           "sweep-fourlevel-system": ("system: biexciton\n", "sweep-fourlevel", "system")}
 
 
 @pytest.mark.parametrize("retired", RETIRED)
 def test_retired_key_or_flag_is_an_error(tmp_path, capsys, retired):
-    # each theory input has one setting: the time unit gamma_sigma is 1, the
-    # coupling is sensor.coupling alone, the eps-halving check always runs and
-    # a sweep's sensor holds 2 photons
+    # each input has one setting: the time unit gamma_sigma is 1, the coupling
+    # is sensor.coupling alone, the eps-halving check always runs, a sweep's
+    # sensor holds 2 photons, the commands run at the default tolerance, the
+    # output folder and the seed are flags, and g2map and sweep-fourlevel
+    # each run their one system, even when the key names that system
     given = RETIRED[retired]
-    if isinstance(given, str):
-        assert run(tmp_path, "sweep-filter", SWEEP + given) == 2
-        message = f"{retired}: unknown configuration key for sweep-filter"
-    else:
+    if isinstance(given, list):
         with pytest.raises(SystemExit) as exit_:
             run(tmp_path, "sweep-filter", SWEEP, *given)
         assert exit_.value.code == 2
         message = f"unrecognized arguments: {' '.join(given)}"
+    else:
+        text, command, key = (given, "sweep-filter", retired) if isinstance(given, str) else given
+        assert run(tmp_path, command, (SWEEP if command == "sweep-filter" else "") + text) == 2
+        message = f"{key}: unknown configuration key for {command}"
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
-def test_each_field_has_at_most_one_flag():
-    # a second flag would be a second way to set the same value
+def test_no_config_field_has_a_flag():
+    # the config holds the model and the flags hold the run: a flag for a
+    # config field would be a second way to set the same value
     parser = cli.build_parser()
     (commands,) = [a for a in parser._actions if a.dest == "command"]
     for command, sub in commands.choices.items():
-        for name in cli._FIELDS:
-            flags = [s for a in sub._actions if a.dest == name for s in a.option_strings]
-            assert len(flags) <= 1, (command, name, flags)
+        dests = {a.dest for a in sub._actions}
+        assert not dests & set(cli._FIELDS), command
+        assert dests - {"help"} <= {"config", "jobs", "out", "seed", "data", "which"}, command
 
 
 def test_unknown_blinking_key_is_named(tmp_path, capsys):

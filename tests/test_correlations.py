@@ -222,25 +222,29 @@ def test_exact_propagator_oracle(build, tau, observed, center, expected, bias):
     assert stats.g2 == pytest.approx(oracle, rel=1e-7)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("command, bound", [
     ("sweep-filter", 1e-9), ("sweep-pulse", 1e-9), ("sweep-fourlevel", 1e-9), ("spectrum", 1e-12),
 ], ids=["sweep-filter", "sweep-pulse", "sweep-fourlevel", "spectrum"])
-def test_figure_tolerance_budget(tmp_path, command, bound):
-    # the figure-default curves of `command` at the default tolerance against
-    # rel_tol 1e-12, abs_tol 1e-16, within the tolerance line of the error
-    # budget: relative for a sweep's g2, of the peak for a spectrum
-    (tmp_path / "tight.yaml").write_text("integrator: {rel_tol: 1.0e-12, abs_tol: 1.0e-16}\n")
+def test_figure_tolerance_budget(tmp_path, monkeypatch, command, bound):
+    # the figure-default curves of `command` at the default tolerance, the one
+    # the commands run at, against the same command at rel_tol 1e-12,
+    # abs_tol 1e-16, within the tolerance line of the error budget: relative
+    # for a sweep's g2, of the peak for a spectrum
     jobs = [] if command == "spectrum" else ["--jobs", "1"]
-    for name, config in (("default", []), ("tight", ["--config", str(tmp_path / "tight.yaml")])):
-        assert cli.main([command, *config, "--out", str(tmp_path / name), *jobs]) == 0
+    assert cli.main([command, "--out", str(tmp_path / "default"), *jobs]) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "DEFAULT_INTEGRATOR", dynamics.IntegratorConfig(1e-12, 1e-16))
+        assert cli.main([command, "--out", str(tmp_path / "tight"), *jobs]) == 0
     names = sorted(p.name for p in (tmp_path / "default").glob("*.csv"))
     assert len(names) >= 2
+    moved = False
     for name in names:
         base, tight = (np.loadtxt(tmp_path / side / name, delimiter=",", skiprows=1, usecols=1)
                        for side in ("default", "tight"))
         scale = np.max(tight) if command == "spectrum" else np.abs(tight)
         assert np.max(np.abs(base - tight) / scale) < bound, name
+        moved |= not np.array_equal(base, tight)
+    assert moved  # the tight run did run at the tight tolerance
 
 
 def test_tail_premise_checked():

@@ -195,16 +195,17 @@ class TestTwoTimeMap:
             oracle = np.trace(nop @ rho_t2).real
             assert cg.values[i, j] == pytest.approx(oracle, rel=1e-6, abs=1e-12)
 
-    @pytest.mark.parametrize("tau", [1e-5, 0.001, 0.02, 0.05, 0.2, 1.5, 100.0])
+    @pytest.mark.parametrize("tau", [1e-5, 0.001, 0.02, 0.05, 0.2, 1.5, 3.0, 27.0, 100.0])
     def test_map_grid_resolves_the_drive_window(self, tau):
-        # 300 even nodes to the horizon (pulse peak + 12 lifetimes), and
-        # spacing tau / 2.5 inside the drive window where that is finer
+        # 300 even nodes to the horizon (pulse peak + 12 lifetimes, or the
+        # drive cutoff t_c = 12 tau if later: the map holds the whole drive),
+        # and spacing tau / 2.5 inside the drive window where that is finer
         system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, tau))
         grid = map_grid(system)
-        t_end = system.pulse.offset + 12.0
-        assert grid[0] == 0.0 and grid[-1] == t_end
+        t_w = dynamics.drive_cutoff(system.pulse)
+        t_end = max(system.pulse.offset + 12.0, t_w)
+        assert grid[0] == 0.0 and grid[-1] == t_end and grid[-1] >= t_w
         assert np.all(np.diff(grid) > 0.0) and len(grid) <= 330
-        t_w = min(dynamics.drive_cutoff(system.pulse), t_end)
         window = grid[:np.count_nonzero(grid <= t_w) + 1]  # and the interval across t_w
         assert np.max(np.diff(window)) <= max(0.4 * tau, t_end / 299) * (1.0 + 1e-12)
         if tau in (0.2, 1.5):  # the pulse is resolved by the even nodes alone
@@ -245,28 +246,27 @@ class TestTwoTimeMap:
     def test_csv_matches_row_writer(self, tmp_path):
         # longer than one chunk of rows, with negative zeros, tiny and huge values
         rng = np.random.default_rng(5)
-        t1, t2 = np.linspace(0.0, 12.2, 311), np.sort(rng.uniform(0.0, 5.0, 257))
-        values = rng.normal(size=(311, 257)) * 10.0 ** rng.integers(-40, 40, (311, 257))
+        times = np.sort(rng.uniform(0.0, 12.2, 311))
+        values = rng.normal(size=(311, 311)) * 10.0 ** rng.integers(-40, 40, (311, 311))
         values[0, :3] = (0.0, -0.0, 1.0)
-        cg = CorrelationGrid(t1, t2, values)
+        cg = CorrelationGrid(times, values)
         path = tmp_path / "map.csv"
         cg.to_csv(path)
         expected = "# time_unit=1/gamma_sigma\nt1,t2,value\n" + "".join(
             f"{a:.9g},{b:.9g},{values[i, j]:.12g}\n"
-            for i, a in enumerate(t1) for j, b in enumerate(t2))
+            for i, a in enumerate(times) for j, b in enumerate(times))
         assert path.read_bytes() == expected.encode()
 
     def test_csv_times_formatted_like_values(self, tmp_path):
         # negative, tiny, large and integer-valued times and values
-        t1 = np.array([-2.5, 0.0, 1e-300, 3.0, 123456789012.0])
-        t2 = np.array([-1e-12, 1.0, 7.25e20])
-        values = np.array([[-1.0, 2.0, 1e-310], [0.0, -0.0, 3.0], [1e300, -7e-5, 42.0],
-                           [1.0 / 3.0, -2.0 ** 60, 5.0], [6.0, 1e-20, -8.5e12]])
+        times = np.array([-2.5, -1e-12, 0.0, 1e-300, 1.0, 3.0, 123456789012.0, 7.25e20])
+        values = np.array([[-1.0, 2.0, 1e-310, 0.0, -0.0, 3.0, 1e300, -7e-5],
+                           [42.0, 1.0 / 3.0, -2.0 ** 60, 5.0, 6.0, 1e-20, -8.5e12, 0.5]] * 4)
         path = tmp_path / "map.csv"
-        CorrelationGrid(t1, t2, values).to_csv(path)
+        CorrelationGrid(times, values).to_csv(path)
         expected = "# time_unit=1/gamma_sigma\nt1,t2,value\n" + "".join(
             "%.9g,%.9g,%.12g\n" % (a, b, values[i, j])
-            for i, a in enumerate(t1) for j, b in enumerate(t2))
+            for i, a in enumerate(times) for j, b in enumerate(times))
         assert path.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("grid", [[0.5, 1.0, 2.0], [0.0, 1.0, 0.5], []],
