@@ -13,8 +13,10 @@ budget states it:
 - any other CSV or JSON data: the largest absolute change of a number.
 
 A column other than the scaled one that changes is named with its largest
-absolute change.  Metadata (*_metadata.json) is compared key by key, with
-the output paths left out: the `out` key and any path inside the folder.
+absolute change.  A column that only one file has is named as only in OLD
+or only in NEW, and the columns both hold are still compared.  Metadata
+(*_metadata.json) is compared key by key, with the output paths left out:
+the `out` key and any path inside the folder.
 Exits 0 whatever it finds, 2 without the two folders.
 """
 
@@ -71,17 +73,20 @@ def _compare_map(old, new):
 
 def _compare_csv(name, old_path, new_path):
     old, new = _read_csv(old_path), _read_csv(new_path)
-    if list(old) != list(new):
-        return f"header differs: {','.join(old)} -> {','.join(new)}"
-    if name.startswith("g2map") and not all(np.array_equal(old[t], new[t]) for t in ("t1", "t2")):
+    only = [f"{column} only in {side}" for side, a, b in (("OLD", old, new), ("NEW", new, old))
+            for column in a if column not in b]
+    if name.startswith("g2map") and not only and \
+            not all(np.array_equal(old[t], new[t]) for t in ("t1", "t2")):
         return _compare_map(old, new)
     n_old, n_new = (len(next(iter(columns.values()))) for columns in (old, new))
     if n_old != n_new:
-        return f"row count differs: {n_old} -> {n_new}"
+        return "; ".join([*only, f"row count differs: {n_old} -> {n_new}"])
     key, scaling = next((spec for prefix, spec in SCALED.items()
                          if name.startswith(prefix)), (None, "absolute"))
     notes = []
     for column, a in old.items():
+        if column not in new:
+            continue
         b = new[column]
         if a.dtype.kind != "f" or b.dtype.kind != "f":
             if not np.array_equal(a, b):
@@ -97,7 +102,9 @@ def _compare_csv(name, old_path, new_path):
             notes.insert(0, f"{np.max(change) / np.max(np.abs(a)):.3g} {scaling} in {column}")
         else:
             notes.append(f"{np.max(change):.3g} absolute in {column}")
-    return "; ".join(notes) or "numbers identical, text differs"
+    if only and not notes:
+        notes.append("shared columns equal")
+    return "; ".join(only + notes) or "numbers identical, text differs"
 
 
 def _leaves(value, prefix=""):

@@ -13,10 +13,9 @@ supplement.  The commands of photonpurity.cli run them all.
 Importing the package loads numpy only, and photonpurity.cli adds yaml.
 scipy loads where it is called: scipy.linalg.expm for the propagators of
 two_time_g2_map; scipy.special and scipy.optimize for the cascade model and
-the lifetime fit.  The filtered g2 (sampled past the drive cutoff or not,
-with the sensor cut at 2 photons or more) and the emission spectra of the
-two-level emitter and of the cascade's exciton line, and the HBT simulation,
-need none of them.
+the lifetime fit.  The filtered g2 (with the sensor cut at 2 photons or
+more) and the emission spectra of the two-level emitter and of the
+cascade's exciton line, and the HBT simulation, need none of them.
 """
 
 __version__ = "0.1.0"
@@ -35,13 +34,11 @@ from .model import (
 from .dynamics import (
     CorrelationGrid,
     IntegratorConfig,
-    physicality_report,
     two_time_g2_map,
 )
 from .correlations import (
     FilteredStats,
     NotConverged,
-    SweepResult,
     ZeroEmission,
     filtered_g2_batch,
     filtered_g2_zero,

@@ -108,7 +108,7 @@ def cascade_model(times, params: CascadeParams, which: str):
 
 @dataclass
 class FitResult:
-    """Fitted parameters, their 1-sigma uncertainties and covariance, and the
+    """Fitted parameters, their 1-sigma uncertainties, and the
     reduced Pearson chi-square of the returned model mu:
     sum((counts - mu)^2 / mu) over the bins with mu > 1 (the floor of the
     Fisher weights), divided by the number of those bins minus the number
@@ -116,7 +116,6 @@ class FitResult:
 
     params: CascadeParams
     uncertainties: dict
-    covariance: np.ndarray
     chi2_reduced: float
     which: str
 
@@ -202,7 +201,7 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
     cov = (vt.T / sv**2) @ vt  # (J^T W J)^-1 = V S^-2 V^T
     sigmas = {f: float(s) for f, s in zip(fields, np.sqrt(np.diag(cov)))}
     if which == "exciton" and params.gamma_2x < params.gamma_x:
-        params, sigmas, cov = _swap_exciton_rates(params, sigmas, cov, fields)
+        params, sigmas = _swap_exciton_rates(params, sigmas)
     above = mu > 1.0
     ndof = int(above.sum()) - len(fields)
     pearson = float(np.sum((counts[above] - mu[above]) ** 2 / mu[above]))
@@ -210,13 +209,12 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
     return FitResult(
         params=params,
         uncertainties=sigmas,
-        covariance=cov,
         chi2_reduced=chi2,
         which=which,
     )
 
 
-def _swap_exciton_rates(params, sigmas, cov, fields):
+def _swap_exciton_rates(params, sigmas):
     """Map the rate-swapped exciton solution onto the canonical labeling
     (identical curve: amplitude rescales by gamma_2x / gamma_x)."""
     scale = params.gamma_2x / params.gamma_x
@@ -228,11 +226,7 @@ def _swap_exciton_rates(params, sigmas, cov, fields):
     sig = dict(sigmas)
     sig["gamma_2x"], sig["gamma_x"] = sigmas["gamma_x"], sigmas["gamma_2x"]
     sig["amplitude"] = sigmas["amplitude"] * abs(scale)
-    i, j = fields.index("gamma_2x"), fields.index("gamma_x")
-    perm = list(range(len(fields)))
-    perm[i], perm[j] = j, i
-    cov = cov[np.ix_(perm, perm)]
-    return swapped, sig, cov
+    return swapped, sig
 
 
 def initial_cascade_guess(times, counts, which: str = "exciton") -> CascadeParams:

@@ -316,8 +316,8 @@ def cmd_spectrum(cfg: RunConfig, out):
                                    detunings, pulses, cfg.spec_bandwidth)
     out = _outdir(out)
     paths = [os.path.join(out, f"spectrum_tau{tau:g}.csv") for tau in cfg.pulse_lengths]
-    for path, res in zip(paths, curves):
-        correlations.write_spectrum_csv(path, res)
+    for path, values in zip(paths, curves):
+        correlations.write_spectrum_csv(path, detunings, values)
     correlations.write_metadata(
         os.path.join(out, "spectrum_metadata.json"),
         _metadata(cfg, "spectrum", {"detuning_center": center}),
@@ -329,9 +329,8 @@ def _run_sweep(cfg: RunConfig, out, command, system):
     """A filtered-g2 sweep of `system`, one filtered_g2_batch over every
     pulse length and filter width: the sweep axis is the filter width (one
     curve per pulse length, the batch's rows) or, for sweep-pulse, the pulse
-    length (one curve per filter width, its columns).  The files hold g2
-    alone, so the pass samples no state (an empty grid).  The files are
-    named after the subcommand `command` with "_" for "-"."""
+    length (one curve per filter width, its columns).  The files are named
+    after the subcommand `command` with "_" for "-"."""
     axis = (np.geomspace if cfg.sweep_log else np.linspace)(cfg.sweep_min, cfg.sweep_max,
                                                             cfg.sweep_points)
     prefix = command.replace("-", "_")
@@ -341,7 +340,7 @@ def _run_sweep(cfg: RunConfig, out, command, system):
     sensors = [SensorConfig(_default_sensor_detuning(system, cfg), float(w), cfg.epsilon)
                for w in widths]
     grid = correlations.filtered_g2_batch(_system(system, cfg, pulses[0]), sensors, pulses,
-                                          observed=_observed(system), grid=())
+                                          observed=_observed(system))
     if sweep_pulse:
         curves = {f"gamma{float(w):g}": [row[j] for row in grid] for j, w in enumerate(widths)}
     else:

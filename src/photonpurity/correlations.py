@@ -24,8 +24,8 @@ solve.  Error budget of g2:
   exciton line's);
 - drive cut-off: the drive past t0 + 8 tau (below e^-32 of its peak) is
   dropped; t0 + 10 tau moves the figure sweeps by < 1e-12 (1.6e-14
-  measured; a point sampled across the window also moves with its sample
-  times, filtered_g2_batch);
+  measured; integrator stops that a `grid` adds inside the window move it
+  too, filtered_g2_batch);
 - sensor coupling: the eps-halving check below; halving eps moves the
   figure-default sweeps by < 3e-4 relative (2.94e-4 measured on
   sweep-filter at tau 0.02, Gamma = 100; 5.9e-5 on sweep-pulse and 6.0e-5
@@ -67,7 +67,7 @@ from itertools import product
 import numpy as np
 
 from . import dynamics
-from .dynamics import IntegratorConfig, PhysicalityReport
+from .dynamics import IntegratorConfig
 from .model import SensorConfig, SystemModel, attach_sensor
 
 ZERO_EMISSION_FLOOR = 1e-12
@@ -108,26 +108,13 @@ class SweepPointError(RuntimeError):
 @dataclass
 class FilteredStats:
     """Time-integrated filtered population and two-photon statistics of one
-    point, with the physicality report of the states the pass sampled."""
+    point; `g2_epsilon_check` is g2 at eps/2, None when that check was not
+    run (a failed check raises)."""
 
     n_integral: float
     g2: float
     epsilon_used: float
-    converged: bool
     g2_epsilon_check: float | None = None
-    base_report: PhysicalityReport | None = None
-
-
-@dataclass
-class SweepResult:
-    """One swept curve: `axis` strictly increasing, one value per point."""
-
-    axis: np.ndarray
-    values: np.ndarray
-
-
-def _slowest_rate(system: SystemModel) -> float:
-    return min(rate for _, rate in system.channels if rate > 0)
 
 
 def map_grid(system: SystemModel) -> np.ndarray:
@@ -135,17 +122,18 @@ def map_grid(system: SystemModel) -> np.ndarray:
     both axes.
 
     The map ends at the horizon, the later of the pulse peak plus
-    HORIZON_DECADES lifetimes of the slowest emitter decay and the drive
-    cutoff t_c = drive_cutoff(pulse) = 12 tau (t_c for tau > 1.5, so the map
-    holds the whole drive), and holds MAP_POINTS evenly spaced nodes.  The
-    drive window [0, t_c] is where the multi-photon emission happens: where
-    its WINDOW_INTERVALS even intervals (tau / 2.5 each) are finer than the
-    map's (tau below about 0.104), they replace the map's nodes inside it.
+    HORIZON_DECADES lifetimes (every emitter channel decays at rate 1, the
+    time unit) and the drive cutoff t_c = drive_cutoff(pulse) = 12 tau (t_c
+    for tau > 1.5, so the map holds the whole drive), and holds MAP_POINTS
+    evenly spaced nodes.  The drive window [0, t_c] is where the
+    multi-photon emission happens: where its WINDOW_INTERVALS even intervals
+    (tau / 2.5 each) are finer than the map's (tau below about 0.104), they
+    replace the map's nodes inside it.
     So the window is spaced at <= max(0.4 tau, horizon / 299), and a map has
     at most 330 nodes for any pulse length.
     """
     t_w = dynamics.drive_cutoff(system.pulse)
-    t_end = max(system.pulse.offset + HORIZON_DECADES / _slowest_rate(system), t_w)
+    t_end = max(system.pulse.offset + HORIZON_DECADES, t_w)
     grid = np.linspace(0.0, t_end, MAP_POINTS)
     window = np.linspace(0.0, t_w, WINDOW_INTERVALS + 1)
     if window[1] < grid[1]:
@@ -160,7 +148,7 @@ def filtered_g2_batch(
     cfg: IntegratorConfig | None = None,
     observed=None,
     check_convergence: bool = True,
-    grid=None,
+    grid=(),
 ) -> list[list[FilteredStats]]:
     """g2[0; Gamma] of `observed` emission from the bare emitter `system`
     for each sensor of `sensors` at each pulse of `pulses` in place of its
@@ -172,12 +160,11 @@ def filtered_g2_batch(
     than 0.5% (NotConverged) or whose integrated filtered population is
     below 1e-12 (ZeroEmission) raises SweepPointError naming its bandwidth
     and pulse length, a failed pass (StepSizeUnderflow) one naming every
-    pulse length, with the bare error as its cause.  `grid` only sets where
-    the physicality report (`base_report`) is sampled, on the first pulse's
-    time (default: across the pulse window; an empty grid leaves it None);
-    g2 and `n_integral` depend on it only through the integrator stopping at
-    its points in the window (< 1e-9 relative).  Raises ValueError for a
-    sensor truncated below 2 photons, which cannot hold a photon pair.
+    pulse length, with the bare error as its cause.  `grid` (default none)
+    only adds stops of the integrator, on the first pulse's time; g2 and
+    `n_integral` depend on it only through the stops in the pulse window
+    (< 1e-9 relative).  Raises ValueError for a sensor truncated below 2
+    photons, which cannot hold a photon pair.
     """
     for sensor in sensors:
         if sensor.truncation < 2:
@@ -218,22 +205,14 @@ def _point_stats(res: dynamics.EmissionIntegrals, b: int, eps: float,
         raise ZeroEmission(f"integrated filtered population {n_integral:.3e} below floor")
 
     g2 = res.pair_integral / res.n_integral**2
-    converged = False
     g2_check = None
     if check_convergence:
         g2_check = float(g2[b + 1])
-        converged = abs(g2_check - g2[b]) <= EPSILON_CONVERGENCE * abs(g2[b])
-        if not converged:
+        if abs(g2_check - g2[b]) > EPSILON_CONVERGENCE * abs(g2[b]):
             raise NotConverged(float(g2[b]), g2_check)
 
-    return FilteredStats(
-        n_integral=n_integral,
-        g2=float(g2[b]),
-        epsilon_used=eps,
-        converged=converged,
-        g2_epsilon_check=g2_check,
-        base_report=dynamics.physicality_report(res.states[b]) if len(res.times) else None,
-    )
+    return FilteredStats(n_integral=n_integral, g2=float(g2[b]), epsilon_used=eps,
+                         g2_epsilon_check=g2_check)
 
 
 def filtered_g2_zero(
@@ -241,7 +220,7 @@ def filtered_g2_zero(
     sensor: SensorConfig,
     cfg: IntegratorConfig | None = None,
     observed=None,
-    grid=None,
+    grid=(),
     check_convergence: bool = True,
 ) -> FilteredStats:
     """Time-integrated g2[0; Gamma] of `observed` emission from `system`:
@@ -325,10 +304,11 @@ def spectrum(
     pulses,
     spec_bandwidth: float = 0.2,
     cfg: IntegratorConfig | None = None,
-) -> list[SweepResult]:
-    """Peak-normalized emission spectra, one per pulse of `pulses` in place
-    of the system's own: integrated sensor population versus filter center,
-    probed with a narrow filter of width `spec_bandwidth`.
+) -> np.ndarray:
+    """Peak-normalized emission spectra, one row per pulse of `pulses` in
+    place of the system's own and one column per center of `detunings`:
+    integrated sensor population versus filter center, probed with a narrow
+    filter of width `spec_bandwidth`.
 
     The reported lineshape is the physical spectrum convolved with the
     Lorentzian sensor response of that width.  The stepped centers at all
@@ -359,28 +339,28 @@ def spectrum(
     sensors = [SensorConfig(d, spec_bandwidth, truncation=1) for d in detunings[~mirrored]]
     models = _filter_batch(system, observed, sensors, pulses)
     intensities = dynamics.emission_integrals(
-        models, models[0].output_ops["sensor"], times=(), cfg=cfg, pairs=False
+        models, models[0].output_ops["sensor"], cfg=cfg, pairs=False
     ).n_integral.reshape(len(pulses), -1)[:, source]
     peaks = np.max(intensities, axis=1, keepdims=True)
     if np.any(peaks <= 0):
         raise ZeroEmission("no emission anywhere on the detuning grid")
-    return [SweepResult(axis=detunings, values=row) for row in intensities / peaks]
+    return intensities / peaks
 
 
 def write_sweep_csv(path, axis, stats):
-    """One swept curve: the axis value, g2, coupling and convergence flag of
-    each point's FilteredStats."""
+    """One swept curve: the axis value, g2 and coupling of each point's
+    FilteredStats."""
     with open(path, "w") as fh:
-        fh.write("axis_value,g2,epsilon_used,converged\n")
+        fh.write("axis_value,g2,epsilon_used\n")
         for x, st in zip(axis, stats):
-            converged = str(bool(st.converged)).lower()
-            fh.write(f"{x:.9g},{st.g2:.12g},{st.epsilon_used:.9g},{converged}\n")
+            fh.write(f"{x:.9g},{st.g2:.12g},{st.epsilon_used:.9g}\n")
 
 
-def write_spectrum_csv(path, result: SweepResult):
+def write_spectrum_csv(path, detunings, values):
+    """One spectrum: each filter center of `detunings` and its value."""
     with open(path, "w") as fh:
         fh.write("detuning_over_gamma,normalized_intensity\n")
-        for x, v in zip(result.axis, result.values):
+        for x, v in zip(detunings, values):
             fh.write(f"{x:.9g},{v:.12g}\n")
 
 

@@ -85,13 +85,6 @@ _TAIL_GROUP_BYTES = 1 << 20    # generator stack per batched tail solve
 
 
 @dataclass
-class PhysicalityReport:
-    max_trace_drift: float
-    max_hermiticity_violation: float
-    min_eigenvalue: float
-
-
-@dataclass
 class CorrelationGrid:
     """Two-time second-order correlation values on the grid `times` along
     both axes, t1 and t2."""
@@ -558,8 +551,11 @@ def _step_factor(enorm):
 def _walk(gen, y, t, stops, cfg):
     """Step the flat real state y of `gen` with DOP853 from time t through
     the times `stops` (of its first system), yielding the state at each; a
-    stop at the current time yields the state unchanged.  Raises ValueError for a stop before
-    the one preceding it (or before t).
+    stop at the current time yields the state unchanged.  Raises ValueError
+    for a stop before the one preceding it (or before t), and
+    StepSizeUnderflow for a driven batch whose pulse window is too short for
+    MIN_STEPS_PER_PULSE steps above the smallest step, which would step over
+    the drive.
 
     The twelve stages sit in one (12, n) array, so each stage's input and
     the step's solution and two error estimates are each one matmul with
@@ -573,6 +569,9 @@ def _walk(gen, y, t, stops, cfg):
     if gen.pulse.area != 0:
         hi = 8.0 * gen.pulse.length
         inside = hi / MIN_STEPS_PER_PULSE
+        if inside < _MIN_REL_STEP * max(1.0, hi):  # the drive would be stepped over
+            raise StepSizeUnderflow(f"pulse window {hi:.3g} / {MIN_STEPS_PER_PULSE} steps is "
+                                    f"below the smallest step {_MIN_REL_STEP:g}")
 
     def cap(t):
         return inside if t < hi else np.inf
@@ -621,21 +620,7 @@ def _walk(gen, y, t, stops, cfg):
             y, fresh = sent, False
 
 
-def physicality_report(states: np.ndarray) -> PhysicalityReport:
-    """Trace drift, Hermiticity violation and minimum eigenvalue over the
-    (n_times, d, d) density matrices `states`."""
-    traces = np.einsum("tnn->t", states)
-    herm = np.max(np.abs(states - states.conj().transpose(0, 2, 1)))
-    eigs = np.linalg.eigvalsh(states)
-    return PhysicalityReport(
-        max_trace_drift=float(np.max(np.abs(traces - 1.0))),
-        max_hermiticity_violation=float(herm),
-        min_eigenvalue=float(np.min(eigs)),
-    )
-
-
 DRIVE_CUTOFF = 8.0
-WINDOW_SAMPLES = 13
 
 
 class TailPremiseError(ValueError):
@@ -650,7 +635,6 @@ class EmissionIntegrals:
 
     n_integral: np.ndarray  # (B,)
     pair_integral: np.ndarray | None  # (B,), None without pairs
-    times: np.ndarray
     n_series: np.ndarray  # (B, len(times))
     states: np.ndarray  # (B, len(times), d, d)
 
@@ -661,7 +645,7 @@ def drive_cutoff(pulse) -> float:
     return pulse.offset + DRIVE_CUTOFF * pulse.length
 
 
-def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorConfig | None = None,
+def emission_integrals(systems, emit: np.ndarray, times=(), cfg: IntegratorConfig | None = None,
                        pairs: bool = True, rho0: np.ndarray | None = None) -> EmissionIntegrals:
     """n = int <e^dag e>(t) dt and, with `pairs`, the time-ordered pair
     integral G = int int <T-[e^dag(t1) e^dag(t2)] T+[e(t2) e(t1)]> dt1 dt2
@@ -687,15 +671,16 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     Raises TailPremiseError unless L0 rho_ss = 0 and e rho_ss = 0 for the
     ground state rho_ss (the latter gives J rho_ss = 0 and <N|rho_ss> = 0);
     this concerns the systems, not the start, so it holds for any rho0.
-    `times` (default WINDOW_SAMPLES points across the window, empty for none)
-    only sets where <N> and the state are sampled, on the first system's
-    time: a system whose pulse is r times as long (_Generator) is sampled at
-    r t, and reaches its own t_c at the first system's.  The integrator
-    stops at each, which must not decrease or precede 0 (ValueError).  It
-    reaches those past t_c by stepping on after reading the stop at t_c, so
-    n and G do not depend on them.  Their error budget is the DOP853 tolerance of
-    `cfg`, with the drive below e^-32 of its peak that the tails drop; they
-    agree with e^(L0 (t - t_c)) rho_c to < 1e-10 (up to t_c + 6, sensor
+    `times` (default none) only sets where <N> and the state are sampled,
+    on the first system's time: a system whose pulse is r times as long
+    (_Generator) is sampled at r t, and reaches its own t_c at the first
+    system's.  The integrator stops at each, which must not decrease or
+    precede 0 (ValueError).  It reaches those past t_c by stepping on after
+    reading the stop at t_c, so n and G do not depend on them.  Raises
+    StepSizeUnderflow for a pulse too short to step (_walk).  Their error
+    budget is the DOP853 tolerance of `cfg`, with the drive below e^-32 of
+    its peak that the tails drop; they agree with e^(L0 (t - t_c)) rho_c to
+    < 1e-10 (up to t_c + 6, sensor
     batches of the two-level emitter and of the exciton line).
     """
     cfg = cfg or DEFAULT_INTEGRATOR
@@ -711,7 +696,7 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
     nb, d = gen.nbatch, gen.dim
     emit, nop = gen.emit, gen.nop
     t_c = drive_cutoff(gen.pulse)
-    times = np.linspace(0.0, t_c, WINDOW_SAMPLES) if times is None else np.asarray(times, float)
+    times = np.asarray(times, float)
 
     scale = np.maximum(1.0, np.max(np.abs(emit), axis=(1, 2)))
     if np.any(np.max(np.abs(emit[:, :, 0]), axis=1) > 1e-12 * scale):
@@ -761,7 +746,7 @@ def emission_integrals(systems, emit: np.ndarray, times=None, cfg: IntegratorCon
             tails = nvec[group] @ (r[:, 1] + resolvent(jr)[:, 0])[:, :, None]
             g_int[group] = 2.0 * (integrals[group, 1] + tails[:, 0, 0]).real
     n_series = (states @ nvec.swapaxes(1, 2))[:, :, 0].real
-    return EmissionIntegrals(n_int, g_int, times, n_series, states.reshape(nb, len(times), d, d))
+    return EmissionIntegrals(n_int, g_int, n_series, states.reshape(nb, len(times), d, d))
 
 
 def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = None):

@@ -132,6 +132,9 @@ class StreamConfig:
             raise ValueError("rates and counts must be >= 0")
         if not 0.0 < self.detection_efficiency <= 1.0:
             raise ValueError("detection_efficiency must be in (0, 1]")
+        if self.duration * NS_TO_PS >= 2.0**63:  # the clicks are int64 ps
+            raise ValueError(f"n_pulses * rep_period = {self.duration:g} ns reaches 2^63 ps, "
+                             "past the int64 timestamps")
 
     @property
     def duration(self):

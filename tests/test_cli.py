@@ -80,6 +80,20 @@ def test_hbt_unallocatable_span_is_a_config_error(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "out").exists()
 
 
+def test_hbt_stream_past_int64_timestamps_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # 2e9 pulses 1e7 ns apart last 2e19 ps, past the 2^63 ps of an int64 click
+    def synthesize_stream(*args):
+        raise AssertionError("the stream was synthesized before its duration was checked")
+
+    monkeypatch.setattr(photostream, "synthesize_stream", synthesize_stream)
+    text = "stream: {n_pulses: 2000000000, rep_period: 1.0e+7, p_single: 1.0e-4}\n" \
+           "window: 1.0e+7\nspan: 2.0e+7\nbin_width: 1000000000\n"
+    assert run(tmp_path, "hbt-sim", text) == 2
+    err = capsys.readouterr().err
+    assert "2e+16 ns reaches 2^63 ps" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_hbt_window_wider_than_stream_period(tmp_path):
     assert run(tmp_path, "hbt-sim", "stream: {n_pulses: 1000, rep_period: 5.0}\n") == 2
 
@@ -134,6 +148,21 @@ def test_step_size_underflow_is_a_convergence_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "convergence failure" in err
     assert "sweep point (tau=[0.05, 0.1]) failed: step size underflow" in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("g2map", "pulse: {length: 1.0e-15}\n"),
+    ("spectrum", "pulse_lengths: [1.0e-20]\n"),
+    ("sweep-filter", "pulse_lengths: [1.0e-20]\nsweep: {min: 0.1, max: 1.0, points: 2}\n"),
+])
+def test_pulse_too_short_to_step_is_a_convergence_failure(tmp_path, capsys, command, text):
+    # 50 steps across the pulse window fall below the smallest step: the drive
+    # would be stepped over, leaving an all-zero map or no emission to blame
+    assert run(tmp_path, command, text) == 3
+    err = capsys.readouterr().err
+    assert "convergence failure" in err and "Traceback" not in err
+    assert "pulse window" in err and "below the smallest step" in err
+    assert not (tmp_path / "out").exists()
 
 
 # each command at a small config, reading the data file of _rerun_data, if any
@@ -810,3 +839,13 @@ def test_compare_outputs_scales_each_change(tmp_path):
             f"{a:g},{b:g},{v:g}\n" for (a, b), v in values.items()))
     assert table()[0] == "| g2map.csv | nodes 3 -> 2: 0.5 of max in value on the 4 common " \
                          "(t1, t2) pairs |"
+    # a sweep curve that drops a column names it and still compares the shared ones
+    (tmp_path / "old" / "sweep_filter_tau0.05.csv").write_text(
+        "axis_value,g2,epsilon_used,converged\n0.1,0.02,0.0001,true\n1,0.01,0.001,true\n")
+    sweep = "axis_value,g2,epsilon_used\n0.1,0.02,0.0001\n1,0.01,0.001\n"
+    (tmp_path / "new" / "sweep_filter_tau0.05.csv").write_text(sweep)
+    assert table()[-1] == "| sweep_filter_tau0.05.csv | converged only in OLD; " \
+                          "shared columns equal |"
+    (tmp_path / "new" / "sweep_filter_tau0.05.csv").write_text(sweep.replace("0.01,", "0.011,"))
+    assert table()[-1] == "| sweep_filter_tau0.05.csv | converged only in OLD; " \
+                          "0.1 relative in g2 |"

@@ -69,7 +69,7 @@ class TestFilteredG2:
 
     def test_epsilon_convergence_flag(self, tls_g2):
         stats = tls_g2(0.05, 1.0)
-        assert stats.converged
+        assert stats.g2_epsilon_check is not None
         assert abs(stats.g2_epsilon_check - stats.g2) <= 5e-3 * stats.g2
 
     def test_not_converged_for_strong_coupling(self):
@@ -81,14 +81,20 @@ class TestFilteredG2:
         stats = tls_g2(0.05, 1.0)
         assert stats.n_integral > 0
         assert stats.g2 >= 0
-        assert stats.base_report.min_eigenvalue > -1e-9
+        # the states of the point's pass, at 13 stops across the window, stay positive
+        system = two_level_system(0.05)
+        (model,) = corr._filter_batch(system, "sigma", [SensorConfig(0.0, 1.0)], [system.pulse])
+        window = np.linspace(0.0, dynamics.drive_cutoff(system.pulse), 13)
+        states = dynamics.emission_integrals([model], model.output_ops["sensor"], window).states
+        assert np.min(np.linalg.eigvalsh(states[0])) > -1e-9
 
     def test_empty_grid_samples_nothing(self):
-        # the integrals need no sample: with none there is no physicality report
+        # the integrals need no sample: the default pass stops at t_c alone, and 13
+        # stops across the window move g2 by < 1e-9
         system, sensor = two_level_system(0.05), SensorConfig(0.0, 1.0)
-        stats = filtered_g2_zero(system, sensor, grid=(), check_convergence=False)
-        assert stats.base_report is None
-        sampled = filtered_g2_zero(system, sensor, check_convergence=False)
+        stats = filtered_g2_zero(system, sensor, check_convergence=False)
+        window = np.linspace(0.0, dynamics.drive_cutoff(system.pulse), 13)
+        sampled = filtered_g2_zero(system, sensor, grid=window, check_convergence=False)
         assert stats.g2 == pytest.approx(sampled.g2, rel=1e-9)
 
     def test_truncation_insensitive(self):
@@ -301,8 +307,8 @@ class TestSpectrum:
         system = two_level_system(0.05)
         dets = np.linspace(-6.0, 6.0, 21)
         (res,) = spectrum(system, "sigma", dets, [system.pulse], spec_bandwidth=0.2)
-        assert np.max(np.abs(res.values - res.values[::-1])) < 1e-6
-        assert res.axis[np.argmax(res.values)] == pytest.approx(0.0)
+        assert np.max(np.abs(res - res[::-1])) < 1e-6
+        assert dets[np.argmax(res)] == pytest.approx(0.0)
 
     def test_short_pulse_grows_shoulders(self):
         # near the line all pulse lengths share the natural Lorentzian tail;
@@ -313,7 +319,7 @@ class TestSpectrum:
         for tau in (0.02, 0.2):
             system = two_level_system(tau)
             (res,) = spectrum(system, "sigma", dets, [system.pulse], spec_bandwidth=0.2)
-            curves[tau] = res.values
+            curves[tau] = res
         assert curves[0.02][1] == pytest.approx(curves[0.2][1], rel=0.02)
         assert curves[0.02][2] > 3.0 * curves[0.2][2]
         assert curves[0.02][3] > 5.0 * curves[0.2][3]
@@ -331,7 +337,7 @@ class TestSpectrum:
         for pulse, curve in zip(pulses, curves):
             alone = []
             per_pulse += rhs_evals(lambda: alone.extend(spectrum(system, "sigma", dets, [pulse])))
-            assert np.max(np.abs(curve.values - alone[0].values)) <= 1e-12
+            assert np.max(np.abs(curve - alone[0])) <= 1e-12
         assert merged <= 0.6 * per_pulse
 
     def test_empty_detunings_rejected(self):
@@ -345,7 +351,7 @@ class TestSpectrum:
                                  GaussianPulse(math.pi, 0.01))
         dets = np.array([140.0, 145.0, 148.0, 150.0, 152.0, 155.0, 160.0])
         (res,) = spectrum(system, EXCITON_V_ONLY, dets, [system.pulse], spec_bandwidth=1.0)
-        assert res.axis[np.argmax(res.values)] == pytest.approx(150.0)
+        assert dets[np.argmax(res)] == pytest.approx(150.0)
 
     @pytest.mark.parametrize("ref", SPECTRUM_REFERENCES, ids=lambda ref: f"tau{ref['tau']:g}")
     def test_matches_converged_reference(self, ref):
@@ -354,7 +360,7 @@ class TestSpectrum:
         system = two_level_system(ref["tau"])
         (res,) = spectrum(system, "sigma", ref["detunings"], [system.pulse],
                           spec_bandwidth=ref["spec_bandwidth"])
-        assert np.max(np.abs(res.values - ref["values"])) <= ref["abs_uncertainty"]
+        assert np.max(np.abs(res - ref["values"])) <= ref["abs_uncertainty"]
 
     @pytest.mark.parametrize("system, observed, center, width, truncation", [
         (two_level_system(0.05), "sigma", 0.0, 0.2, 1),
@@ -465,9 +471,9 @@ class TestSpectrum:
         monkeypatch.setattr(corr, "_mirror_symmetric", lambda system, observed: False)
         (full,) = spectrum(system, "sigma", dets, [system.pulse])
         assert batches[0] == list(stepped) and batches[1] == list(dets)
-        assert np.max(np.abs(res.values - full.values)) <= 1e-14
+        assert np.max(np.abs(res - full)) <= 1e-14
         if system.h_static[1, 1] != 0:  # the detuned line is not symmetric
-            assert np.max(np.abs(full.values - full.values[::-1])) > 0.1
+            assert np.max(np.abs(full - full[::-1])) > 0.1
 
     def test_free_decay_line_convolves_with_filter(self):
         # spontaneous emission has a Lorentzian line of FWHM gamma; probed
@@ -499,12 +505,6 @@ def _pulses(taus, theta=math.pi):
     return [GaussianPulse(theta, tau) for tau in taus]
 
 
-def _sweep(system, sensors, pulses, **kwargs):
-    """The stats of a sweep command: one filtered_g2_batch over every pulse and
-    sensor, sampling no state (cli._run_sweep)."""
-    return filtered_g2_batch(system, sensors, pulses, grid=(), **kwargs)
-
-
 # The figure-default sweeps of the commands: the system, its observed output
 # op, the filter center, the pulse lengths and the filter widths.
 FIGURE_SWEEPS = {
@@ -523,18 +523,20 @@ class TestSweeps:
 
     def test_filter_width_sweep_structure(self):
         system = two_level_system(0.1)
-        grid = _sweep(system, [SensorConfig(0.0, w) for w in (0.1, 1.0, 3.0)], [system.pulse])
+        grid = filtered_g2_batch(system, [SensorConfig(0.0, w) for w in (0.1, 1.0, 3.0)],
+                                 [system.pulse])
         assert [len(row) for row in grid] == [3]
         row = grid[0]
-        assert all(st.converged and st.epsilon_used > 0 for st in row)
+        assert all(st.g2_epsilon_check is not None and st.epsilon_used > 0 for st in row)
         alone = filtered_g2_zero(system, SensorConfig(0.0, 3.0))
         assert row[2].g2 == pytest.approx(alone.g2, rel=1e-8)
 
     def test_pulse_length_sweep_structure(self):
-        grid = _sweep(two_level_system(0.05), [SensorConfig(0.0, 1.0)], _pulses([0.05, 0.1]))
+        grid = filtered_g2_batch(two_level_system(0.05), [SensorConfig(0.0, 1.0)],
+                                 _pulses([0.05, 0.1]))
         assert [len(row) for row in grid] == [1, 1]
         column = [row[0] for row in grid]
-        assert all(st.converged and st.epsilon_used > 0 for st in column)
+        assert all(st.g2_epsilon_check is not None and st.epsilon_used > 0 for st in column)
         assert column[0].g2 < column[1].g2  # longer pulse, more re-excitation
 
     def test_rhs_forms_no_operator_stack(self, monkeypatch):
@@ -552,7 +554,8 @@ class TestSweeps:
 
         monkeypatch.setattr(dynamics._Generator, "rhs", first)
         with pytest.raises(Caught):
-            _sweep(two_level_system(0.02), [SensorConfig()], _pulses([0.02, 0.05, 0.1, 0.2]))
+            filtered_g2_batch(two_level_system(0.02), [SensorConfig()],
+                              _pulses([0.02, 0.05, 0.1, 0.2]))
         monkeypatch.undo()
         (gen, y), = caught
         assert (gen.nbatch, len(gen.static), gen.size) == (8, 4, 74)
@@ -574,9 +577,9 @@ class TestSweeps:
     def test_pulse_lengths_share_one_pass(self, system, observed, center, taus, widths):
         # every pulse length of the sweep in one pass, against a pass per pulse length
         sensors = [SensorConfig(center, w) for w in widths]
-        grid = _sweep(system, sensors, _pulses(taus), observed=observed)
+        grid = filtered_g2_batch(system, sensors, _pulses(taus), observed=observed)
         for pulse, row in zip(_pulses(taus), grid):
-            (alone,) = _sweep(system, sensors, [pulse], observed=observed)
+            (alone,) = filtered_g2_batch(system, sensors, [pulse], observed=observed)
             for st, one in zip(row, alone):
                 assert st.g2 == pytest.approx(one.g2, rel=1e-9)
                 assert st.g2_epsilon_check == pytest.approx(one.g2_epsilon_check, rel=1e-9)
@@ -589,8 +592,8 @@ class TestSweeps:
         (tau 0.02, Gamma = 20) and 6.00e-5 on sweep-fourlevel (tau 0.01,
         Gamma = 20)."""
         system, observed, center, taus, widths = FIGURE_SWEEPS[command]
-        stats = _sweep(system, [SensorConfig(center, float(w)) for w in widths], _pulses(taus),
-                       observed=observed)
+        stats = filtered_g2_batch(system, [SensorConfig(center, float(w)) for w in widths],
+                                  _pulses(taus), observed=observed)
         moves = [abs(st.g2_epsilon_check - st.g2) / st.g2 for row in stats for st in row]
         assert len(moves) == len(taus) * len(widths)
         assert max(moves) < 3e-4
@@ -602,8 +605,9 @@ class TestSweeps:
             g2 = []
             for command in ("sweep-filter", "sweep-fourlevel"):
                 system, observed, center, taus, widths = FIGURE_SWEEPS[command]
-                stats = _sweep(system, [SensorConfig(center, w) for w in widths],
-                               _pulses(taus), observed=observed, check_convergence=False)
+                stats = filtered_g2_batch(system, [SensorConfig(center, w) for w in widths],
+                                          _pulses(taus), observed=observed,
+                                          check_convergence=False)
                 g2 += [st.g2 for row in stats for st in row]
             return np.array(g2)
 
@@ -612,10 +616,9 @@ class TestSweeps:
         assert np.max(np.abs(curves() - base) / base) < 1e-12
 
     def test_points_sampled_at_drive_cutoff_only(self, tmp_path):
-        # a sweep command reads only g2, so its pass samples no state and stops at
-        # t_c alone, not at the window samples: its curve is that of the batch with
-        # an empty grid, to the 12 digits the CSV prints, and moves by < 1e-9
-        # against the window samples
+        # a sweep command's pass samples no state and stops at t_c alone: its curve
+        # is that of the batch at its default grid, to the 12 digits the CSV prints,
+        # and moves by < 1e-9 against 13 stops across the window
         (tmp_path / "run.yaml").write_text(
             "pulse_lengths: [0.05]\nsweep: {min: 0.1, max: 20.0, points: 3}\n")
         assert cli.main(["sweep-filter", "--config", str(tmp_path / "run.yaml"),
@@ -623,16 +626,17 @@ class TestSweeps:
         curve = (tmp_path / "sweep_filter_tau0.05.csv").read_text().splitlines()[1:]
         system = two_level_system(0.05)
         sensors = [SensorConfig(0.0, w) for w in np.geomspace(0.1, 20.0, 3)]
-        (sampled,) = filtered_g2_batch(system, sensors, [system.pulse])
-        (at_t_c,) = _sweep(system, sensors, [system.pulse])
-        assert all(st.base_report is None for st in at_t_c)
+        window = np.linspace(0.0, dynamics.drive_cutoff(system.pulse), 13)
+        (sampled,) = filtered_g2_batch(system, sensors, [system.pulse], grid=window)
+        (at_t_c,) = filtered_g2_batch(system, sensors, [system.pulse])
         for line, one, ref in zip(curve, at_t_c, sampled, strict=True):
             assert line.split(",")[1] == f"{one.g2:.12g}"
             assert one.g2 == pytest.approx(ref.g2, rel=1e-9)
 
     def test_sweep_point_identified_on_error(self):
         with pytest.raises(corr.SweepPointError) as err:
-            _sweep(two_level_system(0.1), [SensorConfig(0.0, 1.0)], _pulses([0.1], theta=0.0))
+            filtered_g2_batch(two_level_system(0.1), [SensorConfig(0.0, 1.0)],
+                              _pulses([0.1], theta=0.0))
         assert "bandwidth=1" in str(err.value)
         assert isinstance(err.value.__cause__, ZeroEmission)
 
@@ -653,8 +657,8 @@ class TestSweeps:
         widths = (0.1, 1.0, 20.0)
         for check, attaches in ((True, 2 * len(widths)), (False, len(widths))):
             calls.clear()
-            _sweep(system, [SensorConfig(0.0, w) for w in widths], _pulses((0.02, 0.05)),
-                   check_convergence=check)
+            filtered_g2_batch(system, [SensorConfig(0.0, w) for w in widths],
+                              _pulses((0.02, 0.05)), check_convergence=check)
             assert len(calls) == attaches
             assert all(sensor.detuning == 0.0 for sensor in calls)
 
@@ -743,14 +747,12 @@ class TestExports:
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, np.array([1.0]), [stats])
         lines = path.read_text().splitlines()
-        assert lines[0] == "axis_value,g2,epsilon_used,converged"
-        assert lines[1] == f"1,{stats.g2:.12g},{stats.epsilon_used:.9g},true"
+        assert lines[0] == "axis_value,g2,epsilon_used"
+        assert lines[1] == f"1,{stats.g2:.12g},{stats.epsilon_used:.9g}"
 
     def test_spectrum_csv(self, tmp_path):
-        res = corr.SweepResult(axis=np.array([-1.0, 0.0, 1.0]),
-                               values=np.array([0.5, 1.0, 0.5]))
         path = tmp_path / "spec.csv"
-        write_spectrum_csv(path, res)
+        write_spectrum_csv(path, np.array([-1.0, 0.0, 1.0]), np.array([0.5, 1.0, 0.5]))
         lines = path.read_text().splitlines()
         assert lines[0] == "detuning_over_gamma,normalized_intensity"
         assert len(lines) == 4

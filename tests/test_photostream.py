@@ -111,6 +111,10 @@ class TestSynthesize:
             StreamConfig(n_pulses=10, p_single=0.1, p_double=0.2)
         with pytest.raises(ValueError):
             StreamConfig(n_pulses=10, rep_period=0.0)
+        # 2e19 ps, past the 2^63 ps of an int64 click; 9e18 ps fits
+        with pytest.raises(ValueError, match="2\\^63 ps"):
+            StreamConfig(n_pulses=2_000_000_000, rep_period=1.0e7, p_single=1e-4)
+        assert StreamConfig(n_pulses=9_000_000, rep_period=1.0e9).duration == 9.0e15
 
     @pytest.mark.parametrize("field", ["rep_period", "emitter_lifetime", "pulse_sigma",
                                        "noise_rate"])
