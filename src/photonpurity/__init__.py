@@ -32,7 +32,6 @@ from .model import (
     build_two_level,
 )
 from .dynamics import (
-    CorrelationGrid,
     IntegratorConfig,
     two_time_g2_map,
 )

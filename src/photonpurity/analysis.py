@@ -155,8 +155,10 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
     1)) J)^-1, J = d mu / d params at the answer by central differences.
 
     The exciton buildup-and-decay shape is invariant under swapping the two
-    rates (up to amplitude), so the result is canonicalized to
-    gamma_2x >= gamma_x: the biexciton feeds the exciton and decays faster.
+    rates (up to amplitude), so the answer is canonicalized to
+    gamma_2x >= gamma_x, the biexciton feeding the exciton and decaying
+    faster, before J is taken: the uncertainties do not depend on the start
+    either.
     """
     from scipy.optimize import least_squares
     from scipy.special import xlog1py
@@ -191,6 +193,10 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
         raise NonConvergence(f"fit did not converge: {result.message}")
 
     params = pack(result.x)
+    if which == "exciton" and params.gamma_2x < params.gamma_x:  # the same curve, relabeled
+        params = CascadeParams(params.gamma_x, params.gamma_2x, params.irf_sigma,
+                               params.amplitude * params.gamma_2x / params.gamma_x,
+                               params.offset)
     x = np.array([getattr(params, f) for f in fields])
     mu = curve(x)
     steps = 1e-6 * np.where(x != 0.0, np.abs(x), 1.0)
@@ -200,8 +206,6 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
         raise IllConditioned("rank-deficient Jacobian; parameters not identifiable")
     cov = (vt.T / sv**2) @ vt  # (J^T W J)^-1 = V S^-2 V^T
     sigmas = {f: float(s) for f, s in zip(fields, np.sqrt(np.diag(cov)))}
-    if which == "exciton" and params.gamma_2x < params.gamma_x:
-        params, sigmas = _swap_exciton_rates(params, sigmas)
     above = mu > 1.0
     ndof = int(above.sum()) - len(fields)
     pearson = float(np.sum((counts[above] - mu[above]) ** 2 / mu[above]))
@@ -212,21 +216,6 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
         chi2_reduced=chi2,
         which=which,
     )
-
-
-def _swap_exciton_rates(params, sigmas):
-    """Map the rate-swapped exciton solution onto the canonical labeling
-    (identical curve: amplitude rescales by gamma_2x / gamma_x)."""
-    scale = params.gamma_2x / params.gamma_x
-    swapped = CascadeParams(
-        gamma_2x=params.gamma_x, gamma_x=params.gamma_2x,
-        irf_sigma=params.irf_sigma, amplitude=params.amplitude * scale,
-        offset=params.offset,
-    )
-    sig = dict(sigmas)
-    sig["gamma_2x"], sig["gamma_x"] = sigmas["gamma_x"], sigmas["gamma_2x"]
-    sig["amplitude"] = sigmas["amplitude"] * abs(scale)
-    return swapped, sig
 
 
 def initial_cascade_guess(times, counts, which: str = "exciton") -> CascadeParams:

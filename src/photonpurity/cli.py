@@ -5,13 +5,16 @@ Subcommands: g2map, spectrum, sweep-pulse, sweep-filter, sweep-fourlevel,
 hbt-sim, analyze-histogram, fit-lifetime.  The YAML config (--config) holds
 the model and the command line holds the run: the output folder (--out, else
 $PHOTONPURITY_OUTDIR, else ./out), hbt-sim's --seed and the data commands'
---data and --which.  Each run writes its outputs plus a metadata JSON with
-the resolved value of every config key the command reads (the RunConfig
-table) and of its --seed, --data and --which, and never the output folder;
-reruns with the same metadata reproduce the files byte for byte, into any
-folder.  A key or flag that the command does not read is a configuration
-error.  Defaults mirror the figure parameters so a bare invocation
-reproduces the corresponding dataset.
+--data and --which.  Each command only computes: it returns its files, each
+a name and a writer, and the facts its metadata adds.  `main` alone makes
+the folder, once the command has succeeded, so a run that fails leaves none;
+it writes the files in the order it prints their paths, then a metadata
+JSON with the resolved value of every config key the command reads (the
+RunConfig table), its --seed, --data and --which and the command's facts,
+and never the output folder; reruns with the same metadata reproduce the
+files byte for byte, into any folder.  A key or flag that the command does
+not read is a configuration error.  Defaults mirror the figure parameters so
+a bare invocation reproduces the corresponding dataset.
 
 Exit codes: 0 success, 2 bad configuration, 3 convergence failure.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import re
@@ -278,63 +282,37 @@ def _default_sensor_detuning(system, cfg: RunConfig):
     return 0.0 if system == "two_level" else cfg.binding_energy / 2.0
 
 
-def _outdir(out):
-    """Make and return the output folder: --out, else $PHOTONPURITY_OUTDIR, else ./out."""
-    out = out if out is not None else os.environ.get(ENV_OUTDIR, "out")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _metadata(cfg: RunConfig, command, extra=None):
-    return {"tool": "photonpurity", "version": __version__, "command": command,
-            "config": {name: getattr(cfg, name) for name in _reads(command, cfg.system)},
-            **(extra or {})}
-
-
-def cmd_g2map(cfg: RunConfig, out):
+def cmd_g2map(cfg: RunConfig):
     """Two-time correlation map of the bare two-level emission."""
     system = _system("two_level", cfg,
                      GaussianPulse(cfg.pulse_area_pi * math.pi, cfg.pulse_length))
     grid = correlations.map_grid(system)
-    cg = dynamics.two_time_g2_map(system, "sigma", grid)
-    out = _outdir(out)
-    path = os.path.join(out, "g2map.csv")
-    cg.to_csv(path)
-    correlations.write_metadata(
-        os.path.join(out, "g2map_metadata.json"),
-        _metadata(cfg, "g2map", {"grid_points": len(grid), "horizon": float(grid[-1])}),
-    )
-    return [path]
+    values = dynamics.two_time_g2_map(system, "sigma", grid)
+    return ({"g2map.csv": lambda path: correlations.write_g2map_csv(path, grid, values)},
+            {"grid_points": len(grid), "horizon": float(grid[-1])})
 
 
-def cmd_spectrum(cfg: RunConfig, out):
+def cmd_spectrum(cfg: RunConfig):
     """Spectral profiles for the configured pulse lengths."""
     center = _default_sensor_detuning(cfg.system, cfg)
     detunings = center + np.linspace(-cfg.detuning_span, cfg.detuning_span, cfg.detuning_points)
     pulses = [GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)) for tau in cfg.pulse_lengths]
     curves = correlations.spectrum(_system(cfg.system, cfg, pulses[0]), _observed(cfg.system),
                                    detunings, pulses, cfg.spec_bandwidth)
-    out = _outdir(out)
-    paths = [os.path.join(out, f"spectrum_tau{tau:g}.csv") for tau in cfg.pulse_lengths]
-    for path, values in zip(paths, curves):
-        correlations.write_spectrum_csv(path, detunings, values)
-    correlations.write_metadata(
-        os.path.join(out, "spectrum_metadata.json"),
-        _metadata(cfg, "spectrum", {"detuning_center": center}),
-    )
-    return paths
+    files = {f"spectrum_tau{tau:g}.csv": functools.partial(
+        correlations.write_spectrum_csv, detunings=detunings, values=values)
+        for tau, values in zip(cfg.pulse_lengths, curves)}
+    return files, {"detuning_center": center}
 
 
-def _run_sweep(cfg: RunConfig, out, command, system):
+def _sweep(cfg: RunConfig, prefix, system, sweep_pulse=False):
     """A filtered-g2 sweep of `system`, one filtered_g2_batch over every
     pulse length and filter width: the sweep axis is the filter width (one
-    curve per pulse length, the batch's rows) or, for sweep-pulse, the pulse
-    length (one curve per filter width, its columns).  The files are named
-    after the subcommand `command` with "_" for "-"."""
+    curve per pulse length, the batch's rows) or, if `sweep_pulse`, the
+    pulse length (one curve per filter width, its columns).  The files are
+    named `prefix`_<curve>.csv."""
     axis = (np.geomspace if cfg.sweep_log else np.linspace)(cfg.sweep_min, cfg.sweep_max,
                                                             cfg.sweep_points)
-    prefix = command.replace("-", "_")
-    sweep_pulse = command == "sweep-pulse"
     taus, widths = (axis, cfg.filter_widths) if sweep_pulse else (cfg.pulse_lengths, axis)
     pulses = [GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)) for tau in taus]
     sensors = [SensorConfig(_default_sensor_detuning(system, cfg), float(w), cfg.epsilon)
@@ -345,28 +323,24 @@ def _run_sweep(cfg: RunConfig, out, command, system):
         curves = {f"gamma{float(w):g}": [row[j] for row in grid] for j, w in enumerate(widths)}
     else:
         curves = {f"tau{float(tau):g}": row for tau, row in zip(taus, grid)}
-    out = _outdir(out)
-    paths = [os.path.join(out, f"{prefix}_{key}.csv") for key in curves]
-    for path, stats in zip(paths, curves.values()):
-        correlations.write_sweep_csv(path, axis, stats)
-    correlations.write_metadata(os.path.join(out, f"{prefix}_metadata.json"),
-                                _metadata(cfg, command))
-    return paths
+    files = {f"{prefix}_{key}.csv": functools.partial(
+        correlations.write_sweep_csv, axis=axis, stats=stats) for key, stats in curves.items()}
+    return files, {}
 
 
-def cmd_sweep_filter(cfg: RunConfig, out):
+def cmd_sweep_filter(cfg: RunConfig):
     """g2 versus filter width for the two-level system."""
-    return _run_sweep(cfg, out, "sweep-filter", cfg.system)
+    return _sweep(cfg, "sweep_filter", cfg.system)
 
 
-def cmd_sweep_fourlevel(cfg: RunConfig, out):
+def cmd_sweep_fourlevel(cfg: RunConfig):
     """g2 versus filter width for the exciton line of the cascade."""
-    return _run_sweep(cfg, out, "sweep-fourlevel", "biexciton")
+    return _sweep(cfg, "sweep_fourlevel", "biexciton")
 
 
-def cmd_sweep_pulse(cfg: RunConfig, out):
+def cmd_sweep_pulse(cfg: RunConfig):
     """g2 versus pulse length, one curve per filter width."""
-    return _run_sweep(cfg, out, "sweep-pulse", cfg.system)
+    return _sweep(cfg, "sweep_pulse", cfg.system, sweep_pulse=True)
 
 
 def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:
@@ -416,7 +390,7 @@ def _estimate(hist, rep_period, cfg: RunConfig):
         raise EstimationError(str(err)) from err
 
 
-def cmd_hbt(cfg: RunConfig, out, seed):
+def cmd_hbt(cfg: RunConfig, seed):
     """Synthesize a photon stream, correlate it and estimate g2."""
     if seed < 0:
         raise ConfigError("seed: must be an integer >= 0")
@@ -428,30 +402,22 @@ def cmd_hbt(cfg: RunConfig, out, seed):
         hist = photostream.correlate(clicks1, clicks2, cfg.bin_width, cfg.span)
     except photostream.HistogramTooLarge as err:
         raise ConfigError(str(err)) from err
-    n_clicks = [int(len(clicks1)), int(len(clicks2))]
-    del clicks1, clicks2  # not held while the histogram is written
+    except photostream.TimestampOverflow as err:
+        raise ConfigError(f"stream: {err}") from err
     estimate = _estimate(hist, stream_cfg.rep_period, cfg)
     ks, sums = photostream.peak_sums(hist, stream_cfg.rep_period, cfg.window)
-    out = _outdir(out)
-    hist_path = os.path.join(out, "hbt_histogram.csv")
-    hist.to_csv(hist_path)
-    est_path = os.path.join(out, "hbt_estimate.json")
-    estimate.to_json(est_path)
-    sums_path = os.path.join(out, "hbt_peak_sums.csv")
-    photostream._write_int_csv(sums_path, "peak_index,summed_counts", ks, sums)
-    correlations.write_metadata(
-        os.path.join(out, "hbt_metadata.json"),
-        _metadata(cfg, "hbt-sim", {
-            "seed": seed,
-            "stream": {**vars(stream_cfg),
-                       "blinking": stream_cfg.blinking and vars(stream_cfg.blinking)},
-            "clicks": n_clicks,
-        }),
-    )
-    return [hist_path, est_path, sums_path]
+    files = {
+        "hbt_histogram.csv": hist.to_csv,
+        "hbt_estimate.json": estimate.to_json,
+        "hbt_peak_sums.csv": lambda path: photostream._write_int_csv(
+            path, "peak_index,summed_counts", ks, sums),
+    }
+    return files, {"stream": {**vars(stream_cfg),
+                              "blinking": stream_cfg.blinking and vars(stream_cfg.blinking)},
+                   "clicks": [len(clicks1), len(clicks2)]}
 
 
-def cmd_analyze_histogram(cfg: RunConfig, out, data):
+def cmd_analyze_histogram(cfg: RunConfig, data):
     """Peak-sum analysis of an existing histogram CSV."""
     try:
         hist = photostream.read_histogram_csv(data)
@@ -461,22 +427,18 @@ def cmd_analyze_histogram(cfg: RunConfig, out, data):
     estimate = _estimate(hist, cfg.rep_period, cfg)
     ks, sums = photostream.peak_sums(hist, cfg.rep_period, cfg.window)
     freqs, amp = photostream.peak_sum_spectrum(ks, sums, cfg.rep_period)
-    out = _outdir(out)
-    est_path = os.path.join(out, "histogram_estimate.json")
-    estimate.to_json(est_path)
-    spec_path = os.path.join(out, "peak_sum_spectrum.csv")
-    with open(spec_path, "w") as fh:
-        fh.write("frequency_mhz,amplitude\n")
-        for f, a in zip(freqs, amp):
-            fh.write(f"{f:.9g},{a:.9g}\n")
-    correlations.write_metadata(
-        os.path.join(out, "histogram_metadata.json"),
-        _metadata(cfg, "analyze-histogram", {"data": str(data)}),
-    )
-    return [est_path, spec_path]
+
+    def write_spectrum(path):
+        with open(path, "w") as fh:
+            fh.write("frequency_mhz,amplitude\n")
+            for f, a in zip(freqs, amp):
+                fh.write(f"{f:.9g},{a:.9g}\n")
+
+    return {"histogram_estimate.json": estimate.to_json,
+            "peak_sum_spectrum.csv": write_spectrum}, {}
 
 
-def cmd_fit_lifetime(cfg: RunConfig, out, data, which):
+def cmd_fit_lifetime(cfg: RunConfig, data, which):
     """Fit decay data (CSV time_ps, counts) with the IRF-blurred cascade model."""
     try:
         times, counts = analysis.read_decay_csv(data)
@@ -484,14 +446,7 @@ def cmd_fit_lifetime(cfg: RunConfig, out, data, which):
         raise ConfigError(f"data: {err}") from err
     init = analysis.initial_cascade_guess(times, counts, which)
     result = analysis.fit_lifetimes(times, counts, init, which)
-    out = _outdir(out)
-    fit_path = os.path.join(out, "lifetime_fit.json")
-    result.to_json(fit_path)
-    correlations.write_metadata(
-        os.path.join(out, "lifetime_fit_metadata.json"),
-        _metadata(cfg, "fit-lifetime", {"data": str(data), "which": which}),
-    )
-    return [fit_path]
+    return {"lifetime_fit.json": result.to_json}, {}
 
 
 @functools.cache
@@ -502,7 +457,7 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, run in _COMMANDS.items():
+    for command, (run, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=run.__doc__.splitlines()[0])
         p.add_argument("--config", help="YAML run configuration")
         # perfbench/workloads.py passes --jobs to every command
@@ -516,24 +471,42 @@ def build_parser():
     return parser
 
 
+# Each command's function and the stem of its metadata file.
 _COMMANDS = {
-    "g2map": cmd_g2map,
-    "spectrum": cmd_spectrum,
-    "sweep-pulse": cmd_sweep_pulse,
-    "sweep-filter": cmd_sweep_filter,
-    "sweep-fourlevel": cmd_sweep_fourlevel,
-    "hbt-sim": cmd_hbt,
-    "analyze-histogram": cmd_analyze_histogram,
-    "fit-lifetime": cmd_fit_lifetime,
+    "g2map": (cmd_g2map, "g2map"),
+    "spectrum": (cmd_spectrum, "spectrum"),
+    "sweep-pulse": (cmd_sweep_pulse, "sweep_pulse"),
+    "sweep-filter": (cmd_sweep_filter, "sweep_filter"),
+    "sweep-fourlevel": (cmd_sweep_fourlevel, "sweep_fourlevel"),
+    "hbt-sim": (cmd_hbt, "hbt"),
+    "analyze-histogram": (cmd_analyze_histogram, "histogram"),
+    "fit-lifetime": (cmd_fit_lifetime, "lifetime_fit"),
 }
 
 
 def main(argv=None):
+    """Run one command and return its exit code.  The command computes its
+    files; only once it has succeeded is the output folder made (--out, else
+    $PHOTONPURITY_OUTDIR, else ./out), then each file written and its path
+    printed in the command's order, then <stem>_metadata.json: the config
+    the command reads, its --seed, --data and --which, and the command's
+    own facts, with sorted keys, a 2-space indent and a trailing newline."""
     args = build_parser().parse_args(argv)
-    extra = {name: getattr(args, name) for name in ("seed", "data", "which") if name in args}
+    flags = {name: getattr(args, name) for name in ("seed", "data", "which") if name in args}
+    run, stem = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config, args.command)
-        paths = _COMMANDS[args.command](cfg, args.out, **extra)
+        files, facts = run(cfg, **flags)
+        out = args.out if args.out is not None else os.environ.get(ENV_OUTDIR, "out")
+        os.makedirs(out, exist_ok=True)
+        paths = [os.path.join(out, name) for name in files]
+        for path, write in zip(paths, files.values()):
+            write(path)
+        config = {name: getattr(cfg, name) for name in _reads(args.command, cfg.system)}
+        with open(os.path.join(out, f"{stem}_metadata.json"), "w") as fh:
+            json.dump({"tool": "photonpurity", "version": __version__, "command": args.command,
+                       "config": config, **flags, **facts}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except (ConfigError, OSError) as err:  # OSError: a path from the config or the flags
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

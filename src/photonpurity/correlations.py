@@ -60,7 +60,6 @@ figure sweep-filter, sweep-pulse and sweep-fourlevel).
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -75,6 +74,7 @@ EPSILON_CONVERGENCE = 5e-3
 MAP_POINTS = 300
 WINDOW_INTERVALS = 30
 HORIZON_DECADES = 12.0
+_CSV_CHUNK = 1 << 16  # map rows per formatted write
 
 
 class NotConverged(RuntimeError):
@@ -356,16 +356,28 @@ def write_sweep_csv(path, axis, stats):
             fh.write(f"{x:.9g},{st.g2:.12g},{st.epsilon_used:.9g}\n")
 
 
+def write_g2map_csv(path, times, values):
+    """The (n, n) map `values` on `times` along both axes as a row-major
+    (t1, t2, value) CSV; first line names the time unit.  Each time is
+    formatted once, into the template of its lines; one formatted write of
+    the values per chunk of t1 rows."""
+    # joined by a row's "t1," this list puts that t1 in front of every line
+    tails = ["", *("%.9g," % t + "%.12g\n" for t in times)]
+    n = len(times)
+    values = np.reshape(values, (n, n))
+    step = max(1, _CSV_CHUNK // len(tails))
+    with open(path, "w") as fh:
+        fh.write("# time_unit=1/gamma_sigma\n")
+        fh.write("t1,t2,value\n")
+        for start in range(0, n, step):
+            chunk = times[start:start + step]
+            template = "".join(("%.9g," % t).join(tails) for t in chunk)
+            fh.write(template % tuple(values[start:start + step].ravel().tolist()))
+
+
 def write_spectrum_csv(path, detunings, values):
     """One spectrum: each filter center of `detunings` and its value."""
     with open(path, "w") as fh:
         fh.write("detuning_over_gamma,normalized_intensity\n")
         for x, v in zip(detunings, values):
             fh.write(f"{x:.9g},{v:.12g}\n")
-
-
-def write_metadata(path, metadata: dict):
-    """JSON sidecar recording everything needed to reproduce a run."""
-    with open(path, "w") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")

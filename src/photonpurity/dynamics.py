@@ -80,34 +80,7 @@ DEFAULT_INTEGRATOR = IntegratorConfig()
 # run (the budget allows 1e-9), at 50 steps 8.9e-11.
 MIN_STEPS_PER_PULSE = 50
 
-_CSV_CHUNK = 1 << 16    # map rows per formatted write
 _TAIL_GROUP_BYTES = 1 << 20    # generator stack per batched tail solve
-
-
-@dataclass
-class CorrelationGrid:
-    """Two-time second-order correlation values on the grid `times` along
-    both axes, t1 and t2."""
-
-    times: np.ndarray
-    values: np.ndarray  # (n, n) real: values[i, j] at t1 = times[i], t2 = times[j]
-
-    def to_csv(self, path):
-        """Row-major (t1, t2, value) CSV; first line names the time unit.
-        Each time is formatted once, into the template of its lines; one
-        formatted write of the values per chunk of t1 rows."""
-        # joined by a row's "t1," this list puts that t1 in front of every line
-        tails = ["", *("%.9g," % t + "%.12g\n" for t in self.times)]
-        n = len(self.times)
-        values = np.reshape(self.values, (n, n))
-        step = max(1, _CSV_CHUNK // len(tails))
-        with open(path, "w") as fh:
-            fh.write("# time_unit=1/gamma_sigma\n")
-            fh.write("t1,t2,value\n")
-            for start in range(0, n, step):
-                chunk = self.times[start:start + step]
-                template = "".join(("%.9g," % t).join(tails) for t in chunk)
-                fh.write(template % tuple(values[start:start + step].ravel().tolist()))
 
 
 # DOP853 tableau, the 12 stages of Dormand & Prince's eighth-order solution
@@ -790,11 +763,11 @@ def _step_propagators(gen, times, cfg):
 
 
 def two_time_g2_map(system: SystemModel, emit: str, grid,
-                    cfg: IntegratorConfig | None = None) -> CorrelationGrid:
+                    cfg: IntegratorConfig | None = None) -> np.ndarray:
     """Unnormalized two-time second-order correlation map of the output op
     e named `emit`, W(t1, t2) = <T-[e^dag(t1) e^dag(t2)] T+[e(t2) e(t1)]>,
     for a system started in the ground state at t = 0, on `grid` along both
-    axes.
+    axes: the (n, n) real array with W(grid[i], grid[j]) at [i, j].
 
     The grid starts at t = 0 and does not decrease (ValueError otherwise).
     The state is stepped node to node by the interval propagators P_k of
@@ -835,4 +808,4 @@ def two_time_g2_map(system: SystemModel, emit: str, grid,
         w_map[:k + 1, k + 1] = (rows[:k + 1] @ nvec).real
     iu = np.triu_indices(n, k=1)
     w_map[iu[1], iu[0]] = w_map[iu]
-    return CorrelationGrid(times=grid, values=w_map)
+    return w_map

@@ -63,6 +63,10 @@ class HistogramTooLarge(ValueError):
     """The bins that a span and a bin width ask for cannot be allocated."""
 
 
+class TimestampOverflow(ValueError):
+    """A click time reaches 2^63 ps, past the int64 timestamps."""
+
+
 class MalformedHistogram(ValueError):
     """A histogram CSV whose rows are not centred, evenly spaced delays with
     counts >= 0 in an odd number of bins."""
@@ -176,7 +180,9 @@ def synthesize_stream(cfg: StreamConfig, seed: int):
     Deterministic for a given (cfg, seed): pulses are processed in fixed
     blocks of 2^19, block k drawing from SeedSequence(seed).spawn()[k]; the
     background uses the independent stream SeedSequence((seed, 1)).  Each
-    block draws per photon, not per pulse (`_emit_block`).
+    block draws per photon, not per pulse (`_emit_block`).  A click at or
+    past 2^63 ps (a delay of that order: StreamConfig bounds the duration,
+    not the exponential draws) is TimestampOverflow.
     """
     n_blocks = int(np.ceil(cfg.n_pulses / _PULSE_BLOCK)) if cfg.n_pulses else 0
     children = np.random.SeedSequence(seed).spawn(n_blocks)
@@ -203,6 +209,10 @@ def synthesize_stream(cfg: StreamConfig, seed: int):
         t = np.concatenate(parts) if parts else np.empty(0)
         if len(t) and t.min() < 0.0:
             t = t[t >= 0.0]
+        # the product that t *= NS_TO_PS forms, as a Python float (inf, not a warning, on overflow)
+        if len(t) and float(t.max()) * NS_TO_PS >= 2.0**63:
+            raise TimestampOverflow(f"a click at {t.max():g} ns reaches 2^63 ps, past the "
+                                    "int64 timestamps")
         t *= NS_TO_PS
         ps = t.view(np.int64)
         np.rint(t, out=ps, casting="unsafe")

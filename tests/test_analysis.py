@@ -86,6 +86,19 @@ class TestFit:
         fit = fit_lifetimes(self.t, y.astype(float), init, "exciton")
         assert fit.params.gamma_2x >= fit.params.gamma_x
 
+    def test_uncertainties_do_not_depend_on_the_start(self):
+        # the same curve from either side of the degenerate ridge: the
+        # Fisher sigmas are taken at the one canonical answer
+        rng = np.random.default_rng(1)
+        y = rng.poisson(np.maximum(cascade_model(self.t, TRUE, "exciton"), 0.0)).astype(float)
+        fits = [fit_lifetimes(self.t, y, CascadeParams(g2x, gx, 0.05, 9e3, 0.75), "exciton")
+                for g2x, gx in ((5.0, 3.0), (2.5, 7.0))]
+        assert fits[0].uncertainties.keys() == fits[1].uncertainties.keys()
+        for name, sigma in fits[0].uncertainties.items():
+            other = fits[1].uncertainties[name]
+            assert type(sigma) is float and type(other) is float, name
+            assert other == pytest.approx(sigma, rel=1e-6), name
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_lifetimes(self.t[:20], np.ones(20), TRUE, "exciton")

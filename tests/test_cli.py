@@ -94,6 +94,16 @@ def test_hbt_stream_past_int64_timestamps_is_a_config_error(tmp_path, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+def test_hbt_click_past_int64_timestamps_is_a_config_error(tmp_path, capsys):
+    # the stream lasts 13.1 us, but its 1e17 ns delays pass 2^63 ps
+    text = "stream: {n_pulses: 1000, p_single: 1.0, emitter_lifetime: 1.0e+17}\n"
+    assert run(tmp_path, "hbt-sim", text) == 2
+    err = capsys.readouterr().err
+    assert "stream: a click at" in err and "reaches 2^63 ps" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_hbt_window_wider_than_stream_period(tmp_path):
     assert run(tmp_path, "hbt-sim", "stream: {n_pulses: 1000, rep_period: 5.0}\n") == 2
 
@@ -499,17 +509,16 @@ PROXY_RUNS = {
 }
 
 
-def test_table_lists_the_fields_each_command_reads(tmp_path, monkeypatch):
+def test_table_lists_the_fields_each_command_reads(tmp_path):
     # every RunConfig field a command's code reads, recorded through a proxy,
     # is the table's entry for it, and the table's keys are READS
-    real = cli._metadata
     reads = {}
     for command, texts in PROXY_RUNS.items():
         extra = {}
         if command == "hbt-sim":
             extra = {"seed": 2024}
-        if command == "analyze-histogram":  # the histogram hbt-sim wrote just before
-            extra = {"data": str(tmp_path / "out" / "hbt_histogram.csv")}
+        if command == "analyze-histogram":  # the histogram hbt-sim returned just before
+            extra = {"data": str(tmp_path / "hbt_histogram.csv")}
         if command == "fit-lifetime":
             _write_decay(tmp_path / "decay.csv", "exciton", np.random.default_rng(7))
             extra = {"data": str(tmp_path / "decay.csv"), "which": "exciton"}
@@ -518,13 +527,47 @@ def test_table_lists_the_fields_each_command_reads(tmp_path, monkeypatch):
             cfg = cli.load_config(tmp_path / "run.yaml", command=command)
             proxy = _Reading(**{name: getattr(cfg, name) for name in cli._FIELDS})
             proxy.read = set()
-            monkeypatch.setattr(cli, "_metadata", lambda _, *args: real(cfg, *args))
-            cli._COMMANDS[command](proxy, str(tmp_path / "out"), **extra)
+            files, _ = cli._COMMANDS[command][0](proxy, **extra)
+            for name, write in files.items():
+                write(tmp_path / name)
             assert proxy.read == set(cli._reads(command, cfg.system)), (command, cfg.system)
             reads.setdefault(command, set()).update(proxy.read)
         assert reads[command] == set(cli._reads(command)), command
         assert {cli._FIELDS[name].metadata["key"] or name
                 for name in reads[command]} == READS[command], command
+
+
+def test_commands_only_compute(tmp_path, monkeypatch):
+    # a command returns its files and facts and writes nothing, not even
+    # the output folder: main writes, once the command has succeeded
+    data, work, env = (tmp_path / name for name in ("data", "work", "env"))
+    for folder in (data, work, env):
+        folder.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv(cli.ENV_OUTDIR, str(env))
+    _write_decay(data / "decay.csv", "exciton", np.random.default_rng(7))
+    flags = {"hbt-sim": {"seed": 2024},
+             "analyze-histogram": {"data": str(data / "hbt_histogram.csv")},
+             "fit-lifetime": {"data": str(data / "decay.csv"), "which": "exciton"}}
+    for command, (run, _) in cli._COMMANDS.items():
+        (data / "run.yaml").write_text(PROXY_RUNS[command][0])
+        files, facts = run(cli.load_config(data / "run.yaml", command), **flags.get(command, {}))
+        assert os.listdir(work) == [] and os.listdir(env) == [], command
+        assert files and all(callable(write) for write in files.values()), command
+        assert isinstance(facts, dict), command
+        if command == "hbt-sim":  # the histogram analyze-histogram reads
+            files["hbt_histogram.csv"](data / "hbt_histogram.csv")
+
+
+def test_metadata_json_byte_format(tmp_path):
+    # sorted keys, a 2-space indent and a trailing newline, on a real run
+    data = tmp_path / "decay.csv"
+    _write_decay(data, "exciton", np.random.default_rng(7))
+    assert cli.main(["fit-lifetime", "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "lifetime_fit_metadata.json").read_text()
+    assert text == ('{\n  "command": "fit-lifetime",\n  "config": {},\n'
+                    f'  "data": {json.dumps(str(data))},\n  "tool": "photonpurity",\n'
+                    f'  "version": "{cli.__version__}",\n  "which": "exciton"\n}}\n')
 
 
 def test_sweep_kind_must_match_the_command(tmp_path, capsys):

@@ -17,7 +17,6 @@ from photonpurity.correlations import (
     filtered_g2_batch,
     filtered_g2_zero,
     spectrum,
-    write_metadata,
     write_spectrum_csv,
     write_sweep_csv,
 )
@@ -756,8 +755,3 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "detuning_over_gamma,normalized_intensity"
         assert len(lines) == 4
-
-    def test_metadata_json(self, tmp_path):
-        path = tmp_path / "meta.json"
-        write_metadata(path, {"b": [0, 1, 2], "a": 1.5})
-        assert path.read_text() == '{\n  "a": 1.5,\n  "b": [\n    0,\n    1,\n    2\n  ]\n}\n'

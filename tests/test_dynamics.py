@@ -8,10 +8,9 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
 
 from photonpurity import dynamics
-from photonpurity.correlations import map_grid
+from photonpurity.correlations import map_grid, write_g2map_csv
 from photonpurity.dynamics import (
     BatchMismatch,
-    CorrelationGrid,
     DimensionMismatch,
     StepSizeUnderflow,
     emission_integrals,
@@ -178,14 +177,14 @@ class TestTwoTimeMap:
     def test_two_level_diagonal_exactly_zero(self):
         system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
         grid = np.linspace(0.0, 3.0, 61)
-        cg = two_time_g2_map(system, "sigma", grid)
-        assert np.all(np.diag(cg.values) == 0.0)
+        w = two_time_g2_map(system, "sigma", grid)
+        assert np.all(np.diag(w) == 0.0)
 
     def test_symmetric(self):
         system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
         grid = np.linspace(0.0, 3.0, 41)
-        cg = two_time_g2_map(system, "sigma", grid)
-        assert np.max(np.abs(cg.values - cg.values.T)) < 1e-9
+        w = two_time_g2_map(system, "sigma", grid)
+        assert np.max(np.abs(w - w.T)) < 1e-9
 
     def test_against_direct_regression(self):
         # oracle: collapse at t1 with scipy, propagate to t2, read the
@@ -193,7 +192,7 @@ class TestTwoTimeMap:
         p = GaussianPulse(math.pi, 0.1)
         system = build_two_level(TwoLevelConfig(), p)
         grid = np.linspace(0.0, 3.0, 31)
-        cg = two_time_g2_map(system, "sigma", grid)
+        w = two_time_g2_map(system, "sigma", grid)
         sigma = system.output_ops["sigma"]
         nop = sigma.conj().T @ sigma
         rho0 = ground_state(system)
@@ -203,7 +202,7 @@ class TestTwoTimeMap:
             collapsed = sigma @ rho_t1 @ sigma.conj().T
             rho_t2 = reference_master_equation(system, collapsed, np.array([t1, t2]))[-1]
             oracle = np.trace(nop @ rho_t2).real
-            assert cg.values[i, j] == pytest.approx(oracle, rel=1e-6, abs=1e-12)
+            assert w[i, j] == pytest.approx(oracle, rel=1e-6, abs=1e-12)
 
     @pytest.mark.parametrize("tau", [1e-5, 0.001, 0.02, 0.05, 0.2, 1.5, 3.0, 27.0, 100.0])
     def test_map_grid_resolves_the_drive_window(self, tau):
@@ -228,8 +227,8 @@ class TestTwoTimeMap:
         system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, tau))
         grid = map_grid(system)
         tight = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-16)
-        ref = two_time_g2_map(system, "sigma", grid, cfg=tight).values
-        got = two_time_g2_map(system, "sigma", grid).values
+        ref = two_time_g2_map(system, "sigma", grid, cfg=tight)
+        got = two_time_g2_map(system, "sigma", grid)
         assert np.max(np.abs(got - ref)) <= 2e-11 * np.max(ref)
 
     def test_grid_only_sets_where_the_map_is_read(self):
@@ -239,19 +238,19 @@ class TestTwoTimeMap:
         system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
         grid = map_grid(system)
         union = np.union1d(np.linspace(0.0, grid[-1], 611), grid)
-        got = two_time_g2_map(system, "sigma", grid).values
+        got = two_time_g2_map(system, "sigma", grid)
         at = np.searchsorted(union, grid)
-        ref = two_time_g2_map(system, "sigma", union).values[np.ix_(at, at)]
+        ref = two_time_g2_map(system, "sigma", union)[np.ix_(at, at)]
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
 
     def test_coincidence_mass_in_pulse_strips(self):
         p = GaussianPulse(math.pi, 0.05)
         system = build_two_level(TwoLevelConfig(), p)
         grid = np.linspace(0.0, 6.0, 301)
-        cg = two_time_g2_map(system, "sigma", grid)
+        w = two_time_g2_map(system, "sigma", grid)
         near_pulse = np.abs(grid - p.offset) < 3 * p.length
         strip = near_pulse[:, None] | near_pulse[None, :]
-        assert cg.values[strip].sum() / cg.values.sum() > 0.9
+        assert w[strip].sum() / w.sum() > 0.9
 
     def test_csv_matches_row_writer(self, tmp_path):
         # longer than one chunk of rows, with negative zeros, tiny and huge values
@@ -259,9 +258,8 @@ class TestTwoTimeMap:
         times = np.sort(rng.uniform(0.0, 12.2, 311))
         values = rng.normal(size=(311, 311)) * 10.0 ** rng.integers(-40, 40, (311, 311))
         values[0, :3] = (0.0, -0.0, 1.0)
-        cg = CorrelationGrid(times, values)
         path = tmp_path / "map.csv"
-        cg.to_csv(path)
+        write_g2map_csv(path, times, values)
         expected = "# time_unit=1/gamma_sigma\nt1,t2,value\n" + "".join(
             f"{a:.9g},{b:.9g},{values[i, j]:.12g}\n"
             for i, a in enumerate(times) for j, b in enumerate(times))
@@ -273,7 +271,7 @@ class TestTwoTimeMap:
         values = np.array([[-1.0, 2.0, 1e-310, 0.0, -0.0, 3.0, 1e300, -7e-5],
                            [42.0, 1.0 / 3.0, -2.0 ** 60, 5.0, 6.0, 1e-20, -8.5e12, 0.5]] * 4)
         path = tmp_path / "map.csv"
-        CorrelationGrid(times, values).to_csv(path)
+        write_g2map_csv(path, times, values)
         expected = "# time_unit=1/gamma_sigma\nt1,t2,value\n" + "".join(
             "%.9g,%.9g,%.12g\n" % (a, b, values[i, j])
             for i, a in enumerate(times) for j, b in enumerate(times))

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from photonpurity.photostream import (
     HistogramTooLarge,
     MalformedHistogram,
     StreamConfig,
+    TimestampOverflow,
     UnsortedInput,
     WindowOverlap,
     _int_rows,
@@ -115,6 +117,14 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="2\\^63 ps"):
             StreamConfig(n_pulses=2_000_000_000, rep_period=1.0e7, p_single=1e-4)
         assert StreamConfig(n_pulses=9_000_000, rep_period=1.0e9).duration == 9.0e15
+
+    def test_click_past_int64_timestamps_is_refused(self):
+        # a short stream, but delays of 1e17 ns put most clicks past 2^63 ps
+        cfg = StreamConfig(n_pulses=1000, p_single=1.0, emitter_lifetime=1.0e17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast to INT64_MIN on the way
+            with pytest.raises(TimestampOverflow, match="2\\^63 ps"):
+                synthesize_stream(cfg, 1)
 
     @pytest.mark.parametrize("field", ["rep_period", "emitter_lifetime", "pulse_sigma",
                                        "noise_rate"])
