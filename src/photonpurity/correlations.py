@@ -42,7 +42,10 @@ exciton line).  Under a resonant drive the spectrum is mirror symmetric
 about the laser, n(-Delta) = n(Delta) at any sensor coupling: a diagonal
 sign matrix S with S conj(H) S = -H and S conj(L) S = +-L takes the
 conjugated state at center Delta onto that at -Delta.  Where the model has
-such an S, each +-Delta pair of filter centers is stepped once.
+such an S, each +-Delta pair of filter centers is stepped once.  The same S
+(dynamics.mirror_signs) fixes the state of a pass whose filter centers are
+all at 0, as in the resonant sweeps: each coherence is then real or
+imaginary, and the pass steps only that entry of each (Re, Im) pair.
 
 All the points of a command (every filter width at every pulse length, each
 at eps and at eps/2 for the eps-halving check; or every center of a
@@ -234,38 +237,16 @@ def filtered_g2_zero(
     return stats
 
 
-def _mirror_symmetric(system: SystemModel, observed) -> bool:
-    """Whether a diagonal sign matrix S (entries +-1) gives S conj(H) S = -H
-    for h_static and h_drive of the bare emitter `system`, and S conj(L) S =
-    +-L for every channel L and the output op `observed` O (spectrum says why
-    that makes its spectrum mirror symmetric).  S (x) (+-1)^n then does the
-    same for the sensor attached at detuning 0, the sign per photon chosen
-    so that the coupling O a^dag + h.c. turns sign.  The signs come from a
-    walk over the non-zeros of h_static + h_drive, a real entry giving its
-    two states opposite signs, any other the same; every condition is then
-    checked exactly, so a model without such an S reads False."""
-    hams = [system.h_static, system.h_drive]
-    h = system.h_static + system.h_drive
-    signs = np.zeros(system.dimension)
-    for root in range(system.dimension):
-        if signs[root]:
-            continue
-        signs[root] = 1.0
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(h[i]):
-                if not signs[j]:
-                    signs[j] = -signs[i] if h[i, j].imag == 0 else signs[i]
-                    stack.append(j)
-
-    def mirror(op):
-        return signs[:, None] * op.conj() * signs
-
-    ops = [op for op, _ in system.channels] + [system.output_ops[observed]]
-    return (all(np.array_equal(mirror(ham), -ham) for ham in hams)
-            and all(np.array_equal(mirror(op), op) or np.array_equal(mirror(op), -op)
-                    for op in ops))
+def _mirror_symmetric(system: SystemModel, observed):
+    """The signs of a diagonal sign matrix S with S conj(H) S = -H for
+    h_static and h_drive of the bare emitter `system`, and S conj(L) S = +-L
+    for every channel L and the output op `observed` O, or None
+    (dynamics.mirror_signs; spectrum says why that makes its spectrum mirror
+    symmetric).  S (x) (+-1)^n then does the same for the sensor attached
+    at detuning 0, the sign per photon chosen so that the coupling
+    O a^dag + h.c. turns sign."""
+    return dynamics.mirror_signs([system.h_static, system.h_drive],
+                                 [op for op, _ in system.channels] + [system.output_ops[observed]])
 
 
 def _copy_with(model: SystemModel, **fields) -> SystemModel:
@@ -333,7 +314,8 @@ def spectrum(
     if len(detunings) == 0 or len(pulses) == 0:
         raise ValueError("detunings, pulses: a spectrum needs a filter center and a pulse")
     mirrors = detunings[:, None] == -detunings  # [i, j]: center j mirrors center i
-    mirrored = (detunings < 0) & mirrors.any(axis=1) & _mirror_symmetric(system, observed)
+    symmetric = _mirror_symmetric(system, observed) is not None
+    mirrored = (detunings < 0) & mirrors.any(axis=1) & symmetric
     source = np.cumsum(~mirrored) - 1
     source[mirrored] = source[mirrors[mirrored].argmax(axis=1)]
     sensors = [SensorConfig(d, spec_bandwidth, truncation=1) for d in detunings[~mirrored]]

@@ -15,18 +15,22 @@ command, at every pulse length): one dense real matmul of the rows of each
 pulse length with a shared operator, plus what each system adds on its own
 non-zeros.  Each system runs on its pulse clock, so pulses of one area
 share one drive envelope, window and cutoff.  The rows hold only the
-coordinates that the initial rows can reach, in the lab frame: a detuned
-line, such as the cascade's exciton line 150 gamma from the laser, turns
-the phase of its coherences there, and a filter detuning only adds to that
-turn.  Rows become complex vec(rho) only where values leave a pass.
+coordinates that can be non-zero: those the initial rows can reach, in the
+lab frame (a detuned line, such as the cascade's exciton line 150 gamma
+from the laser, turns the phase of its coherences there, and a filter
+detuning only adds to that turn), and under a resonant drive only the live
+entry of each coherence pair, the one that the sign matrix S of
+mirror_signs leaves free (a resonant two-level sensor batch keeps 44 of its
+74).  Rows become complex vec(rho) only where values leave a pass.
 
 emission_integrals is the one pass entry (emission_series reads its
 `n_series`): it walks from the ground state or any Hermitian rho0 over the
 pulse window [0, t_c], past which the generator is the constant lab-frame
 Liouvillian L0, and closes the tails of the emission integrals with a
-resolvent, one batched numpy.linalg.solve per group of systems.
-two_time_g2_map chains per-interval propagators: one walk of the d^2 real
-unit vectors inside the window and expm(L0 h) after it.
+resolvent on the same real coordinates, one batched real solve per block
+(_Generator.settle).  two_time_g2_map chains per-interval propagators: one
+walk of the d^2 real unit vectors inside the window and expm(L0 h) after
+it.
 """
 
 from __future__ import annotations
@@ -79,8 +83,6 @@ DEFAULT_INTEGRATOR = IntegratorConfig()
 # figure-default sweep-fourlevel lands up to 9.4e-10 from a rel_tol 1e-12
 # run (the budget allows 1e-9), at 50 steps 8.9e-11.
 MIN_STEPS_PER_PULSE = 50
-
-_TAIL_GROUP_BYTES = 1 << 20    # generator stack per batched tail solve
 
 
 # DOP853 tableau, the 12 stages of Dormand & Prince's eighth-order solution
@@ -179,18 +181,70 @@ def _split(part):
     return (rows, cols, vals[0]), (rows[differ], cols[differ], vals[:, differ] - vals[0, differ])
 
 
+def _joined(parts):
+    """The COO parts as one, their entries in order; values (n,) count as
+    (1, n)."""
+    rows, cols, vals = zip(*parts)
+    return (np.concatenate(rows), np.concatenate(cols),
+            np.concatenate([np.atleast_2d(v) for v in vals], axis=1))
+
+
 def _coalesce(size, nb, parts):
     """Sum the duplicate entries of COO parts (rows, cols, values) of a
     size x size matrix, whose values are (nb, n) or, shared, (n,).  Returns
     the unique rows and cols, sorted row-major, and the (nb, nu) sums, with
     the entries that sum to zero in every row dropped."""
-    keys, inverse = np.unique(np.concatenate([p[0] * size + p[1] for p in parts]),
-                              return_inverse=True)
-    vals = np.zeros((len(keys), nb), dtype=np.result_type(*(p[2] for p in parts)))
-    np.add.at(vals, inverse, np.concatenate(
-        [np.broadcast_to(p[2], (nb, len(p[0]))).T for p in parts]))
+    keys = np.concatenate([p[0] * size + p[1] for p in parts])
+    order = np.argsort(keys, kind="stable")  # each key's entries in their order
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    vals = np.concatenate([np.broadcast_to(p[2], (nb, len(p[0]))).T for p in parts])
+    vals, keys = np.add.reduceat(vals[order], starts, axis=0), keys[starts]
     keep = np.any(vals != 0, axis=1)
     return keys[keep] // size, keys[keep] % size, vals[keep].T
+
+
+def mirror_signs(hams, ops):
+    """The diagonal s of a sign matrix S (entries +-1) with S conj(H) S = -H
+    for every H of `hams` and S conj(O) S = +-O for every O of `ops` (each a
+    (d, d) matrix or a stack of them, the sign per matrix), or None.  The
+    signs come from a walk over the non-zeros of all `hams`, a real entry
+    giving its two states opposite signs, any other the same; every
+    condition is then checked exactly, so None also where an S the walk
+    does not find might exist.
+
+    Such an S maps a solution rho(t) of the Lindblad equation of these
+    Hamiltonians (with a real drive amplitude) and jump operators onto
+    another, S conj(rho(t)) S, so it fixes a state that starts fixed: each
+    coherence rho_mn is then real when s_m s_n = 1 and imaginary when it is
+    -1, as is each collapsed row J x = O x O^dag of one that is."""
+    d = np.shape(hams[0])[-1]
+    hams = np.concatenate([np.reshape(h, (-1, d, d)) for h in hams])
+    if np.any(np.diagonal(hams, axis1=1, axis2=2)):
+        return None  # S conj(H) S = -H needs a zero diagonal
+    nonzero, imag = np.any(hams != 0, axis=0), np.any(hams.imag != 0, axis=0)
+    signs = np.zeros(d)
+    for root in range(d):
+        if signs[root]:
+            continue
+        signs[root] = 1.0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in np.flatnonzero(nonzero[i] & (signs == 0)):
+                signs[j] = signs[i] if imag[i, j] else -signs[i]
+                stack.append(j)
+
+    def mirror(op):
+        return signs[:, None] * np.conj(op) * signs
+
+    if not np.array_equal(mirror(hams), -hams):
+        return None
+    for op in map(np.asarray, ops):
+        image = mirror(op)
+        if not np.all(np.all(image == op, axis=(-2, -1)) | np.all(image == -op, axis=(-2, -1))):
+            return None
+    return signs
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -203,8 +257,9 @@ class _Coordinates:
     The coordinates are those of an orthonormal Hermitian operator basis:
     x_mm, and sqrt2 Re x_mn, sqrt2 Im x_mn for m < n.  The coherences of all
     blocks come first, each pair (Re, Im) adjacent, so the first `pairs`
-    entries of a row viewed as complex hold sqrt2 x_mn; the diagonals of all
-    blocks and the scalars follow.  `encode` and `decode` convert between
+    entries of a row viewed as complex hold sqrt2 x_mn (or, after `kept`,
+    one entry per pair); the diagonals of all blocks and the scalars
+    follow.  `encode` and `decode` convert between
     complex vec rows, (..., length) with length = blocks d^2 + scalars, and
     real rows, (..., size), where size = length unless `kept` dropped some
     coordinates.  A Hermiticity-preserving linear map M on vec rows is the
@@ -233,34 +288,54 @@ class _Coordinates:
         self._unit[self.lower] = (1.0, -1j)
         self._unit[self.real, 0] = 1.0
         self.length = self.size
+        self.imag = None
 
     def kept(self, keep):
         """These coordinates restricted to the sorted indices `keep`, which
-        hold both entries of every pair they touch: `encode` then gives only
-        the kept coordinates of a row, and `decode` puts 0 at the others.
-        The kept coherence pairs still come first; `realify` stays with the
-        full coordinates."""
+        hold both entries of every pair they touch or one entry of each:
+        `encode` then gives only the kept coordinates of a row, and `decode`
+        puts 0 at the others.  The kept coherence entries still come first;
+        with one entry per pair, `imag` marks those that hold sqrt2 Im x_mn
+        (the others sqrt2 Re x_mn).  `realify` stays with the full
+        coordinates."""
         out = object.__new__(_Coordinates)
-        pairs = keep[keep < self.pairs][::2] // 2
+        entries = keep[keep < self.pairs]
+        pairs, out.imag = entries // 2, entries % 2 == 1
+        if np.any(np.diff(pairs) == 0):  # both entries of each pair
+            pairs, out.imag = pairs[::2], None
         out.upper, out.lower = self.upper[pairs], self.lower[pairs]
         out.real = self.real[keep[keep >= self.pairs] - self.pairs]
-        out.pairs, out.size, out.length = 2 * len(pairs), len(keep), self.length
+        out.pairs, out.size, out.length = len(entries), len(keep), self.length
         return out
+
+    def behind(self):
+        """The vec entry behind each coordinate: x_mn of its coherence, or
+        its diagonal entry or scalar."""
+        upper = self.upper if self.imag is not None else np.repeat(self.upper, 2)
+        return np.concatenate([upper, self.real])
 
     def encode(self, rows):
         """Real rows of the complex vec rows (..., length) of Hermitian blocks."""
         rows = np.asarray(rows)
         out = np.empty(rows.shape[:-1] + (self.size,))
         upper = _SQRT2 * rows[..., self.upper]
-        out[..., 0:self.pairs:2] = upper.real
-        out[..., 1:self.pairs:2] = upper.imag
+        if self.imag is None:
+            out[..., 0:self.pairs:2] = upper.real
+            out[..., 1:self.pairs:2] = upper.imag
+        else:
+            out[..., :self.pairs] = np.where(self.imag, upper.imag, upper.real)
         out[..., self.pairs:] = rows[..., self.real].real
         return out
 
     def decode(self, rows):
         """Complex vec rows (..., length) of the real rows (..., size)."""
         out = np.zeros(rows.shape[:-1] + (self.length,), dtype=complex)
-        upper = (rows[..., 0:self.pairs:2] + 1j * rows[..., 1:self.pairs:2]) / _SQRT2
+        if self.imag is None:
+            re, im = rows[..., 0:self.pairs:2], rows[..., 1:self.pairs:2]
+        else:
+            entries = rows[..., :self.pairs]
+            re, im = np.where(self.imag, 0.0, entries), np.where(self.imag, entries, 0.0)
+        upper = (re + 1j * im) / _SQRT2
         out[..., self.upper] = upper
         out[..., self.lower] = upper.conj()
         out[..., self.real] = rows[..., self.pairs:]
@@ -268,14 +343,17 @@ class _Coordinates:
 
     def magnitudes(self, y):
         """|x| of the complex vec entry behind each coordinate of the flat
-        state y (its rows of size `size`, C-contiguous): a coherence pair's
-        modulus |x_mn| on both its entries, |y| on the others.  The
+        state y (its rows of size `size`, C-contiguous): a coherence's
+        modulus |x_mn| on each of its entries, |y| on the others.  The
         stepper's error norm is thus the one of complex vec rows, and it
         does not depend on the phase to which a coherence has turned."""
         z = y.reshape(-1, self.size)
         out = np.abs(z)
-        pairs = np.abs(z[:, :self.pairs].view(complex)) / _SQRT2
-        out[:, 0:self.pairs:2] = out[:, 1:self.pairs:2] = pairs
+        if self.imag is None:
+            pairs = np.abs(z[:, :self.pairs].view(complex)) / _SQRT2
+            out[:, 0:self.pairs:2] = out[:, 1:self.pairs:2] = pairs
+        else:  # the other entry of each pair is 0
+            out[:, :self.pairs] /= _SQRT2
         return out.reshape(y.shape)
 
     def realify(self, part):
@@ -300,7 +378,7 @@ class _Generator:
     """Lab-frame window superoperator of a batch of B systems that share the
     pulse area, the drive operator and the channel operators (rates,
     h_static and the pulse length may differ per system), acting on real
-    rows of the D coordinates that the initial rows can reach.
+    rows of the D coordinates that can be non-zero.
 
     The Lindblad generator preserves Hermiticity, so it is a real matrix in
     an orthonormal Hermitian operator basis (Gorini, Kossakowski & Sudarshan,
@@ -318,16 +396,23 @@ class _Generator:
     state holds one row per system, or any number of rows for a batch of one
     system.
 
-    `initial` lists the vec entries of rho that the initial rows may hold
-    (X and the scalars start at 0; None or none: all).  The rows keep, in
-    order, the closure of their coordinates under the pattern of all parts,
-    with both coordinates of each coherence pair; the others stay exactly 0
-    (cf. Albert & Jiang, PRA 89, 022118 (2014)), and the error norms divide
-    by the full row size (`_rms`), so the steps are those of full rows.
-    From the ground state a pair row of the cascade's exciton line keeps 86
-    of 290 coordinates, one of a two-level sensor batch all 74, and a
-    spectrum row (one-photon sensor) 17 on the two-level line and 27 on the
-    exciton line.
+    `rho0` is the rho of every initial row (X and the scalars start at 0),
+    or None for rows that may start anywhere: those keep every coordinate.
+    Otherwise the rows keep, in order, the closure of the coordinates of
+    rho0 and of the ground state (where `settle` deflates) under the
+    pattern of all parts, with both coordinates of each coherence pair.
+    Where the sign matrix S of mirror_signs fixes every system's
+    Hamiltonians, channels and `emit` (a resonant drive with every filter
+    center at 0) and rho0 = S conj(rho0) S, S fixes every row at all times,
+    so each coherence x_mn is real when s_m s_n = 1 and imaginary when it
+    is -1, and the rows keep only that entry of each pair.  The others stay
+    exactly 0 (cf. Albert & Jiang, PRA 89, 022118 (2014)), and the error
+    norms divide by the full row size (`_rms`) while a pair's one entry
+    carries its modulus (`_Coordinates.magnitudes`), so the steps are those
+    of full rows.  From the ground state a pair row of the cascade's
+    exciton line keeps 86 of 290 coordinates, one of a resonant two-level
+    sensor batch 44 of 74, and a spectrum row (one-photon sensor) 17 on the
+    two-level line and 27 on the exciton line.
 
     The batch steps the time t of the first system.  System b, whose pulse
     is r_b = tau_b / tau_1 times as long (`stretch`), runs on its pulse
@@ -343,17 +428,19 @@ class _Generator:
     copy `_ops` takes static + amp_1(t) drive on the drive's non-zeros at
     each call; the rows of each chunk take its operator in one batched
     (G, rows, D) @ (G, D, D) matmul.  What the other systems add, scaled by
-    their stretch, is one block-diagonal product on its own non-zeros
-    (`rem_blocks`: a gather, multiply and bincount on flat indices): the
-    couplings, rates and readout scales, and the diagonal entries on vec
-    (filter detuning, the damping of a width or a rate), each a 2 x 2
-    rotation on a coherence pair.  No (B, D, D) stack is formed.
+    their stretch, is one block-diagonal product on the entries where it
+    differs from the first system (`rem_blocks`: a gather, multiply and
+    bincount on flat indices, unscaled in `remainder`): the couplings, rates
+    and readout scales, and the diagonal entries on vec (filter detuning,
+    the damping of a width or a rate), each a 2 x 2 rotation on a coherence
+    pair.  A step forms no (B, D, D) stack; `settle` forms one for the
+    tails.
 
     The rows are those of the lab frame: the coherences of a line detuned
     from the laser turn at its static plus its filter detuning.
     """
 
-    def __init__(self, systems, emit=None, pairs=False, initial=None):
+    def __init__(self, systems, emit=None, pairs=False, rho0=None):
         if len(systems) == 0:
             raise ValueError("a batch needs at least one system")
         first = systems[0]
@@ -411,45 +498,57 @@ class _Generator:
             shared.append(_shift(readout[0], m * d2, 0))
             remainder.append(_shift(readout[1], m * d2, 0))
         full = _Coordinates(d, m, m if emit is not None else 0)
-        size = full.size
+        size, self.blocks = full.size, m
 
         # the static and the drive part on the pattern of both
         self.driven = bool(drive)
-        parts = [(r, c, np.stack([np.ravel(v), 0 * np.ravel(v)]))
-                 for r, c, v in map(full.realify, shared)]
-        parts += [(r, c, np.stack([0 * np.ravel(v), np.ravel(v)]))
-                  for r, c, v in map(full.realify, drive)]
+        r, c, v = full.realify(_joined(shared))
+        parts = [(r, c, np.concatenate([v, 0 * v]))]
+        if drive:
+            r, c, v = full.realify(_joined(drive))
+            parts.append((r, c, np.concatenate([0 * v, v])))
         rows, cols, both = _coalesce(size, 2, parts)
-        rem_rows, rem_cols, rem = _coalesce(size, nb, list(map(full.realify, remainder)))
+        rem_rows, rem_cols, rem = _coalesce(size, nb, [full.realify(_joined(remainder))])
 
-        if initial is None or len(initial) == 0:
+        live = np.ones(size, dtype=bool)
+        if rho0 is None:
             start = np.ones(size, dtype=bool)
         else:
             start = np.zeros(size, dtype=bool)
-            start[full._cols[initial]] = True
-        keep = np.flatnonzero(_closure(start, full.pairs, np.concatenate([rows, rem_rows]),
-                                       np.concatenate([cols, rem_cols])))
+            start[full._cols[np.flatnonzero(rho0)]] = True
+            start[full._cols[0]] = True  # the ground state, where the tails settle
+            ops = [op for op, _ in first.channels] + ([self.emit] if emit is not None else [])
+            signs = mirror_signs([h_static, first.h_drive], ops)
+            if signs is not None and np.array_equal(signs[:, None] * np.conj(rho0) * signs, rho0):
+                i, j = divmod(full.upper % d2, d)  # drop Im x_ij where s_i s_j = 1, else Re
+                live[2 * np.arange(len(i)) + (signs[i] == signs[j])] = False
+        keep = np.flatnonzero(live & _closure(start, full.pairs, np.concatenate([rows, rem_rows]),
+                                              np.concatenate([cols, rem_cols])))
         index = np.full(size, -1)
         index[keep] = np.arange(len(keep))
         coords = self.coords = full.kept(keep)
         size = self.size = coords.size
 
-        reached = index[cols] >= 0
+        reached = (index[rows] >= 0) & (index[cols] >= 0)
         rows, cols = index[rows[reached]], index[cols[reached]]
         static, drive = np.zeros((2, size, size))  # transposed, for rows @ op
         static[cols, rows], drive[cols, rows] = both[:, reached]
-        self.static = self.stretch[chunks, None, None] * static  # (G, D, D), one per chunk
+        # one per chunk; the first chunk's stretch is 1, so static[0] is the first system's
+        self.static = self.stretch[chunks, None, None] * static  # (G, D, D)
         self._ops = self.static.copy()  # static + amp(t) drive, on the drive's non-zeros
         at = np.flatnonzero(np.broadcast_to(drive != 0, self._ops.shape))
         self._drive = at, self.static.ravel()[at], np.tile(drive[drive != 0], len(chunks))
 
+        # system b's own entries, those of its remainder row that are not 0
+        reached = (index[rem_rows] >= 0) & (index[rem_cols] >= 0)
+        rem = rem[:, reached]
+        batch, entry = np.nonzero(rem)
+        self.remainder = (batch, index[rem_rows[reached]][entry],
+                          index[rem_cols[reached]][entry], rem[batch, entry])
         self.rem_blocks = None
-        reached = index[rem_cols] >= 0
-        if np.any(reached):  # row b's entries, flat: out[b, r] += v z[b, c]
-            shift = np.arange(nb)[:, None] * size
-            self.rem_blocks = ((index[rem_rows[reached]] + shift).ravel(),
-                               (index[rem_cols[reached]] + shift).ravel(),
-                               (self.stretch[:, None] * rem[:, reached]).ravel())
+        if len(batch):  # flat: out[b, r] += v z[b, c]
+            _, r, c, v = self.remainder
+            self.rem_blocks = r + batch * size, c + batch * size, self.stretch[batch] * v
 
     def rhs(self, t, y):
         """dy/dt on the batch's clock for the flat real state y (its rows of size D)."""
@@ -465,11 +564,50 @@ class _Generator:
                                minlength=z.size).reshape(z.shape)
         return out.reshape(y.shape)
 
-    def lab_liouvillian(self, group=slice(None)):
-        """Drive-free lab-frame generators of the systems that the slice
-        `group` selects, a new (g, d^2, d^2) stack on row-major vec(rho)."""
+    def settle(self, rows):
+        """The scalars that the rows (B, D) reach as t -> inf under each
+        system's drive-free generator W on its own clock, (B, scalars), for
+        blocks that settle to a multiple of the ground state rho_ss.
+
+        W, the static part and the system's remainder, holds the operator
+        L0 of each block, the source J of the next block and the readouts.
+        Block by block, u = R (x + J u_prev) with the resolvent
+        R x = int_0^inf e^(L0 s) (x - tr(x) rho_ss) ds
+        = -(L0 + |rho_ss><1|)^-1 (x - tr(x) rho_ss), one batched real solve
+        on the block's kept coordinates; each scalar then adds its readout
+        of u.  Raises TailPremiseError unless L0 rho_ss = 0."""
+        d2 = self.dim ** 2
+        behind = self.coords.behind()
+        w = np.empty((self.nbatch, self.size, self.size))
+        w[:] = self.static[0].T
+        batch, r, c, v = self.remainder
+        w[batch, r, c] += v
+        diagonal = np.arange(self.size) >= self.coords.pairs
+        u = np.zeros_like(rows)
+        for k in range(self.blocks):
+            on = np.flatnonzero(behind // d2 == k)
+            a = w[:, on[:, None], on]  # L0 on the block
+            x = rows[:, on]
+            if k:  # plus the source J u of the block before
+                x = x + (w[:, on] @ u[:, :, None])[:, :, 0]
+            trace = diagonal[on]
+            for g in np.flatnonzero(behind[on] == k * d2):  # the block's ground state, if kept
+                scale = np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))  # max |a|
+                if np.any(np.max(np.abs(a[:, :, g]), axis=1) > 1e-12 * np.maximum(1.0, scale)):
+                    raise TailPremiseError("the ground state must be steady")
+                a[:, g, trace] += 1.0
+                x[:, g] -= np.sum(x[:, trace], axis=1)
+            u[:, on] = -np.linalg.solve(a, x[:, :, None])[:, :, 0]
+        scalars = np.flatnonzero(behind >= self.blocks * d2)
+        out = np.zeros((self.nbatch, self.coords.length - self.blocks * d2))
+        out[:, behind[scalars] - self.blocks * d2] = (
+            rows[:, scalars] + (w[:, scalars] @ u[:, :, None])[:, :, 0])
+        return out
+
+    def lab_liouvillian(self):
+        """Drive-free lab-frame generators of the systems, a new (B, d^2, d^2)
+        stack on row-major vec(rho)."""
         (rows, cols, vals), (rem_rows, rem_cols, rem) = self._lab
-        rem = rem[group]
         d2 = self.dim * self.dim
         out = np.zeros((len(rem), d2, d2), dtype=complex)
         out[:, rows, cols] = vals[0]
@@ -494,9 +632,12 @@ def _closure(start, pairs, rows, cols):
 def _same_drive_and_channels(a: SystemModel, b: SystemModel) -> bool:
     """Do two systems share the pulse area, the drive operator and the
     channel operators (their rates and pulse lengths may differ)?"""
+    if a.pulse.area != b.pulse.area or len(a.channels) != len(b.channels):
+        return False
+    if a.h_drive is b.h_drive and a.channels is b.channels:  # copies of one model
+        return True
     ops = [(a.h_drive, b.h_drive), *((p, q) for (p, _), (q, _) in zip(a.channels, b.channels))]
-    return a.pulse.area == b.pulse.area and len(a.channels) == len(b.channels) and all(
-        p is q or np.array_equal(p, q) for p, q in ops)
+    return all(p is q or np.array_equal(p, q) for p, q in ops)
 
 
 def _rms(coords, x):
@@ -633,10 +774,10 @@ def emission_integrals(systems, emit: np.ndarray, times=(), cfg: IntegratorConfi
     int_0^t2 U(t2, t1) J rho(t1) dt1 with J x = e x e^dag.  Past t_c the
     generator is the constant lab-frame L0 of h_static, and the tails are
     closed forms of R x = int_0^inf e^(L0 s) (x - tr(x) rho_ss) ds
-    = -(L0 + |rho_ss><1|)^-1 (x - tr(x) rho_ss), one batched solve over
-    the stacked deflated generators of a group of systems (a second one for
-    R J R rho_c with `pairs`); each group holds at most _TAIL_GROUP_BYTES of
-    stack, so the memory does not grow with the batch:
+    = -(L0 + |rho_ss><1|)^-1 (x - tr(x) rho_ss), solved on the real
+    coordinates that the pass keeps, from the generator's own drive-free
+    parts: one batched real solve for R rho_c and, with `pairs`, one for
+    R (X_c + J R rho_c) (_Generator.settle):
 
         n = q_c + <N|R rho_c>
         G = 2 (p_c + <N|R X_c> + <N|R J R rho_c>),   N = e^dag e.
@@ -653,20 +794,22 @@ def emission_integrals(systems, emit: np.ndarray, times=(), cfg: IntegratorConfi
     StepSizeUnderflow for a pulse too short to step (_walk).  Their error
     budget is the DOP853 tolerance of `cfg`, with the drive below e^-32 of
     its peak that the tails drop; they agree with e^(L0 (t - t_c)) rho_c to
-    < 1e-10 (up to t_c + 6, sensor
-    batches of the two-level emitter and of the exciton line).
+    < 1e-10 (up to t_c + 6, sensor batches of the two-level emitter and of
+    the exciton line).
     """
     cfg = cfg or DEFAULT_INTEGRATOR
-    m = 2 if pairs else 1
-    if rho0 is not None:  # the rows are stepped as Hermitian blocks
+    d = systems[0].dimension if len(systems) else 0
+    if rho0 is None:  # the ground state
+        rho0 = np.zeros((d, d))
+        rho0[:1, :1] = 1.0
+    else:  # the rows are stepped as Hermitian blocks
         rho0 = np.asarray(rho0)
-        if len(systems) and rho0.shape != (systems[0].dimension,) * 2:
-            raise DimensionMismatch(f"rho0 has shape {rho0.shape}, system dimension is "
-                                    f"{systems[0].dimension}")
+        if len(systems) and rho0.shape != (d, d):
+            raise DimensionMismatch(f"rho0 has shape {rho0.shape}, system dimension is {d}")
         if np.max(np.abs(rho0 - rho0.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(rho0))):
             raise ValueError("rho0 must be Hermitian")
-    gen = _Generator(systems, emit, pairs, initial=[0] if rho0 is None else np.flatnonzero(rho0))
-    nb, d = gen.nbatch, gen.dim
+    gen = _Generator(systems, emit, pairs, rho0)
+    nb = gen.nbatch
     emit, nop = gen.emit, gen.nop
     t_c = drive_cutoff(gen.pulse)
     times = np.asarray(times, float)
@@ -675,51 +818,24 @@ def emission_integrals(systems, emit: np.ndarray, times=(), cfg: IntegratorConfi
     if np.any(np.max(np.abs(emit[:, :, 0]), axis=1) > 1e-12 * scale):
         raise TailPremiseError("`emit` must leave the ground state dark")
 
-    ground = np.zeros(d * d, dtype=complex)
-    ground[0] = 1.0
     y = np.zeros((nb, gen.coords.length), dtype=complex)
-    y[:, :d * d] = ground if rho0 is None else np.ravel(rho0)
+    y[:, :d * d] = np.ravel(rho0)
     states = np.empty((nb, len(times), d * d), dtype=complex)
     # the stop at t_c follows the sample times up to it (a sample time that
     # decreases, across t_c too, makes _walk raise)
     inside = int(np.count_nonzero(times <= t_c))
     stops = [*times[:inside], t_c, *times[inside:]]
     for k, y in enumerate(_walk(gen, gen.coords.encode(y).ravel(), 0.0, stops, cfg)):
-        y = gen.coords.decode(y.reshape(nb, -1))
+        y = y.reshape(nb, -1)
         if k == inside:
             rows = y
         else:
-            states[:, k - (k > inside)] = y[:, :d * d]
-    lab = rows[:, :m * d * d].reshape(nb, m, d * d)  # rho_c, X_c
-    integrals = rows[:, m * d * d:]  # q_c, p_c
-    trace = np.eye(d).ravel()
-    deflate = np.outer(ground, trace)  # |rho_ss><1|
+            states[:, k - (k > inside)] = gen.coords.decode(y)[:, :d * d]
+    ends = gen.settle(rows)  # q and p at t = inf
     nvec = nop.transpose(0, 2, 1).reshape(nb, 1, d * d)  # <N|x> = tr(N x) = nvec . vec(x)
-    n_int = np.empty(nb)
-    g_int = np.empty(nb) if pairs else None
-    size = max(1, _TAIL_GROUP_BYTES // (16 * d**4))
-    for lo in range(0, nb, size):
-        group = slice(lo, lo + size)
-        l0 = gen.lab_liouvillian(group)
-        if np.any(np.max(np.abs(l0[:, :, 0]), axis=1)
-                  > 1e-12 * np.maximum(1.0, np.max(np.abs(l0), axis=(1, 2)))):
-            raise TailPremiseError("the ground state must be steady")
-        l0 += deflate
-
-        def resolvent(x):
-            """R of the rows x, (g, r, d^2)."""
-            x = x - (x @ trace)[:, :, None] * ground
-            return -np.linalg.solve(l0, x.swapaxes(1, 2)).swapaxes(1, 2)
-
-        r = resolvent(lab[group])
-        n_int[group] = (integrals[group, 0] + (nvec[group] @ r[:, 0, :, None])[:, 0, 0]).real
-        if pairs:
-            e = emit[group]
-            jr = (e @ r[:, 0].reshape(-1, d, d) @ e.conj().swapaxes(1, 2)).reshape(-1, 1, d * d)
-            tails = nvec[group] @ (r[:, 1] + resolvent(jr)[:, 0])[:, :, None]
-            g_int[group] = 2.0 * (integrals[group, 1] + tails[:, 0, 0]).real
     n_series = (states @ nvec.swapaxes(1, 2))[:, :, 0].real
-    return EmissionIntegrals(n_int, g_int, n_series, states.reshape(nb, len(times), d, d))
+    return EmissionIntegrals(ends[:, 0], 2.0 * ends[:, 1] if pairs else None, n_series,
+                             states.reshape(nb, len(times), d, d))
 
 
 def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = None):

@@ -441,7 +441,10 @@ class TestSpectrum:
     def test_mirror_check(self, system, observed, symmetric):
         # a resonant drive maps the dynamics at -Delta onto those at Delta; a
         # detuned level, or the ladder's biexciton and exciton levels, breaks it
-        assert corr._mirror_symmetric(system, observed) is symmetric
+        signs = corr._mirror_symmetric(system, observed)
+        assert (signs is not None) is symmetric
+        if symmetric:  # the drive's real entry gives ground and exciton opposite signs
+            assert signs.tolist() == [1.0, -1.0]
 
     @pytest.mark.parametrize("system, dets, stepped", [
         (two_level_system(0.05), np.linspace(-40.0, 40.0, 161), np.linspace(0.0, 40.0, 81)),
@@ -467,7 +470,7 @@ class TestSpectrum:
 
         monkeypatch.setattr(dynamics, "emission_integrals", spy)
         (res,) = spectrum(system, "sigma", dets, [system.pulse])
-        monkeypatch.setattr(corr, "_mirror_symmetric", lambda system, observed: False)
+        monkeypatch.setattr(corr, "_mirror_symmetric", lambda system, observed: None)
         (full,) = spectrum(system, "sigma", dets, [system.pulse])
         assert batches[0] == list(stepped) and batches[1] == list(dets)
         assert np.max(np.abs(res - full)) <= 1e-14
@@ -539,7 +542,7 @@ class TestSweeps:
         assert column[0].g2 < column[1].g2  # longer pulse, more re-excitation
 
     def test_rhs_forms_no_operator_stack(self, monkeypatch):
-        # 4 pulse lengths at 1 width: 8 rows in 4 chunks of 74 coordinates, where
+        # 4 pulse lengths at 1 width: 8 rows in 4 chunks of 44 coordinates, where
         # the (G, D, D) operator stack outweighs every other temporary of a call;
         # static + amp(t) drive goes into a buffer that the generator owns
         caught = []
@@ -557,7 +560,7 @@ class TestSweeps:
                               _pulses([0.02, 0.05, 0.1, 0.2]))
         monkeypatch.undo()
         (gen, y), = caught
-        assert (gen.nbatch, len(gen.static), gen.size) == (8, 4, 74)
+        assert (gen.nbatch, len(gen.static), gen.size) == (8, 4, 44)
         t = gen.pulse.offset  # the pulse peak
         gen.rhs(t, y)
         tracemalloc.start()
@@ -567,6 +570,29 @@ class TestSweeps:
         finally:
             tracemalloc.stop()
         assert peak < gen.static.nbytes / 2
+
+    @pytest.mark.parametrize("command", FIGURE_SWEEPS)
+    def test_remainder_holds_no_zero_entry(self, monkeypatch, command):
+        # each system's own remainder entries are those that differ from the first
+        # system's; none is 0, and the first system has none
+        caught = []
+
+        class Caught(Exception):
+            pass
+
+        def first(gen, t, y):
+            caught.append(gen)
+            raise Caught
+
+        system, observed, center, taus, widths = FIGURE_SWEEPS[command]
+        monkeypatch.setattr(dynamics._Generator, "rhs", first)
+        with pytest.raises(Caught):
+            filtered_g2_batch(system, [SensorConfig(center, float(w)) for w in widths],
+                              _pulses(taus), observed=observed)
+        (gen,) = caught
+        batch, _, _, values = gen.remainder
+        assert len(values) > 0 and np.all(values != 0) and np.all(batch > 0)
+        assert np.array_equal(gen.rem_blocks[2], gen.stretch[batch] * values)
 
     @pytest.mark.parametrize("system, observed, center, taus, widths", [
         (two_level_system(0.02), "sigma", 0.0, (0.02, 0.2), (0.1, 1.0, 20.0)),

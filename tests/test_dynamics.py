@@ -374,8 +374,7 @@ class TestCoordinates:
         assert np.array_equal(back, back.conj().T)
         assert np.sum(real ** 2) == pytest.approx(np.sum(np.abs(rho) ** 2), rel=1e-13)
         # the step control sees |rho_mn| behind each coordinate, whatever the phase
-        behind = np.concatenate([np.repeat(coords.upper, 2), coords.real])
-        np.testing.assert_allclose(coords.magnitudes(real), np.abs(rho.ravel())[behind],
+        np.testing.assert_allclose(coords.magnitudes(real), np.abs(rho.ravel())[coords.behind()],
                                    rtol=1e-15, atol=0)
 
 
@@ -447,7 +446,7 @@ def _tails_by_lu(systems, emit):
     gen = dynamics._Generator(systems, emit, pairs=True)
     d, nb = gen.dim, gen.nbatch
     t_c = dynamics.drive_cutoff(gen.pulse)
-    y = np.zeros((nb, gen.size), dtype=complex)
+    y = np.zeros((nb, gen.coords.length), dtype=complex)
     y[:, 0] = 1.0
     y = gen.coords.encode(y).ravel()
     (y,) = dynamics._walk(gen, y, 0.0, [t_c], dynamics.DEFAULT_INTEGRATOR)
@@ -476,19 +475,24 @@ def _tails_by_lu(systems, emit):
 class TestReachable:
     """A batch steps only the coordinates its initial rows can reach."""
 
-    @pytest.mark.parametrize("batch, pairs, full, kept", [
-        (1, True, 290, 86), (1, False, 145, 43), (0, True, 74, 74)],
-        ids=["exciton_line", "exciton_line_spectrum", "two_level_first_uncoupled"])
-    def test_dropped_coordinates_stay_exactly_zero(self, batch, pairs, full, kept):
+    @pytest.mark.parametrize("batch, pairs, uncouple, full, kept", [
+        (1, True, False, 290, 86), (1, False, False, 145, 43), (0, True, True, 74, 44),
+        (0, True, False, 74, 44), (0, False, False, 37, 22)],
+        ids=["exciton_line", "exciton_line_spectrum", "two_level_first_uncoupled",
+             "two_level", "two_level_spectrum"])
+    def test_dropped_coordinates_stay_exactly_zero(self, batch, pairs, uncouple, full, kept):
         # the full generator, walked from the ground state, leaves every coordinate
-        # outside the closure at exactly 0.0, at every stop (past t_c too)
+        # outside the closure at exactly 0.0, at every stop (past t_c too); on the
+        # resonant two-level line that is also one entry of every coherence pair, the
+        # one that the sign matrix S of mirror_signs fixes at 0
         system, observed, detuning, widths = MIXED_BATCHES[batch]
         systems, emit = _sensor_batch(system, observed, detuning, widths)
-        if batch == 0:  # the sensor coupling is then no part of the shared pattern
+        if uncouple:  # the sensor coupling is then no part of the shared pattern
             systems[0] = replace(systems[0], h_static=np.diag(np.diag(systems[0].h_static)))
         whole = dynamics._Generator(systems, emit, pairs)
-        reduced = dynamics._Generator(systems, emit, pairs, initial=[0])
+        reduced = dynamics._Generator(systems, emit, pairs, rho0=ground_state(systems[0]))
         assert (whole.size, reduced.size) == (full, kept)
+        assert (reduced.coords.imag is None) == (batch == 1)  # no S on the exciton line
         reached = whole.coords.encode(reduced.coords.decode(np.ones(kept))) != 0
         assert np.count_nonzero(reached) == kept
         rows = np.zeros((len(systems), whole.coords.length), dtype=complex)
@@ -500,6 +504,36 @@ class TestReachable:
             y = y.reshape(len(systems), -1)
             assert np.all(y[:, ~reached] == 0.0)
             assert np.any(y[:, reached] != 0.0)
+
+    @pytest.mark.parametrize("case, kept, cut", [
+        ("resonant", 44, True), ("center_off_resonance", 74, False), ("exciton_line", 86, False),
+        ("rho0_imaginary_coherence", 44, True), ("rho0_real_coherence", 74, False)])
+    def test_mirror_cut_needs_every_system_and_the_start(self, monkeypatch, case, kept, cut):
+        # the rows keep one entry of each coherence pair only where the sign matrix S
+        # fixes every system of the batch and the start: a center at Delta != 0 or the
+        # exciton line has no S, and S fixes a ground-exciton coherence only when it
+        # is imaginary (s_g s_e = -1); a cut pass gives the integrals of an uncut one
+        batch = 1 if case == "exciton_line" else 0
+        system, observed, detuning, widths = MIXED_BATCHES[batch]
+        systems, emit = _sensor_batch(system, observed, detuning, widths)
+        if case == "center_off_resonance":
+            extra, extra_emit = _sensor_batch(system, observed, 1.0, widths[:1])
+            systems, emit = systems + extra, np.concatenate([emit, extra_emit])
+        rho0 = ground_state(systems[0])
+        if case.startswith("rho0"):
+            phase = 1j if case == "rho0_imaginary_coherence" else 1.0
+            ket = np.zeros(systems[0].dimension, dtype=complex)
+            ket[0], ket[3] = 1.0, phase  # |g, 0> and |e, 0>
+            rho0 = np.outer(ket, ket.conj()) / 2.0
+        gen = dynamics._Generator(systems, emit, pairs=True, rho0=rho0)
+        assert gen.size == kept and (gen.coords.imag is not None) == cut
+        res = emission_integrals(systems, emit, rho0=rho0)
+        assert np.all(res.n_integral > 0) and np.all(res.pair_integral > 0)
+        monkeypatch.setattr(dynamics, "mirror_signs", lambda hams, ops: None)
+        assert dynamics._Generator(systems, emit, pairs=True, rho0=rho0).coords.imag is None
+        uncut = emission_integrals(systems, emit, rho0=rho0)
+        np.testing.assert_allclose(res.n_integral, uncut.n_integral, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.pair_integral, uncut.pair_integral, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("system, observed, detuning, widths", MIXED_BATCHES,
                              ids=["two_level", "exciton_line"])
@@ -529,11 +563,11 @@ class TestReachable:
 class TestBatch:
     @pytest.mark.parametrize("system, observed, detuning, widths", MIXED_BATCHES,
                              ids=["two_level", "exciton_line"])
-    def test_grouped_tails_match_per_system_lu(self, monkeypatch, system, observed, detuning,
-                                              widths):
+    def test_grouped_tails_match_per_system_lu(self, system, observed, detuning, widths):
         # every point at eps and eps/2, as filtered_g2_batch runs it: a mixed-rate batch on
-        # the sparse jump path, with a budget that splits it into groups of two systems
-        # and a remainder
+        # the sparse jump path, its tails one batched real solve per block on the kept
+        # coordinates (on the two-level line, the half that S leaves live) against a
+        # complex LU per system on the full vec of the uncut walk
         systems = []
         for w in widths:
             eps = SensorConfig(detuning, w).resolved_coupling(system.decay_scale)
@@ -542,8 +576,6 @@ class TestBatch:
         emit = np.array([s.output_ops["sensor"] for s in systems])
         # the points differ in sensor rate and coupling: an off-diagonal remainder
         assert dynamics._Generator(systems, emit, pairs=True).rem_blocks is not None
-        d2 = systems[0].dimension ** 2
-        monkeypatch.setattr(dynamics, "_TAIL_GROUP_BYTES", 2 * 16 * d2 * d2)
         batch = emission_integrals(systems, emit, times=())
         n_int, g_int = _tails_by_lu(systems, emit)
         np.testing.assert_allclose(batch.n_integral, n_int, rtol=1e-12, atol=0)
