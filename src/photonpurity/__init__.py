@@ -11,11 +11,11 @@ lifetime fitting with instrument-response convolution (analysis) serve the
 supplement.  The commands of photonpurity.cli run them all.
 
 Importing the package loads numpy only, and photonpurity.cli adds yaml.
-scipy loads where it is called: scipy.linalg.expm for the propagators of
-two_time_g2_map; scipy.special and scipy.optimize for the cascade model and
-the lifetime fit.  The filtered g2 (with the sensor cut at 2 photons or
-more) and the emission spectra of the two-level emitter and of the
-cascade's exciton line, and the HBT simulation, need none of them.
+scipy loads only in analysis, where it is called: scipy.special and
+scipy.optimize for the cascade model and the lifetime fit.  The two-time
+map, the filtered g2 (with the sensor cut at 2 photons or more) and the
+emission spectra of the two-level emitter and of the cascade's exciton
+line, and the HBT simulation, need none of them.
 """
 
 __version__ = "0.1.0"

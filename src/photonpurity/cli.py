@@ -352,7 +352,7 @@ def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:
         raise ConfigError(f"stream.n_pulses: {stream['n_pulses']!r} is not an integer")
     stream.setdefault("n_pulses", 1_000_000)
     blink = stream.pop("blinking", None)
-    if blink:
+    if blink is not None:
         if not isinstance(blink, dict) or not isinstance(blink.get("frequencies"), list):
             raise ConfigError(f"stream.blinking: {blink!r} must be a mapping with a list "
                               "of frequencies")
@@ -361,7 +361,7 @@ def _stream_config(cfg: RunConfig) -> photostream.StreamConfig:
                 raise ConfigError(f"stream.blinking.{name}: unknown configuration key")
             _check_value(f"stream.blinking.{name}", value, listed=name == "frequencies")
     try:
-        if blink:
+        if blink is not None:
             stream["blinking"] = photostream.BlinkingConfig(
                 frequencies=tuple(blink["frequencies"]), depth=blink.get("depth", 0.5)
             )

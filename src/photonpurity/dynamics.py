@@ -3,34 +3,35 @@
 Density matrices are plain complex ndarrays; all stored states and readouts
 are in the laser rotating frame (the lab frame here).
 
-The driven stretch is integrated by one stepper, Dormand & Prince's
-embedded 8(5,3) pair DOP853 (`_walk`), on real rows: the coordinates of rho
-in an orthonormal Hermitian operator basis, optionally followed by those of
-a collapsed row X and real scalar emission accumulators.  The Lindblad
-generator preserves Hermiticity, so it is a real matrix on these
-coordinates, at a quarter of the flops of the complex one on vec(rho).  Its
-right-hand side, _Generator, is the lab-frame window superoperator of a
-whole batch of systems (all the filter centers or sweep points of a
-command, at every pulse length): one dense real matmul of the rows of each
-pulse length with a shared operator, plus what each system adds on its own
-non-zeros.  Each system runs on its pulse clock, so pulses of one area
-share one drive envelope, window and cutoff.  The rows hold only the
-coordinates that can be non-zero: those the initial rows can reach, in the
-lab frame (a detuned line, such as the cascade's exciton line 150 gamma
-from the laser, turns the phase of its coherences there, and a filter
-detuning only adds to that turn), and under a resonant drive only the live
-entry of each coherence pair, the one that the sign matrix S of
+The driven stretch, and every interval of a two-time map, is integrated by
+one stepper, Dormand & Prince's embedded 8(5,3) pair DOP853 (`_walk`), on
+real rows: the coordinates of rho in an orthonormal Hermitian operator
+basis, optionally followed by those of a collapsed row X and real scalar
+emission accumulators.  The Lindblad generator preserves Hermiticity, so it
+is a real matrix on these coordinates, at a quarter of the flops of the
+complex one on vec(rho).  Its right-hand side, _Generator, is the lab-frame
+window superoperator of a whole batch of systems (all the filter centers or
+sweep points of a command, at every pulse length): one dense real matmul of
+the rows of each pulse length with a shared operator, plus what each system
+adds on its own non-zeros.  Each system runs on its pulse clock, so pulses
+of one area share one drive envelope, window and cutoff.  The rows hold
+only the coordinates that can be non-zero: those the initial rows can
+reach, in the lab frame (a detuned line, such as the cascade's exciton line
+150 gamma from the laser, turns the phase of its coherences there, and a
+filter detuning only adds to that turn), and under a resonant drive only
+the live entry of each coherence pair, the one that the sign matrix S of
 mirror_signs leaves free (a resonant two-level sensor batch keeps 44 of its
-74).  Rows become complex vec(rho) only where values leave a pass.
+74).  Rows become complex vec(rho) only where values leave a pass, and
+where a two-time map applies the collapse J x = e x e^dag.
 
 emission_integrals is the one pass entry (emission_series reads its
 `n_series`): it walks from the ground state or any Hermitian rho0 over the
 pulse window [0, t_c], past which the generator is the constant lab-frame
 Liouvillian L0, and closes the tails of the emission integrals with a
 resolvent on the same real coordinates, one batched real solve per block
-(_Generator.settle).  two_time_g2_map chains per-interval propagators: one
-walk of the d^2 real unit vectors inside the window and expm(L0 h) after
-it.
+(_Generator.settle).  two_time_g2_map chains per-interval propagators on
+the real coordinates: one walk of the d^2 real unit rows through every
+node of its grid.
 """
 
 from __future__ import annotations
@@ -189,16 +190,16 @@ def _joined(parts):
             np.concatenate([np.atleast_2d(v) for v in vals], axis=1))
 
 
-def _coalesce(size, nb, parts):
+def _coalesce(size, parts):
     """Sum the duplicate entries of COO parts (rows, cols, values) of a
-    size x size matrix, whose values are (nb, n) or, shared, (n,).  Returns
-    the unique rows and cols, sorted row-major, and the (nb, nu) sums, with
-    the entries that sum to zero in every row dropped."""
+    size x size matrix, whose values are (nb, n).  Returns the unique rows
+    and cols, sorted row-major, and the (nb, nu) sums, with the entries
+    that sum to zero in every row dropped."""
     keys = np.concatenate([p[0] * size + p[1] for p in parts])
     order = np.argsort(keys, kind="stable")  # each key's entries in their order
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    vals = np.concatenate([np.broadcast_to(p[2], (nb, len(p[0]))).T for p in parts])
+    vals = np.concatenate([p[2].T for p in parts])
     vals, keys = np.add.reduceat(vals[order], starts, axis=0), keys[starts]
     keep = np.any(vals != 0, axis=1)
     return keys[keep] // size, keys[keep] % size, vals[keep].T
@@ -470,11 +471,7 @@ class _Generator:
             heff -= 0.5j * jump_dag @ jump
             lab.append(_kron(jump, jump_dag))
         lab += [_kron(-1j * heff, eye), _kron(eye, 1j * heff.conj().swapaxes(1, 2))]
-        lab, lab_rem = zip(*map(_split, lab))
-        self._lab = _coalesce(d2, 1, lab), _coalesce(d2, nb, lab_rem)
-
-        shared = [self._lab[0]]
-        remainder = [self._lab[1]]
+        shared, remainder = map(list, zip(*map(_split, lab)))
         drive = []
         if self.pulse.area > 0:
             h_drive = np.asarray(first.h_drive, dtype=complex)[None]
@@ -507,8 +504,8 @@ class _Generator:
         if drive:
             r, c, v = full.realify(_joined(drive))
             parts.append((r, c, np.concatenate([0 * v, v])))
-        rows, cols, both = _coalesce(size, 2, parts)
-        rem_rows, rem_cols, rem = _coalesce(size, nb, [full.realify(_joined(remainder))])
+        rows, cols, both = _coalesce(size, parts)
+        rem_rows, rem_cols, rem = _coalesce(size, [full.realify(_joined(remainder))])
 
         live = np.ones(size, dtype=bool)
         if rho0 is None:
@@ -602,16 +599,6 @@ class _Generator:
         out = np.zeros((self.nbatch, self.coords.length - self.blocks * d2))
         out[:, behind[scalars] - self.blocks * d2] = (
             rows[:, scalars] + (w[:, scalars] @ u[:, :, None])[:, :, 0])
-        return out
-
-    def lab_liouvillian(self):
-        """Drive-free lab-frame generators of the systems, a new (B, d^2, d^2)
-        stack on row-major vec(rho)."""
-        (rows, cols, vals), (rem_rows, rem_cols, rem) = self._lab
-        d2 = self.dim * self.dim
-        out = np.zeros((len(rem), d2, d2), dtype=complex)
-        out[:, rows, cols] = vals[0]
-        out[:, rem_rows, rem_cols] += rem
         return out
 
 
@@ -845,36 +832,20 @@ def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | Non
 
 
 def _step_propagators(gen, times, cfg):
-    """Lab-frame propagators of the intervals of `times` for the one system
-    of `gen`: vec(rho(t_k+1)) = P_k vec(rho(t_k)) on row-major vec, shape
-    (len(times) - 1, d^2, d^2).
+    """Propagators of the intervals of `times` for the one system of `gen`,
+    on its real coordinates and as rows: row @ P[k] steps the real row of
+    rho(t_k) to that of rho(t_k+1), shape (len(times) - 1, D, D).
 
-    An interval that starts inside the drive window [0, t_c],
-    t_c = drive_cutoff(pulse), steps the d^2 real unit vectors as the rows
-    of one state: one `_walk` stops at the window's nodes, and at each the
-    unit rows are sent back as the state the next interval starts from
-    (the step size carries over, the first stage is that of the units).
-    The images are the columns of the real propagator P_r, and
-    P_k = T P_r T^H with T the unitary `decode` of the coordinates.  Later
-    intervals see the constant generator L0 and take expm(L0 h), once per
-    distinct h.
+    One `_walk` steps the D real unit rows as one state through every node,
+    and at each the unit rows are sent back as the state the next interval
+    starts from (the step size carries over, the first stage is that of the
+    units); the stepped unit rows are the rows of P[k].
     """
-    from scipy.linalg import expm
-
-    d2 = gen.dim * gen.dim
-    t_c = drive_cutoff(gen.pulse)
-    steps = np.diff(times)
-    driven = times[:-1] < t_c  # a prefix of the sorted intervals
-    props = np.empty((len(steps), d2, d2), dtype=complex)
-    units = np.eye(d2).ravel()
-    basis = gen.coords.decode(np.eye(d2))  # T^T: row j is vec of basis operator j
-    walk = _walk(gen, units, times[0], times[1:][driven], cfg)
-    for k in np.flatnonzero(driven):
-        y = walk.send(None if k == 0 else units)
-        props[k] = basis.T @ y.reshape(d2, d2).T @ basis.conj()
-    distinct, which = np.unique(steps[~driven], return_inverse=True)
-    l0 = gen.lab_liouvillian()[0]
-    props[~driven] = np.array([expm(l0 * h) for h in distinct]).reshape(-1, d2, d2)[which]
+    props = np.empty((len(times) - 1, gen.size, gen.size))
+    units = np.eye(gen.size).ravel()
+    walk = _walk(gen, units, times[0], times[1:], cfg)
+    for k in range(len(props)):
+        props[k] = walk.send(None if k == 0 else units).reshape(gen.size, gen.size)
     return props
 
 
@@ -887,41 +858,43 @@ def two_time_g2_map(system: SystemModel, emit: str, grid,
 
     The grid starts at t = 0 and does not decrease (ValueError otherwise).
     The state is stepped node to node by the interval propagators P_k of
-    `_step_propagators`; at node k the row J rho(t_k), J x = e x e^dag,
-    joins the rows of earlier nodes, all rows step by P_k, and W(t_i, t_j)
-    for t_i <= t_j is <N|row i> at node j with N = e^dag e.  Values for
-    t2 < t1 follow from the symmetry of the time-ordered correlator.
+    `_step_propagators`, on the real coordinates of `_Generator`; at node k
+    the row J rho(t_k), J x = e x e^dag, joins the rows of earlier nodes,
+    all rows step by P_k, and W(t_i, t_j) for t_i <= t_j is <N|row i> at
+    node j with N = e^dag e, the dot product of the two rows' coordinates.
+    Values for t2 < t1 follow from the symmetry of the time-ordered
+    correlator.
 
-    Error budget: the intervals that start inside the drive window [0, t_c]
-    carry the DOP853 tolerance of `cfg` on O(1) basis entries; past t_c the
-    propagators are exact up to expm's rounding.  No grid bias enters: the
-    grid only sets where W is read out (at tau 0.05 the map_grid map lies
-    within 5.8e-15 of its maximum of a map on its union with 611 even
-    nodes).  At the default tolerance the maps on map_grid at tau 0.001,
-    0.02, 0.05, 0.2 and 1.5 lie within 2e-11 of their maximum of a
-    rel_tol 1e-12, abs_tol 1e-16 run (7.0e-12, 7.2e-12, 7.5e-12, 8.3e-12
-    and 8.3e-16 measured).
+    Error budget: every interval carries the DOP853 tolerance of `cfg` on
+    O(1) basis entries, and past t_c = drive_cutoff(pulse) the drive is
+    below e^-32 of its peak.  The maps on map_grid at tau 0.001, 0.05 and
+    0.2 lie within 1e-12 of their maximum of one whose intervals past t_c
+    are the exact exponentials e^(L0 h) (3.3e-15, 2.3e-15 and 1.6e-15
+    measured).  No grid bias enters: the grid only sets where W is read out
+    (at tau 0.05 the map_grid map lies within 5.6e-15 of its maximum of a
+    map on its union with 611 even nodes).  At the default tolerance the
+    maps on map_grid at tau 0.001, 0.02, 0.05, 0.2 and 1.5 lie within 2e-11
+    of their maximum of a rel_tol 1e-12, abs_tol 1e-16 run (7.0e-12,
+    7.2e-12, 7.5e-12, 8.3e-12 and 9.7e-16 measured).
     """
     emit = system.output_ops[emit]
     grid = np.asarray(grid, dtype=float)
     if len(grid) == 0 or grid[0] != 0.0 or np.any(np.diff(grid) < 0.0):
         raise ValueError("the grid must start at t = 0 and not decrease")
     gen = _Generator([system])
-    d = gen.dim
+    d, coords = gen.dim, gen.coords
     props = _step_propagators(gen, grid, cfg or DEFAULT_INTEGRATOR)
 
     n = len(grid)
-    rho = np.zeros((n, d * d), dtype=complex)
-    rho[0, 0] = 1.0
+    rho = np.zeros((n, gen.size))
+    rho[0] = coords.encode(np.eye(1, d * d))[0]  # the ground state
     for k in range(n - 1):
-        rho[k + 1] = props[k] @ rho[k]
-    rows = (emit @ rho.reshape(n, d, d) @ emit.conj().T).reshape(n, d * d)
-    nvec = (emit.conj().T @ emit).T.ravel()  # <N|x> = tr(N x) = nvec . vec(x)
-    w_map = np.zeros((n, n))
-    np.fill_diagonal(w_map, (rows @ nvec).real)
+        rho[k + 1] = rho[k] @ props[k]
+    states = coords.decode(rho).reshape(n, d, d)
+    rows = coords.encode((emit @ states @ emit.conj().T).reshape(n, d * d))
+    nvec = coords.encode((emit.conj().T @ emit).ravel())  # <N|x> = tr(N x) = nvec . x
+    w_map = np.diag(rows @ nvec)
     for k in range(n - 1):
-        rows[:k + 1] = rows[:k + 1] @ props[k].T
-        w_map[:k + 1, k + 1] = (rows[:k + 1] @ nvec).real
-    iu = np.triu_indices(n, k=1)
-    w_map[iu[1], iu[0]] = w_map[iu]
-    return w_map
+        rows[:k + 1] = rows[:k + 1] @ props[k]
+        w_map[:k + 1, k + 1] = rows[:k + 1] @ nvec
+    return w_map + np.triu(w_map, 1).T

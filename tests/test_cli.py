@@ -58,7 +58,7 @@ def test_missing_config_file(tmp_path):
     assert cli.main(["spectrum", "--config", str(tmp_path / "absent.yaml")]) == 2
 
 
-@pytest.mark.parametrize("blinking", ["5", "{depth: 0.5}", "[1.0]"])
+@pytest.mark.parametrize("blinking", ["5", "{depth: 0.5}", "[1.0]", "{}", "[]", "false", "0"])
 def test_malformed_blinking_is_a_config_error(tmp_path, blinking):
     assert run(tmp_path, "hbt-sim", f"stream: {{n_pulses: 1000, blinking: {blinking}}}\n") == 2
 
@@ -778,12 +778,14 @@ print("scipy modules:", *sorted(loaded))
 """
 
 
-def test_hbt_and_two_level_spectrum_run_without_scipy(tmp_path):
-    # a fresh interpreter: the package, the CLI, these commands (the filtered g2 of the
-    # two-level emitter and of the cascade's exciton line), a filtered g2 sampled past
-    # the drive cutoff and one with the sensor cut at 3 photons need numpy and yaml
+def test_theory_commands_and_hbt_run_without_scipy(tmp_path):
+    # a fresh interpreter: the package, the CLI, these commands (the two-time map, the
+    # filtered g2 of the two-level emitter and of the cascade's exciton line), a filtered
+    # g2 sampled past the drive cutoff and one with the sensor cut at 3 photons need
+    # numpy and yaml
     sweep = "sweep: {min: 0.5, max: 1.0, points: 2}\n"
     runs = [("hbt-sim", "stream: {n_pulses: 20000}\n"),
+            ("g2map", "pulse: {length: 0.05}\n"),
             ("spectrum", "pulse_lengths: [0.05]\ndetuning_points: 3\n"),
             ("sweep-filter", "pulse_lengths: [0.05]\n" + sweep),
             ("sweep-pulse", "filter_widths: [1.0]\nsweep: {min: 0.05, max: 0.1, points: 2}\n"),

@@ -194,7 +194,6 @@ def _oracle_g2(system, emit, grid, t_static):
     return pairs / n**2
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("build, tau, observed, center, expected, bias", [
     (two_level_system, 0.05, "sigma", 0.0, 0.0037410961, 1e-4),
     (fourlevel_system, 0.01, EXCITON_V_ONLY, FOURLEVEL_BINDING / 2.0, 4.196482858e-8, 2e-4),

@@ -231,6 +231,16 @@ class TestTwoTimeMap:
         got = two_time_g2_map(system, "sigma", grid)
         assert np.max(np.abs(got - ref)) <= 2e-11 * np.max(ref)
 
+    @pytest.mark.parametrize("tau", [0.001, 0.05, 0.2])
+    def test_walked_tail_matches_exact_propagators(self, tau):
+        # the docstring's tail line: the figure map against one whose
+        # intervals past t_c are exact
+        system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, tau))
+        grid = map_grid(system)
+        got = two_time_g2_map(system, "sigma", grid)
+        ref = _map_with_exact_tail(system, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
     def test_grid_only_sets_where_the_map_is_read(self):
         # the docstring's "no grid bias": the figure map at its nodes against
         # a map on the union of them and the even 611 nodes map_grid used to
@@ -438,6 +448,35 @@ def _lab_liouvillian(system):
     for c, rate in system.channels:
         l0 += rate * np.kron(c, c.conj())
     return l0
+
+
+def _map_with_exact_tail(system, grid):
+    """two_time_g2_map of "sigma" on complex row-major vec, with the walked
+    propagators of the intervals that start inside [0, t_c] and
+    expm(L0 h) of a kron-built L0 for those after it."""
+    gen = dynamics._Generator([system])
+    d, n = gen.dim, len(grid)
+    steps = np.diff(grid)
+    driven = grid[:-1] < dynamics.drive_cutoff(system.pulse)
+    window = dynamics._step_propagators(gen, grid[:np.count_nonzero(driven) + 1],
+                                        dynamics.DEFAULT_INTEGRATOR)
+    basis = gen.coords.decode(np.eye(d * d))  # row j: vec of basis operator j
+    props = np.empty((n - 1, d * d, d * d), dtype=complex)
+    props[driven] = basis.T @ window.swapaxes(1, 2) @ basis.conj()
+    for k in np.flatnonzero(~driven):
+        props[k] = expm(_lab_liouvillian(system) * steps[k])
+    sigma = system.output_ops["sigma"]
+    rho = np.zeros((n, d * d), dtype=complex)
+    rho[0, 0] = 1.0
+    for k in range(n - 1):
+        rho[k + 1] = props[k] @ rho[k]
+    rows = (sigma @ rho.reshape(n, d, d) @ sigma.conj().T).reshape(n, d * d)
+    nvec = (sigma.conj().T @ sigma).T.ravel()  # <N|x> = tr(N x) = nvec . vec(x)
+    w_map = np.diag((rows @ nvec).real)
+    for k in range(n - 1):
+        rows[:k + 1] = rows[:k + 1] @ props[k].T
+        w_map[:k + 1, k + 1] = (rows[:k + 1] @ nvec).real
+    return w_map + np.triu(w_map, 1).T
 
 
 def _tails_by_lu(systems, emit):
