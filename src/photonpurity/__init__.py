@@ -2,13 +2,14 @@
 
 The driven two-level emitter and the biexciton-exciton cascade (model)
 evolve under a Lindblad master equation from their ground state (dynamics:
-the emission integrals over all times, and the two-time correlation map by
-quantum regression).  The sensor-method filtered g2[0; Gamma] and the
-filtered emission spectra build on them (correlations), each filter width or
-center at each pulse length one system of a single pass.  Monte Carlo
-Hanbury Brown-Twiss detection with the peak-sum estimator (photostream) and
-lifetime fitting with instrument-response convolution (analysis) serve the
-supplement.  The commands of photonpurity.cli run them all.
+the emission integrals over all times, from one pass that samples no state,
+and the two-time correlation map by quantum regression).  The sensor-method
+filtered g2[0; Gamma] and the filtered emission spectra build on them
+(correlations), each filter width or center at each pulse length one system
+of a single pass.  Monte Carlo Hanbury Brown-Twiss detection with the
+peak-sum estimator (photostream) and lifetime fitting with instrument-response
+convolution (analysis) serve the supplement.  The commands of photonpurity.cli
+run them all.
 
 Importing the package loads numpy only, and photonpurity.cli adds yaml.
 scipy loads only in analysis, where it is called: scipy.special and

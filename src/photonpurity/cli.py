@@ -282,6 +282,15 @@ def _default_sensor_detuning(system, cfg: RunConfig):
     return 0.0 if system == "two_level" else cfg.binding_energy / 2.0
 
 
+def _points(key, make, *args):
+    """The array make(*args) whose size config key `key` sets, or a
+    ConfigError naming the key when it cannot be allocated."""
+    try:
+        return make(*args)
+    except (MemoryError, ValueError) as err:  # ValueError: more entries than an array holds
+        raise ConfigError(f"{key}: {args[-1]} points cannot be allocated") from err
+
+
 def cmd_g2map(cfg: RunConfig):
     """Two-time correlation map of the bare two-level emission."""
     system = _system("two_level", cfg,
@@ -295,7 +304,8 @@ def cmd_g2map(cfg: RunConfig):
 def cmd_spectrum(cfg: RunConfig):
     """Spectral profiles for the configured pulse lengths."""
     center = _default_sensor_detuning(cfg.system, cfg)
-    detunings = center + np.linspace(-cfg.detuning_span, cfg.detuning_span, cfg.detuning_points)
+    detunings = center + _points("detuning_points", np.linspace, -cfg.detuning_span,
+                                 cfg.detuning_span, cfg.detuning_points)
     pulses = [GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)) for tau in cfg.pulse_lengths]
     curves = correlations.spectrum(_system(cfg.system, cfg, pulses[0]), _observed(cfg.system),
                                    detunings, pulses, cfg.spec_bandwidth)
@@ -311,8 +321,8 @@ def _sweep(cfg: RunConfig, prefix, system, sweep_pulse=False):
     curve per pulse length, the batch's rows) or, if `sweep_pulse`, the
     pulse length (one curve per filter width, its columns).  The files are
     named `prefix`_<curve>.csv."""
-    axis = (np.geomspace if cfg.sweep_log else np.linspace)(cfg.sweep_min, cfg.sweep_max,
-                                                            cfg.sweep_points)
+    axis = _points("sweep.points", np.geomspace if cfg.sweep_log else np.linspace,
+                   cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
     taus, widths = (axis, cfg.filter_widths) if sweep_pulse else (cfg.pulse_lengths, axis)
     pulses = [GaussianPulse(cfg.pulse_area_pi * math.pi, float(tau)) for tau in taus]
     sensors = [SensorConfig(_default_sensor_detuning(system, cfg), float(w), cfg.epsilon)
@@ -404,6 +414,8 @@ def cmd_hbt(cfg: RunConfig, seed):
         raise ConfigError(str(err)) from err
     except photostream.TimestampOverflow as err:
         raise ConfigError(f"stream: {err}") from err
+    except photostream.BackgroundTooLarge as err:
+        raise ConfigError(f"stream.noise_rate: {err}") from err
     estimate = _estimate(hist, stream_cfg.rep_period, cfg)
     ks, sums = photostream.peak_sums(hist, stream_cfg.rep_period, cfg.window)
     files = {

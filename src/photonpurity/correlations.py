@@ -24,8 +24,7 @@ solve.  Error budget of g2:
   exciton line's);
 - drive cut-off: the drive past t0 + 8 tau (below e^-32 of its peak) is
   dropped; t0 + 10 tau moves the figure sweeps by < 1e-12 (1.6e-14
-  measured; integrator stops that a `grid` adds inside the window move it
-  too, filtered_g2_batch);
+  measured);
 - sensor coupling: the eps-halving check below; halving eps moves the
   figure-default sweeps by < 3e-4 relative (2.94e-4 measured on
   sweep-filter at tau 0.02, Gamma = 100; 5.9e-5 on sweep-pulse and 6.0e-5
@@ -151,7 +150,6 @@ def filtered_g2_batch(
     cfg: IntegratorConfig | None = None,
     observed=None,
     check_convergence: bool = True,
-    grid=(),
 ) -> list[list[FilteredStats]]:
     """g2[0; Gamma] of `observed` emission from the bare emitter `system`
     for each sensor of `sensors` at each pulse of `pulses` in place of its
@@ -163,11 +161,8 @@ def filtered_g2_batch(
     than 0.5% (NotConverged) or whose integrated filtered population is
     below 1e-12 (ZeroEmission) raises SweepPointError naming its bandwidth
     and pulse length, a failed pass (StepSizeUnderflow) one naming every
-    pulse length, with the bare error as its cause.  `grid` (default none)
-    only adds stops of the integrator, on the first pulse's time; g2 and
-    `n_integral` depend on it only through the stops in the pulse window
-    (< 1e-9 relative).  Raises ValueError for a sensor truncated below 2
-    photons, which cannot hold a photon pair.
+    pulse length, with the bare error as its cause.  Raises ValueError for
+    a sensor truncated below 2 photons, which cannot hold a photon pair.
     """
     for sensor in sensors:
         if sensor.truncation < 2:
@@ -185,7 +180,7 @@ def filtered_g2_batch(
     models = _filter_batch(system, observed, [twin for twin, _ in twins], pulses)
     emit = [scale * model.output_ops["sensor"] for (_, scale), model in zip(twins, models)]
     try:
-        res = dynamics.emission_integrals(models, np.array(emit * len(pulses)), grid, cfg)
+        res = dynamics.emission_integrals(models, np.array(emit * len(pulses)), cfg)
     except dynamics.StepSizeUnderflow as err:
         raise SweepPointError(err, tau=[pulse.length for pulse in pulses]) from err
 
@@ -228,10 +223,12 @@ def filtered_g2_zero(
 ) -> FilteredStats:
     """Time-integrated g2[0; Gamma] of `observed` emission from `system`:
     filtered_g2_batch with the one sensor at the system's own pulse, raising
-    its NotConverged, ZeroEmission or StepSizeUnderflow bare."""
+    its NotConverged, ZeroEmission or StepSizeUnderflow bare.  `grid` is
+    inert, as the pass samples nothing; it stays only for the benchmark's
+    callers (perfbench/), which pass it."""
     try:
         ((stats,),) = filtered_g2_batch(system, [sensor], [system.pulse], cfg, observed,
-                                        check_convergence, grid)
+                                        check_convergence)
     except SweepPointError as err:
         raise err.__cause__ from None
     return stats

@@ -24,14 +24,15 @@ mirror_signs leaves free (a resonant two-level sensor batch keeps 44 of its
 74).  Rows become complex vec(rho) only where values leave a pass, and
 where a two-time map applies the collapse J x = e x e^dag.
 
-emission_integrals is the one pass entry (emission_series reads its
-`n_series`): it walks from the ground state or any Hermitian rho0 over the
-pulse window [0, t_c], past which the generator is the constant lab-frame
-Liouvillian L0, and closes the tails of the emission integrals with a
-resolvent on the same real coordinates, one batched real solve per block
-(_Generator.settle).  two_time_g2_map chains per-interval propagators on
-the real coordinates: one walk of the d^2 real unit rows through every
-node of its grid.
+emission_integrals is the one pass entry, and it samples nothing: it walks
+the ground-state rows over the pulse window [0, t_c] in one stop, past which
+the generator is the constant lab-frame Liouvillian L0, and closes the tails
+of the emission integrals with a resolvent on the same real coordinates, one
+batched real solve per block (_Generator.settle).  emission_series walks its
+own stops through a grid and reads <N|rho> at each; only the benchmark
+(perfbench/) calls it.  two_time_g2_map chains per-interval propagators on
+the real coordinates: one walk of the d^2 real unit rows through every node
+of its grid.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HERMITICITY_TOL, SystemModel
+from .model import SystemModel
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -731,13 +732,10 @@ class TailPremiseError(ValueError):
 
 @dataclass
 class EmissionIntegrals:
-    """Emission integrals from t = 0 to infinity per system of a batch, and
-    <emit^dag emit> and the laser-frame state at the sample times."""
+    """Emission integrals from t = 0 to infinity per system of a batch."""
 
     n_integral: np.ndarray  # (B,)
     pair_integral: np.ndarray | None  # (B,), None without pairs
-    n_series: np.ndarray  # (B, len(times))
-    states: np.ndarray  # (B, len(times), d, d)
 
 
 def drive_cutoff(pulse) -> float:
@@ -746,14 +744,21 @@ def drive_cutoff(pulse) -> float:
     return pulse.offset + DRIVE_CUTOFF * pulse.length
 
 
-def emission_integrals(systems, emit: np.ndarray, times=(), cfg: IntegratorConfig | None = None,
-                       pairs: bool = True, rho0: np.ndarray | None = None) -> EmissionIntegrals:
+def _from_ground(systems, emit, pairs):
+    """The _Generator of a batch started in the ground state |0><0| at t = 0,
+    and its flat real state there."""
+    d = systems[0].dimension if len(systems) else 0
+    gen = _Generator(systems, emit, pairs, np.eye(1, d * d).reshape(d, d))
+    return gen, gen.coords.encode(np.eye(1, gen.coords.length).repeat(gen.nbatch, 0)).ravel()
+
+
+def emission_integrals(systems, emit: np.ndarray, cfg: IntegratorConfig | None = None,
+                       pairs: bool = True) -> EmissionIntegrals:
     """n = int <e^dag e>(t) dt and, with `pairs`, the time-ordered pair
     integral G = int int <T-[e^dag(t1) e^dag(t2)] T+[e(t2) e(t1)]> dt1 dt2
-    over [0, inf)^2, for a batch of systems started at t = 0 in the
-    Hermitian `rho0` (the ground state when omitted; DimensionMismatch for a
-    rho0 of another shape).  `emit` is one operator for the whole batch,
-    (d, d), or one per system, (B, d, d).
+    over [0, inf)^2, for a batch of systems started at t = 0 in the ground
+    state.  `emit` is one operator for the whole batch, (d, d), or one per
+    system, (B, d, d).
 
     One forward pass over the pulse window [0, t_c], t_c = drive_cutoff(pulse),
     carries the rows rho and X and the scalars q = int <N|rho> dt and
@@ -770,65 +775,35 @@ def emission_integrals(systems, emit: np.ndarray, times=(), cfg: IntegratorConfi
         G = 2 (p_c + <N|R X_c> + <N|R J R rho_c>),   N = e^dag e.
 
     Raises TailPremiseError unless L0 rho_ss = 0 and e rho_ss = 0 for the
-    ground state rho_ss (the latter gives J rho_ss = 0 and <N|rho_ss> = 0);
-    this concerns the systems, not the start, so it holds for any rho0.
-    `times` (default none) only sets where <N> and the state are sampled,
-    on the first system's time: a system whose pulse is r times as long
-    (_Generator) is sampled at r t, and reaches its own t_c at the first
-    system's.  The integrator stops at each, which must not decrease or
-    precede 0 (ValueError).  It reaches those past t_c by stepping on after
-    reading the stop at t_c, so n and G do not depend on them.  Raises
-    StepSizeUnderflow for a pulse too short to step (_walk).  Their error
-    budget is the DOP853 tolerance of `cfg`, with the drive below e^-32 of
-    its peak that the tails drop; they agree with e^(L0 (t - t_c)) rho_c to
-    < 1e-10 (up to t_c + 6, sensor batches of the two-level emitter and of
-    the exciton line).
+    ground state rho_ss (the latter gives J rho_ss = 0 and <N|rho_ss> = 0),
+    and StepSizeUnderflow for a pulse too short to step (_walk).  Their
+    error budget is the DOP853 tolerance of `cfg`, with the drive below
+    e^-32 of its peak that the tails drop.
     """
-    cfg = cfg or DEFAULT_INTEGRATOR
-    d = systems[0].dimension if len(systems) else 0
-    if rho0 is None:  # the ground state
-        rho0 = np.zeros((d, d))
-        rho0[:1, :1] = 1.0
-    else:  # the rows are stepped as Hermitian blocks
-        rho0 = np.asarray(rho0)
-        if len(systems) and rho0.shape != (d, d):
-            raise DimensionMismatch(f"rho0 has shape {rho0.shape}, system dimension is {d}")
-        if np.max(np.abs(rho0 - rho0.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(rho0))):
-            raise ValueError("rho0 must be Hermitian")
-    gen = _Generator(systems, emit, pairs, rho0)
-    nb = gen.nbatch
-    emit, nop = gen.emit, gen.nop
-    t_c = drive_cutoff(gen.pulse)
-    times = np.asarray(times, float)
-
+    gen, y = _from_ground(systems, emit, pairs)
+    emit = gen.emit
     scale = np.maximum(1.0, np.max(np.abs(emit), axis=(1, 2)))
     if np.any(np.max(np.abs(emit[:, :, 0]), axis=1) > 1e-12 * scale):
         raise TailPremiseError("`emit` must leave the ground state dark")
-
-    y = np.zeros((nb, gen.coords.length), dtype=complex)
-    y[:, :d * d] = np.ravel(rho0)
-    states = np.empty((nb, len(times), d * d), dtype=complex)
-    # the stop at t_c follows the sample times up to it (a sample time that
-    # decreases, across t_c too, makes _walk raise)
-    inside = int(np.count_nonzero(times <= t_c))
-    stops = [*times[:inside], t_c, *times[inside:]]
-    for k, y in enumerate(_walk(gen, gen.coords.encode(y).ravel(), 0.0, stops, cfg)):
-        y = y.reshape(nb, -1)
-        if k == inside:
-            rows = y
-        else:
-            states[:, k - (k > inside)] = gen.coords.decode(y)[:, :d * d]
-    ends = gen.settle(rows)  # q and p at t = inf
-    nvec = nop.transpose(0, 2, 1).reshape(nb, 1, d * d)  # <N|x> = tr(N x) = nvec . vec(x)
-    n_series = (states @ nvec.swapaxes(1, 2))[:, :, 0].real
-    return EmissionIntegrals(ends[:, 0], 2.0 * ends[:, 1] if pairs else None, n_series,
-                             states.reshape(nb, len(times), d, d))
+    (rows,) = _walk(gen, y, 0.0, [drive_cutoff(gen.pulse)], cfg or DEFAULT_INTEGRATOR)
+    ends = gen.settle(rows.reshape(gen.nbatch, -1))  # q and p at t = inf
+    return EmissionIntegrals(ends[:, 0], 2.0 * ends[:, 1] if pairs else None)
 
 
 def emission_series(systems, emit: np.ndarray, grid, cfg: IntegratorConfig | None = None):
-    """<emit^dag emit>(t) on `grid` for a batch of systems started in the
-    ground state: the `n_series` of emission_integrals without pairs."""
-    return emission_integrals(systems, emit, grid, cfg, pairs=False).n_series
+    """<emit^dag emit>(t) at the times of `grid` for a batch of systems
+    started in the ground state, (B, len(grid)): one walk that stops at each
+    time, of the first system (_Generator), which must not decrease or
+    precede 0 (ValueError).  Carried on past t_c, the walk agrees with
+    e^(L0 (t - t_c)) rho_c to < 1e-10 (up to t_c + 6, sensor batches of the
+    two-level emitter and of the exciton line)."""
+    gen, y = _from_ground(systems, emit, False)
+    nvec = gen.nop.swapaxes(1, 2).reshape(gen.nbatch, -1)  # <N|x> = tr(N x) = nvec . vec(x)
+    series = np.empty((gen.nbatch, len(grid)))
+    for k, y in enumerate(_walk(gen, y, 0.0, grid, cfg or DEFAULT_INTEGRATOR)):
+        rho = gen.coords.decode(y.reshape(gen.nbatch, -1))[:, :nvec.shape[1]]
+        series[:, k] = np.sum(nvec * rho, axis=1).real
+    return series
 
 
 def _step_propagators(gen, times, cfg):

@@ -67,6 +67,11 @@ class TimestampOverflow(ValueError):
     """A click time reaches 2^63 ps, past the int64 timestamps."""
 
 
+class BackgroundTooLarge(ValueError):
+    """The background clicks that a noise rate asks for cannot be drawn or
+    allocated."""
+
+
 class MalformedHistogram(ValueError):
     """A histogram CSV whose rows are not centred, evenly spaced delays with
     counts >= 0 in an odd number of bins."""
@@ -182,7 +187,8 @@ def synthesize_stream(cfg: StreamConfig, seed: int):
     background uses the independent stream SeedSequence((seed, 1)).  Each
     block draws per photon, not per pulse (`_emit_block`).  A click at or
     past 2^63 ps (a delay of that order: StreamConfig bounds the duration,
-    not the exponential draws) is TimestampOverflow.
+    not the exponential draws) is TimestampOverflow, and a background that
+    cannot be drawn or allocated is BackgroundTooLarge.
     """
     n_blocks = int(np.ceil(cfg.n_pulses / _PULSE_BLOCK)) if cfg.n_pulses else 0
     children = np.random.SeedSequence(seed).spawn(n_blocks)
@@ -197,10 +203,15 @@ def synthesize_stream(cfg: StreamConfig, seed: int):
     if cfg.noise_rate > 0:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
         expected = cfg.noise_rate * cfg.duration * 1e-9
-        n_noise = rng.poisson(expected)
-        t_noise = rng.random(n_noise) * cfg.duration
-        route = rng.random(n_noise) < 0.5
-        keep = rng.random(n_noise) < cfg.detection_efficiency
+        try:
+            n_noise = rng.poisson(expected)
+            t_noise = rng.random(n_noise) * cfg.duration
+            route = rng.random(n_noise) < 0.5
+            keep = rng.random(n_noise) < cfg.detection_efficiency
+        except (MemoryError, ValueError) as err:  # ValueError: lam past numpy's Poisson limit
+            raise BackgroundTooLarge(f"{cfg.noise_rate:g} counts/s over {cfg.duration:g} ns "
+                                     f"expect {expected:g} background clicks, which cannot "
+                                     "be drawn") from err
         parts1.append(t_noise[keep & route])
         parts2.append(t_noise[keep & ~route])
 

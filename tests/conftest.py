@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from photonpurity import dynamics
 from photonpurity.correlations import filtered_g2_zero
 from photonpurity.dynamics import emission_integrals
 from photonpurity.model import (
@@ -48,6 +49,43 @@ def ground_state(system):
     return basis_projector(system, "ground")
 
 
+def _walk_from(systems, emit, rho0, pairs, stops):
+    """The pass's own generator and stepper, started in rho0 (the ground
+    state when None) at t = 0: the generator, and its real rows (B, D) at
+    each time of `stops`."""
+    rho0 = ground_state(systems[0]) if rho0 is None else np.asarray(rho0)
+    gen = dynamics._Generator(systems, emit, pairs, rho0)
+    rows = np.zeros((gen.nbatch, gen.coords.length), dtype=complex)
+    rows[:, :rho0.size] = rho0.ravel()
+    walk = dynamics._walk(gen, gen.coords.encode(rows).ravel(), 0.0, stops,
+                          dynamics.DEFAULT_INTEGRATOR)
+    return gen, [y.reshape(gen.nbatch, -1) for y in walk]
+
+
+def walk_rows(systems, emit, times, rho0=None, pairs=False):
+    """The rows of a batch started in rho0 (the ground state when None) at
+    t = 0, at `times` of its first system, as complex vec rows
+    (B, len(times), length): those of emission_integrals' generator for
+    `emit` and `pairs`, walked by its stepper through every time."""
+    gen, rows = _walk_from(systems, emit, rho0, pairs, times)
+    return np.stack([gen.coords.decode(y) for y in rows], axis=1)
+
+
+def walk_states(systems, emit, times, rho0=None, pairs=False):
+    """The states rho(t), (B, len(times), d, d), of walk_rows."""
+    d = systems[0].dimension
+    rows = walk_rows(systems, emit, times, rho0, pairs)
+    return rows[:, :, :d * d].reshape(len(rows), len(times), d, d)
+
+
+def n_integral_from(systems, emit, rho0):
+    """n of a batch started in rho0 at t = 0: the walk to t_c and the tail
+    of emission_integrals without pairs, from another start."""
+    gen, (rows,) = _walk_from(systems, emit, rho0, False,
+                              [dynamics.drive_cutoff(systems[0].pulse)])
+    return gen.settle(rows)[:, 0]
+
+
 def delays_ps(hist):
     """The delay of each bin of a CoincidenceHistogram, ps."""
     return (np.arange(len(hist.counts)) - hist.half_bins) * hist.bin_width
@@ -56,7 +94,7 @@ def delays_ps(hist):
 def unfiltered_g2(system):
     """Unfiltered g2[0] of sigma: the pair integral over the squared
     integrated population, both over all times."""
-    res = emission_integrals([system], system.output_ops["sigma"], times=())
+    res = emission_integrals([system], system.output_ops["sigma"])
     return float(res.pair_integral[0] / res.n_integral[0] ** 2)
 
 

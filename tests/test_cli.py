@@ -1,6 +1,7 @@
 """Command-line failures map to the documented exit codes (2 configuration,
 3 convergence or estimation), and reruns reproduce the data files."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import yaml
 from photonpurity import analysis, cli, photostream
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 SWEEPS = ("sweep-pulse", "sweep-filter", "sweep-fourlevel")
@@ -765,12 +767,13 @@ import numpy as np
 import photonpurity
 from photonpurity import cli
 from photonpurity.correlations import filtered_g2_zero
+from photonpurity.dynamics import emission_series
 from photonpurity.model import GaussianPulse, SensorConfig, TwoLevelConfig, build_two_level
 for command, config, out in zip(sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]):
     assert cli.main([command, "--config", config, "--out", out]) == 0, command
 # samples past the drive cutoff t_c = 0.6, and a sensor cut at 3 photons
 system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
-filtered_g2_zero(system, SensorConfig(0.0, 1.0), grid=np.linspace(0.0, 2.0, 24))
+emission_series([system], system.output_ops["sigma"], np.linspace(0.0, 2.0, 24))
 filtered_g2_zero(system, SensorConfig(0.0, 1.0, truncation=3))
 loaded = set(sys.modules) & {"scipy.linalg", "scipy.sparse", "scipy.optimize",
                              "scipy.special", "scipy.stats"}
@@ -780,9 +783,9 @@ print("scipy modules:", *sorted(loaded))
 
 def test_theory_commands_and_hbt_run_without_scipy(tmp_path):
     # a fresh interpreter: the package, the CLI, these commands (the two-time map, the
-    # filtered g2 of the two-level emitter and of the cascade's exciton line), a filtered
-    # g2 sampled past the drive cutoff and one with the sensor cut at 3 photons need
-    # numpy and yaml
+    # filtered g2 of the two-level emitter and of the cascade's exciton line), an
+    # emission series sampled past the drive cutoff and a filtered g2 with the sensor
+    # cut at 3 photons need numpy and yaml
     sweep = "sweep: {min: 0.5, max: 1.0, points: 2}\n"
     runs = [("hbt-sim", "stream: {n_pulses: 20000}\n"),
             ("g2map", "pulse: {length: 0.05}\n"),
@@ -819,9 +822,78 @@ def test_g2map_unallocatable_grid_is_a_config_error(tmp_path, capsys, points):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("spectrum", f"detuning_points: {2**62}\n", "detuning_points"),
+    *((command, f"sweep: {{points: {2**62}}}\n", "sweep.points") for command in SWEEPS),
+    ("hbt-sim", "stream: {noise_rate: 1.0e+30, n_pulses: 1000}\n", "stream.noise_rate"),
+], ids=["spectrum", *SWEEPS, "hbt-sim"])
+def test_unallocatable_size_is_a_config_error(tmp_path, capsys, command, text, key):
+    # 2^62 points of 8 bytes, or a background mean of 1.3e25 clicks, past numpy's
+    # Poisson limit: numpy refuses both before it allocates anything
+    assert run(tmp_path, command, text) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {key}: " in err and "cannot be" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def _load(path, name):
+    """The Python file at `path` as module `name`."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_entry_points_run(monkeypatch):
+    # the benchmark's warm-ups call the program by name (cli.load_config,
+    # dynamics.emission_series, filtered_g2_zero with grid=, attach_sensor with a
+    # two-photon SensorConfig, the stream functions): removing or renaming one fails here
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets them on import; restored after
+    monkeypatch.syspath_prepend(os.path.join(REPO, "perfbench"))
+    monkeypatch.syspath_prepend(os.path.join(REPO, "src"))
+    bench = _load(os.path.join(REPO, "perfbench", "run.py"), "perfbench_run")
+    for workload in ("g2_sweep", "spectrum", "hbt"):
+        bench.warm_up(workload)
+
+
 def _files(root):
     return {os.path.relpath(os.path.join(where, name), root)
             for where, _, names in os.walk(root) for name in names}
+
+
+# The budget of each golden file's change, by file-name prefix, in the scaling of
+# scripts/compare_outputs.py: sweep g2 relative, spectra of the peak, the map of its
+# maximum.  tests/golden holds the theory script's 8 sweep curves and 3 spectra as
+# written, and its g2map.csv rows at every 3rd node of the 31-node drive window, every
+# 15th node after it and the last node.
+GOLDEN_BUDGETS = {"sweep_": 1e-9, "spectrum_": 1e-12, "g2map": 2e-11}
+
+
+def golden_changes(out):
+    """Each golden file's largest change in the folder `out`, scaled as
+    compare_outputs scales it, with its budget.  The other columns must be
+    equal."""
+    compare = _load(os.path.join(REPO, "scripts", "compare_outputs.py"), "compare_outputs")
+    changes = {}
+    for name in sorted(os.listdir(GOLDEN)):
+        column, scaling = next(spec for prefix, spec in compare.SCALED.items()
+                               if name.startswith(prefix))
+        golden = compare._read_csv(os.path.join(GOLDEN, name))
+        fresh = compare._read_csv(os.path.join(out, name))
+        peak = np.max(np.abs(fresh[column]))  # of the whole map, before the subsample
+        if name == "g2map.csv":  # the fresh map's rows at the golden (t1, t2) pairs
+            index = {pair: i for i, pair in enumerate(zip(fresh["t1"].tolist(),
+                                                          fresh["t2"].tolist()))}
+            rows = [index[pair] for pair in zip(golden["t1"].tolist(), golden["t2"].tolist())]
+            fresh = {key: values[rows] for key, values in fresh.items()}
+        assert fresh.keys() == golden.keys(), name
+        for key in golden.keys() - {column}:
+            assert np.array_equal(fresh[key], golden[key]), (name, key)
+        scale = np.abs(golden[column]) if scaling == "relative" else peak
+        budget = next(b for prefix, b in GOLDEN_BUDGETS.items() if name.startswith(prefix))
+        changes[name] = (float(np.max(np.abs(fresh[column] - golden[column]) / scale)), budget)
+    return changes
 
 
 @pytest.mark.parametrize("script, expected", [
@@ -850,6 +922,13 @@ def test_shipped_script_exits_zero(tmp_path, script, expected):
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert _files(out) == expected
+    if script == "reproduce_theory_figures.py":
+        changes = golden_changes(out)
+        assert len(changes) == 12
+        # to 3 digits: a last-digit flip of a spectrum value near its peak is 1e-12 of
+        # it, and reads back from the 12-digit text as up to 1.00001e-12
+        assert {name: c for name, (c, budget) in changes.items()
+                if not c <= 1.001 * budget} == {}
 
 
 def test_compare_outputs_scales_each_change(tmp_path):

@@ -31,8 +31,8 @@ from photonpurity.model import (
     build_two_level,
 )
 
-from conftest import (FOURLEVEL_BINDING, basis_projector, fourlevel_system, two_level_system,
-                      unfiltered_g2)
+from conftest import (FOURLEVEL_BINDING, basis_projector, fourlevel_system, n_integral_from,
+                      two_level_system, unfiltered_g2, walk_states)
 
 REFERENCES_SPECTRUM = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                                    "references_spectrum.json")
@@ -84,17 +84,16 @@ class TestFilteredG2:
         system = two_level_system(0.05)
         (model,) = corr._filter_batch(system, "sigma", [SensorConfig(0.0, 1.0)], [system.pulse])
         window = np.linspace(0.0, dynamics.drive_cutoff(system.pulse), 13)
-        states = dynamics.emission_integrals([model], model.output_ops["sensor"], window).states
+        states = walk_states([model], model.output_ops["sensor"], window, pairs=True)
         assert np.min(np.linalg.eigvalsh(states[0])) > -1e-9
 
     def test_empty_grid_samples_nothing(self):
-        # the integrals need no sample: the default pass stops at t_c alone, and 13
-        # stops across the window move g2 by < 1e-9
+        # the integrals need no sample: the pass stops at t_c alone, and a grid of 13
+        # times across the window leaves g2 and n bit for bit
         system, sensor = two_level_system(0.05), SensorConfig(0.0, 1.0)
         stats = filtered_g2_zero(system, sensor, check_convergence=False)
         window = np.linspace(0.0, dynamics.drive_cutoff(system.pulse), 13)
-        sampled = filtered_g2_zero(system, sensor, grid=window, check_convergence=False)
-        assert stats.g2 == pytest.approx(sampled.g2, rel=1e-9)
+        assert filtered_g2_zero(system, sensor, grid=window, check_convergence=False) == stats
 
     def test_truncation_insensitive(self):
         system = two_level_system(0.05)
@@ -119,8 +118,8 @@ class TestFilteredG2:
         base = g2()
         tight = g2(cfg=dynamics.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-15))
         assert abs(base - tight) < 1e-9 * tight
-        # a grid moves only where the integrator stops in the pulse window
-        assert g2(grid=np.linspace(0.0, 20.0, 57)) == pytest.approx(base, rel=1e-9)
+        # a grid adds no stop of the integrator
+        assert g2(grid=np.linspace(0.0, 20.0, 57)) == base
         monkeypatch.setattr(dynamics, "DRIVE_CUTOFF", 10.0)
         assert abs(g2() - base) < 1e-9 * base
 
@@ -256,11 +255,11 @@ def test_tail_premise_checked():
     sigma = system.output_ops["sigma"]
     # sigma^dag does not leave the ground state dark
     with pytest.raises(dynamics.TailPremiseError):
-        dynamics.emission_integrals([system], sigma.conj().T, times=())
+        dynamics.emission_integrals([system], sigma.conj().T)
     # an incoherent pump leaves the ground state not steady
     pumped = replace(system, channels=system.channels + ((sigma.conj().T, 0.1),))
     with pytest.raises(dynamics.TailPremiseError):
-        dynamics.emission_integrals([pumped], sigma, times=())
+        dynamics.emission_integrals([pumped], sigma)
 
 
 class TestUnfiltered:
@@ -289,7 +288,7 @@ class TestUnfiltered:
         r = {}
         for tau in (0.001, 0.002):
             system = two_level_system(tau)
-            res = dynamics.emission_integrals([system], system.output_ops["sigma"], (), cfg)
+            res = dynamics.emission_integrals([system], system.output_ops["sigma"], cfg)
             r[tau] = res.pair_integral[0] / res.n_integral[0] ** 2 / (0.5 * c * tau)
         assert abs(2.0 * r[0.001] - r[0.002] - 1.0) <= 3e-4
 
@@ -393,8 +392,8 @@ class TestSpectrum:
                    for d in center + np.linspace(-8.0, 8.0, 9)]
         extended = corr._filter_batch(system, observed, sensors, [system.pulse])
         emit = extended[0].output_ops["sensor"]
-        batch = dynamics.emission_integrals(extended, emit, times=(), pairs=False).n_integral
-        alone = [dynamics.emission_integrals([one], emit, times=(), pairs=False).n_integral[0]
+        batch = dynamics.emission_integrals(extended, emit, pairs=False).n_integral
+        alone = [dynamics.emission_integrals([one], emit, pairs=False).n_integral[0]
                  for one in extended]
         assert np.max(np.abs(batch - alone)) <= 1e-9 * np.max(alone)
 
@@ -412,7 +411,7 @@ class TestSpectrum:
                                                           for d in centers], [system.pulse])
                     for n in (1, 2))
         assert one[0].dimension * 3 == two[0].dimension * 2
-        n_one, n_two = (dynamics.emission_integrals(b, b[0].output_ops["sensor"], times=(),
+        n_one, n_two = (dynamics.emission_integrals(b, b[0].output_ops["sensor"],
                                                     pairs=False).n_integral for b in (one, two))
         assert np.max(np.abs(n_one / np.max(n_one) - n_two / np.max(n_two))) <= 1e-8
 
@@ -492,8 +491,7 @@ class TestSpectrum:
                 attach_sensor(system, "sigma", SensorConfig(d, width, eps, 2))
                 for d in dets
             ]
-            intensity = dynamics.emission_integrals(extended, extended[0].output_ops["sensor"],
-                                                    (), pairs=False, rho0=rho0).n_integral
+            intensity = n_integral_from(extended, extended[0].output_ops["sensor"], rho0)
             intensity /= intensity[0]
             j = np.searchsorted(-intensity, -0.5)
             hwhm = dets[j - 1] + (0.5 - intensity[j - 1]) * (dets[j] - dets[j - 1]) / (
@@ -641,8 +639,8 @@ class TestSweeps:
 
     def test_points_sampled_at_drive_cutoff_only(self, tmp_path):
         # a sweep command's pass samples no state and stops at t_c alone: its curve
-        # is that of the batch at its default grid, to the 12 digits the CSV prints,
-        # and moves by < 1e-9 against 13 stops across the window
+        # is that of the batch, to the 12 digits the CSV prints, and a grid of 13
+        # times across the window leaves each point alone bit for bit
         (tmp_path / "run.yaml").write_text(
             "pulse_lengths: [0.05]\nsweep: {min: 0.1, max: 20.0, points: 3}\n")
         assert cli.main(["sweep-filter", "--config", str(tmp_path / "run.yaml"),
@@ -651,11 +649,11 @@ class TestSweeps:
         system = two_level_system(0.05)
         sensors = [SensorConfig(0.0, w) for w in np.geomspace(0.1, 20.0, 3)]
         window = np.linspace(0.0, dynamics.drive_cutoff(system.pulse), 13)
-        (sampled,) = filtered_g2_batch(system, sensors, [system.pulse], grid=window)
         (at_t_c,) = filtered_g2_batch(system, sensors, [system.pulse])
-        for line, one, ref in zip(curve, at_t_c, sampled, strict=True):
+        for line, one, sensor in zip(curve, at_t_c, sensors, strict=True):
             assert line.split(",")[1] == f"{one.g2:.12g}"
-            assert one.g2 == pytest.approx(ref.g2, rel=1e-9)
+            alone = filtered_g2_zero(system, sensor)
+            assert filtered_g2_zero(system, sensor, grid=window) == alone
 
     def test_sweep_point_identified_on_error(self):
         with pytest.raises(corr.SweepPointError) as err:

@@ -11,9 +11,9 @@ from photonpurity import dynamics
 from photonpurity.correlations import map_grid, write_g2map_csv
 from photonpurity.dynamics import (
     BatchMismatch,
-    DimensionMismatch,
     StepSizeUnderflow,
     emission_integrals,
+    emission_series,
     two_time_g2_map,
 )
 from photonpurity.model import (
@@ -27,7 +27,7 @@ from photonpurity.model import (
     build_two_level,
 )
 
-from conftest import basis_projector, ground_state, hamiltonian
+from conftest import basis_projector, ground_state, hamiltonian, walk_rows, walk_states
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
@@ -70,13 +70,13 @@ class TestTableau:
 
 def window_states(system, times):
     """The states of `system`, started in its ground state, at `times`."""
-    sigma = system.output_ops["sigma"]
-    return emission_integrals([system], sigma, times=times, pairs=False).states[0]
+    return walk_states([system], system.output_ops["sigma"], times)[0]
 
 
 def series(system, emit, times, rho0=None):
     """<emit^dag emit> of `system` at `times`, started in rho0 at t = 0."""
-    return emission_integrals([system], emit, times, pairs=False, rho0=rho0).n_series[0]
+    states = walk_states([system], emit, times, rho0)[0]
+    return np.einsum("mn,tnm->t", emit.conj().T @ emit, states).real
 
 
 class TestPropagate:
@@ -120,13 +120,6 @@ class TestPropagate:
         assert np.max(np.abs(n_2x - np.exp(-2 * times))) < 1e-6
         assert np.max(np.abs(n_xv - (np.exp(-times) - np.exp(-2 * times)))) < 1e-6
 
-    def test_non_hermitian_start_rejected(self):
-        # the right-hand side takes its rows to be Hermitian
-        rho0 = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-        system = free_decay_system()
-        with pytest.raises(ValueError, match="Hermitian"):
-            series(system, system.output_ops["sigma"], [0.0, 1.0], rho0)
-
     def test_step_size_underflow(self):
         system = build_two_level(TwoLevelConfig(), GaussianPulse(0.0, 0.05))
         (sigma, _), = system.channels
@@ -151,15 +144,15 @@ class TestExpectation:
     def test_identity_trace(self):
         system = free_decay_system()
         # the trace of the sampled states (emit = I would break the tail premise)
-        res = emission_integrals([system], system.output_ops["sigma"], np.linspace(0, 5, 21),
-                                 pairs=False, rho0=basis_projector(system, "exciton"))
-        trace = np.einsum("tnn->t", res.states[0])
+        states = walk_states([system], system.output_ops["sigma"], np.linspace(0, 5, 21),
+                             basis_projector(system, "exciton"))
+        trace = np.einsum("tnn->t", states[0])
         assert np.max(np.abs(trace - 1.0)) < 1e-8
 
     def test_weak_sensor_stays_empty(self):
         system = build_two_level(TwoLevelConfig(), GaussianPulse(math.pi, 0.05))
         extended = attach_sensor(system, "sigma", SensorConfig(0.0, 1.0, coupling=1e-8))
-        n_s = series(extended, extended.output_ops["sensor"], np.linspace(0, 6, 31))
+        (n_s,) = emission_series([extended], extended.output_ops["sensor"], np.linspace(0, 6, 31))
         assert np.max(n_s) < 1e-12
 
 
@@ -297,30 +290,12 @@ class TestTwoTimeMap:
 
 
 class TestEmissionSeries:
-    # a detuned emitter started in a coherent superposition: its coherence
-    # turns, so reading rho0 at the wrong time shows
-    SYSTEM = build_two_level(TwoLevelConfig(detuning=5.0), GaussianPulse(math.pi / 2, 0.05))
-    RHO0 = np.full((2, 2), 0.5, dtype=complex)
-
-    def series(self, grid):
-        return series(self.SYSTEM, self.SYSTEM.output_ops["sigma"], grid, self.RHO0)
-
-    def test_rho0_is_the_state_at_time_zero(self):
-        # a grid that starts after 0 reads the state propagated from t = 0
-        with_zero = self.series([0.0, 0.1, 0.5])
-        assert with_zero[0] == pytest.approx(0.5)
-        assert np.max(np.abs(self.series([0.1, 0.5]) - with_zero[1:])) < 1e-12
-
     @pytest.mark.parametrize("grid", [[0.0, 1.0, 0.5], [-0.1, 0.5]],
                              ids=["decreasing", "before_start"])
     def test_unsorted_grid_rejected(self, grid):
+        system = build_two_level(TwoLevelConfig(detuning=5.0), GaussianPulse(math.pi / 2, 0.05))
         with pytest.raises(ValueError, match="must not decrease"):
-            self.series(grid)
-
-    def test_rho0_of_another_dimension_rejected(self):
-        sigma = self.SYSTEM.output_ops["sigma"]
-        with pytest.raises(DimensionMismatch, match=r"rho0 has shape \(3, 3\)"):
-            series(self.SYSTEM, sigma, [0.0, 0.1], np.eye(3) / 3)
+            emission_series([system], system.output_ops["sigma"], grid)
 
 
 def _sensor_batch(system, observed, detuning, widths):
@@ -480,7 +455,7 @@ def _map_with_exact_tail(system, grid):
 
 
 def _tails_by_lu(systems, emit):
-    """n and G of emission_integrals(systems, emit, times=()), with the tails
+    """n and G of emission_integrals(systems, emit), with the tails
     closed by one scipy LU per system of a kron-built L0 + |rho_ss><1|."""
     gen = dynamics._Generator(systems, emit, pairs=True)
     d, nb = gen.dim, gen.nbatch
@@ -551,7 +526,8 @@ class TestReachable:
         # the rows keep one entry of each coherence pair only where the sign matrix S
         # fixes every system of the batch and the start: a center at Delta != 0 or the
         # exciton line has no S, and S fixes a ground-exciton coherence only when it
-        # is imaginary (s_g s_e = -1); a cut pass gives the integrals of an uncut one
+        # is imaginary (s_g s_e = -1); a cut walk gives the rows of an uncut one across
+        # the pulse window, and a cut pass the integrals of an uncut one
         batch = 1 if case == "exciton_line" else 0
         system, observed, detuning, widths = MIXED_BATCHES[batch]
         systems, emit = _sensor_batch(system, observed, detuning, widths)
@@ -566,37 +542,41 @@ class TestReachable:
             rho0 = np.outer(ket, ket.conj()) / 2.0
         gen = dynamics._Generator(systems, emit, pairs=True, rho0=rho0)
         assert gen.size == kept and (gen.coords.imag is not None) == cut
-        res = emission_integrals(systems, emit, rho0=rho0)
+        window = np.linspace(0.0, dynamics.drive_cutoff(system.pulse), 7)
+        rows = walk_rows(systems, emit, window, rho0, pairs=True)
+        res = emission_integrals(systems, emit)
         assert np.all(res.n_integral > 0) and np.all(res.pair_integral > 0)
         monkeypatch.setattr(dynamics, "mirror_signs", lambda hams, ops: None)
         assert dynamics._Generator(systems, emit, pairs=True, rho0=rho0).coords.imag is None
-        uncut = emission_integrals(systems, emit, rho0=rho0)
+        uncut = walk_rows(systems, emit, window, rho0, pairs=True)
+        for k in range(len(window)):
+            assert np.max(np.abs(rows[:, k] - uncut[:, k])) <= 1e-12 * np.max(np.abs(uncut[:, k]))
+        uncut = emission_integrals(systems, emit)
         np.testing.assert_allclose(res.n_integral, uncut.n_integral, rtol=1e-12, atol=0)
         np.testing.assert_allclose(res.pair_integral, uncut.pair_integral, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("system, observed, detuning, widths", MIXED_BATCHES,
                              ids=["two_level", "exciton_line"])
     def test_samples_past_cutoff_match_expm(self, system, observed, detuning, widths):
-        # the stepper carries on past t_c; e^(L0 (t - t_c)) rho_c is the oracle, and the
-        # later samples leave n and G bit for bit as the window samples give them
+        # emission_series' walk carries on past t_c: e^(L0 (t - t_c)) rho_c is the oracle
+        # of its states, and n(t) is read from them
         systems, emit = _sensor_batch(system, observed, detuning, widths)
         t_c = dynamics.drive_cutoff(system.pulse)
         window = np.linspace(0.0, t_c, 13)
         later = t_c + np.array([0.0, 0.05, 0.5, 2.0, 6.0])
-        res = emission_integrals(systems, emit, times=np.concatenate([window, later]))
-        alone = emission_integrals(systems, emit, times=window)
-        assert np.array_equal(res.n_integral, alone.n_integral)
-        assert np.array_equal(res.pair_integral, alone.pair_integral)
+        times = np.concatenate([window, later])
+        states = walk_states(systems, emit, times)
+        n_series = emission_series(systems, emit, times)
         k = len(window)
         for b, sys_b in enumerate(systems):
             l0 = _lab_liouvillian(sys_b)
-            rho_c = res.states[b, k - 1].ravel()
+            rho_c = states[b, k - 1].ravel()
             for j, t in enumerate(later, k):
                 oracle = (expm(l0 * (t - t_c)) @ rho_c).reshape(sys_b.dimension, -1)
-                np.testing.assert_allclose(res.states[b, j], oracle, rtol=0, atol=1e-8)
+                np.testing.assert_allclose(states[b, j], oracle, rtol=0, atol=1e-8)
             nop = emit[b].conj().T @ emit[b]
-            assert np.max(np.abs(res.n_series[b, k:] - np.einsum(
-                "mn,tnm->t", nop, res.states[b, k:]).real)) <= 1e-12 * np.max(res.n_series[b])
+            assert np.max(np.abs(n_series[b, k:] - np.einsum(
+                "mn,tnm->t", nop, states[b, k:]).real)) <= 1e-12 * np.max(n_series[b])
 
 
 class TestBatch:
@@ -615,7 +595,7 @@ class TestBatch:
         emit = np.array([s.output_ops["sensor"] for s in systems])
         # the points differ in sensor rate and coupling: an off-diagonal remainder
         assert dynamics._Generator(systems, emit, pairs=True).rem_blocks is not None
-        batch = emission_integrals(systems, emit, times=())
+        batch = emission_integrals(systems, emit)
         n_int, g_int = _tails_by_lu(systems, emit)
         np.testing.assert_allclose(batch.n_integral, n_int, rtol=1e-12, atol=0)
         np.testing.assert_allclose(batch.pair_integral, g_int, rtol=1e-12, atol=0)
@@ -631,9 +611,9 @@ class TestBatch:
     def test_mixed_rates_match_single_runs(self, system, observed, detuning, widths):
         # each system keeps its own sensor rate and readout inside the batch
         systems, emit = _sensor_batch(system, observed, detuning, widths)
-        batch = emission_integrals(systems, emit, times=())
+        batch = emission_integrals(systems, emit)
         for b in range(len(systems)):
-            alone = emission_integrals([systems[b]], emit[b], times=())
+            alone = emission_integrals([systems[b]], emit[b])
             assert batch.n_integral[b] == pytest.approx(alone.n_integral[0], rel=1e-8)
             assert batch.pair_integral[b] == pytest.approx(alone.pair_integral[0], rel=1e-8)
 
@@ -645,10 +625,12 @@ class TestBatch:
         long = replace(short, pulse=GaussianPulse(math.pi, 0.2))
         sigma = short.output_ops["sigma"]
         times = np.linspace(0.0, 2.0 * dynamics.drive_cutoff(short.pulse), 9)
-        both = emission_integrals([short, long, long], sigma, times)
+        both = emission_integrals([short, long, long], sigma)
+        states = walk_states([short, long, long], sigma, times, pairs=True)
         for b, (system, r) in enumerate(((short, 1.0), (long, 4.0), (long, 4.0))):
-            alone = emission_integrals([system], sigma, r * times)
-            np.testing.assert_allclose(both.states[b], alone.states[0], rtol=0, atol=1e-9)
+            alone = emission_integrals([system], sigma)
+            np.testing.assert_allclose(
+                states[b], walk_states([system], sigma, r * times, pairs=True)[0], rtol=0, atol=1e-9)
             assert both.n_integral[b] == pytest.approx(alone.n_integral[0], rel=1e-9)
             assert both.pair_integral[b] == pytest.approx(alone.pair_integral[0], rel=1e-9)
 
@@ -663,9 +645,9 @@ class TestBatch:
         ]
         for other in others:
             with pytest.raises(BatchMismatch):
-                emission_integrals([system, other], sigma, times=())
+                emission_integrals([system, other], sigma)
         # rates may differ, and so may the pulse length at the same area
         slower = replace(system, channels=((sigma, 0.5 * rate),))
-        assert emission_integrals([system, slower], sigma, times=()).n_integral[1] > 0
+        assert emission_integrals([system, slower], sigma).n_integral[1] > 0
         longer = replace(system, pulse=GaussianPulse(math.pi, 0.1))
-        assert emission_integrals([system, longer], sigma, times=()).n_integral[1] > 0
+        assert emission_integrals([system, longer], sigma).n_integral[1] > 0
