@@ -5,13 +5,12 @@ populations convolved in closed form with a Gaussian instrument response),
 Poisson maximum-likelihood lifetime fitting, and the super-Gaussian
 transmission model used to calibrate grating-based spectral filters.
 
-Times are in ns and rates in 1/ns throughout; the CLI converts ps data at
-the boundary.
+Times are in ns and rates in 1/ns throughout.  read_decay_csv and
+write_decay_csv convert the decay CSV's ps; cli converts the fit JSON's.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -117,22 +116,6 @@ class FitResult:
     params: CascadeParams
     uncertainties: dict
     chi2_reduced: float
-    which: str
-
-    def to_json(self, path):
-        payload = {
-            "tau_2x_ps": 1e3 / self.params.gamma_2x,
-            "tau_x_ps": (1e3 / self.params.gamma_x) if self.which == "exciton" else None,
-            "irf_sigma_ps": 1e3 * self.params.irf_sigma,
-            "amplitude": self.params.amplitude,
-            "offset_ps": 1e3 * self.params.offset,
-            "uncertainties": self.uncertainties,
-            "chi2_reduced": self.chi2_reduced,
-            "which": self.which,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
 
 
 _FIT_FIELDS = {
@@ -214,7 +197,6 @@ def fit_lifetimes(times, counts, init: CascadeParams, which: str = "exciton") ->
         params=params,
         uncertainties=sigmas,
         chi2_reduced=chi2,
-        which=which,
     )
 
 

@@ -16,6 +16,11 @@ files byte for byte, into any folder.  A key or flag that the command does
 not read is a configuration error.  Defaults mirror the figure parameters so
 a bare invocation reproduces the corresponding dataset.
 
+Every output format is here (_write_csv, _write_json, the g2map.csv writer
+and the fit JSON's ns -> ps) but two that are also read back, which stay
+beside their readers: photostream.write_int_csv, of the histogram and the
+peak sums, and analysis.write_decay_csv.
+
 Exit codes: 0 success, 2 bad configuration, 3 convergence failure.
 """
 
@@ -45,6 +50,7 @@ from .model import (
 )
 
 ENV_OUTDIR = "PHOTONPURITY_OUTDIR"
+_CSV_CHUNK = 1 << 16  # map rows per formatted write
 _EXPONENT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")  # a float, read as text
 
 
@@ -291,13 +297,47 @@ def _points(key, make, *args):
         raise ConfigError(f"{key}: {args[-1]} points cannot be allocated") from err
 
 
+def _write_csv(path, header, line, columns):
+    """Write the `header` line, then `line % row` for each row of `columns`."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(line % row)
+
+
+def _write_json(path, payload, **dump):
+    """Write `payload` as JSON: a 2-space indent, `dump`, a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, **dump)
+        fh.write("\n")
+
+
+def _write_g2map_csv(path, times, values):
+    """The (n, n) map `values` on `times` along both axes as a row-major
+    (t1, t2, value) CSV; first line names the time unit.  Each time is
+    formatted once, into the template of its lines; one formatted write of
+    the values per chunk of t1 rows."""
+    # joined by a row's "t1," this list puts that t1 in front of every line
+    tails = ["", *("%.9g," % t + "%.12g\n" for t in times)]
+    n = len(times)
+    values = np.reshape(values, (n, n))
+    step = max(1, _CSV_CHUNK // len(tails))
+    with open(path, "w") as fh:
+        fh.write("# time_unit=1/gamma_sigma\n")
+        fh.write("t1,t2,value\n")
+        for start in range(0, n, step):
+            chunk = times[start:start + step]
+            template = "".join(("%.9g," % t).join(tails) for t in chunk)
+            fh.write(template % tuple(values[start:start + step].ravel().tolist()))
+
+
 def cmd_g2map(cfg: RunConfig):
     """Two-time correlation map of the bare two-level emission."""
     system = _system("two_level", cfg,
                      GaussianPulse(cfg.pulse_area_pi * math.pi, cfg.pulse_length))
     grid = correlations.map_grid(system)
     values = dynamics.two_time_g2_map(system, "sigma", grid)
-    return ({"g2map.csv": lambda path: correlations.write_g2map_csv(path, grid, values)},
+    return ({"g2map.csv": lambda path: _write_g2map_csv(path, grid, values)},
             {"grid_points": len(grid), "horizon": float(grid[-1])})
 
 
@@ -310,8 +350,8 @@ def cmd_spectrum(cfg: RunConfig):
     curves = correlations.spectrum(_system(cfg.system, cfg, pulses[0]), _observed(cfg.system),
                                    detunings, pulses, cfg.spec_bandwidth)
     files = {f"spectrum_tau{tau:g}.csv": functools.partial(
-        correlations.write_spectrum_csv, detunings=detunings, values=values)
-        for tau, values in zip(cfg.pulse_lengths, curves)}
+        _write_csv, header="detuning_over_gamma,normalized_intensity", line="%.9g,%.12g\n",
+        columns=(detunings, values)) for tau, values in zip(cfg.pulse_lengths, curves)}
     return files, {"detuning_center": center}
 
 
@@ -334,7 +374,9 @@ def _sweep(cfg: RunConfig, prefix, system, sweep_pulse=False):
     else:
         curves = {f"tau{float(tau):g}": row for tau, row in zip(taus, grid)}
     files = {f"{prefix}_{key}.csv": functools.partial(
-        correlations.write_sweep_csv, axis=axis, stats=stats) for key, stats in curves.items()}
+        _write_csv, header="axis_value,g2,epsilon_used", line="%.9g,%.12g,%.9g\n",
+        columns=(axis, [st.g2 for st in stats], [st.epsilon_used for st in stats]))
+        for key, stats in curves.items()}
     return files, {}
 
 
@@ -393,11 +435,16 @@ def _check_window(rep_period, window, span, what, bin_width):
                           f"= {rep_period + window / 2.0:g} ns")
 
 
-def _estimate(hist, rep_period, cfg: RunConfig):
+def _estimate_json(hist, rep_period, cfg: RunConfig):
+    """The writer of the estimate JSON: `hist`'s g2 estimate at `cfg`'s window."""
     try:
-        return photostream.estimate_g2(hist, rep_period, cfg.window, cfg.excluded_peaks)
+        est = photostream.estimate_g2(hist, rep_period, cfg.window, cfg.excluded_peaks)
     except ValueError as err:  # the windows were checked: the side peaks are empty
         raise EstimationError(str(err)) from err
+    return functools.partial(_write_json, payload={
+        "value": est.value, "sigma": est.sigma, "center_sum": est.center_sum,
+        "side_sums": list(est.side_sums), "window_ns": cfg.window,
+        "excluded": list(cfg.excluded_peaks)})
 
 
 def cmd_hbt(cfg: RunConfig, seed):
@@ -416,12 +463,11 @@ def cmd_hbt(cfg: RunConfig, seed):
         raise ConfigError(f"stream: {err}") from err
     except photostream.BackgroundTooLarge as err:
         raise ConfigError(f"stream.noise_rate: {err}") from err
-    estimate = _estimate(hist, stream_cfg.rep_period, cfg)
     ks, sums = photostream.peak_sums(hist, stream_cfg.rep_period, cfg.window)
     files = {
         "hbt_histogram.csv": hist.to_csv,
-        "hbt_estimate.json": estimate.to_json,
-        "hbt_peak_sums.csv": lambda path: photostream._write_int_csv(
+        "hbt_estimate.json": _estimate_json(hist, stream_cfg.rep_period, cfg),
+        "hbt_peak_sums.csv": lambda path: photostream.write_int_csv(
             path, "peak_index,summed_counts", ks, sums),
     }
     return files, {"stream": {**vars(stream_cfg),
@@ -436,18 +482,12 @@ def cmd_analyze_histogram(cfg: RunConfig, data):
     except photostream.MalformedHistogram as err:
         raise ConfigError(f"data: {err}") from err
     _check_window(cfg.rep_period, cfg.window, hist.span, "data: histogram span", hist.bin_width)
-    estimate = _estimate(hist, cfg.rep_period, cfg)
     ks, sums = photostream.peak_sums(hist, cfg.rep_period, cfg.window)
-    freqs, amp = photostream.peak_sum_spectrum(ks, sums, cfg.rep_period)
-
-    def write_spectrum(path):
-        with open(path, "w") as fh:
-            fh.write("frequency_mhz,amplitude\n")
-            for f, a in zip(freqs, amp):
-                fh.write(f"{f:.9g},{a:.9g}\n")
-
-    return {"histogram_estimate.json": estimate.to_json,
-            "peak_sum_spectrum.csv": write_spectrum}, {}
+    spectrum = photostream.peak_sum_spectrum(ks, sums, cfg.rep_period)
+    return {"histogram_estimate.json": _estimate_json(hist, cfg.rep_period, cfg),
+            "peak_sum_spectrum.csv": functools.partial(
+                _write_csv, header="frequency_mhz,amplitude", line="%.9g,%.9g\n",
+                columns=spectrum)}, {}
 
 
 def cmd_fit_lifetime(cfg: RunConfig, data, which):
@@ -457,8 +497,13 @@ def cmd_fit_lifetime(cfg: RunConfig, data, which):
     except analysis.MalformedDecay as err:
         raise ConfigError(f"data: {err}") from err
     init = analysis.initial_cascade_guess(times, counts, which)
-    result = analysis.fit_lifetimes(times, counts, init, which)
-    return {"lifetime_fit.json": result.to_json}, {}
+    fit = analysis.fit_lifetimes(times, counts, init, which)
+    p = fit.params
+    return {"lifetime_fit.json": functools.partial(_write_json, payload={
+        "tau_2x_ps": 1e3 / p.gamma_2x, "tau_x_ps": 1e3 / p.gamma_x if which == "exciton" else None,
+        "irf_sigma_ps": 1e3 * p.irf_sigma, "amplitude": p.amplitude, "offset_ps": 1e3 * p.offset,
+        "uncertainties": fit.uncertainties, "chi2_reduced": fit.chi2_reduced,
+        "which": which})}, {}
 
 
 @functools.cache
@@ -515,10 +560,9 @@ def main(argv=None):
         for path, write in zip(paths, files.values()):
             write(path)
         config = {name: getattr(cfg, name) for name in _reads(args.command, cfg.system)}
-        with open(os.path.join(out, f"{stem}_metadata.json"), "w") as fh:
-            json.dump({"tool": "photonpurity", "version": __version__, "command": args.command,
-                       "config": config, **flags, **facts}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out, f"{stem}_metadata.json"),
+                    {"tool": "photonpurity", "version": __version__, "command": args.command,
+                     "config": config, **flags, **facts}, sort_keys=True)
     except (ConfigError, OSError) as err:  # OSError: a path from the config or the flags
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

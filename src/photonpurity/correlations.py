@@ -1,4 +1,4 @@
-"""Time-integrated filtered photon statistics.
+"""Time-integrated filtered photon statistics; this module writes no files.
 
 Headline quantity: g2[0; Gamma], the degree of second-order coherence at zero
 delay of the emission seen through a Lorentzian filter of bandwidth Gamma,
@@ -76,7 +76,6 @@ EPSILON_CONVERGENCE = 5e-3
 MAP_POINTS = 300
 WINDOW_INTERVALS = 30
 HORIZON_DECADES = 12.0
-_CSV_CHUNK = 1 << 16  # map rows per formatted write
 
 
 class NotConverged(RuntimeError):
@@ -275,6 +274,14 @@ def _filter_batch(system: SystemModel, observed, sensors, pulses):
     return [_copy_with(base, h_static=h, pulse=pulse) for pulse in pulses for base, h in shifted]
 
 
+def _mirrors(detunings):
+    """The index of the first center at exactly -Delta for each center Delta
+    < 0 of `detunings`, else -1 (-0.0 too): O(n log n) time, O(n) memory."""
+    order = np.argsort(detunings, kind="stable")  # equal centers in index order
+    found = order[np.minimum(np.searchsorted(detunings[order], -detunings), len(order) - 1)]
+    return np.where((detunings < 0) & (detunings[found] == -detunings), found, -1)
+
+
 def spectrum(
     system: SystemModel,
     observed,
@@ -310,11 +317,10 @@ def spectrum(
     detunings = np.asarray(detunings, dtype=float)
     if len(detunings) == 0 or len(pulses) == 0:
         raise ValueError("detunings, pulses: a spectrum needs a filter center and a pulse")
-    mirrors = detunings[:, None] == -detunings  # [i, j]: center j mirrors center i
-    symmetric = _mirror_symmetric(system, observed) is not None
-    mirrored = (detunings < 0) & mirrors.any(axis=1) & symmetric
+    mirror = _mirrors(detunings)
+    mirrored = (mirror >= 0) & (_mirror_symmetric(system, observed) is not None)
     source = np.cumsum(~mirrored) - 1
-    source[mirrored] = source[mirrors[mirrored].argmax(axis=1)]
+    source[mirrored] = source[mirror[mirrored]]
     sensors = [SensorConfig(d, spec_bandwidth, truncation=1) for d in detunings[~mirrored]]
     models = _filter_batch(system, observed, sensors, pulses)
     intensities = dynamics.emission_integrals(
@@ -324,39 +330,3 @@ def spectrum(
     if np.any(peaks <= 0):
         raise ZeroEmission("no emission anywhere on the detuning grid")
     return intensities / peaks
-
-
-def write_sweep_csv(path, axis, stats):
-    """One swept curve: the axis value, g2 and coupling of each point's
-    FilteredStats."""
-    with open(path, "w") as fh:
-        fh.write("axis_value,g2,epsilon_used\n")
-        for x, st in zip(axis, stats):
-            fh.write(f"{x:.9g},{st.g2:.12g},{st.epsilon_used:.9g}\n")
-
-
-def write_g2map_csv(path, times, values):
-    """The (n, n) map `values` on `times` along both axes as a row-major
-    (t1, t2, value) CSV; first line names the time unit.  Each time is
-    formatted once, into the template of its lines; one formatted write of
-    the values per chunk of t1 rows."""
-    # joined by a row's "t1," this list puts that t1 in front of every line
-    tails = ["", *("%.9g," % t + "%.12g\n" for t in times)]
-    n = len(times)
-    values = np.reshape(values, (n, n))
-    step = max(1, _CSV_CHUNK // len(tails))
-    with open(path, "w") as fh:
-        fh.write("# time_unit=1/gamma_sigma\n")
-        fh.write("t1,t2,value\n")
-        for start in range(0, n, step):
-            chunk = times[start:start + step]
-            template = "".join(("%.9g," % t).join(tails) for t in chunk)
-            fh.write(template % tuple(values[start:start + step].ravel().tolist()))
-
-
-def write_spectrum_csv(path, detunings, values):
-    """One spectrum: each filter center of `detunings` and its value."""
-    with open(path, "w") as fh:
-        fh.write("detuning_over_gamma,normalized_intensity\n")
-        for x, v in zip(detunings, values):
-            fh.write(f"{x:.9g},{v:.12g}\n")

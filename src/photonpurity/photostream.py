@@ -19,11 +19,12 @@ the memory is the histogram plus O(clicks), whatever the pair density.
 Each peak window's bin range follows from integer delays, and only the
 bins inside the windows are summed.
 
-Integer CSV rows (the histogram and the peak sums) are encoded by numpy, a
-chunk of rows at a time, into the exact bytes of "%d,%d\\n": each |x| splits
-into base-10^4 limbs, each limb is one 4-byte word from a table of digit
-words, and NUL bytes fill the slots a row does not use (a sign, a leading
-limb's missing digits) until `bytes.translate` deletes them.  That is a few
+Of the output files, only the integer CSVs are written here (the histogram,
+beside its reader, and the peak sums: write_int_csv).  numpy encodes their
+rows a chunk at a time into the exact bytes of "%d,%d\\n": each |x| splits
+into base-10^4 limbs, each limb one 4-byte word from a table of digit words,
+and NUL bytes fill the slots a row does not use (a sign, a leading limb's
+missing digits) until `bytes.translate` deletes them.  That is a few
 array passes per column and one translate per chunk: the 1.32 M-row
 histogram of a 3300 ns span takes about 0.07 s on one core of a 2-core
 x86-64 Xeon, in O(chunk) memory.
@@ -35,7 +36,6 @@ counts per second.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 import warnings
@@ -258,12 +258,12 @@ class CoincidenceHistogram:
     def to_csv(self, path):
         """Write `delay_ps,counts` rows, byte for byte what "%d,%d\\n" gives.
 
-        `_write_int_csv` encodes a chunk of rows at a time; the delays are
+        `write_int_csv` encodes a chunk of rows at a time; the delays are
         made one chunk at a time too, so the memory is O(chunk), not O(bins).
         """
         half, width = self.half_bins, int(self.bin_width)
-        _write_int_csv(path, "delay_ps,counts",
-                       range(-half * width, (half + 1) * width, width), self.counts)
+        write_int_csv(path, "delay_ps,counts",
+                      range(-half * width, (half + 1) * width, width), self.counts)
 
 
 @functools.cache
@@ -324,7 +324,7 @@ def _int_rows(columns):
     return rows.tobytes().translate(None, b"\0")
 
 
-def _write_int_csv(path, header, *columns):
+def write_int_csv(path, header, *columns):
     """Write a header line and the rows of int64 columns (arrays, or ranges
     made into arrays a chunk at a time) as "%d,%d\\n" would, _CSV_CHUNK rows
     per encoded write."""
@@ -437,21 +437,6 @@ class G2Estimate:
     sigma: float
     center_sum: int
     side_sums: tuple[int, int]
-    window: float                      # ns
-    excluded_peaks: tuple[float, ...] = ()
-
-    def to_json(self, path):
-        payload = {
-            "value": self.value,
-            "sigma": self.sigma,
-            "center_sum": int(self.center_sum),
-            "side_sums": [int(s) for s in self.side_sums],
-            "window_ns": self.window,
-            "excluded": list(self.excluded_peaks),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
 
 
 def _window_bounds(hist: CoincidenceHistogram, centers_ps, win_ps):
@@ -520,8 +505,6 @@ def estimate_g2(
         sigma=float(sigma),
         center_sum=center,
         side_sums=(side_m, side_p),
-        window=window,
-        excluded_peaks=tuple(excluded_peaks),
     )
 
 

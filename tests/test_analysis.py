@@ -216,19 +216,6 @@ class TestFit:
         assert np.allclose(t_back, self.t, atol=1e-9)
         assert np.allclose(y_back, y, rtol=1e-6)
 
-    def test_json_export(self, tmp_path):
-        import json
-
-        y = cascade_model(self.t, TRUE, "exciton")
-        init = CascadeParams(5.0, 3.0, 0.05, 9e3, 0.75)
-        fit = fit_lifetimes(self.t, y, init, "exciton")
-        path = tmp_path / "fit.json"
-        fit.to_json(path)
-        data = json.loads(path.read_text())
-        assert data["tau_2x_ps"] == pytest.approx(158.0, rel=1e-6)
-        assert data["tau_x_ps"] == pytest.approx(294.0, rel=1e-6)
-        assert "uncertainties" in data and data["chi2_reduced"] < 1e-10
-
 
 class TestSuperGaussian:
     def test_center_and_half_maximum(self):

@@ -6,15 +6,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from photonpurity import analysis, cli, photostream
+from photonpurity import analysis, cli, correlations, photostream
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDEN_THEORY = os.path.join(GOLDEN, "theory")
+GOLDEN_SUPPLEMENT = os.path.join(GOLDEN, "supplement")
 
 
 SWEEPS = ("sweep-pulse", "sweep-filter", "sweep-fourlevel")
@@ -238,6 +241,92 @@ def test_hbt_peak_sums_match_the_row_loop(tmp_path):
     assert len(ks) > 20 and sums.max() > 0
     expected = "peak_index,summed_counts\n" + "".join(f"{k},{s}\n" for k, s in zip(ks, sums))
     assert (out / "hbt_peak_sums.csv").read_bytes() == expected.encode()
+
+
+def test_g2map_csv_matches_row_writer(tmp_path):
+    # longer than one chunk of rows, with negative zeros, tiny and huge values
+    rng = np.random.default_rng(5)
+    times = np.sort(rng.uniform(0.0, 12.2, 311))
+    values = rng.normal(size=(311, 311)) * 10.0 ** rng.integers(-40, 40, (311, 311))
+    values[0, :3] = (0.0, -0.0, 1.0)
+    path = tmp_path / "map.csv"
+    cli._write_g2map_csv(path, times, values)
+    expected = "# time_unit=1/gamma_sigma\nt1,t2,value\n" + "".join(
+        f"{a:.9g},{b:.9g},{values[i, j]:.12g}\n"
+        for i, a in enumerate(times) for j, b in enumerate(times))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_g2map_csv_times_formatted_like_values(tmp_path):
+    # negative, tiny, large and integer-valued times and values
+    times = np.array([-2.5, -1e-12, 0.0, 1e-300, 1.0, 3.0, 123456789012.0, 7.25e20])
+    values = np.array([[-1.0, 2.0, 1e-310, 0.0, -0.0, 3.0, 1e300, -7e-5],
+                       [42.0, 1.0 / 3.0, -2.0 ** 60, 5.0, 6.0, 1e-20, -8.5e12, 0.5]] * 4)
+    path = tmp_path / "map.csv"
+    cli._write_g2map_csv(path, times, values)
+    expected = "# time_unit=1/gamma_sigma\nt1,t2,value\n" + "".join(
+        "%.9g,%.9g,%.12g\n" % (a, b, values[i, j])
+        for i, a in enumerate(times) for j, b in enumerate(times))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_sweep_csv(tmp_path, monkeypatch, tls_g2):
+    # each point's FilteredStats as written by sweep-filter
+    stats = tls_g2(0.05, 1.0)
+    monkeypatch.setattr(correlations, "filtered_g2_batch", lambda *args, **kw: [[stats, stats]])
+    text = "pulse_lengths: [0.05]\nsweep: {min: 1.0, max: 2.0, points: 2}\n"
+    assert run(tmp_path, "sweep-filter", text) == 0
+    lines = (tmp_path / "out" / "sweep_filter_tau0.05.csv").read_text().splitlines()
+    assert lines == ["axis_value,g2,epsilon_used",
+                     *(f"{x},{stats.g2:.12g},{stats.epsilon_used:.9g}" for x in (1, 2))]
+
+
+def test_spectrum_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(correlations, "spectrum", lambda *args: np.array([[0.5, 1.0, 0.5]]))
+    text = "pulse_lengths: [0.05]\ndetuning_span: 1.0\ndetuning_points: 3\n"
+    assert run(tmp_path, "spectrum", text) == 0
+    assert (tmp_path / "out" / "spectrum_tau0.05.csv").read_text() == \
+        "detuning_over_gamma,normalized_intensity\n-1,0.5\n0,1\n1,0.5\n"
+
+
+def test_estimate_json_export(tmp_path):
+    # analyze-histogram on 50 center counts and side peaks of 100,000 in 5 ps bins
+    counts = np.zeros(8001, dtype=np.int64)
+    counts[[4000 - 2620, 4000, 4000 + 2620]] = (100_000, 50, 100_000)  # -13.1, 0, 13.1 ns
+    data = tmp_path / "hist.csv"
+    photostream.CoincidenceHistogram(bin_width=5, counts=counts).to_csv(data)
+    assert cli.main(["analyze-histogram", "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+    est = json.loads((tmp_path / "out" / "histogram_estimate.json").read_text())
+    assert est["value"] == 5.0e-4
+    assert est["side_sums"] == [100000, 100000]
+    assert est["window_ns"] == 6.5
+
+
+def test_hbt_estimate_json_names_the_excluded_peaks(tmp_path):
+    text = "excluded_peaks: [8.0]\nwindow: 6.0\nstream: {n_pulses: 20000, p_single: 0.5}\n"
+    assert run(tmp_path, "hbt-sim", text) == 0
+    out = tmp_path / "out"
+    est = json.loads((out / "hbt_estimate.json").read_text())
+    expected = photostream.estimate_g2(photostream.read_histogram_csv(out / "hbt_histogram.csv"),
+                                       13.1, 6.0, (8.0,))
+    assert est == {"value": expected.value, "sigma": expected.sigma,
+                   "center_sum": expected.center_sum, "side_sums": list(expected.side_sums),
+                   "window_ns": 6.0, "excluded": [8.0]}
+    assert list(est) == ["value", "sigma", "center_sum", "side_sums", "window_ns", "excluded"]
+
+
+def test_fit_json_export(tmp_path):
+    # a noiseless exciton decay, fitted back from the initial guess
+    t = np.arange(0.0, 5.0, 0.005)
+    true = analysis.CascadeParams(gamma_2x=1 / 0.158, gamma_x=1 / 0.294,
+                                  irf_sigma=0.040, amplitude=1e4, offset=0.8)
+    data = tmp_path / "decay.csv"
+    analysis.write_decay_csv(data, t, analysis.cascade_model(t, true, "exciton"))
+    assert cli.main(["fit-lifetime", "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+    fit = json.loads((tmp_path / "out" / "lifetime_fit.json").read_text())
+    assert fit["tau_2x_ps"] == pytest.approx(158.0, rel=1e-6)
+    assert fit["tau_x_ps"] == pytest.approx(294.0, rel=1e-6)
+    assert "uncertainties" in fit and fit["chi2_reduced"] < 1e-10
 
 
 BAD_HISTOGRAM_ROWS = {
@@ -864,22 +953,31 @@ def _files(root):
 
 # The budget of each golden file's change, by file-name prefix, in the scaling of
 # scripts/compare_outputs.py: sweep g2 relative, spectra of the peak, the map of its
-# maximum.  tests/golden holds the theory script's 8 sweep curves and 3 spectra as
-# written, and its g2map.csv rows at every 3rd node of the 31-node drive window, every
-# 15th node after it and the last node.
+# maximum.  tests/golden/theory holds the theory script's 8 sweep curves and 3 spectra
+# as written, and its g2map.csv rows at every 3rd node of the 31-node drive window,
+# every 15th node after it and the last node.
 GOLDEN_BUDGETS = {"sweep_": 1e-9, "spectrum_": 1e-12, "g2map": 2e-11}
+# The relative budget of each float of lifetime_fit.json: started from the initial
+# guess with each of its rates and IRF width scaled by 0.7, 1 or 1.4 (27 starts), the
+# fits of the supplement's two decays move their floats by up to 4.1e-8 of themselves
+# (an exciton uncertainty; 1.5e-8 in a lifetime).
+FIT_BUDGET = 1e-7
+
+
+def _compare():
+    return _load(os.path.join(REPO, "scripts", "compare_outputs.py"), "compare_outputs")
 
 
 def golden_changes(out):
-    """Each golden file's largest change in the folder `out`, scaled as
+    """Each golden theory CSV's largest change in the folder `out`, scaled as
     compare_outputs scales it, with its budget.  The other columns must be
     equal."""
-    compare = _load(os.path.join(REPO, "scripts", "compare_outputs.py"), "compare_outputs")
+    compare = _compare()
     changes = {}
-    for name in sorted(os.listdir(GOLDEN)):
+    for name in sorted(n for n in os.listdir(GOLDEN_THEORY) if n.endswith(".csv")):
         column, scaling = next(spec for prefix, spec in compare.SCALED.items()
                                if name.startswith(prefix))
-        golden = compare._read_csv(os.path.join(GOLDEN, name))
+        golden = compare._read_csv(os.path.join(GOLDEN_THEORY, name))
         fresh = compare._read_csv(os.path.join(out, name))
         peak = np.max(np.abs(fresh[column]))  # of the whole map, before the subsample
         if name == "g2map.csv":  # the fresh map's rows at the golden (t1, t2) pairs
@@ -894,6 +992,46 @@ def golden_changes(out):
         budget = next(b for prefix, b in GOLDEN_BUDGETS.items() if name.startswith(prefix))
         changes[name] = (float(np.max(np.abs(fresh[column] - golden[column]) / scale)), budget)
     return changes
+
+
+def _agrees(fresh, golden, budget):
+    """Equal values of one type, or floats within `budget` of the golden one."""
+    if type(fresh) is not type(golden):
+        return False
+    if isinstance(golden, float):
+        return abs(fresh - golden) <= budget * abs(golden)
+    return fresh == golden
+
+
+def golden_mismatches(out, golden):
+    """The files under the folder `golden` but the CSVs that compare_outputs
+    scales, each against the same file under `out`: a CSV byte for byte, a
+    JSON leaf by leaf.  Its leaves must be equal, but for the floats of lifetime_fit.json
+    (within FIT_BUDGET); metadata is compared by compare_outputs' path rule, so
+    the golden fit metadata holds its --data path relative to the script's
+    output folder.  Returns {file: the leaves that differ}."""
+    compare = _compare()
+    mismatches = {}
+    for name in sorted(_files(golden)):
+        base = os.path.basename(name)
+        paths = os.path.join(out, name), os.path.join(golden, name)
+        if base.endswith(".csv"):
+            if any(base.startswith(prefix) for prefix in compare.SCALED):
+                continue  # golden_changes
+            fresh, kept = (Path(path).read_bytes() for path in paths)
+            if fresh != kept:
+                mismatches[name] = "bytes"
+            continue
+        fresh, kept = (compare._leaves(json.loads(Path(path).read_text())) for path in paths)
+        if base.endswith("_metadata.json"):
+            fresh = compare._without_paths(fresh, out)
+        budget = FIT_BUDGET if base == "lifetime_fit.json" else 0.0
+        differ = sorted(key for key in fresh.keys() | kept.keys()
+                        if key not in fresh or key not in kept
+                        or not _agrees(fresh[key], kept[key], budget))
+        if differ:
+            mismatches[name] = differ
+    return mismatches
 
 
 @pytest.mark.parametrize("script, expected", [
@@ -929,6 +1067,8 @@ def test_shipped_script_exits_zero(tmp_path, script, expected):
         # it, and reads back from the 12-digit text as up to 1.00001e-12
         assert {name: c for name, (c, budget) in changes.items()
                 if not c <= 1.001 * budget} == {}
+    golden = GOLDEN_THEORY if script == "reproduce_theory_figures.py" else GOLDEN_SUPPLEMENT
+    assert golden_mismatches(out, golden) == {}
 
 
 def test_compare_outputs_scales_each_change(tmp_path):

@@ -17,8 +17,6 @@ from photonpurity.correlations import (
     filtered_g2_batch,
     filtered_g2_zero,
     spectrum,
-    write_spectrum_csv,
-    write_sweep_csv,
 )
 from photonpurity.model import (
     BiexcitonConfig,
@@ -300,6 +298,19 @@ class TestUnfiltered:
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize("detunings", [
+        np.random.default_rng(3).choice([-3.5, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0], 400),
+        [-0.0, 0.0, -1.0, 1.0, 1.0, -1.0, 0.0, -0.0],
+        np.linspace(-40.0, 40.0, 161),
+        150.0 + np.linspace(-40.0, 40.0, 161),
+    ], ids=["repeats", "signed_zeros", "figure_grid", "off_center"])
+    def test_mirror_match_agrees_with_the_matrix_form(self, detunings):
+        # the first center at exactly -Delta for each Delta < 0; -0.0 mirrors nothing
+        d = np.asarray(detunings)
+        matrix = d[:, None] == -d
+        expected = np.where((d < 0) & matrix.any(axis=1), matrix.argmax(axis=1), -1)
+        assert np.array_equal(corr._mirrors(d), expected)
+
     def test_symmetric_for_resonant_drive(self):
         system = two_level_system(0.05)
         dets = np.linspace(-6.0, 6.0, 21)
@@ -762,19 +773,3 @@ class TestBatch:
         assert err.value.context == {"bandwidth": 2.0, "tau": 0.1}
         assert isinstance(err.value.__cause__, NotConverged)
 
-
-class TestExports:
-    def test_sweep_csv(self, tmp_path, tls_g2):
-        stats = tls_g2(0.05, 1.0)
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, np.array([1.0]), [stats])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "axis_value,g2,epsilon_used"
-        assert lines[1] == f"1,{stats.g2:.12g},{stats.epsilon_used:.9g}"
-
-    def test_spectrum_csv(self, tmp_path):
-        path = tmp_path / "spec.csv"
-        write_spectrum_csv(path, np.array([-1.0, 0.0, 1.0]), np.array([0.5, 1.0, 0.5]))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "detuning_over_gamma,normalized_intensity"
-        assert len(lines) == 4

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
 
 from photonpurity import dynamics
-from photonpurity.correlations import map_grid, write_g2map_csv
+from photonpurity.correlations import map_grid
 from photonpurity.dynamics import (
     BatchMismatch,
     StepSizeUnderflow,
@@ -254,31 +254,6 @@ class TestTwoTimeMap:
         near_pulse = np.abs(grid - p.offset) < 3 * p.length
         strip = near_pulse[:, None] | near_pulse[None, :]
         assert w[strip].sum() / w.sum() > 0.9
-
-    def test_csv_matches_row_writer(self, tmp_path):
-        # longer than one chunk of rows, with negative zeros, tiny and huge values
-        rng = np.random.default_rng(5)
-        times = np.sort(rng.uniform(0.0, 12.2, 311))
-        values = rng.normal(size=(311, 311)) * 10.0 ** rng.integers(-40, 40, (311, 311))
-        values[0, :3] = (0.0, -0.0, 1.0)
-        path = tmp_path / "map.csv"
-        write_g2map_csv(path, times, values)
-        expected = "# time_unit=1/gamma_sigma\nt1,t2,value\n" + "".join(
-            f"{a:.9g},{b:.9g},{values[i, j]:.12g}\n"
-            for i, a in enumerate(times) for j, b in enumerate(times))
-        assert path.read_bytes() == expected.encode()
-
-    def test_csv_times_formatted_like_values(self, tmp_path):
-        # negative, tiny, large and integer-valued times and values
-        times = np.array([-2.5, -1e-12, 0.0, 1e-300, 1.0, 3.0, 123456789012.0, 7.25e20])
-        values = np.array([[-1.0, 2.0, 1e-310, 0.0, -0.0, 3.0, 1e300, -7e-5],
-                           [42.0, 1.0 / 3.0, -2.0 ** 60, 5.0, 6.0, 1e-20, -8.5e12, 0.5]] * 4)
-        path = tmp_path / "map.csv"
-        write_g2map_csv(path, times, values)
-        expected = "# time_unit=1/gamma_sigma\nt1,t2,value\n" + "".join(
-            "%.9g,%.9g,%.12g\n" % (a, b, values[i, j])
-            for i, a in enumerate(times) for j, b in enumerate(times))
-        assert path.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("grid", [[0.5, 1.0, 2.0], [0.0, 1.0, 0.5], []],
                              ids=["after_zero", "decreasing", "empty"])

@@ -68,3 +68,37 @@ def test_every_helper_and_method_has_a_caller():
     referenced = _referenced_names()
     assert sorted(name for name in _helpers_and_methods()
                   if name.rpartition(".")[2] not in referenced) == []
+
+
+# Every output format is cli's but two that a command also reads back, each
+# beside its reader: photostream's integer CSVs and analysis' decay CSV.
+FILE_WRITERS = {"photostream.write_int_csv", "analysis.write_decay_csv"}
+
+
+def _file_writers():
+    """module.function of each function outside cli that calls open() with a
+    mode that writes ("w", "wb", "a", "x" or "+"; a mode that is not a
+    literal counts too), methods as module.Class.method."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, DEFINITIONS):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                   or set(m.value) & set("wax+") for m in modes):
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "cli":
+            visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_only_cli_writes_output_files():
+    # equality, not a subset: the two writers that stay show that the scan finds one
+    assert _file_writers() == FILE_WRITERS
